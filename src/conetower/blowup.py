@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .charts import Chart, Hypersurface, SubstitutionMap, compose_maps, maps_equal
 from .errors import NotTriangularError, ValidationError, ZeroInputError
 from .gaussian import ONE
-from .multipoly import MultiPoly, extract_variable_power
+from .multipoly import MultiPoly, extract_variable_power, substitute
 
 
 @dataclass(frozen=True)
@@ -152,13 +152,11 @@ def straighten_center(center: SurfaceCenter, new_names, chart_id: str):
         key=lambda item: ambient.variables.index(item[0]),
         reverse=True,
     )
-    from .multipoly import substitute as _substitute
-
     for iso_var, new_var, rest in order:
         partial = {v: images[v] for v in images}
         for missing in ambient.variables:
             partial.setdefault(missing, straight.zero_poly())
-        images[iso_var] = straight.var(new_var) + _substitute(rest, partial)
+        images[iso_var] = straight.var(new_var) + substitute(rest, partial)
     forward = SubstitutionMap(
         straight, ambient, {v: images[v] for v in ambient.variables}, f"{chart_id}.unstraighten"
     )
@@ -319,8 +317,6 @@ def overlap_cocycle_ok(step: BlowupStep) -> bool:
             images[v] = None  # handled via the cleared denominator below
         else:
             images[v] = MultiPoly.variable(s_vars, v)
-    from .multipoly import substitute as _substitute
-
     s_poly = MultiPoly.variable(s_vars, s_name)
     for base_var in step.base.variables:
         a = chart_t.to_base.assignment[base_var]
@@ -331,7 +327,7 @@ def overlap_cocycle_ok(step: BlowupStep) -> bool:
             coeff = a.coefficient_in(t_name, e)
             assignment = {v: (images[v] if images[v] is not None else s_poly) for v in a.variables}
             assignment[t_name] = MultiPoly.constant(s_vars, ONE)
-            image = _substitute(coeff, assignment)
+            image = substitute(coeff, assignment)
             cleared = cleared + image * s_poly ** (d - e)
         expected = chart_s.to_base.assignment[base_var] * s_poly ** d
         if cleared != expected:

@@ -7,9 +7,11 @@ scalar transition z^-d presents O(d), so diag(z^2, 1) has splitting (0, -2).
 The splitting type is computed exactly via column reduction of the cleared
 matrix z^sigma * T: by the predictable-degree property the column degrees
 e_i give d_i = sigma - e_i, and h0(E(m)) = sum_i max(0, d_i + m + 1).  Every
-run is cross-checked against honest section counting (finite exact linear
-algebra) on a window of twists; a disagreement raises
-InternalInconsistencyError and must never occur.
+run is cross-checked against honest section counting on a window of twists;
+a disagreement raises InternalInconsistencyError and must never occur.
+Sections of E(m) are counted by one exact rank computation at the proven
+degree bound m + hi - val (hi the top z-exponent of T, det T = c*z^val),
+never by waiting for a count to stop changing.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     NotCocycleError,
     ValidationError,
 )
-from .gaussian import GaussianRational, ZERO
+from .gaussian import ZERO
 from .laurent import LaurentPoly, parse_laurent
 from .multipoly import MultiPoly, differentiate
 
@@ -109,59 +111,43 @@ def det_valuation(T: TransitionMatrix):
     return det.coeffs[exponent], exponent
 
 
-def section_dim(T: TransitionMatrix, m: int, degree_bound: int | None = None) -> int:
+def section_dim(T: TransitionMatrix, m: int) -> int:
     """h0 of the bundle twisted by O(m), by exact section counting.
 
-    A section is a polynomial 2-vector u(z) such that every entry of
-    T * z^-m * u has only non-positive z-exponents.  The truncation degree
-    starts at m + (exponent span) + 1 (or the caller's bound) and grows by 2
-    until the dimension stabilizes, which certifies the bound was adequate.
+    A section is a polynomial 2-vector u(z) such that v = T * z^-m * u has
+    only non-positive z-exponents.  Then u = z^m * adj(T) * v / (c * z^val)
+    with det T = c * z^val, and the entries of adj(T) are entries of T, of
+    z-degree at most hi (the top exponent of T).  So every section has
+    degree at most m + hi - val, and one exact rank computation over the
+    polynomials of that degree counts them all.
     """
-    c, v = det_valuation(T)  # validates the cocycle
-    del c, v
-    lo, hi = T.exponent_span()
-    span = hi - lo
-    bound = degree_bound if degree_bound is not None else m + span + 1
-    bound = max(bound, -1)
-
-    def dim_at(B: int) -> int:
-        if B < 0:
-            return 0
-        cols = 2 * (B + 1)
-        rows = []
-        for i in range(2):
-            row_entries = [T.entries[i][j] for j in range(2)]
-            top = max((e.max_exp() for e in row_entries if not e.is_zero()), default=None)
-            if top is None:
-                continue
-            for e in range(1, top - m + B + 1):
-                row = [ZERO] * cols
-                hit = False
-                for j in range(2):
-                    entry = T.entries[i][j]
-                    for d in range(B + 1):
-                        coeff = entry.coefficient(e + m - d)
-                        if coeff:
-                            row[j * (B + 1) + d] = coeff
-                            hit = True
-                if hit:
-                    rows.append(row)
-        if not rows:
-            return cols
-        rank, _ = linalg.nullspace(rows, cols)
-        return cols - rank
-
-    previous = dim_at(bound)
-    grown = bound
-    while grown <= bound + 64:
-        grown += 2
-        current = dim_at(grown)
-        if current == previous:
-            return current
-        previous = current
-    raise InternalInconsistencyError(
-        f"section dimension did not stabilize below degree {grown} (twist {m})"
-    )
+    _, val = det_valuation(T)  # validates the cocycle
+    _, hi = T.exponent_span()
+    B = m + hi - val
+    if B < 0:
+        return 0
+    cols = 2 * (B + 1)
+    rows = []
+    for i in range(2):
+        row_entries = [T.entries[i][j] for j in range(2)]
+        top = max((e.max_exp() for e in row_entries if not e.is_zero()), default=None)
+        if top is None:
+            continue
+        for e in range(1, top - m + B + 1):
+            row = [ZERO] * cols
+            hit = False
+            for j in range(2):
+                entry = T.entries[i][j]
+                for d in range(B + 1):
+                    coeff = entry.coefficient(e + m - d)
+                    if coeff:
+                        row[j * (B + 1) + d] = coeff
+                        hit = True
+            if hit:
+                rows.append(row)
+    if not rows:
+        return cols
+    return cols - linalg.matrix_rank(rows)
 
 
 def _column_degree(column):
@@ -174,10 +160,9 @@ def _column_degree(column):
 def _column_reduce(columns):
     """Right-unimodular column reduction of a polynomial 2x2 matrix.
 
-    Returns (column_degrees, accumulated_operation_degree).  Terminates
-    because the total column degree strictly drops at each step.
+    Returns the column degrees.  Terminates because the total column degree
+    strictly drops at each step.
     """
-    op_degree = 0
     for _ in range(1000):
         d = [_column_degree(col) for col in columns]
         lead = [
@@ -186,7 +171,7 @@ def _column_reduce(columns):
         ]
         det_lead = lead[0][0] * lead[1][1] - lead[0][1] * lead[1][0]
         if det_lead:
-            return d, op_degree
+            return d
         dst, src = (0, 1) if d[0] >= d[1] else (1, 0)
         shift = d[dst] - d[src]
         src_lead = (lead[0][src], lead[1][src])
@@ -196,22 +181,19 @@ def _column_reduce(columns):
         columns[dst] = [
             columns[dst][i] - factor * columns[src][i] for i in range(2)
         ]
-        # accumulated degree of the implicit unimodular factor, with slack
-        op_degree += shift + 1
     raise InternalInconsistencyError("column reduction did not terminate")
 
 
 def _analyze_cocycle(T: TransitionMatrix, window: int):
     """Column-reduce, derive the degrees, and cross-check h0 over a twist window."""
-    c, v = det_valuation(T)
-    del c
-    lo, hi = T.exponent_span()
+    _, v = det_valuation(T)
+    lo, _ = T.exponent_span()
     sigma = max(0, -lo)
     columns = [
         [T.entries[0][j].shift(sigma), T.entries[1][j].shift(sigma)]
         for j in range(2)
     ]
-    degrees, op_degree = _column_reduce(columns)
+    degrees = _column_reduce(columns)
     d_pair = sorted((sigma - degrees[0], sigma - degrees[1]), reverse=True)
     d1, d2 = d_pair
     if d1 + d2 != -v:
@@ -221,12 +203,10 @@ def _analyze_cocycle(T: TransitionMatrix, window: int):
     m0 = -d1
     if section_dim(T, m0 - 1) != 0:
         raise InternalInconsistencyError("sections exist below the computed first twist")
-    e_min = min(degrees)
     profile = [(m0 - 1, 0)]
     for m in range(m0, m0 + window - 1):
         expected = max(0, d1 + m + 1) + max(0, d2 + m + 1)
-        bound = op_degree + max(0, sigma + m - e_min) + 1
-        got = section_dim(T, m, degree_bound=bound)
+        got = section_dim(T, m)
         if got != expected:
             raise InternalInconsistencyError(
                 f"h0 profile mismatch at twist {m}: got {got}, expected {expected}"

@@ -35,6 +35,16 @@ class Check:
         return {"name": self.name, "status": self.status, "witness": self.witness}
 
 
+def aggregate_status(checks) -> str:
+    """FAIL if any check fails, else INCONCLUSIVE if any is, else PASS."""
+    statuses = {c.status for c in checks}
+    if FAIL in statuses:
+        return FAIL
+    if INCONCLUSIVE in statuses:
+        return INCONCLUSIVE
+    return PASS
+
+
 @dataclass
 class Certificate:
     command: str
@@ -46,6 +56,7 @@ class Certificate:
     points: list | None = None
     justification: str = ""
     seed: int | None = None
+    details: dict | None = None
 
     def __post_init__(self):
         if self.status not in _ALL_STATUSES:
@@ -56,9 +67,6 @@ class Certificate:
         if self.status not in _GOOD_STATUSES:
             return False
         return all(c.status not in (FAIL, INCONCLUSIVE) for c in self.checks)
-
-    def failing_checks(self):
-        return [c for c in self.checks if c.status in (FAIL, INCONCLUSIVE)]
 
     def to_dict(self) -> dict:
         doc = {
@@ -78,6 +86,8 @@ class Certificate:
             doc["justification"] = self.justification
         if self.seed is not None:
             doc["seed"] = self.seed
+        if self.details is not None:
+            doc["details"] = self.details
         return doc
 
     def to_json(self) -> str:

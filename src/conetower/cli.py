@@ -1,10 +1,11 @@
-"""Command-line front end: build towers, run certificates, emit reports.
+"""Command-line front end: build towers, run certificates, emit them.
 
-Every subcommand produces a report of named checks.  Exit code 0 means every
-check passed; 1 means some check failed or was inconclusive; 2 is a usage
-error; 3 is an internal inconsistency (a self-check that must never fail).
-JSON reports are deterministic: same configuration, byte-identical output
-(wall time is printed only in the text format).
+Every subcommand produces one ``cert/1`` certificate of named checks.  Exit
+code 0 means every check passed; 1 means some check failed or was
+inconclusive; 2 is a usage error; 3 is an internal inconsistency (a
+self-check that must never fail).  JSON output is deterministic: same
+configuration, byte-identical output (wall time is printed only in the text
+format).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import (
@@ -22,7 +23,7 @@ from .bundles import (
     h0_window,
     normal_bundle_sequence,
 )
-from .certificates import FAIL, INCONCLUSIVE, PASS, Certificate, Check
+from .certificates import FAIL, PASS, Certificate, Check, aggregate_status
 from .errors import (
     ConetowerError,
     InternalInconsistencyError,
@@ -68,53 +69,23 @@ class RunConfig:
     format: str = "text"
 
 
-@dataclass
-class Report:
-    """Aggregated result of one CLI run; JSON form is byte-stable."""
-
-    command: str
-    params: dict
-    checks: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    wall_time: float = 0.0
-
-    @property
-    def status(self) -> str:
-        if any(c.status == FAIL for c in self.checks):
-            return FAIL
-        if any(c.status == INCONCLUSIVE for c in self.checks):
-            return INCONCLUSIVE
-        return PASS
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "cert/1",
-            "command": self.command,
-            "params": self.params,
-            "status": self.status,
-            "checks": [c.to_dict() for c in self.checks],
-            "details": self.details,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    def to_text(self) -> str:
-        name_width = max([len(c.name) for c in self.checks] + [24]) + 2
-        lines = [f"command: {self.command}"]
-        for key in sorted(self.params):
-            lines.append(f"  {key} = {self.params[key]}")
-        lines.append("-" * (name_width + 40))
-        for check in self.checks:
-            witness = check.witness if len(check.witness) <= 96 else check.witness[:93] + "..."
-            lines.append(f"{check.name:<{name_width}}{check.status:<14}{witness}")
-        lines.append("-" * (name_width + 40))
-        lines.append(f"overall: {self.status}   wall-time: {self.wall_time:.3f}s")
-        return "\n".join(lines)
+def format_text(cert: Certificate, wall_time: float) -> str:
+    """Human-readable form of a CLI certificate; the only place wall time appears."""
+    name_width = max([len(c.name) for c in cert.checks] + [24]) + 2
+    lines = [f"command: {cert.command}"]
+    for key in sorted(cert.params):
+        lines.append(f"  {key} = {cert.params[key]}")
+    lines.append("-" * (name_width + 40))
+    for check in cert.checks:
+        witness = check.witness if len(check.witness) <= 96 else check.witness[:93] + "..."
+        lines.append(f"{check.name:<{name_width}}{check.status:<14}{witness}")
+    lines.append("-" * (name_width + 40))
+    lines.append(f"overall: {cert.status}   wall-time: {wall_time:.3f}s")
+    return "\n".join(lines)
 
 
 def _cert_rows(prefix: str, cert: Certificate, expect: str) -> list:
-    """Convert a certificate into report rows, asserting its expected status."""
+    """Convert a certificate into CLI check rows, asserting its expected status."""
     ok = cert.status == expect
     rows = [
         Check(
@@ -131,37 +102,37 @@ def _cert_rows(prefix: str, cert: Certificate, expect: str) -> list:
 # ------------------------------------------------------------------ subcommands
 
 
-def _run_tower(config: RunConfig, report: Report):
+def _run_tower(config: RunConfig, checks: list, details: dict):
     tower = build_tower(config.k)
-    report.checks.extend(tower.checks)
+    checks.extend(tower.checks)
     if config.output:
         with open(config.output, "w") as fh:
             fh.write(tower_to_json(tower))
-        report.details["tower_written_to"] = config.output
-    report.details["levels"] = tower.k + 1
+        details["tower_written_to"] = config.output
+    details["levels"] = tower.k + 1
 
 
-def _run_certify(config: RunConfig, report: Report):
+def _run_certify(config: RunConfig, checks: list, details: dict):
     tower = build_tower(config.k)
     top = tower.level(config.k)
     cert = certify_singular_locus(top.hypersurface, [top.chart.origin()])
-    report.checks.extend(_cert_rows("Y_k", cert, "ONLY_SINGULAR_AT"))
+    checks.extend(_cert_rows("Y_k", cert, "ONLY_SINGULAR_AT"))
     bottom = tower.level(0)
     cert0 = certify_singular_locus(bottom.hypersurface, [])
-    report.checks.extend(_cert_rows("Y_0", cert0, "SMOOTH"))
+    checks.extend(_cert_rows("Y_0", cert0, "SMOOTH"))
     for index, (h, _) in enumerate(top.off_chart_transforms, start=1):
         cert_off = certify_singular_locus(h, [])
-        report.checks.extend(_cert_rows(f"off-chart-{index}", cert_off, "SMOOTH"))
+        checks.extend(_cert_rows(f"off-chart-{index}", cert_off, "SMOOTH"))
 
 
-def _run_perturb(config: RunConfig, report: Report):
+def _run_perturb(config: RunConfig, checks: list, details: dict):
     params = PerturbationParams(k=config.k, N=config.N, eps=config.eps)
     cert = certify_perturbation(params)
-    report.checks.extend(_cert_rows("perturbation", cert, "CERTIFIED"))
-    report.details["certificate"] = cert.to_dict()
+    checks.extend(_cert_rows("perturbation", cert, "CERTIFIED"))
+    details["certificate"] = cert.to_dict()
 
 
-def _run_perturb_search(config: RunConfig, report: Report):
+def _run_perturb_search(config: RunConfig, checks: list, details: dict):
     kwargs = {}
     if config.n_max is not None:
         kwargs["n_max"] = config.n_max
@@ -170,47 +141,47 @@ def _run_perturb_search(config: RunConfig, report: Report):
     try:
         params, cert = search_perturbation(config.k, **kwargs)
     except SearchExhaustedError as err:
-        report.checks.append(
+        checks.append(
             Check(name="search:found", status=FAIL, witness=str(err))
         )
-        report.details["attempts"] = err.attempts
+        details["attempts"] = err.attempts
         return
-    report.checks.append(
+    checks.append(
         Check(
             name="search:found",
             status=PASS,
             witness=f"N = {params.N}, eps = {params.eps}",
         )
     )
-    report.checks.extend(_cert_rows("search", cert, "CERTIFIED"))
+    checks.extend(_cert_rows("search", cert, "CERTIFIED"))
     h = perturbed_equation(params)
     best = float_min_abs_off_claimed(h, [h.chart.origin()])
     margin_ok = best is None or best[0] > ORACLE_MARGIN
-    report.checks.append(
+    checks.append(
         Check(
             name="search:numeric-oracle-margin",
             status=PASS if margin_ok else FAIL,
             witness="no off-origin candidates" if best is None else f"min |f| = {best[0]:.3e}",
         )
     )
-    report.details["found"] = params.as_dict()
+    details["found"] = params.as_dict()
 
 
-def _run_normal_bundles(config: RunConfig, report: Report):
+def _run_normal_bundles(config: RunConfig, checks: list, details: dict):
     sequence = normal_bundle_sequence(config.k)
     expected = [(0, -2)] * (config.k - 1) + [(-1, -1)]
     got = [st.as_pair() for st in sequence]
-    report.checks.append(
+    checks.append(
         Check(
             name="normal-bundles:sequence",
             status=PASS if got == expected else FAIL,
             witness=", ".join(str(p) for p in got),
         )
     )
-    report.details["sequence"] = [list(p) for p in got]
+    details["sequence"] = [list(p) for p in got]
 
 
-def _run_splitting(config: RunConfig, report: Report):
+def _run_splitting(config: RunConfig, checks: list, details: dict):
     with open(config.matrix) as fh:
         rows = json.load(fh)
     if (
@@ -224,46 +195,46 @@ def _run_splitting(config: RunConfig, report: Report):
         c, v = det_valuation(T)
         st, profile = h0_window(T, window=6)
     except NotCocycleError as err:
-        report.checks.append(Check(name="splitting:cocycle", status=FAIL, witness=str(err)))
+        checks.append(Check(name="splitting:cocycle", status=FAIL, witness=str(err)))
         return
-    report.checks.append(
+    checks.append(
         Check(name="splitting:cocycle", status=PASS, witness=f"det = {c}*z^{v}")
     )
-    report.checks.append(
+    checks.append(
         Check(name="splitting:type", status=PASS, witness=str(st))
     )
-    report.checks.append(
+    checks.append(
         Check(
             name="splitting:h0-window",
             status=PASS,
             witness=", ".join(f"h0({m}) = {d}" for m, d in profile),
         )
     )
-    report.details["splitting"] = list(st.as_pair())
-    report.details["h0_window"] = [[m, d] for m, d in profile]
+    details["splitting"] = list(st.as_pair())
+    details["h0_window"] = [[m, d] for m, d in profile]
 
 
-def _run_quadric(config: RunConfig, report: Report):
+def _run_quadric(config: RunConfig, checks: list, details: dict):
     tower = build_tower(config.k or 1)
     cert = verify_boundary_cover(tower, trials=config.trials, seed=config.seed)
-    report.checks.extend(_cert_rows("boundary-cover", cert, "PASS"))
+    checks.extend(_cert_rows("boundary-cover", cert, "PASS"))
     control = control_cover_certificate(trials=min(config.trials, 5), seed=config.seed)
-    report.checks.append(
+    checks.append(
         Check(
             name="control-fails-as-expected",
             status=PASS if control.status == FAIL else FAIL,
             witness=control.checks[0].witness,
         )
     )
-    report.details["samples"] = len(cert.branches)
+    details["samples"] = len(cert.branches)
 
 
-def _run_real_slice(config: RunConfig, report: Report):
+def _run_real_slice(config: RunConfig, checks: list, details: dict):
     params = PerturbationParams(k=config.k, N=config.N, eps=config.eps)
     R4, R, cert = real_slice_bound(params)
-    report.checks.extend(_cert_rows("bounds", cert, "CERTIFIED"))
+    checks.extend(_cert_rows("bounds", cert, "CERTIFIED"))
     summary = sample_real_slice(params, count=config.samples, seed=config.seed)
-    report.checks.append(
+    checks.append(
         Check(
             name="sampling:no-violations",
             status=PASS if not summary["violations"] else FAIL,
@@ -277,30 +248,27 @@ def _run_real_slice(config: RunConfig, report: Report):
     x1, x2, x3, x4 = witness_point
     on_cone = x1 ** 2 + x2 ** 2 + x3 ** 2 - x4 ** (2 * config.k) == 0
     big = x4 > WITNESS_NORM
-    report.checks.append(
+    checks.append(
         Check(
             name="cone:unbounded-witness",
             status=PASS if (on_cone and big) else FAIL,
             witness=f"({x1}, {x2}, {x3}, {x4})",
         )
     )
-    report.details["bounds"] = {"R4": str(R4), "R": str(R), **cert.values}
+    details["bounds"] = {"R4": str(R4), "R": str(R), **cert.values}
 
 
-def _run_square_check(config: RunConfig, report: Report):
+def _run_square_check(config: RunConfig, checks: list, details: dict):
     cert = verify_lemma_square()
-    report.checks.extend(_cert_rows("lemma-square", cert, "PASS"))
+    checks.extend(_cert_rows("lemma-square", cert, "PASS"))
 
 
-def _run_all(config: RunConfig, report: Report):
-    _run_tower(RunConfig(command="tower", k=config.k), report)
-    _run_certify(RunConfig(command="certify", k=config.k), report)
-    _run_square_check(RunConfig(command="square-check"), report)
-    search_report = Report(command="perturb-search", params={})
-    _run_perturb_search(RunConfig(command="perturb-search", k=config.k), search_report)
-    report.checks.extend(search_report.checks)
-    report.details.update(search_report.details)
-    found = search_report.details.get("found")
+def _run_all(config: RunConfig, checks: list, details: dict):
+    _run_tower(RunConfig(command="tower", k=config.k), checks, details)
+    _run_certify(RunConfig(command="certify", k=config.k), checks, details)
+    _run_square_check(RunConfig(command="square-check"), checks, details)
+    _run_perturb_search(RunConfig(command="perturb-search", k=config.k), checks, details)
+    found = details.get("found")
     if found is not None:
         slice_config = RunConfig(
             command="real-slice",
@@ -310,10 +278,10 @@ def _run_all(config: RunConfig, report: Report):
             samples=min(config.samples, 500),
             seed=config.seed,
         )
-        _run_real_slice(slice_config, report)
-    _run_normal_bundles(RunConfig(command="normal-bundles", k=config.k), report)
+        _run_real_slice(slice_config, checks, details)
+    _run_normal_bundles(RunConfig(command="normal-bundles", k=config.k), checks, details)
     _run_quadric(
-        RunConfig(command="quadric", k=1, trials=config.trials, seed=config.seed), report
+        RunConfig(command="quadric", k=1, trials=config.trials, seed=config.seed), checks, details
     )
 
 
@@ -331,8 +299,8 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> Report:
-    """Dispatch one validated configuration and return the populated report."""
+def run(config: RunConfig) -> Certificate:
+    """Dispatch one validated configuration and return its certificate."""
     params = {}
     for key in ("k", "N", "trials", "seed", "samples", "n_max", "matrix"):
         value = getattr(config, key)
@@ -340,11 +308,15 @@ def run(config: RunConfig) -> Report:
             params[key] = value
     if "eps" in _COMMAND_PARAMS.get(config.command, ()):
         params["eps"] = str(config.eps)
-    report = Report(command=config.command, params=params)
-    start = time.monotonic()
-    _RUNNERS[config.command](config, report)
-    report.wall_time = time.monotonic() - start
-    return report
+    checks, details = [], {}
+    _RUNNERS[config.command](config, checks, details)
+    return Certificate(
+        command=config.command,
+        status=aggregate_status(checks),
+        params=params,
+        checks=checks,
+        details=details,
+    )
 
 
 _COMMAND_PARAMS = {
@@ -436,8 +408,9 @@ def main(argv=None) -> int:
     except SystemExit as exit_err:
         return 2 if exit_err.code not in (0, None) else 0
     config = _config_from_args(args)
+    start = time.monotonic()
     try:
-        report = run(config)
+        cert = run(config)
     except (ValidationError, ParseError, FileNotFoundError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
@@ -447,15 +420,12 @@ def main(argv=None) -> int:
     except ConetowerError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if config.format == "json":
-        text = report.to_json()
-    else:
-        text = report.to_text()
-    print(text)
+    wall_time = time.monotonic() - start
+    print(cert.to_json() if config.format == "json" else format_text(cert, wall_time))
     if config.output and config.command != "tower":
         with open(config.output, "w") as fh:
-            fh.write(report.to_json())
-    return 0 if report.status == PASS else 1
+            fh.write(cert.to_json())
+    return 0 if cert.status == PASS else 1
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import ZeroInputError
 from .gaussian import GaussianRational, ONE, ZERO
-from .multipoly import MultiPoly, parse_laurent_terms
+from .multipoly import MultiPoly, _Parser, _terms_to_string
 
 
 class LaurentPoly:
@@ -111,11 +111,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash((self.variable, frozenset(self.coeffs.items())))
 
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            raise ZeroInputError("the zero Laurent polynomial has no exponents")
-        return min(self.coeffs)
-
     def max_exp(self) -> int:
         if not self.coeffs:
             raise ZeroInputError("the zero Laurent polynomial has no exponents")
@@ -128,36 +123,8 @@ class LaurentPoly:
         return self.coeffs.get(exponent, ZERO)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                mono = ""
-            elif e == 1:
-                mono = self.variable
-            else:
-                mono = f"{self.variable}^{e}"
-            if c.im == 0:
-                negative = c.re < 0
-                mag = abs(c.re)
-                body = mono if (mag == 1 and mono) else str(mag)
-            elif c.re == 0:
-                negative = c.im < 0
-                mag = abs(c.im)
-                body = "i" if mag == 1 else f"{mag}*i"
-            else:
-                negative = False
-                body = str(c)
-            if mono and body != mono:
-                body = f"{body}*{mono}"
-            pieces.append((negative, body))
-        first_neg, first_body = pieces[0]
-        out = [("-" if first_neg else "") + first_body]
-        for negative, body in pieces[1:]:
-            out.append((" - " if negative else " + ") + body)
-        return "".join(out)
+        order = sorted(self.coeffs, reverse=True)
+        return _terms_to_string((self.variable,), (((e,), self.coeffs[e]) for e in order))
 
     def __repr__(self):
         return f"LaurentPoly({self})"
@@ -165,4 +132,10 @@ class LaurentPoly:
 
 def parse_laurent(text: str, variable: str = "z") -> LaurentPoly:
     """Parse Laurent text like ``"z^-1 + 2"``; same grammar, negative exponents allowed."""
-    return LaurentPoly(parse_laurent_terms(text, variable), variable)
+    return _Parser(
+        text,
+        (variable,),
+        negative_exponents=True,
+        constant=lambda value: LaurentPoly.constant(value, variable),
+        power=lambda name, exponent: LaurentPoly.monomial(exponent, ONE, variable),
+    ).parse()

@@ -24,7 +24,7 @@ from .blowup import (
     strict_transform,
     surface_blowup,
 )
-from .certificates import FAIL, PASS, Certificate, Check
+from .certificates import FAIL, PASS, Certificate, Check, aggregate_status
 from .charts import Chart, Hypersurface, SubstitutionMap, compose_maps, first_mismatch
 
 _JUSTIFICATION = (
@@ -133,10 +133,9 @@ def _square_certificate(center_texts, sprime_texts) -> Certificate:
         )
     )
 
-    status = PASS if all(c.status == PASS for c in checks) else FAIL
     return Certificate(
         command="square-check",
-        status=status,
+        status=aggregate_status(checks),
         params={"center": list(center_texts)},
         checks=checks,
         values=values,

@@ -8,8 +8,7 @@ solver of :mod:`conetower.quadric`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .errors import InternalInconsistencyError
 from .gaussian import GaussianRational, ZERO
 
 
@@ -27,8 +26,6 @@ def _gdiv_exact(x, y):
     re, r1 = divmod(x[0] * y[0] + x[1] * y[1], norm)
     im, r2 = divmod(x[1] * y[0] - x[0] * y[1], norm)
     if r1 or r2:
-        from .errors import InternalInconsistencyError
-
         raise InternalInconsistencyError("inexact division in fraction-free elimination")
     return (re, im)
 
@@ -117,10 +114,3 @@ def matrix_rank(rows):
     pivots, _ = row_echelon_gaussian(rows)
     return len(pivots)
 
-
-def real_nullspace(rows):
-    """Kernel of a rational real matrix; returns (rank, basis of Fraction rows)."""
-    grows = [[GaussianRational(Fraction(v)) for v in row] for row in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank, basis = nullspace(grows, ncols)
-    return rank, [[v.re for v in vec] for vec in basis]

@@ -8,20 +8,22 @@ what keeps chart bookkeeping honest.
 
 Canonical printing orders terms by graded lexicographic comparison of the
 exponent vectors (highest first), so reports and serialized documents are
-byte-stable.  The text grammar (also used by the CLI and JSON documents):
+byte-stable.  The text grammar (also used by the CLI and JSON documents, and
+by :mod:`conetower.laurent` through the same parser and printer):
 
     poly   :=  [sign] term { ("+"|"-") term }
     term   :=  factor { "*" factor }
     factor :=  INT [ "/" INT ]  |  "i"  |  NAME [ "^" INT ]  |  "(" poly ")"
 
 ``i`` is always the imaginary unit and is not a legal variable name.
-Whitespace is insignificant.  Negative exponents are only accepted in the
-Laurent mode used by :mod:`conetower.laurent`.
+Whitespace is insignificant.  The exponent rule is the only difference
+between the two: ``NAME ^ -INT`` is legal in Laurent text only.
 """
 
 from __future__ import annotations
 
 import re as _re
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -283,7 +285,7 @@ def _monomial_string(variables, exps) -> str:
     for var, e in zip(variables, exps):
         if e == 1:
             factors.append(var)
-        elif e > 1:
+        elif e:
             factors.append(f"{var}^{e}")
     return "*".join(factors)
 
@@ -308,20 +310,25 @@ def _term_string(coeff: GaussianRational, mono: str):
     return negative, body
 
 
+def _terms_to_string(variables, terms) -> str:
+    """Join (exponents, coefficient) pairs, given in print order, into text.
+
+    The one printer of the grammar, for polynomial and Laurent terms alike.
+    """
+    out = []
+    for exps, coeff in terms:
+        negative, body = _term_string(coeff, _monomial_string(variables, exps))
+        if out:
+            out.append((" - " if negative else " + ") + body)
+        else:
+            out.append(("-" if negative else "") + body)
+    return "".join(out) or "0"
+
+
 def poly_to_string(poly: MultiPoly) -> str:
     """Canonical printer: graded lexicographic order, highest terms first."""
-    if not poly.terms:
-        return "0"
-    pieces = []
-    for exps in sorted(poly.terms, key=_grlex_key, reverse=True):
-        mono = _monomial_string(poly.variables, exps)
-        negative, body = _term_string(poly.terms[exps], mono)
-        pieces.append((negative, body))
-    first_neg, first_body = pieces[0]
-    out = [("-" if first_neg else "") + first_body]
-    for negative, body in pieces[1:]:
-        out.append((" - " if negative else " + ") + body)
-    return "".join(out)
+    order = sorted(poly.terms, key=_grlex_key, reverse=True)
+    return _terms_to_string(poly.variables, ((e, poly.terms[e]) for e in order))
 
 
 # ---------------------------------------------------------------------- parsing
@@ -354,11 +361,20 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, variables: tuple, laurent: bool):
+    """Recursive descent over the grammar above, for polynomial and Laurent text.
+
+    The leaves are built by ``constant(value)`` and ``power(name, exponent)``;
+    sums and products use the ring operations of what those return.
+    ``negative_exponents`` is the exponent rule: whether ``NAME ^ -INT`` is legal.
+    """
+
+    def __init__(self, text: str, variables: tuple, negative_exponents: bool, constant, power):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.variables = variables
-        self.laurent = laurent
+        self.negative_exponents = negative_exponents
+        self.constant = constant
+        self.power = power
 
     def peek(self):
         return self.tokens[self.pos]
@@ -374,14 +390,14 @@ class _Parser:
             raise ParseError(f"expected {op!r}", where)
         return self.advance()
 
-    def parse(self) -> MultiPoly:
-        poly = self.parse_sum()
+    def parse(self):
+        result = self.parse_sum()
         kind, value, where = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing {value!r}", where)
-        return poly
+        return result
 
-    def parse_sum(self) -> MultiPoly:
+    def parse_sum(self):
         sign = 1
         kind, value, _ = self.peek()
         if kind == "op" and value in "+-":
@@ -399,7 +415,7 @@ class _Parser:
             else:
                 return total
 
-    def parse_product(self) -> MultiPoly:
+    def parse_product(self):
         total = self.parse_factor()
         while True:
             kind, value, _ = self.peek()
@@ -409,7 +425,7 @@ class _Parser:
             else:
                 return total
 
-    def parse_factor(self) -> MultiPoly:
+    def parse_factor(self):
         kind, value, where = self.peek()
         if kind == "int":
             self.advance()
@@ -423,14 +439,12 @@ class _Parser:
                 self.advance()
                 if int(v3) == 0:
                     raise ParseError("zero denominator", w3)
-                from fractions import Fraction
-
-                return MultiPoly.constant(self.variables, GaussianRational(Fraction(numerator, int(v3))))
-            return MultiPoly.constant(self.variables, GaussianRational(numerator))
+                return self.constant(GaussianRational(Fraction(numerator, int(v3))))
+            return self.constant(GaussianRational(numerator))
         if kind == "name":
             self.advance()
             if value == "i":
-                return MultiPoly.constant(self.variables, I)
+                return self.constant(I)
             if value not in self.variables:
                 raise ParseError(f"unknown variable {value!r}", where)
             exponent = 1
@@ -438,10 +452,7 @@ class _Parser:
             if k2 == "op" and v2 == "^":
                 self.advance()
                 exponent = self._parse_exponent()
-            if exponent < 0:
-                raise ParseError("negative exponents are not allowed here", where)
-            base = MultiPoly.variable(self.variables, value)
-            return base ** exponent
+            return self.power(value, exponent)
         if kind == "op" and value == "(":
             self.advance()
             inner = self.parse_sum()
@@ -453,7 +464,7 @@ class _Parser:
         sign = 1
         kind, value, where = self.peek()
         if kind == "op" and value == "-":
-            if not self.laurent:
+            if not self.negative_exponents:
                 raise ParseError("negative exponents are not allowed here", where)
             self.advance()
             sign = -1
@@ -470,126 +481,14 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
     Round-trips with :func:`poly_to_string`: ``parse_poly(poly_to_string(f),
     f.variables) == f`` for every polynomial ``f``.
     """
-    return _Parser(text, tuple(variables), laurent=False).parse()
-
-
-def parse_laurent_terms(text: str, variable: str) -> dict:
-    """Parse a univariate Laurent polynomial; returns {exponent: coefficient}.
-
-    Shared backend for :mod:`conetower.laurent`; negative exponents allowed.
-    """
-    # Work over a temporary shifted representation: parse factors manually to
-    # keep one grammar.  Negative powers cannot ride through MultiPoly, so we
-    # split the input additively and track shifts per term.
-    parser = _Parser(text, (variable,), laurent=True)
-    return parser.parse_laurent_dict()
-
-
-def _laurent_dict_add(target: dict, source: dict):
-    for e, c in source.items():
-        new = target.get(e, ZERO) + c
-        if new:
-            target[e] = new
-        else:
-            target.pop(e, None)
-
-
-def _laurent_dict_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            new = out.get(e, ZERO) + c1 * c2
-            if new:
-                out[e] = new
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _laurent_parse_sum(parser: "_Parser") -> dict:
-    sign = 1
-    kind, value, _ = parser.peek()
-    if kind == "op" and value in "+-":
-        parser.advance()
-        sign = -1 if value == "-" else 1
-    total = _laurent_parse_product(parser)
-    if sign < 0:
-        total = {e: -c for e, c in total.items()}
-    while True:
-        kind, value, _ = parser.peek()
-        if kind == "op" and value in "+-":
-            parser.advance()
-            term = _laurent_parse_product(parser)
-            if value == "-":
-                term = {e: -c for e, c in term.items()}
-            _laurent_dict_add(total, term)
-        else:
-            return total
-
-
-def _laurent_parse_product(parser: "_Parser") -> dict:
-    total = _laurent_parse_factor(parser)
-    while True:
-        kind, value, _ = parser.peek()
-        if kind == "op" and value == "*":
-            parser.advance()
-            total = _laurent_dict_mul(total, _laurent_parse_factor(parser))
-        else:
-            return total
-
-
-def _laurent_parse_factor(parser: "_Parser") -> dict:
-    kind, value, where = parser.peek()
-    if kind == "int":
-        parser.advance()
-        numerator = int(value)
-        k2, v2, _ = parser.peek()
-        if k2 == "op" and v2 == "/":
-            parser.advance()
-            k3, v3, w3 = parser.peek()
-            if k3 != "int":
-                raise ParseError("expected integer denominator", w3)
-            parser.advance()
-            if int(v3) == 0:
-                raise ParseError("zero denominator", w3)
-            from fractions import Fraction
-
-            c = GaussianRational(Fraction(numerator, int(v3)))
-        else:
-            c = GaussianRational(numerator)
-        return {0: c} if c else {}
-    if kind == "name":
-        parser.advance()
-        if value == "i":
-            return {0: I}
-        if value != parser.variables[0]:
-            raise ParseError(f"unknown variable {value!r}", where)
-        exponent = 1
-        k2, v2, _ = parser.peek()
-        if k2 == "op" and v2 == "^":
-            parser.advance()
-            exponent = parser._parse_exponent()
-        return {exponent: ONE}
-    if kind == "op" and value == "(":
-        parser.advance()
-        inner = _laurent_parse_sum(parser)
-        parser.expect(")")
-        return inner
-    raise ParseError(
-        f"expected a term, found {value!r}" if value else "unexpected end of input", where
-    )
-
-
-def _parser_parse_laurent(self: _Parser) -> dict:
-    total = _laurent_parse_sum(self)
-    kind, value, where = self.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing {value!r}", where)
-    return total
-
-
-_Parser.parse_laurent_dict = _parser_parse_laurent
+    variables = tuple(variables)
+    return _Parser(
+        text,
+        variables,
+        negative_exponents=False,
+        constant=lambda value: MultiPoly.constant(variables, value),
+        power=lambda name, exponent: MultiPoly.variable(variables, name) ** exponent,
+    ).parse()
 
 
 # ---------------------------------------------------------------------- operations

@@ -69,16 +69,16 @@ class PerturbationParams:
 
 @dataclass(frozen=True)
 class RealSliceSpec:
-    """Which real slice is being probed: the cone B, the perturbed slice, or the sphere."""
+    """The real slice being probed: the positive part of the perturbed cone."""
 
-    which: str  # "cone-B" | "perturbed-B" | "sphere-D"
+    which: str  # "perturbed-B", the only slice probed
     k: int
     N: int | None = None
     eps: Fraction | None = None
     sign_condition: str = "x4 > 0"
 
     def __post_init__(self):
-        if self.which not in ("cone-B", "perturbed-B", "sphere-D"):
+        if self.which != "perturbed-B":
             raise ValidationError(f"unknown real slice {self.which!r}")
 
 
@@ -637,34 +637,46 @@ def float_min_abs_off_claimed(h: Hypersurface, claimed, tol: float = 1e-9):
 # ------------------------------------------------------------------ real-slice bounds
 
 
+def _iroot(m: int, n: int) -> int:
+    """floor(m ** (1/n)) for an integer m >= 0, by Newton's method on integers."""
+    if m < 2:
+        return m
+    x = 1 << -(-m.bit_length() // n)  # 2^ceil(bits/n) >= the root: Newton descends
+    while True:
+        y = ((n - 1) * x + m // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
+
+
 def _nth_root_fraction(value: Fraction, n: int):
     """Exact rational n-th root, or None."""
     if value < 0:
         return None
-
-    def iroot(m: int):
-        if m == 0:
-            return 0
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        return None
-
-    num = iroot(value.numerator)
-    den = iroot(value.denominator)
-    if num is None or den is None:
+    num = _iroot(value.numerator, n)
+    den = _iroot(value.denominator, n)
+    if num ** n != value.numerator or den ** n != value.denominator:
         return None
     return Fraction(num, den)
 
 
 def _smallest_half_integer(predicate) -> Fraction:
-    m = 1
-    while True:
-        h = Fraction(m, 2)
-        if predicate(h):
-            return h
-        m += 1
+    """Smallest h in {1/2, 1, 3/2, ...} with ``predicate(h)``.
+
+    Every predicate passed here increases with h: once true, it stays true
+    for all larger h.  Probing h = 1/2, then doubling, then bisecting takes
+    O(log h) calls.
+    """
+    lo, hi = 0, 1  # predicate(lo/2) is false (or lo = 0); hi/2 is the probe
+    while not predicate(Fraction(hi, 2)):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if predicate(Fraction(mid, 2)):
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(hi, 2)
 
 
 def real_slice_bound(params: PerturbationParams):
@@ -758,6 +770,9 @@ def cone_unbounded_witness(k: int, M) -> tuple:
 
 # ------------------------------------------------------------------ real-slice sampling
 
+# bisection halvings per isolating interval of a sampled slice root
+BISECTION_STEPS = 30
+
 
 def _slice_sign(k, N, eps: Fraction, c: Fraction, p: int, q: int) -> int:
     """Sign of eps*t^(2N) - t^(2k) + c at t = p/q via one integer expression."""
@@ -771,8 +786,7 @@ def _slice_sign(k, N, eps: Fraction, c: Fraction, p: int, q: int) -> int:
     return (value > 0) - (value < 0)
 
 
-def sample_real_slice(params: PerturbationParams, count: int, seed: int,
-                      bisection_steps: int = 30) -> dict:
+def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict:
     """Seeded soundness probe of the perturbed real slice.
 
     Samples (x1, x2, x3), solves the slice equation for positive x4 by exact
@@ -804,7 +818,7 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int,
         # g(0) = c > 0, g(tau) < 0, g(R4) > 0: one root in each interval
         for lo, hi, sign_lo in ((Fraction(0), tau, 1), (tau, R4, -1)):
             a, b = lo, hi
-            for _ in range(bisection_steps):
+            for _ in range(BISECTION_STEPS):
                 mid = (a + b) / 2
                 s = _slice_sign(k, N, eps, c, mid.numerator, mid.denominator)
                 if s == 0:

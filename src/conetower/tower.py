@@ -290,6 +290,18 @@ def _map_to_dict(m: SubstitutionMap) -> dict:
     }
 
 
+def _charts_to_dicts(charts) -> list:
+    return [
+        {
+            "id": bc.chart.id,
+            "variables": list(bc.chart.variables),
+            "exceptional": bc.exceptional,
+            "map": _map_to_dict(bc.to_base),
+        }
+        for bc in charts
+    ]
+
+
 def tower_to_dict(tower: Tower) -> dict:
     """JSON document for the whole tower (schema ``tower/1``)."""
     levels = []
@@ -305,15 +317,7 @@ def tower_to_dict(tower: Tower) -> dict:
         if level.blowdown is not None:
             doc["blowdown"] = {
                 "distinguished": level.blowdown.distinguished,
-                "charts": [
-                    {
-                        "id": bc.chart.id,
-                        "variables": list(bc.chart.variables),
-                        "exceptional": bc.exceptional,
-                        "map": _map_to_dict(bc.to_base),
-                    }
-                    for bc in level.blowdown.charts
-                ],
+                "charts": _charts_to_dicts(level.blowdown.charts),
             }
             doc["transform_multiplicity"] = level.transform_multiplicity
             doc["off_chart_transforms"] = [
@@ -322,15 +326,7 @@ def tower_to_dict(tower: Tower) -> dict:
             ]
         if level.surface_step is not None:
             doc["surface_blowup"] = {
-                "charts": [
-                    {
-                        "id": bc.chart.id,
-                        "variables": list(bc.chart.variables),
-                        "exceptional": bc.exceptional,
-                        "map": _map_to_dict(bc.to_base),
-                    }
-                    for bc in level.surface_step.charts
-                ],
+                "charts": _charts_to_dicts(level.surface_step.charts),
                 "overlap": list(level.surface_step.overlap),
             }
         if level.curve is not None:

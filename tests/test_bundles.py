@@ -86,6 +86,14 @@ def test_section_dim_nilpotent_dressing():
     assert section_dim(T, 1) == 2  # degrees (-1,-1): 2 * max(0, 1)
 
 
+def test_section_dim_type_4_4_counts_every_section():
+    # the count is 1 at truncation degrees 0 and 2; only degree 4 sees both
+    T = M(["(-2-i)*z^-4", "0"], ["(-1-i)*z^-1 + (5+i)*z^-4", "-2*z^-4"])
+    assert section_dim(T, -5) == 0
+    assert section_dim(T, -4) == 2
+    assert section_dim(T, -3) == 4
+
+
 def test_section_dim_monotone_in_twist():
     T = M(["z^3", "z^-1"], ["z", "0"])
     dims = [section_dim(T, m) for m in range(-4, 5)]
@@ -186,6 +194,15 @@ def test_splitting_invariance_under_unimodular_dressing():
     for _ in range(5):
         dressed = matmul(matmul(_random_unimodular(rng, -1), T), _random_unimodular(rng, 1))
         assert splitting_type(dressed) == base
+
+
+def test_section_dim_matches_h0_law():
+    rng = random.Random(606)
+    for _ in range(12):
+        d1, d2 = sorted((rng.randint(-4, 4), rng.randint(-4, 4)), reverse=True)
+        T = _assembled_cocycle(rng, d1, d2)
+        for m in range(-d1 - 2, -d1 + 4):
+            assert section_dim(T, m) == max(0, d1 + m + 1) + max(0, d2 + m + 1), (d1, d2, m)
 
 
 # ---------------------------------------------------------------- linearization

@@ -1,6 +1,7 @@
 """Singular-locus certificates, perturbation search, real-slice bounds."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from conetower.singular import (
     CriticalSystem,
     PerturbationParams,
     RealSliceSpec,
+    _nth_root_fraction,
     _root_product,
     certify_perturbation,
     certify_singular_locus,
@@ -247,6 +249,40 @@ def test_real_slice_bound_k1_n2():
 def test_real_slice_bound_k1_n3_eps_quarter():
     R4, _, cert = real_slice_bound(PerturbationParams(k=1, N=3, eps=Fraction(1, 4)))
     assert R4 == Fraction(3, 2)  # (3/2)^4 = 81/16 >= 4
+
+
+def test_real_slice_bound_tiny_eps_is_fast():
+    start = time.monotonic()
+    R4, R, cert = real_slice_bound(PerturbationParams(k=1, N=2, eps=Fraction(1, 10 ** 400)))
+    assert time.monotonic() - start < 5
+    assert R4 == 10 ** 200
+    assert cert.status == CERTIFIED
+
+
+@pytest.mark.parametrize(
+    "k, N, eps",
+    [(1, 2, Fraction(1)), (1, 3, Fraction(1, 4)), (2, 5, Fraction(3, 7)), (1, 2, Fraction(1, 10 ** 10))],
+)
+def test_real_slice_bounds_are_smallest_half_integers(k, N, eps):
+    R4, R, cert = real_slice_bound(PerturbationParams(k=k, N=N, eps=eps))
+    coord = Fraction(cert.values["coordinate_bound"])
+    m_hat = Fraction(cert.values["slice_max"])
+    predicates = [
+        (R4, lambda h: h ** (2 * N - 2 * k) >= 1 / eps),
+        (R, lambda h: eps * h ** (2 * N) + h * h >= R4 ** (2 * k)),
+        (coord, lambda h: h * h >= m_hat),
+    ]
+    for h, holds in predicates:
+        assert h.denominator in (1, 2) and h > 0
+        assert holds(h)
+        assert h == Fraction(1, 2) or not holds(h - Fraction(1, 2))
+
+
+def test_nth_root_fraction_is_exact_for_huge_values():
+    assert _nth_root_fraction(Fraction(7 ** 400, 2 ** 400), 400) == Fraction(7, 2)
+    root = 10 ** 150 + 7
+    assert _nth_root_fraction(Fraction(root ** 2), 2) == root
+    assert _nth_root_fraction(Fraction(root ** 2 + 1), 2) is None
 
 
 def test_real_slice_bound_rejects_bad_eps():
