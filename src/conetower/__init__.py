@@ -62,7 +62,6 @@ from .singular import (
     BranchConstraint,
     CriticalSystem,
     PerturbationParams,
-    RealSliceSpec,
     certify_perturbation,
     certify_singular_locus,
     cone_unbounded_witness,

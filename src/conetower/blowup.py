@@ -308,26 +308,21 @@ def overlap_cocycle_ok(step: BlowupStep) -> bool:
     v2 = chart_t.exceptional  # kept coordinate in the T chart
     v1 = chart_s.exceptional
     s_vars = chart_s.chart.variables
-    # images of the T-chart variables inside the S-chart (v2 -> s*v1, others fixed)
-    images = {}
-    for v in chart_t.chart.variables:
-        if v == v2:
-            images[v] = chart_s.chart.var(s_name) * chart_s.chart.var(v1)
-        elif v == t_name:
-            images[v] = None  # handled via the cleared denominator below
-        else:
-            images[v] = MultiPoly.variable(s_vars, v)
     s_poly = MultiPoly.variable(s_vars, s_name)
+    # images of the T-chart variables inside the S-chart: v2 -> s*v1, others
+    # fixed; t never occurs in a coefficient of t, so its image is immaterial
+    assignment = {
+        v: MultiPoly.variable(s_vars, v) for v in chart_t.chart.variables if v not in (v2, t_name)
+    }
+    assignment[v2] = s_poly * chart_s.chart.var(v1)
+    assignment[t_name] = MultiPoly.constant(s_vars, ONE)
     for base_var in step.base.variables:
         a = chart_t.to_base.assignment[base_var]
         d = max(a.degree_in(t_name), 0)
         # s^d * a(t -> 1/s): replace t^e by s^(d-e) after substituting v2
         cleared = MultiPoly.zero(s_vars)
         for e in range(d + 1):
-            coeff = a.coefficient_in(t_name, e)
-            assignment = {v: (images[v] if images[v] is not None else s_poly) for v in a.variables}
-            assignment[t_name] = MultiPoly.constant(s_vars, ONE)
-            image = substitute(coeff, assignment)
+            image = substitute(a.coefficient_in(t_name, e), assignment)
             cleared = cleared + image * s_poly ** (d - e)
         expected = chart_s.to_base.assignment[base_var] * s_poly ** d
         if cleared != expected:

@@ -118,7 +118,7 @@ def maps_equal(a: SubstitutionMap, b: SubstitutionMap) -> bool:
         raise ChartMismatchError(
             f"maps {a.label} and {b.label} do not share source/target charts"
         )
-    return all(a.assignment[v] == b.assignment[v] for v in a.target.variables)
+    return first_mismatch(a, b) is None
 
 
 def first_mismatch(a: SubstitutionMap, b: SubstitutionMap):

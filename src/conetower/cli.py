@@ -183,11 +183,15 @@ def _run_normal_bundles(config: RunConfig, checks: list, details: dict):
 
 def _run_splitting(config: RunConfig, checks: list, details: dict):
     with open(config.matrix) as fh:
-        rows = json.load(fh)
+        try:
+            rows = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValidationError(f"the matrix file is not valid JSON: {err}")
     if (
         not isinstance(rows, list)
         or len(rows) != 2
         or any(not isinstance(r, list) or len(r) != 2 for r in rows)
+        or any(not isinstance(entry, str) for r in rows for entry in r)
     ):
         raise ValidationError("the matrix file must hold a JSON 2x2 array of strings")
     try:
@@ -340,6 +344,10 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
+def _fraction_list(text: str) -> tuple:
+    return tuple(_fraction(part) for part in text.split(","))
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -370,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("perturb", help="certify one perturbation (k, N, eps)"), k=True, perturb=True)
     p = sub.add_parser("perturb-search", help="scan (N, eps) for a certified perturbation")
     p.add_argument("--n-max", type=_positive_int, default=None)
-    p.add_argument("--eps-list", default=None, help="comma-separated rationals")
+    p.add_argument(
+        "--eps-list", type=_fraction_list, default=None, help="comma-separated rationals"
+    )
     common(p, k=True)
     common(sub.add_parser("normal-bundles", help="normal-bundle splitting sequence"), k=True)
     p = sub.add_parser("splitting", help="splitting type of a 2x2 Laurent cocycle")
@@ -391,13 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     config = RunConfig(command=args.command)
-    for key in ("k", "N", "eps", "trials", "seed", "samples", "matrix", "output", "format"):
-        if hasattr(args, key) and getattr(args, key) is not None:
+    for key in ("k", "N", "eps", "trials", "seed", "samples", "n_max", "eps_list", "matrix",
+                "output", "format"):
+        if getattr(args, key, None) is not None:
             setattr(config, key, getattr(args, key))
-    if getattr(args, "n_max", None) is not None:
-        config.n_max = args.n_max
-    if getattr(args, "eps_list", None):
-        config.eps_list = tuple(Fraction(part) for part in args.eps_list.split(","))
     return config
 
 

@@ -59,11 +59,7 @@ class LaurentPoly:
         other = self._coerce(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            acc = out.get(e, ZERO) + c
-            if acc:
-                out[e] = acc
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, ZERO) + c
         return LaurentPoly(out, self.variable)
 
     def __sub__(self, other):
@@ -78,11 +74,7 @@ class LaurentPoly:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                acc = out.get(e, ZERO) + c1 * c2
-                if acc:
-                    out[e] = acc
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, ZERO) + c1 * c2
         return LaurentPoly(out, self.variable)
 
     def scale(self, value) -> "LaurentPoly":

@@ -8,6 +8,8 @@ solver of :mod:`conetower.quadric`.
 
 from __future__ import annotations
 
+import math
+
 from .errors import InternalInconsistencyError
 from .gaussian import GaussianRational, ZERO
 
@@ -32,18 +34,8 @@ def _gdiv_exact(x, y):
 
 def _scale_row(row):
     """Clear denominators of one row of GaussianRationals to Z[i] pairs."""
-    lcm = 1
-    for value in row:
-        for d in (value.re.denominator, value.im.denominator):
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
+    lcm = math.lcm(*(d for v in row for d in (v.re.denominator, v.im.denominator)))
     return [(int(v.re * lcm), int(v.im * lcm)) for v in row]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def row_echelon_gaussian(rows):

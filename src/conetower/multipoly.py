@@ -122,11 +122,7 @@ class MultiPoly:
         self._check_compatible(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            new = out.get(exps, ZERO) + coeff
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
+            out[exps] = out.get(exps, ZERO) + coeff
         return MultiPoly(self.variables, out)
 
     def __sub__(self, other):
@@ -145,12 +141,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                new = out.get(exps, ZERO) + prod
-                if new:
-                    out[exps] = new
-                else:
-                    out.pop(exps, None)
+                out[exps] = out.get(exps, ZERO) + c1 * c2
         return MultiPoly(self.variables, out)
 
     def __pow__(self, n: int):
@@ -255,13 +246,8 @@ class MultiPoly:
                 if e:
                     c = c * val ** e
                 new_exps[i] = 0
-            if c:
-                key = tuple(new_exps)
-                acc = out.get(key, ZERO) + c
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+            key = tuple(new_exps)
+            out[key] = out.get(key, ZERO) + c
         return MultiPoly(self.variables, out)
 
     # ------------------------------------------------------------ printing
@@ -507,12 +493,7 @@ def differentiate(f: MultiPoly, var: str) -> MultiPoly:
         e = exps[idx]
         if e:
             new = exps[:idx] + (e - 1,) + exps[idx + 1:]
-            add = coeff * GaussianRational(e)
-            acc = out.get(new, ZERO) + add
-            if acc:
-                out[new] = acc
-            else:
-                out.pop(new, None)
+            out[new] = out.get(new, ZERO) + coeff * GaussianRational(e)
     return MultiPoly(f.variables, out)
 
 
@@ -737,16 +718,20 @@ def univar_from_coeffs(variables, var: str, coeffs) -> MultiPoly:
     return MultiPoly(variables, terms)
 
 
+def _trimmed(coeffs: list) -> list:
+    """A coefficient list without its trailing zeros."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return coeffs[:end]
+
+
 def univar_divmod(num: list, den: list) -> tuple:
     """Polynomial division on coefficient lists over Q(i)."""
-    den = list(den)
-    while den and den[-1].is_zero():
-        den.pop()
+    den = _trimmed(list(den))
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
-    num = list(num)
-    while num and num[-1].is_zero():
-        num.pop()
+    num = _trimmed(list(num))
     quotient = [ZERO] * max(len(num) - len(den) + 1, 0)
     while len(num) >= len(den):
         factor = num[-1] / den[-1]
@@ -754,8 +739,7 @@ def univar_divmod(num: list, den: list) -> tuple:
         quotient[shift] = factor
         for i, c in enumerate(den):
             num[shift + i] = num[shift + i] - factor * c
-        while num and num[-1].is_zero():
-            num.pop()
+        num = _trimmed(num)
     return quotient, num
 
 
@@ -766,8 +750,7 @@ def univar_gcd_monic(a: list, b: list) -> list:
     while b and any(c for c in b):
         _, r = univar_divmod(a, b)
         a, b = b, r
-    while a and a[-1].is_zero():
-        a.pop()
+    a = _trimmed(a)
     if not a:
         return []
     lead = a[-1]

@@ -27,6 +27,18 @@ from .multipoly import MultiPoly
 _VARS = ("z0", "z1", "z2", "z3")
 
 
+def _dot(row, coords) -> GaussianRational:
+    """Exact value at ``coords`` of the linear form with coefficients ``row``."""
+    return sum((c * x for c, x in zip(row, coords) if c), ZERO)
+
+
+def _linear_form(row) -> MultiPoly:
+    """The linear form with coefficients ``row`` as a polynomial in z0..z3."""
+    return MultiPoly(
+        _VARS, {tuple(1 if i == j else 0 for i in range(4)): c for j, c in enumerate(row)}
+    )
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """Point of P^3 with exact homogeneous coordinates, not all zero."""
@@ -65,11 +77,7 @@ class ProjLine:
         object.__setattr__(self, "rows", rows)
 
     def form_polys(self) -> tuple:
-        return tuple(
-            MultiPoly(_VARS, {tuple(1 if i == j else 0 for i in range(4)): c
-                              for j, c in enumerate(row) if c})
-            for row in self.rows
-        )
+        return tuple(_linear_form(row) for row in self.rows)
 
     def spanning_points(self) -> tuple:
         """Two independent points spanning the line (exact kernel basis)."""
@@ -79,10 +87,7 @@ class ProjLine:
         return tuple(ProjPoint(tuple(v)) for v in basis)
 
     def contains(self, point: ProjPoint) -> bool:
-        return all(
-            not sum((c * x for c, x in zip(row, point.coords)), ZERO)
-            for row in self.rows
-        )
+        return all(not _dot(row, point.coords) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -115,20 +120,15 @@ class QuadricSplit:
     d: tuple
     homogenizer: int  # index of the coordinate that is 1 on the affine slice
 
-    def form(self, row) -> MultiPoly:
-        return MultiPoly(
-            _VARS,
-            {tuple(1 if i == j else 0 for i in range(4)): GaussianRational.coerce(coeff)
-             for j, coeff in enumerate(row) if GaussianRational.coerce(coeff)},
-        )
-
     @property
     def quadric_poly(self) -> MultiPoly:
-        return self.form(self.a) * self.form(self.b) - self.form(self.c) * self.form(self.d)
+        """ab - cd as one polynomial: the reference for :meth:`evaluate_quadric`."""
+        a, b, c, d = (_linear_form(row) for row in (self.a, self.b, self.c, self.d))
+        return a * b - c * d
 
     def evaluate_quadric(self, point: ProjPoint) -> GaussianRational:
-        values = dict(zip(_VARS, point.coords))
-        return self.quadric_poly.evaluate(values)
+        z = point.coords
+        return _dot(self.a, z) * _dot(self.b, z) - _dot(self.c, z) * _dot(self.d, z)
 
 
 def _row(*entries):
@@ -240,6 +240,19 @@ def sample_param(rng: random.Random, family: str) -> RulingParam:
             return RulingParam(family=family, s=s, t=t)
 
 
+def _sampled_lines(split: QuadricSplit, trials: int, seed: int):
+    """Seeded ruling lines of ``split``, ``trials`` per family, with their real points.
+
+    Yields (family, index, param, point, nullity) as :func:`real_point` returns them.
+    """
+    rng = random.Random(seed)
+    for family in ("A", "B"):
+        for index in range(trials):
+            param = sample_param(rng, family)
+            point, nullity = real_point(ruling_line(param, split), split)
+            yield family, index, param, point, nullity
+
+
 def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
     """Boundary-cover ingredient: every sampled ruling line meets the real sphere.
 
@@ -271,40 +284,35 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
         )
     )
 
-    rng = random.Random(seed)
     samples = []
     all_ok = True
-    for family in ("A", "B"):
-        for index in range(trials):
-            param = sample_param(rng, family)
-            line = ruling_line(param, BOUNDARY_QUADRIC)
-            point, nullity = real_point(line, BOUNDARY_QUADRIC)
-            entry = {
-                "family": family,
-                "index": index,
-                "s": str(param.s),
-                "t": str(param.t),
-                "nullity": nullity,
-            }
-            ok = nullity == 1 and point is not None
-            if ok:
-                h = point.coords[BOUNDARY_QUADRIC.homogenizer]
-                if not h:
-                    ok = False
-                    entry["reason"] = "real point at infinity"
-                else:
-                    affine = [point.coords[i] / h for i in (1, 2, 3)]
-                    on_sphere = sum(
-                        (x * x for x in affine), ZERO
-                    ) == GaussianRational(1)
-                    entry["point"] = str(point.canonical())
-                    entry["on_sphere"] = on_sphere
-                    ok = ok and on_sphere
+    for family, index, param, point, nullity in _sampled_lines(BOUNDARY_QUADRIC, trials, seed):
+        entry = {
+            "family": family,
+            "index": index,
+            "s": str(param.s),
+            "t": str(param.t),
+            "nullity": nullity,
+        }
+        ok = nullity == 1 and point is not None
+        if ok:
+            h = point.coords[BOUNDARY_QUADRIC.homogenizer]
+            if not h:
+                ok = False
+                entry["reason"] = "real point at infinity"
             else:
-                entry["reason"] = f"nullity {nullity}"
-            entry["ok"] = ok
-            all_ok = all_ok and ok
-            samples.append(entry)
+                affine = [point.coords[i] / h for i in (1, 2, 3)]
+                on_sphere = sum(
+                    (x * x for x in affine), ZERO
+                ) == GaussianRational(1)
+                entry["point"] = str(point)
+                entry["on_sphere"] = on_sphere
+                ok = ok and on_sphere
+        else:
+            entry["reason"] = f"nullity {nullity}"
+        entry["ok"] = ok
+        all_ok = all_ok and ok
+        samples.append(entry)
     checks.append(
         Check(
             name="ruling-real-points",
@@ -329,19 +337,11 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
 
 def control_cover_certificate(trials: int, seed: int) -> Certificate:
     """Same sampling against the definite quadric: must FAIL with nullity 0."""
-    rng = random.Random(seed)
-    samples = []
-    any_real = False
-    for family in ("A", "B"):
-        for index in range(trials):
-            param = sample_param(rng, family)
-            line = ruling_line(param, CONTROL_QUADRIC)
-            point, nullity = real_point(line, CONTROL_QUADRIC)
-            samples.append(
-                {"family": family, "index": index, "nullity": nullity}
-            )
-            if nullity:
-                any_real = True
+    samples = [
+        {"family": family, "index": index, "nullity": nullity}
+        for family, index, _, _, nullity in _sampled_lines(CONTROL_QUADRIC, trials, seed)
+    ]
+    any_real = any(sample["nullity"] for sample in samples)
     status = FAIL if not any_real else PASS
     return Certificate(
         command="quadric-control",

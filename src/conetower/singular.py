@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +36,7 @@ from .gaussian import GaussianRational, ONE, ZERO
 from .multipoly import (
     MultiPoly,
     UniPolyView,
+    _bareiss_determinant,
     differentiate,
     embed_variables,
     extract_variable_power,
@@ -67,21 +68,6 @@ class PerturbationParams:
         return {"k": self.k, "N": self.N, "eps": str(self.eps)}
 
 
-@dataclass(frozen=True)
-class RealSliceSpec:
-    """The real slice being probed: the positive part of the perturbed cone."""
-
-    which: str  # "perturbed-B", the only slice probed
-    k: int
-    N: int | None = None
-    eps: Fraction | None = None
-    sign_condition: str = "x4 > 0"
-
-    def __post_init__(self):
-        if self.which != "perturbed-B":
-            raise ValidationError(f"unknown real slice {self.which!r}")
-
-
 @dataclass
 class BranchConstraint:
     """One branch assumption on a single variable."""
@@ -90,7 +76,7 @@ class BranchConstraint:
     kind: str  # "zero" | "root-of"
     univariate: tuple | None = None  # coefficient tuple, constant term first
 
-    def describe(self, chart_vars) -> dict:
+    def describe(self) -> dict:
         doc = {"variable": self.variable, "kind": self.kind}
         if self.univariate is not None:
             doc["polynomial"] = str(
@@ -161,42 +147,20 @@ def _reduce_var(f: MultiPoly, var: str, coeffs) -> MultiPoly:
     # var^e mod m as {exponent: coefficient} for e = 0..max_e
     reps = [{e: ONE} for e in range(deg_m)]
     for e in range(deg_m, max_e + 1):
-        prev = reps[e - 1]
         shifted = {}
-        for d, c in prev.items():
+        for d, c in reps[e - 1].items():
             if d + 1 == deg_m:
                 for low in range(deg_m):
                     if coeffs[low]:
-                        add = -(coeffs[low] / lead) * c
-                        acc = shifted.get(low, ZERO) + add
-                        if acc:
-                            shifted[low] = acc
-                        else:
-                            shifted.pop(low, None)
+                        shifted[low] = shifted.get(low, ZERO) - (coeffs[low] / lead) * c
             else:
-                acc = shifted.get(d + 1, ZERO) + c
-                if acc:
-                    shifted[d + 1] = acc
-                else:
-                    shifted.pop(d + 1, None)
+                shifted[d + 1] = shifted.get(d + 1, ZERO) + c
         reps.append(shifted)
     out: dict = {}
     for exps, coeff in f.terms.items():
-        e = exps[idx]
-        if e < deg_m:
-            acc = out.get(exps, ZERO) + coeff
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-            continue
-        for d, c in reps[e].items():
+        for d, c in reps[exps[idx]].items():
             new_exps = exps[:idx] + (d,) + exps[idx + 1:]
-            acc = out.get(new_exps, ZERO) + coeff * c
-            if acc:
-                out[new_exps] = acc
-            else:
-                out.pop(new_exps, None)
+            out[new_exps] = out.get(new_exps, ZERO) + coeff * c
     return MultiPoly(f.variables, out)
 
 
@@ -258,8 +222,6 @@ def _binomial_root_product(expr: MultiPoly, var: str, M: int, v) -> tuple:
 
 def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPoly:
     """det of multiplication-by-expr on C[var]/(var^L - v): the root product."""
-    from .multipoly import _bareiss_determinant
-
     coeffs = [expr.coefficient_in(var, d) for d in range(expr.degree_in(var) + 1)]
     zero = MultiPoly.zero(expr.variables)
     matrix = [[zero for _ in range(L)] for _ in range(L)]
@@ -278,6 +240,17 @@ def _claims_all_zero(claimed) -> bool:
     return all(all(not GaussianRational.coerce(c) for c in pt) for pt in claimed)
 
 
+def _one_check_certificate(params, status, check: Check, justification: str) -> Certificate:
+    """A singular-locus certificate decided by one check, before any branching."""
+    return Certificate(
+        command="certify-singular-locus",
+        status=status,
+        params=params,
+        checks=[check],
+        justification=justification,
+    )
+
+
 def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
     """Certify that the singular locus of ``h`` is exactly the claimed points.
 
@@ -291,46 +264,24 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
     params = {"chart": chart.id, "equation": str(h.equation)}
 
     # claimed points must satisfy the full critical system exactly
+    critical = [("equation", h.equation)] + [
+        (f"d/d{var}", partial) for var, partial in zip(chart.variables, system.partials)
+    ]
     for pt in claimed:
         values = dict(zip(chart.variables, pt))
-        bad = None
-        if h.equation.evaluate(values):
-            bad = "equation"
-        else:
-            for var, partial in zip(chart.variables, system.partials):
-                if partial.evaluate(values):
-                    bad = f"d/d{var}"
-                    break
+        bad = next((name for name, f in critical if f.evaluate(values)), None)
         if bad is not None:
-            return Certificate(
-                command="certify-singular-locus",
-                status=FAIL,
-                params=params,
-                checks=[
-                    Check(
-                        name="claimed-point-critical",
-                        status=FAIL,
-                        witness=f"{bad} does not vanish at ({', '.join(str(c) for c in pt)})",
-                    )
-                ],
+            witness = f"{bad} does not vanish at ({', '.join(str(c) for c in pt)})"
+            return _one_check_certificate(
+                params, FAIL, Check("claimed-point-critical", FAIL, witness), ""
             )
 
     # a partial that is a nonzero constant empties the critical system
     for var, partial in zip(chart.variables, system.partials):
         if partial.is_constant() and not partial.is_zero():
-            status = SMOOTH if not claimed else FAIL
-            return Certificate(
-                command="certify-singular-locus",
-                status=status,
-                params=params,
-                checks=[
-                    Check(
-                        name="constant-partial",
-                        status=PASS if not claimed else FAIL,
-                        witness=f"d/d{var} = {partial} never vanishes",
-                    )
-                ],
-            )
+            witness = f"d/d{var} = {partial} never vanishes"
+            check = Check("constant-partial", FAIL if claimed else PASS, witness)
+            return _one_check_certificate(params, FAIL if claimed else SMOOTH, check, "")
 
     disjunctions = []
     seen_keys = set()
@@ -339,18 +290,12 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
             continue
         split = _monomial_univariate_split(partial)
         if split is None:
-            return Certificate(
-                command="certify-singular-locus",
-                status=INCONCLUSIVE,
-                params=params,
-                checks=[
-                    Check(
-                        name="partial-factorization",
-                        status=INCONCLUSIVE,
-                        witness=f"d/d{var} = {partial} is not monomial * univariate",
-                    )
-                ],
-                justification="branch certification only handles separable partials",
+            witness = f"d/d{var} = {partial} is not monomial * univariate"
+            return _one_check_certificate(
+                params,
+                INCONCLUSIVE,
+                Check("partial-factorization", INCONCLUSIVE, witness),
+                "branch certification only handles separable partials",
             )
         mono_vars, univariate = split
         options = [BranchConstraint(m, "zero") for m in mono_vars]
@@ -366,36 +311,29 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
         disjunctions.append(options)
 
     claims_zero_only = _claims_all_zero(claimed)
-    branches = []
-    leaf_status = []  # "refuted" | "accounted" | "fail" | "inconclusive"
-    for selection in itertools.product(*disjunctions) if disjunctions else [()]:
-        record, verdict = _process_branch(h, chart, selection, claimed, claims_zero_only)
-        branches.append(record)
-        leaf_status.append(verdict)
-
+    branches = [
+        _process_branch(h, chart, selection, claimed, claims_zero_only)
+        for selection in itertools.product(*disjunctions)
+    ]
+    verdicts = [branch["verdict"] for branch in branches]
+    # one precedence for the branches check and the overall status
+    worst = FAIL if "fail" in verdicts else INCONCLUSIVE if "inconclusive" in verdicts else PASS
     checks = [
         Check(
             name="branches",
-            status=PASS
-            if all(s in ("refuted", "accounted") for s in leaf_status)
-            else (FAIL if any(s == "fail" for s in leaf_status) else INCONCLUSIVE),
+            status=worst,
             witness=f"{len(branches)} branches: "
             + ", ".join(
-                f"{s}={leaf_status.count(s)}"
-                for s in ("refuted", "accounted", "fail", "inconclusive")
-                if leaf_status.count(s)
+                f"{v}={verdicts.count(v)}"
+                for v in ("refuted", "accounted", "fail", "inconclusive")
+                if verdicts.count(v)
             ),
         )
     ]
-
-    if any(s == "fail" for s in leaf_status):
-        status = FAIL
-    elif any(s == "inconclusive" for s in leaf_status):
-        status = INCONCLUSIVE
-    elif claimed:
-        status = ONLY_SINGULAR_AT
+    if worst != PASS:
+        status = worst
     else:
-        status = SMOOTH
+        status = ONLY_SINGULAR_AT if claimed else SMOOTH
 
     values = {"branch_count": str(len(branches))}
     if disjunctions and all(
@@ -425,8 +363,18 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
     )
 
 
-def _process_branch(h, chart, selection, claimed, claims_zero_only):
-    """Evaluate one full branch assignment; returns (record, verdict)."""
+def _process_branch(h, chart, selection, claimed, claims_zero_only) -> dict:
+    """Evaluate one full branch assignment; returns its record, verdict included."""
+    record = {"constraints": [c.describe() for c in selection]}
+    record["verdict"] = _branch_verdict(record, h, chart, selection, claimed, claims_zero_only)
+    return record
+
+
+def _branch_verdict(record, h, chart, selection, claimed, claims_zero_only) -> str:
+    """Decide one branch, writing its outcome into ``record``.
+
+    Returns "refuted", "accounted", "fail" or "inconclusive".
+    """
     zeros = set()
     roots: dict = {}
     contradiction = None
@@ -443,9 +391,6 @@ def _process_branch(h, chart, selection, claimed, claims_zero_only):
                 roots[var] = tuple(merged)
             else:
                 roots[var] = constraint.univariate
-    record = {
-        "constraints": [c.describe(chart.variables) for c in selection],
-    }
     if contradiction is None:
         clash = zeros & set(roots)
         if clash:
@@ -455,8 +400,7 @@ def _process_branch(h, chart, selection, claimed, claims_zero_only):
             )
     if contradiction is not None:
         record["outcome"] = {"type": "contradiction", "detail": contradiction}
-        record["verdict"] = "refuted"
-        return record, "refuted"
+        return "refuted"
 
     reduced = h.equation.set_variables({v: 0 for v in zeros})
     for var, coeffs in roots.items():
@@ -465,32 +409,28 @@ def _process_branch(h, chart, selection, claimed, claims_zero_only):
 
     constrained = zeros | set(roots)
     free_vars = [v for v in chart.variables if v not in constrained]
+    # a solution set the branch cannot rule out
+    unresolved = "fail" if claims_zero_only else "inconclusive"
 
     if reduced.is_zero():
         if not roots and not free_vars:
-            point = tuple(ZERO for _ in chart.variables)
-            if point in claimed:
+            if chart.origin() in claimed:
                 record["outcome"] = {"type": "claimed-point", "detail": "all-zero branch"}
-                record["verdict"] = "accounted"
-                return record, "accounted"
+                return "accounted"
             record["outcome"] = {
                 "type": "unclaimed-point",
                 "detail": "the all-zero point is singular but not claimed",
             }
-            record["verdict"] = "fail"
-            return record, "fail"
-        verdict = "fail" if claims_zero_only else "inconclusive"
+            return "fail"
         record["outcome"] = {
             "type": "identically-zero",
             "detail": "the equation vanishes on the whole branch locus",
         }
-        record["verdict"] = verdict
-        return record, verdict
+        return unresolved
 
     if reduced.is_constant():
         record["outcome"] = {"type": "nonzero-constant", "value": str(reduced.constant_value())}
-        record["verdict"] = "refuted"
-        return record, "refuted"
+        return "refuted"
 
     # iterated elimination of the root-constrained variables
     chain = []
@@ -507,7 +447,7 @@ def _process_branch(h, chart, selection, claimed, claims_zero_only):
         exponent *= power
         chain.append({"variable": var, "method": method, "exponent": power, "value": str(core)})
         current = core
-    record["outcome"] = {
+    outcome = record["outcome"] = {
         "type": "iterated-root-product",
         "chain": chain,
         "value": str(current),
@@ -515,13 +455,10 @@ def _process_branch(h, chart, selection, claimed, claims_zero_only):
     }
 
     if current.is_zero():
-        verdict = "fail" if claims_zero_only else "inconclusive"
-        record["outcome"]["detail"] = "root product vanishes: a branch solution exists"
-        record["verdict"] = verdict
-        return record, verdict
+        outcome["detail"] = "root product vanishes: a branch solution exists"
+        return unresolved
     if current.is_constant():
-        record["verdict"] = "refuted"
-        return record, "refuted"
+        return "refuted"
 
     used = current.variables_used()
     if not roots and len(used) == 1:
@@ -529,18 +466,13 @@ def _process_branch(h, chart, selection, claimed, claims_zero_only):
         var = used[0]
         mult, stripped = extract_variable_power(current, var)
         if stripped.is_constant() and mult > 0:
-            point = tuple(ZERO for _ in chart.variables)
-            if point in claimed:
-                record["outcome"]["detail"] = f"only root is {var} = 0"
-                record["verdict"] = "accounted"
-                return record, "accounted"
-            record["outcome"]["detail"] = f"{var} = 0 gives an unclaimed singular point"
-            record["verdict"] = "fail"
-            return record, "fail"
-    verdict = "fail" if claims_zero_only else "inconclusive"
-    record["outcome"]["detail"] = "residual equation has zeros in the free variables"
-    record["verdict"] = verdict
-    return record, verdict
+            if chart.origin() in claimed:
+                outcome["detail"] = f"only root is {var} = 0"
+                return "accounted"
+            outcome["detail"] = f"{var} = 0 gives an unclaimed singular point"
+            return "fail"
+    outcome["detail"] = "residual equation has zeros in the free variables"
+    return unresolved
 
 
 # ------------------------------------------------------------------ perturbation suite
@@ -549,18 +481,12 @@ def _process_branch(h, chart, selection, claimed, claims_zero_only):
 def certify_perturbation(params: PerturbationParams) -> Certificate:
     """Certify that the perturbed hypersurface is singular only at the origin."""
     h = perturbed_equation(params)
-    origin = h.chart.origin()
-    inner = certify_singular_locus(h, [origin])
-    status = CERTIFIED if inner.status == ONLY_SINGULAR_AT else inner.status
-    return Certificate(
+    inner = certify_singular_locus(h, [h.chart.origin()])
+    return replace(
+        inner,
         command="certify-perturbation",
-        status=status,
+        status=CERTIFIED if inner.status == ONLY_SINGULAR_AT else inner.status,
         params=params.as_dict() | {"equation": str(h.equation)},
-        checks=inner.checks,
-        branches=inner.branches,
-        values=inner.values,
-        points=inner.points,
-        justification=inner.justification,
     )
 
 
@@ -616,7 +542,11 @@ def critical_point_candidates(system: CriticalSystem):
     return {v: sorted(vals, key=lambda z: (z.real, z.imag)) for v, vals in candidates.items()}
 
 
-def float_min_abs_off_claimed(h: Hypersurface, claimed, tol: float = 1e-9):
+# distance below which a numeric candidate counts as a claimed point
+CLAIMED_POINT_TOL = 1e-9
+
+
+def float_min_abs_off_claimed(h: Hypersurface, claimed):
     """Smallest |f| over all numeric candidate critical points off the claimed set."""
     system = CriticalSystem.of(h)
     candidates = critical_point_candidates(system)
@@ -625,7 +555,7 @@ def float_min_abs_off_claimed(h: Hypersurface, claimed, tol: float = 1e-9):
     best = None
     for combo in itertools.product(*(candidates[v] for v in names)):
         if any(
-            all(abs(a - b) < tol for a, b in zip(combo, pt)) for pt in claimed_pts
+            all(abs(a - b) < CLAIMED_POINT_TOL for a, b in zip(combo, pt)) for pt in claimed_pts
         ):
             continue
         value = abs(h.equation.evaluate_complex(dict(zip(names, combo))))
@@ -635,6 +565,10 @@ def float_min_abs_off_claimed(h: Hypersurface, claimed, tol: float = 1e-9):
 
 
 # ------------------------------------------------------------------ real-slice bounds
+
+# The real slice probed and bounded: the positive part of the perturbed cone.
+REAL_SLICE = "perturbed-B"
+REAL_SLICE_SIGN = "x4 > 0"
 
 
 def _iroot(m: int, n: int) -> int:
@@ -737,11 +671,10 @@ def real_slice_bound(params: PerturbationParams):
             ),
         ),
     ]
-    spec = RealSliceSpec(which="perturbed-B", k=k, N=N, eps=eps)
     cert = Certificate(
         command="real-slice-bound",
         status=CERTIFIED,
-        params=params.as_dict() | {"slice": spec.which, "sign": spec.sign_condition},
+        params=params.as_dict() | {"slice": REAL_SLICE, "sign": REAL_SLICE_SIGN},
         checks=checks,
         values={
             "R4": str(R4),
@@ -786,6 +719,18 @@ def _slice_sign(k, N, eps: Fraction, c: Fraction, p: int, q: int) -> int:
     return (value > 0) - (value < 0)
 
 
+def _split_point(k: int, N: int, eps: Fraction) -> Fraction:
+    """(k/(N*eps))^(1/(2N-2k)), where the slice polynomial in x4 is least,
+    rounded to the nearest multiple of 2^-16 (halves up) in integer arithmetic."""
+    x = Fraction(k, N) / eps
+    n = 2 * N - 2 * k
+    # F = floor(2^16 * x^(1/n)); round up when (F + 1/2)^n <= 2^(16n) * x
+    F = _iroot(x.numerator * 2 ** (16 * n) // x.denominator, n)
+    if (2 * F + 1) ** n * x.denominator <= 2 ** (17 * n) * x.numerator:
+        F += 1
+    return Fraction(F, 2 ** 16)
+
+
 def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict:
     """Seeded soundness probe of the perturbed real slice.
 
@@ -803,16 +748,15 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     draws = 0
     violations = []
     max_x4_hi = Fraction(0)
-    tau_guess = float(Fraction(k, N) / eps) ** (1.0 / (2 * N - 2 * k))
+    tau = _split_point(k, N, eps)
+    if tau <= 0 or tau >= R4:
+        tau = R4 / 2
     while accepted < count:
         draws += 1
         xs = tuple(Fraction(rng.randint(-32, 32), 64) for _ in range(3))
         c = sum(x * x + eps * x ** (2 * N) for x in xs)
         if c == 0 or c > m_hat:
             continue
-        tau = Fraction(round(tau_guess * 2 ** 16), 2 ** 16)
-        if tau <= 0 or tau >= R4:
-            tau = R4 / 2
         if _slice_sign(k, N, eps, c, tau.numerator, tau.denominator) >= 0:
             continue
         # g(0) = c > 0, g(tau) < 0, g(R4) > 0: one root in each interval
@@ -837,10 +781,9 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
             accepted += 1
             if accepted >= count:
                 break
-    spec = RealSliceSpec(which="perturbed-B", k=k, N=N, eps=eps)
     return {
-        "slice": spec.which,
-        "sign": spec.sign_condition,
+        "slice": REAL_SLICE,
+        "sign": REAL_SLICE_SIGN,
         "accepted": accepted,
         "draws": draws,
         "violations": violations,

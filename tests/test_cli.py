@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from conetower.cli import main, run, RunConfig
 
 
@@ -92,6 +94,22 @@ def test_splitting_rejects_non_cocycle(capsys, tmp_path):
     code, out = _main_capture(capsys, ["splitting", "--matrix", str(path)])
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("eps_list", ["foo", "1/0"])
+def test_perturb_search_bad_eps_list_is_usage_error(eps_list):
+    assert main(["perturb-search", "--k", "1", "--eps-list", eps_list]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['[["z", 1], ["0", "1"]]', '[["z", "1"], ["0"'],
+    ids=["non-string-entry", "truncated-json"],
+)
+def test_splitting_malformed_matrix_is_usage_error(tmp_path, text):
+    path = tmp_path / "matrix.json"
+    path.write_text(text)
+    assert main(["splitting", "--matrix", str(path)]) == 2
 
 
 def test_quadric_command(capsys):

@@ -1,4 +1,4 @@
-"""Independent oracles: hypothesis round-trips and sympy ranks over Q(i)."""
+"""Independent oracles: hypothesis round-trips and ring properties, sympy ranks over Q(i)."""
 
 import random
 from fractions import Fraction
@@ -14,29 +14,73 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from conetower import linalg  # noqa: E402
 from conetower.gaussian import GaussianRational  # noqa: E402
 from conetower.laurent import LaurentPoly, parse_laurent  # noqa: E402
-from conetower.multipoly import MultiPoly, parse_poly, poly_to_string  # noqa: E402
+from conetower.multipoly import MultiPoly, differentiate, parse_poly, poly_to_string  # noqa: E402
 
 EXAMPLES = settings(max_examples=60, derandomize=True, deadline=None)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 coefficients = st.builds(GaussianRational, rationals, rationals)
+poly_terms = st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), coefficients, max_size=6)
+laurent_coeffs = st.dictionaries(st.integers(-6, 6), coefficients, max_size=6)
 
 
 # ---------------------------------------------------------------- parse/print round-trip
 
 
 @EXAMPLES
-@given(st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), coefficients, max_size=6))
+@given(poly_terms)
 def test_multipoly_round_trip(terms):
     f = MultiPoly(("x", "y1", "w"), terms)
     assert parse_poly(poly_to_string(f), f.variables) == f
 
 
 @EXAMPLES
-@given(st.dictionaries(st.integers(-6, 6), coefficients, max_size=6))
+@given(laurent_coeffs)
 def test_laurent_round_trip(coeffs):
     f = LaurentPoly(coeffs)
     assert parse_laurent(str(f)) == f
+
+
+# ---------------------------------------------------------------- no stored zeros
+
+
+@EXAMPLES
+@given(poly_terms, poly_terms)
+def test_multipoly_results_store_no_zero(f_terms, g_terms):
+    f = MultiPoly(("x", "y1", "w"), f_terms)
+    g = MultiPoly(("x", "y1", "w"), g_terms)
+    y1 = MultiPoly.variable(f.variables, "y1")
+    one = MultiPoly.constant(f.variables, 1)
+    # most results below cancel some or all terms of their operands
+    results = [
+        f + g,
+        f - g,
+        f + (g - f),
+        f - f,
+        f * g,
+        (f + g) * (f - g) - (f * f - g * g),
+        (f * (y1 - one)).set_variables({"y1": 1}),
+        f.set_variables({"x": 0, "w": 2}),
+        differentiate(f, "x"),
+        differentiate(f * g, "w"),
+    ]
+    for result in results:
+        assert all(result.terms.values())
+    assert (f + g) - g == f
+    assert f + (g - f) == g
+    assert not results[3] and not results[5] and not results[6]
+
+
+@EXAMPLES
+@given(laurent_coeffs, laurent_coeffs)
+def test_laurent_results_store_no_zero(f_coeffs, g_coeffs):
+    f, g = LaurentPoly(f_coeffs), LaurentPoly(g_coeffs)
+    results = [f + g, f - g, f + (g - f), f - f, f * g, (f + g) * (f - g) - (f * f - g * g)]
+    for result in results:
+        assert all(result.coeffs.values())
+    assert (f + g) - g == f
+    assert f + (g - f) == g
+    assert not results[3] and not results[5]
 
 
 # ---------------------------------------------------------------- rank over Q(i)

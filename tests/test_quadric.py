@@ -32,6 +32,22 @@ def test_split_identities():
         assert poly.total_degree() == 2
 
 
+def test_evaluate_quadric_matches_quadric_poly():
+    # quadric_poly is the reference for the evaluation from the four linear forms
+    rng = random.Random(5)
+    for split in (SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC):
+        reference = split.quadric_poly
+        on_line = ruling_line(sample_param(rng, "A"), split).spanning_points()
+        off_quadric = []
+        for _ in range(20):
+            p, q = sample_param(rng, "A"), sample_param(rng, "B")
+            off_quadric.append(ProjPoint((p.s, p.t, q.s, q.t)))
+        for point in on_line + tuple(off_quadric):
+            expected = reference.evaluate(dict(zip(reference.variables, point.coords)))
+            assert split.evaluate_quadric(point) == expected
+        assert not any(split.evaluate_quadric(point) for point in on_line)
+
+
 def test_ruling_line_family_a_diagonal():
     line = ruling_line(RulingParam("A", ONE, ONE))
     # {a - c, b - d} = {z0 + i z1 - z2 - z3, z0 - i z1 + z2 - z3}

@@ -14,9 +14,9 @@ from conetower.multipoly import MultiPoly, UniPolyView, resultant, univar_from_c
 from conetower.singular import (
     CriticalSystem,
     PerturbationParams,
-    RealSliceSpec,
     _nth_root_fraction,
     _root_product,
+    _split_point,
     certify_perturbation,
     certify_singular_locus,
     cone_unbounded_witness,
@@ -244,6 +244,7 @@ def test_real_slice_bound_k1_n2():
     assert R == Fraction(1)
     assert cert.values["coordinate_bound"] == "1/2"
     assert cert.values["slice_max"] == "1/4"
+    assert (cert.params["slice"], cert.params["sign"]) == ("perturbed-B", "x4 > 0")
 
 
 def test_real_slice_bound_k1_n3_eps_quarter():
@@ -293,16 +294,33 @@ def test_real_slice_bound_rejects_bad_eps():
 def test_real_slice_sampling_probe():
     params = PerturbationParams(k=1, N=2, eps=Fraction(1))
     summary = sample_real_slice(params, count=300, seed=0)
+    assert (summary["slice"], summary["sign"]) == ("perturbed-B", "x4 > 0")
     assert summary["accepted"] >= 300
     assert summary["violations"] == []
     assert Fraction(summary["max_x4_upper"]) <= Fraction(summary["R4"])
 
 
-def test_real_slice_spec_validation():
-    spec = RealSliceSpec(which="perturbed-B", k=1, N=2, eps=Fraction(1))
-    assert spec.sign_condition == "x4 > 0"
-    with pytest.raises(ValidationError):
-        RealSliceSpec(which="nonsense", k=1)
+def test_real_slice_sampling_tiny_eps_is_exact_and_fast():
+    # the split point of the x4 range once went through a float and overflowed here
+    start = time.monotonic()
+    params = PerturbationParams(k=1, N=2, eps=Fraction(1, 10 ** 400))
+    summary = sample_real_slice(params, count=50, seed=0)
+    assert time.monotonic() - start < 5
+    assert summary["accepted"] >= 50
+    assert summary["violations"] == []
+    assert Fraction(summary["max_x4_upper"]) <= Fraction(summary["R4"])
+
+
+def test_split_point_is_the_rounded_minimiser():
+    for k in (1, 2, 3):
+        for N in range(k + 1, k + 5):
+            for eps in (Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(1, 1000)):
+                tau = _split_point(k, N, eps)
+                assert tau.denominator <= 2 ** 16
+                # tau is within half a step of the exact minimiser t*, t*^(2N-2k) = k/(N*eps)
+                n, target = 2 * N - 2 * k, Fraction(k, N) / eps
+                half = Fraction(1, 2 ** 17)
+                assert (tau - half) ** n <= target <= (tau + half) ** n
 
 
 # ---------------------------------------------------------------- cone witness
