@@ -23,7 +23,7 @@ from .bundles import (
     h0_window,
     normal_bundle_sequence,
 )
-from .certificates import FAIL, PASS, Certificate, Check, aggregate_status
+from .certificates import FAIL, INCONCLUSIVE, PASS, Certificate, Check, aggregate_status
 from .errors import (
     ConetowerError,
     InternalInconsistencyError,
@@ -32,6 +32,7 @@ from .errors import (
     SearchExhaustedError,
     ValidationError,
 )
+from .gaussian import _exact_str
 from .lemma_square import verify_lemma_square
 from .quadric import control_cover_certificate, verify_boundary_cover
 from .singular import (
@@ -238,16 +239,14 @@ def _run_real_slice(config: RunConfig, checks: list, details: dict):
     R4, R, cert = real_slice_bound(params)
     checks.extend(_cert_rows("bounds", cert, "CERTIFIED"))
     summary = sample_real_slice(params, count=config.samples, seed=config.seed)
-    checks.append(
-        Check(
-            name="sampling:no-violations",
-            status=PASS if not summary["violations"] else FAIL,
-            witness=(
-                f"{summary['accepted']} samples, max x4 upper bound "
-                f"{summary['max_x4_upper']} <= R4 = {summary['R4']}"
-            ),
+    if summary["status"] == INCONCLUSIVE:
+        witness = f"only {summary['accepted']} of {config.samples} samples in {summary['draws']} draws"
+    else:
+        witness = (
+            f"{summary['accepted']} samples, max x4 upper bound "
+            f"{summary['max_x4_upper']} <= R4 = {summary['R4']}"
         )
-    )
+    checks.append(Check(name="sampling:no-violations", status=summary["status"], witness=witness))
     witness_point = cone_unbounded_witness(config.k, WITNESS_NORM)
     x1, x2, x3, x4 = witness_point
     on_cone = x1 ** 2 + x2 ** 2 + x3 ** 2 - x4 ** (2 * config.k) == 0
@@ -256,7 +255,7 @@ def _run_real_slice(config: RunConfig, checks: list, details: dict):
         Check(
             name="cone:unbounded-witness",
             status=PASS if (on_cone and big) else FAIL,
-            witness=f"({x1}, {x2}, {x3}, {x4})",
+            witness=f"({', '.join(_exact_str(x) for x in witness_point)})",
         )
     )
     details["bounds"] = {"R4": str(R4), "R": str(R), **cert.values}

@@ -49,6 +49,10 @@ class LineNotOnQuadricError(ConetowerError, ValueError):
     """A projective line is not contained in the quadric being tested."""
 
 
+class DigitLimitError(ConetowerError, ValueError):
+    """An exact number is too long for Python's integer-to-text conversion limit."""
+
+
 class InternalInconsistencyError(ConetowerError, RuntimeError):
     """A self-check that must never fail did fail; indicates a bug."""
 

@@ -1,10 +1,29 @@
-"""Exact arithmetic over the Gaussian rationals Q(i)."""
+"""Exact arithmetic over the Gaussian rationals Q(i), and over the Gaussian
+integers Z[i] for fraction-free elimination."""
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
+from .errors import DigitLimitError, InternalInconsistencyError
+
 _RATIONAL_TYPES = (int, Fraction)
+
+
+def _exact_str(value) -> str:
+    """Text of an exact int or Fraction; DigitLimitError past the digit limit.
+
+    Python refuses to print an integer longer than
+    ``sys.get_int_max_str_digits()`` digits; the limit is left as it is.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise DigitLimitError(
+            f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+            "too many to print"
+        ) from None
 
 
 class GaussianRational:
@@ -145,20 +164,45 @@ class GaussianRational:
     def __str__(self):
         """Standalone coefficient form accepted by the polynomial grammar."""
         if self.im == 0:
-            return str(self.re)
+            return _exact_str(self.re)
         if self.re == 0:
             if self.im == 1:
                 return "i"
             if self.im == -1:
                 return "-i"
-            return f"{self.im}*i"
+            return f"{_exact_str(self.im)}*i"
         mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{mag}*i"
+        imag = "i" if mag == 1 else f"{_exact_str(mag)}*i"
         sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{imag})"
+        return f"({_exact_str(self.re)}{sign}{imag})"
 
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
+
+
+# ---------------------------------------------------------------------- Z[i] pairs
+#
+# Fraction-free eliminations (linalg rows, the polynomial Bareiss determinant)
+# clear denominators once and work on Gaussian integers ``a + b*i`` stored as
+# plain ``(a, b)`` int pairs.
+
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gsub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _gdiv_exact(x, y):
+    """Exact division in Z[i]; Bareiss guarantees divisibility, and we check it."""
+    norm = y[0] * y[0] + y[1] * y[1]
+    re, r1 = divmod(x[0] * y[0] + x[1] * y[1], norm)
+    im, r2 = divmod(x[1] * y[0] - x[0] * y[1], norm)
+    if r1 or r2:
+        raise InternalInconsistencyError("inexact division in fraction-free elimination")
+    return (re, im)

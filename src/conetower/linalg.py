@@ -10,26 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InternalInconsistencyError
-from .gaussian import GaussianRational, ZERO
-
-
-def _gmul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _gsub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _gdiv_exact(x, y):
-    """Exact division in Z[i]; Bareiss guarantees divisibility, and we check it."""
-    norm = y[0] * y[0] + y[1] * y[1]
-    re, r1 = divmod(x[0] * y[0] + x[1] * y[1], norm)
-    im, r2 = divmod(x[1] * y[0] - x[0] * y[1], norm)
-    if r1 or r2:
-        raise InternalInconsistencyError("inexact division in fraction-free elimination")
-    return (re, im)
+from .gaussian import ZERO, GaussianRational, _gdiv_exact, _gmul, _gsub
 
 
 def _scale_row(row):

@@ -22,17 +22,20 @@ between the two: ``NAME ^ -INT`` is legal in Laurent text only.
 
 from __future__ import annotations
 
+import math
 import re as _re
 from fractions import Fraction
+from operator import add as _add, sub as _sub
 from typing import Iterable, Mapping
 
 from .errors import (
+    InternalInconsistencyError,
     NotDivisibleError,
     ParseError,
     VariableMismatchError,
     ZeroInputError,
 )
-from .gaussian import GaussianRational, I, ONE, ZERO
+from .gaussian import GaussianRational, I, ONE, ZERO, _exact_str, _gdiv_exact, _gmul, _gsub
 
 
 class MultiPoly:
@@ -283,11 +286,11 @@ def _term_string(coeff: GaussianRational, mono: str):
         mag = abs(coeff.re)
         if mono and mag == 1:
             return negative, mono
-        body = str(mag)
+        body = _exact_str(mag)
     elif coeff.re == 0:
         negative = coeff.im < 0
         mag = abs(coeff.im)
-        body = "i" if mag == 1 else f"{mag}*i"
+        body = "i" if mag == 1 else f"{_exact_str(mag)}*i"
     else:
         negative = False
         body = str(coeff)
@@ -614,30 +617,103 @@ class UniPolyView:
         return MultiPoly(self.base.variables, out)
 
 
+# ---------------------------------------------------------------------- Z[i] determinant kernel
+#
+# The polynomial Bareiss determinant eliminates over Z[i][vars].  A term map
+# sends an exponent tuple to a nonzero Gaussian integer, stored as an
+# ``(re, im)`` int pair; the entries are cleared of denominators once on entry.
+
+
+def _zi_mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
+    """The term map of a*b - c*d."""
+    acc: dict = {}
+    for sign, f, g in ((1, a, b), (-1, c, d)):
+        for e1, (p, q) in f.items():
+            p, q = sign * p, sign * q
+            for e2, (r, s) in g.items():
+                key = tuple(map(_add, e1, e2))
+                re, im = p * r - q * s, p * s + q * r
+                old = acc.get(key)
+                acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+    return {e: v for e, v in acc.items() if v[0] or v[1]}
+
+
+def _zi_exact_quotient(f: dict, g: dict) -> dict:
+    """The quotient f/g of two term maps, when g divides f over Z[i].
+
+    Leading-term long division in graded lexicographic order.  Each Bareiss
+    step guarantees exactness (Sylvester's identity); a leading monomial that
+    g's does not divide, or an inexact Z[i] coefficient division, raises
+    InternalInconsistencyError.
+    """
+    lead_g = max(g, key=_grlex_key)
+    cg = g[lead_g]
+    rest = dict(f)
+    quotient = {}
+    while rest:
+        lead = max(rest, key=_grlex_key)
+        diff = tuple(map(_sub, lead, lead_g))
+        if min(diff, default=0) < 0:
+            raise InternalInconsistencyError("inexact polynomial division in fraction-free elimination")
+        q = _gdiv_exact(rest[lead], cg)
+        quotient[diff] = q
+        for e, c in g.items():
+            key = tuple(map(_add, diff, e))
+            value = _gsub(rest.get(key, (0, 0)), _gmul(q, c))
+            if value[0] or value[1]:
+                rest[key] = value
+            else:
+                del rest[key]
+    return quotient
+
+
 def _bareiss_determinant(matrix) -> MultiPoly:
-    """Fraction-free determinant of a square MultiPoly matrix (Bareiss)."""
+    """Fraction-free determinant of a square MultiPoly matrix (Bareiss).
+
+    Every entry is scaled by D, the lcm of all coefficient denominators, and
+    eliminated over Z[i][vars], where each step's division is exact; the
+    result is divided by D^n once.
+    """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     variables = matrix[0][0].variables
-    m = [row[:] for row in matrix]
+    if any(entry.variables != variables for row in matrix for entry in row):
+        raise VariableMismatchError("matrix entries live over different variable lists")
+    D = math.lcm(*(
+        part.denominator
+        for row in matrix for entry in row for c in entry.terms.values() for part in (c.re, c.im)
+    ))
+    m = [
+        [
+            {
+                e: (c.re.numerator * (D // c.re.denominator), c.im.numerator * (D // c.im.denominator))
+                for e, c in entry.terms.items()
+            }
+            for entry in row
+        ]
+        for row in matrix
+    ]
     sign = 1
-    prev = MultiPoly.constant(variables, ONE)
+    prev = None  # the previous pivot; the first step divides by 1
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+        if not m[k][k]:
+            pivot_row = next((r for r in range(k + 1, n) if m[r][k]), None)
             if pivot_row is None:
                 return MultiPoly.zero(variables)
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        pivot, pivot_entries = m[k][k], m[k]
+        for row in m[k + 1:]:
             for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(num, prev)
-            m[i][k] = MultiPoly.zero(variables)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+                num = _zi_mul_sub(pivot, row[j], row[k], pivot_entries[j])
+                row[j] = num if prev is None or not num else _zi_exact_quotient(num, prev)
+        prev = pivot
+    scale = sign * D ** n
+    return MultiPoly(
+        variables,
+        {e: GaussianRational(Fraction(re, scale), Fraction(im, scale)) for e, (re, im) in m[n - 1][n - 1].items()},
+    )
 
 
 def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:

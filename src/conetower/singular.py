@@ -32,7 +32,7 @@ from .certificates import (
 )
 from .charts import Chart, Hypersurface
 from .errors import SearchExhaustedError, ValidationError
-from .gaussian import GaussianRational, ONE, ZERO
+from .gaussian import GaussianRational, ONE, ZERO, _exact_str
 from .multipoly import (
     MultiPoly,
     UniPolyView,
@@ -223,6 +223,10 @@ def _binomial_root_product(expr: MultiPoly, var: str, M: int, v) -> tuple:
 def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPoly:
     """det of multiplication-by-expr on C[var]/(var^L - v): the root product."""
     coeffs = [expr.coefficient_in(var, d) for d in range(expr.degree_in(var) + 1)]
+    # var^e = v^(e // L) * var^(e % L); e // L is at most (len(coeffs) + L - 2) // L
+    lifts = [ONE]
+    for _ in range((len(coeffs) + L - 2) // L):
+        lifts.append(lifts[-1] * v)
     zero = MultiPoly.zero(expr.variables)
     matrix = [[zero for _ in range(L)] for _ in range(L)]
     for j in range(L):
@@ -231,8 +235,7 @@ def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPo
                 continue
             e = d + j
             r = e % L
-            lift = v ** (e // L)
-            matrix[r][j] = matrix[r][j] + a.scale(lift)
+            matrix[r][j] = matrix[r][j] + a.scale(lifts[e // L])
     return _bareiss_determinant(matrix)
 
 
@@ -552,13 +555,24 @@ def float_min_abs_off_claimed(h: Hypersurface, claimed):
     candidates = critical_point_candidates(system)
     names = h.chart.variables
     claimed_pts = [tuple(complex(GaussianRational.coerce(c)) for c in pt) for pt in claimed]
+    # the equation as (coefficient, [(variable index, exponent), ...]) terms,
+    # converted once and evaluated in MultiPoly.evaluate_complex's order
+    terms = [
+        (complex(coeff), [(i, e) for i, e in enumerate(exps) if e])
+        for exps, coeff in h.equation.terms.items()
+    ]
     best = None
     for combo in itertools.product(*(candidates[v] for v in names)):
         if any(
             all(abs(a - b) < CLAIMED_POINT_TOL for a, b in zip(combo, pt)) for pt in claimed_pts
         ):
             continue
-        value = abs(h.equation.evaluate_complex(dict(zip(names, combo))))
+        total = 0j
+        for term, factors in terms:
+            for i, e in factors:
+                term *= combo[i] ** e
+            total += term
+        value = abs(total)
         if best is None or value < best[0]:
             best = (value, combo)
     return best
@@ -648,26 +662,27 @@ def real_slice_bound(params: PerturbationParams):
         max_kind = "outward grid bound"
     coord = _smallest_half_integer(lambda h: h * h >= m_hat)
 
+    s = _exact_str
     checks = [
         Check(
             name="x4-bound",
             status=PASS,
-            witness=f"R4 = {R4}: R4^{gap} = {R4 ** gap} >= 1/eps = {1 / eps}",
+            witness=f"R4 = {s(R4)}: R4^{gap} = {s(R4 ** gap)} >= 1/eps = {s(1 / eps)}",
         ),
         Check(
             name="coordinate-bound-recipe",
             status=PASS,
             witness=(
-                f"R = {R}: eps*R^{2 * N} + R^2 = {eps * R ** (2 * N) + R * R} "
-                f">= R4^{2 * k} = {R4 ** (2 * k)}"
+                f"R = {s(R)}: eps*R^{2 * N} + R^2 = {s(eps * R ** (2 * N) + R * R)} "
+                f">= R4^{2 * k} = {s(R4 ** (2 * k))}"
             ),
         ),
         Check(
             name="coordinate-bound-sharp",
             status=PASS,
             witness=(
-                f"|x_j| <= {coord}: x_j^2 <= max(t^k - eps*t^N) <= {m_hat} "
-                f"({max_kind}) and {coord}^2 = {coord * coord} >= {m_hat}"
+                f"|x_j| <= {s(coord)}: x_j^2 <= max(t^k - eps*t^N) <= {s(m_hat)} "
+                f"({max_kind}) and {s(coord)}^2 = {s(coord * coord)} >= {s(m_hat)}"
             ),
         ),
     ]
@@ -677,10 +692,10 @@ def real_slice_bound(params: PerturbationParams):
         params=params.as_dict() | {"slice": REAL_SLICE, "sign": REAL_SLICE_SIGN},
         checks=checks,
         values={
-            "R4": str(R4),
-            "R": str(R),
-            "coordinate_bound": str(coord),
-            "slice_max": str(m_hat),
+            "R4": s(R4),
+            "R": s(R),
+            "coordinate_bound": s(coord),
+            "slice_max": s(m_hat),
         },
         justification=(
             "on the real slice the nonnegative sum of x_j^2 + eps*x_j^(2N) equals "
@@ -705,6 +720,10 @@ def cone_unbounded_witness(k: int, M) -> tuple:
 
 # bisection halvings per isolating interval of a sampled slice root
 BISECTION_STEPS = 30
+
+# draws allowed per requested sample; a run that reaches the cap first stops
+# short and reports INCONCLUSIVE (below (1/64)^2, slice_max admits no draw at all)
+MAX_DRAWS_PER_SAMPLE = 100
 
 
 def _slice_sign(k, N, eps: Fraction, c: Fraction, p: int, q: int) -> int:
@@ -737,7 +756,9 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     Samples (x1, x2, x3), solves the slice equation for positive x4 by exact
     Descartes-style bisection (two sign changes at most), rounds the isolating
     intervals outward, and checks every accepted point against the certified
-    bounds.  Returns a summary; ``violations`` must stay 0.
+    bounds.  Returns a summary; ``violations`` must stay 0.  Its ``status`` is
+    FAIL on a violation, INCONCLUSIVE when ``MAX_DRAWS_PER_SAMPLE * count``
+    draws yield fewer than ``count`` samples, and PASS otherwise.
     """
     k, N, eps = params.k, params.N, params.eps
     R4, _, cert = real_slice_bound(params)
@@ -751,7 +772,7 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     tau = _split_point(k, N, eps)
     if tau <= 0 or tau >= R4:
         tau = R4 / 2
-    while accepted < count:
+    while accepted < count and draws < MAX_DRAWS_PER_SAMPLE * count:
         draws += 1
         xs = tuple(Fraction(rng.randint(-32, 32), 64) for _ in range(3))
         c = sum(x * x + eps * x ** (2 * N) for x in xs)
@@ -782,6 +803,7 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
             if accepted >= count:
                 break
     return {
+        "status": FAIL if violations else INCONCLUSIVE if accepted < count else PASS,
         "slice": REAL_SLICE,
         "sign": REAL_SLICE_SIGN,
         "accepted": accepted,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conetower import singular
 from conetower.cli import main, run, RunConfig
 
 
@@ -63,6 +64,15 @@ def test_perturb_failing_pair_exits_nonzero(capsys):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_perturb_too_many_digits_is_typed_error(capsys):
+    # a branch record holds a coefficient past Python's int-to-text digit limit
+    code = main(["perturb", "--k", "1", "--N", "1500", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "digits" in captured.err
 
 
 def test_perturb_search_command(capsys):
@@ -128,6 +138,23 @@ def test_real_slice_command(capsys):
     doc = json.loads(out)
     assert doc["details"]["bounds"]["R4"] == "1"
     assert doc["details"]["bounds"]["coordinate_bound"] == "1/2"
+
+
+def test_real_slice_sampling_shortfall_is_inconclusive(capsys, monkeypatch):
+    monkeypatch.setattr(singular, "MAX_DRAWS_PER_SAMPLE", 0)  # no draw allowed at all
+    code, out = _main_capture(
+        capsys,
+        ["real-slice", "--k", "1", "--N", "2", "--samples", "5", "--format", "json"],
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "INCONCLUSIVE"
+    check = next(c for c in doc["checks"] if c["name"] == "sampling:no-violations")
+    assert check == {
+        "name": "sampling:no-violations",
+        "status": "INCONCLUSIVE",
+        "witness": "only 0 of 5 samples in 0 draws",
+    }
 
 
 def test_square_check_command(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conetower.errors import (
+    InternalInconsistencyError,
     ParseError,
     VariableMismatchError,
     ZeroInputError,
@@ -14,6 +15,7 @@ from conetower.gaussian import GaussianRational, I, ONE, ZERO
 from conetower.multipoly import (
     MultiPoly,
     UniPolyView,
+    _zi_exact_quotient,
     differentiate,
     extract_variable_power,
     exact_divide,
@@ -342,6 +344,25 @@ def test_exact_divide_roundtrip():
         if g.is_zero():
             continue
         assert exact_divide(f * g, g) == f
+
+
+def test_zi_exact_quotient_checks_exactness():
+    # term maps over (x, y): exponent tuple -> (re, im) Gaussian integer
+    x_plus_i = {(1, 0): (1, 0), (0, 0): (0, 1)}
+    product = {(2, 0): (1, 0), (0, 0): (1, 0)}  # x^2 + 1 = (x + i)(x - i)
+    assert _zi_exact_quotient(product, x_plus_i) == {(1, 0): (1, 0), (0, 0): (0, -1)}
+    # 3x / 2 is exact over Q(i) but not over Z[i]
+    with pytest.raises(InternalInconsistencyError):
+        _zi_exact_quotient({(1, 0): (3, 0)}, {(0, 0): (2, 0)})
+    # (1 + i) / 2: the norm 4 leaves a remainder
+    with pytest.raises(InternalInconsistencyError):
+        _zi_exact_quotient({(0, 0): (1, 1)}, {(0, 0): (2, 0)})
+    # y / x: the leading monomial is not divisible
+    with pytest.raises(InternalInconsistencyError):
+        _zi_exact_quotient({(0, 1): (1, 0)}, {(1, 0): (1, 0)})
+    # (x^2 + 2) / (x + i) leaves the remainder 1
+    with pytest.raises(InternalInconsistencyError):
+        _zi_exact_quotient({(2, 0): (1, 0), (0, 0): (2, 0)}, x_plus_i)
 
 
 def test_univar_gcd():

@@ -1,4 +1,5 @@
-"""Independent oracles: hypothesis round-trips and ring properties, sympy ranks over Q(i)."""
+"""Independent oracles: hypothesis round-trips and ring properties, sympy ranks,
+determinants and resultants over Q(i)."""
 
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
 sympy_domains = pytest.importorskip("sympy.polys.domains")
 sympy_matrices = pytest.importorskip("sympy.polys.matrices")
 
@@ -14,7 +16,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from conetower import linalg  # noqa: E402
 from conetower.gaussian import GaussianRational  # noqa: E402
 from conetower.laurent import LaurentPoly, parse_laurent  # noqa: E402
-from conetower.multipoly import MultiPoly, differentiate, parse_poly, poly_to_string  # noqa: E402
+from conetower.multipoly import (  # noqa: E402
+    MultiPoly,
+    UniPolyView,
+    _bareiss_determinant,
+    differentiate,
+    parse_poly,
+    poly_to_string,
+    resultant,
+)
 
 EXAMPLES = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -122,3 +132,103 @@ def test_matrix_rank_matches_sympy():
         else:
             matrix = _random_matrix(rng, rows, cols)
         assert linalg.matrix_rank(matrix) == _sympy_rank(matrix)
+
+
+# ---------------------------------------------------------------- determinants and resultants over Q(i)[x, y]
+
+XY = ("x", "y")
+
+
+def _random_coefficient(rng):
+    return GaussianRational(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+        Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6 else 0,
+    )
+
+
+def _random_poly(rng, variables, max_terms=3, max_exp=2):
+    terms = {
+        tuple(rng.randint(0, max_exp) for _ in variables): _random_coefficient(rng)
+        for _ in range(rng.randint(0, max_terms))
+    }
+    return MultiPoly(variables, terms)
+
+
+def _to_sympy(f: MultiPoly):
+    symbols = sympy.symbols(f.variables)
+    return sympy.Add(*(
+        (sympy.Rational(c.re.numerator, c.re.denominator)
+         + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+        * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
+        for exps, c in f.terms.items()
+    ))
+
+
+def _agrees_with_sympy(ours: MultiPoly, theirs) -> bool:
+    return sympy.expand(_to_sympy(ours) - theirs) == 0
+
+
+def _sympy_det(matrix):
+    # Berkowitz is division-free: an elimination independent of Bareiss
+    return sympy.Matrix([[_to_sympy(entry) for entry in row] for row in matrix]).det(method="berkowitz")
+
+
+def test_bareiss_determinant_matches_sympy():
+    rng = random.Random(404)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        matrix = [[_random_poly(rng, XY) for _ in range(n)] for _ in range(n)]
+        assert _agrees_with_sympy(_bareiss_determinant(matrix), _sympy_det(matrix))
+
+
+def test_bareiss_determinant_row_swap_matches_sympy():
+    rng = random.Random(405)
+    zero = MultiPoly.zero(XY)
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        matrix = [[_random_poly(rng, XY, max_terms=2) for _ in range(n)] for _ in range(n)]
+        matrix[0][0] = zero  # the first pivot is zero: elimination must swap rows
+        matrix[1][0] = MultiPoly.constant(XY, _random_coefficient(rng))
+        det = _bareiss_determinant(matrix)
+        assert _agrees_with_sympy(det, _sympy_det(matrix))
+        # swapping the first two rows flips the sign
+        swapped = [matrix[1], matrix[0]] + matrix[2:]
+        assert _bareiss_determinant(swapped) == -det
+
+
+def test_bareiss_determinant_singular_matrix_is_zero():
+    rng = random.Random(406)
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        matrix = [[_random_poly(rng, XY, max_terms=2) for _ in range(n)] for _ in range(n - 1)]
+        # the last row is a polynomial combination of the others
+        factors = [_random_poly(rng, XY, max_terms=2, max_exp=1) for _ in range(n - 1)]
+        last = [MultiPoly.zero(XY) for _ in range(n)]
+        for factor, row in zip(factors, matrix):
+            last = [acc + factor * entry for acc, entry in zip(last, row)]
+        matrix.append(last)
+        rng.shuffle(matrix)
+        assert _bareiss_determinant(matrix).is_zero()
+        assert sympy.expand(_sympy_det(matrix)) == 0
+
+
+def test_resultant_matches_sympy():
+    rng = random.Random(407)
+    variables = ("t", "a")
+    t = sympy.Symbol("t")
+    checked = 0
+    while checked < 20:
+        f = _random_poly(rng, variables, max_terms=4, max_exp=3)
+        g = _random_poly(rng, variables, max_terms=4, max_exp=3)
+        if f.is_zero() or g.is_zero():
+            continue
+        fv, gv = UniPolyView(f, "t"), UniPolyView(g, "t")
+        # sympy 1.14 returns resultant(g, f) for resultant(f, g) when deg f < deg g
+        # and deg f * deg g is odd (t + 2 and 3*t^3 give 24, the Sylvester
+        # determinant is -24), so sympy is asked with the higher degree first
+        if fv.degree >= gv.degree:
+            theirs = sympy.resultant(_to_sympy(f), _to_sympy(g), t)
+        else:
+            theirs = (-1) ** (fv.degree * gv.degree) * sympy.resultant(_to_sympy(g), _to_sympy(f), t)
+        assert _agrees_with_sympy(resultant(fv, gv), theirs)
+        checked += 1

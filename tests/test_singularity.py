@@ -1,5 +1,6 @@
 """Singular-locus certificates, perturbation search, real-slice bounds."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -12,6 +13,7 @@ from conetower.errors import SearchExhaustedError, ValidationError
 from conetower.gaussian import GaussianRational, ZERO
 from conetower.multipoly import MultiPoly, UniPolyView, resultant, univar_from_coeffs
 from conetower.singular import (
+    MAX_DRAWS_PER_SAMPLE,
     CriticalSystem,
     PerturbationParams,
     _nth_root_fraction,
@@ -227,6 +229,22 @@ def test_certified_certificates_pass_numeric_oracle():
         assert best is None or best[0] > 1e-6
 
 
+def test_numeric_oracle_matches_evaluate_complex():
+    # the oracle evaluates precompiled terms; MultiPoly.evaluate_complex is the reference
+    for k, N in ((2, 5), (2, 6)):
+        h = perturbed_equation(PerturbationParams(k=k, N=N, eps=Fraction(1)))
+        names = h.chart.variables
+        candidates = critical_point_candidates(CriticalSystem.of(h))
+        expected = None
+        for combo in itertools.product(*(candidates[v] for v in names)):
+            if all(abs(a) < 1e-9 for a in combo):
+                continue  # the claimed origin
+            value = abs(h.equation.evaluate_complex(dict(zip(names, combo))))
+            if expected is None or value < expected[0]:
+                expected = (value, combo)
+        assert float_min_abs_off_claimed(h, [h.chart.origin()]) == expected
+
+
 def test_candidates_include_branch_roots():
     params = PerturbationParams(k=1, N=2, eps=Fraction(1))
     h = perturbed_equation(params)
@@ -294,6 +312,7 @@ def test_real_slice_bound_rejects_bad_eps():
 def test_real_slice_sampling_probe():
     params = PerturbationParams(k=1, N=2, eps=Fraction(1))
     summary = sample_real_slice(params, count=300, seed=0)
+    assert summary["status"] == "PASS"
     assert (summary["slice"], summary["sign"]) == ("perturbed-B", "x4 > 0")
     assert summary["accepted"] >= 300
     assert summary["violations"] == []
@@ -309,6 +328,19 @@ def test_real_slice_sampling_tiny_eps_is_exact_and_fast():
     assert summary["accepted"] >= 50
     assert summary["violations"] == []
     assert Fraction(summary["max_x4_upper"]) <= Fraction(summary["R4"])
+
+
+def test_real_slice_sampling_shortfall_is_inconclusive():
+    # slice_max is about 3.7e-4 here: about one draw in 46,000 qualifies, so
+    # the capped draws run out first (uncapped, one sample took about 20 s)
+    params = PerturbationParams(k=1000, N=1001, eps=Fraction(1))
+    start = time.monotonic()
+    summary = sample_real_slice(params, count=2, seed=0)
+    assert time.monotonic() - start < 5
+    assert summary["status"] == INCONCLUSIVE
+    assert summary["accepted"] < 2
+    assert summary["draws"] == MAX_DRAWS_PER_SAMPLE * 2
+    assert summary["violations"] == []
 
 
 def test_split_point_is_the_rounded_minimiser():
