@@ -37,11 +37,9 @@ from .laurent import LaurentPoly, parse_laurent
 from .lemma_square import verify_lemma_square
 from .multipoly import (
     MultiPoly,
-    UniPolyView,
     differentiate,
     extract_variable_power,
     parse_poly,
-    poly_mul,
     poly_to_string,
     resultant,
     substitute,

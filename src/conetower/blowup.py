@@ -240,6 +240,34 @@ def surface_blowup(
     return step, forward, inverse
 
 
+def locus_maps_to_origin(bc: BlowupChart, locus) -> bool:
+    """Whether the chart sends {every ``locus`` variable = 0} to the base origin."""
+    zeros = {v: 0 for v in locus}
+    return all(image.set_variables(zeros).is_zero() for image in bc.to_base.assignment.values())
+
+
+def curve_blowup_chart_map(
+    source: Chart, target: Chart, sigma, direction: str, fiber: str, label: str
+) -> SubstitutionMap:
+    """One chart of the blow-up along the curve C = f^{-1}(P), written on ``source``.
+
+    ``target`` is a chart of the surface blow-up f with fiber coordinate
+    ``fiber``; ``sigma`` matches each of its variables to a source variable.
+    The direction variable stays, the other two center variables scale by it,
+    and the fiber coordinate passes through.
+    """
+    direction_image = source.var(sigma[direction])
+    assignment = {}
+    for v in target.variables:
+        if v == fiber:
+            assignment[v] = source.var(sigma[v])
+        elif v == direction:
+            assignment[v] = direction_image
+        else:
+            assignment[v] = source.var(sigma[v]) * direction_image
+    return SubstitutionMap(source, target, assignment, label)
+
+
 def strict_transform(h: Hypersurface, step: BlowupStep, chart_index: int):
     """Strict transform of ``h`` in one blow-up chart, with its multiplicity.
 

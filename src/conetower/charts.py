@@ -89,11 +89,6 @@ class SubstitutionMap:
             )
         return substitute(f, self.assignment)
 
-    def apply_point(self, point) -> tuple:
-        """Image of a source-chart point (exact evaluation of the assignments)."""
-        values = dict(zip(self.source.variables, point))
-        return tuple(self.assignment[v].evaluate(values) for v in self.target.variables)
-
     def __repr__(self):
         rows = ", ".join(f"{v}={self.assignment[v]}" for v in self.target.variables)
         return f"SubstitutionMap({self.label}: {self.source.id} -> {self.target.id}; {rows})"

@@ -17,10 +17,6 @@ class VariableMismatchError(ConetowerError, ValueError):
     """Two polynomials over different variable tuples were combined."""
 
 
-class NotDivisibleError(ConetowerError, ArithmeticError):
-    """Exact polynomial division was requested but the quotient is not exact."""
-
-
 class ZeroInputError(ConetowerError, ValueError):
     """An operation received the zero polynomial where a nonzero one is required."""
 

@@ -20,12 +20,14 @@ from __future__ import annotations
 from .blowup import (
     SurfaceCenter,
     center_strict_transform,
+    curve_blowup_chart_map,
+    locus_maps_to_origin,
     point_blowup_charts,
     strict_transform,
     surface_blowup,
 )
 from .certificates import FAIL, PASS, Certificate, Check, aggregate_status
-from .charts import Chart, Hypersurface, SubstitutionMap, compose_maps, first_mismatch
+from .charts import Chart, Hypersurface, compose_maps, first_mismatch
 
 _JUSTIFICATION = (
     "composites compared on distinguished chart pairs; the charts are dense in "
@@ -59,11 +61,7 @@ def _square_certificate(center_texts, sprime_texts) -> Certificate:
 
     # the curve C = f^{-1}(P) must sit over P in each chart of f
     for bc, locus in ((chart_t, ("q", "a", "b")), (chart_s, ("p", "a", "b"))):
-        zeros = {v: 0 for v in locus}
-        over_p = all(
-            bc.to_base.assignment[v].set_variables(zeros).is_zero()
-            for v in ambient.variables
-        )
+        over_p = locus_maps_to_origin(bc, locus)
         checks.append(
             Check(
                 name=f"curve-over-P:{bc.chart.id}",
@@ -107,7 +105,9 @@ def _square_certificate(center_texts, sprime_texts) -> Certificate:
     values = {}
     for name, route2, target_bc, sigma, direction in pairs:
         fiber = "t" if target_bc is chart_t else "s"
-        h_map = _curve_blowup_chart_map(route2.source, target_bc.chart, sigma, direction, fiber)
+        h_map = curve_blowup_chart_map(
+            route2.source, target_bc.chart, sigma, direction, fiber, f"h.{target_bc.chart.id}.{direction}"
+        )
         route1 = compose_maps(target_bc.to_base, h_map)
         mismatch = first_mismatch(route1, route2)
         for v in ambient.variables:
@@ -142,23 +142,3 @@ def _square_certificate(center_texts, sprime_texts) -> Certificate:
         justification=_JUSTIFICATION,
     )
 
-
-def _curve_blowup_chart_map(
-    source: Chart, target: Chart, sigma, direction: str, fiber: str
-) -> SubstitutionMap:
-    """One chart of the blow-up along C, written on the paired source chart.
-
-    ``sigma`` matches each target variable to its source counterpart; the
-    direction variable stays, the other two center variables scale by it, and
-    the fiber coordinate passes through.
-    """
-    direction_image = source.var(sigma[direction])
-    assignment = {}
-    for v in target.variables:
-        if v == fiber:
-            assignment[v] = source.var(sigma[v])
-        elif v == direction:
-            assignment[v] = direction_image
-        else:
-            assignment[v] = source.var(sigma[v]) * direction_image
-    return SubstitutionMap(source, target, assignment, f"h.{target.id}.{direction}")

@@ -28,13 +28,7 @@ from fractions import Fraction
 from operator import add as _add, sub as _sub
 from typing import Iterable, Mapping
 
-from .errors import (
-    InternalInconsistencyError,
-    NotDivisibleError,
-    ParseError,
-    VariableMismatchError,
-    ZeroInputError,
-)
+from .errors import InternalInconsistencyError, ParseError, VariableMismatchError, ZeroInputError
 from .gaussian import GaussianRational, I, ONE, ZERO, _exact_str, _gdiv_exact, _gmul, _gsub
 
 
@@ -212,19 +206,11 @@ class MultiPoly:
     # ------------------------------------------------------------ evaluation
 
     def evaluate(self, values: Mapping[str, GaussianRational]) -> GaussianRational:
-        """Exact full evaluation; every variable must be assigned."""
+        """Exact full evaluation; every variable must be assigned, other keys are ignored."""
         missing = [v for v in self.variables if v not in values]
         if missing:
             raise ValueError(f"unassigned variables {missing}")
-        point = [GaussianRational.coerce(values[v]) for v in self.variables]
-        total = ZERO
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for val, e in zip(point, exps):
-                if e:
-                    term = term * val ** e
-            total = total + term
-        return total
+        return self.set_variables({v: values[v] for v in self.variables}).constant_value()
 
     def evaluate_complex(self, values: Mapping[str, complex]) -> complex:
         """Floating-point evaluation, used only by numeric cross-check oracles."""
@@ -238,19 +224,25 @@ class MultiPoly:
         return total
 
     def set_variables(self, values: Mapping[str, GaussianRational]) -> "MultiPoly":
-        """Pin some variables to constants, keeping the variable tuple."""
-        idxs = {self._var_index(v): GaussianRational.coerce(c) for v, c in values.items()}
+        """Pin some variables to constants, keeping the variable tuple.
+
+        A term holding a variable pinned to 0 drops out; every power of a
+        nonzero pinned value is computed once per call.
+        """
+        pins = [(self._var_index(v), GaussianRational.coerce(c)) for v, c in values.items()]
+        zeros = [i for i, c in pins if not c]
+        powers = [(i, {e: c ** e for e in {exps[i] for exps in self.terms} if e}) for i, c in pins if c]
         out: dict = {}
         for exps, coeff in self.terms.items():
-            c = coeff
-            new_exps = list(exps)
-            for i, val in idxs.items():
-                e = exps[i]
-                if e:
-                    c = c * val ** e
-                new_exps[i] = 0
-            key = tuple(new_exps)
-            out[key] = out.get(key, ZERO) + c
+            if any(exps[i] for i in zeros):
+                continue
+            key = list(exps)
+            for i, power in powers:
+                if exps[i]:
+                    coeff = coeff * power[exps[i]]
+                    key[i] = 0
+            key = tuple(key)
+            out[key] = out.get(key, ZERO) + coeff
         return MultiPoly(self.variables, out)
 
     # ------------------------------------------------------------ printing
@@ -483,11 +475,6 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
 # ---------------------------------------------------------------------- operations
 
 
-def poly_mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact product; raises VariableMismatchError on different variable lists."""
-    return f * g
-
-
 def differentiate(f: MultiPoly, var: str) -> MultiPoly:
     """Formal partial derivative with respect to ``var``."""
     idx = f._var_index(var)
@@ -547,74 +534,6 @@ def extract_variable_power(f: MultiPoly, var: str) -> tuple:
         return 0, f
     out = {exps[:idx] + (exps[idx] - m,) + exps[idx + 1:]: c for exps, c in f.terms.items()}
     return m, MultiPoly(f.variables, out)
-
-
-def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact quotient f/g; raises NotDivisibleError if g does not divide f."""
-    f._check_compatible(g)
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return MultiPoly.zero(f.variables)
-    lead_g = max(g.terms, key=_grlex_key)
-    cg = g.terms[lead_g]
-    quotient: dict = {}
-    rest = f
-    while rest.terms:
-        lead_r = max(rest.terms, key=_grlex_key)
-        diff = tuple(a - b for a, b in zip(lead_r, lead_g))
-        if any(d < 0 for d in diff):
-            raise NotDivisibleError(f"{g} does not divide {f}")
-        coeff = rest.terms[lead_r] / cg
-        quotient[diff] = coeff
-        mono = MultiPoly(f.variables, {diff: coeff})
-        rest = rest - mono * g
-    return MultiPoly(f.variables, quotient)
-
-
-# ---------------------------------------------------------------------- univariate views
-
-
-class UniPolyView:
-    """A polynomial viewed as univariate in one main variable.
-
-    Coefficients are polynomials over the remaining variables; reassembling
-    them reproduces the base polynomial exactly.
-    """
-
-    __slots__ = ("base", "main_variable", "coefficients", "reduced_variables")
-
-    def __init__(self, base: MultiPoly, main_variable: str):
-        idx = base._var_index(main_variable)
-        reduced = base.variables[:idx] + base.variables[idx + 1:]
-        degree = base.degree_in(main_variable)
-        coeffs = []
-        for power in range(max(degree, -1) + 1):
-            out = {}
-            for exps, coeff in base.terms.items():
-                if exps[idx] == power:
-                    out[exps[:idx] + exps[idx + 1:]] = coeff
-            coeffs.append(MultiPoly(reduced, out))
-        self.base = base
-        self.main_variable = main_variable
-        self.coefficients = coeffs
-        self.reduced_variables = reduced
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def leading(self) -> MultiPoly:
-        return self.coefficients[-1]
-
-    def reassemble(self) -> MultiPoly:
-        idx = self.base.variables.index(self.main_variable)
-        out = {}
-        for power, coeff in enumerate(self.coefficients):
-            for exps, c in coeff.terms.items():
-                full = exps[:idx] + (power,) + exps[idx:]
-                out[full] = c
-        return MultiPoly(self.base.variables, out)
 
 
 # ---------------------------------------------------------------------- Z[i] determinant kernel
@@ -716,30 +635,25 @@ def _bareiss_determinant(matrix) -> MultiPoly:
     )
 
 
-def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
-    """Sylvester-matrix resultant, eliminated fraction-free (Bareiss).
+def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    """Sylvester resultant of f and g in ``var``, eliminated fraction-free (Bareiss).
 
-    Vanishes at a parameter point exactly when the specializations share a
+    The result lives over the operands' variable tuple and is free of ``var``.
+    It vanishes at a parameter point exactly when the specializations share a
     root there (or both leading coefficients vanish).
     """
-    if f.main_variable != g.main_variable:
-        raise VariableMismatchError("resultant requires a common main variable")
-    if f.base.is_zero() or g.base.is_zero():
+    f._check_compatible(g)
+    if f.is_zero() or g.is_zero():
         raise ZeroInputError("resultant of the zero polynomial is undefined")
-    if f.base.variables != g.base.variables:
-        raise VariableMismatchError("resultant operands live over different variable lists")
-    n, m = f.degree, g.degree
-    reduced = f.reduced_variables
-    if n == 0 and m == 0:
-        return MultiPoly.constant(reduced, ONE)
+    n, m = f.degree_in(var), g.degree_in(var)
+    fdesc = [f.coefficient_in(var, d) for d in range(n, -1, -1)]
+    gdesc = [g.coefficient_in(var, d) for d in range(m, -1, -1)]
     if n == 0:
-        return f.coefficients[0] ** m
+        return fdesc[0] ** m
     if m == 0:
-        return g.coefficients[0] ** n
+        return gdesc[0] ** n
     size = n + m
-    zero = MultiPoly.zero(reduced)
-    fdesc = list(reversed(f.coefficients))
-    gdesc = list(reversed(g.coefficients))
+    zero = MultiPoly.zero(f.variables)
     rows = []
     for shift in range(m):
         rows.append([zero] * shift + fdesc + [zero] * (size - shift - n - 1))
@@ -749,24 +663,6 @@ def resultant(f: UniPolyView, g: UniPolyView) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------- univariate helpers
-
-
-def embed_variables(f: MultiPoly, variables) -> MultiPoly:
-    """Re-express ``f`` over a superset variable tuple; new variables stay unused."""
-    variables = tuple(variables)
-    try:
-        positions = [variables.index(v) for v in f.variables]
-    except ValueError:
-        raise VariableMismatchError(
-            f"cannot embed {f.variables} into {variables}"
-        )
-    terms = {}
-    for exps, coeff in f.terms.items():
-        new = [0] * len(variables)
-        for pos, e in zip(positions, exps):
-            new[pos] = e
-        terms[tuple(new)] = coeff
-    return MultiPoly(variables, terms)
 
 
 def univar_coeffs(f: MultiPoly, var: str) -> list:

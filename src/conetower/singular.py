@@ -35,10 +35,8 @@ from .errors import SearchExhaustedError, ValidationError
 from .gaussian import GaussianRational, ONE, ZERO, _exact_str
 from .multipoly import (
     MultiPoly,
-    UniPolyView,
     _bareiss_determinant,
     differentiate,
-    embed_variables,
     extract_variable_power,
     resultant,
     univar_coeffs,
@@ -184,10 +182,7 @@ def _root_product(expr: MultiPoly, var: str, modulus) -> tuple:
     if _is_binomial(coeffs):
         v = -(coeffs[0] / coeffs[-1])
         return _binomial_root_product(expr, var, deg_m, v)
-    view_mod = UniPolyView(univar_from_coeffs(expr.variables, var, coeffs), var)
-    view_expr = UniPolyView(expr, var)
-    res = embed_variables(resultant(view_mod, view_expr), expr.variables)
-    return res, 1, "sylvester"
+    return resultant(univar_from_coeffs(expr.variables, var, coeffs), expr, var), 1, "sylvester"
 
 
 def _binomial_root_product(expr: MultiPoly, var: str, M: int, v) -> tuple:
@@ -627,18 +622,15 @@ def _smallest_half_integer(predicate) -> Fraction:
     return Fraction(hi, 2)
 
 
-def real_slice_bound(params: PerturbationParams):
-    """Exact compactness bounds for the positive real slice of the perturbed cone.
+def _slice_bounds(params: PerturbationParams) -> tuple:
+    """The exact bounds (R4, R, coord, m_hat, max_kind) of :func:`real_slice_bound`.
 
-    Returns (R4, R, certificate): real points with x4 > 0 satisfy x4 <= R4
-    because eps*x4^(2N) <= x4^(2k) forces x4^(2N-2k) <= 1/eps; and every
-    |x_j| <= R because eps*R^(2N) + R^2 >= R4^(2k).  The certificate also
-    carries the sharper per-coordinate bound obtained from the exact maximum
-    of t^k - eps*t^N on [0, R4^2] whenever that maximum is rational.
+    m_hat bounds t^k - eps*t^N on [0, R4^2], hence every x_j^2; coord is the
+    smallest half-integer whose square reaches it; max_kind names how m_hat
+    was found.
     """
     k, N, eps = params.k, params.N, params.eps
-    gap = 2 * N - 2 * k
-    R4 = _smallest_half_integer(lambda h: h ** gap >= 1 / eps)
+    R4 = _smallest_half_integer(lambda h: h ** (2 * N - 2 * k) >= 1 / eps)
     R = _smallest_half_integer(lambda h: eps * h ** (2 * N) + h * h >= R4 ** (2 * k))
 
     # exact or outward-rounded maximum of phi(t) = t^k - eps*t^N on [0, R4^2]
@@ -661,7 +653,21 @@ def real_slice_bound(params: PerturbationParams):
             m_hat = max(m_hat, b ** k - eps * a ** N)
         max_kind = "outward grid bound"
     coord = _smallest_half_integer(lambda h: h * h >= m_hat)
+    return R4, R, coord, m_hat, max_kind
 
+
+def real_slice_bound(params: PerturbationParams):
+    """Exact compactness bounds for the positive real slice of the perturbed cone.
+
+    Returns (R4, R, certificate): real points with x4 > 0 satisfy x4 <= R4
+    because eps*x4^(2N) <= x4^(2k) forces x4^(2N-2k) <= 1/eps; and every
+    |x_j| <= R because eps*R^(2N) + R^2 >= R4^(2k).  The certificate also
+    carries the sharper per-coordinate bound obtained from the exact maximum
+    of t^k - eps*t^N on [0, R4^2] whenever that maximum is rational.
+    """
+    k, N, eps = params.k, params.N, params.eps
+    gap = 2 * N - 2 * k
+    R4, R, coord, m_hat, max_kind = _slice_bounds(params)
     s = _exact_str
     checks = [
         Check(
@@ -761,9 +767,7 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     draws yield fewer than ``count`` samples, and PASS otherwise.
     """
     k, N, eps = params.k, params.N, params.eps
-    R4, _, cert = real_slice_bound(params)
-    coord = Fraction(cert.values["coordinate_bound"])
-    m_hat = Fraction(cert.values["slice_max"])
+    R4, _, coord, m_hat, _ = _slice_bounds(params)
     rng = random.Random(seed)
     accepted = 0
     draws = 0

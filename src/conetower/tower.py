@@ -22,6 +22,8 @@ from .blowup import (
     SurfaceCenter,
     center_pullback_divisible,
     center_strict_transform,
+    curve_blowup_chart_map,
+    locus_maps_to_origin,
     overlap_cocycle_ok,
     point_blowup_charts,
     strict_transform,
@@ -208,17 +210,7 @@ def build_tower(k: int) -> Tower:
             t_chart, s_chart = step.charts
             t_locus = (f"q_{j}", f"a_{j}", f"b_{j}")
             s_locus = (f"p_{j}", f"a_{j}", f"b_{j}")
-            over_p = all(
-                t_chart.to_base.assignment[v]
-                .set_variables({name: 0 for name in t_locus})
-                .is_zero()
-                for v in level.chart.variables
-            ) and all(
-                s_chart.to_base.assignment[v]
-                .set_variables({name: 0 for name in s_locus})
-                .is_zero()
-                for v in level.chart.variables
-            )
+            over_p = locus_maps_to_origin(t_chart, t_locus) and locus_maps_to_origin(s_chart, s_locus)
             check(f"level{j}:curve-over-P", over_p, "f_j^{-1}(P_j) locus confirmed")
             level.curve = ExceptionalCurve(
                 level=j,
@@ -237,19 +229,14 @@ def build_tower(k: int) -> Tower:
         lower = levels[j - 1]
         g_map = upper.blowdown.chart(upper.blowdown.distinguished).to_base
         pairs = []
-        for side, index, scaled_vars, fiber in (
-            ("T", 0, (f"q_{j}", f"a_{j}"), (f"t_{j}", f"t_{j - 1}")),
-            ("S", 1, (f"p_{j}", f"a_{j}"), (f"s_{j}", f"s_{j - 1}")),
-        ):
+        for side, index, fiber in (("T", 0, f"t_{j}"), ("S", 1, f"s_{j}")):
             upper_bc = upper.surface_step.chart(index)
             lower_bc = lower.surface_step.chart(index)
-            source = lower_bc.chart
-            b_low = source.var(f"b_{j - 1}")
-            assignment = {fiber[0]: source.var(fiber[1]), f"b_{j}": b_low}
-            for var in scaled_vars:
-                low_name = var.rsplit("_", 1)[0] + f"_{j - 1}"
-                assignment[var] = source.var(low_name) * b_low
-            h_map = SubstitutionMap(source, upper_bc.chart, assignment, f"h_{j}.{side}")
+            # h_j renames each level-j variable to its level-(j-1) counterpart
+            sigma = {v: v.rsplit("_", 1)[0] + f"_{j - 1}" for v in upper_bc.chart.variables}
+            h_map = curve_blowup_chart_map(
+                lower_bc.chart, upper_bc.chart, sigma, f"b_{j}", fiber, f"h_{j}.{side}"
+            )
             top = compose_maps(upper_bc.to_base, h_map)
             bottom = compose_maps(g_map, lower_bc.to_base)
             mismatch = first_mismatch(top, bottom)

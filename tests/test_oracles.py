@@ -18,12 +18,12 @@ from conetower.gaussian import GaussianRational  # noqa: E402
 from conetower.laurent import LaurentPoly, parse_laurent  # noqa: E402
 from conetower.multipoly import (  # noqa: E402
     MultiPoly,
-    UniPolyView,
     _bareiss_determinant,
     differentiate,
     parse_poly,
     poly_to_string,
     resultant,
+    substitute,
 )
 
 EXAMPLES = settings(max_examples=60, derandomize=True, deadline=None)
@@ -79,6 +79,20 @@ def test_multipoly_results_store_no_zero(f_terms, g_terms):
     assert (f + g) - g == f
     assert f + (g - f) == g
     assert not results[3] and not results[5] and not results[6]
+
+
+@EXAMPLES
+@given(poly_terms, coefficients.filter(bool), coefficients.filter(bool))
+def test_pinning_matches_substitute(terms, a, b):
+    f = MultiPoly(("x", "y1", "w"), terms)
+    # x pinned to 0, w to a nonzero value; y1 stays free
+    pins = {"x": 0, "w": a}
+    images = {v: MultiPoly.constant(f.variables, pins[v]) if v in pins else MultiPoly.variable(f.variables, v)
+              for v in f.variables}
+    assert f.set_variables(pins) == substitute(f, images)
+    point = {"x": 0, "y1": b, "w": a}
+    expected = substitute(f, {v: MultiPoly.constant((), c) for v, c in point.items()}).constant_value()
+    assert f.evaluate(point | {"unused": 5}) == expected
 
 
 @EXAMPLES
@@ -213,22 +227,25 @@ def test_bareiss_determinant_singular_matrix_is_zero():
 
 
 def test_resultant_matches_sympy():
-    rng = random.Random(407)
-    variables = ("t", "a")
     t = sympy.Symbol("t")
-    checked = 0
-    while checked < 20:
-        f = _random_poly(rng, variables, max_terms=4, max_exp=3)
-        g = _random_poly(rng, variables, max_terms=4, max_exp=3)
-        if f.is_zero() or g.is_zero():
-            continue
-        fv, gv = UniPolyView(f, "t"), UniPolyView(g, "t")
-        # sympy 1.14 returns resultant(g, f) for resultant(f, g) when deg f < deg g
-        # and deg f * deg g is odd (t + 2 and 3*t^3 give 24, the Sylvester
-        # determinant is -24), so sympy is asked with the higher degree first
-        if fv.degree >= gv.degree:
-            theirs = sympy.resultant(_to_sympy(f), _to_sympy(g), t)
-        else:
-            theirs = (-1) ** (fv.degree * gv.degree) * sympy.resultant(_to_sympy(g), _to_sympy(f), t)
-        assert _agrees_with_sympy(resultant(fv, gv), theirs)
-        checked += 1
+    # the eliminated variable first, then in the middle of the tuple
+    for variables in (("t", "a"), ("a", "t", "b")):
+        rng = random.Random(407)
+        checked = 0
+        while checked < 20:
+            f = _random_poly(rng, variables, max_terms=4, max_exp=3)
+            g = _random_poly(rng, variables, max_terms=4, max_exp=3)
+            if f.is_zero() or g.is_zero():
+                continue
+            n, m = f.degree_in("t"), g.degree_in("t")
+            # sympy 1.14 returns resultant(g, f) for resultant(f, g) when deg f < deg g
+            # and deg f * deg g is odd (t + 2 and 3*t^3 give 24, the Sylvester
+            # determinant is -24), so sympy is asked with the higher degree first
+            if n >= m:
+                theirs = sympy.resultant(_to_sympy(f), _to_sympy(g), t)
+            else:
+                theirs = (-1) ** (n * m) * sympy.resultant(_to_sympy(g), _to_sympy(f), t)
+            ours = resultant(f, g, "t")
+            assert ours.variables == variables and ours.degree_in("t") <= 0
+            assert _agrees_with_sympy(ours, theirs)
+            checked += 1

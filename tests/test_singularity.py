@@ -11,7 +11,7 @@ from conetower.certificates import CERTIFIED, FAIL, INCONCLUSIVE, ONLY_SINGULAR_
 from conetower.charts import Chart, Hypersurface
 from conetower.errors import SearchExhaustedError, ValidationError
 from conetower.gaussian import GaussianRational, ZERO
-from conetower.multipoly import MultiPoly, UniPolyView, resultant, univar_from_coeffs
+from conetower.multipoly import MultiPoly, resultant, univar_from_coeffs
 from conetower.singular import (
     MAX_DRAWS_PER_SAMPLE,
     CriticalSystem,
@@ -101,6 +101,45 @@ def test_positive_dimensional_locus_fails():
     assert cert.status == FAIL
 
 
+def _branch_summary(branch):
+    """(verdict, outcome type, the chain's (method, value) steps or the detail/value)."""
+    outcome = branch["outcome"]
+    if outcome["type"] == "iterated-root-product":
+        return branch["verdict"], outcome["type"], [(s["method"], s["value"]) for s in outcome["chain"]]
+    return branch["verdict"], outcome["type"], outcome.get("detail", outcome.get("value"))
+
+
+NO_ROOT = "univariate constraints on x share no root"
+
+
+@pytest.mark.parametrize(
+    "text, status, branches",
+    [
+        # d/dx = x^2 + x + 1 is no binomial: the root product is a Sylvester resultant
+        ("1/3*x^3 + 1/2*x^2 + x + y^2", SMOOTH,
+         [("refuted", "iterated-root-product", [("sylvester", "13/36")])]),
+        # singular at (1, 0): the resultant vanishes
+        ("1/3*x^3 - 3/2*x^2 + 2*x - 5/6 + y^2", FAIL,
+         [("fail", "iterated-root-product", [("sylvester", "0")])]),
+        # 2x - 3 and x^2 - 3x + 2 have no common root
+        ("y*x^2 - 3*y*x + 2*y + 1", SMOOTH,
+         [("refuted", "nonzero-constant", "1"), ("refuted", "contradiction", NO_ROOT)]),
+        # 2x - 2 and (x - 1)^2 merge to x - 1
+        ("y*x^2 - 2*y*x + y + 1", SMOOTH,
+         [("refuted", "nonzero-constant", "1"), ("refuted", "nonzero-constant", "1")]),
+        # nodes at (1, 0) and (2, 0)
+        ("y*x^2 - 3*y*x + 2*y", FAIL,
+         [("fail", "identically-zero", "the equation vanishes on the whole branch locus"),
+          ("refuted", "contradiction", NO_ROOT)]),
+    ],
+)
+def test_plane_curve_branch_paths(text, status, branches):
+    chart = _chart(("x", "y"))
+    cert = certify_singular_locus(Hypersurface(chart, chart.poly(text)), [])
+    assert cert.status == status
+    assert [_branch_summary(b) for b in cert.branches] == branches
+
+
 # ---------------------------------------------------------------- perturbation certificates
 
 
@@ -186,8 +225,6 @@ def test_search_exhaustion_reports_attempts():
 def test_root_product_matches_sylvester_resultant():
     # core**exponent * lc(modulus)^deg(expr) equals Res(modulus, expr),
     # exercised on random binomial moduli against the Sylvester machinery
-    from conetower.multipoly import embed_variables
-
     rng = random.Random(29)
     vars = ("x", "y")
     checked = 0
@@ -206,9 +243,7 @@ def test_root_product_matches_sylvester_resultant():
             continue
         core, exponent, _ = _root_product(expr, "x", tuple(coeffs))
         modulus = univar_from_coeffs(vars, "x", coeffs)
-        res = embed_variables(
-            resultant(UniPolyView(modulus, "x"), UniPolyView(expr, "x")), vars
-        )
+        res = resultant(modulus, expr, "x")
         scale = lead ** expr.degree_in("x")
         assert (core ** exponent).scale(scale) == res
         checked += 1
@@ -341,6 +376,16 @@ def test_real_slice_sampling_shortfall_is_inconclusive():
     assert summary["accepted"] < 2
     assert summary["draws"] == MAX_DRAWS_PER_SAMPLE * 2
     assert summary["violations"] == []
+
+
+def test_real_slice_sampling_needs_no_printable_bounds():
+    # slice_max has more digits than Python will print here; sampling compares
+    # the exact numbers and no nonzero draw fits below (1/64)^2
+    start = time.monotonic()
+    summary = sample_real_slice(PerturbationParams(k=1500, N=1501, eps=Fraction(1)), count=2, seed=0)
+    assert time.monotonic() - start < 5
+    assert summary["status"] == INCONCLUSIVE
+    assert (summary["accepted"], summary["draws"]) == (0, 2 * MAX_DRAWS_PER_SAMPLE)
 
 
 def test_split_point_is_the_rounded_minimiser():
