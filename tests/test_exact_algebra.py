@@ -318,7 +318,7 @@ def test_resultant_with_parameters_detects_shared_roots():
     assert resultant(P("x^2 - s", xs), P("x - 1", xs), "x") == P("1 - s", xs)
 
 
-def test_exact_divide_roundtrip():
+def test_zi_exact_quotient_roundtrip():
     # Z[i] term maps over (x, y, w): the kernel's exact quotient undoes its product
     rng = random.Random(17)
 
