@@ -49,6 +49,10 @@ class DigitLimitError(ConetowerError, ValueError):
     """An exact number is too long for Python's integer-to-text conversion limit."""
 
 
+class FloatRangeError(ConetowerError, ArithmeticError):
+    """A value of the floating-point oracle is not a finite float, or underflows to 0."""
+
+
 class InternalInconsistencyError(ConetowerError, RuntimeError):
     """A self-check that must never fail did fail; indicates a bug."""
 

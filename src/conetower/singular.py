@@ -12,13 +12,12 @@ wrong verdict.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .certificates import (
     CERTIFIED,
@@ -31,7 +30,7 @@ from .certificates import (
     Check,
 )
 from .charts import Chart, Hypersurface
-from .errors import SearchExhaustedError, ValidationError
+from .errors import FloatRangeError, SearchExhaustedError, ValidationError
 from .gaussian import GaussianRational, ONE, ZERO, _exact_str
 from .multipoly import (
     MultiPoly,
@@ -520,9 +519,27 @@ def search_perturbation(k: int, n_max: int | None = None, eps_candidates=None):
 # ------------------------------------------------------------------ numeric oracle
 
 
+def _finite_complex(value: GaussianRational, what: str) -> complex:
+    """``value`` as a float complex; FloatRangeError when its modulus is not a
+    finite float, or when a nonzero value rounds to 0 (and its roots with it)."""
+    try:
+        z = complex(value)
+        size = abs(z)
+    except OverflowError:
+        size = math.inf
+    if not math.isfinite(size) or (value and not size):
+        raise FloatRangeError(f"the float oracle cannot represent {what}")
+    return z
+
+
 def critical_point_candidates(system: CriticalSystem):
-    """Per-variable numeric candidates: 0 plus companion-matrix roots of the
-    univariate branch factors.  Soundness probe, not a certificate."""
+    """Per-variable numeric candidates: 0 plus the roots of the univariate
+    branch factors.  Soundness probe, not a certificate.
+
+    Each factor must be a binomial c0 + cn*x^n (else ValidationError); its
+    roots are the n-th roots of v = -c0/cn in closed form,
+    |v|^(1/n) * e^(i(arg v + 2*pi*j)/n) for j = 0..n-1.
+    """
     candidates = {v: {0j} for v in system.hypersurface.chart.variables}
     for partial in system.partials:
         if partial.is_zero():
@@ -534,9 +551,12 @@ def critical_point_candidates(system: CriticalSystem):
         if univariate is None:
             continue
         var, coeffs = univariate
-        arr = [complex(c) for c in coeffs]
-        roots = np.roots(list(reversed(arr)))
-        candidates[var].update(complex(r) for r in roots)
+        n = len(coeffs) - 1
+        if not _is_binomial(coeffs):
+            raise ValidationError(f"the float oracle takes binomial factors only, not this {var} one")
+        v = _finite_complex(-(coeffs[0] / coeffs[-1]), f"the roots of the {var} factor")
+        r, arg = abs(v) ** (1 / n), cmath.phase(v)
+        candidates[var].update(cmath.rect(r, (arg + 2 * math.pi * j) / n) for j in range(n))
     return {v: sorted(vals, key=lambda z: (z.real, z.imag)) for v, vals in candidates.items()}
 
 
@@ -545,7 +565,10 @@ CLAIMED_POINT_TOL = 1e-9
 
 
 def float_min_abs_off_claimed(h: Hypersurface, claimed):
-    """Smallest |f| over all numeric candidate critical points off the claimed set."""
+    """Smallest |f| over all numeric candidate critical points off the claimed set.
+
+    FloatRangeError when a coefficient or some |f| is out of float range.
+    """
     system = CriticalSystem.of(h)
     candidates = critical_point_candidates(system)
     names = h.chart.variables
@@ -553,7 +576,7 @@ def float_min_abs_off_claimed(h: Hypersurface, claimed):
     # the equation as (coefficient, [(variable index, exponent), ...]) terms,
     # converted once and evaluated in MultiPoly.evaluate_complex's order
     terms = [
-        (complex(coeff), [(i, e) for i, e in enumerate(exps) if e])
+        (_finite_complex(coeff, "a coefficient of f"), [(i, e) for i, e in enumerate(exps) if e])
         for exps, coeff in h.equation.terms.items()
     ]
     best = None
@@ -563,11 +586,16 @@ def float_min_abs_off_claimed(h: Hypersurface, claimed):
         ):
             continue
         total = 0j
-        for term, factors in terms:
-            for i, e in factors:
-                term *= combo[i] ** e
-            total += term
-        value = abs(total)
+        try:
+            for term, factors in terms:
+                for i, e in factors:
+                    term *= combo[i] ** e
+                total += term
+            value = abs(total)
+        except OverflowError:  # ** and abs raise it; * and + give inf or nan instead
+            value = math.inf
+        if not math.isfinite(value):
+            raise FloatRangeError("the float oracle cannot represent |f| at a candidate point")
         if best is None or value < best[0]:
             best = (value, combo)
     return best

@@ -14,6 +14,7 @@ sympy_matrices = pytest.importorskip("sympy.polys.matrices")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conetower import linalg  # noqa: E402
+from conetower.charts import Chart, Hypersurface  # noqa: E402
 from conetower.gaussian import GaussianRational  # noqa: E402
 from conetower.laurent import LaurentPoly, parse_laurent  # noqa: E402
 from conetower.multipoly import (  # noqa: E402
@@ -25,6 +26,7 @@ from conetower.multipoly import (  # noqa: E402
     resultant,
     substitute,
 )
+from conetower.singular import CriticalSystem, critical_point_candidates  # noqa: E402
 
 EXAMPLES = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -249,3 +251,26 @@ def test_resultant_matches_sympy():
             assert ours.variables == variables and ours.degree_in("t") <= 0
             assert _agrees_with_sympy(ours, theirs)
             checked += 1
+
+
+# ---------------------------------------------------------------- float oracle roots
+
+
+def test_binomial_candidates_match_sympy_nroots():
+    # d/dx of c0*x + cn*x^(n+1)/(n+1) is the binomial c0 + cn*x^n
+    rng = random.Random(606)
+    x = sympy.Symbol("x")
+    chart = Chart("binomial", ("x",), "local-model")
+    for n in range(1, 13):
+        for _ in range(3):
+            c0, cn = GaussianRational(0), GaussianRational(0)
+            while not c0 or not cn:
+                c0, cn = _random_coefficient(rng), _random_coefficient(rng)
+            antiderivative = {(1,): c0, (n + 1,): cn / GaussianRational(n + 1)}
+            h = Hypersurface(chart, MultiPoly(chart.variables, antiderivative))
+            ours = critical_point_candidates(CriticalSystem.of(h))["x"]
+            binomial = _to_sympy(MultiPoly(chart.variables, {(0,): c0, (n,): cn}))
+            theirs = [complex(r) for r in sympy.Poly(binomial, x).nroots()] + [0j]
+            assert len(ours) == len(theirs) == n + 1
+            assert all(min(abs(a - b) for b in theirs) < 1e-9 for a in ours)
+            assert all(min(abs(a - b) for a in ours) < 1e-9 for b in theirs)

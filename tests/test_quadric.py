@@ -7,6 +7,7 @@ import pytest
 from conetower.certificates import FAIL, PASS
 from conetower.errors import LineNotOnQuadricError, ValidationError
 from conetower.gaussian import GaussianRational, I, ONE
+from conetower.multipoly import MultiPoly
 from conetower.quadric import (
     BOUNDARY_QUADRIC,
     CONTROL_QUADRIC,
@@ -71,6 +72,42 @@ def test_ruling_line_boundary_parameters():
     q1, q2 = line_b.form_polys()
     assert q1 == parse_poly("z0 + i*z1", zvars)
     assert q2 == parse_poly("0 - z2 - z3", zvars)
+
+
+def test_ruling_lines_lie_on_their_quadric_identically():
+    # ruling_line checks no line; this proves containment instead: over
+    # (s, t, z0..z3), s*t*(ab - cd) lies in the ideal of the line's forms
+    # L1, L2, and at s = 0 (t = 0) so does t*(ab - cd) (s*(ab - cd)), where
+    # the other parameter is nonzero
+    names = ("s", "t", "z0", "z1", "z2", "z3")
+    s, t = (MultiPoly.variable(names, v) for v in ("s", "t"))
+
+    def form(row):
+        exponents = [tuple(int(i == j + 2) for i in range(6)) for j in range(4)]
+        return MultiPoly(names, dict(zip(exponents, row)))
+
+    rng = random.Random(11)
+    for split in (SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC):
+        a, b, c, d = (form(row) for row in (split.a, split.b, split.c, split.d))
+        quadric = a * b - c * d
+        for family, (c1, d1) in (("A", (c, d)), ("B", (d, c))):
+            L1, L2 = t * a - s * c1, s * b - t * d1
+            assert s * t * quadric == L1 * (s * b) + (s * c1) * L2
+            at_s0 = {"s": 0}
+            assert t * quadric == b * L1.set_variables(at_s0) + c1 * L2.set_variables(at_s0)
+            at_t0 = {"t": 0}
+            assert s * quadric == a * L2.set_variables(at_t0) + d1 * L1.set_variables(at_t0)
+            # L1, L2 pinned at (s : t) are the forms ruling_line returns
+            zero = GaussianRational(0)
+            params = [sample_param(rng, family) for _ in range(3)]
+            params += [RulingParam(family, ONE, zero), RulingParam(family, zero, ONE)]
+            for param in params:
+                pinned = [L.set_variables({"s": param.s, "t": param.t}) for L in (L1, L2)]
+                rows = tuple(
+                    tuple(L.coefficient_in(z, 1).constant_value() for z in names[2:])
+                    for L in pinned
+                )
+                assert ruling_line(param, split).rows == rows
 
 
 def test_real_point_frozen_examples():

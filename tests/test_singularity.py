@@ -9,7 +9,7 @@ import pytest
 
 from conetower.certificates import CERTIFIED, FAIL, INCONCLUSIVE, ONLY_SINGULAR_AT, SMOOTH
 from conetower.charts import Chart, Hypersurface
-from conetower.errors import SearchExhaustedError, ValidationError
+from conetower.errors import FloatRangeError, SearchExhaustedError, ValidationError
 from conetower.gaussian import GaussianRational, ZERO
 from conetower.multipoly import MultiPoly, resultant, univar_from_coeffs
 from conetower.singular import (
@@ -286,6 +286,24 @@ def test_candidates_include_branch_roots():
     candidates = critical_point_candidates(CriticalSystem.of(h))
     assert len(candidates["z1"]) == 3  # 0 and the two roots of 2 + 4 z^2
     assert len(candidates["z4"]) == 3
+
+
+def test_candidates_reject_non_binomial_factor():
+    # d/dx = 1 + x + x^2 has three terms: no closed-form roots
+    chart = _chart(("x",))
+    terms = {(e,): GaussianRational(Fraction(1, e)) for e in (1, 2, 3)}
+    h = Hypersurface(chart, MultiPoly(chart.variables, terms))
+    with pytest.raises(ValidationError):
+        critical_point_candidates(CriticalSystem.of(h))
+
+
+def test_oracle_coefficient_rounding_to_zero_is_typed_error():
+    # 10^-400 is 0.0 as a float: dropping it would change f, so the oracle stops
+    chart = _chart(("x", "y"))
+    tiny = GaussianRational(Fraction(1, 10 ** 400))
+    h = Hypersurface(chart, MultiPoly(chart.variables, {(2, 0): GaussianRational(1), (0, 2): tiny}))
+    with pytest.raises(FloatRangeError):
+        float_min_abs_off_claimed(h, [])
 
 
 # ---------------------------------------------------------------- real slice
