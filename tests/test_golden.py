@@ -26,6 +26,10 @@ COMMANDS = [
     ("quadric_t10_s0", ["quadric", "--trials", "10", "--seed", "0"], 0),
     ("real_slice_k1_N2_eps1_s50",
      ["real-slice", "--k", "1", "--N", "2", "--eps", "1", "--samples", "50"], 0),
+    # eps = 1/4 has no rational critical point: the outward grid bound and a
+    # non-integer R4
+    ("real_slice_k3_N5_eps1_4_s200_seed7",
+     ["real-slice", "--k", "3", "--N", "5", "--eps", "1/4", "--samples", "200", "--seed", "7"], 0),
     ("square_check", ["square-check"], 0),
     ("all_k1_t5", ["all", "--k", "1", "--trials", "5"], 0),
     ("splitting_triangular", ["splitting", "--matrix", "matrices/triangular.json"], 0),
