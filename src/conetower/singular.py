@@ -673,12 +673,14 @@ def _slice_bounds(params: PerturbationParams) -> tuple:
         m_hat = max(phi(at), phi(top), Fraction(0))
         max_kind = "exact critical point"
     else:
+        # max of b^k - eps*a^N over the cells [a, b] = top*[i, i+1]/steps, as
+        # integers over the common denominator den(eps) * (den(top) * steps)^N
         steps = 1024
-        m_hat = Fraction(0)
-        for i in range(steps):
-            a = top * i / steps
-            b = top * (i + 1) / steps
-            m_hat = max(m_hat, b ** k - eps * a ** N)
+        en, ed = eps.numerator, eps.denominator
+        u, G = top.numerator, top.denominator * steps
+        rise, fall = ed * u ** k * G ** (N - k), en * u ** N
+        best = max(rise * (i + 1) ** k - fall * i ** N for i in range(steps))
+        m_hat = Fraction(max(best, 0), ed * G ** N)
         max_kind = "outward grid bound"
     coord = _smallest_half_integer(lambda h: h * h >= m_hat)
     return R4, R, coord, m_hat, max_kind
@@ -760,18 +762,6 @@ BISECTION_STEPS = 30
 MAX_DRAWS_PER_SAMPLE = 100
 
 
-def _slice_sign(k, N, eps: Fraction, c: Fraction, p: int, q: int) -> int:
-    """Sign of eps*t^(2N) - t^(2k) + c at t = p/q via one integer expression."""
-    en, ed = eps.numerator, eps.denominator
-    cn, cd = c.numerator, c.denominator
-    value = (
-        en * cd * p ** (2 * N)
-        - ed * cd * p ** (2 * k) * q ** (2 * N - 2 * k)
-        + cn * ed * q ** (2 * N)
-    )
-    return (value > 0) - (value < 0)
-
-
 def _split_point(k: int, N: int, eps: Fraction) -> Fraction:
     """(k/(N*eps))^(1/(2N-2k)), where the slice polynomial in x4 is least,
     rounded to the nearest multiple of 2^-16 (halves up) in integer arithmetic."""
@@ -790,7 +780,10 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     Samples (x1, x2, x3), solves the slice equation for positive x4 by exact
     Descartes-style bisection (two sign changes at most), rounds the isolating
     intervals outward, and checks every accepted point against the certified
-    bounds.  Returns a summary; ``violations`` must stay 0.  Its ``status`` is
+    bounds.  The bisection runs in integers: every endpoint is an integer over
+    one denominator Q = lcm(den tau, den R4) * 2^BISECTION_STEPS, so each
+    midpoint is a shift, and each sign is read off one integer expression.
+    Returns a summary; ``violations`` must stay 0.  Its ``status`` is
     FAIL on a violation, INCONCLUSIVE when ``MAX_DRAWS_PER_SAMPLE * count``
     draws yield fewer than ``count`` samples, and PASS otherwise.
     """
@@ -800,24 +793,41 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     accepted = 0
     draws = 0
     violations = []
-    max_x4_hi = Fraction(0)
     tau = _split_point(k, N, eps)
     if tau <= 0 or tau >= R4:
         tau = R4 / 2
+    steps = BISECTION_STEPS
+    Q = math.lcm(tau.denominator, R4.denominator) << steps
+    split, top = tau.numerator * (Q // tau.denominator), R4.numerator * (Q // R4.denominator)
+    max_x4_hi = 0
+    # a draw x = r/64 gives c = C/D, D = 64^(2N) * den(eps); the sign of
+    # eps*t^(2N) - t^(2k) + c at t = p/Q is that of
+    # en*D*p^(2N) - ed*D*Q^(2N-2k)*p^(2k) + C*ed*Q^(2N)
+    en, ed = eps.numerator, eps.denominator
+    D = 64 ** (2 * N) * ed
+    square = ed * 64 ** (2 * N - 2)
+    lead, middle, last = en * D, ed * D * Q ** (2 * N - 2 * k), ed * Q ** (2 * N)
+    c_cap = m_hat.numerator * D  # c > m_hat exactly when C * den(m_hat) > c_cap
+    coord_cap = 64 * coord.numerator  # |x| > coord exactly when |r| * den(coord) > coord_cap
+
+    def sign(p: int, constant: int) -> int:
+        value = (lead * p ** (2 * N - 2 * k) - middle) * p ** (2 * k) + constant
+        return (value > 0) - (value < 0)
+
     while accepted < count and draws < MAX_DRAWS_PER_SAMPLE * count:
         draws += 1
-        xs = tuple(Fraction(rng.randint(-32, 32), 64) for _ in range(3))
-        c = sum(x * x + eps * x ** (2 * N) for x in xs)
-        if c == 0 or c > m_hat:
+        rs = tuple(rng.randint(-32, 32) for _ in range(3))
+        C = sum(square * r * r + en * r ** (2 * N) for r in rs)
+        if C == 0 or C * m_hat.denominator > c_cap:
             continue
-        if _slice_sign(k, N, eps, c, tau.numerator, tau.denominator) >= 0:
+        constant = C * last
+        if sign(split, constant) >= 0:
             continue
         # g(0) = c > 0, g(tau) < 0, g(R4) > 0: one root in each interval
-        for lo, hi, sign_lo in ((Fraction(0), tau, 1), (tau, R4, -1)):
-            a, b = lo, hi
-            for _ in range(BISECTION_STEPS):
-                mid = (a + b) / 2
-                s = _slice_sign(k, N, eps, c, mid.numerator, mid.denominator)
+        for a, b, sign_lo in ((0, split, 1), (split, top, -1)):
+            for _ in range(steps):
+                mid = (a + b) >> 1
+                s = sign(mid, constant)
                 if s == 0:
                     a = b = mid
                     break
@@ -825,12 +835,14 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
                     a = mid
                 else:
                     b = mid
-            root_lo, root_hi = a, b
-            max_x4_hi = max(max_x4_hi, root_hi)
-            if root_hi > R4:
-                violations.append({"x": [str(x) for x in xs], "x4_interval": [str(root_lo), str(root_hi)]})
-            if any(abs(x) > coord for x in xs):
-                violations.append({"x": [str(x) for x in xs], "reason": "coordinate bound"})
+            max_x4_hi = max(max_x4_hi, b)
+            if b > top:
+                violations.append({
+                    "x": [str(Fraction(r, 64)) for r in rs],
+                    "x4_interval": [str(Fraction(a, Q)), str(Fraction(b, Q))],
+                })
+            if any(abs(r) * coord.denominator > coord_cap for r in rs):
+                violations.append({"x": [str(Fraction(r, 64)) for r in rs], "reason": "coordinate bound"})
             accepted += 1
             if accepted >= count:
                 break
@@ -841,7 +853,7 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
         "accepted": accepted,
         "draws": draws,
         "violations": violations,
-        "max_x4_upper": str(max_x4_hi),
+        "max_x4_upper": str(Fraction(max_x4_hi, Q)),
         "R4": str(R4),
         "coordinate_bound": str(coord),
         "seed": seed,

@@ -1,5 +1,6 @@
 """Independent oracles: hypothesis round-trips and ring properties, sympy ranks,
-determinants and resultants over Q(i)."""
+determinants and resultants over Q(i), and a Fraction reference for the
+integer real-slice kernel."""
 
 import random
 from fractions import Fraction
@@ -26,7 +27,13 @@ from conetower.multipoly import (  # noqa: E402
     resultant,
     substitute,
 )
-from conetower.singular import CriticalSystem, critical_point_candidates  # noqa: E402
+from conetower import singular  # noqa: E402
+from conetower.singular import (  # noqa: E402
+    CriticalSystem,
+    PerturbationParams,
+    critical_point_candidates,
+    sample_real_slice,
+)
 
 EXAMPLES = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -274,3 +281,110 @@ def test_binomial_candidates_match_sympy_nroots():
             assert len(ours) == len(theirs) == n + 1
             assert all(min(abs(a - b) for b in theirs) < 1e-9 for a in ours)
             assert all(min(abs(a - b) for a in ours) < 1e-9 for b in theirs)
+
+
+# ---------------------------------------------------------------- real slice in Fractions
+
+
+def _reference_slice_bounds(params):
+    """(R4, R, coord, m_hat, max_kind) with the grid maximum taken in Fractions."""
+    k, N, eps = params.k, params.N, params.eps
+    R4 = singular._smallest_half_integer(lambda h: h ** (2 * N - 2 * k) >= 1 / eps)
+    R = singular._smallest_half_integer(lambda h: eps * h ** (2 * N) + h * h >= R4 ** (2 * k))
+    t_star = singular._nth_root_fraction(Fraction(k, N) / eps, N - k)
+    top = R4 * R4
+
+    def phi(t):
+        return t ** k - eps * t ** N
+
+    if t_star is not None:
+        m_hat = max(phi(min(t_star, top)), phi(top), Fraction(0))
+        max_kind = "exact critical point"
+    else:
+        m_hat = Fraction(0)
+        for i in range(1024):
+            m_hat = max(m_hat, (top * (i + 1) / 1024) ** k - eps * (top * i / 1024) ** N)
+        max_kind = "outward grid bound"
+    coord = singular._smallest_half_integer(lambda h: h * h >= m_hat)
+    return R4, R, coord, m_hat, max_kind
+
+
+def _reference_sign(k, N, eps, c, t):
+    """Sign of eps*t^(2N) - t^(2k) + c, from its numerator over den(eps)*den(c)*den(t)^(2N)."""
+    p, q = t.numerator, t.denominator
+    value = (
+        eps.numerator * c.denominator * p ** (2 * N)
+        - eps.denominator * c.denominator * p ** (2 * k) * q ** (2 * N - 2 * k)
+        + c.numerator * eps.denominator * q ** (2 * N)
+    )
+    return (value > 0) - (value < 0)
+
+
+def _reference_sample(params, count, seed, bounds):
+    """The seeded sampler with every endpoint, midpoint and c a Fraction."""
+    k, N, eps = params.k, params.N, params.eps
+    R4, _, coord, m_hat, _ = bounds
+    rng = random.Random(seed)
+    accepted = draws = 0
+    violations = []
+    max_x4_hi = Fraction(0)
+    tau = singular._split_point(k, N, eps)
+    if tau <= 0 or tau >= R4:
+        tau = R4 / 2
+    while accepted < count and draws < singular.MAX_DRAWS_PER_SAMPLE * count:
+        draws += 1
+        xs = tuple(Fraction(rng.randint(-32, 32), 64) for _ in range(3))
+        c = sum(x * x + eps * x ** (2 * N) for x in xs)
+        if c == 0 or c > m_hat or _reference_sign(k, N, eps, c, tau) >= 0:
+            continue
+        for lo, hi, sign_lo in ((Fraction(0), tau, 1), (tau, R4, -1)):
+            a, b = lo, hi
+            for _ in range(singular.BISECTION_STEPS):
+                mid = (a + b) / 2
+                s = _reference_sign(k, N, eps, c, mid)
+                if s == 0:
+                    a = b = mid
+                    break
+                if s == sign_lo:
+                    a = mid
+                else:
+                    b = mid
+            max_x4_hi = max(max_x4_hi, b)
+            if b > R4:
+                violations.append({"x": [str(x) for x in xs], "x4_interval": [str(a), str(b)]})
+            if any(abs(x) > coord for x in xs):
+                violations.append({"x": [str(x) for x in xs], "reason": "coordinate bound"})
+            accepted += 1
+            if accepted >= count:
+                break
+    status = "FAIL" if violations else "INCONCLUSIVE" if accepted < count else "PASS"
+    return {
+        "status": status,
+        "slice": singular.REAL_SLICE,
+        "sign": singular.REAL_SLICE_SIGN,
+        "accepted": accepted,
+        "draws": draws,
+        "violations": violations,
+        "max_x4_upper": str(max_x4_hi),
+        "R4": str(R4),
+        "coordinate_bound": str(coord),
+        "seed": seed,
+    }
+
+
+def _slice_cases():
+    for k in range(1, 5):
+        for N in range(k + 1, k + 4):
+            for e in range(5):
+                yield PerturbationParams(k=k, N=N, eps=Fraction(1, 2 ** e)), 100, (0, 1)
+    yield PerturbationParams(k=1, N=2, eps=Fraction(1, 10 ** 400)), 50, (0,)
+    yield PerturbationParams(k=1000, N=1001, eps=Fraction(1)), 2, (0,)
+
+
+def test_real_slice_kernel_matches_fraction_reference():
+    for params, count, seeds in _slice_cases():
+        bounds = _reference_slice_bounds(params)
+        assert singular._slice_bounds(params) == bounds, params
+        for seed in seeds:
+            ours = sample_real_slice(params, count=count, seed=seed)
+            assert ours == _reference_sample(params, count, seed, bounds), (params, seed)
