@@ -32,7 +32,7 @@ from .errors import (
     SearchExhaustedError,
     ValidationError,
 )
-from .gaussian import _exact_str
+from .gaussian import _exact_str, _exact_str_or
 from .lemma_square import verify_lemma_square
 from .quadric import control_cover_certificate, verify_boundary_cover
 from .singular import (
@@ -255,7 +255,7 @@ def _run_real_slice(config: RunConfig, checks: list, details: dict):
         Check(
             name="cone:unbounded-witness",
             status=PASS if (on_cone and big) else FAIL,
-            witness=f"({', '.join(_exact_str(x) for x in witness_point)})",
+            witness=f"({_exact_str_or(x1, f'{x4}^{config.k}')}, {x2}, {x3}, {x4})",
         )
     )
     details["bounds"] = dict(cert.values)

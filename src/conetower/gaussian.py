@@ -26,6 +26,15 @@ def _exact_str(value) -> str:
         ) from None
 
 
+def _exact_str_or(value, expression: str) -> str:
+    """``_exact_str(value)``, or past the digit limit ``expression``: a short
+    exact expression whose value is ``value``."""
+    try:
+        return _exact_str(value)
+    except DigitLimitError:
+        return expression
+
+
 class GaussianRational:
     """Exact complex number ``re + im*i`` with rational real and imaginary parts.
 

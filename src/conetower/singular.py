@@ -31,7 +31,7 @@ from .certificates import (
 )
 from .charts import Chart, Hypersurface
 from .errors import FloatRangeError, SearchExhaustedError, ValidationError
-from .gaussian import GaussianRational, ONE, ZERO, _exact_str
+from .gaussian import GaussianRational, ONE, ZERO, _exact_str, _exact_str_or
 from .multipoly import (
     MultiPoly,
     _bareiss_determinant,
@@ -651,39 +651,42 @@ def _smallest_half_integer(predicate) -> Fraction:
 
 
 def _slice_bounds(params: PerturbationParams) -> tuple:
-    """The exact bounds (R4, R, coord, m_hat, max_kind) of :func:`real_slice_bound`.
+    """The exact bounds (R4, R, coord, m_hat, max_kind, at) of :func:`real_slice_bound`.
 
     m_hat bounds t^k - eps*t^N on [0, R4^2], hence every x_j^2; coord is the
     smallest half-integer whose square reaches it; max_kind names how m_hat
-    was found.
+    was found, and ``at`` where: m_hat is t^k - eps*t^N at t = at[0], or
+    b^k - eps*a^N at (a, b) = at.
     """
     k, N, eps = params.k, params.N, params.eps
     R4 = _smallest_half_integer(lambda h: h ** (2 * N - 2 * k) >= 1 / eps)
     R = _smallest_half_integer(lambda h: eps * h ** (2 * N) + h * h >= R4 ** (2 * k))
 
-    # exact or outward-rounded maximum of phi(t) = t^k - eps*t^N on [0, R4^2]
+    # exact or outward-rounded maximum of t^k - eps*t^N on [0, R4^2]
     t_star = _nth_root_fraction(Fraction(k, N) / eps, N - k)
     top = R4 * R4
-
-    def phi(t: Fraction) -> Fraction:
-        return t ** k - eps * t ** N
-
     if t_star is not None:
-        at = min(t_star, top)
-        m_hat = max(phi(at), phi(top), Fraction(0))
-        max_kind = "exact critical point"
+        # t*^(N-k) = k/(N*eps) < 1/eps <= top^(N-k), and the value there is
+        # t*^k * (1 - k/N) > 0: the maximum on [0, top] is at t*
+        m_hat = t_star ** k - eps * t_star ** N
+        max_kind, at = "exact critical point", (t_star,)
     else:
         # max of b^k - eps*a^N over the cells [a, b] = top*[i, i+1]/steps, as
-        # integers over the common denominator den(eps) * (den(top) * steps)^N
+        # integers over the common denominator den(eps) * (den(top) * steps)^N;
+        # cell 0 gives b^k > 0, so the maximum is positive
         steps = 1024
         en, ed = eps.numerator, eps.denominator
         u, G = top.numerator, top.denominator * steps
         rise, fall = ed * u ** k * G ** (N - k), en * u ** N
-        best = max(rise * (i + 1) ** k - fall * i ** N for i in range(steps))
-        m_hat = Fraction(max(best, 0), ed * G ** N)
-        max_kind = "outward grid bound"
+
+        def cell(i: int) -> int:
+            return rise * (i + 1) ** k - fall * i ** N
+
+        i = max(range(steps), key=cell)
+        m_hat = Fraction(cell(i), ed * G ** N)
+        max_kind, at = "outward grid bound", (top * i / steps, top * (i + 1) / steps)
     coord = _smallest_half_integer(lambda h: h * h >= m_hat)
-    return R4, R, coord, m_hat, max_kind
+    return R4, R, coord, m_hat, max_kind, at
 
 
 def real_slice_bound(params: PerturbationParams):
@@ -697,8 +700,13 @@ def real_slice_bound(params: PerturbationParams):
     """
     k, N, eps = params.k, params.N, params.eps
     gap = 2 * N - 2 * k
-    R4, R, coord, m_hat, max_kind = _slice_bounds(params)
+    R4, R, coord, m_hat, max_kind, at = _slice_bounds(params)
     s = _exact_str
+    if len(at) == 1:
+        short = f"t^k - eps*t^N at t = {s(at[0])}"
+    else:
+        short = f"b^k - eps*a^N at a = {s(at[0])}, b = {s(at[1])}"
+    m_str = _exact_str_or(m_hat, short)
     checks = [
         Check(
             name="x4-bound",
@@ -717,8 +725,8 @@ def real_slice_bound(params: PerturbationParams):
             name="coordinate-bound-sharp",
             status=PASS,
             witness=(
-                f"|x_j| <= {s(coord)}: x_j^2 <= max(t^k - eps*t^N) <= {s(m_hat)} "
-                f"({max_kind}) and {s(coord)}^2 = {s(coord * coord)} >= {s(m_hat)}"
+                f"|x_j| <= {s(coord)}: x_j^2 <= max(t^k - eps*t^N) <= {m_str} "
+                f"({max_kind}) and {s(coord)}^2 = {s(coord * coord)} >= {m_str}"
             ),
         ),
     ]
@@ -731,7 +739,7 @@ def real_slice_bound(params: PerturbationParams):
             "R4": s(R4),
             "R": s(R),
             "coordinate_bound": s(coord),
-            "slice_max": s(m_hat),
+            "slice_max": m_str,
         },
         justification=(
             "on the real slice the nonnegative sum of x_j^2 + eps*x_j^(2N) equals "
@@ -788,7 +796,7 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     draws yield fewer than ``count`` samples, and PASS otherwise.
     """
     k, N, eps = params.k, params.N, params.eps
-    R4, _, coord, m_hat, _ = _slice_bounds(params)
+    R4, _, coord, m_hat, _, _ = _slice_bounds(params)
     rng = random.Random(seed)
     accepted = 0
     draws = 0

@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, and report determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -165,6 +166,24 @@ def test_real_slice_sampling_shortfall_is_inconclusive(capsys, monkeypatch):
         "status": "INCONCLUSIVE",
         "witness": "only 0 of 5 samples in 0 draws",
     }
+
+
+def test_real_slice_huge_slice_max_prints_its_expression(capsys):
+    # slice_max (9,534 digits) and the cone witness's x1 (9,001) are past
+    # Python's int-to-text limit, so each is printed as a short exact expression
+    code = main(["real-slice", "--k", "1500", "--N", "1501", "--samples", "2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error:" not in captured.err
+    doc = json.loads(captured.out)
+    rows = {c["name"]: c for c in doc["checks"]}
+    assert all(c["status"] == "PASS" for name, c in rows.items() if name.startswith("bounds:"))
+    assert rows["sampling:no-violations"]["status"] == "INCONCLUSIVE"
+    assert rows["cone:unbounded-witness"]["witness"] == "(1000001^1500, 0, 0, 1000001)"
+    bounds = doc["details"]["bounds"]
+    assert bounds["slice_max"] == "t^k - eps*t^N at t = 1500/1501"
+    t = Fraction(1500, 1501)
+    assert Fraction(bounds["coordinate_bound"]) ** 2 >= t ** 1500 - t ** 1501 > 0
 
 
 def test_square_check_command(capsys):

@@ -287,7 +287,7 @@ def test_binomial_candidates_match_sympy_nroots():
 
 
 def _reference_slice_bounds(params):
-    """(R4, R, coord, m_hat, max_kind) with the grid maximum taken in Fractions."""
+    """(R4, R, coord, m_hat, max_kind, at) with the grid maximum taken in Fractions."""
     k, N, eps = params.k, params.N, params.eps
     R4 = singular._smallest_half_integer(lambda h: h ** (2 * N - 2 * k) >= 1 / eps)
     R = singular._smallest_half_integer(lambda h: eps * h ** (2 * N) + h * h >= R4 ** (2 * k))
@@ -298,15 +298,18 @@ def _reference_slice_bounds(params):
         return t ** k - eps * t ** N
 
     if t_star is not None:
-        m_hat = max(phi(min(t_star, top)), phi(top), Fraction(0))
+        at = (min(t_star, top),)
+        m_hat = max(phi(at[0]), phi(top), Fraction(0))
         max_kind = "exact critical point"
     else:
-        m_hat = Fraction(0)
+        m_hat, at = Fraction(0), None
         for i in range(1024):
-            m_hat = max(m_hat, (top * (i + 1) / 1024) ** k - eps * (top * i / 1024) ** N)
+            a, b = top * i / 1024, top * (i + 1) / 1024
+            if b ** k - eps * a ** N > m_hat:
+                m_hat, at = b ** k - eps * a ** N, (a, b)
         max_kind = "outward grid bound"
     coord = singular._smallest_half_integer(lambda h: h * h >= m_hat)
-    return R4, R, coord, m_hat, max_kind
+    return R4, R, coord, m_hat, max_kind, at
 
 
 def _reference_sign(k, N, eps, c, t):
@@ -323,7 +326,7 @@ def _reference_sign(k, N, eps, c, t):
 def _reference_sample(params, count, seed, bounds):
     """The seeded sampler with every endpoint, midpoint and c a Fraction."""
     k, N, eps = params.k, params.N, params.eps
-    R4, _, coord, m_hat, _ = bounds
+    R4, _, coord, m_hat, _, _ = bounds
     rng = random.Random(seed)
     accepted = draws = 0
     violations = []

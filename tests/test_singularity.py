@@ -350,6 +350,17 @@ def test_real_slice_bounds_are_smallest_half_integers(k, N, eps):
         assert h == Fraction(1, 2) or not holds(h - Fraction(1, 2))
 
 
+def test_real_slice_bound_huge_grid_max_prints_its_cell():
+    # m_hat has more digits than Python will print: the certificate names the
+    # grid cell [a, b] whose b^k - eps*a^N it is, and that value still checks
+    k, N, eps = 1200, 1600, Fraction(1, 4)
+    _, _, cert = real_slice_bound(PerturbationParams(k=k, N=N, eps=eps))
+    assert cert.values["slice_max"] == "b^k - eps*a^N at a = 4131/4096, b = 1035/1024"
+    m_hat = Fraction(1035, 1024) ** k - eps * Fraction(4131, 4096) ** N
+    coord = Fraction(cert.values["coordinate_bound"])
+    assert coord ** 2 >= m_hat > (coord - Fraction(1, 2)) ** 2
+
+
 def test_nth_root_fraction_is_exact_for_huge_values():
     assert _nth_root_fraction(Fraction(7 ** 400, 2 ** 400), 400) == Fraction(7, 2)
     root = 10 ** 150 + 7
