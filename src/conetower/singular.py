@@ -707,6 +707,7 @@ def real_slice_bound(params: PerturbationParams):
     else:
         short = f"b^k - eps*a^N at a = {s(at[0])}, b = {s(at[1])}"
     m_str = _exact_str_or(m_hat, short)
+    base = s(coord) if coord.denominator == 1 else f"({s(coord)})"
     checks = [
         Check(
             name="x4-bound",
@@ -726,7 +727,7 @@ def real_slice_bound(params: PerturbationParams):
             status=PASS,
             witness=(
                 f"|x_j| <= {s(coord)}: x_j^2 <= max(t^k - eps*t^N) <= {m_str} "
-                f"({max_kind}) and {s(coord)}^2 = {s(coord * coord)} >= {m_str}"
+                f"({max_kind}) and {base}^2 = {s(coord * coord)} >= {m_str}"
             ),
         ),
     ]
