@@ -32,7 +32,7 @@ from .errors import (
     SearchExhaustedError,
     ValidationError,
 )
-from .gaussian import _exact_str, _exact_str_or
+from .gaussian import _exact_str_or
 from .lemma_square import verify_lemma_square
 from .quadric import control_cover_certificate, verify_boundary_cover
 from .singular import (

@@ -807,17 +807,14 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
         tau = R4 / 2
     steps = BISECTION_STEPS
     Q = math.lcm(tau.denominator, R4.denominator) << steps
-    split, top = tau.numerator * (Q // tau.denominator), R4.numerator * (Q // R4.denominator)
+    split, top = int(tau * Q), int(R4 * Q)
     max_x4_hi = 0
-    # a draw x = r/64 gives c = C/D, D = 64^(2N) * den(eps); the sign of
-    # eps*t^(2N) - t^(2k) + c at t = p/Q is that of
+    # a draw x = r/64 gives c = C/D with D = 64^(2N) * den(eps), and the sign
+    # of eps*t^(2N) - t^(2k) + c at t = p/Q is that of
     # en*D*p^(2N) - ed*D*Q^(2N-2k)*p^(2k) + C*ed*Q^(2N)
     en, ed = eps.numerator, eps.denominator
-    D = 64 ** (2 * N) * ed
-    square = ed * 64 ** (2 * N - 2)
+    D, square = 64 ** (2 * N) * ed, 64 ** (2 * N - 2) * ed
     lead, middle, last = en * D, ed * D * Q ** (2 * N - 2 * k), ed * Q ** (2 * N)
-    c_cap = m_hat.numerator * D  # c > m_hat exactly when C * den(m_hat) > c_cap
-    coord_cap = 64 * coord.numerator  # |x| > coord exactly when |r| * den(coord) > coord_cap
 
     def sign(p: int, constant: int) -> int:
         value = (lead * p ** (2 * N - 2 * k) - middle) * p ** (2 * k) + constant
@@ -827,7 +824,7 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
         draws += 1
         rs = tuple(rng.randint(-32, 32) for _ in range(3))
         C = sum(square * r * r + en * r ** (2 * N) for r in rs)
-        if C == 0 or C * m_hat.denominator > c_cap:
+        if C == 0 or C * m_hat.denominator > m_hat.numerator * D:
             continue
         constant = C * last
         if sign(split, constant) >= 0:
@@ -846,11 +843,9 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
                     b = mid
             max_x4_hi = max(max_x4_hi, b)
             if b > top:
-                violations.append({
-                    "x": [str(Fraction(r, 64)) for r in rs],
-                    "x4_interval": [str(Fraction(a, Q)), str(Fraction(b, Q))],
-                })
-            if any(abs(r) * coord.denominator > coord_cap for r in rs):
+                interval = [str(Fraction(a, Q)), str(Fraction(b, Q))]
+                violations.append({"x": [str(Fraction(r, 64)) for r in rs], "x4_interval": interval})
+            if any(abs(r) * coord.denominator > 64 * coord.numerator for r in rs):
                 violations.append({"x": [str(Fraction(r, 64)) for r in rs], "reason": "coordinate bound"})
             accepted += 1
             if accepted >= count:
