@@ -24,6 +24,7 @@ COMMANDS = [
     ("perturb_search_k1", ["perturb-search", "--k", "1"], 0),
     ("normal_bundles_k3", ["normal-bundles", "--k", "3"], 0),
     ("quadric_t10_s0", ["quadric", "--trials", "10", "--seed", "0"], 0),
+    ("quadric_t40_s12345", ["quadric", "--trials", "40", "--seed", "12345"], 0),
     ("real_slice_k1_N2_eps1_s50",
      ["real-slice", "--k", "1", "--N", "2", "--eps", "1", "--samples", "50"], 0),
     # eps = 1/4 has no rational critical point: the outward grid bound and a
