@@ -1,34 +1,36 @@
 """Exact linear algebra over Q(i).
 
 Rows are scaled to Gaussian-integer pairs ``(a, b)`` meaning ``a + b*i`` and
-eliminated fraction-free, so ranks and kernels are exact.  Used by the
-section-space computations of :mod:`conetower.bundles` and the real-point
-solver of :mod:`conetower.quadric`.
+eliminated fraction-free (Bareiss), so ranks are exact.  Kernels come back in
+Z[i] too: back-substitution scales the vector by each pivot instead of
+dividing by it.  Used by the section-space computations of
+:mod:`conetower.bundles` and the line and real-point checks of
+:mod:`conetower.quadric`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .gaussian import ZERO, GaussianRational, _gdiv_exact, _gmul, _gsub
+from .gaussian import _gdiv_exact, _gmul, _gsub
 
 
-def _scale_row(row):
-    """Clear denominators of one row of GaussianRationals to Z[i] pairs."""
-    lcm = math.lcm(*(d for v in row for d in (v.re.denominator, v.im.denominator)))
-    return [(int(v.re * lcm), int(v.im * lcm)) for v in row]
+def _denominator(row):
+    """Least common denominator of a row of GaussianRationals."""
+    return math.lcm(*(d for v in row for d in (v.re.denominator, v.im.denominator)))
 
 
-def row_echelon_gaussian(rows):
-    """Fraction-free row echelon form; returns (pivot_cols, echelon_rows).
+def _scale_row(row, lcm):
+    """``lcm`` times a row of GaussianRationals, as Z[i] pairs; ``lcm`` is a
+    common multiple of the row's denominators."""
+    return [
+        (v.re.numerator * (lcm // v.re.denominator), v.im.numerator * (lcm // v.im.denominator))
+        for v in row
+    ]
 
-    ``rows`` is a list of lists of GaussianRational.  The returned rows are
-    Z[i]-pair rows spanning the same row space.
-    """
-    if not rows:
-        return [], []
-    work = [_scale_row(r) for r in rows if any(v for v in r)]
-    ncols = len(rows[0])
+
+def _echelon(work, ncols):
+    """Bareiss row echelon form of nonzero Z[i]-pair rows; returns (pivot_cols, rows)."""
     pivots = []
     echelon = []
     prev = (1, 0)
@@ -60,30 +62,42 @@ def row_echelon_gaussian(rows):
     return pivots, echelon
 
 
+def row_echelon_gaussian(rows):
+    """Fraction-free row echelon form; returns (pivot_cols, echelon_rows).
+
+    ``rows`` is a list of lists of GaussianRational.  The returned rows are
+    Z[i]-pair rows spanning the same row space.
+    """
+    if not rows:
+        return [], []
+    return _echelon([_scale_row(r, _denominator(r)) for r in rows if any(v for v in r)], len(rows[0]))
+
+
 def nullspace(rows, ncols):
-    """Exact kernel of the matrix; returns (rank, basis of GaussianRational rows)."""
-    pivots, echelon = row_echelon_gaussian(rows)
-    rank = len(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    """Exact kernel of a matrix of Z[i]-pair rows; returns (rank, basis).
+
+    Each basis vector is a list of ``ncols`` Z[i] pairs.
+    """
+    pivots, echelon = _echelon([r for r in rows if any(v != (0, 0) for v in r)], ncols)
     basis = []
-    for free in free_cols:
-        vec = [ZERO] * ncols
-        vec[free] = GaussianRational(1)
-        # back-substitute pivot variables from the bottom up
-        for row_idx in range(rank - 1, -1, -1):
-            pcol = pivots[row_idx]
-            row = echelon[row_idx]
-            acc = ZERO
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [(0, 0)] * ncols
+        vec[free] = (1, 0)
+        # back-substitute pivot variables from the bottom up: the pivot row
+        # reads p*x + (rest) = 0, so scale the vector by p and set x = -(rest)
+        for pcol, row in zip(reversed(pivots), reversed(echelon)):
+            minus_rest = (0, 0)
             for c in range(pcol + 1, ncols):
-                if row[c] != (0, 0) and vec[c]:
-                    acc = acc + GaussianRational(row[c][0], row[c][1]) * vec[c]
-            pivot_val = GaussianRational(row[pcol][0], row[pcol][1])
-            vec[pcol] = -acc / pivot_val
+                if row[c] != (0, 0) and vec[c] != (0, 0):
+                    minus_rest = _gsub(minus_rest, _gmul(row[c], vec[c]))
+            if minus_rest != (0, 0):
+                p = row[pcol]
+                vec = [_gmul(p, v) for v in vec]
+                vec[pcol] = minus_rest
         basis.append(vec)
-    return rank, basis
+    return len(pivots), basis
 
 
 def matrix_rank(rows):
     pivots, _ = row_echelon_gaussian(rows)
     return len(pivots)
-

@@ -4,14 +4,20 @@ A quadric presented as ab = cd for four linear forms carries two rulings:
 family A is {t*a - s*c, s*b - t*d}, family B is {t*a - s*d, s*b - t*c}, for
 projective parameters (s : t).  A line is tested for a real point by
 splitting its two complex forms into four real linear forms and computing
-the exact kernel of the resulting rational 4x4 system: the kernel dimension
-is the certificate, and a kernel vector is the real point.
+the exact kernel of the resulting 4x4 system: the kernel dimension is the
+certificate, and a kernel vector is the real point.
+
+The per-line checks run on integers.  A line's two forms are scaled to Z[i]
+rows, and the four forms of a split to Z[i] by one common denominator L, so
+ab - cd is only multiplied by L^2.  The real system is the real and
+imaginary parts of the line's Z[i] rows, eliminated over Z.  Fractions are
+built only for the line's exact rows and for the real point that is returned.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -21,7 +27,7 @@ from .errors import (
     LineNotOnQuadricError,
     ValidationError,
 )
-from .gaussian import GaussianRational, I, ONE, ZERO
+from .gaussian import GaussianRational, I, ONE, ZERO, _gmul, _gsub
 from .multipoly import MultiPoly
 
 _VARS = ("z0", "z1", "z2", "z3")
@@ -30,6 +36,15 @@ _VARS = ("z0", "z1", "z2", "z3")
 def _dot(row, coords) -> GaussianRational:
     """Exact value at ``coords`` of the linear form with coefficients ``row``."""
     return sum((c * x for c, x in zip(row, coords) if c), ZERO)
+
+
+def _zdot(row, vec):
+    """Value at the Z[i] vector ``vec`` of the Z[i] linear form ``row``."""
+    re = im = 0
+    for (a, b), (x, y) in zip(row, vec):
+        re += a * x - b * y
+        im += a * y + b * x
+    return re, im
 
 
 def _linear_form(row) -> MultiPoly:
@@ -64,27 +79,34 @@ class ProjPoint:
 
 @dataclass(frozen=True)
 class ProjLine:
-    """Intersection of two independent linear forms, stored as coefficient rows."""
+    """Intersection of two independent linear forms, stored as coefficient rows.
+
+    ``zrows`` are the rows scaled to Z[i] pairs and ``span`` is the Z[i]
+    kernel basis of those rows: two vectors spanning the line.
+    """
 
     rows: tuple
+    zrows: tuple = field(init=False, repr=False, compare=False)
+    span: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(GaussianRational.coerce(c) for c in row) for row in self.rows)
         if len(rows) != 2 or any(len(r) != 4 for r in rows):
             raise ValidationError("a line is cut out by exactly two forms on P^3")
-        if linalg.matrix_rank([list(r) for r in rows]) != 2:
+        zrows = tuple(tuple(linalg._scale_row(r, linalg._denominator(r))) for r in rows)
+        rank, span = linalg.nullspace(zrows, 4)
+        if rank != 2:
             raise ValidationError("the two line forms must be linearly independent")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "zrows", zrows)
+        object.__setattr__(self, "span", tuple(span))
 
     def form_polys(self) -> tuple:
         return tuple(_linear_form(row) for row in self.rows)
 
     def spanning_points(self) -> tuple:
         """Two independent points spanning the line (exact kernel basis)."""
-        rank, basis = linalg.nullspace([list(r) for r in self.rows], 4)
-        if len(basis) != 2:
-            raise InternalInconsistencyError("a line must have a 2-dimensional span")
-        return tuple(ProjPoint(tuple(v)) for v in basis)
+        return tuple(ProjPoint(tuple(GaussianRational(*z) for z in v)) for v in self.span)
 
     def contains(self, point: ProjPoint) -> bool:
         return all(not _dot(row, point.coords) for row in self.rows)
@@ -111,7 +133,11 @@ class RulingParam:
 
 @dataclass(frozen=True)
 class QuadricSplit:
-    """A quadric written as ab = cd with four linear forms over (z0..z3)."""
+    """A quadric written as ab = cd with four linear forms over (z0..z3).
+
+    ``zforms`` holds a, b, c, d scaled to Z[i] pairs by their common
+    denominator ``scale``, so :meth:`vanishes_at` tests scale^2 * (ab - cd).
+    """
 
     name: str
     a: tuple
@@ -119,6 +145,15 @@ class QuadricSplit:
     c: tuple
     d: tuple
     homogenizer: int  # index of the coordinate that is 1 on the affine slice
+    zforms: tuple = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        flat = self.a + self.b + self.c + self.d
+        scale = linalg._denominator(flat)
+        zflat = linalg._scale_row(flat, scale)
+        object.__setattr__(self, "zforms", tuple(tuple(zflat[i:i + 4]) for i in range(0, 16, 4)))
+        object.__setattr__(self, "scale", scale)
 
     @property
     def quadric_poly(self) -> MultiPoly:
@@ -129,6 +164,11 @@ class QuadricSplit:
     def evaluate_quadric(self, point: ProjPoint) -> GaussianRational:
         z = point.coords
         return _dot(self.a, z) * _dot(self.b, z) - _dot(self.c, z) * _dot(self.d, z)
+
+    def vanishes_at(self, vec) -> bool:
+        """Exact test of ab - cd = 0 at a Z[i]-pair vector."""
+        a, b, c, d = (_zdot(form, vec) for form in self.zforms)
+        return _gmul(a, b) == _gmul(c, d)
 
 
 def _row(*entries):
@@ -174,52 +214,61 @@ def ruling_line(param: RulingParam, split: QuadricSplit = SPHERE_QUADRIC) -> Pro
     For family A, s*t*(ab - cd) = (t*a - s*c)*s*b + s*c*(s*b - t*d), so ab - cd
     vanishes where both forms do once s*t != 0; the line {a = d = 0} (s = 0)
     or {c = b = 0} (t = 0) lies on ab = cd directly.  Family B swaps c and d.
+
+    The forms are computed in Z[i] from the split's integer forms and (s : t)
+    scaled by its denominator D, then divided once by D * split.scale.
     """
-    s, t = param.s, param.t
-    if param.family == "A":
-        rows = (
-            tuple(t * ai - s * ci for ai, ci in zip(split.a, split.c)),
-            tuple(s * bi - t * di for bi, di in zip(split.b, split.d)),
-        )
-    else:
-        rows = (
-            tuple(t * ai - s * di for ai, di in zip(split.a, split.d)),
-            tuple(s * bi - t * ci for bi, ci in zip(split.b, split.c)),
-        )
-    return ProjLine(rows)
+    D = linalg._denominator((param.s, param.t))
+    s, t = linalg._scale_row((param.s, param.t), D)
+    a, b, c, d = split.zforms
+    if param.family == "B":
+        c, d = d, c
+    zrows = (
+        [_gsub(_gmul(t, ai), _gmul(s, ci)) for ai, ci in zip(a, c)],
+        [_gsub(_gmul(s, bi), _gmul(t, di)) for bi, di in zip(b, d)],
+    )
+    scale = D * split.scale
+    return ProjLine(tuple(
+        tuple(GaussianRational(Fraction(re, scale), Fraction(im, scale)) for re, im in row)
+        for row in zrows
+    ))
 
 
 def line_on_quadric(line: ProjLine, split: QuadricSplit) -> bool:
-    """Exact containment: the quadric vanishes on a spanning pair and their sum."""
-    u, w = line.spanning_points()
-    mixed = ProjPoint(tuple(a + b for a, b in zip(u.coords, w.coords)))
-    return all(not split.evaluate_quadric(p) for p in (u, w, mixed))
+    """Exact containment: the quadric vanishes on a spanning pair and their sum.
+
+    A quadric form vanishing at u, w and u + w has q(u, w) = 0 for its
+    bilinear form too, so it vanishes on the whole line.
+    """
+    u, w = line.span
+    mixed = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(u, w)]
+    return all(split.vanishes_at(p) for p in (u, w, mixed))
 
 
 def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
     """Exact real point of a line on the quadric, with the kernel dimension.
 
-    The two complex forms become four rational real forms; the returned
-    nullity is the dimension of their real kernel, and for nullity >= 1 the
-    canonical kernel vector is a real point on the line (and hence on the
-    quadric).  Raises LINE_NOT_ON_QUADRIC for lines off the quadric.
+    The two complex forms become four integer real forms: the real and
+    imaginary parts of the line's Z[i] rows.  The returned nullity is the
+    dimension of their real kernel, and for nullity >= 1 the canonical kernel
+    vector is a real point on the line (and hence on the quadric).  The
+    integer kernel vector is checked before any division.  Raises
+    LINE_NOT_ON_QUADRIC for lines off the quadric.
     """
     if not line_on_quadric(line, split):
         raise LineNotOnQuadricError(f"line is not contained in {split.name}")
-    real_rows = []
-    for row in line.rows:
-        real_rows.append([GaussianRational(c.re) for c in row])
-        real_rows.append([GaussianRational(c.im) for c in row])
+    real_rows = [[(z[part], 0) for z in row] for row in line.zrows for part in (0, 1)]
     rank, basis = linalg.nullspace(real_rows, 4)
     nullity = 4 - rank
     if nullity == 0:
         return None, 0
-    point = ProjPoint(tuple(basis[0])).canonical()
-    if not point.is_real():
+    vec = basis[0]
+    if any(im for _, im in vec):
         raise InternalInconsistencyError("kernel of a real system must be real")
-    if not line.contains(point) or split.evaluate_quadric(point):
+    if any(_zdot(row, vec) != (0, 0) for row in line.zrows) or not split.vanishes_at(vec):
         raise InternalInconsistencyError("computed real point fails an exact check")
-    return point, nullity
+    lead = next(re for re, _ in vec if re)
+    return ProjPoint(tuple(GaussianRational(Fraction(re, lead)) for re, _ in vec)), nullity
 
 
 def lines_disjoint(l1: ProjLine, l2: ProjLine) -> bool:
@@ -303,10 +352,9 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
                 ok = False
                 entry["reason"] = "real point at infinity"
             else:
-                affine = [point.coords[i] / h for i in (1, 2, 3)]
-                on_sphere = sum(
-                    (x * x for x in affine), ZERO
-                ) == GaussianRational(1)
+                # z1^2 + z2^2 + z3^2 = z0^2, with no division by z0
+                z = [c.re for c in point.coords]
+                on_sphere = point.is_real() and z[1] * z[1] + z[2] * z[2] + z[3] * z[3] == h.re * h.re
                 entry["point"] = str(point)
                 entry["on_sphere"] = on_sphere
                 ok = ok and on_sphere

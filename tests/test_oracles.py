@@ -1,5 +1,5 @@
 """Independent oracles: hypothesis round-trips and ring properties, sympy ranks,
-determinants and resultants over Q(i), and a Fraction reference for the
+kernels, determinants and resultants over Q(i), and a Fraction reference for the
 integer real-slice kernel."""
 
 import random
@@ -155,6 +155,31 @@ def test_matrix_rank_matches_sympy():
         else:
             matrix = _random_matrix(rng, rows, cols)
         assert linalg.matrix_rank(matrix) == _sympy_rank(matrix)
+
+
+def test_nullspace_matches_sympy_rank():
+    # nullspace takes Z[i]-pair rows and returns Z[i]-pair vectors; each must
+    # be exactly in the kernel of the Gaussian-rational matrix, and there must
+    # be ncols - rank independent ones
+    rng = random.Random(516)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            inner = rng.randint(1, min(rows, cols))
+            matrix = _product(_random_matrix(rng, rows, inner), _random_matrix(rng, inner, cols))
+        else:
+            matrix = _random_matrix(rng, rows, cols)
+        rank = _sympy_rank(matrix)
+        zrows = [linalg._scale_row(row, linalg._denominator(row)) for row in matrix]
+        ours, basis = linalg.nullspace(zrows, cols)
+        assert ours == rank
+        assert len(basis) == cols - rank
+        vectors = [[GaussianRational(re, im) for re, im in vec] for vec in basis]
+        for vec in vectors:
+            for row in matrix:
+                assert sum((a * x for a, x in zip(row, vec)), GaussianRational(0)) == 0
+        if vectors:
+            assert _sympy_rank(vectors) == len(vectors)
 
 
 # ---------------------------------------------------------------- determinants and resultants over Q(i)[x, y]

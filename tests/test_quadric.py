@@ -1,12 +1,18 @@
 """Quadric rulings, exact real points, and the boundary-cover certificate."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from conetower import linalg
 from conetower.certificates import FAIL, PASS
-from conetower.errors import LineNotOnQuadricError, ValidationError
-from conetower.gaussian import GaussianRational, I, ONE
+from conetower.errors import (
+    InternalInconsistencyError,
+    LineNotOnQuadricError,
+    ValidationError,
+)
+from conetower.gaussian import ZERO, GaussianRational, I, ONE
 from conetower.multipoly import MultiPoly
 from conetower.quadric import (
     BOUNDARY_QUADRIC,
@@ -14,6 +20,7 @@ from conetower.quadric import (
     SPHERE_QUADRIC,
     ProjLine,
     ProjPoint,
+    QuadricSplit,
     RulingParam,
     control_cover_certificate,
     line_on_quadric,
@@ -101,6 +108,9 @@ def test_ruling_lines_lie_on_their_quadric_identically():
             zero = GaussianRational(0)
             params = [sample_param(rng, family) for _ in range(3)]
             params += [RulingParam(family, ONE, zero), RulingParam(family, zero, ONE)]
+            # denominators near 10^6, so D * split.scale in ruling_line is large
+            wide = GaussianRational(Fraction(-999_983, 999_979), Fraction(7, 1_000_000))
+            params += [RulingParam(family, wide, Fraction(3, 999_961))]
             for param in params:
                 pinned = [L.set_variables({"s": param.s, "t": param.t}) for L in (L1, L2)]
                 rows = tuple(
@@ -139,6 +149,124 @@ def test_real_point_rejects_off_quadric_lines():
     ))
     with pytest.raises(LineNotOnQuadricError):
         real_point(line)
+
+
+def test_real_point_rejects_off_quadric_lines_with_fractional_coefficients():
+    # the Z[i] guard scales the line's rows; an off-quadric line must still fail it
+    line = ProjLine((
+        (Fraction(1, 3), GaussianRational(Fraction(2, 7), Fraction(-1, 5)), ZERO, ONE),
+        (ZERO, Fraction(5, 11), GaussianRational(0, Fraction(3, 4)), Fraction(-7, 2)),
+    ))
+    for split in (SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC):
+        with pytest.raises(LineNotOnQuadricError):
+            real_point(line, split)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda vec: [(vec[0][0] + 1, vec[0][1])] + vec[1:],
+    lambda vec: [(-im, re) for re, im in vec],
+], ids=["off-the-line", "i-times-the-kernel-vector"])
+def test_real_point_self_checks_catch_a_wrong_kernel_vector(corrupt, monkeypatch):
+    line = ruling_line(RulingParam("A", GaussianRational(Fraction(1, 3), 2), Fraction(-5, 7)), BOUNDARY_QUADRIC)
+    real_nullspace = linalg.nullspace
+
+    def wrong_nullspace(rows, ncols):
+        rank, basis = real_nullspace(rows, ncols)
+        return rank, [corrupt(basis[0])] + basis[1:]
+
+    monkeypatch.setattr(linalg, "nullspace", wrong_nullspace)
+    with pytest.raises(InternalInconsistencyError):
+        real_point(line, BOUNDARY_QUADRIC)
+
+
+# ------------------------------------------------ GaussianRational reference for real_point
+
+
+def _reference_nullspace(rows, ncols):
+    """Kernel by Bareiss echelon and GaussianRational back-substitution."""
+    pivots, echelon = linalg.row_echelon_gaussian(rows)
+    rank = len(pivots)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [ZERO] * ncols
+        vec[free] = ONE
+        for row_idx in range(rank - 1, -1, -1):
+            pcol = pivots[row_idx]
+            row = echelon[row_idx]
+            acc = ZERO
+            for c in range(pcol + 1, ncols):
+                if row[c] != (0, 0) and vec[c]:
+                    acc = acc + GaussianRational(row[c][0], row[c][1]) * vec[c]
+            vec[pcol] = -acc / GaussianRational(row[pcol][0], row[pcol][1])
+        basis.append(vec)
+    return rank, basis
+
+
+def _reference_real_point(line, split):
+    """real_point over GaussianRationals: the guard evaluates ab - cd at two
+    spanning points and their sum, and the real system is solved over Q."""
+    _, (u, w) = _reference_nullspace([list(r) for r in line.rows], 4)
+    mixed = [a + b for a, b in zip(u, w)]
+    if any(split.evaluate_quadric(ProjPoint(tuple(p))) for p in (u, w, mixed)):
+        raise LineNotOnQuadricError(f"line is not contained in {split.name}")
+    real_rows = []
+    for row in line.rows:
+        real_rows.append([GaussianRational(c.re) for c in row])
+        real_rows.append([GaussianRational(c.im) for c in row])
+    rank, basis = _reference_nullspace(real_rows, 4)
+    nullity = 4 - rank
+    if nullity == 0:
+        return None, 0
+    point = ProjPoint(tuple(basis[0])).canonical()
+    assert point.is_real() and line.contains(point) and not split.evaluate_quadric(point)
+    return point, nullity
+
+
+def _halve(row):
+    return tuple(c / 2 for c in row)
+
+
+def _double(row):
+    return tuple(c * 2 for c in row)
+
+
+# the boundary quadric with a/2 and 2b: the same ab - cd, but scaling each form
+# by its own denominator would test 2ab - cd instead
+RATIONAL_QUADRIC = QuadricSplit(
+    name="z1^2+z2^2+z3^2-z0^2 as (a/2)(2b) = cd",
+    a=_halve(BOUNDARY_QUADRIC.a),
+    b=_double(BOUNDARY_QUADRIC.b),
+    c=BOUNDARY_QUADRIC.c,
+    d=BOUNDARY_QUADRIC.d,
+    homogenizer=0,
+)
+
+
+def _reference_params(rng, family):
+    def wide():
+        return GaussianRational(
+            Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)),
+            Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)),
+        )
+
+    params = [sample_param(rng, family) for _ in range(12)]
+    params += [RulingParam(family, wide(), wide()) for _ in range(6)]
+    params += [RulingParam(family, ZERO, ONE), RulingParam(family, ONE, ZERO)]
+    params += [RulingParam(family, ZERO, wide()), RulingParam(family, wide(), ZERO)]
+    return params
+
+
+@pytest.mark.parametrize("split", [SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC, RATIONAL_QUADRIC],
+                         ids=["sphere", "boundary", "control", "rational"])
+def test_real_point_matches_gaussian_rational_reference(split):
+    rng = random.Random(21)
+    for family in ("A", "B"):
+        for param in _reference_params(rng, family):
+            line = ruling_line(param, split)
+            point, nullity = real_point(line, split)
+            ref_point, ref_nullity = _reference_real_point(line, split)
+            assert nullity == ref_nullity
+            assert str(point) == str(ref_point)
 
 
 def test_every_sampled_line_has_exactly_one_real_point():
