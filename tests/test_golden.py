@@ -2,8 +2,9 @@
 
 Each command runs in process from a scratch directory holding a copy of
 ``golden/matrices``, so every echoed path is the same relative path.  Its
-standard output, its exit code and (for ``tower``) the written ``tower/1``
-document must equal the files checked in under ``golden/``.
+standard output, its exit code and any file written by ``--output`` (the
+``tower/1`` document for ``tower``, the certificate for other commands)
+must equal the files checked in under ``golden/``.
 """
 
 import shutil
@@ -22,9 +23,16 @@ COMMANDS = [
     ("perturb_k1_N2_eps1", ["perturb", "--k", "1", "--N", "2", "--eps", "1"], 0),
     ("perturb_k2_N3_eps1", ["perturb", "--k", "2", "--N", "3", "--eps", "1"], 1),
     ("perturb_search_k1", ["perturb-search", "--k", "1"], 0),
+    # finds N = 2, eps = 1/2; params echoes n_max but not the eps list
+    ("perturb_search_k1_n3_eps1_2_1",
+     ["perturb-search", "--k", "1", "--n-max", "3", "--eps-list", "1/2,1"], 0),
     ("normal_bundles_k3", ["normal-bundles", "--k", "3"], 0),
+    ("normal_bundles_k2",
+     ["normal-bundles", "--k", "2", "--output", "normal_bundles_k2.cert.json"], 0),
     ("quadric_t10_s0", ["quadric", "--trials", "10", "--seed", "0"], 0),
     ("quadric_t40_s12345", ["quadric", "--trials", "40", "--seed", "12345"], 0),
+    # the defaults of eps, samples and seed
+    ("real_slice_k1_N2", ["real-slice", "--k", "1", "--N", "2"], 0),
     ("real_slice_k1_N2_eps1_s50",
      ["real-slice", "--k", "1", "--N", "2", "--eps", "1", "--samples", "50"], 0),
     # eps = 1/4 has no rational critical point: the outward grid bound and a
@@ -39,7 +47,10 @@ COMMANDS = [
 ]
 
 # files a command writes besides its standard output
-WRITTEN = {"tower_k2": ["tower_k2.tower.json"]}
+WRITTEN = {
+    "tower_k2": ["tower_k2.tower.json"],
+    "normal_bundles_k2": ["normal_bundles_k2.cert.json"],
+}
 
 
 @pytest.mark.parametrize("stem, argv, code", COMMANDS, ids=[c[0] for c in COMMANDS])
