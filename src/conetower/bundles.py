@@ -64,8 +64,8 @@ class TransitionMatrix:
         self.entries = rows
 
     @classmethod
-    def from_strings(cls, rows, variable: str = "z") -> "TransitionMatrix":
-        return cls([[parse_laurent(text, variable) for text in row] for row in rows])
+    def from_strings(cls, rows) -> "TransitionMatrix":
+        return cls([[parse_laurent(text) for text in row] for row in rows])
 
     def det(self) -> LaurentPoly:
         a, b = self.entries[0]
@@ -184,8 +184,22 @@ def _column_reduce(columns):
     raise InternalInconsistencyError("column reduction did not terminate")
 
 
-def _analyze_cocycle(T: TransitionMatrix, window: int):
-    """Column-reduce, derive the degrees, and cross-check h0 over a twist window."""
+def splitting_type(T: TransitionMatrix) -> SplittingType:
+    """Exact splitting type (d1, d2) with d1 >= d2 of the rank-2 cocycle.
+
+    Column degrees of the reduced cleared matrix give the degrees; the
+    result is re-verified against the determinant valuation and against
+    honest section counts over the twist window m0-1 .. m0+3.
+    """
+    return h0_window(T, window=5)[0]
+
+
+def h0_window(T: TransitionMatrix, window: int = 6):
+    """Splitting type plus the verified h0 profile [(m, dim), ...] over a window.
+
+    Column-reduce the cleared matrix, derive the degrees, and cross-check
+    them against section counts at each twist of the window.
+    """
     _, v = det_valuation(T)
     lo, _ = T.exponent_span()
     sigma = max(0, -lo)
@@ -215,32 +229,16 @@ def _analyze_cocycle(T: TransitionMatrix, window: int):
     return SplittingType(d1, d2), profile
 
 
-def splitting_type(T: TransitionMatrix) -> SplittingType:
-    """Exact splitting type (d1, d2) with d1 >= d2 of the rank-2 cocycle.
-
-    Column degrees of the reduced cleared matrix give the degrees; the
-    result is re-verified against the determinant valuation and against
-    honest section counts over the twist window m0-1 .. m0+3.
-    """
-    result, _ = _analyze_cocycle(T, window=5)
-    return result
-
-
-def h0_window(T: TransitionMatrix, window: int = 6):
-    """Splitting type plus the verified h0 profile [(m, dim), ...] over a window."""
-    return _analyze_cocycle(T, window=window)
-
-
 # ------------------------------------------------------------------ linearization
 
 
-def local_model_fibers(k: int, variables=("z", "x1", "x2")):
-    """Fiber transition of the rank-2 local model: y1 = z^2*x1 + z*x2^k, y2 = x2."""
+def local_model_fibers(k: int):
+    """Fiber transition of the rank-2 local model: y1 = z^2*x1 + z*x2^k, y2 = x2,
+    over the variables (z, x1, x2)."""
     if not isinstance(k, int) or k < 1:
         raise ValidationError(f"the local model needs a positive integer, got {k!r}")
-    z = MultiPoly.variable(variables, variables[0])
-    x1 = MultiPoly.variable(variables, variables[1])
-    x2 = MultiPoly.variable(variables, variables[2])
+    variables = ("z", "x1", "x2")
+    z, x1, x2 = (MultiPoly.variable(variables, v) for v in variables)
     y1 = z * z * x1 + z * x2 ** k
     y2 = x2
     return y1, y2

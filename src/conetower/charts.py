@@ -71,10 +71,8 @@ class SubstitutionMap:
         self.label = label
 
     @staticmethod
-    def identity(chart: Chart, label: str = "id") -> "SubstitutionMap":
-        return SubstitutionMap(
-            chart, chart, {v: chart.var(v) for v in chart.variables}, label
-        )
+    def identity(chart: Chart) -> "SubstitutionMap":
+        return SubstitutionMap(chart, chart, {v: chart.var(v) for v in chart.variables}, "id")
 
     @staticmethod
     def from_strings(source: Chart, target: Chart, assignment_text, label: str):

@@ -1,11 +1,15 @@
 """Command-line front end: build towers, run certificates, emit them.
 
-Every subcommand produces one ``cert/1`` certificate of named checks.  Exit
-code 0 means every check passed; 1 means some check failed or was
-inconclusive; 2 is a usage error; 3 is an internal inconsistency (a
-self-check that must never fail).  JSON output is deterministic: same
-configuration, byte-identical output (wall time is printed only in the text
-format).
+Every subcommand produces one ``cert/1`` certificate of named checks.
+:func:`build_parser` is the only declaration of each subcommand's
+parameters and defaults; :func:`run` takes the parsed command line and
+echoes the command's own arguments as the certificate's ``params``.  Matrix
+files hold Laurent text in the overlap coordinate ``z``.  Exit code 0 means
+every check passed; 1 means some check failed or was inconclusive; 2 is a
+usage error, a file that cannot be read or written included; 3 is an
+internal inconsistency (a self-check that must never fail).  JSON output is
+deterministic: same command line, byte-identical output (wall time is
+printed only in the text format).
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import (
@@ -51,23 +54,8 @@ from .tower import build_tower, tower_to_json
 ORACLE_MARGIN = 1e-6
 WITNESS_NORM = Fraction(10 ** 6)
 
-
-@dataclass
-class RunConfig:
-    """Validated invocation parameters for one subcommand."""
-
-    command: str
-    k: int | None = None
-    N: int | None = None
-    eps: Fraction = Fraction(1)
-    trials: int = 100
-    seed: int = 0
-    samples: int = 1000
-    n_max: int | None = None
-    eps_list: tuple = ()
-    matrix: str | None = None
-    output: str | None = None
-    format: str = "text"
+# parsed arguments that a certificate's params leave out
+_NOT_ECHOED = ("command", "format", "output", "eps_list")
 
 
 def format_text(cert: Certificate, wall_time: float) -> str:
@@ -103,19 +91,19 @@ def _cert_rows(prefix: str, cert: Certificate, expect: str) -> list:
 # ------------------------------------------------------------------ subcommands
 
 
-def _run_tower(config: RunConfig, checks: list, details: dict):
-    tower = build_tower(config.k)
+def _run_tower(args: argparse.Namespace, checks: list, details: dict):
+    tower = build_tower(args.k)
     checks.extend(tower.checks)
-    if config.output:
-        with open(config.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(tower_to_json(tower))
-        details["tower_written_to"] = config.output
+        details["tower_written_to"] = args.output
     details["levels"] = tower.k + 1
 
 
-def _run_certify(config: RunConfig, checks: list, details: dict):
-    tower = build_tower(config.k)
-    top = tower.level(config.k)
+def _run_certify(args: argparse.Namespace, checks: list, details: dict):
+    tower = build_tower(args.k)
+    top = tower.level(args.k)
     cert = certify_singular_locus(top.hypersurface, [top.chart.origin()])
     checks.extend(_cert_rows("Y_k", cert, "ONLY_SINGULAR_AT"))
     bottom = tower.level(0)
@@ -126,21 +114,16 @@ def _run_certify(config: RunConfig, checks: list, details: dict):
         checks.extend(_cert_rows(f"off-chart-{index}", cert_off, "SMOOTH"))
 
 
-def _run_perturb(config: RunConfig, checks: list, details: dict):
-    params = PerturbationParams(k=config.k, N=config.N, eps=config.eps)
+def _run_perturb(args: argparse.Namespace, checks: list, details: dict):
+    params = PerturbationParams(k=args.k, N=args.N, eps=args.eps)
     cert = certify_perturbation(params)
     checks.extend(_cert_rows("perturbation", cert, "CERTIFIED"))
     details["certificate"] = cert.to_dict()
 
 
-def _run_perturb_search(config: RunConfig, checks: list, details: dict):
-    kwargs = {}
-    if config.n_max is not None:
-        kwargs["n_max"] = config.n_max
-    if config.eps_list:
-        kwargs["eps_candidates"] = list(config.eps_list)
+def _run_perturb_search(args: argparse.Namespace, checks: list, details: dict):
     try:
-        params, cert = search_perturbation(config.k, **kwargs)
+        params, cert = search_perturbation(args.k, args.n_max, args.eps_list)
     except SearchExhaustedError as err:
         checks.append(
             Check(name="search:found", status=FAIL, witness=str(err))
@@ -168,9 +151,9 @@ def _run_perturb_search(config: RunConfig, checks: list, details: dict):
     details["found"] = params.as_dict()
 
 
-def _run_normal_bundles(config: RunConfig, checks: list, details: dict):
-    sequence = normal_bundle_sequence(config.k)
-    expected = [(0, -2)] * (config.k - 1) + [(-1, -1)]
+def _run_normal_bundles(args: argparse.Namespace, checks: list, details: dict):
+    sequence = normal_bundle_sequence(args.k)
+    expected = [(0, -2)] * (args.k - 1) + [(-1, -1)]
     got = [st.as_pair() for st in sequence]
     checks.append(
         Check(
@@ -182,11 +165,11 @@ def _run_normal_bundles(config: RunConfig, checks: list, details: dict):
     details["sequence"] = [list(p) for p in got]
 
 
-def _run_splitting(config: RunConfig, checks: list, details: dict):
-    with open(config.matrix) as fh:
+def _run_splitting(args: argparse.Namespace, checks: list, details: dict):
+    with open(args.matrix, encoding="utf-8") as fh:
         try:
             rows = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ValidationError(f"the matrix file is not valid JSON: {err}")
     if (
         not isinstance(rows, list)
@@ -219,11 +202,11 @@ def _run_splitting(config: RunConfig, checks: list, details: dict):
     details["h0_window"] = [[m, d] for m, d in profile]
 
 
-def _run_quadric(config: RunConfig, checks: list, details: dict):
-    tower = build_tower(config.k or 1)
-    cert = verify_boundary_cover(tower, trials=config.trials, seed=config.seed)
+def _run_quadric(args: argparse.Namespace, checks: list, details: dict):
+    tower = build_tower(1)  # level 0, the smooth quadric, is the same for every k
+    cert = verify_boundary_cover(tower, trials=args.trials, seed=args.seed)
     checks.extend(_cert_rows("boundary-cover", cert, "PASS"))
-    control = control_cover_certificate(trials=min(config.trials, 5), seed=config.seed)
+    control = control_cover_certificate(trials=min(args.trials, 5), seed=args.seed)
     checks.append(
         Check(
             name="control-fails-as-expected",
@@ -234,58 +217,51 @@ def _run_quadric(config: RunConfig, checks: list, details: dict):
     details["samples"] = len(cert.branches)
 
 
-def _run_real_slice(config: RunConfig, checks: list, details: dict):
-    params = PerturbationParams(k=config.k, N=config.N, eps=config.eps)
+def _run_real_slice(args: argparse.Namespace, checks: list, details: dict):
+    params = PerturbationParams(k=args.k, N=args.N, eps=args.eps)
     _, _, cert = real_slice_bound(params)
     checks.extend(_cert_rows("bounds", cert, "CERTIFIED"))
-    summary = sample_real_slice(params, count=config.samples, seed=config.seed)
+    summary = sample_real_slice(params, count=args.samples, seed=args.seed)
     if summary["status"] == INCONCLUSIVE:
-        witness = f"only {summary['accepted']} of {config.samples} samples in {summary['draws']} draws"
+        witness = f"only {summary['accepted']} of {args.samples} samples in {summary['draws']} draws"
     else:
         witness = (
             f"{summary['accepted']} samples, max x4 upper bound "
             f"{summary['max_x4_upper']} <= R4 = {summary['R4']}"
         )
     checks.append(Check(name="sampling:no-violations", status=summary["status"], witness=witness))
-    witness_point = cone_unbounded_witness(config.k, WITNESS_NORM)
+    witness_point = cone_unbounded_witness(args.k, WITNESS_NORM)
     x1, x2, x3, x4 = witness_point
-    on_cone = x1 ** 2 + x2 ** 2 + x3 ** 2 - x4 ** (2 * config.k) == 0
+    on_cone = x1 ** 2 + x2 ** 2 + x3 ** 2 - x4 ** (2 * args.k) == 0
     big = x4 > WITNESS_NORM
     checks.append(
         Check(
             name="cone:unbounded-witness",
             status=PASS if (on_cone and big) else FAIL,
-            witness=f"({_exact_str_or(x1, f'{x4}^{config.k}')}, {x2}, {x3}, {x4})",
+            witness=f"({_exact_str_or(x1, f'{x4}^{args.k}')}, {x2}, {x3}, {x4})",
         )
     )
     details["bounds"] = dict(cert.values)
 
 
-def _run_square_check(config: RunConfig, checks: list, details: dict):
+def _run_square_check(args: argparse.Namespace, checks: list, details: dict):
     cert = verify_lemma_square()
     checks.extend(_cert_rows("lemma-square", cert, "PASS"))
 
 
-def _run_all(config: RunConfig, checks: list, details: dict):
-    _run_tower(RunConfig(command="tower", k=config.k), checks, details)
-    _run_certify(RunConfig(command="certify", k=config.k), checks, details)
-    _run_square_check(RunConfig(command="square-check"), checks, details)
-    _run_perturb_search(RunConfig(command="perturb-search", k=config.k), checks, details)
+def _run_all(args: argparse.Namespace, checks: list, details: dict):
+    parse = build_parser().parse_args
+    k, seed = f"--k={args.k}", f"--seed={args.seed}"
+    _run_tower(parse(["tower", k]), checks, details)
+    _run_certify(parse(["certify", k]), checks, details)
+    _run_square_check(parse(["square-check"]), checks, details)
+    _run_perturb_search(parse(["perturb-search", k]), checks, details)
     found = details.get("found")
     if found is not None:
-        slice_config = RunConfig(
-            command="real-slice",
-            k=config.k,
-            N=int(found["N"]),
-            eps=Fraction(found["eps"]),
-            samples=min(config.samples, 500),
-            seed=config.seed,
-        )
-        _run_real_slice(slice_config, checks, details)
-    _run_normal_bundles(RunConfig(command="normal-bundles", k=config.k), checks, details)
-    _run_quadric(
-        RunConfig(command="quadric", k=1, trials=config.trials, seed=config.seed), checks, details
-    )
+        slice_argv = ["real-slice", k, f"--N={found['N']}", f"--eps={found['eps']}"]
+        _run_real_slice(parse(slice_argv + ["--samples=500", seed]), checks, details)
+    _run_normal_bundles(parse(["normal-bundles", k]), checks, details)
+    _run_quadric(parse(["quadric", f"--trials={args.trials}", seed]), checks, details)
 
 
 _RUNNERS = {
@@ -302,38 +278,22 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> Certificate:
-    """Dispatch one validated configuration and return its certificate."""
-    params = {}
-    for key in ("k", "N", "trials", "seed", "samples", "n_max", "matrix"):
-        value = getattr(config, key)
-        if value is not None and key in _COMMAND_PARAMS.get(config.command, ()):
-            params[key] = value
-    if "eps" in _COMMAND_PARAMS.get(config.command, ()):
-        params["eps"] = str(config.eps)
+def run(args: argparse.Namespace) -> Certificate:
+    """Run one parsed command line and return its certificate."""
+    params = {
+        key: str(value) if isinstance(value, Fraction) else value
+        for key, value in vars(args).items()
+        if value is not None and key not in _NOT_ECHOED
+    }
     checks, details = [], {}
-    _RUNNERS[config.command](config, checks, details)
+    _RUNNERS[args.command](args, checks, details)
     return Certificate(
-        command=config.command,
+        command=args.command,
         status=aggregate_status(checks),
         params=params,
         checks=checks,
         details=details,
     )
-
-
-_COMMAND_PARAMS = {
-    "tower": ("k",),
-    "certify": ("k",),
-    "perturb": ("k", "N", "eps"),
-    "perturb-search": ("k", "n_max"),
-    "normal-bundles": ("k",),
-    "splitting": ("matrix",),
-    "quadric": ("trials", "seed"),
-    "real-slice": ("k", "N", "eps", "samples", "seed"),
-    "square-check": (),
-    "all": ("k", "trials", "seed"),
-}
 
 
 def _fraction(text: str) -> Fraction:
@@ -398,26 +358,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for key in ("k", "N", "eps", "trials", "seed", "samples", "n_max", "eps_list", "matrix",
-                "output", "format"):
-        if getattr(args, key, None) is not None:
-            setattr(config, key, getattr(args, key))
-    return config
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exit_err:
         return 2 if exit_err.code not in (0, None) else 0
-    config = _config_from_args(args)
     start = time.monotonic()
     try:
-        cert = run(config)
-    except (ValidationError, ParseError, FileNotFoundError) as err:
+        cert = run(args)
+        wall_time = time.monotonic() - start
+        if args.output and args.command != "tower":
+            with open(args.output, "w") as fh:
+                fh.write(cert.to_json())
+    except (ValidationError, ParseError, OSError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except InternalInconsistencyError as err:
@@ -426,11 +379,7 @@ def main(argv=None) -> int:
     except ConetowerError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    wall_time = time.monotonic() - start
-    print(cert.to_json() if config.format == "json" else format_text(cert, wall_time))
-    if config.output and config.command != "tower":
-        with open(config.output, "w") as fh:
-            fh.write(cert.to_json())
+    print(cert.to_json() if args.format == "json" else format_text(cert, wall_time))
     return 0 if cert.status == PASS else 1
 
 

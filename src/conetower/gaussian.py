@@ -3,6 +3,7 @@ integers Z[i] for fraction-free elimination."""
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
@@ -197,6 +198,20 @@ I = GaussianRational(0, 1)
 # Fraction-free eliminations (linalg rows, the polynomial Bareiss determinant)
 # clear denominators once and work on Gaussian integers ``a + b*i`` stored as
 # plain ``(a, b)`` int pairs.
+
+
+def _denominator(values):
+    """Least common denominator of GaussianRationals."""
+    return math.lcm(*(d for v in values for d in (v.re.denominator, v.im.denominator)))
+
+
+def _scale_row(values, lcm):
+    """``lcm`` times GaussianRationals, as Z[i] pairs; ``lcm`` is a common
+    multiple of their denominators."""
+    return [
+        (v.re.numerator * (lcm // v.re.denominator), v.im.numerator * (lcm // v.im.denominator))
+        for v in values
+    ]
 
 
 def _gmul(x, y):

@@ -10,23 +10,7 @@ dividing by it.  Used by the section-space computations of
 
 from __future__ import annotations
 
-import math
-
-from .gaussian import _gdiv_exact, _gmul, _gsub
-
-
-def _denominator(row):
-    """Least common denominator of a row of GaussianRationals."""
-    return math.lcm(*(d for v in row for d in (v.re.denominator, v.im.denominator)))
-
-
-def _scale_row(row, lcm):
-    """``lcm`` times a row of GaussianRationals, as Z[i] pairs; ``lcm`` is a
-    common multiple of the row's denominators."""
-    return [
-        (v.re.numerator * (lcm // v.re.denominator), v.im.numerator * (lcm // v.im.denominator))
-        for v in row
-    ]
+from .gaussian import _denominator, _gdiv_exact, _gmul, _gsub, _scale_row
 
 
 def _echelon(work, ncols):

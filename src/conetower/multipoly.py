@@ -22,14 +22,15 @@ between the two: ``NAME ^ -INT`` is legal in Laurent text only.
 
 from __future__ import annotations
 
-import math
 import re as _re
 from fractions import Fraction
 from operator import add as _add, sub as _sub
 from typing import Iterable, Mapping
 
 from .errors import InternalInconsistencyError, ParseError, VariableMismatchError, ZeroInputError
-from .gaussian import GaussianRational, I, ONE, ZERO, _exact_str, _gdiv_exact, _gmul, _gsub
+from .gaussian import (
+    GaussianRational, I, ONE, ZERO, _denominator, _exact_str, _gdiv_exact, _gmul, _gsub, _scale_row,
+)
 
 
 class MultiPoly:
@@ -599,18 +600,9 @@ def _bareiss_determinant(matrix) -> MultiPoly:
     variables = matrix[0][0].variables
     if any(entry.variables != variables for row in matrix for entry in row):
         raise VariableMismatchError("matrix entries live over different variable lists")
-    D = math.lcm(*(
-        part.denominator
-        for row in matrix for entry in row for c in entry.terms.values() for part in (c.re, c.im)
-    ))
+    D = _denominator(c for row in matrix for entry in row for c in entry.terms.values())
     m = [
-        [
-            {
-                e: (c.re.numerator * (D // c.re.denominator), c.im.numerator * (D // c.im.denominator))
-                for e, c in entry.terms.items()
-            }
-            for entry in row
-        ]
+        [dict(zip(entry.terms, _scale_row(entry.terms.values(), D))) for entry in row]
         for row in matrix
     ]
     sign = 1

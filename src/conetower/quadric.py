@@ -27,7 +27,7 @@ from .errors import (
     LineNotOnQuadricError,
     ValidationError,
 )
-from .gaussian import GaussianRational, I, ONE, ZERO, _gmul, _gsub
+from .gaussian import GaussianRational, I, ONE, ZERO, _denominator, _gmul, _gsub, _scale_row
 from .multipoly import MultiPoly
 
 _VARS = ("z0", "z1", "z2", "z3")
@@ -93,7 +93,7 @@ class ProjLine:
         rows = tuple(tuple(GaussianRational.coerce(c) for c in row) for row in self.rows)
         if len(rows) != 2 or any(len(r) != 4 for r in rows):
             raise ValidationError("a line is cut out by exactly two forms on P^3")
-        zrows = tuple(tuple(linalg._scale_row(r, linalg._denominator(r))) for r in rows)
+        zrows = tuple(tuple(_scale_row(r, _denominator(r))) for r in rows)
         rank, span = linalg.nullspace(zrows, 4)
         if rank != 2:
             raise ValidationError("the two line forms must be linearly independent")
@@ -150,8 +150,8 @@ class QuadricSplit:
 
     def __post_init__(self):
         flat = self.a + self.b + self.c + self.d
-        scale = linalg._denominator(flat)
-        zflat = linalg._scale_row(flat, scale)
+        scale = _denominator(flat)
+        zflat = _scale_row(flat, scale)
         object.__setattr__(self, "zforms", tuple(tuple(zflat[i:i + 4]) for i in range(0, 16, 4)))
         object.__setattr__(self, "scale", scale)
 
@@ -218,8 +218,8 @@ def ruling_line(param: RulingParam, split: QuadricSplit = SPHERE_QUADRIC) -> Pro
     The forms are computed in Z[i] from the split's integer forms and (s : t)
     scaled by its denominator D, then divided once by D * split.scale.
     """
-    D = linalg._denominator((param.s, param.t))
-    s, t = linalg._scale_row((param.s, param.t), D)
+    D = _denominator((param.s, param.t))
+    s, t = _scale_row((param.s, param.t), D)
     a, b, c, d = split.zforms
     if param.family == "B":
         c, d = d, c

@@ -95,10 +95,9 @@ class CriticalSystem:
         return cls(hypersurface=h, partials=partials)
 
 
-def perturbed_equation(params: PerturbationParams, chart: Chart | None = None) -> Hypersurface:
+def perturbed_equation(params: PerturbationParams) -> Hypersurface:
     """z1^2+z2^2+z3^2-z4^(2k) + eps*(z1^(2N)+z2^(2N)+z3^(2N)+z4^(2N)) = 0."""
-    if chart is None:
-        chart = Chart(f"perturbed_k{params.k}_N{params.N}", ("z1", "z2", "z3", "z4"), "local-model")
+    chart = Chart(f"perturbed_k{params.k}_N{params.N}", ("z1", "z2", "z3", "z4"), "local-model")
     v = [chart.var(name) for name in chart.variables]
     eps = GaussianRational(params.eps)
     equation = v[0] ** 2 + v[1] ** 2 + v[2] ** 2 - v[3] ** (2 * params.k)
@@ -308,10 +307,11 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
         disjunctions.append(options)
 
     claims_zero_only = _claims_all_zero(claimed)
-    branches = [
-        _process_branch(h, chart, selection, claimed, claims_zero_only)
-        for selection in itertools.product(*disjunctions)
-    ]
+    branches = []
+    for selection in itertools.product(*disjunctions):
+        record = {"constraints": [c.describe() for c in selection]}
+        record["verdict"] = _branch_verdict(record, h, chart, selection, claimed, claims_zero_only)
+        branches.append(record)
     verdicts = [branch["verdict"] for branch in branches]
     # one precedence for the branches check and the overall status
     worst = FAIL if "fail" in verdicts else INCONCLUSIVE if "inconclusive" in verdicts else PASS
@@ -358,13 +358,6 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
             "constants or nonzero iterated root-products (Sylvester-equivalent)"
         ),
     )
-
-
-def _process_branch(h, chart, selection, claimed, claims_zero_only) -> dict:
-    """Evaluate one full branch assignment; returns its record, verdict included."""
-    record = {"constraints": [c.describe() for c in selection]}
-    record["verdict"] = _branch_verdict(record, h, chart, selection, claimed, claims_zero_only)
-    return record
 
 
 def _branch_verdict(record, h, chart, selection, claimed, claims_zero_only) -> str:

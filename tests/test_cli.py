@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conetower import singular
-from conetower.cli import main, run, RunConfig
+from conetower.cli import build_parser, main, run
 
 
 def _main_capture(capsys, argv):
@@ -133,6 +133,27 @@ def test_splitting_malformed_matrix_is_usage_error(tmp_path, text):
     assert main(["splitting", "--matrix", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["square-check", "--output", "{tmp}/missing/cert.json"],
+        ["square-check", "--output", "{tmp}"],
+        ["tower", "--k", "1", "--output", "{tmp}"],
+        ["splitting", "--matrix", "{tmp}"],
+        ["splitting", "--matrix", "{tmp}/latin1.json"],
+    ],
+    ids=["output-dir-missing", "output-is-dir", "tower-output-is-dir", "matrix-is-dir",
+         "matrix-not-utf8"],
+)
+def test_file_errors_are_usage_errors(capsys, tmp_path, argv):
+    (tmp_path / "latin1.json").write_bytes('[["z", "\xe9"], ["0", "1"]]'.encode("latin-1"))
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
 def test_quadric_command(capsys):
     code, out = _main_capture(capsys, ["quadric", "--trials", "10", "--format", "json"])
     assert code == 0
@@ -202,6 +223,6 @@ def test_all_command_k1(capsys):
 
 
 def test_run_config_api():
-    report = run(RunConfig(command="normal-bundles", k=1))
+    report = run(build_parser().parse_args(["normal-bundles", "--k", "1"]))
     assert report.status == "PASS"
     assert report.details["sequence"] == [[-1, -1]]

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conetower import linalg  # noqa: E402
 from conetower.charts import Chart, Hypersurface  # noqa: E402
-from conetower.gaussian import GaussianRational  # noqa: E402
+from conetower.gaussian import GaussianRational, _denominator, _scale_row  # noqa: E402
 from conetower.laurent import LaurentPoly, parse_laurent  # noqa: E402
 from conetower.multipoly import (  # noqa: E402
     MultiPoly,
@@ -170,7 +170,7 @@ def test_nullspace_matches_sympy_rank():
         else:
             matrix = _random_matrix(rng, rows, cols)
         rank = _sympy_rank(matrix)
-        zrows = [linalg._scale_row(row, linalg._denominator(row)) for row in matrix]
+        zrows = [_scale_row(row, _denominator(row)) for row in matrix]
         ours, basis = linalg.nullspace(zrows, cols)
         assert ours == rank
         assert len(basis) == cols - rank
