@@ -195,9 +195,9 @@ I = GaussianRational(0, 1)
 
 # ---------------------------------------------------------------------- Z[i] pairs
 #
-# Fraction-free eliminations (linalg rows, the polynomial Bareiss determinant)
-# clear denominators once and work on Gaussian integers ``a + b*i`` stored as
-# plain ``(a, b)`` int pairs.
+# Fraction-free eliminations (linalg rows, the polynomial Bareiss determinant,
+# the quadric's line forms) clear denominators once and work on Gaussian
+# integers ``a + b*i`` stored as plain ``(a, b)`` int pairs.
 
 
 def _denominator(values):
