@@ -22,6 +22,7 @@ between the two: ``NAME ^ -INT`` is legal in Laurent text only.
 
 from __future__ import annotations
 
+import heapq
 import re as _re
 from fractions import Fraction
 from operator import add as _add, sub as _sub
@@ -558,20 +559,30 @@ def _zi_mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
     return {e: v for e, v in acc.items() if v[0] or v[1]}
 
 
+def _neg_grlex_key(exps):
+    """A key whose ascending order is descending graded lexicographic order."""
+    return (-sum(exps), tuple(-e for e in exps))
+
+
 def _zi_exact_quotient(f: dict, g: dict) -> dict:
     """The quotient f/g of two term maps, when g divides f over Z[i].
 
-    Leading-term long division in graded lexicographic order.  Each Bareiss
-    step guarantees exactness (Sylvester's identity); a leading monomial that
-    g's does not divide, or an inexact Z[i] coefficient division, raises
-    InternalInconsistencyError.
+    Leading-term long division in graded lexicographic order; the leading
+    terms of the remainder come off a max-heap, which may hold keys of terms
+    that have since cancelled.  Each Bareiss step guarantees exactness
+    (Sylvester's identity); a leading monomial that g's does not divide, or an
+    inexact Z[i] coefficient division, raises InternalInconsistencyError.
     """
     lead_g = max(g, key=_grlex_key)
     cg = g[lead_g]
     rest = dict(f)
+    heap = [(_neg_grlex_key(e), e) for e in rest]
+    heapq.heapify(heap)
     quotient = {}
     while rest:
-        lead = max(rest, key=_grlex_key)
+        lead = heapq.heappop(heap)[1]
+        if lead not in rest:
+            continue
         diff = tuple(map(_sub, lead, lead_g))
         if min(diff, default=0) < 0:
             raise InternalInconsistencyError("inexact polynomial division in fraction-free elimination")
@@ -579,9 +590,12 @@ def _zi_exact_quotient(f: dict, g: dict) -> dict:
         quotient[diff] = q
         for e, c in g.items():
             key = tuple(map(_add, diff, e))
-            value = _gsub(rest.get(key, (0, 0)), _gmul(q, c))
+            old = rest.get(key)
+            value = _gsub(old or (0, 0), _gmul(q, c))
             if value[0] or value[1]:
                 rest[key] = value
+                if old is None:
+                    heapq.heappush(heap, (_neg_grlex_key(key), key))
             else:
                 del rest[key]
     return quotient
