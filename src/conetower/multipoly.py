@@ -538,11 +538,25 @@ def extract_variable_power(f: MultiPoly, var: str) -> tuple:
     return m, MultiPoly(f.variables, out)
 
 
-# ---------------------------------------------------------------------- Z[i] determinant kernel
+# ---------------------------------------------------------------------- Z[i] term maps
 #
-# The polynomial Bareiss determinant eliminates over Z[i][vars].  A term map
-# sends an exponent tuple to a nonzero Gaussian integer, stored as an
-# ``(re, im)`` int pair; the entries are cleared of denominators once on entry.
+# Fraction-free polynomial arithmetic runs over Z[i][vars].  A term map sends
+# an exponent tuple to a nonzero Gaussian integer, stored as an ``(re, im)``
+# int pair; a caller clears denominators once on entry with _zi_terms and
+# divides once on exit with _from_zi_terms.
+
+
+def _zi_terms(f: MultiPoly, D: int) -> dict:
+    """The term map of D*f; D is a common multiple of f's coefficient denominators."""
+    return dict(zip(f.terms, _scale_row(f.terms.values(), D)))
+
+
+def _from_zi_terms(variables, terms: dict, divisor: int) -> MultiPoly:
+    """The polynomial of a term map divided by the nonzero integer ``divisor``."""
+    return MultiPoly(
+        variables,
+        {e: GaussianRational(Fraction(re, divisor), Fraction(im, divisor)) for e, (re, im) in terms.items()},
+    )
 
 
 def _zi_mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
@@ -557,6 +571,18 @@ def _zi_mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
                 old = acc.get(key)
                 acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
     return {e: v for e, v in acc.items() if v[0] or v[1]}
+
+
+def _zi_pow(f: dict, n: int) -> dict:
+    """The term map of f**n, for n >= 1."""
+    result = None
+    while True:
+        if n & 1:
+            result = f if result is None else _zi_mul_sub(result, f, {}, {})
+        n >>= 1
+        if not n:
+            return result
+        f = _zi_mul_sub(f, f, {}, {})
 
 
 def _neg_grlex_key(exps):
@@ -601,31 +627,19 @@ def _zi_exact_quotient(f: dict, g: dict) -> dict:
     return quotient
 
 
-def _bareiss_determinant(matrix) -> MultiPoly:
-    """Fraction-free determinant of a square MultiPoly matrix (Bareiss).
+def _zi_bareiss(m: list) -> dict:
+    """Fraction-free determinant (Bareiss) of a square matrix of term maps.
 
-    Every entry is scaled by D, the lcm of all coefficient denominators, and
-    eliminated over Z[i][vars], where each step's division is exact; the
-    result is divided by D^n once.
+    Each step's division is exact over Z[i][vars].  ``m`` is overwritten.
     """
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    variables = matrix[0][0].variables
-    if any(entry.variables != variables for row in matrix for entry in row):
-        raise VariableMismatchError("matrix entries live over different variable lists")
-    D = _denominator(c for row in matrix for entry in row for c in entry.terms.values())
-    m = [
-        [dict(zip(entry.terms, _scale_row(entry.terms.values(), D))) for entry in row]
-        for row in matrix
-    ]
+    n = len(m)
     sign = 1
     prev = None  # the previous pivot; the first step divides by 1
     for k in range(n - 1):
         if not m[k][k]:
             pivot_row = next((r for r in range(k + 1, n) if m[r][k]), None)
             if pivot_row is None:
-                return MultiPoly.zero(variables)
+                return {}
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         pivot, pivot_entries = m[k][k], m[k]
@@ -634,11 +648,25 @@ def _bareiss_determinant(matrix) -> MultiPoly:
                 num = _zi_mul_sub(pivot, row[j], row[k], pivot_entries[j])
                 row[j] = num if prev is None or not num else _zi_exact_quotient(num, prev)
         prev = pivot
-    scale = sign * D ** n
-    return MultiPoly(
-        variables,
-        {e: GaussianRational(Fraction(re, scale), Fraction(im, scale)) for e, (re, im) in m[n - 1][n - 1].items()},
-    )
+    det = m[n - 1][n - 1]
+    return det if sign > 0 else {e: (-re, -im) for e, (re, im) in det.items()}
+
+
+def _bareiss_determinant(matrix) -> MultiPoly:
+    """Fraction-free determinant of a square MultiPoly matrix (Bareiss).
+
+    Every entry is scaled by D, the lcm of all coefficient denominators, and
+    eliminated over Z[i][vars]; the result is divided by D^n once.
+    """
+    n = len(matrix)
+    if n == 0:
+        raise ValueError("empty matrix")
+    variables = matrix[0][0].variables
+    if any(entry.variables != variables for row in matrix for entry in row):
+        raise VariableMismatchError("matrix entries live over different variable lists")
+    D = _denominator(c for row in matrix for entry in row for c in entry.terms.values())
+    det = _zi_bareiss([[_zi_terms(entry, D) for entry in row] for row in matrix])
+    return _from_zi_terms(variables, det, D ** n)
 
 
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:

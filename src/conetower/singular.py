@@ -31,10 +31,15 @@ from .certificates import (
 )
 from .charts import Chart, Hypersurface
 from .errors import FloatRangeError, SearchExhaustedError, ValidationError
-from .gaussian import GaussianRational, ONE, ZERO, _exact_str, _exact_str_or
+from .gaussian import (
+    GaussianRational, _denominator, _exact_str, _exact_str_or, _gmul, _gsub, _scale_row,
+)
 from .multipoly import (
     MultiPoly,
-    _bareiss_determinant,
+    _from_zi_terms,
+    _zi_bareiss,
+    _zi_pow,
+    _zi_terms,
     differentiate,
     extract_variable_power,
     resultant,
@@ -133,31 +138,47 @@ def _monomial_univariate_split(partial: MultiPoly):
 
 
 def _reduce_var(f: MultiPoly, var: str, coeffs) -> MultiPoly:
-    """Reduce powers of ``var`` in ``f`` modulo the univariate with ``coeffs``."""
+    """Reduce powers of ``var`` in ``f`` modulo the univariate with ``coeffs``.
+
+    Over Z[i] the modulus reads A * var^deg_m + sum a_d var^d, so
+    var^deg_m = -(1/dm) * sum conj(A) * a_d var^d with dm = |A|^2.  The
+    residue of var^e is reps[e] / dm^(e - deg_m + 1) for e >= deg_m, and every
+    term is brought to the common divisor Df * dm^(max_e - deg_m + 1).
+    """
     deg_m = len(coeffs) - 1
     idx = f.variables.index(var)
     max_e = f.degree_in(var)
     if max_e < deg_m:
         return f
-    lead = coeffs[-1]
-    # var^e mod m as {exponent: coefficient} for e = 0..max_e
-    reps = [{e: ONE} for e in range(deg_m)]
+    nonzero = [(d, c) for d, c in enumerate(coeffs) if c]
+    scaled = _scale_row([c for _, c in nonzero], _denominator(c for _, c in nonzero))
+    A = scaled.pop()
+    dm = A[0] * A[0] + A[1] * A[1]
+    low = [(d, _gmul((A[0], -A[1]), a)) for (d, _), a in zip(nonzero, scaled)]
+    reps = [{e: (1, 0)} for e in range(deg_m)]
     for e in range(deg_m, max_e + 1):
         shifted = {}
         for d, c in reps[e - 1].items():
             if d + 1 == deg_m:
-                for low in range(deg_m):
-                    if coeffs[low]:
-                        shifted[low] = shifted.get(low, ZERO) - (coeffs[low] / lead) * c
+                for d_low, a in low:
+                    shifted[d_low] = _gsub(shifted.get(d_low, (0, 0)), _gmul(c, a))
             else:
-                shifted[d + 1] = shifted.get(d + 1, ZERO) + c
+                old = shifted.get(d + 1, (0, 0))
+                shifted[d + 1] = (old[0] + dm * c[0], old[1] + dm * c[1])
         reps.append(shifted)
+    top = max_e - deg_m + 1
+    lifts = [dm ** (top - max(e - deg_m + 1, 0)) for e in range(max_e + 1)]
+    Df = _denominator(f.terms.values())
     out: dict = {}
-    for exps, coeff in f.terms.items():
-        for d, c in reps[exps[idx]].items():
-            new_exps = exps[:idx] + (d,) + exps[idx + 1:]
-            out[new_exps] = out.get(new_exps, ZERO) + coeff * c
-    return MultiPoly(f.variables, out)
+    for exps, (re, im) in _zi_terms(f, Df).items():
+        e = exps[idx]
+        coeff = (re * lifts[e], im * lifts[e])
+        for d, c in reps[e].items():
+            key = exps[:idx] + (d,) + exps[idx + 1:]
+            old = out.get(key, (0, 0))
+            x, y = _gmul(coeff, c)
+            out[key] = (old[0] + x, old[1] + y)
+    return _from_zi_terms(f.variables, out, Df * dm ** top)
 
 
 def _is_binomial(coeffs) -> bool:
@@ -192,16 +213,9 @@ def _binomial_root_product(expr: MultiPoly, var: str, M: int, v) -> tuple:
     # single power of var with constant leading coefficient: closed form
     if len(exps_used) == 1:
         D = exps_used[0]
-        c_poly = expr.coefficient_in(var, D)
-        if c_poly.is_constant():
-            c = c_poly.constant_value()
-            rest = expr.coefficient_in(var, 0)
-            g = math.gcd(D, M)
-            L = M // g
-            w = v ** (D // g)
-            inner = (-rest) ** L - MultiPoly.constant(expr.variables, w * c ** L)
-            signed = inner.scale(GaussianRational((-1) ** L))
-            return signed, g, "closed-form"
+        c_key = tuple(D if j == idx else 0 for j in range(len(expr.variables)))
+        if [e for e in expr.terms if e[idx]] == [c_key]:
+            return _closed_form_root_product(expr, c_key, D, M, v), math.gcd(D, M), "closed-form"
     # even polynomial: halve the degree; the product squares
     if M % 2 == 0 and all(e % 2 == 0 for e in exps_used):
         halved: dict = {}
@@ -213,23 +227,68 @@ def _binomial_root_product(expr: MultiPoly, var: str, M: int, v) -> tuple:
     return _multiplication_determinant(expr, var, M, v), 1, "product-determinant"
 
 
+def _as_fraction_zi(v: GaussianRational) -> tuple:
+    """(p, q) with v = p/q, p a Z[i] pair and q a positive integer."""
+    q = _denominator([v])
+    return _scale_row([v], q)[0], q
+
+
+def _closed_form_root_product(expr: MultiPoly, c_key: tuple, D: int, M: int, v) -> MultiPoly:
+    """Core of the root product of expr = rest + c*var^D for the modulus var^M - v.
+
+    ``c_key`` is the exponent tuple of var^D, the one term of expr holding var.
+
+    With g = gcd(D, M), L = M/g and s = D/g the core is
+    rest^L - (-1)^L * v^s * c^L.  Over Z[i], with expr = (R + C*var^D) / De
+    and v = p/q, that is (q^s * R^L - (-1)^L * p^s * C^L) / (De^L * q^s).
+    """
+    g = math.gcd(D, M)
+    L, s = M // g, D // g
+    p, q = _as_fraction_zi(v)
+    De = _denominator(expr.terms.values())
+    rest = _zi_terms(expr, De)
+    C = rest.pop(c_key)
+    qs = q ** s
+    core = {e: (re * qs, im * qs) for e, (re, im) in _zi_pow(rest, L).items()} if rest else {}
+    K = (1, 0) if L % 2 == 0 else (-1, 0)
+    for _ in range(s):
+        K = _gmul(K, p)
+    for _ in range(L):
+        K = _gmul(K, C)
+    zero = (0,) * len(c_key)
+    core[zero] = _gsub(core.get(zero, (0, 0)), K)
+    return _from_zi_terms(expr.variables, core, De ** L * qs)
+
+
 def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPoly:
-    """det of multiplication-by-expr on C[var]/(var^L - v): the root product."""
-    coeffs = [expr.coefficient_in(var, d) for d in range(expr.degree_in(var) + 1)]
-    # var^e = v^(e // L) * var^(e % L); e // L is at most (len(coeffs) + L - 2) // L
-    lifts = [ONE]
-    for _ in range((len(coeffs) + L - 2) // L):
-        lifts.append(lifts[-1] * v)
-    zero = MultiPoly.zero(expr.variables)
-    matrix = [[zero for _ in range(L)] for _ in range(L)]
-    for j in range(L):
-        for d, a in enumerate(coeffs):
-            if a.is_zero():
-                continue
-            e = d + j
-            r = e % L
-            matrix[r][j] = matrix[r][j] + a.scale(lifts[e // L])
-    return _bareiss_determinant(matrix)
+    """det of multiplication-by-expr on C[var]/(var^L - v): the root product.
+
+    var^e = v^(e // L) * var^(e % L).  Over Z[i], with expr = F / De and
+    v = p/q, entry (e % L, j) collects the coefficient of var^d in F times
+    the lift p^k * q^(top - k), k = e // L, e = d + j; so the matrix is
+    De * q^top times the rational one, and its determinant (De * q^top)^L
+    times the root product.
+    """
+    idx = expr.variables.index(var)
+    top = (expr.degree_in(var) + L - 1) // L
+    p, q = _as_fraction_zi(v)
+    powers = [(1, 0)]
+    for _ in range(top):
+        powers.append(_gmul(powers[-1], p))
+    lifts = [(re * q ** (top - k), im * q ** (top - k)) for k, (re, im) in enumerate(powers)]
+    De = _denominator(expr.terms.values())
+    matrix = [[{} for _ in range(L)] for _ in range(L)]
+    for exps, c in _zi_terms(expr, De).items():
+        d = exps[idx]
+        key = exps[:idx] + (0,) + exps[idx + 1:]
+        for j in range(L):
+            k, r = divmod(d + j, L)
+            entry = matrix[r][j]
+            old = entry.get(key, (0, 0))
+            x, y = _gmul(c, lifts[k])
+            entry[key] = (old[0] + x, old[1] + y)
+    matrix = [[{e: a for e, a in entry.items() if a[0] or a[1]} for entry in row] for row in matrix]
+    return _from_zi_terms(expr.variables, _zi_bareiss(matrix), (De * q ** top) ** L)
 
 
 def _claims_all_zero(claimed) -> bool:
