@@ -1,7 +1,9 @@
 """Independent oracles: hypothesis round-trips and ring properties, sympy ranks,
-kernels, determinants and resultants over Q(i), and a Fraction reference for the
-integer real-slice kernel."""
+kernels, determinants and resultants over Q(i), a Fraction reference for the
+integer real-slice kernel, and GaussianRational references for the Z[i] branch
+chain."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -416,3 +418,127 @@ def test_real_slice_kernel_matches_fraction_reference():
         for seed in seeds:
             ours = sample_real_slice(params, count=count, seed=seed)
             assert ours == _reference_sample(params, count, seed, bounds), (params, seed)
+
+
+# ---------------------------------------------------------------- branch chain in GaussianRationals
+#
+# Copies of the branch-chain routines as they were before they ran on Z[i]
+# term maps; each arithmetic step is a GaussianRational one.
+
+
+def _reference_reduce_var(f, var, coeffs):
+    deg_m = len(coeffs) - 1
+    idx = f.variables.index(var)
+    max_e = f.degree_in(var)
+    if max_e < deg_m:
+        return f
+    lead = coeffs[-1]
+    reps = [{e: GaussianRational(1)} for e in range(deg_m)]
+    for e in range(deg_m, max_e + 1):
+        shifted = {}
+        for d, c in reps[e - 1].items():
+            if d + 1 == deg_m:
+                for low in range(deg_m):
+                    if coeffs[low]:
+                        shifted[low] = shifted.get(low, GaussianRational(0)) - (coeffs[low] / lead) * c
+            else:
+                shifted[d + 1] = shifted.get(d + 1, GaussianRational(0)) + c
+        reps.append(shifted)
+    out = {}
+    for exps, coeff in f.terms.items():
+        for d, c in reps[exps[idx]].items():
+            new_exps = exps[:idx] + (d,) + exps[idx + 1:]
+            out[new_exps] = out.get(new_exps, GaussianRational(0)) + coeff * c
+    return MultiPoly(f.variables, out)
+
+
+def _reference_closed_form(expr, var, D, M, v):
+    c = expr.coefficient_in(var, D).constant_value()
+    rest = expr.coefficient_in(var, 0)
+    g = math.gcd(D, M)
+    L = M // g
+    w = v ** (D // g)
+    inner = (-rest) ** L - MultiPoly.constant(expr.variables, w * c ** L)
+    return inner.scale(GaussianRational((-1) ** L))
+
+
+def _reference_multiplication_determinant(expr, var, L, v):
+    coeffs = [expr.coefficient_in(var, d) for d in range(expr.degree_in(var) + 1)]
+    lifts = [GaussianRational(1)]
+    for _ in range((len(coeffs) + L - 2) // L):
+        lifts.append(lifts[-1] * v)
+    zero = MultiPoly.zero(expr.variables)
+    matrix = [[zero for _ in range(L)] for _ in range(L)]
+    for j in range(L):
+        for d, a in enumerate(coeffs):
+            if a.is_zero():
+                continue
+            e = d + j
+            r = e % L
+            matrix[r][j] = matrix[r][j] + a.scale(lifts[e // L])
+    return _bareiss_determinant(matrix)
+
+
+def _fine_coefficient(rng, real_only=False):
+    """A Gaussian rational with denominators up to 10^6 (and sometimes 1)."""
+    def part():
+        return Fraction(rng.randint(-50, 50), rng.choice((1, rng.randint(1, 10 ** 6))))
+    return GaussianRational(part(), 0 if real_only else part())
+
+
+def _fine_poly(rng, variables, max_terms, exp_ranges):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        terms[tuple(rng.randint(*r) for r in exp_ranges)] = _fine_coefficient(rng)
+    return MultiPoly(variables, terms)
+
+
+def _fine_v(rng):
+    v = GaussianRational(0)
+    while not v or not v.im:
+        v = _fine_coefficient(rng)
+    return v
+
+
+def test_reduce_var_matches_gaussian_rational_reference():
+    rng = random.Random(1010)
+    variables = ("x", "y", "z")
+    passed_through = 0
+    for _ in range(120):
+        deg_m = rng.randint(1, 4)
+        if rng.random() < 0.4:  # binomial, as the perturbation's branch factors are
+            coeffs = [_fine_coefficient(rng)] + [GaussianRational(0)] * (deg_m - 1)
+        else:
+            coeffs = [
+                _fine_coefficient(rng) if rng.random() < 0.7 else GaussianRational(0) for _ in range(deg_m)
+            ]
+        coeffs.append(_fine_v(rng))
+        f = _fine_poly(rng, variables, 6, ((0, 2), (0, 7), (0, 2)))
+        ours = singular._reduce_var(f, "y", tuple(coeffs))
+        assert ours == _reference_reduce_var(f, "y", tuple(coeffs))
+        passed_through += ours is f
+    assert 10 <= passed_through <= 80
+
+
+def test_closed_form_root_product_matches_gaussian_rational_reference():
+    rng = random.Random(1011)
+    for _ in range(60):
+        M, D = rng.randint(1, 8), rng.randint(1, 6)
+        c_key = (0, D, 0)
+        expr = _fine_poly(rng, ("x", "y", "z"), 4, ((0, 2), (0, 0), (0, 2)))
+        if rng.random() < 0.1:
+            expr = MultiPoly.zero(expr.variables)
+        expr = expr + MultiPoly(expr.variables, {c_key: _fine_v(rng)})
+        v = _fine_v(rng)
+        ours = singular._closed_form_root_product(expr, c_key, D, M, v)
+        assert ours == _reference_closed_form(expr, "y", D, M, v)
+
+
+def test_multiplication_determinant_matches_gaussian_rational_reference():
+    rng = random.Random(1012)
+    for L in range(1, 9):
+        for _ in range(6):
+            expr = _fine_poly(rng, ("x", "y"), 4, ((0, 2 * L), (0, 2)))
+            v = _fine_v(rng)
+            ours = singular._multiplication_determinant(expr, "x", L, v)
+            assert ours == _reference_multiplication_determinant(expr, "x", L, v)

@@ -250,6 +250,39 @@ def test_root_product_matches_sylvester_resultant():
     assert checked >= 20
 
 
+def test_root_product_with_fractional_expressions_matches_sylvester_resultant():
+    # as above, with fractional Gaussian coefficients in the expression too;
+    # every method of the binomial root product must be reached
+    rng = random.Random(31)
+    vars = ("x", "y")
+    methods = set()
+    for _ in range(60):
+        M = rng.choice((2, 3, 4, 6))
+        v = GaussianRational(
+            Fraction(rng.randint(1, 5), rng.randint(1, 3)), Fraction(rng.randint(0, 2), rng.randint(1, 4))
+        )
+        lead = GaussianRational(Fraction(rng.randint(1, 4), rng.randint(1, 5)))
+        coeffs = [(-v) * lead] + [ZERO] * (M - 1) + [lead]
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            x_exp = rng.choice((0, 2, 4)) if rng.random() < 0.4 else rng.randint(0, 3)
+            y_exp = 0 if rng.random() < 0.3 else rng.randint(0, 2)
+            terms[(x_exp, y_exp)] = GaussianRational(
+                Fraction(rng.randint(-4, 4), rng.randint(1, 7)),
+                Fraction(rng.randint(-2, 2), rng.randint(1, 5)),
+            )
+        expr = MultiPoly(vars, terms)
+        if expr.is_zero() or expr.degree_in("x") < 1:
+            continue
+        core, exponent, method = _root_product(expr, "x", tuple(coeffs))
+        modulus = univar_from_coeffs(vars, "x", coeffs)
+        res = resultant(modulus, expr, "x")
+        scale = lead ** expr.degree_in("x")
+        assert (core ** exponent).scale(scale) == res
+        methods.add(method)
+    assert {"closed-form", "even-halving", "product-determinant"} <= methods
+
+
 # ---------------------------------------------------------------- numeric soundness
 
 
