@@ -573,18 +573,6 @@ def _zi_mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
     return {e: v for e, v in acc.items() if v[0] or v[1]}
 
 
-def _zi_pow(f: dict, n: int) -> dict:
-    """The term map of f**n, for n >= 1."""
-    result = None
-    while True:
-        if n & 1:
-            result = f if result is None else _zi_mul_sub(result, f, {}, {})
-        n >>= 1
-        if not n:
-            return result
-        f = _zi_mul_sub(f, f, {}, {})
-
-
 def _neg_grlex_key(exps):
     """A key whose ascending order is descending graded lexicographic order."""
     return (-sum(exps), tuple(-e for e in exps))

@@ -38,7 +38,7 @@ from .multipoly import (
     MultiPoly,
     _from_zi_terms,
     _zi_bareiss,
-    _zi_pow,
+    _zi_mul_sub,
     _zi_terms,
     differentiate,
     extract_variable_power,
@@ -249,7 +249,10 @@ def _closed_form_root_product(expr: MultiPoly, c_key: tuple, D: int, M: int, v) 
     rest = _zi_terms(expr, De)
     C = rest.pop(c_key)
     qs = q ** s
-    core = {e: (re * qs, im * qs) for e, (re, im) in _zi_pow(rest, L).items()} if rest else {}
+    power = rest
+    for _ in range(L - 1):
+        power = _zi_mul_sub(power, rest, {}, {})
+    core = {e: (re * qs, im * qs) for e, (re, im) in power.items()}
     K = (1, 0) if L % 2 == 0 else (-1, 0)
     for _ in range(s):
         K = _gmul(K, p)
