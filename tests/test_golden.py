@@ -41,6 +41,13 @@ COMMANDS = [
     # non-integer R4
     ("real_slice_k3_N5_eps1_4_s200_seed7",
      ["real-slice", "--k", "3", "--N", "5", "--eps", "1/4", "--samples", "200", "--seed", "7"], 0),
+    # one sample: the reported maximum is the first accepted draw's lower root
+    ("real_slice_k2_N3_eps1_2_s1_seed3",
+     ["real-slice", "--k", "2", "--N", "3", "--eps", "1/2", "--samples", "1", "--seed", "3"], 0),
+    # odd count: the last accepted draw counts only its lower root, and its c is
+    # the least of the run
+    ("real_slice_k2_N4_eps1_3_s7_seed11",
+     ["real-slice", "--k", "2", "--N", "4", "--eps", "1/3", "--samples", "7", "--seed", "11"], 0),
     ("square_check", ["square-check"], 0),
     ("all_k1_t5", ["all", "--k", "1", "--trials", "5"], 0),
     ("splitting_triangular", ["splitting", "--matrix", "matrices/triangular.json"], 0),
