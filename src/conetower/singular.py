@@ -841,12 +841,24 @@ def _split_point(k: int, N: int, eps: Fraction) -> Fraction:
 def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict:
     """Seeded soundness probe of the perturbed real slice.
 
-    Samples (x1, x2, x3), solves the slice equation for positive x4 by exact
-    Descartes-style bisection (two sign changes at most), rounds the isolating
-    intervals outward, and checks every accepted point against the certified
-    bounds.  The bisection runs in integers: every endpoint is an integer over
-    one denominator Q = lcm(den tau, den R4) * 2^BISECTION_STEPS, so each
-    midpoint is a shift, and each sign is read off one integer expression.
+    Samples (x1, x2, x3) and, for c = sum(x_j^2 + eps*x_j^(2N)), keeps the
+    draws with 0 < c <= slice_max and g(tau) < 0, where
+    g(t) = eps*t^(2N) - t^(2k) + c and tau is :func:`_split_point`.  Such a
+    draw has one positive root x4 in (0, tau) and, when g(R4) > 0, one in
+    (tau, R4) (Descartes: two sign changes at most); each counts as one
+    sample.  Every kept draw is checked against the certified bounds: the x4
+    bound by the exact sign g(R4) > 0, the coordinate bound by |x_j| <= coord.
+
+    ``max_x4_upper`` is the largest outward-rounded root endpoint, and one
+    bisection finds it.  g grows pointwise with c, so the root in (tau, R4)
+    falls as c grows, and the right endpoint of the bisection from
+    (tau, R4) never falls as the root rises (an exact hit included); every
+    endpoint in (0, tau) is at most tau.  So the maximum is the upper-root
+    endpoint of the counted draw with the least c, or, when no upper root
+    counts (one sample), the lower-root endpoint of the one draw.  The
+    bisection runs in integers over Q = lcm(den tau, den R4) * 2^BISECTION_STEPS,
+    so each midpoint is a shift and each sign is read off one integer.
+
     Returns a summary; ``violations`` must stay 0.  Its ``status`` is
     FAIL on a violation, INCONCLUSIVE when ``MAX_DRAWS_PER_SAMPLE * count``
     draws yield fewer than ``count`` samples, and PASS otherwise.
@@ -863,48 +875,62 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     steps = BISECTION_STEPS
     Q = math.lcm(tau.denominator, R4.denominator) << steps
     split, top = int(tau * Q), int(R4 * Q)
-    max_x4_hi = 0
     # a draw x = r/64 gives c = C/D with D = 64^(2N) * den(eps), and the sign
-    # of eps*t^(2N) - t^(2k) + c at t = p/Q is that of
-    # en*D*p^(2N) - ed*D*Q^(2N-2k)*p^(2k) + C*ed*Q^(2N)
+    # of g(p/Q) is that of en*D*p^(2N) - ed*D*Q^(2N-2k)*p^(2k) + C*ed*Q^(2N)
     en, ed = eps.numerator, eps.denominator
     D, square = 64 ** (2 * N) * ed, 64 ** (2 * N - 2) * ed
     lead, middle, last = en * D, ed * D * Q ** (2 * N - 2 * k), ed * Q ** (2 * N)
+    # the part of C one coordinate r/64 adds, by |r|
+    terms = [square * r * r + en * r ** (2 * N) for r in range(33)]
 
-    def sign(p: int, constant: int) -> int:
-        value = (lead * p ** (2 * N - 2 * k) - middle) * p ** (2 * k) + constant
-        return (value > 0) - (value < 0)
+    def free(p: int) -> int:
+        return (lead * p ** (2 * N - 2 * k) - middle) * p ** (2 * k)
 
+    at_split, at_top = free(split), free(top)
+    least = None  # the least C of a draw whose upper root counts
+    lower = None  # the C of a draw that counts only its lower root
     while accepted < count and draws < MAX_DRAWS_PER_SAMPLE * count:
         draws += 1
         rs = tuple(rng.randint(-32, 32) for _ in range(3))
-        C = sum(square * r * r + en * r ** (2 * N) for r in rs)
+        C = terms[abs(rs[0])] + terms[abs(rs[1])] + terms[abs(rs[2])]
         if C == 0 or C * m_hat.denominator > m_hat.numerator * D:
             continue
         constant = C * last
-        if sign(split, constant) >= 0:
+        if at_split + constant >= 0:
             continue
-        # g(0) = c > 0, g(tau) < 0, g(R4) > 0: one root in each interval
-        for a, b, sign_lo in ((0, split, 1), (split, top, -1)):
-            for _ in range(steps):
-                mid = (a + b) >> 1
-                s = sign(mid, constant)
-                if s == 0:
-                    a = b = mid
-                    break
-                if s == sign_lo:
-                    a = mid
-                else:
-                    b = mid
-            max_x4_hi = max(max_x4_hi, b)
-            if b > top:
-                interval = [str(Fraction(a, Q)), str(Fraction(b, Q))]
-                violations.append({"x": [str(Fraction(r, 64)) for r in rs], "x4_interval": interval})
-            if any(abs(r) * coord.denominator > 64 * coord.numerator for r in rs):
-                violations.append({"x": [str(Fraction(r, 64)) for r in rs], "reason": "coordinate bound"})
-            accepted += 1
-            if accepted >= count:
-                break
+        # g(0) = c > 0 and g(tau) < 0; the x4 bound claims g(R4) > 0
+        roots = min(2, count - accepted)
+        if at_top + constant <= 0:
+            violations.append({"x": [str(Fraction(r, 64)) for r in rs], "reason": "x4 bound"})
+        if any(abs(r) * coord.denominator > 64 * coord.numerator for r in rs):
+            violations += [
+                {"x": [str(Fraction(r, 64)) for r in rs], "reason": "coordinate bound"} for _ in range(roots)
+            ]
+        if roots == 1:
+            lower = C
+        elif least is None or C < least:
+            least = C
+        accepted += roots
+
+    def bisect(a: int, b: int, C: int, g_lo_positive: bool) -> int:
+        constant = C * last
+        for _ in range(steps):
+            mid = (a + b) >> 1
+            value = free(mid) + constant
+            if value == 0:
+                return mid
+            if (value > 0) == g_lo_positive:
+                a = mid
+            else:
+                b = mid
+        return b
+
+    if least is not None:
+        max_x4_hi = bisect(split, top, least, False)
+    elif lower is not None:
+        max_x4_hi = bisect(0, split, lower, True)
+    else:
+        max_x4_hi = 0
     return {
         "status": FAIL if violations else INCONCLUSIVE if accepted < count else PASS,
         "slice": REAL_SLICE,

@@ -350,8 +350,12 @@ def _reference_sign(k, N, eps, c, t):
     return (value > 0) - (value < 0)
 
 
-def _reference_sample(params, count, seed, bounds):
-    """The seeded sampler with every endpoint, midpoint and c a Fraction."""
+def _reference_sample(params, count, seed, bounds, roots=None):
+    """The seeded sampler with every endpoint, midpoint and c a Fraction.
+
+    Each counted root is bisected on its own; with a list ``roots``, each one
+    appends (c, which interval, right endpoint b) to it.
+    """
     k, N, eps = params.k, params.N, params.eps
     R4, _, coord, m_hat, _, _ = bounds
     rng = random.Random(seed)
@@ -367,6 +371,8 @@ def _reference_sample(params, count, seed, bounds):
         c = sum(x * x + eps * x ** (2 * N) for x in xs)
         if c == 0 or c > m_hat or _reference_sign(k, N, eps, c, tau) >= 0:
             continue
+        if _reference_sign(k, N, eps, c, R4) <= 0:
+            violations.append({"x": [str(x) for x in xs], "reason": "x4 bound"})
         for lo, hi, sign_lo in ((Fraction(0), tau, 1), (tau, R4, -1)):
             a, b = lo, hi
             for _ in range(singular.BISECTION_STEPS):
@@ -380,8 +386,8 @@ def _reference_sample(params, count, seed, bounds):
                 else:
                     b = mid
             max_x4_hi = max(max_x4_hi, b)
-            if b > R4:
-                violations.append({"x": [str(x) for x in xs], "x4_interval": [str(a), str(b)]})
+            if roots is not None:
+                roots.append((c, "upper" if lo else "lower", b))
             if any(abs(x) > coord for x in xs):
                 violations.append({"x": [str(x) for x in xs], "reason": "coordinate bound"})
             accepted += 1
@@ -407,17 +413,61 @@ def _slice_cases():
         for N in range(k + 1, k + 4):
             for e in range(5):
                 yield PerturbationParams(k=k, N=N, eps=Fraction(1, 2 ** e)), 100, (0, 1)
+    # one sample (the lower root of one draw), an even count, and odd counts,
+    # whose last draw counts only its lower root
+    for k, N in ((1, 2), (2, 4), (3, 5)):
+        for eps in (Fraction(1), Fraction(1, 3)):
+            for count in (1, 2, 3, 7, 11):
+                yield PerturbationParams(k=k, N=N, eps=eps), count, (0, 1, 2, 3)
     yield PerturbationParams(k=1, N=2, eps=Fraction(1, 10 ** 400)), 50, (0,)
     yield PerturbationParams(k=1000, N=1001, eps=Fraction(1)), 2, (0,)
+    # reaches the draw cap after 2 and after 4 samples
+    yield PerturbationParams(k=100, N=101, eps=Fraction(1)), 3, (1,)
+    yield PerturbationParams(k=100, N=101, eps=Fraction(1)), 5, (1,)
 
 
 def test_real_slice_kernel_matches_fraction_reference():
+    capped = 0
     for params, count, seeds in _slice_cases():
         bounds = _reference_slice_bounds(params)
         assert singular._slice_bounds(params) == bounds, params
         for seed in seeds:
             ours = sample_real_slice(params, count=count, seed=seed)
             assert ours == _reference_sample(params, count, seed, bounds), (params, seed)
+            capped += 0 < ours["accepted"] < count
+    assert capped == 2
+
+
+def test_slice_upper_root_endpoint_never_rises_with_c():
+    # the sampler reports one bisection, at the least c, for the largest
+    # endpoint; that rests on this order of the reference's per-root endpoints
+    for k, N, eps in ((1, 2, 1), (2, 3, Fraction(1, 2)), (3, 5, Fraction(1, 4)), (1, 4, Fraction(1, 10 ** 30))):
+        params = PerturbationParams(k=k, N=N, eps=Fraction(eps))
+        bounds = _reference_slice_bounds(params)
+        tau = singular._split_point(k, N, eps)
+        for seed in (0, 1):
+            roots = []
+            summary = _reference_sample(params, 200, seed, bounds, roots)
+            upper = sorted((c, b) for c, kind, b in roots if kind == "upper")
+            assert len(upper) == 100
+            assert all(b1 >= b2 for (_, b1), (_, b2) in zip(upper, upper[1:])), (params, seed)
+            assert all(b <= tau for _, kind, b in roots if kind == "lower")
+            assert Fraction(summary["max_x4_upper"]) == upper[0][1] > tau
+
+
+def test_real_slice_probe_fails_on_an_understated_x4_bound(monkeypatch):
+    # the true R4 of (1, 2, 1) is 1; at 3/4 a root of the slice lies past it
+    # for every draw with c < 63/256, and the probe must say so
+    params = PerturbationParams(k=1, N=2, eps=Fraction(1))
+    R4, *rest = singular._slice_bounds(params)
+    assert R4 == 1
+    understated = (Fraction(3, 4), *rest)
+    monkeypatch.setattr(singular, "_slice_bounds", lambda _: understated)
+    summary = sample_real_slice(params, count=50, seed=0)
+    assert summary["status"] == "FAIL"
+    assert summary["violations"]
+    assert all(v["reason"] == "x4 bound" for v in summary["violations"])
+    assert summary == _reference_sample(params, 50, 0, understated)
 
 
 # ---------------------------------------------------------------- branch chain in GaussianRationals
