@@ -369,9 +369,12 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
         disjunctions.append(options)
 
     claims_zero_only = _claims_all_zero(claimed)
+    # each option is described once and copied into every branch that takes it
+    described = [[(opt, opt.describe()) for opt in options] for options in disjunctions]
     branches = []
-    for selection in itertools.product(*disjunctions):
-        record = {"constraints": [c.describe() for c in selection]}
+    for pairs in itertools.product(*described):
+        selection = [opt for opt, _ in pairs]
+        record = {"constraints": [dict(doc) for _, doc in pairs]}
         record["verdict"] = _branch_verdict(record, h, chart, selection, claimed, claims_zero_only)
         branches.append(record)
     verdicts = [branch["verdict"] for branch in branches]
