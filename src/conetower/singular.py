@@ -887,6 +887,7 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     terms = [square * r * r + en * r ** (2 * N) for r in range(33)]
 
     def free(p: int) -> int:
+        """The sign numerator of g(p/Q) without its C term."""
         return (lead * p ** (2 * N - 2 * k) - middle) * p ** (2 * k)
 
     at_split, at_top = free(split), free(top)
