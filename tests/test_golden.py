@@ -53,6 +53,9 @@ COMMANDS = [
     ("splitting_triangular", ["splitting", "--matrix", "matrices/triangular.json"], 0),
     ("splitting_type_4_4", ["splitting", "--matrix", "matrices/type_4_4.json"], 0),
     ("splitting_non_cocycle", ["splitting", "--matrix", "matrices/non_cocycle.json"], 1),
+    # shears and diagonal with denominators 2, 3 and 4: section counting on
+    # rows that need scaling to Z[i]
+    ("splitting_fractional", ["splitting", "--matrix", "matrices/fractional.json"], 0),
 ]
 
 # files a command writes besides its standard output
