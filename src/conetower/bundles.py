@@ -25,7 +25,7 @@ from .errors import (
     NotCocycleError,
     ValidationError,
 )
-from .gaussian import ZERO
+from .gaussian import _denominator, _scale_row
 from .laurent import LaurentPoly, parse_laurent
 from .multipoly import MultiPoly, differentiate
 
@@ -51,7 +51,7 @@ class SplittingType:
 class TransitionMatrix:
     """2x2 Laurent-polynomial cocycle in the overlap coordinate z."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_det")
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -62,15 +62,19 @@ class TransitionMatrix:
                 if not isinstance(entry, LaurentPoly):
                     raise ValidationError("entries must be Laurent polynomials")
         self.entries = rows
+        self._det = None
 
     @classmethod
     def from_strings(cls, rows) -> "TransitionMatrix":
         return cls([[parse_laurent(text) for text in row] for row in rows])
 
     def det(self) -> LaurentPoly:
-        a, b = self.entries[0]
-        c, d = self.entries[1]
-        return a * d - b * c
+        """a*d - b*c, computed on the first call and kept: the entries never change."""
+        if self._det is None:
+            a, b = self.entries[0]
+            c, d = self.entries[1]
+            self._det = a * d - b * c
+        return self._det
 
     def exponent_span(self):
         exps = [e for row in self.entries for entry in row for e in entry.coeffs]
@@ -129,25 +133,28 @@ def section_dim(T: TransitionMatrix, m: int) -> int:
     cols = 2 * (B + 1)
     rows = []
     for i in range(2):
-        row_entries = [T.entries[i][j] for j in range(2)]
-        top = max((e.max_exp() for e in row_entries if not e.is_zero()), default=None)
-        if top is None:
+        entries = [T.entries[i][j].coeffs for j in range(2)]
+        if not any(entries):
             continue
+        top = max(e for coeffs in entries for e in coeffs)
+        # one common denominator for the whole row of T: scaling every system
+        # row taken from it by the same nonzero constant keeps the rank
+        scale = _denominator(c for coeffs in entries for c in coeffs.values())
+        zentries = [dict(zip(coeffs, _scale_row(coeffs.values(), scale))) for coeffs in entries]
         for e in range(1, top - m + B + 1):
-            row = [ZERO] * cols
+            row = [(0, 0)] * cols
             hit = False
             for j in range(2):
-                entry = T.entries[i][j]
-                for d in range(B + 1):
-                    coeff = entry.coefficient(e + m - d)
-                    if coeff:
+                for exp, coeff in zentries[j].items():
+                    d = e + m - exp
+                    if 0 <= d <= B:
                         row[j * (B + 1) + d] = coeff
                         hit = True
             if hit:
                 rows.append(row)
     if not rows:
         return cols
-    return cols - linalg.matrix_rank(rows)
+    return cols - linalg.matrix_rank(rows, cols)
 
 
 def _column_degree(column):

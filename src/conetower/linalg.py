@@ -1,23 +1,35 @@
 """Exact linear algebra over Q(i).
 
-Rows are scaled to Gaussian-integer pairs ``(a, b)`` meaning ``a + b*i`` and
-eliminated fraction-free (Bareiss), so ranks are exact.  Kernels come back in
-Z[i] too: back-substitution scales the vector by each pivot instead of
-dividing by it.  Used by the section-space computations of
-:mod:`conetower.bundles` and the line and real-point checks of
-:mod:`conetower.quadric`.
+Every entry point takes rows of Gaussian-integer pairs ``(a, b)`` meaning
+``a + b*i``; a caller clears the denominators of a row over Q(i) once, which
+changes neither its rank nor its kernel.  Rows are eliminated fraction-free
+(Bareiss), so ranks are exact.  Kernels come back in Z[i] too:
+back-substitution scales the vector by each pivot instead of dividing by it.
+Used by the section-space computations of :mod:`conetower.bundles` and the
+line and real-point checks of :mod:`conetower.quadric`.
 """
 
 from __future__ import annotations
 
-from .gaussian import _denominator, _gdiv_exact, _gmul, _gsub, _scale_row
+from .errors import InternalInconsistencyError
+from .gaussian import _gmul, _gsub
 
 
-def _echelon(work, ncols):
-    """Bareiss row echelon form of nonzero Z[i]-pair rows; returns (pivot_cols, rows)."""
+def _echelon(rows, ncols):
+    """Bareiss row echelon form of Z[i]-pair rows; returns (pivot_cols, rows).
+
+    Step ``col`` replaces every remaining row r by
+    ``(p*r - r[col]*pivot_row) / prev`` from column col + 1 on, with p the
+    pivot and prev the previous step's pivot (1 at the first step).  By
+    Sylvester's identity that division is exact in Z[i]; it is checked
+    anyway.  Every remaining row is renormalized, including rows whose
+    pivot-column entry is zero: skipping them breaks the exact-division
+    invariant of later steps.  Rows that become zero are dropped.
+    """
+    work = [r for r in rows if any(v != (0, 0) for v in r)]
     pivots = []
     echelon = []
-    prev = (1, 0)
+    qr, qi, norm = 1, 0, 1
     col = 0
     while work and col < ncols:
         pivot_idx = next((i for i, r in enumerate(work) if r[col] != (0, 0)), None)
@@ -27,34 +39,32 @@ def _echelon(work, ncols):
         pivot_row = work.pop(pivot_idx)
         pivots.append(col)
         echelon.append(pivot_row)
-        p = pivot_row[col]
+        pr, pi = pivot_row[col]
+        rest = range(col + 1, ncols)
         new_work = []
         for r in work:
-            # Bareiss one-step: every remaining row is renormalized, including
-            # rows whose pivot-column entry is zero; skipping them breaks the
-            # exact-division invariant of later steps.
-            f = r[col]
+            fr, fi = r[col]
             reduced = [(0, 0)] * ncols
-            for j in range(col + 1, ncols):
-                num = _gsub(_gmul(p, r[j]), _gmul(f, pivot_row[j]))
-                reduced[j] = _gdiv_exact(num, prev)
-            if any(v != (0, 0) for v in reduced):
+            kept = False
+            for j in rest:
+                ar, ai = r[j]
+                br, bi = pivot_row[j]
+                # p*a - f*b, then the exact quotient by prev via its conjugate
+                re = pr * ar - pi * ai - fr * br + fi * bi
+                im = pr * ai + pi * ar - fr * bi - fi * br
+                if re or im:
+                    x, r1 = divmod(re * qr + im * qi, norm)
+                    y, r2 = divmod(im * qr - re * qi, norm)
+                    if r1 or r2:
+                        raise InternalInconsistencyError("inexact division in fraction-free elimination")
+                    reduced[j] = (x, y)
+                    kept = True
+            if kept:
                 new_work.append(reduced)
         work = new_work
-        prev = p
+        qr, qi, norm = pr, pi, pr * pr + pi * pi
         col += 1
     return pivots, echelon
-
-
-def row_echelon_gaussian(rows):
-    """Fraction-free row echelon form; returns (pivot_cols, echelon_rows).
-
-    ``rows`` is a list of lists of GaussianRational.  The returned rows are
-    Z[i]-pair rows spanning the same row space.
-    """
-    if not rows:
-        return [], []
-    return _echelon([_scale_row(r, _denominator(r)) for r in rows if any(v for v in r)], len(rows[0]))
 
 
 def nullspace(rows, ncols):
@@ -62,7 +72,7 @@ def nullspace(rows, ncols):
 
     Each basis vector is a list of ``ncols`` Z[i] pairs.
     """
-    pivots, echelon = _echelon([r for r in rows if any(v != (0, 0) for v in r)], ncols)
+    pivots, echelon = _echelon(rows, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         vec = [(0, 0)] * ncols
@@ -82,6 +92,6 @@ def nullspace(rows, ncols):
     return len(pivots), basis
 
 
-def matrix_rank(rows):
-    pivots, _ = row_echelon_gaussian(rows)
-    return len(pivots)
+def matrix_rank(rows, ncols):
+    """Exact rank of a matrix of Z[i]-pair rows with ``ncols`` columns."""
+    return len(_echelon(rows, ncols)[0])

@@ -273,8 +273,7 @@ def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
 
 def lines_disjoint(l1: ProjLine, l2: ProjLine) -> bool:
     """Exact rank-4 check: the four forms have no common projective zero."""
-    rows = [list(r) for r in l1.rows] + [list(r) for r in l2.rows]
-    return linalg.matrix_rank(rows) == 4
+    return linalg.matrix_rank(l1.zrows + l2.zrows, 4) == 4
 
 
 def sample_param(rng: random.Random, family: str) -> RulingParam:

@@ -118,13 +118,22 @@ def test_splitting_type_orders_pair():
         SplittingType(-2, 0)
 
 
-def _random_unimodular(rng, variable_exp_sign):
-    """Product of elementary matrices with polynomial entries in z (or 1/z)."""
+# divisors that give a fractional cocycle's coefficients denominators
+DENOMINATORS = (GaussianRational(2), GaussianRational(3), GaussianRational(0, 3), GaussianRational(4, 2))
+
+
+def _random_unimodular(rng, variable_exp_sign, fractional=False):
+    """Product of elementary matrices with polynomial entries in z (or 1/z);
+    ``fractional`` divides every shear and diagonal coefficient by one of
+    DENOMINATORS."""
+    def rand_coeff(c):
+        return c / rng.choice(DENOMINATORS) if fractional else c
+
     def rand_poly():
         coeffs = {}
         for _ in range(rng.randint(1, 2)):
             e = rng.randint(0, 3) * variable_exp_sign
-            coeffs[e] = GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
+            coeffs[e] = rand_coeff(GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1)))
         return LaurentPoly(coeffs)
 
     one = LaurentPoly.constant(1)
@@ -136,8 +145,8 @@ def _random_unimodular(rng, variable_exp_sign):
             matrices.append(TransitionMatrix([[one, p], [zero, one]]))
         else:
             matrices.append(TransitionMatrix([[one, zero], [p, one]]))
-    c1 = GaussianRational(rng.choice([1, 2, -1]), rng.choice([0, 1]))
-    c2 = GaussianRational(rng.choice([1, -2, -1]))
+    c1 = rand_coeff(GaussianRational(rng.choice([1, 2, -1]), rng.choice([0, 1])))
+    c2 = rand_coeff(GaussianRational(rng.choice([1, -2, -1])))
     matrices.append(
         TransitionMatrix(
             [[LaurentPoly.constant(c1), zero], [zero, LaurentPoly.constant(c2)]]
@@ -149,7 +158,7 @@ def _random_unimodular(rng, variable_exp_sign):
     return out
 
 
-def _assembled_cocycle(rng, d1, d2):
+def _assembled_cocycle(rng, d1, d2, fractional=False):
     """H_V(1/z) * diag(z^-d1, z^-d2) * H_U(z): presents O(d1) + O(d2)."""
     diag = TransitionMatrix(
         [
@@ -157,8 +166,8 @@ def _assembled_cocycle(rng, d1, d2):
             [LaurentPoly.zero(), LaurentPoly.monomial(-d2)],
         ]
     )
-    hv = _random_unimodular(rng, -1)
-    hu = _random_unimodular(rng, +1)
+    hv = _random_unimodular(rng, -1, fractional)
+    hu = _random_unimodular(rng, +1, fractional)
     return matmul(matmul(hv, diag), hu)
 
 
@@ -203,6 +212,37 @@ def test_section_dim_matches_h0_law():
         T = _assembled_cocycle(rng, d1, d2)
         for m in range(-d1 - 2, -d1 + 4):
             assert section_dim(T, m) == max(0, d1 + m + 1) + max(0, d2 + m + 1), (d1, d2, m)
+
+
+def test_fractional_cocycle_sections_and_splitting():
+    # section_dim scales each row of T once by the common denominator of its
+    # two entries; the counts and the type must still follow the construction
+    rng = random.Random(607)
+    with_denominators = 0
+    for _ in range(12):
+        d1, d2 = sorted((rng.randint(-4, 4), rng.randint(-4, 4)), reverse=True)
+        T = _assembled_cocycle(rng, d1, d2, fractional=True)
+        with_denominators += any(
+            c.re.denominator > 1 or c.im.denominator > 1
+            for row in T.entries for entry in row for c in entry.coeffs.values()
+        )
+        assert splitting_type(T) == SplittingType(d1, d2)
+        for m in range(-d1 - 2, -d1 + 4):
+            assert section_dim(T, m) == max(0, d1 + m + 1) + max(0, d2 + m + 1), (d1, d2, m)
+    assert with_denominators == 12
+
+
+@pytest.mark.parametrize("rows", [(["z", "0"], ["0", "z - 1"]), (["z", "0"], ["z", "0"])],
+                         ids=["binomial-det", "zero-det"])
+def test_non_cocycle_is_rejected_on_every_call(rows):
+    # the determinant is kept after the first call; the check on it is not
+    T = M(*rows)
+    for _ in range(3):
+        with pytest.raises(NotCocycleError):
+            det_valuation(T)
+        with pytest.raises(NotCocycleError):
+            section_dim(T, 0)
+    assert T.det() is T.det()
 
 
 # ---------------------------------------------------------------- linearization

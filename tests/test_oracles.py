@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conetower import linalg  # noqa: E402
 from conetower.charts import Chart, Hypersurface  # noqa: E402
+from conetower.errors import InternalInconsistencyError  # noqa: E402
 from conetower.gaussian import GaussianRational, _denominator, _scale_row  # noqa: E402
 from conetower.laurent import LaurentPoly, parse_laurent  # noqa: E402
 from conetower.multipoly import (  # noqa: E402
@@ -146,7 +147,46 @@ def _sympy_rank(matrix):
     return sympy_matrices.DomainMatrix(entries, (len(matrix), len(matrix[0])), QQ_I).rank()
 
 
+def _banded_matrix(rng, nrows, B, degree, real_only=False):
+    """A matrix of section_dim's shape: two Toeplitz blocks of B + 1 columns.
+
+    Row e holds the z^e coefficient of a1*u1 + a2*u2 for u1, u2 of degree at
+    most B and a1, a2 sparse of degree at most ``degree``, so most entries
+    are zero and some rows may be.  When degree + B < nrows the rows see the
+    whole product, and (a2, -a1) times every g of degree B - degree is in the
+    kernel: the rank drops.
+    """
+
+    def coefficient():
+        re = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+        return GaussianRational(re, 0 if real_only else Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+
+    def entry():
+        return {rng.randint(0, degree): coefficient() for _ in range(rng.randint(2, 6))}
+
+    entries = (entry(), entry())
+    rows = []
+    for e in range(nrows):
+        row = [GaussianRational(0)] * (2 * (B + 1))
+        for j, coeffs in enumerate(entries):
+            for exp, c in coeffs.items():
+                if 0 <= e - exp <= B:
+                    row[j * (B + 1) + e - exp] = c
+        rows.append(row)
+    return rows
+
+
+# (rows, B, entry degree): section systems have 2 * (B + 1) columns
+BANDED_SHAPES = [(33, 10, 22), (33, 10, 6), (30, 10, 19), (24, 8, 4), (18, 5, 12), (12, 4, 2), (6, 2, 3), (2, 0, 1)]
+
+
+def _zrows(matrix):
+    return [_scale_row(row, _denominator(row)) for row in matrix]
+
+
 def test_matrix_rank_matches_sympy():
+    # matrix_rank takes Z[i]-pair rows: each Gaussian-rational row is scaled
+    # by its own common denominator, which keeps the rank
     rng = random.Random(515)
     for _ in range(40):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
@@ -156,7 +196,15 @@ def test_matrix_rank_matches_sympy():
             matrix = _product(_random_matrix(rng, rows, inner), _random_matrix(rng, inner, cols))
         else:
             matrix = _random_matrix(rng, rows, cols)
-        assert linalg.matrix_rank(matrix) == _sympy_rank(matrix)
+        assert linalg.matrix_rank(_zrows(matrix), cols) == _sympy_rank(matrix)
+    deficient = 0
+    for nrows, B, degree in BANDED_SHAPES:
+        for real_only in (False, True):
+            matrix = _banded_matrix(rng, nrows, B, degree, real_only)
+            rank = _sympy_rank(matrix)
+            deficient += rank < min(nrows, 2 * (B + 1))
+            assert linalg.matrix_rank(_zrows(matrix), 2 * (B + 1)) == rank
+    assert deficient
 
 
 def test_nullspace_matches_sympy_rank():
@@ -172,8 +220,7 @@ def test_nullspace_matches_sympy_rank():
         else:
             matrix = _random_matrix(rng, rows, cols)
         rank = _sympy_rank(matrix)
-        zrows = [_scale_row(row, _denominator(row)) for row in matrix]
-        ours, basis = linalg.nullspace(zrows, cols)
+        ours, basis = linalg.nullspace(_zrows(matrix), cols)
         assert ours == rank
         assert len(basis) == cols - rank
         vectors = [[GaussianRational(re, im) for re, im in vec] for vec in basis]
@@ -182,6 +229,133 @@ def test_nullspace_matches_sympy_rank():
                 assert sum((a * x for a, x in zip(row, vec)), GaussianRational(0)) == 0
         if vectors:
             assert _sympy_rank(vectors) == len(vectors)
+
+
+# ---------------------------------------------------------------- the previous Bareiss kernel, verbatim
+#
+# The echelon kernel as it was before its Z[i] arithmetic was inlined, with the
+# Z[i] helpers it called and its GaussianRational entry point: linalg._echelon
+# must return the same pivots and the same echelon rows.
+
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gsub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _gdiv_exact(x, y):
+    """Exact division in Z[i]; Bareiss guarantees divisibility, and we check it."""
+    norm = y[0] * y[0] + y[1] * y[1]
+    re, r1 = divmod(x[0] * y[0] + x[1] * y[1], norm)
+    im, r2 = divmod(x[1] * y[0] - x[0] * y[1], norm)
+    if r1 or r2:
+        raise InternalInconsistencyError("inexact division in fraction-free elimination")
+    return (re, im)
+
+
+def _reference_echelon(work, ncols):
+    """Bareiss row echelon form of nonzero Z[i]-pair rows; returns (pivot_cols, rows)."""
+    pivots = []
+    echelon = []
+    prev = (1, 0)
+    col = 0
+    while work and col < ncols:
+        pivot_idx = next((i for i, r in enumerate(work) if r[col] != (0, 0)), None)
+        if pivot_idx is None:
+            col += 1
+            continue
+        pivot_row = work.pop(pivot_idx)
+        pivots.append(col)
+        echelon.append(pivot_row)
+        p = pivot_row[col]
+        new_work = []
+        for r in work:
+            # Bareiss one-step: every remaining row is renormalized, including
+            # rows whose pivot-column entry is zero; skipping them breaks the
+            # exact-division invariant of later steps.
+            f = r[col]
+            reduced = [(0, 0)] * ncols
+            for j in range(col + 1, ncols):
+                num = _gsub(_gmul(p, r[j]), _gmul(f, pivot_row[j]))
+                reduced[j] = _gdiv_exact(num, prev)
+            if any(v != (0, 0) for v in reduced):
+                new_work.append(reduced)
+        work = new_work
+        prev = p
+        col += 1
+    return pivots, echelon
+
+
+def _reference_row_echelon_gaussian(rows):
+    """Fraction-free row echelon form; returns (pivot_cols, echelon_rows).
+
+    ``rows`` is a list of lists of GaussianRational.  The returned rows are
+    Z[i]-pair rows spanning the same row space.
+    """
+    if not rows:
+        return [], []
+    return _reference_echelon([_scale_row(r, _denominator(r)) for r in rows if any(v for v in r)], len(rows[0]))
+
+
+def _assert_same_echelon(zrows, ncols):
+    ours = linalg._echelon(zrows, ncols)
+    theirs = _reference_echelon([r for r in zrows if any(v != (0, 0) for v in r)], ncols)
+    assert ours[0] == theirs[0]
+    assert [list(r) for r in ours[1]] == [list(r) for r in theirs[1]]
+    return len(ours[0])
+
+
+def _random_zrow(rng, cols, real_only, bound=40):
+    return [
+        (0, 0) if rng.random() < 0.3
+        else (rng.randint(-bound, bound), 0 if real_only else rng.randint(-bound, bound))
+        for _ in range(cols)
+    ]
+
+
+def test_echelon_matches_previous_kernel_on_dense_gaussian_rows():
+    rng = random.Random(518)
+    ranks = set()
+    for _ in range(90):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        kind = rng.randrange(3)
+        if kind == 0:
+            inner = rng.randint(1, min(rows, cols))
+            zrows = _zrows(_product(_random_matrix(rng, rows, inner), _random_matrix(rng, inner, cols)))
+        else:
+            # parts in -2..2 make many entries, and numerators, real or
+            # purely imaginary
+            zrows = [_random_zrow(rng, cols, False, 40 if kind == 1 else 2) for _ in range(rows)]
+        ranks.add((_assert_same_echelon(zrows, cols), min(rows, cols)))
+    assert any(rank < full for rank, full in ranks)
+
+
+def test_echelon_matches_previous_kernel_on_real_rows():
+    # the real systems of quadric.real_point: imaginary parts all 0
+    rng = random.Random(519)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        zrows = [_random_zrow(rng, cols, True) for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.5:
+            # a repeated combination makes the rank deficient
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            zrows[-1] = [(a * x[0] + b * y[0], 0) for x, y in zip(zrows[0], zrows[1])]
+        _assert_same_echelon(zrows, cols)
+
+
+def test_echelon_matches_previous_kernel_on_banded_section_shapes():
+    rng = random.Random(520)
+    shapes = []
+    for nrows, B, degree in BANDED_SHAPES:
+        for real_only in (False, True):
+            matrix = _banded_matrix(rng, nrows, B, degree, real_only)
+            # zero rows are passed through: the kernel drops them itself
+            _assert_same_echelon(_zrows(matrix), 2 * (B + 1))
+            shapes.append((len(matrix), 2 * (B + 1)))
+    assert max(shapes) == (33, 22)
 
 
 # ---------------------------------------------------------------- determinants and resultants over Q(i)[x, y]

@@ -32,6 +32,8 @@ from conetower.quadric import (
 )
 from conetower.tower import build_tower
 
+from test_oracles import _reference_row_echelon_gaussian
+
 
 def test_split_identities():
     for split in (SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC):
@@ -183,8 +185,9 @@ def test_real_point_self_checks_catch_a_wrong_kernel_vector(corrupt, monkeypatch
 
 
 def _reference_nullspace(rows, ncols):
-    """Kernel by Bareiss echelon and GaussianRational back-substitution."""
-    pivots, echelon = linalg.row_echelon_gaussian(rows)
+    """Kernel by the previous Bareiss echelon kernel and GaussianRational
+    back-substitution."""
+    pivots, echelon = _reference_row_echelon_gaussian(rows)
     rank = len(pivots)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
