@@ -132,8 +132,8 @@ def section_dim(T: TransitionMatrix, m: int) -> int:
         return 0
     cols = 2 * (B + 1)
     rows = []
-    for i in range(2):
-        entries = [T.entries[i][j].coeffs for j in range(2)]
+    for t_row in T.entries:
+        entries = [entry.coeffs for entry in t_row]
         if not any(entries):
             continue
         top = max(e for coeffs in entries for e in coeffs)
@@ -152,8 +152,6 @@ def section_dim(T: TransitionMatrix, m: int) -> int:
                         hit = True
             if hit:
                 rows.append(row)
-    if not rows:
-        return cols
     return cols - linalg.matrix_rank(rows, cols)
 
 
