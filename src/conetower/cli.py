@@ -43,15 +43,12 @@ from .singular import (
     certify_perturbation,
     certify_singular_locus,
     cone_unbounded_witness,
-    float_min_abs_off_claimed,
-    perturbed_equation,
     real_slice_bound,
     sample_real_slice,
     search_perturbation,
 )
 from .tower import build_tower, tower_to_json
 
-ORACLE_MARGIN = 1e-6
 WITNESS_NORM = Fraction(10 ** 6)
 
 # parsed arguments that a certificate's params leave out
@@ -138,16 +135,6 @@ def _run_perturb_search(args: argparse.Namespace, checks: list, details: dict):
         )
     )
     checks.extend(_cert_rows("search", cert, "CERTIFIED"))
-    h = perturbed_equation(params)
-    best = float_min_abs_off_claimed(h, [h.chart.origin()])
-    margin_ok = best is None or best[0] > ORACLE_MARGIN
-    checks.append(
-        Check(
-            name="search:numeric-oracle-margin",
-            status=PASS if margin_ok else FAIL,
-            witness="no off-origin candidates" if best is None else f"min |f| = {best[0]:.3e}",
-        )
-    )
     details["found"] = params.as_dict()
 
 

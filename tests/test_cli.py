@@ -77,13 +77,14 @@ def test_perturb_too_many_digits_is_typed_error(capsys):
 
 
 @pytest.mark.parametrize("power", [200, 400])
-def test_perturb_search_oracle_out_of_float_range_is_typed_error(capsys, power):
-    # eps = 1/10^200 certifies, but |f| overflows at the oracle's candidates;
-    # at 1/10^400 even v = -c0/cn, whose n-th roots are the candidates, does
-    code = main(["perturb-search", "--k", "1", "--eps-list", f"1/{10 ** power}"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+def test_perturb_search_certifies_at_tiny_eps(capsys, power):
+    # eps far below the float range: the exact certificate needs no float
+    argv = ["perturb-search", "--k", "1", "--eps-list", f"1/{10 ** power}", "--format", "json"]
+    code, out = _main_capture(capsys, argv)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["search:found"]["witness"].startswith("N = 2, ")
+    assert checks["search:status"]["witness"] == "CERTIFIED (expected CERTIFIED)"
 
 
 def test_perturb_search_command(capsys):

@@ -4,7 +4,8 @@ Each command runs in process from a scratch directory holding a copy of
 ``golden/matrices``, so every echoed path is the same relative path.  Its
 standard output, its exit code and any file written by ``--output`` (the
 ``tower/1`` document for ``tower``, the certificate for other commands)
-must equal the files checked in under ``golden/``.
+must equal the files checked in under ``golden/``.  No command may turn an
+exact coefficient into a float: ``GaussianRational.__complex__`` raises.
 """
 
 import shutil
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from conetower.cli import main
+from conetower.gaussian import GaussianRational
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -56,6 +58,8 @@ COMMANDS = [
     # shears and diagonal with denominators 2, 3 and 4: section counting on
     # rows that need scaling to Z[i]
     ("splitting_fractional", ["splitting", "--matrix", "matrices/fractional.json"], 0),
+    # type (10^9, -10^9): only the rows a term reaches are built
+    ("splitting_huge_diagonal", ["splitting", "--matrix", "matrices/huge_diagonal.json"], 0),
 ]
 
 # files a command writes besides its standard output
@@ -67,6 +71,10 @@ WRITTEN = {
 
 @pytest.mark.parametrize("stem, argv, code", COMMANDS, ids=[c[0] for c in COMMANDS])
 def test_cli_json_matches_golden(stem, argv, code, tmp_path, monkeypatch, capsys):
+    def no_float(self):
+        raise AssertionError(f"{stem} converted {self} to a float")
+
+    monkeypatch.setattr(GaussianRational, "__complex__", no_float)
     shutil.copytree(GOLDEN / "matrices", tmp_path / "matrices")
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--format", "json"]) == code
