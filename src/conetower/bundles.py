@@ -134,24 +134,21 @@ def section_dim(T: TransitionMatrix, m: int) -> int:
     rows = []
     for t_row in T.entries:
         entries = [entry.coeffs for entry in t_row]
-        if not any(entries):
-            continue
-        top = max(e for coeffs in entries for e in coeffs)
         # one common denominator for the whole row of T: scaling every system
         # row taken from it by the same nonzero constant keeps the rank
         scale = _denominator(c for coeffs in entries for c in coeffs.values())
         zentries = [dict(zip(coeffs, _scale_row(coeffs.values(), scale))) for coeffs in entries]
-        for e in range(1, top - m + B + 1):
-            row = [(0, 0)] * cols
-            hit = False
-            for j in range(2):
-                for exp, coeff in zentries[j].items():
-                    d = e + m - exp
-                    if 0 <= d <= B:
-                        row[j * (B + 1) + d] = coeff
-                        hit = True
-            if hit:
-                rows.append(row)
+        # the condition at z^e collects the terms of exponent e = exp - m + d,
+        # 0 <= d <= B; only the e >= 1 that some term reaches carry one
+        by_e = {}
+        for j, zentry in enumerate(zentries):
+            for exp, coeff in zentry.items():
+                for d in range(max(0, m + 1 - exp), B + 1):
+                    e = exp - m + d
+                    if e not in by_e:
+                        by_e[e] = [(0, 0)] * cols
+                    by_e[e][j * (B + 1) + d] = coeff
+        rows.extend(by_e[e] for e in sorted(by_e))
     return cols - linalg.matrix_rank(rows, cols)
 
 
@@ -165,10 +162,14 @@ def _column_degree(column):
 def _column_reduce(columns):
     """Right-unimodular column reduction of a polynomial 2x2 matrix.
 
-    Returns the column degrees.  Terminates because the total column degree
-    strictly drops at each step.
+    Returns the column degrees.  While the leading-coefficient matrix is
+    singular, the two leading vectors are parallel, so subtracting
+    lam * z^shift times the lower-degree column cancels the top coefficient
+    of the other: that column degree drops and the other stays.  The entries
+    stay polynomial, so degrees never go below 0, and the rounds number at
+    most the initial total column degree plus the final one that returns.
     """
-    for _ in range(1000):
+    for _ in range(sum(_column_degree(col) for col in columns) + 1):
         d = [_column_degree(col) for col in columns]
         lead = [
             [columns[j][i].coefficient(d[j]) for j in range(2)]

@@ -7,6 +7,7 @@ import pytest
 from conetower.bundles import (
     SplittingType,
     TransitionMatrix,
+    _column_reduce,
     det_valuation,
     linearize_along_curve,
     local_model_fibers,
@@ -111,6 +112,13 @@ def test_splitting_frozen_examples():
 
 def test_splitting_negative_only():
     assert splitting_type(M(["z^-3", "0"], ["0", "z^2"])) == SplittingType(3, -2)
+
+
+def test_column_reduce_runs_past_a_thousand_rounds():
+    # det = 1: each of the 1,000 rounds lowers the first column degree by one
+    T = M(["1", "0"], [" + ".join(["1"] + [f"z^{e}" for e in range(1, 1001)]), "1"])
+    columns = [[T.entries[0][j], T.entries[1][j]] for j in range(2)]
+    assert _column_reduce(columns) == [0, 0]
 
 
 def test_splitting_type_orders_pair():
