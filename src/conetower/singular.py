@@ -124,10 +124,9 @@ def _monomial_univariate_split(partial: MultiPoly):
     mono_vars = []
     quotient = partial
     for var in partial.variables:
-        m = min(exps[partial.variables.index(var)] for exps in partial.terms)
+        m, quotient = extract_variable_power(quotient, var)
         if m > 0:
             mono_vars.append(var)
-            _, quotient = extract_variable_power(quotient, var)
     used = quotient.variables_used()
     if not used:
         return tuple(mono_vars), None
@@ -496,8 +495,6 @@ def _branch_verdict(record, h, chart, selection, claimed, claims_zero_only) -> s
             continue
         if var not in current.variables_used():
             continue
-        if current.is_zero():
-            break
         core, power, method = _root_product(current, var, roots[var])
         exponent *= power
         chain.append({"variable": var, "method": method, "exponent": power, "value": str(core)})
