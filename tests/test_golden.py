@@ -21,6 +21,8 @@ GOLDEN = Path(__file__).parent / "golden"
 # (golden stem, argv without "--format json", expected exit code)
 COMMANDS = [
     ("tower_k2", ["tower", "--k", "2", "--output", "tower_k2.tower.json"], 0),
+    # the deepest tower the tower_slice benchmark builds
+    ("tower_k5", ["tower", "--k", "5", "--output", "tower_k5.tower.json"], 0),
     ("certify_k2", ["certify", "--k", "2"], 0),
     ("perturb_k1_N2_eps1", ["perturb", "--k", "1", "--N", "2", "--eps", "1"], 0),
     ("perturb_k2_N3_eps1", ["perturb", "--k", "2", "--N", "3", "--eps", "1"], 1),
@@ -65,6 +67,7 @@ COMMANDS = [
 # files a command writes besides its standard output
 WRITTEN = {
     "tower_k2": ["tower_k2.tower.json"],
+    "tower_k5": ["tower_k5.tower.json"],
     "normal_bundles_k2": ["normal_bundles_k2.cert.json"],
 }
 
