@@ -136,12 +136,9 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                out[exps] = out.get(exps, ZERO) + c1 * c2
-        return MultiPoly(self.variables, out)
+        d1, d2 = _denominator(self.terms.values()), _denominator(other.terms.values())
+        product = _zi_mul_sub(_zi_terms(self, d1), _zi_terms(other, d2), {}, {})
+        return _from_zi_terms(self.variables, product, d1 * d2)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -494,6 +491,11 @@ def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
 
     All images must share one variable tuple; the result lives over it.
     Every variable of ``f`` must be assigned.
+
+    Runs on Z[i] term maps: f is scaled by its denominator Df and each image
+    of a variable occurring in f by its own Dv, once.  A term with exponent
+    e_v of v is lifted by Dv^(top_v - e_v), top_v being f's largest exponent
+    of v, so every product sits over the one divisor Df * prod Dv^top_v.
     """
     missing = [v for v in f.variables if v not in assignment]
     if missing:
@@ -507,23 +509,33 @@ def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
             raise VariableMismatchError("assignment images live over different variable lists")
     if target is None:
         target = ()
-    result = MultiPoly.zero(target)
-    one = MultiPoly.constant(target, ONE)
-    power_cache: dict = {v: [one] for v in f.variables}
-
-    def var_power(v, e):
-        cache = power_cache[v]
-        while len(cache) <= e:
-            cache.append(cache[-1] * images[v])
-        return cache[e]
-
-    for exps, coeff in f.terms.items():
-        term = MultiPoly.constant(target, coeff)
-        for v, e in zip(f.variables, exps):
+    one = {(0,) * len(target): (1, 0)}
+    Df = _denominator(f.terms.values())
+    divisor = Df
+    occurring = []  # (index in f, powers of the scaled image, lifts by exponent)
+    for idx, v in enumerate(f.variables):
+        top = max((exps[idx] for exps in f.terms), default=0)
+        if not top:
+            continue
+        Dv = _denominator(images[v].terms.values())
+        image = _zi_terms(images[v], Dv)
+        powers = [one]
+        for _ in range(top):
+            powers.append(_zi_mul_sub(powers[-1], image, {}, {}))
+        occurring.append((idx, powers, [Dv ** (top - e) for e in range(top + 1)]))
+        divisor *= Dv ** top
+    out: dict = {}
+    for exps, (re, im) in _zi_terms(f, Df).items():
+        product = one
+        for idx, powers, lifts in occurring:
+            e = exps[idx]
+            re, im = re * lifts[e], im * lifts[e]
             if e:
-                term = term * var_power(v, e)
-        result = result + term
-    return result
+                product = powers[e] if product is one else _zi_mul_sub(product, powers[e], {}, {})
+        for key, (p, q) in product.items():
+            old = out.get(key, (0, 0))
+            out[key] = (old[0] + re * p - im * q, old[1] + re * q + im * p)
+    return _from_zi_terms(target, out, divisor)
 
 
 def extract_variable_power(f: MultiPoly, var: str) -> tuple:
@@ -551,12 +563,21 @@ def _zi_terms(f: MultiPoly, D: int) -> dict:
     return dict(zip(f.terms, _scale_row(f.terms.values(), D)))
 
 
-def _from_zi_terms(variables, terms: dict, divisor: int) -> MultiPoly:
-    """The polynomial of a term map divided by the nonzero integer ``divisor``."""
-    return MultiPoly(
-        variables,
-        {e: GaussianRational(Fraction(re, divisor), Fraction(im, divisor)) for e, (re, im) in terms.items()},
-    )
+def _from_zi_terms(variables: tuple, terms: dict, divisor: int) -> MultiPoly:
+    """The polynomial of a term map divided by the nonzero integer ``divisor``.
+
+    The one exit from term maps builds the MultiPoly without revalidating it:
+    every key is a sum of exponent tuples of validated polynomials over
+    ``variables``, so only zero pairs need dropping.
+    """
+    poly = MultiPoly.__new__(MultiPoly)
+    poly.variables = variables
+    poly.terms = {
+        e: GaussianRational(Fraction(re, divisor), Fraction(im, divisor))
+        for e, (re, im) in terms.items() if re or im
+    }
+    poly._hash = None
+    return poly
 
 
 def _zi_mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:

@@ -1,7 +1,7 @@
 """Independent oracles: hypothesis round-trips and ring properties, sympy ranks,
 kernels, determinants and resultants over Q(i), a Fraction reference for the
 integer real-slice kernel, and GaussianRational references for the Z[i] branch
-chain."""
+chain and for MultiPoly multiply and substitute."""
 
 import math
 import random
@@ -18,12 +18,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conetower import linalg  # noqa: E402
 from conetower.charts import Chart, Hypersurface  # noqa: E402
-from conetower.errors import InternalInconsistencyError  # noqa: E402
-from conetower.gaussian import GaussianRational, _denominator, _scale_row  # noqa: E402
+from conetower.errors import InternalInconsistencyError, VariableMismatchError  # noqa: E402
+from conetower.gaussian import ONE, ZERO, GaussianRational, _denominator, _scale_row  # noqa: E402
 from conetower.laurent import LaurentPoly, parse_laurent  # noqa: E402
 from conetower.multipoly import (  # noqa: E402
     MultiPoly,
     _bareiss_determinant,
+    _from_zi_terms,
     differentiate,
     parse_poly,
     poly_to_string,
@@ -766,3 +767,134 @@ def test_multiplication_determinant_matches_gaussian_rational_reference():
             v = _fine_v(rng)
             ours = singular._multiplication_determinant(expr, "x", L, v)
             assert ours == _reference_multiplication_determinant(expr, "x", L, v)
+
+
+# ---------------------------------------------------------------- multiply and substitute in GaussianRationals
+#
+# MultiPoly.__mul__ and substitute as they were before they ran on Z[i] term
+# maps, verbatim except that the reference substitute multiplies with
+# _reference_mul, so neither routes through the kernel under test.
+
+
+def _reference_mul(self, other):
+    if not isinstance(other, MultiPoly):
+        return NotImplemented
+    self._check_compatible(other)
+    out: dict = {}
+    for e1, c1 in self.terms.items():
+        for e2, c2 in other.terms.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            out[exps] = out.get(exps, ZERO) + c1 * c2
+    return MultiPoly(self.variables, out)
+
+
+def _reference_substitute(f, assignment):
+    missing = [v for v in f.variables if v not in assignment]
+    if missing:
+        raise VariableMismatchError(f"unassigned variables {missing}")
+    images = {v: assignment[v] for v in f.variables}
+    target = None
+    for img in images.values():
+        if target is None:
+            target = img.variables
+        elif img.variables != target:
+            raise VariableMismatchError("assignment images live over different variable lists")
+    if target is None:
+        target = ()
+    result = MultiPoly.zero(target)
+    one = MultiPoly.constant(target, ONE)
+    power_cache: dict = {v: [one] for v in f.variables}
+
+    def var_power(v, e):
+        cache = power_cache[v]
+        while len(cache) <= e:
+            cache.append(_reference_mul(cache[-1], images[v]))
+        return cache[e]
+
+    for exps, coeff in f.terms.items():
+        term = MultiPoly.constant(target, coeff)
+        for v, e in zip(f.variables, exps):
+            if e:
+                term = _reference_mul(term, var_power(v, e))
+        result = result + term
+    return result
+
+
+def _assert_same_poly(ours, reference):
+    assert ours.variables == reference.variables
+    assert set(ours.terms.items()) == set(reference.terms.items())
+    assert str(ours) == str(reference)
+
+
+def test_mul_matches_gaussian_rational_reference():
+    rng = random.Random(1014)
+    variables = ("x", "y", "z")
+    for _ in range(80):
+        f = _fine_poly(rng, variables, 6, ((0, 3), (0, 3), (0, 2)))
+        g = _fine_poly(rng, variables, 6, ((0, 3), (0, 3), (0, 2)))
+        if rng.random() < 0.1:
+            g = MultiPoly.zero(variables)
+        _assert_same_poly(f * g, _reference_mul(f, g))
+        _assert_same_poly((f + g) * (f - g), _reference_mul(f + g, f - g))
+
+
+def test_substitute_matches_gaussian_rational_reference():
+    rng = random.Random(1013)
+    variables, target = ("x", "y", "z"), ("s", "t")
+    kinds = {"lifted": 0, "zero image": 0, "unused variable": 0, "constant": 0, "zero": 0}
+    for n in range(150):
+        # images with their own denominators, so each term needs its lift
+        images = {v: _fine_poly(rng, target, 3, ((0, 2), (0, 2))) for v in variables}
+        denominators = {_denominator(img.terms.values()) for img in images.values()}
+        if rng.random() < 0.2:
+            images[rng.choice(variables)] = MultiPoly.zero(target)
+            kinds["zero image"] += 1
+        z_range = (0, 0) if rng.random() < 0.25 else (0, 3)
+        kinds["unused variable"] += z_range == (0, 0)
+        f = _fine_poly(rng, variables, 6, ((0, 3), (0, 4), z_range))
+        if n % 15 == 0:
+            f = MultiPoly.constant(variables, _fine_coefficient(rng))
+            kinds["constant"] += 1
+        elif n % 15 == 1:
+            f = MultiPoly.zero(variables)
+            kinds["zero"] += 1
+        kinds["lifted"] += len(denominators) > 1 and not f.is_constant()
+        _assert_same_poly(substitute(f, images), _reference_substitute(f, images))
+    assert all(count >= 10 for count in kinds.values()), kinds
+
+
+@EXAMPLES
+@given(poly_terms, poly_terms, st.lists(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 2), coefficients, max_size=3),
+                                        min_size=3, max_size=3))
+def test_substitute_is_a_ring_homomorphism(f_terms, g_terms, image_terms):
+    f = MultiPoly(("x", "y1", "w"), f_terms)
+    g = MultiPoly(("x", "y1", "w"), g_terms)
+    images = {v: MultiPoly(("s", "t"), terms) for v, terms in zip(f.variables, image_terms)}
+    assert substitute(f * g, images) == substitute(f, images) * substitute(g, images)
+    assert substitute(f + g, images) == substitute(f, images) + substitute(g, images)
+
+
+def test_substitute_rejects_images_over_different_variables():
+    f = MultiPoly(("x", "y"), {(1, 1): GaussianRational(Fraction(1, 3))})
+    images = {"x": MultiPoly.variable(("s", "t"), "s"), "y": MultiPoly.variable(("t", "s"), "s")}
+    with pytest.raises(VariableMismatchError):
+        substitute(f, images)
+    with pytest.raises(VariableMismatchError):
+        _reference_substitute(f, images)
+
+
+def test_from_zi_terms_equals_the_validating_constructor():
+    rng = random.Random(1015)
+    variables = ("x", "y", "z")
+    for _ in range(60):
+        divisor = rng.choice((1, rng.randint(1, 10 ** 6)))
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            exps = tuple(rng.randint(0, 3) for _ in variables)
+            terms[exps] = (0, 0) if rng.random() < 0.4 else (rng.randint(-50, 50), rng.randint(-50, 50))
+        ours = _from_zi_terms(variables, terms, divisor)
+        expected = MultiPoly(
+            variables, {e: GaussianRational(Fraction(re, divisor), Fraction(im, divisor)) for e, (re, im) in terms.items()}
+        )
+        assert ours == expected and ours.terms == expected.terms and hash(ours) == hash(expected)
+        assert all(ours.terms.values())
