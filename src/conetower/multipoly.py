@@ -514,8 +514,8 @@ def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
     divisor = Df
     occurring = []  # (index in f, powers of the scaled image, lifts by exponent)
     for idx, v in enumerate(f.variables):
-        top = max((exps[idx] for exps in f.terms), default=0)
-        if not top:
+        top = f.degree_in(v)
+        if top <= 0:
             continue
         Dv = _denominator(images[v].terms.values())
         image = _zi_terms(images[v], Dv)

@@ -863,13 +863,15 @@ def test_substitute_matches_gaussian_rational_reference():
     assert all(count >= 10 for count in kinds.values()), kinds
 
 
+image_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coefficients, max_size=3)
+
+
 @EXAMPLES
-@given(poly_terms, poly_terms, st.lists(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 2), coefficients, max_size=3),
-                                        min_size=3, max_size=3))
-def test_substitute_is_a_ring_homomorphism(f_terms, g_terms, image_terms):
+@given(poly_terms, poly_terms, st.lists(image_terms, min_size=3, max_size=3))
+def test_substitute_is_a_ring_homomorphism(f_terms, g_terms, images_terms):
     f = MultiPoly(("x", "y1", "w"), f_terms)
     g = MultiPoly(("x", "y1", "w"), g_terms)
-    images = {v: MultiPoly(("s", "t"), terms) for v, terms in zip(f.variables, image_terms)}
+    images = {v: MultiPoly(("s", "t"), terms) for v, terms in zip(f.variables, images_terms)}
     assert substitute(f * g, images) == substitute(f, images) * substitute(g, images)
     assert substitute(f + g, images) == substitute(f, images) + substitute(g, images)
 
@@ -879,8 +881,6 @@ def test_substitute_rejects_images_over_different_variables():
     images = {"x": MultiPoly.variable(("s", "t"), "s"), "y": MultiPoly.variable(("t", "s"), "s")}
     with pytest.raises(VariableMismatchError):
         substitute(f, images)
-    with pytest.raises(VariableMismatchError):
-        _reference_substitute(f, images)
 
 
 def test_from_zi_terms_equals_the_validating_constructor():
