@@ -12,7 +12,6 @@ line and real-point checks of :mod:`conetower.quadric`.
 from __future__ import annotations
 
 from .errors import InternalInconsistencyError
-from .gaussian import _gmul, _gsub
 
 
 def _echelon(rows, ncols):
@@ -78,16 +77,20 @@ def nullspace(rows, ncols):
         vec = [(0, 0)] * ncols
         vec[free] = (1, 0)
         # back-substitute pivot variables from the bottom up: the pivot row
-        # reads p*x + (rest) = 0, so scale the vector by p and set x = -(rest)
+        # reads p*x + (rest) = 0, so scale the vector by p and set x = -(rest);
+        # the Z[i] products are inlined, as in _echelon
         for pcol, row in zip(reversed(pivots), reversed(echelon)):
-            minus_rest = (0, 0)
+            mr = mi = 0
             for c in range(pcol + 1, ncols):
-                if row[c] != (0, 0) and vec[c] != (0, 0):
-                    minus_rest = _gsub(minus_rest, _gmul(row[c], vec[c]))
-            if minus_rest != (0, 0):
-                p = row[pcol]
-                vec = [_gmul(p, v) for v in vec]
-                vec[pcol] = minus_rest
+                ar, ai = row[c]
+                xr, xi = vec[c]
+                if (ar or ai) and (xr or xi):
+                    mr -= ar * xr - ai * xi
+                    mi -= ar * xi + ai * xr
+            if mr or mi:
+                pr, pi = row[pcol]
+                vec = [(pr * xr - pi * xi, pr * xi + pi * xr) for xr, xi in vec]
+                vec[pcol] = (mr, mi)
         basis.append(vec)
     return len(pivots), basis
 

@@ -7,15 +7,19 @@ splitting its two complex forms into four real linear forms and computing
 the exact kernel of the resulting 4x4 system: the kernel dimension is the
 certificate, and a kernel vector is the real point.
 
-The per-line checks run on integers.  A line's two forms are scaled to Z[i]
-rows, and the four forms of a split to Z[i] by one common denominator L, so
-ab - cd is only multiplied by L^2.  The real system is the real and
-imaginary parts of the line's Z[i] rows, eliminated over Z.  Fractions are
-built only for the line's exact rows and for the real point that is returned.
+Lines stay in Z[i] from the ruling parameter to the real point.  The four
+forms of a split are scaled to Z[i] by one common denominator L, so ab - cd
+is only multiplied by L^2; a ruling line's two forms are computed as Z[i]
+rows over one integer scale and stored that way.  The real system is the
+real and imaginary parts of those rows, eliminated over Z, and the sphere
+test of the boundary cover runs on integers too.  Fractions are built only
+for printed values: the real point that is returned, and a line's Q(i)
+``rows`` when a caller asks for them.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,27 +83,54 @@ class ProjPoint:
 
 @dataclass(frozen=True)
 class ProjLine:
-    """Intersection of two independent linear forms, stored as coefficient rows.
+    """Intersection of two independent linear forms on P^3, kept in Z[i].
 
-    ``zrows`` are the rows scaled to Z[i] pairs and ``span`` is the Z[i]
-    kernel basis of those rows: two vectors spanning the line.
+    ``zrows`` are the two forms' coefficient rows as Z[i] pairs over the
+    positive integer ``scale``, reduced so that the parts and the scale share
+    no common factor; equal lines therefore have equal fields.  ``span`` is
+    the Z[i] kernel basis of the rows: two vectors spanning the line.  Q(i)
+    rows come in through :meth:`from_rows` and go out through :attr:`rows`.
     """
 
-    rows: tuple
-    zrows: tuple = field(init=False, repr=False, compare=False)
+    zrows: tuple
+    scale: int
     span: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(GaussianRational.coerce(c) for c in row) for row in self.rows)
-        if len(rows) != 2 or any(len(r) != 4 for r in rows):
-            raise ValidationError("a line is cut out by exactly two forms on P^3")
-        zrows = tuple(tuple(_scale_row(r, _denominator(r))) for r in rows)
+        zrows = tuple(tuple(row) for row in self.zrows)
+        if len(zrows) != 2 or any(
+            len(r) != 4 or any(not isinstance(z, tuple) or len(z) != 2 for z in r) for r in zrows
+        ):
+            raise ValidationError("a line is cut out by two rows of four Z[i] pairs on P^3")
+        parts = [x for row in zrows for z in row for x in z]
+        if any(type(x) is not int for x in parts) or type(self.scale) is not int:
+            raise ValidationError("line rows and their scale must be ints")
+        if self.scale < 1:
+            raise ValidationError("a line's scale must be a positive integer")
+        g = math.gcd(self.scale, *parts)
+        if g > 1:
+            zrows = tuple(tuple((re // g, im // g) for re, im in row) for row in zrows)
         rank, span = linalg.nullspace(zrows, 4)
         if rank != 2:
             raise ValidationError("the two line forms must be linearly independent")
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "zrows", zrows)
+        object.__setattr__(self, "scale", self.scale // g)
         object.__setattr__(self, "span", tuple(span))
+
+    @classmethod
+    def from_rows(cls, rows) -> "ProjLine":
+        """The line cut out by two Q(i) coefficient rows: clears their denominators."""
+        rows = [[GaussianRational.coerce(c) for c in row] for row in rows]
+        scale = _denominator([c for row in rows for c in row])
+        return cls(tuple(tuple(_scale_row(row, scale)) for row in rows), scale)
+
+    @property
+    def rows(self) -> tuple:
+        """The two forms' coefficient rows over Q(i)."""
+        return tuple(
+            tuple(GaussianRational(Fraction(re, self.scale), Fraction(im, self.scale)) for re, im in row)
+            for row in self.zrows
+        )
 
     def form_polys(self) -> tuple:
         return tuple(_linear_form(row) for row in self.rows)
@@ -216,7 +247,8 @@ def ruling_line(param: RulingParam, split: QuadricSplit = SPHERE_QUADRIC) -> Pro
     or {c = b = 0} (t = 0) lies on ab = cd directly.  Family B swaps c and d.
 
     The forms are computed in Z[i] from the split's integer forms and (s : t)
-    scaled by its denominator D, then divided once by D * split.scale.
+    scaled by its denominator D; the line keeps them over the scale
+    D * split.scale, with no Fraction built.
     """
     D = _denominator((param.s, param.t))
     s, t = _scale_row((param.s, param.t), D)
@@ -227,22 +259,21 @@ def ruling_line(param: RulingParam, split: QuadricSplit = SPHERE_QUADRIC) -> Pro
         [_gsub(_gmul(t, ai), _gmul(s, ci)) for ai, ci in zip(a, c)],
         [_gsub(_gmul(s, bi), _gmul(t, di)) for bi, di in zip(b, d)],
     )
-    scale = D * split.scale
-    return ProjLine(tuple(
-        tuple(GaussianRational(Fraction(re, scale), Fraction(im, scale)) for re, im in row)
-        for row in zrows
-    ))
+    return ProjLine(zrows, D * split.scale)
 
 
 def line_on_quadric(line: ProjLine, split: QuadricSplit) -> bool:
     """Exact containment: the quadric vanishes on a spanning pair and their sum.
 
     A quadric form vanishing at u, w and u + w has q(u, w) = 0 for its
-    bilinear form too, so it vanishes on the whole line.
+    bilinear form too, so it vanishes on the whole line.  The split's four
+    forms are evaluated at u and w once; their values at u + w are the sums.
     """
     u, w = line.span
-    mixed = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(u, w)]
-    return all(split.vanishes_at(p) for p in (u, w, mixed))
+    at_u = [_zdot(form, u) for form in split.zforms]
+    at_w = [_zdot(form, w) for form in split.zforms]
+    at_sum = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(at_u, at_w)]
+    return all(_gmul(a, b) == _gmul(c, d) for a, b, c, d in (at_u, at_w, at_sum))
 
 
 def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
@@ -252,8 +283,9 @@ def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
     imaginary parts of the line's Z[i] rows.  The returned nullity is the
     dimension of their real kernel, and for nullity >= 1 the canonical kernel
     vector is a real point on the line (and hence on the quadric).  The
-    integer kernel vector is checked before any division.  Raises
-    LINE_NOT_ON_QUADRIC for lines off the quadric.
+    integer kernel vector is checked (real, on both forms, on the quadric)
+    before the one division by its leading coordinate, which builds the
+    point's Fractions.  Raises LINE_NOT_ON_QUADRIC for lines off the quadric.
     """
     if not line_on_quadric(line, split):
         raise LineNotOnQuadricError(f"line is not contained in {split.name}")
@@ -301,6 +333,15 @@ def _sampled_lines(split: QuadricSplit, trials: int, seed: int):
             param = sample_param(rng, family)
             point, nullity = real_point(ruling_line(param, split), split)
             yield family, index, param, point, nullity
+
+
+def _on_boundary_sphere(point: ProjPoint) -> bool:
+    """z1^2 + z2^2 + z3^2 = h^2 at a real point, h its BOUNDARY_QUADRIC
+    homogenizer, tested in integers: the coordinates times the lcm of their
+    denominators, with no division by h."""
+    z = [re for re, _ in _scale_row(point.coords, _denominator(point.coords))]
+    h = z[BOUNDARY_QUADRIC.homogenizer]
+    return point.is_real() and z[1] * z[1] + z[2] * z[2] + z[3] * z[3] == h * h
 
 
 def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
@@ -351,9 +392,7 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
                 ok = False
                 entry["reason"] = "real point at infinity"
             else:
-                # z1^2 + z2^2 + z3^2 = z0^2, with no division by z0
-                z = [c.re for c in point.coords]
-                on_sphere = point.is_real() and z[1] * z[1] + z[2] * z[2] + z[3] * z[3] == h.re * h.re
+                on_sphere = _on_boundary_sphere(point)
                 entry["point"] = str(point)
                 entry["on_sphere"] = on_sphere
                 ok = ok and on_sphere
@@ -386,6 +425,8 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
 
 def control_cover_certificate(trials: int, seed: int) -> Certificate:
     """Same sampling against the definite quadric: must FAIL with nullity 0."""
+    if trials < 1:
+        raise ValidationError("need at least one trial")
     samples = [
         {"family": family, "index": index, "nullity": nullity}
         for family, index, _, _, nullity in _sampled_lines(CONTROL_QUADRIC, trials, seed)

@@ -1,7 +1,8 @@
 """Independent oracles: hypothesis round-trips and ring properties, sympy ranks,
 kernels, determinants and resultants over Q(i), a Fraction reference for the
-integer real-slice kernel, and GaussianRational references for the Z[i] branch
-chain and for MultiPoly multiply and substitute."""
+integer real-slice kernel, GaussianRational references for the Z[i] branch
+chain and for MultiPoly multiply and substitute, and the previous Bareiss
+kernel and Z[i] back-substitution."""
 
 import math
 import random
@@ -236,7 +237,9 @@ def test_nullspace_matches_sympy_rank():
 #
 # The echelon kernel as it was before its Z[i] arithmetic was inlined, with the
 # Z[i] helpers it called and its GaussianRational entry point: linalg._echelon
-# must return the same pivots and the same echelon rows.
+# must return the same pivots and the same echelon rows.  The previous
+# nullspace, whose back-substitution called the same helpers, must return the
+# same basis vectors as linalg.nullspace, pair by pair.
 
 
 def _gmul(x, y):
@@ -288,6 +291,31 @@ def _reference_echelon(work, ncols):
         prev = p
         col += 1
     return pivots, echelon
+
+
+def _reference_zi_nullspace(rows, ncols):
+    """Exact kernel of a matrix of Z[i]-pair rows; returns (rank, basis).
+
+    Each basis vector is a list of ``ncols`` Z[i] pairs.
+    """
+    pivots, echelon = linalg._echelon(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [(0, 0)] * ncols
+        vec[free] = (1, 0)
+        # back-substitute pivot variables from the bottom up: the pivot row
+        # reads p*x + (rest) = 0, so scale the vector by p and set x = -(rest)
+        for pcol, row in zip(reversed(pivots), reversed(echelon)):
+            minus_rest = (0, 0)
+            for c in range(pcol + 1, ncols):
+                if row[c] != (0, 0) and vec[c] != (0, 0):
+                    minus_rest = _gsub(minus_rest, _gmul(row[c], vec[c]))
+            if minus_rest != (0, 0):
+                p = row[pcol]
+                vec = [_gmul(p, v) for v in vec]
+                vec[pcol] = minus_rest
+        basis.append(vec)
+    return len(pivots), basis
 
 
 def _reference_row_echelon_gaussian(rows):
@@ -898,3 +926,48 @@ def test_from_zi_terms_equals_the_validating_constructor():
         )
         assert ours == expected and ours.terms == expected.terms and hash(ours) == hash(expected)
         assert all(ours.terms.values())
+
+
+def _assert_same_nullspace(zrows, ncols):
+    rank, basis = linalg.nullspace(zrows, ncols)
+    assert (rank, basis) == _reference_zi_nullspace(zrows, ncols)
+    return rank
+
+
+def test_nullspace_matches_previous_back_substitution_on_line_rows():
+    # the 2x4 Z[i] rows of a quadric line, whose kernel is the line's span
+    rng = random.Random(521)
+    ranks = set()
+    for _ in range(200):
+        zrows = [_random_zrow(rng, 4, False) for _ in range(2)]
+        ranks.add(_assert_same_nullspace(zrows, 4))
+    assert ranks >= {1, 2}
+
+
+def test_nullspace_matches_previous_back_substitution_on_real_rows():
+    # the 4x4 real systems of quadric.real_point: imaginary parts all 0
+    rng = random.Random(522)
+    ranks = set()
+    for _ in range(200):
+        zrows = [_random_zrow(rng, 4, True, 40 if rng.random() < 0.5 else 2) for _ in range(4)]
+        ranks.add(_assert_same_nullspace(zrows, 4))
+    assert 4 in ranks and min(ranks) < 4
+
+
+def test_nullspace_matches_previous_back_substitution_on_deficient_and_zero_rows():
+    rng = random.Random(523)
+    nullities = set()
+    for _ in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        real_only = rng.random() < 0.5
+        zrows = [_random_zrow(rng, cols, real_only) for _ in range(rows)]
+        if rows > 2:
+            # a repeated combination and a zero row make the rank deficient
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            zrows[-1] = [(a * x[0] + b * y[0], a * x[1] + b * y[1]) for x, y in zip(zrows[0], zrows[1])]
+            zrows[-2] = [(0, 0)] * cols
+        nullities.add(cols - _assert_same_nullspace(zrows, cols))
+    for rows, cols in ((1, 4), (2, 4), (4, 4), (3, 1)):
+        assert _assert_same_nullspace([[(0, 0)] * cols for _ in range(rows)], cols) == 0
+    assert _assert_same_nullspace([], 3) == 0
+    assert len(nullities) >= 4

@@ -1,5 +1,6 @@
 """Quadric rulings, exact real points, and the boundary-cover certificate."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from conetower.gaussian import ZERO, GaussianRational, I, ONE
 from conetower.multipoly import MultiPoly
 from conetower.quadric import (
     BOUNDARY_QUADRIC,
+    _on_boundary_sphere,
     CONTROL_QUADRIC,
     SPHERE_QUADRIC,
     ProjLine,
@@ -145,7 +147,7 @@ def test_real_point_frozen_examples():
 
 
 def test_real_point_rejects_off_quadric_lines():
-    line = ProjLine((
+    line = ProjLine.from_rows((
         (ONE, GaussianRational(0), GaussianRational(0), GaussianRational(0)),
         (GaussianRational(0), ONE, GaussianRational(0), GaussianRational(0)),
     ))
@@ -155,7 +157,7 @@ def test_real_point_rejects_off_quadric_lines():
 
 def test_real_point_rejects_off_quadric_lines_with_fractional_coefficients():
     # the Z[i] guard scales the line's rows; an off-quadric line must still fail it
-    line = ProjLine((
+    line = ProjLine.from_rows((
         (Fraction(1, 3), GaussianRational(Fraction(2, 7), Fraction(-1, 5)), ZERO, ONE),
         (ZERO, Fraction(5, 11), GaussianRational(0, Fraction(3, 4)), Fraction(-7, 2)),
     ))
@@ -326,6 +328,15 @@ def test_control_certificate_fails_as_expected():
     assert all(s["nullity"] == 0 for s in cert.branches)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_cover_certificates_reject_non_positive_trials(trials):
+    # sampling no line must not read as "nullity 0 on every sampled line"
+    with pytest.raises(ValidationError):
+        control_cover_certificate(trials=trials, seed=0)
+    with pytest.raises(ValidationError):
+        verify_boundary_cover(build_tower(1), trials=trials, seed=0)
+
+
 def test_ruling_param_validation():
     with pytest.raises(ValidationError):
         RulingParam("C", ONE, ONE)
@@ -338,3 +349,163 @@ def test_proj_point_canonicalization():
     canon = p.canonical()
     assert canon.coords[1] == ONE
     assert canon.coords[2] == GaussianRational(2)
+
+
+# ------------------------------------------------ ProjLine in Z[i]
+
+_E1, _E2 = ((1, 0), (0, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0), (0, 0))
+_GAUSSIAN_ROW = ((1, 2), (3, -1), (0, 0), (5, 5))
+
+
+@pytest.mark.parametrize("part", [(Fraction(1), 0), (1.0, 0), (True, 0), (1, False)],
+                         ids=["fraction", "float", "bool-re", "bool-im"])
+def test_proj_line_rejects_non_int_parts(part):
+    with pytest.raises(ValidationError):
+        ProjLine(((part,) + _E1[1:], _E2), 1)
+
+
+@pytest.mark.parametrize("zrows", [
+    (_E1,),
+    (_E1, _E2, _E2),
+    (_E1, _E2[:3]),
+    (_E1, _E2 + ((0, 0),)),
+    (_E1, ((0, 1, 0),) + _E2[1:]),
+    (_E1, ((1,),) + _E2[1:]),
+    (_E1, (1, 0, 0, 0)),
+], ids=["one-row", "three-rows", "short-row", "long-row", "triple", "single", "bare-ints"])
+def test_proj_line_rejects_wrong_shapes(zrows):
+    with pytest.raises(ValidationError):
+        ProjLine(zrows, 1)
+
+
+@pytest.mark.parametrize("scale", [0, -1, -6, 2.0, Fraction(2), True, "2"])
+def test_proj_line_rejects_bad_scales(scale):
+    with pytest.raises(ValidationError):
+        ProjLine((_E1, _E2), scale)
+
+
+@pytest.mark.parametrize("zrows", [
+    (_E1, _E1),
+    (_E1, tuple((2 * re, 2 * im) for re, im in _E1)),
+    (_GAUSSIAN_ROW, tuple((-im, re) for re, im in _GAUSSIAN_ROW)),
+    (_E1, ((0, 0),) * 4),
+], ids=["equal", "doubled", "i-times", "zero-row"])
+def test_proj_line_rejects_dependent_rows(zrows):
+    with pytest.raises(ValidationError):
+        ProjLine(zrows, 3)
+
+
+def test_proj_line_from_rows_reads_the_same_rows_back():
+    rng = random.Random(31)
+    fractional = (
+        (Fraction(1, 3), GaussianRational(Fraction(2, 7), Fraction(-1, 5)), ZERO, ONE),
+        (ZERO, Fraction(5, 11), GaussianRational(0, Fraction(3, 4)), Fraction(-7, 2)),
+    )
+    cases = [fractional]
+    for _ in range(40):
+        cases.append(tuple(
+            tuple(GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                                   Fraction(rng.randint(-9, 9), rng.randint(1, 12))) for _ in range(4))
+            for _ in range(2)
+        ))
+    for rows in cases:
+        line = ProjLine.from_rows(rows)
+        assert line.rows == tuple(tuple(GaussianRational.coerce(c) for c in row) for row in rows)
+        assert ProjLine.from_rows(line.rows) == line
+
+
+def test_proj_line_equality_follows_the_line_not_its_scaling():
+    rng = random.Random(32)
+    for split in (SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC, RATIONAL_QUADRIC):
+        for family in ("A", "B"):
+            line = ruling_line(sample_param(rng, family), split)
+            same = ProjLine.from_rows(line.rows)
+            assert same == line and hash(same) == hash(line)
+            doubled = ProjLine(tuple(tuple((2 * re, 2 * im) for re, im in row) for row in line.zrows), 2 * line.scale)
+            assert doubled == line and hash(doubled) == hash(line)
+            assert doubled.zrows == line.zrows and doubled.scale == line.scale
+            assert math.gcd(line.scale, *(x for row in line.zrows for z in row for x in z)) == 1
+    assert ProjLine((_E1, _E2), 1) != ProjLine((_E1, _E2), 2)
+
+
+# ------------------------------------------------ previous line and sphere tests, verbatim
+
+
+def _reference_line_on_quadric(line, split):
+    """Exact containment: the quadric vanishes on a spanning pair and their sum.
+
+    A quadric form vanishing at u, w and u + w has q(u, w) = 0 for its
+    bilinear form too, so it vanishes on the whole line.
+    """
+    u, w = line.span
+    mixed = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(u, w)]
+    return all(split.vanishes_at(p) for p in (u, w, mixed))
+
+
+def _reference_on_sphere(point):
+    h = point.coords[BOUNDARY_QUADRIC.homogenizer]
+    # z1^2 + z2^2 + z3^2 = z0^2, with no division by z0
+    z = [c.re for c in point.coords]
+    on_sphere = point.is_real() and z[1] * z[1] + z[2] * z[2] + z[3] * z[3] == h.re * h.re
+    return on_sphere
+
+
+def _random_zi_line(rng):
+    while True:
+        zrows = [[(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(4)] for _ in range(2)]
+        if linalg.matrix_rank(zrows, 4) == 2:
+            return ProjLine(zrows, rng.randint(1, 6))
+
+
+def test_line_on_quadric_matches_previous_tests():
+    rng = random.Random(33)
+    outcomes = set()
+    for split in (SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC, RATIONAL_QUADRIC):
+        lines = [_random_zi_line(rng) for _ in range(30)]
+        lines += [ruling_line(param, split) for family in ("A", "B") for param in _reference_params(rng, family)]
+        # a line on the other family's quadric, and lines through two points
+        # of the quadric on rulings of different families
+        other = SPHERE_QUADRIC if split is not SPHERE_QUADRIC else BOUNDARY_QUADRIC
+        lines += [ruling_line(sample_param(rng, "A"), other) for _ in range(5)]
+        for _ in range(10):
+            u = ruling_line(sample_param(rng, "A"), split).span[0]
+            w = ruling_line(sample_param(rng, "B"), split).span[1]
+            rank, forms = linalg.nullspace([u, w], 4)
+            if rank == 2:
+                lines.append(ProjLine(forms, 1))
+        for line in lines:
+            ours = line_on_quadric(line, split)
+            assert ours == _reference_line_on_quadric(line, split)
+            outcomes.add(ours)
+    assert outcomes == {True, False}
+
+
+def test_boundary_sphere_test_matches_previous_fraction_test():
+    rng = random.Random(34)
+    points = []
+    for family in ("A", "B"):
+        for param in _reference_params(rng, family):
+            point, _ = real_point(ruling_line(param, BOUNDARY_QUADRIC), BOUNDARY_QUADRIC)
+            points.append(point)
+            # the same point scaled by a Gaussian rational: real or not
+            factor = GaussianRational(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)),
+                                      Fraction(rng.randint(-2, 2), rng.randint(1, 9)))
+            points.append(ProjPoint(tuple(c * factor for c in point.coords)))
+    # Pythagorean quadruples (h, z1, z2, z3) over several denominators, and
+    # the same points with z2 moved off the sphere
+    for quad in ((3, 1, 2, 2), (7, 2, 3, 6), (9, 1, 4, 8), (3, 2, 2, 1)):
+        for den in (1, 2, 7, 1000003):
+            points.append(ProjPoint(tuple(Fraction(x, den) for x in quad)))
+            points.append(ProjPoint(tuple(Fraction(x + (i == 2), den) for i, x in enumerate(quad))))
+    for _ in range(60):
+        coords = [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(4)]
+        if rng.random() < 0.3:
+            coords[rng.randrange(4)] = GaussianRational(coords[0], Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        if any(coords):
+            points.append(ProjPoint(tuple(coords)))
+    outcomes = set()
+    for point in points:
+        ours = _on_boundary_sphere(point)
+        assert ours == _reference_on_sphere(point)
+        outcomes.add((ours, point.is_real()))
+    assert outcomes >= {(True, True), (False, True), (False, False)}
