@@ -127,17 +127,34 @@ def section_dim(T: TransitionMatrix, m: int) -> int:
     """
     _, val = det_valuation(T)  # validates the cocycle
     _, hi = T.exponent_span()
-    B = m + hi - val
+    return _count_sections(_zi_rows(T), hi - val, m)
+
+
+def _zi_rows(T: TransitionMatrix):
+    """T's rows as Z[i] term maps {exponent: (re, im)}, each row scaled by the
+    common denominator of its two entries: scaling every system row taken
+    from one row of T by the same nonzero constant keeps the rank."""
+    out = []
+    for t_row in T.entries:
+        entries = [entry.coeffs for entry in t_row]
+        scale = _denominator(c for coeffs in entries for c in coeffs.values())
+        out.append([dict(zip(coeffs, _scale_row(coeffs.values(), scale))) for coeffs in entries])
+    return out
+
+
+def _count_sections(zrows, reach: int, m: int) -> int:
+    """Sections of E(m) from T's Z[i] rows, of degree at most B = m + reach.
+
+    Unknown d of u_j sits in column 2*d + j (degree-major), so the terms of
+    one row of T meet a band of columns and most rows skip most elimination
+    steps; a column permutation keeps the rank, the only thing read.
+    """
+    B = m + reach
     if B < 0:
         return 0
     cols = 2 * (B + 1)
     rows = []
-    for t_row in T.entries:
-        entries = [entry.coeffs for entry in t_row]
-        # one common denominator for the whole row of T: scaling every system
-        # row taken from it by the same nonzero constant keeps the rank
-        scale = _denominator(c for coeffs in entries for c in coeffs.values())
-        zentries = [dict(zip(coeffs, _scale_row(coeffs.values(), scale))) for coeffs in entries]
+    for zentries in zrows:
         # the condition at z^e collects the terms of exponent e = exp - m + d,
         # 0 <= d <= B; only the e >= 1 that some term reaches carry one
         by_e = {}
@@ -147,7 +164,7 @@ def section_dim(T: TransitionMatrix, m: int) -> int:
                     e = exp - m + d
                     if e not in by_e:
                         by_e[e] = [(0, 0)] * cols
-                    by_e[e][j * (B + 1) + d] = coeff
+                    by_e[e][2 * d + j] = coeff
         rows.extend(by_e[e] for e in sorted(by_e))
     return cols - linalg.matrix_rank(rows, cols)
 
@@ -207,7 +224,7 @@ def h0_window(T: TransitionMatrix, window: int = 6):
     them against section counts at each twist of the window.
     """
     _, v = det_valuation(T)
-    lo, _ = T.exponent_span()
+    lo, hi = T.exponent_span()
     sigma = max(0, -lo)
     columns = [
         [T.entries[0][j].shift(sigma), T.entries[1][j].shift(sigma)]
@@ -221,12 +238,14 @@ def h0_window(T: TransitionMatrix, window: int = 6):
             f"column degrees ({degrees}) disagree with det valuation {v}"
         )
     m0 = -d1
-    if section_dim(T, m0 - 1) != 0:
+    # T's rows are scaled to Z[i] once for every twist of the window
+    zrows, reach = _zi_rows(T), hi - v
+    if _count_sections(zrows, reach, m0 - 1) != 0:
         raise InternalInconsistencyError("sections exist below the computed first twist")
     profile = [(m0 - 1, 0)]
     for m in range(m0, m0 + window - 1):
         expected = max(0, d1 + m + 1) + max(0, d2 + m + 1)
-        got = section_dim(T, m)
+        got = _count_sections(zrows, reach, m)
         if got != expected:
             raise InternalInconsistencyError(
                 f"h0 profile mismatch at twist {m}: got {got}, expected {expected}"

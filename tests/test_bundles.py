@@ -1,14 +1,18 @@
 """Laurent cocycles, section counting, and splitting types."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from conetower import linalg
 from conetower.bundles import (
     SplittingType,
     TransitionMatrix,
     _column_reduce,
     det_valuation,
+    h0_window,
     linearize_along_curve,
     local_model_fibers,
     matmul,
@@ -21,7 +25,7 @@ from conetower.errors import (
     NotCocycleError,
     ValidationError,
 )
-from conetower.gaussian import GaussianRational, ONE
+from conetower.gaussian import GaussianRational, ONE, _denominator, _scale_row
 from conetower.laurent import LaurentPoly, parse_laurent
 from conetower.multipoly import parse_poly
 
@@ -238,6 +242,73 @@ def test_fractional_cocycle_sections_and_splitting():
         for m in range(-d1 - 2, -d1 + 4):
             assert section_dim(T, m) == max(0, d1 + m + 1) + max(0, d2 + m + 1), (d1, d2, m)
     assert with_denominators == 12
+
+
+# section_dim as it was before its columns were put in degree-major order,
+# verbatim: unknown d of u_j sat in column j*(B + 1) + d.  The counts of the
+# current section_dim, and h0_window's profile, must equal it.
+
+
+def _reference_section_dim(T: TransitionMatrix, m: int) -> int:
+    _, val = det_valuation(T)  # validates the cocycle
+    _, hi = T.exponent_span()
+    B = m + hi - val
+    if B < 0:
+        return 0
+    cols = 2 * (B + 1)
+    rows = []
+    for t_row in T.entries:
+        entries = [entry.coeffs for entry in t_row]
+        # one common denominator for the whole row of T: scaling every system
+        # row taken from it by the same nonzero constant keeps the rank
+        scale = _denominator(c for coeffs in entries for c in coeffs.values())
+        zentries = [dict(zip(coeffs, _scale_row(coeffs.values(), scale))) for coeffs in entries]
+        # the condition at z^e collects the terms of exponent e = exp - m + d,
+        # 0 <= d <= B; only the e >= 1 that some term reaches carry one
+        by_e = {}
+        for j, zentry in enumerate(zentries):
+            for exp, coeff in zentry.items():
+                for d in range(max(0, m + 1 - exp), B + 1):
+                    e = exp - m + d
+                    if e not in by_e:
+                        by_e[e] = [(0, 0)] * cols
+                    by_e[e][j * (B + 1) + d] = coeff
+        rows.extend(by_e[e] for e in sorted(by_e))
+    return cols - linalg.matrix_rank(rows, cols)
+
+
+GOLDEN_MATRICES = Path(__file__).parent / "golden" / "matrices"
+
+
+def test_degree_major_section_count_matches_block_order():
+    rng = random.Random(608)
+    cocycles = []
+    for fractional in (False, True):
+        for _ in range(10):
+            d1, d2 = sorted((rng.randint(-5, 5), rng.randint(-5, 5)), reverse=True)
+            cocycles.append(_assembled_cocycle(rng, d1, d2, fractional))
+    golden = sorted(GOLDEN_MATRICES.glob("*.json"))
+    assert len(golden) == 5
+    cocycles += [TransitionMatrix.from_strings(json.loads(path.read_text())) for path in golden]
+    coefficients = [c for T in cocycles for row in T.entries for entry in row for c in entry.coeffs.values()]
+    assert any(c.im for c in coefficients)
+    assert any(c.re.denominator > 1 or c.im.denominator > 1 for c in coefficients)
+    twists = rejected = 0
+    for T in cocycles:
+        try:
+            _, profile = h0_window(T)
+        except NotCocycleError:
+            # the non-cocycle golden: both counts reject it too
+            rejected += 1
+            for count in (section_dim, _reference_section_dim):
+                with pytest.raises(NotCocycleError):
+                    count(T, 0)
+            continue
+        assert len(profile) == 6
+        for m, dim in profile:
+            assert section_dim(T, m) == dim == _reference_section_dim(T, m), (str(T), m)
+            twists += 1
+    assert rejected == 1 and twists == 6 * (len(cocycles) - 1)
 
 
 @pytest.mark.parametrize("rows", [(["z", "0"], ["0", "z - 1"]), (["z", "0"], ["z", "0"])],

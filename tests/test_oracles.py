@@ -387,6 +387,75 @@ def test_echelon_matches_previous_kernel_on_banded_section_shapes():
     assert max(shapes) == (33, 22)
 
 
+def _degree_major(matrix, B):
+    """A _banded_matrix with section_dim's column order: unknown d of u_j in
+    column 2*d + j instead of j*(B + 1) + d."""
+    return [[row[j * (B + 1) + d] for d in range(B + 1) for j in (0, 1)] for row in matrix]
+
+
+def test_echelon_matches_previous_kernel_on_degree_major_section_shapes():
+    rng = random.Random(521)
+    for nrows, B, degree in BANDED_SHAPES:
+        for real_only in (False, True):
+            matrix = _banded_matrix(rng, nrows, B, degree, real_only)
+            rank = _assert_same_echelon(_zrows(_degree_major(matrix, B)), 2 * (B + 1))
+            # a column permutation keeps the rank
+            assert rank == linalg.matrix_rank(_zrows(matrix), 2 * (B + 1))
+
+
+def _staircase_zrow(rng, cols, real_only):
+    """A Z[i] row that is zero before a random start column."""
+    start = rng.randrange(cols)
+    return [(0, 0)] * start + _random_zrow(rng, cols - start, real_only)
+
+
+def _leading_column(row):
+    return next((j for j, v in enumerate(row) if v != (0, 0)), None)
+
+
+def test_echelon_matches_previous_kernel_when_rows_wait_through_steps():
+    # a row that leads at column c has a zero pivot-column entry at every step
+    # before c, so the kernel keeps it as it is until then; at c it pivots or
+    # is eliminated, and a row that is a combination of earlier ones ends zero
+    rng = random.Random(522)
+    longest_wait = eliminated_after_wait = ended_zero = 0
+    for trial in range(150):
+        kind = trial % 3
+        nrows, cols = rng.randint(2, 9), rng.randint(3, 12)
+        if kind < 2:
+            # Gaussian rows, then rows with imaginary parts all 0
+            zrows = [_staircase_zrow(rng, cols, kind == 1) for _ in range(nrows)]
+            for _ in range(rng.randint(0, 2)):
+                # a Z[i] combination of two rows, put anywhere among them
+                a, b = rng.sample(zrows, 2)
+                s, t = rng.choice(((2, 0), (1, -1), (-3, 0))), rng.choice(((1, 0), (0, 2), (5, 1)))
+                combination = [_gsub(_gmul(s, x), _gmul(t, y)) for x, y in zip(a, b)]
+                zrows.insert(rng.randrange(len(zrows) + 1), combination)
+        else:
+            # a rank-deficient product: each row combines one or two staircase
+            # rows of a thin right factor, with fractional Gaussian weights
+            inner = rng.randint(1, max(1, min(nrows, cols) - 1))
+            right = [[GaussianRational(re, im) for re, im in _staircase_zrow(rng, cols, False)] for _ in range(inner)]
+            left = [[GaussianRational(0)] * inner for _ in range(nrows)]
+            for row in left:
+                for l in rng.sample(range(inner), min(inner, rng.randint(1, 2))):
+                    row[l] = GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 5)), rng.randint(-3, 3))
+            zrows = _zrows(_product(left, right))
+        rank = _assert_same_echelon(zrows, cols)
+        pivots = linalg._echelon(zrows, cols)[0]
+        leads = [c for c in map(_leading_column, zrows) if c is not None]
+        ended_zero += rank < len(leads)
+        for c in set(leads):
+            wait = sum(p < c for p in pivots)
+            longest_wait = max(longest_wait, wait)
+            if wait >= 2:
+                # all but one of the rows that lead at c are eliminated at c
+                eliminated_after_wait += leads.count(c) - 1
+    assert longest_wait >= 5
+    assert eliminated_after_wait >= 50
+    assert ended_zero >= 50
+
+
 # ---------------------------------------------------------------- determinants and resultants over Q(i)[x, y]
 
 XY = ("x", "y")
