@@ -54,7 +54,6 @@ def _echelon(rows, ncols):
             col += 1
             continue
         pivot_row, stamp = work.pop(pivot_idx)
-        rest = range(col + 1, ncols)
         if stamp is not prev:
             # catch the pivot row up: times prev * conj(stamp), then the
             # exact division by stamp's norm
@@ -74,6 +73,7 @@ def _echelon(rows, ncols):
         pivots.append(col)
         echelon.append(pivot_row)
         pr, pi = pivot_row[col]
+        rest = range(col + 1, ncols)
         step = (pr, pi, pr * pr + pi * pi)
         new_work = []
         for entry in work:

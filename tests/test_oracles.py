@@ -150,7 +150,8 @@ def _sympy_rank(matrix):
 
 
 def _banded_matrix(rng, nrows, B, degree, real_only=False):
-    """A matrix of section_dim's shape: two Toeplitz blocks of B + 1 columns.
+    """A section system in block order: two Toeplitz blocks of B + 1 columns
+    (_degree_major puts the columns in section_dim's order).
 
     Row e holds the z^e coefficient of a1*u1 + a2*u2 for u1, u2 of degree at
     most B and a1, a2 sparse of degree at most ``degree``, so most entries
