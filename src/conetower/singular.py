@@ -705,6 +705,24 @@ def _smallest_half_integer(predicate) -> Fraction:
     return Fraction(hi, 2)
 
 
+def _first_maximum(cell, steps: int) -> int:
+    """``max(range(steps), key=cell)`` for a cell that rises, then falls.
+
+    If cell(i + 1) <= cell(i) holds from some index on and fails before it,
+    that index is the first maximum (the one ``max`` returns on a tie), and
+    bisection finds it in about 2*log2(steps) evaluations of cell; when the
+    test never holds, the maximum is the last index.
+    """
+    lo, hi = 0, steps - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cell(mid + 1) <= cell(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _slice_bounds(params: PerturbationParams) -> tuple:
     """The exact bounds (R4, R, coord, m_hat, max_kind, at) of :func:`real_slice_bound`.
 
@@ -712,6 +730,12 @@ def _slice_bounds(params: PerturbationParams) -> tuple:
     smallest half-integer whose square reaches it; max_kind names how m_hat
     was found, and ``at`` where: m_hat is t^k - eps*t^N at t = at[0], or
     b^k - eps*a^N at (a, b) = at.
+
+    The grid maximum is found by :func:`_first_maximum`, which needs cell to
+    rise, then fall.  With cell(x) = rise*(x+1)^k - fall*x^N, cell'(x) > 0
+    exactly while (x+1)^(k-1) / x^(N-1) exceeds N*fall / (k*rise), and that
+    ratio strictly decreases on x > 0 because N > k: cell strictly rises up
+    to one point and strictly falls after it.
     """
     k, N, eps = params.k, params.N, params.eps
     R4 = _smallest_half_integer(lambda h: h ** (2 * N - 2 * k) >= 1 / eps)
@@ -737,7 +761,7 @@ def _slice_bounds(params: PerturbationParams) -> tuple:
         def cell(i: int) -> int:
             return rise * (i + 1) ** k - fall * i ** N
 
-        i = max(range(steps), key=cell)
+        i = _first_maximum(cell, steps)
         m_hat = Fraction(cell(i), ed * G ** N)
         max_kind, at = "outward grid bound", (top * i / steps, top * (i + 1) / steps)
     coord = _smallest_half_integer(lambda h: h * h >= m_hat)
@@ -838,6 +862,30 @@ def _split_point(k: int, N: int, eps: Fraction) -> Fraction:
     return Fraction(F, 2 ** 16)
 
 
+# 32-bit words read per block by _randint_stream, and the byte maps that
+# turn a word's top byte b into b >> 1, dropping b >= 130 (b >> 1 >= 65)
+_STREAM_WORDS = 256
+_HALVED = bytes(b >> 1 for b in range(256))
+_PAST_64 = bytes(range(130, 256))
+
+
+def _randint_stream(rng: random.Random):
+    """Yield the numbers of successive ``rng.randint(-32, 32)`` calls.
+
+    In CPython ``randint(-32, 32)`` is ``-32 + _randbelow(65)``: the top 7
+    bits of the next 32-bit MT19937 word (``getrandbits(7)`` is
+    ``word >> 25``), drawn again while they read 65 or more.  One
+    ``getrandbits(32 * n)`` packs the next n words least significant first,
+    so the top byte of each little-endian 4-byte group, halved, walks the same
+    7-bit values in the same order.  Words left unread in the last block only
+    advance ``rng`` past where the calls would have left it.
+    """
+    size = 4 * _STREAM_WORDS
+    while True:
+        block = rng.getrandbits(8 * size).to_bytes(size, "little")
+        yield from map((-32).__add__, block[3::4].translate(_HALVED, _PAST_64))
+
+
 def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict:
     """Seeded soundness probe of the perturbed real slice.
 
@@ -848,6 +896,15 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     (tau, R4) (Descartes: two sign changes at most); each counts as one
     sample.  Every kept draw is checked against the certified bounds: the x4
     bound by the exact sign g(R4) > 0, the coordinate bound by |x_j| <= coord.
+
+    Each draw x_j = r_j/64 comes from ``random.Random(seed).randint(-32, 32)``
+    (read in blocks by :func:`_randint_stream`) and gives c = C/D for one
+    integer C >= 0.  The sign of g(p/Q) is that of free(p) + C*last with
+    last > 0, so each test is one comparison of C with a threshold computed
+    once per call: keep iff 0 < C <= min(floor(slice_max*D),
+    floor((-free(tau*Q) - 1)/last)); the x4 bound fails iff
+    C <= floor(-free(R4*Q)/last); the coordinate bound fails iff some
+    |r_j| > floor(64*coord).
 
     ``max_x4_upper`` is the largest outward-rounded root endpoint, and one
     bisection finds it.  g grows pointwise with c, so the root in (tau, R4)
@@ -863,9 +920,10 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     FAIL on a violation, INCONCLUSIVE when ``MAX_DRAWS_PER_SAMPLE * count``
     draws yield fewer than ``count`` samples, and PASS otherwise.
     """
+    if not isinstance(count, int) or count < 1:
+        raise ValidationError(f"count must be a positive integer, got {count!r}")
     k, N, eps = params.k, params.N, params.eps
     R4, _, coord, m_hat, _, _ = _slice_bounds(params)
-    rng = random.Random(seed)
     accepted = 0
     draws = 0
     violations = []
@@ -880,30 +938,33 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     en, ed = eps.numerator, eps.denominator
     D, square = 64 ** (2 * N) * ed, 64 ** (2 * N - 2) * ed
     lead, middle, last = en * D, ed * D * Q ** (2 * N - 2 * k), ed * Q ** (2 * N)
-    # the part of C one coordinate r/64 adds, by |r|
-    terms = [square * r * r + en * r ** (2 * N) for r in range(33)]
+    # per-coordinate tables indexed by r itself (a negative r reads from the
+    # end): the part of C that r/64 adds, and whether |r| > floor(64*coord)
+    r_at_index = (*range(33), *range(-32, 0))
+    terms = [square * r * r + en * r ** (2 * N) for r in r_at_index]
+    coord_max = 64 * coord.numerator // coord.denominator
+    wide = [abs(r) > coord_max for r in r_at_index]
 
     def free(p: int) -> int:
         """The sign numerator of g(p/Q) without its C term."""
         return (lead * p ** (2 * N - 2 * k) - middle) * p ** (2 * k)
 
     at_split, at_top = free(split), free(top)
+    keep_max = min(m_hat.numerator * D // m_hat.denominator, (-at_split - 1) // last)
+    x4_fails_max = -at_top // last
+    stream = _randint_stream(random.Random(seed))
     least = None  # the least C of a draw whose upper root counts
     lower = None  # the C of a draw that counts only its lower root
-    while accepted < count and draws < MAX_DRAWS_PER_SAMPLE * count:
+    for rs in itertools.islice(zip(stream, stream, stream), MAX_DRAWS_PER_SAMPLE * count):
         draws += 1
-        rs = tuple(rng.randint(-32, 32) for _ in range(3))
-        C = terms[abs(rs[0])] + terms[abs(rs[1])] + terms[abs(rs[2])]
-        if C == 0 or C * m_hat.denominator > m_hat.numerator * D:
-            continue
-        constant = C * last
-        if at_split + constant >= 0:
+        C = terms[rs[0]] + terms[rs[1]] + terms[rs[2]]
+        if C == 0 or C > keep_max:
             continue
         # g(0) = c > 0 and g(tau) < 0; the x4 bound claims g(R4) > 0
-        roots = min(2, count - accepted)
-        if at_top + constant <= 0:
+        roots = 2 if count - accepted > 1 else 1
+        if C <= x4_fails_max:
             violations.append({"x": [str(Fraction(r, 64)) for r in rs], "reason": "x4 bound"})
-        if any(abs(r) * coord.denominator > 64 * coord.numerator for r in rs):
+        if wide[rs[0]] or wide[rs[1]] or wide[rs[2]]:
             violations += [
                 {"x": [str(Fraction(r, 64)) for r in rs], "reason": "coordinate bound"} for _ in range(roots)
             ]
@@ -912,6 +973,8 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
         elif least is None or C < least:
             least = C
         accepted += roots
+        if accepted == count:
+            break
 
     def bisect(a: int, b: int, C: int, g_lo_positive: bool) -> int:
         constant = C * last

@@ -743,6 +743,102 @@ def test_real_slice_probe_fails_on_an_understated_x4_bound(monkeypatch):
     assert summary == _reference_sample(params, 50, 0, understated)
 
 
+
+def test_real_slice_probe_fails_on_an_understated_coordinate_bound(monkeypatch):
+    # draws reach |x| = 1/2, past a claimed |x_j| <= 1/4; alone, and with the
+    # x4 bound of the test above understated as well.  Some of the 200 samples
+    # of seed 0 come from draws whose largest |x| is exactly 1/4, a tie that
+    # must not count as a violation
+    params = PerturbationParams(k=1, N=2, eps=Fraction(1))
+    R4, R, coord, *rest = singular._slice_bounds(params)
+    assert coord >= Fraction(1, 2)
+    for bounds, reasons in (
+        ((R4, R, Fraction(1, 4), *rest), {"coordinate bound"}),
+        ((Fraction(3, 4), R, Fraction(1, 4), *rest), {"coordinate bound", "x4 bound"}),
+    ):
+        monkeypatch.setattr(singular, "_slice_bounds", lambda _, bounds=bounds: bounds)
+        summary = sample_real_slice(params, count=200, seed=0)
+        assert summary["status"] == "FAIL"
+        assert {v["reason"] for v in summary["violations"]} == reasons
+        assert summary == _reference_sample(params, 200, 0, bounds)
+
+
+def test_real_slice_thresholds_decide_exact_ties_as_the_signs_do(monkeypatch):
+    # eps puts a root of g at t = 1 for the first draw of seed 0, so that draw
+    # meets each threshold with equality: g(tau) = 0 (not kept), g(R4) = 0
+    # (an x4-bound violation), and c = slice_max (kept)
+    rng = random.Random(0)
+    xs = [Fraction(rng.randint(-32, 32), 64) for _ in range(3)]
+    eps = (1 - sum(x * x for x in xs)) / (1 + sum(x ** 4 for x in xs))
+    c = sum(x * x + eps * x ** 4 for x in xs)
+    assert eps != Fraction(1, 2) and eps - 1 + c == 0
+    params = PerturbationParams(k=1, N=2, eps=eps)
+    R4, R, coord, m_hat, *rest = singular._slice_bounds(params)
+    assert R4 > 1 and c < m_hat
+    split_point = singular._split_point
+    for bounds, tau, first in (
+        ((R4, R, coord, m_hat, *rest), Fraction(1), "skipped"),
+        ((Fraction(1), R, coord, m_hat, *rest), None, "x4 bound"),
+        ((R4, R, coord, c, *rest), None, "kept"),
+    ):
+        monkeypatch.setattr(singular, "_slice_bounds", lambda _, bounds=bounds: bounds)
+        monkeypatch.setattr(singular, "_split_point", (lambda *_, tau=tau: tau) if tau else split_point)
+        summary = sample_real_slice(params, count=50, seed=0)
+        assert summary == _reference_sample(params, 50, 0, bounds), first
+        if first == "x4 bound":
+            assert summary["violations"][0] == {"x": [str(x) for x in xs], "reason": "x4 bound"}
+
+def test_slice_bounds_grid_maximum_matches_fraction_reference():
+    # most of these sets have no rational critical point, so the grid maximum decides m_hat
+    epsilons = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 7), Fraction(1, 16), Fraction(999, 1000)]
+    grid = 0
+    for k in range(1, 9):
+        for N in range(k + 1, k + 9):
+            for eps in epsilons + [Fraction(1, 10 ** 6)]:
+                params = PerturbationParams(k=k, N=N, eps=eps)
+                bounds = _reference_slice_bounds(params)
+                assert singular._slice_bounds(params) == bounds, params
+                grid += bounds[4] == "outward grid bound"
+    assert grid > 300
+
+
+def test_first_maximum_matches_the_full_scan_on_ties():
+    # k = 1, N = 2: cell(j + 1) - cell(j) = rise - fall*(2j + 1), so
+    # rise = fall*(2j + 1) ties cell(j) with cell(j + 1)
+    for steps in (1, 2, 3, 7, 1024):
+        for j in range(steps - 1):
+            for fall in (1, 5):
+                rise = fall * (2 * j + 1)
+
+                def cell(i):
+                    return rise * (i + 1) - fall * i * i
+
+                assert cell(j) == cell(j + 1)
+                assert singular._first_maximum(cell, steps) == max(range(steps), key=cell) == j
+    # cells that rise, then fall, with the maximum anywhere, at either end included
+    rng = random.Random(0)
+    for _ in range(500):
+        k = rng.randint(1, 6)
+        N = rng.randint(k + 1, k + 6)
+        rise, fall = rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 6)
+        steps = rng.choice((1, 2, 5, 64, 1024))
+
+        def cell(i):
+            return rise * (i + 1) ** k - fall * i ** N
+
+        assert singular._first_maximum(cell, steps) == max(range(steps), key=cell), (k, N, rise, fall, steps)
+
+
+def test_randint_stream_is_the_randint_sequence():
+    # each block yields at most _STREAM_WORDS numbers, so 3 * _STREAM_WORDS of
+    # them span at least three blocks
+    n = 3 * singular._STREAM_WORDS
+    for seed in range(200):
+        rng = random.Random(seed)
+        expected = [rng.randint(-32, 32) for _ in range(n)]
+        stream = singular._randint_stream(random.Random(seed))
+        assert [next(stream) for _ in range(n)] == expected, seed
+
 # ---------------------------------------------------------------- branch chain in GaussianRationals
 #
 # Copies of the branch-chain routines as they were before they ran on Z[i]

@@ -416,6 +416,12 @@ def test_real_slice_sampling_probe():
     assert Fraction(summary["max_x4_upper"]) <= Fraction(summary["R4"])
 
 
+def test_real_slice_sampling_needs_a_positive_integer_count():
+    params = PerturbationParams(k=1, N=2, eps=Fraction(1))
+    for count in (0, -5, 2.5, "3", None):
+        with pytest.raises(ValidationError):
+            sample_real_slice(params, count=count, seed=0)
+
 def test_real_slice_sampling_tiny_eps_is_exact_and_fast():
     # the split point of the x4 range once went through a float and overflowed here
     start = time.monotonic()
