@@ -16,7 +16,9 @@ never by waiting for a count to stop changing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .errors import (
@@ -25,9 +27,9 @@ from .errors import (
     NotCocycleError,
     ValidationError,
 )
-from .gaussian import _denominator, _scale_row
+from .gaussian import GaussianRational, _denominator, _gmul, _scale_row
 from .laurent import LaurentPoly, parse_laurent
-from .multipoly import MultiPoly, differentiate
+from .multipoly import MultiPoly, _zi_mul_sub, differentiate
 
 
 @dataclass(frozen=True)
@@ -69,11 +71,20 @@ class TransitionMatrix:
         return cls([[parse_laurent(text) for text in row] for row in rows])
 
     def det(self) -> LaurentPoly:
-        """a*d - b*c, computed on the first call and kept: the entries never change."""
+        """a*d - b*c, computed on the first call and kept: the entries never change.
+
+        Row i of T is scaled to Z[i] by the integer s_i (``_zi_rows``), so the
+        numerator A*D - B*C of those rows is s0*s1 times the determinant.
+        """
         if self._det is None:
-            a, b = self.entries[0]
-            c, d = self.entries[1]
-            self._det = a * d - b * c
+            zrows, (s0, s1) = _zi_rows(self)
+            # _zi_mul_sub multiplies maps keyed by exponent tuples
+            (a, b), (c, d) = ([{(e,): v for e, v in entry.items()} for entry in row] for row in zrows)
+            s = s0 * s1
+            self._det = LaurentPoly({
+                e: GaussianRational(Fraction(re, s), Fraction(im, s))
+                for (e,), (re, im) in _zi_mul_sub(a, d, b, c).items()
+            })
         return self._det
 
     def exponent_span(self):
@@ -127,19 +138,21 @@ def section_dim(T: TransitionMatrix, m: int) -> int:
     """
     _, val = det_valuation(T)  # validates the cocycle
     _, hi = T.exponent_span()
-    return _count_sections(_zi_rows(T), hi - val, m)
+    return _count_sections(_zi_rows(T)[0], hi - val, m)
 
 
 def _zi_rows(T: TransitionMatrix):
     """T's rows as Z[i] term maps {exponent: (re, im)}, each row scaled by the
-    common denominator of its two entries: scaling every system row taken
-    from one row of T by the same nonzero constant keeps the rank."""
-    out = []
+    common denominator s_i of its two entries, and the scales (s0, s1):
+    scaling every system row taken from one row of T by the same nonzero
+    constant keeps the rank."""
+    out, scales = [], []
     for t_row in T.entries:
         entries = [entry.coeffs for entry in t_row]
         scale = _denominator(c for coeffs in entries for c in coeffs.values())
         out.append([dict(zip(coeffs, _scale_row(coeffs.values(), scale))) for coeffs in entries])
-    return out
+        scales.append(scale)
+    return out, scales
 
 
 def _count_sections(zrows, reach: int, m: int) -> int:
@@ -170,7 +183,7 @@ def _count_sections(zrows, reach: int, m: int) -> int:
 
 
 def _column_degree(column):
-    degs = [entry.max_exp() for entry in column if not entry.is_zero()]
+    degs = [max(entry) for entry in column if entry]
     if not degs:
         raise NotCocycleError("a cocycle cannot have a zero column")
     return max(degs)
@@ -179,31 +192,57 @@ def _column_degree(column):
 def _column_reduce(columns):
     """Right-unimodular column reduction of a polynomial 2x2 matrix.
 
-    Returns the column degrees.  While the leading-coefficient matrix is
-    singular, the two leading vectors are parallel, so subtracting
-    lam * z^shift times the lower-degree column cancels the top coefficient
-    of the other: that column degree drops and the other stays.  The entries
+    ``columns[j][i]`` is entry (i, j) as a Z[i] term map {exponent: (re, im)}
+    with exponents >= 0.  Returns the column degrees.  While the
+    leading-coefficient matrix is singular, the two leading vectors are
+    parallel, so with a = lead[pick][dst] and b = src_lead[pick] != 0,
+    dst := |b|^2 * dst - a*conj(b) * z^shift * src cancels the top coefficient
+    of dst: that column degree drops and the other stays.  When |b|^2 > 1
+    the column is then divided by the gcd of its integer parts.  The entries
     stay polynomial, so degrees never go below 0, and the rounds number at
     most the initial total column degree plus the final one that returns.
+
+    Lemma: the columns are those of diag(s0, s1) * M, where M is the column
+    reduction of the same input over Q(i) (dst := dst - (a/b) * z^shift * src),
+    each column times a nonzero constant.  By induction: if column j is
+    S * M_j * l_j with S = diag(s0, s1), then a/b is l_dst/l_src times M's
+    ratio, so the new dst is |b|^2 * l_dst * S * M_dst', and dividing by a
+    positive integer keeps the constant nonzero.  Left multiplication by S
+    and scaling a column change no column degree, no zero pattern of the
+    leading entries and not whether the leading matrix is singular, so every
+    round makes M's choices and returns M's degrees.
     """
     for _ in range(sum(_column_degree(col) for col in columns) + 1):
         d = [_column_degree(col) for col in columns]
         lead = [
-            [columns[j][i].coefficient(d[j]) for j in range(2)]
+            [columns[j][i].get(d[j], (0, 0)) for j in range(2)]
             for i in range(2)
         ]
-        det_lead = lead[0][0] * lead[1][1] - lead[0][1] * lead[1][0]
-        if det_lead:
+        if _gmul(lead[0][0], lead[1][1]) != _gmul(lead[0][1], lead[1][0]):
             return d
         dst, src = (0, 1) if d[0] >= d[1] else (1, 0)
         shift = d[dst] - d[src]
         src_lead = (lead[0][src], lead[1][src])
-        pick = 0 if src_lead[0] else 1
-        lam = (lead[pick][dst]) / src_lead[pick]
-        factor = LaurentPoly.monomial(shift, lam)
-        columns[dst] = [
-            columns[dst][i] - factor * columns[src][i] for i in range(2)
-        ]
+        pick = 0 if any(src_lead[0]) else 1
+        a, (br, bi) = lead[pick][dst], src_lead[pick]
+        norm, (cr, ci) = br * br + bi * bi, _gmul(a, (br, -bi))
+        column = []
+        for f, g in zip(columns[dst], columns[src]):
+            # norm * f - (cr + ci*i) * z^shift * g; only g's terms meet f's
+            out = dict(f) if norm == 1 else {e: (norm * re, norm * im) for e, (re, im) in f.items()}
+            for e, (re, im) in g.items():
+                e += shift
+                old_re, old_im = out.pop(e, (0, 0))
+                re, im = old_re - cr * re + ci * im, old_im - cr * im - ci * re
+                if re or im:
+                    out[e] = (re, im)
+            column.append(out)
+        if norm > 1:
+            content = math.gcd(*(part for entry in column for pair in entry.values() for part in pair))
+            if content > 1:
+                column = [{e: (re // content, im // content) for e, (re, im) in entry.items()}
+                          for entry in column]
+        columns[dst] = column
     raise InternalInconsistencyError("column reduction did not terminate")
 
 
@@ -221,15 +260,16 @@ def h0_window(T: TransitionMatrix, window: int = 6):
     """Splitting type plus the verified h0 profile [(m, dim), ...] over a window.
 
     Column-reduce the cleared matrix, derive the degrees, and cross-check
-    them against section counts at each twist of the window.
+    them against section counts at each twist of the window, m0-1 .. m0+window-2.
     """
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
+        raise ValidationError(f"window must be a positive integer, got {window!r}")
     _, v = det_valuation(T)
     lo, hi = T.exponent_span()
     sigma = max(0, -lo)
-    columns = [
-        [T.entries[0][j].shift(sigma), T.entries[1][j].shift(sigma)]
-        for j in range(2)
-    ]
+    # T's rows are scaled to Z[i] once, for column reduction and every twist
+    zrows, _ = _zi_rows(T)
+    columns = [[{e + sigma: c for e, c in zrows[i][j].items()} for i in range(2)] for j in range(2)]
     degrees = _column_reduce(columns)
     d_pair = sorted((sigma - degrees[0], sigma - degrees[1]), reverse=True)
     d1, d2 = d_pair
@@ -238,8 +278,7 @@ def h0_window(T: TransitionMatrix, window: int = 6):
             f"column degrees ({degrees}) disagree with det valuation {v}"
         )
     m0 = -d1
-    # T's rows are scaled to Z[i] once for every twist of the window
-    zrows, reach = _zi_rows(T), hi - v
+    reach = hi - v
     if _count_sections(zrows, reach, m0 - 1) != 0:
         raise InternalInconsistencyError("sections exist below the computed first twist")
     profile = [(m0 - 1, 0)]

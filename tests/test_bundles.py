@@ -11,6 +11,7 @@ from conetower.bundles import (
     SplittingType,
     TransitionMatrix,
     _column_reduce,
+    _zi_rows,
     det_valuation,
     h0_window,
     linearize_along_curve,
@@ -22,6 +23,7 @@ from conetower.bundles import (
 )
 from conetower.errors import (
     CurveNotFixedError,
+    InternalInconsistencyError,
     NotCocycleError,
     ValidationError,
 )
@@ -118,11 +120,30 @@ def test_splitting_negative_only():
     assert splitting_type(M(["z^-3", "0"], ["0", "z^2"])) == SplittingType(3, -2)
 
 
+def _zi_columns(T: TransitionMatrix):
+    """The columns of z^sigma * T as h0_window reduces them: Z[i] term maps
+    from T's scaled rows."""
+    lo, _ = T.exponent_span()
+    zrows, _ = _zi_rows(T)
+    return [[{e - min(lo, 0): c for e, c in zrows[i][j].items()} for i in range(2)] for j in range(2)]
+
+
 def test_column_reduce_runs_past_a_thousand_rounds():
     # det = 1: each of the 1,000 rounds lowers the first column degree by one
     T = M(["1", "0"], [" + ".join(["1"] + [f"z^{e}" for e in range(1, 1001)]), "1"])
-    columns = [[T.entries[0][j], T.entries[1][j]] for j in range(2)]
-    assert _column_reduce(columns) == [0, 0]
+    assert _column_reduce(_zi_columns(T)) == [0, 0]
+
+
+@pytest.mark.parametrize("window", [0, -3, True, False, 2.5, "3", None])
+def test_h0_window_rejects_a_window_that_verifies_nothing(window):
+    T = M(["z^2", "0"], ["0", "1"])
+    with pytest.raises(ValidationError):
+        h0_window(T, window=window)
+
+
+def test_h0_window_of_one_twist_checks_only_the_first():
+    st, profile = h0_window(M(["z^2", "0"], ["0", "1"]), window=1)
+    assert st == SplittingType(0, -2) and profile == [(-1, 0)]
 
 
 def test_splitting_type_orders_pair():
@@ -309,6 +330,117 @@ def test_degree_major_section_count_matches_block_order():
             assert section_dim(T, m) == dim == _reference_section_dim(T, m), (str(T), m)
             twists += 1
     assert rejected == 1 and twists == 6 * (len(cocycles) - 1)
+
+
+# The determinant and column reduction as they were in GaussianRational
+# Laurent arithmetic, verbatim.  det() and _column_reduce on Z[i] term maps
+# must give the same determinant and the same column degrees.
+
+
+def _reference_det(T: TransitionMatrix) -> LaurentPoly:
+    a, b = T.entries[0]
+    c, d = T.entries[1]
+    return a * d - b * c
+
+
+def _reference_column_degree(column):
+    degs = [entry.max_exp() for entry in column if not entry.is_zero()]
+    if not degs:
+        raise NotCocycleError("a cocycle cannot have a zero column")
+    return max(degs)
+
+
+def _reference_column_reduce(columns):
+    for _ in range(sum(_reference_column_degree(col) for col in columns) + 1):
+        d = [_reference_column_degree(col) for col in columns]
+        lead = [
+            [columns[j][i].coefficient(d[j]) for j in range(2)]
+            for i in range(2)
+        ]
+        det_lead = lead[0][0] * lead[1][1] - lead[0][1] * lead[1][0]
+        if det_lead:
+            return d
+        dst, src = (0, 1) if d[0] >= d[1] else (1, 0)
+        shift = d[dst] - d[src]
+        src_lead = (lead[0][src], lead[1][src])
+        pick = 0 if src_lead[0] else 1
+        lam = (lead[pick][dst]) / src_lead[pick]
+        factor = LaurentPoly.monomial(shift, lam)
+        columns[dst] = [
+            columns[dst][i] - factor * columns[src][i] for i in range(2)
+        ]
+    raise InternalInconsistencyError("column reduction did not terminate")
+
+
+def _assert_matches_reference(T: TransitionMatrix):
+    """det() and the Z[i] column degrees equal the references; returns the degrees."""
+    assert T.det() == _reference_det(T), str(T)
+    lo, _ = T.exponent_span()
+    sigma = max(0, -lo)
+    reference = [[T.entries[0][j].shift(sigma), T.entries[1][j].shift(sigma)] for j in range(2)]
+    degrees = _column_reduce(_zi_columns(T))
+    assert degrees == _reference_column_reduce(reference), str(T)
+    return sigma, degrees
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["integral", "fractional"])
+def test_zi_det_and_column_reduce_match_reference(fractional):
+    rng = random.Random(609)
+    for d1 in range(-4, 5):
+        for d2 in range(-4, 5):
+            T = _assembled_cocycle(rng, d1, d2, fractional)
+            sigma, degrees = _assert_matches_reference(T)
+            assert sorted(sigma - e for e in degrees) == sorted((d1, d2))
+
+
+def _shear(p: LaurentPoly, upper: bool) -> TransitionMatrix:
+    one, zero = LaurentPoly.constant(1), LaurentPoly.zero()
+    return TransitionMatrix([[one, p], [zero, one]] if upper else [[one, zero], [p, one]])
+
+
+@pytest.mark.parametrize("degree", [20, 40, 60])
+def test_zi_column_reduce_matches_reference_on_high_degree_shears(degree):
+    # shears of the given degree in z and in 1/z whose top coefficients are
+    # Gaussian integers of norm 5, 9 and 2, so every round scales by |b|^2 > 1
+    rng = random.Random(degree)
+
+    def rand_poly(sign, lead):
+        coeffs = {sign * e: GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2)) for e in range(degree)}
+        coeffs[sign * degree] = lead
+        return LaurentPoly(coeffs)
+
+    d1, d2 = 2, -3
+    diag = TransitionMatrix([[LaurentPoly.monomial(-d1), LaurentPoly.zero()],
+                             [LaurentPoly.zero(), LaurentPoly.monomial(-d2, GaussianRational(2, 1))]])
+    left = _shear(rand_poly(-1, GaussianRational(3)), upper=True)
+    right = matmul(_shear(rand_poly(1, GaussianRational(2, 1)), upper=False),
+                   _shear(rand_poly(1, GaussianRational(1, 1)), upper=True))
+    T = matmul(matmul(left, diag), right)
+    sigma, degrees = _assert_matches_reference(T)
+    assert sorted(sigma - e for e in degrees) == [d2, d1]
+
+
+def test_det_and_h0_window_make_no_rational_arithmetic(monkeypatch):
+    # every golden cocycle is decided on Z[i] term maps: no GaussianRational
+    # or LaurentPoly arithmetic runs once T is built
+    cocycles = {path.stem: TransitionMatrix.from_strings(json.loads(path.read_text()))
+                for path in sorted(GOLDEN_MATRICES.glob("*.json"))}
+    assert len(cocycles) == 5
+
+    def slow_path(self, *args):
+        raise AssertionError("rational arithmetic in det_valuation or h0_window")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
+        monkeypatch.setattr(GaussianRational, name, slow_path)
+    monkeypatch.setattr(LaurentPoly, "__mul__", slow_path)
+    for name, T in cocycles.items():
+        if name == "non_cocycle":
+            with pytest.raises(NotCocycleError, match="is not a single term"):
+                det_valuation(T)
+            continue
+        _, v = det_valuation(T)
+        st, _ = h0_window(T)
+        assert st.d1 + st.d2 == -v
 
 
 @pytest.mark.parametrize("rows", [(["z", "0"], ["0", "z - 1"]), (["z", "0"], ["z", "0"])],
