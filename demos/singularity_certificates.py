@@ -18,7 +18,7 @@ from conetower import (
     search_perturbation,
 )
 
-chart = Chart("ambient", ("z1", "z2", "z3", "z4"), "local-model")
+chart = Chart("ambient", ("z1", "z2", "z3", "z4"))
 
 print("=== the cone z1^2 + z2^2 + z3^2 - z4^4 (k = 2) ===")
 cone = Hypersurface(chart, cone_equation(chart, 2))

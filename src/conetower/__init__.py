@@ -12,7 +12,6 @@ from .blowup import (
     SurfaceCenter,
     center_strict_transform,
     codim2_blowup_charts,
-    exceptional_divisor,
     overlap_cocycle_ok,
     point_blowup_charts,
     straighten_center,
@@ -51,7 +50,6 @@ from .quadric import (
     ProjLine,
     ProjPoint,
     RulingParam,
-    lines_disjoint,
     real_point,
     ruling_line,
     verify_boundary_cover,

@@ -78,19 +78,23 @@ class BlowupChart:
 
 @dataclass(frozen=True)
 class BlowupStep:
-    """One blow-up presented as a list of charts mapping to the base chart."""
+    """One blow-up presented as a list of charts mapping to the base chart.
 
-    kind: str  # "point" or "codim2"
+    A point blow-up names its ``distinguished`` chart (the last direction)
+    and has no ``overlap``; a codim-2 blow-up has exactly its T and S charts,
+    glued along ``overlap = (t_var, s_var)`` by t = 1/s.
+    """
+
     base: Chart
     charts: tuple
     distinguished: int | None = None
-    overlap: tuple | None = None  # (t_var, s_var) for codim2 charts
+    overlap: tuple | None = None
 
     def chart(self, index: int) -> BlowupChart:
         return self.charts[index]
 
 
-def point_blowup_charts(base: Chart, new_variables, id_prefix: str, level=None) -> BlowupStep:
+def point_blowup_charts(base: Chart, new_variables, id_prefix: str) -> BlowupStep:
     """Blow up the origin of ``base``: one chart per direction.
 
     Chart ``i`` keeps ``new_variables[i]`` as the exceptional coordinate and
@@ -102,17 +106,16 @@ def point_blowup_charts(base: Chart, new_variables, id_prefix: str, level=None) 
     new_variables = tuple(new_variables)
     if len(new_variables) != n:
         raise ValidationError(f"need {n} new variable names, got {len(new_variables)}")
-    level = base.level if level is None else level
     charts = []
     for i in range(n):
-        chart = Chart(f"{id_prefix}.c{i + 1}", new_variables, level)
+        chart = Chart(f"{id_prefix}.c{i + 1}", new_variables)
         exc = chart.var(new_variables[i])
         assignment = {}
         for j, base_var in enumerate(base.variables):
             assignment[base_var] = exc if j == i else chart.var(new_variables[j]) * exc
         to_base = SubstitutionMap(chart, base, assignment, f"{id_prefix}.g{i + 1}")
         charts.append(BlowupChart(chart, to_base, new_variables[i]))
-    return BlowupStep(kind="point", base=base, charts=tuple(charts), distinguished=n - 1)
+    return BlowupStep(base=base, charts=tuple(charts), distinguished=n - 1)
 
 
 def straighten_center(center: SurfaceCenter, new_names, chart_id: str):
@@ -130,7 +133,7 @@ def straighten_center(center: SurfaceCenter, new_names, chart_id: str):
     p_name, a_name, q_name, b_name = new_names
     iso1, iso2 = center.isolated
     free = [v for v in ambient.variables if v not in center.isolated]
-    straight = Chart(chart_id, (p_name, a_name, q_name, b_name), ambient.level)
+    straight = Chart(chart_id, (p_name, a_name, q_name, b_name))
 
     # inverse: ambient -> straight; p and q read off the generators
     inverse_assign = {
@@ -186,7 +189,7 @@ def codim2_blowup_charts(
 
     def build(replaced, kept, new_var, tag):
         variables = tuple(new_var if v == replaced else v for v in base.variables)
-        chart = Chart(f"{id_prefix}.{tag}", variables, base.level)
+        chart = Chart(f"{id_prefix}.{tag}", variables)
         assignment = {}
         for v in base.variables:
             if v == replaced:
@@ -198,13 +201,7 @@ def codim2_blowup_charts(
 
     chart_t = build(v1, v2, t_name, "T")
     chart_s = build(v2, v1, s_name, "S")
-    return BlowupStep(
-        kind="codim2",
-        base=base,
-        charts=(chart_t, chart_s),
-        distinguished=0,
-        overlap=(t_name, s_name),
-    )
+    return BlowupStep(base=base, charts=(chart_t, chart_s), overlap=(t_name, s_name))
 
 
 def surface_blowup(
@@ -214,15 +211,15 @@ def surface_blowup(
     s_name: str,
     straight_id: str,
     id_prefix: str,
-):
+) -> BlowupStep:
     """Blow up a triangular codim-2 center, charts composed to the ambient.
 
     Convenience pipeline: straighten the center, blow up {p = q = 0}, and
     compose each chart map with the unstraightening so the returned step maps
-    directly into the center's ambient chart.  Returns (step, forward,
-    inverse) with the straightening pair.
+    directly into the center's ambient chart.  Returns only that step;
+    ``straighten_center`` has already checked both straightening round trips.
     """
-    forward, inverse = straighten_center(center, straight_names, straight_id)
+    forward, _ = straighten_center(center, straight_names, straight_id)
     straight = forward.source
     p_name, _, q_name, _ = straight_names
     raw = codim2_blowup_charts(straight, p_name, q_name, t_name, s_name, id_prefix)
@@ -230,14 +227,7 @@ def surface_blowup(
         BlowupChart(bc.chart, compose_maps(forward, bc.to_base), bc.exceptional)
         for bc in raw.charts
     )
-    step = BlowupStep(
-        kind="codim2",
-        base=center.chart,
-        charts=charts,
-        distinguished=0,
-        overlap=raw.overlap,
-    )
-    return step, forward, inverse
+    return BlowupStep(base=center.chart, charts=charts, overlap=raw.overlap)
 
 
 def locus_maps_to_origin(bc: BlowupChart, locus) -> bool:
@@ -303,12 +293,6 @@ def center_strict_transform(center: SurfaceCenter, step: BlowupStep, chart_index
     return SurfaceCenter(bc.chart, tuple(new_gens), new_isolated)
 
 
-def exceptional_divisor(step: BlowupStep, chart_index: int) -> Hypersurface:
-    """The exceptional divisor in one chart: the zero locus of the exceptional coordinate."""
-    bc = step.chart(chart_index)
-    return Hypersurface(bc.chart, bc.chart.var(bc.exceptional))
-
-
 def center_pullback_divisible(center_polys, step: BlowupStep, chart_index: int) -> bool:
     """Every center generator pulls back divisibly by the exceptional coordinate."""
     bc = step.chart(chart_index)
@@ -329,7 +313,7 @@ def overlap_cocycle_ok(step: BlowupStep) -> bool:
     the S-chart map; the identity is checked after clearing the minimal power
     of s, i.e. s^d * T_map(1/s, s*v1) == s^d * S_map for d = deg_t.
     """
-    if step.kind != "codim2" or step.overlap is None:
+    if step.overlap is None:
         raise ValidationError("overlap check only applies to codim-2 blow-ups")
     t_name, s_name = step.overlap
     chart_t, chart_s = step.charts

@@ -17,11 +17,10 @@ from .multipoly import MultiPoly, parse_poly, substitute
 
 @dataclass(frozen=True)
 class Chart:
-    """A coordinate system: unique id, ordered variables, tower level or tag."""
+    """A coordinate system: a unique id and its ordered variables."""
 
     id: str
     variables: tuple
-    level: object = "local-model"
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -73,11 +72,6 @@ class SubstitutionMap:
     @staticmethod
     def identity(chart: Chart) -> "SubstitutionMap":
         return SubstitutionMap(chart, chart, {v: chart.var(v) for v in chart.variables}, "id")
-
-    @staticmethod
-    def from_strings(source: Chart, target: Chart, assignment_text, label: str):
-        assignment = {v: source.poly(text) for v, text in assignment_text.items()}
-        return SubstitutionMap(source, target, assignment, label)
 
     def pullback(self, f: MultiPoly) -> MultiPoly:
         """Compose a function on the target chart with the map."""

@@ -121,9 +121,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
@@ -189,7 +186,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
 
 

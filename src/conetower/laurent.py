@@ -8,7 +8,7 @@ chart.
 
 from __future__ import annotations
 
-from .errors import ZeroInputError
+from .errors import ValidationError, ZeroInputError
 from .gaussian import GaussianRational, ONE, ZERO
 from .multipoly import MultiPoly, _Parser, _terms_to_string
 
@@ -21,9 +21,11 @@ class LaurentPoly:
     def __init__(self, coeffs):
         clean = {}
         for exp, coeff in coeffs.items():
+            if type(exp) is not int:
+                raise ValidationError(f"Laurent exponents must be ints, got {exp!r}")
             coeff = GaussianRational.coerce(coeff)
             if coeff:
-                clean[int(exp)] = coeff
+                clean[exp] = coeff
         self.coeffs = clean
 
     # ------------------------------------------------------------ constructors

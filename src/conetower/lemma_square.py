@@ -29,6 +29,8 @@ from .blowup import (
 from .certificates import FAIL, PASS, Certificate, Check, aggregate_status
 from .charts import Chart, Hypersurface, compose_maps, first_mismatch
 
+CENTER = ("z3", "z4")  # S = {z3 = z4 = 0}, as generator texts
+
 _JUSTIFICATION = (
     "composites compared on distinguished chart pairs; the charts are dense in "
     "irreducible spaces, so exact agreement there determines the rational map"
@@ -37,26 +39,12 @@ _JUSTIFICATION = (
 
 def verify_lemma_square() -> Certificate:
     """Verify f o h = g o f' on the local model; PASS on all six chart pairs."""
-    return _square_certificate(("z3", "z4"), None)
-
-
-def perturbed_square_certificate() -> Certificate:
-    """Broken fixture: the surface is shifted off P while every downstream map
-    keeps the unshifted recipe.  Exercises the FAIL path of the comparator."""
-    return _square_certificate(("z3 - 1", "z4"), ("u3", "u4"))
-
-
-def _square_certificate(center_texts, sprime_texts) -> Certificate:
-    ambient = Chart("M", ("z1", "z2", "z3", "z4"), "local-model")
-    center = SurfaceCenter(
-        ambient,
-        tuple(ambient.poly(t) for t in center_texts),
-        ("z3", "z4"),
-    )
+    ambient = Chart("M", ("z1", "z2", "z3", "z4"))
+    center = SurfaceCenter(ambient, tuple(ambient.poly(t) for t in CENTER), ("z3", "z4"))
     checks = []
 
     g = point_blowup_charts(ambient, ("u1", "u2", "u3", "u4"), "Mp")
-    f_step, _, _ = surface_blowup(center, ("p", "a", "q", "b"), "t", "s", "V", "N")
+    f_step = surface_blowup(center, ("p", "a", "q", "b"), "t", "s", "V", "N")
     chart_t, chart_s = f_step.charts
 
     # the curve C = f^{-1}(P) must sit over P in each chart of f
@@ -71,20 +59,10 @@ def _square_certificate(center_texts, sprime_texts) -> Certificate:
         )
 
     # strict transform of the center in the u1/u2-direction charts of g
-    if sprime_texts is None:
-        sprime_1 = center_strict_transform(center, g, 0)
-        sprime_2 = center_strict_transform(center, g, 1)
-    else:
-        u1_chart = g.chart(0).chart
-        u2_chart = g.chart(1).chart
-        sprime_1 = SurfaceCenter(
-            u1_chart, tuple(u1_chart.poly(t) for t in sprime_texts), ("u3", "u4")
-        )
-        sprime_2 = SurfaceCenter(
-            u2_chart, tuple(u2_chart.poly(t) for t in sprime_texts), ("u3", "u4")
-        )
-    fp1, _, _ = surface_blowup(sprime_1, ("p1", "a1", "q1", "b1"), "t1", "s1", "V1", "N1")
-    fp2, _, _ = surface_blowup(sprime_2, ("p2", "a2", "q2", "b2"), "t2", "s2", "V2", "N2")
+    sprime_1 = center_strict_transform(center, g, 0)
+    sprime_2 = center_strict_transform(center, g, 1)
+    fp1 = surface_blowup(sprime_1, ("p1", "a1", "q1", "b1"), "t1", "s1", "V1", "N1")
+    fp2 = surface_blowup(sprime_2, ("p2", "a2", "q2", "b2"), "t2", "s2", "V2", "N2")
 
     # (name, route-2 composite into M, h-target chart of f, sigma, direction)
     pairs = [
@@ -136,7 +114,7 @@ def _square_certificate(center_texts, sprime_texts) -> Certificate:
     return Certificate(
         command="square-check",
         status=aggregate_status(checks),
-        params={"center": list(center_texts)},
+        params={"center": list(CENTER)},
         checks=checks,
         values=values,
         justification=_JUSTIFICATION,

@@ -135,10 +135,6 @@ class ProjLine:
     def form_polys(self) -> tuple:
         return tuple(_linear_form(row) for row in self.rows)
 
-    def spanning_points(self) -> tuple:
-        """Two independent points spanning the line (exact kernel basis)."""
-        return tuple(ProjPoint(tuple(GaussianRational(*z) for z in v)) for v in self.span)
-
     def contains(self, point: ProjPoint) -> bool:
         return all(not _dot(row, point.coords) for row in self.rows)
 
@@ -301,11 +297,6 @@ def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
         raise InternalInconsistencyError("computed real point fails an exact check")
     lead = next(re for re, _ in vec if re)
     return ProjPoint(tuple(GaussianRational(Fraction(re, lead)) for re, _ in vec)), nullity
-
-
-def lines_disjoint(l1: ProjLine, l2: ProjLine) -> bool:
-    """Exact rank-4 check: the four forms have no common projective zero."""
-    return linalg.matrix_rank(l1.zrows + l2.zrows, 4) == 4
 
 
 def sample_param(rng: random.Random, family: str) -> RulingParam:

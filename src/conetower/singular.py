@@ -102,7 +102,7 @@ class CriticalSystem:
 
 def perturbed_equation(params: PerturbationParams) -> Hypersurface:
     """z1^2+z2^2+z3^2-z4^(2k) + eps*(z1^(2N)+z2^(2N)+z3^(2N)+z4^(2N)) = 0."""
-    chart = Chart(f"perturbed_k{params.k}_N{params.N}", ("z1", "z2", "z3", "z4"), "local-model")
+    chart = Chart(f"perturbed_k{params.k}_N{params.N}", ("z1", "z2", "z3", "z4"))
     v = [chart.var(name) for name in chart.variables]
     eps = GaussianRational(params.eps)
     equation = v[0] ** 2 + v[1] ** 2 + v[2] ** 2 - v[3] ** (2 * params.k)

@@ -53,7 +53,6 @@ def tower_center(chart: Chart, j: int) -> SurfaceCenter:
 class ExceptionalCurve:
     """C_j = f_j^{-1}(P_j): a rational curve seen in the two surface-blow-up charts."""
 
-    level: int
     t_chart_id: str
     s_chart_id: str
     fiber_t: str
@@ -79,7 +78,6 @@ class TowerSquare:
 
 @dataclass
 class TowerLevel:
-    j: int
     chart: Chart
     hypersurface: Hypersurface
     center: SurfaceCenter
@@ -88,7 +86,6 @@ class TowerLevel:
     transform_multiplicity: int | None = None
     off_chart_transforms: tuple = ()
     surface_step: BlowupStep | None = None
-    straightening: tuple | None = None
     curve: ExceptionalCurve | None = None
 
 
@@ -116,10 +113,9 @@ def build_tower(k: int) -> Tower:
     def check(name, ok, witness=""):
         checks.append(Check(name=name, status=PASS if ok else FAIL, witness=witness))
 
-    top_chart = Chart(f"M_{k}", ("z1", "z2", "z3", "z4"), k)
+    top_chart = Chart(f"M_{k}", ("z1", "z2", "z3", "z4"))
     levels = {
         k: TowerLevel(
-            j=k,
             chart=top_chart,
             hypersurface=Hypersurface(top_chart, cone_equation(top_chart, k)),
             center=tower_center(top_chart, k),
@@ -132,7 +128,7 @@ def build_tower(k: int) -> Tower:
         level = levels[j]
         lower = j - 1
         names = tuple(f"u{i}_{lower}" for i in (1, 2, 3, 4))
-        g = point_blowup_charts(level.chart, names, f"M_{lower}", level=lower)
+        g = point_blowup_charts(level.chart, names, f"M_{lower}")
         distinguished = g.chart(g.distinguished)
 
         y_low, mult = strict_transform(level.hypersurface, g, g.distinguished)
@@ -178,7 +174,6 @@ def build_tower(k: int) -> Tower:
         level.off_chart_transforms = offs
 
         levels[lower] = TowerLevel(
-            j=lower,
             chart=distinguished.chart,
             hypersurface=y_low,
             center=s_low,
@@ -196,11 +191,10 @@ def build_tower(k: int) -> Tower:
     for j in range(k, -1, -1):
         level = levels[j]
         straight_names = (f"p_{j}", f"a_{j}", f"q_{j}", f"b_{j}")
-        step, forward, inverse = surface_blowup(
+        step = surface_blowup(
             level.center, straight_names, f"t_{j}", f"s_{j}", f"V_{j}", f"N_{j}"
         )
         level.surface_step = step
-        level.straightening = (forward, inverse)
         check(
             f"level{j}:overlap-cocycle",
             overlap_cocycle_ok(step),
@@ -213,7 +207,6 @@ def build_tower(k: int) -> Tower:
             over_p = locus_maps_to_origin(t_chart, t_locus) and locus_maps_to_origin(s_chart, s_locus)
             check(f"level{j}:curve-over-P", over_p, "f_j^{-1}(P_j) locus confirmed")
             level.curve = ExceptionalCurve(
-                level=j,
                 t_chart_id=t_chart.chart.id,
                 s_chart_id=s_chart.chart.id,
                 fiber_t=f"t_{j}",

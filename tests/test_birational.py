@@ -10,7 +10,6 @@ from conetower.blowup import (
     center_pullback_divisible,
     center_strict_transform,
     codim2_blowup_charts,
-    exceptional_divisor,
     overlap_cocycle_ok,
     point_blowup_charts,
     straighten_center,
@@ -31,7 +30,8 @@ from conetower.errors import (
     ValidationError,
 )
 from conetower.gaussian import GaussianRational
-from conetower.lemma_square import perturbed_square_certificate, verify_lemma_square
+from conetower import lemma_square
+from conetower.lemma_square import verify_lemma_square
 from conetower.multipoly import MultiPoly
 from conetower.tower import (
     build_tower,
@@ -41,7 +41,7 @@ from conetower.tower import (
     tower_to_json,
 )
 
-AMBIENT = Chart("M", ("z1", "z2", "z3", "z4"), "local-model")
+AMBIENT = Chart("M", ("z1", "z2", "z3", "z4"))
 
 
 # ---------------------------------------------------------------- point blow-ups
@@ -69,12 +69,6 @@ def test_point_blowup_first_chart_by_symmetry():
     assert bc.to_base.assignment["z4"] == u.poly("u4*u1")
 
 
-def test_exceptional_divisor_is_coordinate_zero_locus():
-    step = point_blowup_charts(AMBIENT, ("u1", "u2", "u3", "u4"), "Mp")
-    div = exceptional_divisor(step, 3)
-    assert div.equation == div.chart.poly("u4")
-
-
 def test_exceptional_locus_maps_into_center():
     # setting the exceptional coordinate to zero lands the image in the center
     step = point_blowup_charts(AMBIENT, ("u1", "u2", "u3", "u4"), "Mp")
@@ -82,7 +76,7 @@ def test_exceptional_locus_maps_into_center():
         bc = step.chart(index)
         for v in AMBIENT.variables:
             assert bc.to_base.assignment[v].set_variables({bc.exceptional: 0}).is_zero()
-    v = Chart("V", ("v1", "v2", "a", "b"), "local-model")
+    v = Chart("V", ("v1", "v2", "a", "b"))
     codim2 = codim2_blowup_charts(v, "v1", "v2", "t", "s", "N")
     for bc in codim2.charts:
         for name in ("v1", "v2"):
@@ -122,7 +116,7 @@ def test_straighten_plane_is_renaming():
 
 
 def test_straighten_level_j_form():
-    u = Chart("U2", ("u1", "u2", "u3", "u4"), 2)
+    u = Chart("U2", ("u1", "u2", "u3", "u4"))
     center = tower_center(u, 2)
     forward, _ = straighten_center(center, ("p", "a", "q", "b"), "V")
     assert forward.assignment["u1"] == forward.source.poly("p + i*a")
@@ -149,7 +143,7 @@ def test_straighten_rejects_non_triangular():
 
 
 def test_codim2_chart_maps():
-    v = Chart("V", ("v1", "v2", "a", "b"), "local-model")
+    v = Chart("V", ("v1", "v2", "a", "b"))
     step = codim2_blowup_charts(v, "v1", "v2", "t", "s", "N")
     chart_t, chart_s = step.charts
     assert chart_t.chart.variables == ("t", "v2", "a", "b")
@@ -162,9 +156,15 @@ def test_codim2_chart_maps():
     assert overlap_cocycle_ok(step)
 
 
+def test_overlap_cocycle_rejects_a_point_blowup():
+    step = point_blowup_charts(AMBIENT, ("u1", "u2", "u3", "u4"), "Mp")
+    with pytest.raises(ValidationError, match="only applies to codim-2 blow-ups"):
+        overlap_cocycle_ok(step)
+
+
 def test_codim2_strict_transform_in_s_chart():
     # p(p+2i a)+q(q+2b^k) under q = s*p divides out p once, k = 2
-    v = Chart("V", ("p", "a", "q", "b"), "local-model")
+    v = Chart("V", ("p", "a", "q", "b"))
     step = codim2_blowup_charts(v, "p", "q", "t", "s", "N")
     f = v.poly("p") * v.poly("p + 2*i*a") + v.poly("q") * v.poly("q + 2*b^2")
     h = Hypersurface(v, f)
@@ -175,7 +175,7 @@ def test_codim2_strict_transform_in_s_chart():
 
 
 def test_codim2_strict_transform_in_t_chart():
-    v = Chart("V", ("p", "a", "q", "b"), "local-model")
+    v = Chart("V", ("p", "a", "q", "b"))
     step = codim2_blowup_charts(v, "p", "q", "t", "s", "N")
     for k in (1, 2, 3):
         f = v.poly("p") * v.poly("p + 2*i*a") + v.poly("q") * v.poly(f"q + 2*b^{k}")
@@ -188,7 +188,7 @@ def test_codim2_strict_transform_in_t_chart():
 
 
 def test_strict_transform_of_y2_distinguished():
-    chart = Chart("M2", ("z1", "z2", "z3", "z4"), 2)
+    chart = Chart("M2", ("z1", "z2", "z3", "z4"))
     y2 = Hypersurface(chart, cone_equation(chart, 2))
     step = point_blowup_charts(chart, ("u1", "u2", "u3", "u4"), "M1")
     strict, mult = strict_transform(y2, step, 3)
@@ -197,7 +197,7 @@ def test_strict_transform_of_y2_distinguished():
 
 
 def test_strict_transform_second_step_reaches_unit_sphere():
-    chart = Chart("M1", ("u1", "u2", "u3", "u4"), 1)
+    chart = Chart("M1", ("u1", "u2", "u3", "u4"))
     y1 = Hypersurface(chart, cone_equation(chart, 1))
     step = point_blowup_charts(chart, ("v1", "v2", "v3", "v4"), "M0")
     strict, mult = strict_transform(y1, step, 3)
@@ -207,7 +207,7 @@ def test_strict_transform_second_step_reaches_unit_sphere():
 
 def test_strict_transform_roundtrip_property():
     rng = random.Random(19)
-    chart = Chart("M", ("z1", "z2", "z3", "z4"), "local-model")
+    chart = Chart("M", ("z1", "z2", "z3", "z4"))
     step = point_blowup_charts(chart, ("u1", "u2", "u3", "u4"), "Mp")
     for _ in range(20):
         terms = {}
@@ -226,14 +226,14 @@ def test_strict_transform_roundtrip_property():
 
 
 def test_center_pullback_divisibility_property():
-    chart = Chart("M3", ("z1", "z2", "z3", "z4"), 3)
+    chart = Chart("M3", ("z1", "z2", "z3", "z4"))
     center = tower_center(chart, 3)
     step = point_blowup_charts(chart, ("u1", "u2", "u3", "u4"), "M2")
     assert center_pullback_divisible(center.generators, step, 3)
 
 
 def test_center_strict_transform_drops_exponent():
-    chart = Chart("M3", ("z1", "z2", "z3", "z4"), 3)
+    chart = Chart("M3", ("z1", "z2", "z3", "z4"))
     center = tower_center(chart, 3)
     step = point_blowup_charts(chart, ("u1", "u2", "u3", "u4"), "M2")
     lower = center_strict_transform(center, step, 3)
@@ -288,8 +288,16 @@ def test_lemma_square_bookkeeping_multiplicity():
     assert "1" in row.witness
 
 
-def test_perturbed_center_fails_with_mismatch_variable():
-    cert = perturbed_square_certificate()
+def test_perturbed_center_fails_with_mismatch_variable(monkeypatch):
+    # broken fixture: the surface is shifted off P while every downstream map
+    # keeps the unshifted recipe S' = {u3 = u4 = 0}
+    def unshifted_strict_transform(center, step, index):
+        chart = step.chart(index).chart
+        return SurfaceCenter(chart, (chart.poly("u3"), chart.poly("u4")), ("u3", "u4"))
+
+    monkeypatch.setattr(lemma_square, "CENTER", ("z3 - 1", "z4"))
+    monkeypatch.setattr(lemma_square, "center_strict_transform", unshifted_strict_transform)
+    cert = verify_lemma_square()
     assert cert.status == FAIL
     failing = [c for c in cert.checks if c.status == FAIL and c.name.startswith("square:")]
     assert failing

@@ -55,6 +55,13 @@ def test_laurent_arithmetic():
     assert a.shift(-2) == parse_laurent("1 - z^-2")
 
 
+@pytest.mark.parametrize("exponent", [1.5, 2.0, "2", True, None])
+def test_laurent_rejects_non_int_exponents(exponent):
+    # an exponent is neither truncated (1.5) nor converted ("2", True)
+    with pytest.raises(ValidationError, match="Laurent exponents must be ints"):
+        LaurentPoly({exponent: 3})
+
+
 # ---------------------------------------------------------------- determinant valuation
 
 

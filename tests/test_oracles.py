@@ -567,7 +567,7 @@ def test_binomial_candidates_match_sympy_nroots():
     # d/dx of c0*x + cn*x^(n+1)/(n+1) is the binomial c0 + cn*x^n
     rng = random.Random(606)
     x = sympy.Symbol("x")
-    chart = Chart("binomial", ("x",), "local-model")
+    chart = Chart("binomial", ("x",))
     for n in range(1, 13):
         for _ in range(3):
             c0, cn = GaussianRational(0), GaussianRational(0)

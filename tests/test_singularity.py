@@ -33,7 +33,7 @@ from conetower.tower import build_tower, cone_equation
 
 
 def _chart(vars=("z1", "z2", "z3", "z4")):
-    return Chart("M", vars, "local-model")
+    return Chart("M", vars)
 
 
 def _origin(chart):
@@ -44,7 +44,7 @@ def _origin(chart):
 
 
 def test_unit_quadric_is_smooth():
-    chart = Chart("U0", ("u1", "u2", "u3", "u4"), 0)
+    chart = Chart("U0", ("u1", "u2", "u3", "u4"))
     h = Hypersurface(chart, cone_equation(chart, 0))
     cert = certify_singular_locus(h, [])
     assert cert.status == SMOOTH
@@ -73,7 +73,7 @@ def test_cone_all_k_one_to_five():
 def test_off_chart_transform_smooth():
     # first blow-up of the k=2 cone, chart 1: hand enumeration gives four
     # branches, each refuted by the constant 1
-    chart = Chart("U", ("u1", "u2", "u3", "u4"), 1)
+    chart = Chart("U", ("u1", "u2", "u3", "u4"))
     h = Hypersurface(chart, chart.poly("1 + u2^2 + u3^2 - u1^2*u4^4"))
     cert = certify_singular_locus(h, [])
     assert cert.status == SMOOTH
