@@ -28,6 +28,10 @@ COMMANDS = [
     ("perturb_k2_N3_eps1", ["perturb", "--k", "2", "--N", "3", "--eps", "1"], 1),
     # eps = 1/4: chain values with denominators
     ("perturb_k3_N5_eps1_4", ["perturb", "--k", "3", "--N", "5", "--eps", "1/4"], 1),
+    # product determinants over var^L = v with L = 6, 5 and 3
+    ("perturb_k2_N7_eps1_2", ["perturb", "--k", "2", "--N", "7", "--eps", "1/2"], 1),
+    # product determinants with L = 8
+    ("perturb_k3_N9_eps1", ["perturb", "--k", "3", "--N", "9", "--eps", "1"], 1),
     ("perturb_search_k1", ["perturb-search", "--k", "1"], 0),
     # finds N = 2, eps = 1/2; params echoes n_max but not the eps list
     ("perturb_search_k1_n3_eps1_2_1",
