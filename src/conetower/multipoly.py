@@ -28,7 +28,9 @@ from fractions import Fraction
 from operator import add as _add, sub as _sub
 from typing import Iterable, Mapping
 
-from .errors import InternalInconsistencyError, ParseError, VariableMismatchError, ZeroInputError
+from .errors import (
+    InternalInconsistencyError, ParseError, ValidationError, VariableMismatchError, ZeroInputError,
+)
 from .gaussian import (
     GaussianRational, I, ONE, ZERO, _denominator, _exact_str, _gdiv_exact, _gmul, _gsub, _scale_row,
 )
@@ -51,8 +53,9 @@ class MultiPoly:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} has wrong length for {variables}")
-            if any(e < 0 or not isinstance(e, int) for e in exps):
-                raise ValueError(f"exponents must be non-negative integers, got {exps}")
+            for e in exps:
+                if type(e) is not int or e < 0:
+                    raise ValidationError(f"exponents must be non-negative ints, got {exps!r}")
             coeff = GaussianRational.coerce(coeff)
             if coeff:
                 clean[exps] = coeff

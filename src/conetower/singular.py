@@ -32,7 +32,7 @@ from .certificates import (
 from .charts import Chart, Hypersurface
 from .errors import FloatRangeError, SearchExhaustedError, ValidationError
 from .gaussian import (
-    GaussianRational, _denominator, _exact_str, _exact_str_or, _gmul, _gsub, _scale_row,
+    ONE, GaussianRational, _denominator, _exact_str, _exact_str_or, _gmul, _gsub, _scale_row,
 )
 from .multipoly import (
     MultiPoly,
@@ -101,14 +101,18 @@ class CriticalSystem:
 
 
 def perturbed_equation(params: PerturbationParams) -> Hypersurface:
-    """z1^2+z2^2+z3^2-z4^(2k) + eps*(z1^(2N)+z2^(2N)+z3^(2N)+z4^(2N)) = 0."""
+    """z1^2+z2^2+z3^2-z4^(2k) + eps*(z1^(2N)+z2^(2N)+z3^(2N)+z4^(2N)) = 0.
+
+    The eight terms are distinct monomials, since N > k >= 1.
+    """
     chart = Chart(f"perturbed_k{params.k}_N{params.N}", ("z1", "z2", "z3", "z4"))
-    v = [chart.var(name) for name in chart.variables]
     eps = GaussianRational(params.eps)
-    equation = v[0] ** 2 + v[1] ** 2 + v[2] ** 2 - v[3] ** (2 * params.k)
-    bump = (v[0] ** (2 * params.N) + v[1] ** (2 * params.N) + v[2] ** (2 * params.N)
-            + v[3] ** (2 * params.N)).scale(eps)
-    return Hypersurface(chart, equation + bump)
+    two_n = 2 * params.N
+    terms = {
+        (2, 0, 0, 0): ONE, (0, 2, 0, 0): ONE, (0, 0, 2, 0): ONE, (0, 0, 0, 2 * params.k): -ONE,
+        (two_n, 0, 0, 0): eps, (0, two_n, 0, 0): eps, (0, 0, two_n, 0): eps, (0, 0, 0, two_n): eps,
+    }
+    return Hypersurface(chart, MultiPoly(chart.variables, terms))
 
 
 # ------------------------------------------------------------------ branch machinery
@@ -262,35 +266,86 @@ def _closed_form_root_product(expr: MultiPoly, c_key: tuple, D: int, M: int, v) 
     return _from_zi_terms(expr.variables, core, De ** L * qs)
 
 
-def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPoly:
-    """det of multiplication-by-expr on C[var]/(var^L - v): the root product.
+def _reduce_binomial(f: dict, idx: int, L: int, p: tuple, q: int) -> tuple:
+    """Reduce the term map ``f`` modulo var^L - p/q, var at exponent position ``idx``.
 
-    var^e = v^(e // L) * var^(e % L).  Over Z[i], with expr = F / De and
-    v = p/q, entry (e % L, j) collects the coefficient of var^d in F times
-    the lift p^k * q^(top - k), k = e // L, e = d + j; so the matrix is
-    De * q^top times the rational one, and its determinant (De * q^top)^L
-    times the root product.
+    var^(k*L + r) = (p/q)^k * var^r, so a term c * var^(k*L + r) leaves
+    c * p^k / q^k.  Returns (map, t) with the map q^t times the residue, t the
+    least exponent that clears these denominators once the factors of q that
+    c already holds are cancelled.
     """
-    idx = expr.variables.index(var)
-    top = (expr.degree_in(var) + L - 1) // L
-    p, q = _as_fraction_zi(v)
+    top = max(e[idx] for e in f) // L if f else 0
+    if not top:
+        return f, 0
+    terms = []
+    for exps, (re, im) in f.items():
+        k, r = divmod(exps[idx], L)
+        need = k if q > 1 else 0
+        while need and not (re % q or im % q):
+            re, im, need = re // q, im // q, need - 1
+        terms.append((exps[:idx] + (r,) + exps[idx + 1:], k, need, re, im))
+    t = max(term[2] for term in terms)
     powers = [(1, 0)]
     for _ in range(top):
         powers.append(_gmul(powers[-1], p))
-    lifts = [(re * q ** (top - k), im * q ** (top - k)) for k, (re, im) in enumerate(powers)]
+    out: dict = {}
+    for key, k, need, re, im in terms:
+        x, y = _gmul((re, im), powers[k])
+        if need < t:
+            x, y = x * q ** (t - need), y * q ** (t - need)
+        old = out.get(key)
+        out[key] = (x, y) if old is None else (old[0] + x, old[1] + y)
+    return {e: c for e, c in out.items() if c[0] or c[1]}, t
+
+
+def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPoly:
+    """The root product prod_{beta^L = v} expr(beta), for v != 0.
+
+    It equals the determinant of multiplication by expr on C[var]/(var^L - v),
+    and depends only on a, the residue of expr modulo var^L - v.
+
+    Root squaring (Dandelin-Graeffe) halves L while it is even.  Write
+    a(x) = A_e(x^2) + x*A_o(x^2); then a(x)*a(-x) = E(x^2) with
+    E(y) = A_e(y)^2 - y*A_o(y)^2.  As v != 0 the L roots of x^L - v are
+    distinct and fall into L/2 pairs +-beta, and beta -> beta^2 takes the
+    pairs one to one onto the roots of y^(L/2) - v.  So
+    prod_{beta^L = v} a(beta) = prod_{gamma^(L/2) = v} E(gamma), and E is
+    reduced modulo y^(L/2) - v in turn.  For L = 1 the product is the
+    residue itself; an odd L > 1 is left to Bareiss on the twisted circulant
+    whose column j is var^j * a reduced modulo var^L - v.
+
+    Over Z[i], with expr = F / De and v = p/q, a reduction lifted by q^t
+    (``_reduce_binomial``) scales the product by q^(t * L), and a circulant
+    column lifted by q^t scales the determinant by q^t.  The product is
+    divided once at the end.
+    """
+    idx = expr.variables.index(var)
+    p, q = _as_fraction_zi(v)
     De = _denominator(expr.terms.values())
-    matrix = [[{} for _ in range(L)] for _ in range(L)]
-    for exps, c in _zi_terms(expr, De).items():
-        d = exps[idx]
-        key = exps[:idx] + (0,) + exps[idx + 1:]
+    a, t = _reduce_binomial(_zi_terms(expr, De), idx, L, p, q)
+    divisor = De ** L * q ** (t * L)
+    while L % 2 == 0:
+        even, odd, odd_shifted = {}, {}, {}
+        for exps, c in a.items():
+            m, odd_part = divmod(exps[idx], 2)
+            if odd_part:
+                odd[exps[:idx] + (m,) + exps[idx + 1:]] = c
+                odd_shifted[exps[:idx] + (m + 1,) + exps[idx + 1:]] = c
+            else:
+                even[exps[:idx] + (m,) + exps[idx + 1:]] = c
+        L //= 2
+        a, t = _reduce_binomial(_zi_mul_sub(even, even, odd_shifted, odd), idx, L, p, q)
+        divisor *= q ** (t * L)
+    if L > 1:
+        matrix = [[{} for _ in range(L)] for _ in range(L)]
         for j in range(L):
-            k, r = divmod(d + j, L)
-            entry = matrix[r][j]
-            old = entry.get(key, (0, 0))
-            x, y = _gmul(c, lifts[k])
-            entry[key] = (old[0] + x, old[1] + y)
-    matrix = [[{e: a for e, a in entry.items() if a[0] or a[1]} for entry in row] for row in matrix]
-    return _from_zi_terms(expr.variables, _zi_bareiss(matrix), (De * q ** top) ** L)
+            shifted = {e[:idx] + (e[idx] + j,) + e[idx + 1:]: c for e, c in a.items()}
+            column, t = _reduce_binomial(shifted, idx, L, p, q)
+            divisor *= q ** t
+            for exps, c in column.items():
+                matrix[exps[idx]][j][exps[:idx] + (0,) + exps[idx + 1:]] = c
+        a = _zi_bareiss(matrix)
+    return _from_zi_terms(expr.variables, a, divisor)
 
 
 def _claims_all_zero(claimed) -> bool:

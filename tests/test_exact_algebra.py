@@ -8,6 +8,7 @@ import pytest
 from conetower.errors import (
     InternalInconsistencyError,
     ParseError,
+    ValidationError,
     VariableMismatchError,
     ZeroInputError,
 )
@@ -143,6 +144,14 @@ def test_monomial_product():
 def test_one_minus_t4():
     t = ("t",)
     assert P("1 + t^2", t) * P("1 - t^2", t) == P("1 - t^4", t)
+
+
+@pytest.mark.parametrize("exponent", [-1, 1.5, 2.0, "2", True, None])
+def test_multipoly_rejects_bad_exponents(exponent):
+    # an exponent is neither truncated (1.5) nor converted ("2", True); a
+    # negative one is refused too, all with the same error type
+    with pytest.raises(ValidationError, match="exponents must be non-negative ints"):
+        MultiPoly(("x", "y"), {(1, exponent): 3})
 
 
 def test_mul_variable_mismatch():

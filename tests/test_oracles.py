@@ -26,6 +26,8 @@ from conetower.multipoly import (  # noqa: E402
     MultiPoly,
     _bareiss_determinant,
     _from_zi_terms,
+    _zi_bareiss,
+    _zi_terms,
     differentiate,
     parse_poly,
     poly_to_string,
@@ -961,6 +963,71 @@ def test_multiplication_determinant_matches_gaussian_rational_reference():
             v = _fine_v(rng)
             ours = singular._multiplication_determinant(expr, "x", L, v)
             assert ours == _reference_multiplication_determinant(expr, "x", L, v)
+
+
+# ---------------------------------------------------------------- the lifted product matrix, verbatim
+#
+# The Z[i] product determinant as it was before root squaring: the whole
+# L x L multiplication matrix, each entry lifted by p^k * q^(top - k), and one
+# Bareiss elimination.
+
+
+def _reference_zi_multiplication_determinant(expr, var, L, v):
+    idx = expr.variables.index(var)
+    top = (expr.degree_in(var) + L - 1) // L
+    p, q = singular._as_fraction_zi(v)
+    powers = [(1, 0)]
+    for _ in range(top):
+        powers.append(_gmul(powers[-1], p))
+    lifts = [(re * q ** (top - k), im * q ** (top - k)) for k, (re, im) in enumerate(powers)]
+    De = _denominator(expr.terms.values())
+    matrix = [[{} for _ in range(L)] for _ in range(L)]
+    for exps, c in _zi_terms(expr, De).items():
+        d = exps[idx]
+        key = exps[:idx] + (0,) + exps[idx + 1:]
+        for j in range(L):
+            k, r = divmod(d + j, L)
+            entry = matrix[r][j]
+            old = entry.get(key, (0, 0))
+            x, y = _gmul(c, lifts[k])
+            entry[key] = (old[0] + x, old[1] + y)
+    matrix = [[{e: a for e, a in entry.items() if a[0] or a[1]} for entry in row] for row in matrix]
+    return _from_zi_terms(expr.variables, _zi_bareiss(matrix), (De * q ** top) ** L)
+
+
+def test_multiplication_determinant_matches_lifted_matrix_reference():
+    # three variables with var in the middle; Fraction and Gaussian
+    # coefficients, and v with a denominator and an imaginary part
+    rng = random.Random(1013)
+    variables = ("w", "x", "y")
+    for L in (*range(1, 9), 12):
+        for trial in range(4):
+            expr = _fine_poly(rng, variables, 5, ((0, 2), (0, 2 * L + 1), (0, 1)))
+            if trial == 0:  # real Fraction coefficients only
+                expr = MultiPoly(variables, {e: GaussianRational(c.re) for e, c in expr.terms.items()})
+            v = _fine_v(rng)
+            ours = singular._multiplication_determinant(expr, "x", L, v)
+            assert ours == _reference_zi_multiplication_determinant(expr, "x", L, v), (L, trial)
+
+
+def test_multiplication_determinant_matches_sympy_resultant():
+    # prod_{beta^L = v} a(beta) = Res(x^L - v, a), the modulus being monic
+    rng = random.Random(1014)
+    x = sympy.Symbol("x")
+    variables = ("x", "y")
+    for L in (2, 4, 6, 8):
+        for _ in range(3):
+            expr = _fine_poly(rng, variables, 4, ((0, L + 3), (0, 2)))
+            v = _fine_v(rng)
+            modulus = x ** L - _to_sympy(MultiPoly.constant(variables, v))
+            n = expr.degree_in("x")
+            # sympy is asked with the higher degree first (see test_resultant_matches_sympy)
+            if L >= n:
+                theirs = sympy.resultant(modulus, _to_sympy(expr), x)
+            else:
+                theirs = (-1) ** (L * n) * sympy.resultant(_to_sympy(expr), modulus, x)
+            ours = singular._multiplication_determinant(expr, "x", L, v)
+            assert _agrees_with_sympy(ours, theirs), (L, expr, v)
 
 
 # ---------------------------------------------------------------- multiply and substitute in GaussianRationals

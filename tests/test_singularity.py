@@ -229,7 +229,7 @@ def test_root_product_matches_sylvester_resultant():
     vars = ("x", "y")
     checked = 0
     for _ in range(40):
-        M = rng.choice((2, 3, 4, 6))
+        M = rng.choice((2, 3, 4, 5, 6, 8, 12))
         v = GaussianRational(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(0, 2))
         lead = GaussianRational(rng.randint(1, 4))
         coeffs = [(-v) * lead] + [ZERO] * (M - 1) + [lead]
@@ -257,7 +257,7 @@ def test_root_product_with_fractional_expressions_matches_sylvester_resultant():
     vars = ("x", "y")
     methods = set()
     for _ in range(60):
-        M = rng.choice((2, 3, 4, 6))
+        M = rng.choice((2, 3, 4, 5, 6, 8, 12))
         v = GaussianRational(
             Fraction(rng.randint(1, 5), rng.randint(1, 3)), Fraction(rng.randint(0, 2), rng.randint(1, 4))
         )
