@@ -32,6 +32,8 @@ COMMANDS = [
     ("perturb_k2_N7_eps1_2", ["perturb", "--k", "2", "--N", "7", "--eps", "1/2"], 1),
     # product determinants with L = 8
     ("perturb_k3_N9_eps1", ["perturb", "--k", "3", "--N", "9", "--eps", "1"], 1),
+    # product determinants with the odd composite L = 9
+    ("perturb_k2_N10_eps1", ["perturb", "--k", "2", "--N", "10", "--eps", "1"], 1),
     ("perturb_search_k1", ["perturb-search", "--k", "1"], 0),
     # finds N = 2, eps = 1/2; params echoes n_max but not the eps list
     ("perturb_search_k1_n3_eps1_2_1",
