@@ -37,7 +37,7 @@ from .gaussian import (
 from .multipoly import (
     MultiPoly,
     _from_zi_terms,
-    _zi_bareiss,
+    _zi_determinant,
     _zi_mul_sub,
     _zi_terms,
     differentiate,
@@ -304,15 +304,23 @@ def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPo
     It equals the determinant of multiplication by expr on C[var]/(var^L - v),
     and depends only on a, the residue of expr modulo var^L - v.
 
-    Root squaring (Dandelin-Graeffe) halves L while it is even.  Write
-    a(x) = A_e(x^2) + x*A_o(x^2); then a(x)*a(-x) = E(x^2) with
-    E(y) = A_e(y)^2 - y*A_o(y)^2.  As v != 0 the L roots of x^L - v are
-    distinct and fall into L/2 pairs +-beta, and beta -> beta^2 takes the
-    pairs one to one onto the roots of y^(L/2) - v.  So
-    prod_{beta^L = v} a(beta) = prod_{gamma^(L/2) = v} E(gamma), and E is
-    reduced modulo y^(L/2) - v in turn.  For L = 1 the product is the
-    residue itself; an odd L > 1 is left to Bareiss on the twisted circulant
-    whose column j is var^j * a reduced modulo var^L - v.
+    A norm step takes out each prime factor r < L of L, the least first.
+    Write a(x) = sum_{s<r} x^s * A_s(x^r).  Then
+    prod_{j<r} a(zeta^j * x) = E(x^r) for zeta a primitive r-th root of
+    unity, where E(y) is the determinant of the r x r twisted circulant with
+    entry (s, j) equal to A_(s-j) for s >= j and y * A_(r+s-j) for s < j:
+    the norm of a(t) from Q(i)[y][t]/(t^r - y) down to Q(i)[y].  As v != 0
+    the r-th roots of unity act freely on the L distinct roots of x^L - v,
+    and beta -> beta^r takes the orbits one to one onto the roots of
+    y^(L/r) - v.  So prod_{beta^L = v} a(beta) = prod_{gamma^(L/r) = v} E(gamma),
+    and E is reduced modulo y^(L/r) - v in turn.  For r = 2 this is root
+    squaring (Dandelin-Graeffe), E = A_0^2 - y * A_1^2.  Once L is prime the
+    product is the residue itself for L = 1, and for L > 1 the determinant of
+    the L x L twisted circulant whose column j is var^j * a reduced modulo
+    var^L - v.  Both determinants go through ``_zi_determinant``: a Laplace
+    expansion over column subsets, built from the bottom row up so that
+    every product has a matrix entry as a factor and nothing is divided, or
+    Bareiss from 13 rows on.
 
     Over Z[i], with expr = F / De and v = p/q, a reduction lifted by q^t
     (``_reduce_binomial``) scales the product by q^(t * L), and a circulant
@@ -324,17 +332,19 @@ def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPo
     De = _denominator(expr.terms.values())
     a, t = _reduce_binomial(_zi_terms(expr, De), idx, L, p, q)
     divisor = De ** L * q ** (t * L)
-    while L % 2 == 0:
-        even, odd, odd_shifted = {}, {}, {}
+    r = 2
+    while r * r <= L:
+        if L % r:
+            r += 1
+            continue
+        parts: list = [{} for _ in range(r)]
         for exps, c in a.items():
-            m, odd_part = divmod(exps[idx], 2)
-            if odd_part:
-                odd[exps[:idx] + (m,) + exps[idx + 1:]] = c
-                odd_shifted[exps[:idx] + (m + 1,) + exps[idx + 1:]] = c
-            else:
-                even[exps[:idx] + (m,) + exps[idx + 1:]] = c
-        L //= 2
-        a, t = _reduce_binomial(_zi_mul_sub(even, even, odd_shifted, odd), idx, L, p, q)
+            m, s = divmod(exps[idx], r)
+            parts[s][exps[:idx] + (m,) + exps[idx + 1:]] = c
+        shifted = [{e[:idx] + (e[idx] + 1,) + e[idx + 1:]: c for e, c in part.items()} for part in parts]
+        matrix = [[parts[s - j] if s >= j else shifted[r + s - j] for j in range(r)] for s in range(r)]
+        L //= r
+        a, t = _reduce_binomial(_zi_determinant(matrix), idx, L, p, q)
         divisor *= q ** (t * L)
     if L > 1:
         matrix = [[{} for _ in range(L)] for _ in range(L)]
@@ -344,7 +354,7 @@ def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPo
             divisor *= q ** t
             for exps, c in column.items():
                 matrix[exps[idx]][j][exps[:idx] + (0,) + exps[idx + 1:]] = c
-        a = _zi_bareiss(matrix)
+        a = _zi_determinant(matrix)
     return _from_zi_terms(expr.variables, a, divisor)
 
 

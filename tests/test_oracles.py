@@ -17,7 +17,7 @@ sympy_matrices = pytest.importorskip("sympy.polys.matrices")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conetower import linalg  # noqa: E402
+from conetower import linalg, multipoly  # noqa: E402
 from conetower.charts import Chart, Hypersurface  # noqa: E402
 from conetower.errors import InternalInconsistencyError, VariableMismatchError  # noqa: E402
 from conetower.gaussian import ONE, ZERO, GaussianRational, _denominator, _scale_row  # noqa: E402
@@ -27,6 +27,9 @@ from conetower.multipoly import (  # noqa: E402
     _bareiss_determinant,
     _from_zi_terms,
     _zi_bareiss,
+    _zi_determinant,
+    _zi_expansion,
+    _zi_mul_sub,
     _zi_terms,
     differentiate,
     parse_poly,
@@ -109,6 +112,45 @@ def test_pinning_matches_substitute(terms, a, b):
     point = {"x": 0, "y1": b, "w": a}
     expected = substitute(f, {v: MultiPoly.constant((), c) for v, c in point.items()}).constant_value()
     assert f.evaluate(point | {"unused": 5}) == expected
+
+
+def _reference_set_variables(f, values):
+    # MultiPoly.set_variables before pins to 0 took a path of their own, verbatim
+    pins = [(f._var_index(v), GaussianRational.coerce(c)) for v, c in values.items()]
+    zeros = [i for i, c in pins if not c]
+    powers = [(i, {e: c ** e for e in {exps[i] for exps in f.terms} if e}) for i, c in pins if c]
+    out: dict = {}
+    for exps, coeff in f.terms.items():
+        if any(exps[i] for i in zeros):
+            continue
+        key = list(exps)
+        for i, power in powers:
+            if exps[i]:
+                coeff = coeff * power[exps[i]]
+                key[i] = 0
+        key = tuple(key)
+        out[key] = out.get(key, ZERO) + coeff
+    return MultiPoly(f.variables, out)
+
+
+def test_zero_pinning_matches_the_general_path():
+    rng = random.Random(1016)
+    variables = ("x", "y1", "w", "z")
+    zeros = (0, False, Fraction(0), ZERO, GaussianRational(0, 0))
+    for _ in range(80):
+        f = _fine_poly(rng, variables, 8, ((0, 2),) * 4)
+        pins = {v: rng.choice(zeros) for v in rng.sample(variables, rng.randint(0, 4))}
+        ours = f.set_variables(pins)
+        expected = _reference_set_variables(f, pins)
+        assert ours == expected and hash(ours) == hash(expected)
+        assert all(type(c) is GaussianRational and c for c in ours.terms.values())
+    f = _fine_poly(rng, variables, 4, ((0, 2),) * 4)
+    # values that do not coerce to a Gaussian rational, and unknown names, still raise
+    for bad in ("0", None, 0.0):
+        with pytest.raises(TypeError):
+            f.set_variables({"x": bad})
+    with pytest.raises(VariableMismatchError):
+        f.set_variables({"u": 0})
 
 
 @EXAMPLES
@@ -535,6 +577,79 @@ def test_bareiss_determinant_singular_matrix_is_zero():
         rng.shuffle(matrix)
         assert _bareiss_determinant(matrix).is_zero()
         assert sympy.expand(_sympy_det(matrix)) == 0
+
+
+# ---------------------------------------------------------------- the Laplace expansion kernel
+#
+# _zi_expansion against the Bareiss kernel on term maps, and against sympy's
+# Berkowitz determinant; _zi_determinant's choice between the two.
+
+
+def _random_term_map(rng, max_terms=3, max_exp=2):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = (rng.randint(0, max_exp), rng.randint(0, max_exp))
+        terms[exps] = (rng.randint(-9, 9), rng.randint(-9, 9) if rng.random() < 0.6 else 0)
+    return {e: c for e, c in terms.items() if c[0] or c[1]}
+
+
+def _copied(m):
+    return [[dict(entry) for entry in row] for row in m]
+
+
+def test_expansion_matches_bareiss_on_term_maps():
+    rng = random.Random(410)
+    nonzero = 0
+    for n in range(1, 9):
+        # Bareiss takes most of the time from n = 6 on
+        for kind in ("dense", "sparse", "zero pivot", "zero row", "rank-deficient") * (3 if n <= 5 else 1):
+            if kind == "sparse":
+                m = [[_random_term_map(rng) if rng.random() < 0.4 else {} for _ in range(n)] for _ in range(n)]
+            else:
+                m = [[_random_term_map(rng) for _ in range(n)] for _ in range(n)]
+            if kind == "zero pivot" and n > 1:  # Bareiss must swap rows
+                m[0][0] = {}
+                m[1][0] = _random_term_map(rng) or {(0, 0): (1, 1)}
+            elif kind == "zero row":
+                m[rng.randrange(n)] = [{} for _ in range(n)]
+            elif kind == "rank-deficient":
+                # the last row is f * (row 0) + g * (row 1), without the rows it replaces
+                f, g = _random_term_map(rng), _random_term_map(rng)
+                minus_g = {e: (-re, -im) for e, (re, im) in g.items()}
+                first = m[0] if n > 1 else [{}]
+                second = m[1] if n > 2 else [{}] * n
+                m[-1] = [_zi_mul_sub(f, a, minus_g, b) for a, b in zip(first, second)]
+            det = _zi_expansion(_copied(m))
+            assert det == _zi_bareiss(_copied(m)), (n, kind)
+            if kind in ("zero row", "rank-deficient"):
+                assert det == {}
+            nonzero += bool(det)
+    assert nonzero >= 30
+
+
+def test_expansion_matches_sympy_berkowitz():
+    rng = random.Random(411)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        matrix = [[_random_poly(rng, XY) for _ in range(n)] for _ in range(n)]
+        D = _denominator(c for row in matrix for entry in row for c in entry.terms.values())
+        det = _zi_expansion([[_zi_terms(entry, D) for entry in row] for row in matrix])
+        assert _agrees_with_sympy(_from_zi_terms(XY, det, D ** n), _sympy_det(matrix))
+
+
+def test_determinant_expands_up_to_eleven_rows_and_eliminates_from_thirteen(monkeypatch):
+    # the expansion holds up to C(n, n/2) minors, so larger matrices stay on Bareiss
+    sizes = []
+    bareiss = multipoly._zi_bareiss
+    monkeypatch.setattr(multipoly, "_zi_bareiss", lambda m: sizes.append(len(m)) or bareiss(m))
+    rng = random.Random(412)
+    ZZ_I = sympy_domains.ZZ_I
+    for n in (*range(1, 12), 13):
+        rows = [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        m = [[{(0, 0): c} if c[0] or c[1] else {} for c in row] for row in rows]
+        theirs = sympy_matrices.DomainMatrix([[ZZ_I(*c) for c in row] for row in rows], (n, n), ZZ_I).det()
+        assert _zi_determinant(m).get((0, 0), (0, 0)) == (theirs.x, theirs.y), n
+        assert sizes == ([13] if n == 13 else [])
 
 
 def test_resultant_matches_sympy():
@@ -1008,6 +1123,14 @@ def test_multiplication_determinant_matches_lifted_matrix_reference():
             v = _fine_v(rng)
             ours = singular._multiplication_determinant(expr, "x", L, v)
             assert ours == _reference_zi_multiplication_determinant(expr, "x", L, v), (L, trial)
+    # odd composite L, one norm step or more before a prime L: a few terms
+    # keep the reference's L x L elimination affordable
+    for L in (9, 15, 21, 25, 27):
+        for trial in range(2):
+            expr = _fine_poly(rng, variables, 3, ((0, 1), (0, 2 * L + 1), (0, 1)))
+            v = _fine_v(rng) if trial else GaussianRational(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
+            ours = singular._multiplication_determinant(expr, "x", L, v)
+            assert ours == _reference_zi_multiplication_determinant(expr, "x", L, v), (L, trial)
 
 
 def test_multiplication_determinant_matches_sympy_resultant():
@@ -1015,7 +1138,7 @@ def test_multiplication_determinant_matches_sympy_resultant():
     rng = random.Random(1014)
     x = sympy.Symbol("x")
     variables = ("x", "y")
-    for L in (2, 4, 6, 8):
+    for L in (2, 3, 4, 5, 6, 7, 8, 9, 15):
         for _ in range(3):
             expr = _fine_poly(rng, variables, 4, ((0, L + 3), (0, 2)))
             v = _fine_v(rng)
