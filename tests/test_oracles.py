@@ -1,8 +1,9 @@
 """Independent oracles: hypothesis round-trips and ring properties, sympy ranks,
-kernels, determinants and resultants over Q(i), a Fraction reference for the
-integer real-slice kernel, GaussianRational references for the Z[i] branch
-chain and for MultiPoly multiply and substitute, and the previous Bareiss
-kernel and Z[i] back-substitution."""
+kernels, determinants and resultants over Q(i), the Laplace expansion kernel
+against Bareiss and sympy, a Fraction reference for the integer real-slice
+kernel, GaussianRational references for the Z[i] branch chain and for
+MultiPoly multiply and substitute, and the previous Bareiss kernel and Z[i]
+back-substitution."""
 
 import math
 import random
@@ -1123,11 +1124,13 @@ def test_multiplication_determinant_matches_lifted_matrix_reference():
             v = _fine_v(rng)
             ours = singular._multiplication_determinant(expr, "x", L, v)
             assert ours == _reference_zi_multiplication_determinant(expr, "x", L, v), (L, trial)
-    # odd composite L, one norm step or more before a prime L: a few terms
+    # odd composite L, one norm step or more before a prime L: three terms
     # keep the reference's L x L elimination affordable
     for L in (9, 15, 21, 25, 27):
         for trial in range(2):
-            expr = _fine_poly(rng, variables, 3, ((0, 1), (0, 2 * L + 1), (0, 1)))
+            expr = MultiPoly.zero(variables)
+            while len(expr.terms) < 3:
+                expr = _fine_poly(rng, variables, 3, ((0, 1), (0, 2 * L + 1), (0, 1)))
             v = _fine_v(rng) if trial else GaussianRational(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
             ours = singular._multiplication_determinant(expr, "x", L, v)
             assert ours == _reference_zi_multiplication_determinant(expr, "x", L, v), (L, trial)
