@@ -317,7 +317,7 @@ def test_degree_major_section_count_matches_block_order():
             d1, d2 = sorted((rng.randint(-5, 5), rng.randint(-5, 5)), reverse=True)
             cocycles.append(_assembled_cocycle(rng, d1, d2, fractional))
     golden = sorted(GOLDEN_MATRICES.glob("*.json"))
-    assert len(golden) == 5
+    assert len(golden) == 6
     cocycles += [TransitionMatrix.from_strings(json.loads(path.read_text())) for path in golden]
     coefficients = [c for T in cocycles for row in T.entries for entry in row for c in entry.coeffs.values()]
     assert any(c.im for c in coefficients)
@@ -434,7 +434,7 @@ def test_det_and_h0_window_make_no_rational_arithmetic(monkeypatch):
     # or LaurentPoly arithmetic runs once T is built
     cocycles = {path.stem: TransitionMatrix.from_strings(json.loads(path.read_text()))
                 for path in sorted(GOLDEN_MATRICES.glob("*.json"))}
-    assert len(cocycles) == 5
+    assert len(cocycles) == 6
 
     def slow_path(self, *args):
         raise AssertionError("rational arithmetic in det_valuation or h0_window")

@@ -68,6 +68,9 @@ COMMANDS = [
     ("splitting_fractional", ["splitting", "--matrix", "matrices/fractional.json"], 0),
     # type (10^9, -10^9): only the rows a term reaches are built
     ("splitting_huge_diagonal", ["splitting", "--matrix", "matrices/huge_diagonal.json"], 0),
+    # four dense shears of degree 11 and 12 with fractional Gaussian
+    # coefficients around diag(z^-2, z): type (2, -1), exponents -24 .. 23
+    ("splitting_dense", ["splitting", "--matrix", "matrices/dense.json"], 0),
 ]
 
 # files a command writes besides its standard output
