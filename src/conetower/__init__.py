@@ -26,7 +26,6 @@ from .bundles import (
     linearize_along_curve,
     local_model_fibers,
     normal_bundle_sequence,
-    section_dim,
     splitting_type,
 )
 from .certificates import Certificate, Check

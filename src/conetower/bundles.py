@@ -4,14 +4,14 @@ A bundle is presented by an invertible 2x2 Laurent-polynomial cocycle T(z)
 on the overlap of the two standard charts (w = 1/z).  Degree convention: a
 scalar transition z^-d presents O(d), so diag(z^2, 1) has splitting (0, -2).
 
-The splitting type is computed exactly via column reduction of the cleared
-matrix z^sigma * T: by the predictable-degree property the column degrees
-e_i give d_i = sigma - e_i, and h0(E(m)) = sum_i max(0, d_i + m + 1).  Every
-run is cross-checked against honest section counting on a window of twists;
-a disagreement raises InternalInconsistencyError and must never occur.
-Sections of E(m) are counted by one exact rank computation at the proven
-degree bound m + hi - val (hi the top z-exponent of T, det T = c*z^val),
-never by waiting for a count to stop changing.
+The splitting type is proved by a checked Birkhoff factorization
+T = L * diag(z^-d_1, z^-d_2) * U^-1, L invertible over Q(i)[1/z] and U over
+Q(i)[z] (A. Grothendieck, Amer. J. Math. 79, 1957): column reduction of the
+cleared matrix z^sigma * T, applied to the identity as well, gives U, and
+three exact checks on U and on the product z^sigma * T * U prove the
+factorization (``h0_window``).  A failed check raises
+InternalInconsistencyError and must never occur.  The h0 profile then
+follows from the type in closed form, h0(E(m)) = sum_i max(0, d_i + m + 1).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .errors import (
     CurveNotFixedError,
     InternalInconsistencyError,
@@ -53,7 +52,7 @@ class SplittingType:
 class TransitionMatrix:
     """2x2 Laurent-polynomial cocycle in the overlap coordinate z."""
 
-    __slots__ = ("entries", "_det")
+    __slots__ = ("entries", "_det", "_zrows")
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -65,6 +64,7 @@ class TransitionMatrix:
                     raise ValidationError("entries must be Laurent polynomials")
         self.entries = rows
         self._det = None
+        self._zrows = None
 
     @classmethod
     def from_strings(cls, rows) -> "TransitionMatrix":
@@ -126,81 +126,49 @@ def det_valuation(T: TransitionMatrix):
     return det.coeffs[exponent], exponent
 
 
-def section_dim(T: TransitionMatrix, m: int) -> int:
-    """h0 of the bundle twisted by O(m), by exact section counting.
-
-    A section is a polynomial 2-vector u(z) such that v = T * z^-m * u has
-    only non-positive z-exponents.  Then u = z^m * adj(T) * v / (c * z^val)
-    with det T = c * z^val, and the entries of adj(T) are entries of T, of
-    z-degree at most hi (the top exponent of T).  So every section has
-    degree at most m + hi - val, and one exact rank computation over the
-    polynomials of that degree counts them all.
-    """
-    _, val = det_valuation(T)  # validates the cocycle
-    _, hi = T.exponent_span()
-    return _count_sections(_zi_rows(T)[0], hi - val, m)
-
-
 def _zi_rows(T: TransitionMatrix):
     """T's rows as Z[i] term maps {exponent: (re, im)}, each row scaled by the
-    common denominator s_i of its two entries, and the scales (s0, s1):
-    scaling every system row taken from one row of T by the same nonzero
-    constant keeps the rank."""
-    out, scales = [], []
-    for t_row in T.entries:
-        entries = [entry.coeffs for entry in t_row]
-        scale = _denominator(c for coeffs in entries for c in coeffs.values())
-        out.append([dict(zip(coeffs, _scale_row(coeffs.values(), scale))) for coeffs in entries])
-        scales.append(scale)
-    return out, scales
+    common denominator s_i of its two entries, and the scales (s0, s1).
 
-
-def _count_sections(zrows, reach: int, m: int) -> int:
-    """Sections of E(m) from T's Z[i] rows, of degree at most B = m + reach.
-
-    Unknown d of u_j sits in column 2*d + j (degree-major), so the terms of
-    one row of T meet a band of columns and most rows skip most elimination
-    steps; a column permutation keeps the rank, the only thing read.
-    """
-    B = m + reach
-    if B < 0:
-        return 0
-    cols = 2 * (B + 1)
-    rows = []
-    for zentries in zrows:
-        # the condition at z^e collects the terms of exponent e = exp - m + d,
-        # 0 <= d <= B; only the e >= 1 that some term reaches carry one
-        by_e = {}
-        for j, zentry in enumerate(zentries):
-            for exp, coeff in zentry.items():
-                for d in range(max(0, m + 1 - exp), B + 1):
-                    e = exp - m + d
-                    if e not in by_e:
-                        by_e[e] = [(0, 0)] * cols
-                    by_e[e][2 * d + j] = coeff
-        rows.extend(by_e[e] for e in sorted(by_e))
-    return cols - linalg.matrix_rank(rows, cols)
+    Built on the first call and kept on T, whose entries never change, so
+    ``det()`` and ``h0_window`` scale the rows once between them; callers
+    only read the maps."""
+    if T._zrows is None:
+        out, scales = [], []
+        for t_row in T.entries:
+            entries = [entry.coeffs for entry in t_row]
+            scale = _denominator(c for coeffs in entries for c in coeffs.values())
+            out.append(tuple(dict(zip(coeffs, _scale_row(coeffs.values(), scale))) for coeffs in entries))
+            scales.append(scale)
+        T._zrows = tuple(out), tuple(scales)
+    return T._zrows
 
 
 def _column_degree(column):
-    degs = [max(entry) for entry in column if entry]
+    degs = [max(entry) for entry in column[:2] if entry]
     if not degs:
         raise NotCocycleError("a cocycle cannot have a zero column")
     return max(degs)
 
 
 def _column_reduce(columns):
-    """Right-unimodular column reduction of a polynomial 2x2 matrix.
+    """Right-unimodular column reduction of a polynomial 2x2 matrix A.
 
     ``columns[j][i]`` is entry (i, j) as a Z[i] term map {exponent: (re, im)}
-    with exponents >= 0.  Returns the column degrees.  While the
-    leading-coefficient matrix is singular, the two leading vectors are
-    parallel, so with a = lead[pick][dst] and b = src_lead[pick] != 0,
+    with exponents >= 0.  Entries 0 and 1 of a column are A's; any further
+    entries (the rows of a matrix U stacked under A) are only carried along:
+    every operation, and every division by the joint content of the stacked
+    column, is applied to the whole column, so the stack [A; I] ends as
+    [A*U; U].  Returns A's column degrees; ``columns`` holds the final stack.
+
+    While the leading-coefficient matrix is singular, the two leading vectors
+    are parallel, so with a = lead[pick][dst] and b = src_lead[pick] != 0,
     dst := |b|^2 * dst - a*conj(b) * z^shift * src cancels the top coefficient
     of dst: that column degree drops and the other stays.  When |b|^2 > 1
-    the column is then divided by the gcd of its integer parts.  The entries
-    stay polynomial, so degrees never go below 0, and the rounds number at
-    most the initial total column degree plus the final one that returns.
+    the stacked column is then divided by the gcd of its integer parts.  The
+    entries stay polynomial, so degrees never go below 0, and the rounds
+    number at most the initial total column degree plus the final one that
+    returns.
 
     Lemma: the columns are those of diag(s0, s1) * M, where M is the column
     reduction of the same input over Q(i) (dst := dst - (a/b) * z^shift * src),
@@ -247,49 +215,64 @@ def _column_reduce(columns):
 
 
 def splitting_type(T: TransitionMatrix) -> SplittingType:
-    """Exact splitting type (d1, d2) with d1 >= d2 of the rank-2 cocycle.
-
-    Column degrees of the reduced cleared matrix give the degrees; the
-    result is re-verified against the determinant valuation and against
-    honest section counts over the twist window m0-1 .. m0+3.
-    """
-    return h0_window(T, window=5)[0]
+    """Exact splitting type (d1, d2) with d1 >= d2 of the rank-2 cocycle,
+    proved by the checked factorization of ``h0_window``."""
+    return h0_window(T, window=1)[0]
 
 
 def h0_window(T: TransitionMatrix, window: int = 6):
-    """Splitting type plus the verified h0 profile [(m, dim), ...] over a window.
+    """Splitting type plus its h0 profile [(m, dim), ...] over a window of twists.
 
-    Column-reduce the cleared matrix, derive the degrees, and cross-check
-    them against section counts at each twist of the window, m0-1 .. m0+window-2.
+    With S = diag(s0, s1) the Z[i] row scales and sigma = max(0, -lo), column
+    reduction of A = z^sigma * S * T, applied to the identity as well, gives
+    U with polynomial entries and column degrees delta.  Three exact checks,
+    each raising InternalInconsistencyError if it fails, then prove the type:
+
+    1. det U is a nonzero constant, so U is invertible over Q(i)[z];
+    2. R = A * U, recomputed by multiplication, has column degrees delta and
+       a nonsingular leading-coefficient matrix (the z^delta_j coefficients
+       of column j);
+    3. delta_0 + delta_1 = v + 2*sigma, where det T = c * z^v.
+
+    Then L = S^-1 * R * diag(z^-delta) has entries polynomial in 1/z, a
+    nonsingular value at z = infinity and the nonzero constant determinant
+    c * det U, so T = L * diag(z^(delta_j - sigma)) * U^-1 is a Birkhoff
+    factorization and T presents O(sigma - delta_0) + O(sigma - delta_1).
+    The profile is h0(E(m)) = max(0, d1 + m + 1) + max(0, d2 + m + 1) at the
+    twists m0-1 .. m0+window-2, where m0 = -d1 is the first twist with a
+    section.
     """
     if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         raise ValidationError(f"window must be a positive integer, got {window!r}")
     _, v = det_valuation(T)
-    lo, hi = T.exponent_span()
+    lo, _ = T.exponent_span()
     sigma = max(0, -lo)
-    # T's rows are scaled to Z[i] once, for column reduction and every twist
     zrows, _ = _zi_rows(T)
-    columns = [[{e + sigma: c for e, c in zrows[i][j].items()} for i in range(2)] for j in range(2)]
+    one = {0: (1, 0)}
+    columns = [[{e + sigma: c for e, c in zrows[i][j].items()} for i in range(2)]
+               + ([one, {}] if j == 0 else [{}, one]) for j in range(2)]
+    # A with the exponent-tuple keys of _zi_mul_sub, before the reduction
+    # replaces its columns
+    a = [[{(e,): c for e, c in columns[j][i].items()} for j in range(2)] for i in range(2)]
     degrees = _column_reduce(columns)
-    d_pair = sorted((sigma - degrees[0], sigma - degrees[1]), reverse=True)
-    d1, d2 = d_pair
-    if d1 + d2 != -v:
+    u = [[{(e,): c for e, c in columns[j][2 + i].items()} for j in range(2)] for i in range(2)]
+    if list(_zi_mul_sub(u[0][0], u[1][1], u[0][1], u[1][0])) != [(0,)]:
+        raise InternalInconsistencyError("column operations not unimodular: det U is not a nonzero constant")
+    # R = A * U as a*b - c*(-d), column by column
+    r = [[_zi_mul_sub(a[i][0], u[0][j], a[i][1], {e: (-re, -im) for e, (re, im) in u[1][j].items()})
+          for i in range(2)] for j in range(2)]
+    if [max((e for entry in col for (e,) in entry), default=None) for col in r] != degrees:
+        raise InternalInconsistencyError(f"A*U does not have the column degrees {degrees} of the reduction")
+    lead = [[r[j][i].get((degrees[j],), (0, 0)) for j in range(2)] for i in range(2)]
+    if _gmul(lead[0][0], lead[1][1]) == _gmul(lead[0][1], lead[1][0]):
+        raise InternalInconsistencyError("A*U is not column reduced: leading-coefficient matrix is singular")
+    if degrees[0] + degrees[1] != v + 2 * sigma:
         raise InternalInconsistencyError(
             f"column degrees ({degrees}) disagree with det valuation {v}"
         )
+    d1, d2 = sorted((sigma - degrees[0], sigma - degrees[1]), reverse=True)
     m0 = -d1
-    reach = hi - v
-    if _count_sections(zrows, reach, m0 - 1) != 0:
-        raise InternalInconsistencyError("sections exist below the computed first twist")
-    profile = [(m0 - 1, 0)]
-    for m in range(m0, m0 + window - 1):
-        expected = max(0, d1 + m + 1) + max(0, d2 + m + 1)
-        got = _count_sections(zrows, reach, m)
-        if got != expected:
-            raise InternalInconsistencyError(
-                f"h0 profile mismatch at twist {m}: got {got}, expected {expected}"
-            )
-        profile.append((m, got))
+    profile = [(m, max(0, d1 + m + 1) + max(0, d2 + m + 1)) for m in range(m0 - 1, m0 + window - 1)]
     return SplittingType(d1, d2), profile
 
 

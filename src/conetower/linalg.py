@@ -11,8 +11,7 @@ one exact division, exact because the caught-up entries are minors of the
 input by Sylvester's identity (E. H. Bareiss, Math. Comp. 22, 1968).
 Kernels come back in Z[i] too: back-substitution scales the vector by each
 pivot instead of dividing by it.
-Used by the section-space computations of :mod:`conetower.bundles` and the
-line and real-point checks of :mod:`conetower.quadric`.
+Used by the line and real-point checks of :mod:`conetower.quadric`.
 """
 
 from __future__ import annotations

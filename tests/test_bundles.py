@@ -1,4 +1,7 @@
-"""Laurent cocycles, section counting, and splitting types."""
+"""Laurent cocycles, section counting, and splitting types.
+
+Section counts come from the test oracle in ``section_count.py``; the
+runtime proves each type by a checked factorization instead."""
 
 import json
 import random
@@ -6,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conetower import linalg
+from conetower import bundles, linalg
 from conetower.bundles import (
     SplittingType,
     TransitionMatrix,
@@ -18,7 +21,6 @@ from conetower.bundles import (
     local_model_fibers,
     matmul,
     normal_bundle_sequence,
-    section_dim,
     splitting_type,
 )
 from conetower.errors import (
@@ -30,6 +32,7 @@ from conetower.errors import (
 from conetower.gaussian import GaussianRational, ONE, _denominator, _scale_row
 from conetower.laurent import LaurentPoly, parse_laurent
 from conetower.multipoly import parse_poly
+from section_count import section_dim
 
 
 def M(*rows):
@@ -463,6 +466,115 @@ def test_non_cocycle_is_rejected_on_every_call(rows):
         with pytest.raises(NotCocycleError):
             section_dim(T, 0)
     assert T.det() is T.det()
+
+
+# ---------------------------------------------------------------- the factorization certificate
+
+
+def _dense_cocycle(rng, degree, d1, d2, fractional):
+    """Two shears in 1/z and two in z whose polynomials have every exponent
+    0..degree, around a diagonal with Gaussian constants: presents
+    O(d1) + O(d2).  ``fractional`` divides every coefficient by one of
+    DENOMINATORS."""
+    def coeff():
+        while not (c := GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2))):
+            pass
+        return c / rng.choice(DENOMINATORS) if fractional else c
+
+    def poly(sign):
+        return LaurentPoly({sign * e: coeff() for e in range(degree + 1)})
+
+    zero = LaurentPoly.zero()
+    diag = TransitionMatrix([[LaurentPoly.monomial(-d1, coeff()), zero],
+                             [zero, LaurentPoly.monomial(-d2, coeff())]])
+    left = matmul(_shear(poly(-1), upper=True), _shear(poly(-1), upper=False))
+    right = matmul(_shear(poly(1), upper=False), _shear(poly(1), upper=True))
+    return matmul(matmul(left, diag), right)
+
+
+def _type_from_counts(counts):
+    """(d1, d2) from h0 counts [(m, h0(m)), ...] at consecutive twists that
+    start at h0 = 0 and reach past -d2: h0 first becomes positive at m = -d1
+    and first grows by 2 at m = -d2."""
+    d1 = -next(m for m, dim in counts if dim)
+    d2 = -next(m for (m, dim), (_, prev) in zip(counts[1:], counts) if dim - prev == 2)
+    return d1, d2
+
+
+@pytest.mark.parametrize("dense, fractional", [(False, False), (False, True), (True, False), (True, True)],
+                         ids=["sparse", "sparse-fractional", "dense", "dense-fractional"])
+def test_h0_window_matches_section_count_oracle(dense, fractional):
+    # the type and every profile entry equal the section counts, over a
+    # window wide enough for the counts to determine the type on their own;
+    # sparse cocycles are criterion 6's shears, dense ones reach degree 6 per
+    # shear (exponents -14 .. 15 when the diagonal is small)
+    rng = random.Random(710 + 2 * dense + fractional)
+    checked = 0
+    for i in range(24 if dense else 40):
+        d1, d2 = sorted((rng.randint(-4, 4), rng.randint(-4, 4)), reverse=True)
+        if dense:
+            T = _dense_cocycle(rng, 1 + i % 6, d1, d2, fractional)
+        else:
+            T = _assembled_cocycle(rng, d1, d2, fractional)
+        st, profile = h0_window(T, window=d1 - d2 + 3)
+        assert st == SplittingType(d1, d2), str(T)
+        counts = [(m, section_dim(T, m)) for m, _ in profile]
+        assert counts == profile, str(T)
+        assert _type_from_counts(counts) == st.as_pair()
+        checked += len(counts)
+    assert checked >= 3 * (24 if dense else 40)
+
+
+def test_h0_window_decides_the_degree_1000_cocycle():
+    # section counts at this degree solve systems of about 2,000 columns
+    T = M(["1", "0"], [" + ".join(["1"] + [f"z^{e}" for e in range(1, 1001)]), "1"])
+    st, profile = h0_window(T)
+    assert st == SplittingType(0, 0)
+    assert profile == [(-1, 0), (0, 2), (1, 4), (2, 6), (3, 8), (4, 10)]
+
+
+def _u_column_times_z(reduce):
+    def corrupted(columns):
+        degrees = reduce(columns)
+        columns[0][2:] = [{e + 1: c for e, c in entry.items()} for entry in columns[0][2:]]
+        return degrees
+    return corrupted
+
+
+def _wrong_degree(reduce):
+    def corrupted(columns):
+        d0, d1 = reduce(columns)
+        return [d0 + 1, d1]
+    return corrupted
+
+
+def _no_reduction(reduce):
+    # U stays the identity and A's own column degrees come back
+    def corrupted(columns):
+        return [bundles._column_degree(column) for column in columns]
+    return corrupted
+
+
+def _shifted_valuation(det_valuation):
+    def corrupted(T):
+        c, v = det_valuation(T)
+        return c, v + 1
+    return corrupted
+
+
+@pytest.mark.parametrize("name, corrupt, message", [
+    ("_column_reduce", _u_column_times_z, "det U is not a nonzero constant"),
+    ("_column_reduce", _wrong_degree, "does not have the column degrees"),
+    ("_column_reduce", _no_reduction, "leading-coefficient matrix is singular"),
+    ("det_valuation", _shifted_valuation, "disagree with det valuation"),
+], ids=["u-column-times-z", "wrong-degree", "no-reduction", "shifted-valuation"])
+def test_each_certificate_check_catches_its_corruption(monkeypatch, name, corrupt, message):
+    # T is not column reduced as given, so the reduction makes one round
+    T = M(["z^2", "z"], ["0", "1"])
+    assert splitting_type(T) == SplittingType(-1, -1)
+    monkeypatch.setattr(bundles, name, corrupt(getattr(bundles, name)))
+    with pytest.raises(InternalInconsistencyError, match=message):
+        h0_window(T)
 
 
 # ---------------------------------------------------------------- linearization

@@ -63,12 +63,12 @@ COMMANDS = [
     ("splitting_triangular", ["splitting", "--matrix", "matrices/triangular.json"], 0),
     ("splitting_type_4_4", ["splitting", "--matrix", "matrices/type_4_4.json"], 0),
     ("splitting_non_cocycle", ["splitting", "--matrix", "matrices/non_cocycle.json"], 1),
-    # shears and diagonal with denominators 2, 3 and 4: section counting on
+    # shears and diagonal with denominators 2, 3 and 4: the factorization on
     # rows that need scaling to Z[i]
     ("splitting_fractional", ["splitting", "--matrix", "matrices/fractional.json"], 0),
     # type (10^9, -10^9): only the rows a term reaches are built
     ("splitting_huge_diagonal", ["splitting", "--matrix", "matrices/huge_diagonal.json"], 0),
-    # four dense shears of degree 11 and 12 with fractional Gaussian
+    # four dense shears of degree 11 with fractional Gaussian
     # coefficients around diag(z^-2, z): type (2, -1), exponents -24 .. 23
     ("splitting_dense", ["splitting", "--matrix", "matrices/dense.json"], 0),
 ]

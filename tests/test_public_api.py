@@ -14,7 +14,7 @@ EXPORTS = [
     "normal_bundle_sequence", "overlap_cocycle_ok", "parse_laurent", "parse_poly",
     "perturbed_equation", "point_blowup_charts", "poly_to_string", "real_point",
     "real_slice_bound", "resultant", "ruling_line", "sample_real_slice", "search_perturbation",
-    "section_dim", "splitting_type", "straighten_center", "strict_transform", "substitute",
+    "splitting_type", "straighten_center", "strict_transform", "substitute",
     "surface_blowup", "tower_center", "tower_to_dict", "tower_to_json", "verify_boundary_cover",
     "verify_lemma_square",
 ]
