@@ -246,6 +246,17 @@ RATIONAL_QUADRIC = QuadricSplit(
     homogenizer=0,
 )
 
+# z0*z1 = z2*z3: a line at a real ratio (s : t) is real, so its real points
+# form the whole line (nullity 2), and a line at a non-real ratio has none
+REAL_LINES_QUADRIC = QuadricSplit(
+    name="z0*z1-z2*z3",
+    a=(ONE, ZERO, ZERO, ZERO),
+    b=(ZERO, ONE, ZERO, ZERO),
+    c=(ZERO, ZERO, ONE, ZERO),
+    d=(ZERO, ZERO, ZERO, ONE),
+    homogenizer=0,
+)
+
 
 def _reference_params(rng, family):
     def wide():
@@ -261,10 +272,12 @@ def _reference_params(rng, family):
     return params
 
 
-@pytest.mark.parametrize("split", [SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC, RATIONAL_QUADRIC],
-                         ids=["sphere", "boundary", "control", "rational"])
+@pytest.mark.parametrize("split", [SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC, RATIONAL_QUADRIC,
+                                   REAL_LINES_QUADRIC],
+                         ids=["sphere", "boundary", "control", "rational", "real-lines"])
 def test_real_point_matches_gaussian_rational_reference(split):
     rng = random.Random(21)
+    nullities = set()
     for family in ("A", "B"):
         for param in _reference_params(rng, family):
             line = ruling_line(param, split)
@@ -272,6 +285,9 @@ def test_real_point_matches_gaussian_rational_reference(split):
             ref_point, ref_nullity = _reference_real_point(line, split)
             assert nullity == ref_nullity
             assert str(point) == str(ref_point)
+            nullities.add(nullity)
+    if split is REAL_LINES_QUADRIC:
+        assert nullities == {0, 2}
 
 
 def test_every_sampled_line_has_exactly_one_real_point():
