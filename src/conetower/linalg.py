@@ -11,7 +11,9 @@ one exact division, exact because the caught-up entries are minors of the
 input by Sylvester's identity (E. H. Bareiss, Math. Comp. 22, 1968).
 Kernels come back in Z[i] too: back-substitution scales the vector by each
 pivot instead of dividing by it.
-Used by the line and real-point checks of :mod:`conetower.quadric`.
+Used by :mod:`conetower.quadric` for the span of each line, from which the
+line's real points are read with no second elimination; the tests also use
+it for their section-count and real-system oracles.
 """
 
 from __future__ import annotations

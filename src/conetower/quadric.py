@@ -2,19 +2,22 @@
 
 A quadric presented as ab = cd for four linear forms carries two rulings:
 family A is {t*a - s*c, s*b - t*d}, family B is {t*a - s*d, s*b - t*c}, for
-projective parameters (s : t).  A line is tested for a real point by
-splitting its two complex forms into four real linear forms and computing
-the exact kernel of the resulting 4x4 system: the kernel dimension is the
-certificate, and a kernel vector is the real point.
+projective parameters (s : t).  A line's real points are read off the two
+Z[i] vectors that span it: they are the real combinations of the two
+vectors, rescaled to be real at one coordinate each, whose imaginary parts
+vanish at the other two coordinates.  The dimension of that real space (the
+kernel dimension of the line's four real forms) is the certificate, and a
+vector of it is the real point.
 
 Lines stay in Z[i] from the ruling parameter to the real point.  The four
 forms of a split are scaled to Z[i] by one common denominator L, so ab - cd
 is only multiplied by L^2; a ruling line's two forms are computed as Z[i]
-rows over one integer scale and stored that way.  The real system is the
-real and imaginary parts of those rows, eliminated over Z, and the sphere
-test of the boundary cover runs on integers too.  Fractions are built only
-for printed values: the real point that is returned, and a line's Q(i)
-``rows`` when a caller asks for them.
+rows over one integer scale and stored that way, with their kernel as the
+span.  The line is eliminated once, for the span: the real point comes from
+a 2x2 integer system in the span's imaginary parts, and the sphere test of
+the boundary cover runs on integers too.  Fractions are built only for
+printed values: the real point that is returned, and a line's Q(i) ``rows``
+when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -272,31 +275,82 @@ def line_on_quadric(line: ProjLine, split: QuadricSplit) -> bool:
     return all(_gmul(a, b) == _gmul(c, d) for a, b, c, d in (at_u, at_w, at_sum))
 
 
+def _span_real_vector(span):
+    """The real points of the line spanned by ``span = (u, w)``: (vector, nullity).
+
+    ``span`` is a kernel basis from :func:`linalg.nullspace`, whose
+    back-substitution writes pivot coordinates only, so each vector is zero at
+    the other's free column.  Hence there are columns j0 with u[j0] != 0 =
+    w[j0] and j1 with w[j1] != 0 = u[j1].  Put U = conj(u[j0])*u and W =
+    conj(w[j1])*w, so that U[j0] and W[j1] are positive integers.  A real
+    vector a*U + b*W of the line has a real and b real (read at j0 and j1),
+    and conversely a*U + b*W with a, b real is real exactly when its
+    imaginary parts at the other two columns k, l vanish:
+
+        m (a, b) = 0,  m = [[Im U[k], Im W[k]], [Im U[l], Im W[l]]].
+
+    So the real points form a real space of dimension 2 - rank m, the
+    nullity of the real system of the line's forms.  det m != 0 gives
+    nullity 0 and no vector; m = 0 gives nullity 2 and the vector U, which is
+    zero at the second free column as the real system's first kernel vector
+    is; otherwise the nullity is 1 and (a, b) = (m[r][1], -m[r][0]) for a
+    nonzero row r of m.  The vector comes back as Z[i] pairs, unchecked.
+    """
+    u, w = span
+    j0 = j1 = None
+    for j in range(4):
+        if w[j] == (0, 0) and u[j] != (0, 0):
+            j0 = j
+        elif u[j] == (0, 0) and w[j] != (0, 0):
+            j1 = j
+    if j0 is None or j1 is None:
+        raise InternalInconsistencyError("a line's span must vanish at each other's free columns")
+    (ur, ui), (wr, wi) = u[j0], w[j1]
+    k, l = (j for j in range(4) if j != j0 and j != j1)
+    # Im(conj(c) * z) = Re c * Im z - Im c * Re z
+    m = (
+        (ur * u[k][1] - ui * u[k][0], wr * w[k][1] - wi * w[k][0]),
+        (ur * u[l][1] - ui * u[l][0], wr * w[l][1] - wi * w[l][0]),
+    )
+    if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
+        return None, 0
+    row = m[0] if any(m[0]) else m[1]
+    if any(row):
+        a, b, nullity = row[1], -row[0], 1
+    else:
+        a, b, nullity = 1, 0, 2
+    # a*U + b*W = (a*conj(u[j0]))*u + (b*conj(w[j1]))*w, imaginary parts included
+    ar, ai, br, bi = a * ur, -a * ui, b * wr, -b * wi
+    vec = [
+        (ar * x - ai * y + br * p - bi * q, ar * y + ai * x + br * q + bi * p)
+        for (x, y), (p, q) in zip(u, w)
+    ]
+    return vec, nullity
+
+
 def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
     """Exact real point of a line on the quadric, with the kernel dimension.
 
-    The two complex forms become four integer real forms: the real and
-    imaginary parts of the line's Z[i] rows.  The returned nullity is the
-    dimension of their real kernel, and for nullity >= 1 the canonical kernel
-    vector is a real point on the line (and hence on the quadric).  The
-    integer kernel vector is checked (real, on both forms, on the quadric)
-    before the one division by its leading coordinate, which builds the
-    point's Fractions.  Raises LINE_NOT_ON_QUADRIC for lines off the quadric.
+    The returned nullity is the dimension of the real kernel of the line's
+    forms, read off its Z[i] span by :func:`_span_real_vector` with no second
+    elimination; for nullity >= 1 the canonical kernel vector is a real point
+    on the line (and hence on the quadric).  The integer kernel vector is
+    checked (real, on both forms, on the quadric) before the one division by
+    its leading coordinate, which builds the point's Fractions.  Raises
+    LINE_NOT_ON_QUADRIC for lines off the quadric.
     """
     if not line_on_quadric(line, split):
         raise LineNotOnQuadricError(f"line is not contained in {split.name}")
-    real_rows = [[(z[part], 0) for z in row] for row in line.zrows for part in (0, 1)]
-    rank, basis = linalg.nullspace(real_rows, 4)
-    nullity = 4 - rank
+    vec, nullity = _span_real_vector(line.span)
     if nullity == 0:
         return None, 0
-    vec = basis[0]
     if any(im for _, im in vec):
         raise InternalInconsistencyError("kernel of a real system must be real")
     if any(_zdot(row, vec) != (0, 0) for row in line.zrows) or not split.vanishes_at(vec):
         raise InternalInconsistencyError("computed real point fails an exact check")
     lead = next(re for re, _ in vec if re)
-    return ProjPoint(tuple(GaussianRational(Fraction(re, lead)) for re, _ in vec)), nullity
+    zero = ZERO.im  # one shared 0 part rather than a Fraction(0) per coordinate
+    return ProjPoint(tuple(GaussianRational(Fraction(re, lead), zero) for re, _ in vec)), nullity
 
 
 def sample_param(rng: random.Random, family: str) -> RulingParam:
@@ -330,9 +384,13 @@ def _on_boundary_sphere(point: ProjPoint) -> bool:
     """z1^2 + z2^2 + z3^2 = h^2 at a real point, h its BOUNDARY_QUADRIC
     homogenizer, tested in integers: the coordinates times the lcm of their
     denominators, with no division by h."""
-    z = [re for re, _ in _scale_row(point.coords, _denominator(point.coords))]
+    if not point.is_real():
+        return False
+    x = [c.re for c in point.coords]
+    D = math.lcm(*(q.denominator for q in x))
+    z = [q.numerator * (D // q.denominator) for q in x]
     h = z[BOUNDARY_QUADRIC.homogenizer]
-    return point.is_real() and z[1] * z[1] + z[2] * z[2] + z[3] * z[3] == h * h
+    return z[1] * z[1] + z[2] * z[2] + z[3] * z[3] == h * h
 
 
 def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:

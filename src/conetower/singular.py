@@ -567,7 +567,8 @@ def _branch_verdict(record, h, chart, selection, claimed, claims_zero_only) -> s
     outcome = record["outcome"] = {
         "type": "iterated-root-product",
         "chain": chain,
-        "value": str(current),
+        # current is the chain's last value, or reduced itself: printed already
+        "value": chain[-1]["value"] if chain else record["reduced"],
         "exponent": exponent,
     }
 

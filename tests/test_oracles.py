@@ -38,7 +38,7 @@ from conetower.multipoly import (  # noqa: E402
     resultant,
     substitute,
 )
-from conetower import singular  # noqa: E402
+from conetower import quadric, singular  # noqa: E402
 from conetower.singular import (  # noqa: E402
     CriticalSystem,
     PerturbationParams,
@@ -409,7 +409,8 @@ def test_echelon_matches_previous_kernel_on_dense_gaussian_rows():
 
 
 def test_echelon_matches_previous_kernel_on_real_rows():
-    # the real systems of quadric.real_point: imaginary parts all 0
+    # real systems, imaginary parts all 0, as the real-point oracle below
+    # eliminates them
     rng = random.Random(519)
     for _ in range(60):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
@@ -1304,13 +1305,75 @@ def test_nullspace_matches_previous_back_substitution_on_line_rows():
 
 
 def test_nullspace_matches_previous_back_substitution_on_real_rows():
-    # the 4x4 real systems of quadric.real_point: imaginary parts all 0
+    # 4x4 real systems, imaginary parts all 0, the shape that
+    # _reference_real_kernel eliminates
     rng = random.Random(522)
     ranks = set()
     for _ in range(200):
         zrows = [_random_zrow(rng, 4, True, 40 if rng.random() < 0.5 else 2) for _ in range(4)]
         ranks.add(_assert_same_nullspace(zrows, 4))
     assert 4 in ranks and min(ranks) < 4
+
+
+def _reference_real_kernel(zrows):
+    """Nullity and canonical point of a line's real points by the previous
+    path: the exact kernel of the 4x4 real system of the rows' real and
+    imaginary parts."""
+    real_rows = [[(z[part], 0) for z in row] for row in zrows for part in (0, 1)]
+    rank, basis = linalg.nullspace(real_rows, 4)
+    return 4 - rank, (_canonical_real(basis[0]) if basis else None)
+
+
+def _canonical_real(vec):
+    assert not any(im for _, im in vec)
+    lead = next(re for re, _ in vec if re)
+    return tuple(Fraction(re, lead) for re, _ in vec)
+
+
+def _line_rows(rng, kind):
+    """Two Z[i] rows over 4 columns of one of five kinds: real rows, complex
+    combinations of real rows (a real line), the kernel of a real and a
+    complex vector (one real point), entries each real or purely imaginary,
+    and dense Gaussian rows."""
+    bound = 40 if rng.random() < 0.5 else 2
+    if kind in ("real", "real-line"):
+        rows = [_random_zrow(rng, 4, True, bound) for _ in range(2)]
+        if kind == "real-line":
+            c = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+            rows = [[tuple(p + q for p, q in zip(_gmul(c[2 * i], x), _gmul(c[2 * i + 1], y)))
+                     for x, y in zip(*rows)] for i in range(2)]
+        return rows
+    if kind == "one-real-point":
+        _, forms = linalg.nullspace([_random_zrow(rng, 4, True, bound), _random_zrow(rng, 4, False, bound)], 4)
+        return forms
+    if kind == "real-or-imaginary":
+        return [[(x, 0) if rng.random() < 0.5 else (0, x) for x, _ in _random_zrow(rng, 4, True, bound)]
+                for _ in range(2)]
+    return [_random_zrow(rng, 4, False, bound) for _ in range(2)]
+
+
+def test_span_real_points_match_the_previous_real_system():
+    # quadric._span_real_vector reads a line's real points off its Z[i] span;
+    # the previous path eliminated the 4x4 real system instead.  The lines
+    # need not lie on any quadric.
+    rng = random.Random(524)
+    seen = set()
+    for _ in range(600):
+        kind = rng.choice(("real", "real-line", "one-real-point", "real-or-imaginary", "dense"))
+        zrows = _line_rows(rng, kind)
+        rank, span = linalg.nullspace(zrows, 4)
+        if rank != 2:
+            continue
+        vec, nullity = quadric._span_real_vector(span)
+        ref_nullity, ref_point = _reference_real_kernel(zrows)
+        assert nullity == ref_nullity
+        assert (vec is None) == (nullity == 0)
+        if vec is not None:
+            assert _canonical_real(vec) == ref_point
+            assert all(quadric._zdot(row, vec) == (0, 0) for row in zrows)
+        seen.add((kind, nullity))
+    assert {nullity for _, nullity in seen} == {0, 1, 2}
+    assert {kind for kind, _ in seen} == {"real", "real-line", "one-real-point", "real-or-imaginary", "dense"}
 
 
 def test_nullspace_matches_previous_back_substitution_on_deficient_and_zero_rows():

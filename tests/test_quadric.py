@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conetower import linalg
+from conetower import linalg, quadric
 from conetower.certificates import FAIL, PASS
 from conetower.errors import (
     InternalInconsistencyError,
@@ -171,14 +171,15 @@ def test_real_point_rejects_off_quadric_lines_with_fractional_coefficients():
     lambda vec: [(-im, re) for re, im in vec],
 ], ids=["off-the-line", "i-times-the-kernel-vector"])
 def test_real_point_self_checks_catch_a_wrong_kernel_vector(corrupt, monkeypatch):
+    # the vector read off the line's span is corrupted before the checks see it
     line = ruling_line(RulingParam("A", GaussianRational(Fraction(1, 3), 2), Fraction(-5, 7)), BOUNDARY_QUADRIC)
-    real_nullspace = linalg.nullspace
+    span_real_vector = quadric._span_real_vector
 
-    def wrong_nullspace(rows, ncols):
-        rank, basis = real_nullspace(rows, ncols)
-        return rank, [corrupt(basis[0])] + basis[1:]
+    def wrong_span_real_vector(span):
+        vec, nullity = span_real_vector(span)
+        return corrupt(vec), nullity
 
-    monkeypatch.setattr(linalg, "nullspace", wrong_nullspace)
+    monkeypatch.setattr(quadric, "_span_real_vector", wrong_span_real_vector)
     with pytest.raises(InternalInconsistencyError):
         real_point(line, BOUNDARY_QUADRIC)
 
