@@ -282,10 +282,10 @@ def _span_real_vector(span):
     back-substitution writes pivot coordinates only, so each vector is zero at
     the other's free column.  Hence there are columns j0 with u[j0] != 0 =
     w[j0] and j1 with w[j1] != 0 = u[j1].  Put U = conj(u[j0])*u and W =
-    conj(w[j1])*w, so that U[j0] and W[j1] are positive integers.  A real
-    vector a*U + b*W of the line has a real and b real (read at j0 and j1),
-    and conversely a*U + b*W with a, b real is real exactly when its
-    imaginary parts at the other two columns k, l vanish:
+    conj(w[j1])*w, so that U[j0] and W[j1] are positive integers.  If a
+    vector a*U + b*W of the line (a, b complex) is real, then a and b are
+    real, read at j0 and j1; and a*U + b*W with a, b real is real exactly
+    when its imaginary parts at the other two columns k, l vanish:
 
         m (a, b) = 0,  m = [[Im U[k], Im W[k]], [Im U[l], Im W[l]]].
 
