@@ -8,30 +8,41 @@ written.  Pulling a function back through the map is then plain substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import ChartMismatchError, ZeroInputError
+from .errors import ChartMismatchError, VariableMismatchError, ZeroInputError
 from .gaussian import ZERO
-from .multipoly import MultiPoly, parse_poly, substitute
+from .multipoly import MultiPoly, _substitute_all, parse_poly, substitute
 
 
 @dataclass(frozen=True)
 class Chart:
-    """A coordinate system: a unique id and its ordered variables."""
+    """A coordinate system: a unique id and its ordered variables.
+
+    ``coordinates`` maps each variable to its coordinate polynomial, built
+    once here; :meth:`var` reads it.
+    """
 
     id: str
     variables: tuple
+    coordinates: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variables in chart {self.id}")
+        object.__setattr__(self, "coordinates", {
+            v: MultiPoly.variable(self.variables, v) for v in self.variables
+        })
 
     def poly(self, text: str) -> MultiPoly:
         return parse_poly(text, self.variables)
 
     def var(self, name: str) -> MultiPoly:
-        return MultiPoly.variable(self.variables, name)
+        try:
+            return self.coordinates[name]
+        except KeyError:
+            raise VariableMismatchError(f"unknown variable {name!r} for {self.variables}") from None
 
     def zero_poly(self) -> MultiPoly:
         return MultiPoly.zero(self.variables)
@@ -87,13 +98,22 @@ class SubstitutionMap:
 
 
 def compose_maps(outer: SubstitutionMap, inner: SubstitutionMap) -> SubstitutionMap:
-    """Composite ``outer after inner``: inner: A -> B, outer: B -> C gives A -> C."""
+    """Composite ``outer after inner``: inner: A -> B, outer: B -> C gives A -> C.
+
+    All of outer's images are pulled back through inner together, on one
+    table of inner's images (see :func:`conetower.multipoly.substitute`).
+    """
     if outer.source.id != inner.target.id:
         raise ChartMismatchError(
             f"cannot compose {outer.label} after {inner.label}: "
             f"{outer.source.id} != {inner.target.id}"
         )
-    assignment = {v: inner.pullback(poly) for v, poly in outer.assignment.items()}
+    if outer.source.variables != inner.target.variables:
+        raise ChartMismatchError(
+            f"cannot pull back {outer.source.variables} through map into {inner.target.variables}"
+        )
+    images = _substitute_all(outer.source.variables, outer.assignment.values(), inner.assignment)
+    assignment = dict(zip(outer.assignment, images))
     return SubstitutionMap(
         inner.source, outer.target, assignment, f"{outer.label}*{inner.label}"
     )

@@ -125,8 +125,9 @@ class MultiPoly:
         self._check_compatible(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, ZERO) + coeff
-        return MultiPoly(self.variables, out)
+            old = out.get(exps)
+            out[exps] = coeff if old is None else old + coeff
+        return _trusted_poly(self.variables, {e: c for e, c in out.items() if c})
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -134,7 +135,7 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return _trusted_poly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
@@ -501,50 +502,111 @@ def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
     All images must share one variable tuple; the result lives over it.
     Every variable of ``f`` must be assigned.
 
-    Runs on Z[i] term maps: f is scaled by its denominator Df and each image
-    of a variable occurring in f by its own Dv, once.  A term with exponent
-    e_v of v is lifted by Dv^(top_v - e_v), top_v being f's largest exponent
-    of v, so every product sits over the one divisor Df * prod Dv^top_v.
+    Monomial images, as in the chart maps of a blow-up: when each variable v
+    occurring in f has an image of at most one term, c_v*x^(m_v), the term
+    c*x^e goes to c * prod c_v^(e_v) * x^(sum e_v*m_v), since a ring
+    homomorphism sends a product to the product of the images and
+    x^a * x^b = x^(a+b); a term holding a variable whose image is 0 drops
+    out.  Only exponent tuples are added, and GaussianRationals multiplied
+    where some c_v is not 1.
+
+    Otherwise it runs on Z[i] term maps: f is scaled by its denominator Df
+    and each image of a variable occurring in f by its own Dv, once.  A term
+    with exponent e_v of v is lifted by Dv^(top_v - e_v), top_v being f's
+    largest exponent of v, so every product sits over the one divisor
+    Df * prod Dv^top_v.
+
+    What depends on the images alone (the exponent multiples and coefficient
+    powers, or the scaled images and their powers) is built once per call of
+    :func:`_substitute_all`, which :func:`conetower.charts.compose_maps` uses
+    to pull all images of one map through another on one table.
     """
-    missing = [v for v in f.variables if v not in assignment]
-    if missing:
-        raise VariableMismatchError(f"unassigned variables {missing}")
-    images = {v: assignment[v] for v in f.variables}
-    target = None
-    for img in images.values():
-        if target is None:
-            target = img.variables
-        elif img.variables != target:
+    return _substitute_all(f.variables, (f,), assignment)[0]
+
+
+def _substitute_all(variables: tuple, polys, assignment: Mapping[str, MultiPoly]) -> list:
+    """``[substitute(f, assignment) for f in polys]`` for polynomials over
+    ``variables``, with one table of the images for all of them; ``top_v``
+    is then the largest exponent of v in any of them."""
+    try:
+        images = [assignment[v] for v in variables]
+    except KeyError:
+        missing = [v for v in variables if v not in assignment]
+        raise VariableMismatchError(f"unassigned variables {missing}") from None
+    target = images[0].variables if images else ()
+    for img in images:
+        if img.variables != target:
             raise VariableMismatchError("assignment images live over different variable lists")
-    if target is None:
-        target = ()
-    one = {(0,) * len(target): (1, 0)}
-    Df = _denominator(f.terms.values())
-    divisor = Df
-    occurring = []  # (index in f, powers of the scaled image, lifts by exponent)
-    for idx, v in enumerate(f.variables):
-        top = f.degree_in(v)
-        if top <= 0:
+    keys = [exps for f in polys for exps in f.terms]
+    occurring = [(idx, images[idx], top) for idx, top in enumerate(map(max, zip(*keys))) if top]
+    if any(len(img.terms) > 1 for _, img, _ in occurring):
+        return _substitute_term_maps(target, polys, occurring)
+    zero = (0,) * len(target)
+    killed = []   # indices in f of the variables with image 0
+    factors = []  # (index in f, e*m_v by e, c_v^e by e or None when c_v = 1)
+    for idx, img, top in occurring:
+        if not img.terms:
+            killed.append(idx)
             continue
-        Dv = _denominator(images[v].terms.values())
-        image = _zi_terms(images[v], Dv)
+        ((mono, c),) = img.terms.items()
+        steps = [zero, mono]
+        for _ in range(top - 1):
+            steps.append(tuple(map(_add, steps[-1], mono)))
+        unit = c.re == 1 and not c.im
+        factors.append((idx, steps, None if unit else [c ** e for e in range(top + 1)]))
+    return [_substitute_monomials(target, f, killed, factors) for f in polys]
+
+
+def _substitute_monomials(target: tuple, f: MultiPoly, killed: list, factors: list) -> MultiPoly:
+    """The monomial case of :func:`substitute`, on the table that
+    :func:`_substitute_all` builds."""
+    zero = (0,) * len(target)
+    out: dict = {}
+    for exps, coeff in f.terms.items():
+        if killed and any(exps[idx] for idx in killed):
+            continue
+        key = zero
+        for idx, steps, powers in factors:
+            e = exps[idx]
+            if e:
+                key = steps[e] if key is zero else tuple(map(_add, key, steps[e]))
+                if powers is not None:
+                    coeff = coeff * powers[e]
+        old = out.get(key)
+        out[key] = coeff if old is None else old + coeff
+    return _trusted_poly(target, {e: c for e, c in out.items() if c})
+
+
+def _substitute_term_maps(target: tuple, polys, occurring) -> list:
+    """The Z[i] term-map case of :func:`substitute`; ``occurring`` lists
+    (index in f, image, top exponent) for each variable occurring in ``polys``."""
+    one = {(0,) * len(target): (1, 0)}
+    lift = 1
+    tables = []  # (index in f, powers of the scaled image, lifts by exponent)
+    for idx, img, top in occurring:
+        Dv = _denominator(img.terms.values())
+        image = _zi_terms(img, Dv)
         powers = [one]
         for _ in range(top):
             powers.append(_zi_mul_sub(powers[-1], image, {}, {}))
-        occurring.append((idx, powers, [Dv ** (top - e) for e in range(top + 1)]))
-        divisor *= Dv ** top
-    out: dict = {}
-    for exps, (re, im) in _zi_terms(f, Df).items():
-        product = one
-        for idx, powers, lifts in occurring:
-            e = exps[idx]
-            re, im = re * lifts[e], im * lifts[e]
-            if e:
-                product = powers[e] if product is one else _zi_mul_sub(product, powers[e], {}, {})
-        for key, (p, q) in product.items():
-            old = out.get(key, (0, 0))
-            out[key] = (old[0] + re * p - im * q, old[1] + re * q + im * p)
-    return _from_zi_terms(target, out, divisor)
+        tables.append((idx, powers, [Dv ** (top - e) for e in range(top + 1)]))
+        lift *= Dv ** top
+    results = []
+    for f in polys:
+        Df = _denominator(f.terms.values())
+        out: dict = {}
+        for exps, (re, im) in _zi_terms(f, Df).items():
+            product = one
+            for idx, powers, lifts in tables:
+                e = exps[idx]
+                re, im = re * lifts[e], im * lifts[e]
+                if e:
+                    product = powers[e] if product is one else _zi_mul_sub(product, powers[e], {}, {})
+            for key, (p, q) in product.items():
+                old = out.get(key, (0, 0))
+                out[key] = (old[0] + re * p - im * q, old[1] + re * q + im * p)
+        results.append(_from_zi_terms(target, out, Df * lift))
+    return results
 
 
 def extract_variable_power(f: MultiPoly, var: str) -> tuple:

@@ -753,18 +753,19 @@ def _nth_root_fraction(value: Fraction, n: int):
 
 
 def _smallest_half_integer(predicate) -> Fraction:
-    """Smallest h in {1/2, 1, 3/2, ...} with ``predicate(h)``.
+    """Smallest h = m/2 in {1/2, 1, 3/2, ...} with ``predicate(m)``.
 
-    Every predicate passed here increases with h: once true, it stays true
-    for all larger h.  Probing h = 1/2, then doubling, then bisecting takes
-    O(log h) calls.
+    The predicate takes the integer m = 2h, so each probe is one integer
+    comparison.  Every predicate passed here increases with m: once true, it
+    stays true for all larger m.  Probing m = 1, then doubling, then
+    bisecting takes O(log h) calls.
     """
-    lo, hi = 0, 1  # predicate(lo/2) is false (or lo = 0); hi/2 is the probe
-    while not predicate(Fraction(hi, 2)):
+    lo, hi = 0, 1  # predicate(lo) is false (or lo = 0); hi is the probe
+    while not predicate(hi):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if predicate(Fraction(mid, 2)):
+        if predicate(mid):
             hi = mid
         else:
             lo = mid
@@ -802,10 +803,20 @@ def _slice_bounds(params: PerturbationParams) -> tuple:
     exactly while (x+1)^(k-1) / x^(N-1) exceeds N*fall / (k*rise), and that
     ratio strictly decreases on x > 0 because N > k: cell strictly rises up
     to one point and strictly falls after it.
+
+    The three half-integer searches compare integers: with h = m/2,
+    eps = en/ed, R4 = r4/2 and m_hat = a/b, multiplying out the positive
+    denominators turns h^(2N-2k) >= 1/eps into en*m^(2N-2k) >= ed*2^(2N-2k),
+    eps*h^(2N) + h^2 >= R4^(2k) into
+    en*m^(2N) + ed*m^2*2^(2N-2) >= ed*r4^(2k)*2^(2N-2k), and h^2 >= m_hat
+    into b*m^2 >= 4*a.
     """
     k, N, eps = params.k, params.N, params.eps
-    R4 = _smallest_half_integer(lambda h: h ** (2 * N - 2 * k) >= 1 / eps)
-    R = _smallest_half_integer(lambda h: eps * h ** (2 * N) + h * h >= R4 ** (2 * k))
+    en, ed = eps.numerator, eps.denominator
+    gap = 2 * N - 2 * k
+    R4 = _smallest_half_integer(lambda m: en * m ** gap >= ed << gap)
+    r4_side = ed * int(2 * R4) ** (2 * k) << gap
+    R = _smallest_half_integer(lambda m: en * m ** (2 * N) + (ed * m * m << 2 * N - 2) >= r4_side)
 
     # exact or outward-rounded maximum of t^k - eps*t^N on [0, R4^2]
     t_star = _nth_root_fraction(Fraction(k, N) / eps, N - k)
@@ -820,7 +831,6 @@ def _slice_bounds(params: PerturbationParams) -> tuple:
         # integers over the common denominator den(eps) * (den(top) * steps)^N;
         # cell 0 gives b^k > 0, so the maximum is positive
         steps = 1024
-        en, ed = eps.numerator, eps.denominator
         u, G = top.numerator, top.denominator * steps
         rise, fall = ed * u ** k * G ** (N - k), en * u ** N
 
@@ -830,7 +840,8 @@ def _slice_bounds(params: PerturbationParams) -> tuple:
         i = _first_maximum(cell, steps)
         m_hat = Fraction(cell(i), ed * G ** N)
         max_kind, at = "outward grid bound", (top * i / steps, top * (i + 1) / steps)
-    coord = _smallest_half_integer(lambda h: h * h >= m_hat)
+    a, b = m_hat.numerator, m_hat.denominator
+    coord = _smallest_half_integer(lambda m: b * m * m >= 4 * a)
     return R4, R, coord, m_hat, max_kind, at
 
 

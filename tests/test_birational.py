@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,11 +29,12 @@ from conetower.errors import (
     ChartMismatchError,
     NotTriangularError,
     ValidationError,
+    VariableMismatchError,
 )
 from conetower.gaussian import GaussianRational
-from conetower import lemma_square
+from conetower import blowup, lemma_square, tower as tower_module
 from conetower.lemma_square import verify_lemma_square
-from conetower.multipoly import MultiPoly
+from conetower.multipoly import MultiPoly, substitute
 from conetower.tower import (
     build_tower,
     cone_equation,
@@ -264,6 +266,93 @@ def test_compose_chart_mismatch():
     g = step.chart(3).to_base
     with pytest.raises(ChartMismatchError):
         compose_maps(g, g)
+
+
+def test_chart_coordinates_are_built_once():
+    chart = Chart("M", ("z1", "z2", "z3", "z4"))
+    assert chart.var("z2") is chart.var("z2")
+    assert chart.var("z2") == MultiPoly.variable(chart.variables, "z2")
+    assert chart == Chart("M", ("z1", "z2", "z3", "z4"))
+    with pytest.raises(VariableMismatchError):
+        chart.var("u1")
+
+
+def test_tower_chart_maps_have_one_term_images(monkeypatch):
+    # substitute's monomial case serves these maps; they must stay monomial
+    made = {"point": [], "codim2": [], "curve": []}
+
+    def recording(kind, make, maps_of):
+        def wrapper(*args, **kwargs):
+            result = make(*args, **kwargs)
+            made[kind].extend(maps_of(result))
+            return result
+        return wrapper
+
+    def step_maps(step):
+        return [bc.to_base for bc in step.charts]
+
+    monkeypatch.setattr(tower_module, "point_blowup_charts", recording("point", point_blowup_charts, step_maps))
+    monkeypatch.setattr(blowup, "codim2_blowup_charts", recording("codim2", codim2_blowup_charts, step_maps))
+    monkeypatch.setattr(
+        tower_module, "curve_blowup_chart_map", recording("curve", blowup.curve_blowup_chart_map, lambda m: [m])
+    )
+    build_tower(3)
+    assert {kind: len(maps) for kind, maps in made.items()} == {"point": 12, "codim2": 8, "curve": 6}
+    for maps in made.values():
+        for m in maps:
+            assert all(len(image.terms) == 1 for image in m.assignment.values()), m
+
+
+def _tower_chains(tower):
+    """Composable chains of the tower's maps, innermost first: f_0 then the
+    blow-downs g_1, g_2, ..., and the curve maps h_1, h_2, ... then f_k."""
+    k = tower.k
+    chains = []
+    for side in (0, 1):
+        steps = [tower.level(j).blowdown for j in range(1, k + 1)]
+        blowdowns = [step.chart(step.distinguished).to_base for step in steps]
+        chains.append([tower.level(0).surface_step.chart(side).to_base, *blowdowns])
+        curve = []
+        for j in range(1, k + 1):
+            upper = tower.level(j).surface_step.chart(side)
+            lower = tower.level(j - 1).surface_step.chart(side)
+            sigma = {v: v.rsplit("_", 1)[0] + f"_{j - 1}" for v in upper.chart.variables}
+            fiber = ("t_", "s_")[side] + str(j)
+            curve.append(blowup.curve_blowup_chart_map(lower.chart, upper.chart, sigma, f"b_{j}", fiber, f"h_{j}"))
+        chains.append([*curve, tower.level(k).surface_step.chart(side).to_base])
+    return chains
+
+
+def _perturbed(m, rng):
+    """m with each image scaled by a Gaussian rational, or with a constant added."""
+    assignment = {}
+    for v, image in m.assignment.items():
+        re, im = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+        c = GaussianRational(re, im)
+        if rng.random() < 0.5:
+            image = image.scale(c) if c else image
+        else:
+            image = image + MultiPoly.constant(image.variables, c)
+        assignment[v] = image
+    return SubstitutionMap(m.source, m.target, assignment, f"{m.label}~")
+
+
+def test_compose_maps_matches_per_image_substitute_and_associates():
+    rng = random.Random(2501)
+    tower = build_tower(3)
+    triples = 0
+    for chain in _tower_chains(tower):
+        for _ in range(2):
+            maps = [_perturbed(m, rng) if rng.random() < 0.3 else m for m in chain]
+            for inner, outer in zip(maps, maps[1:]):
+                composite = compose_maps(outer, inner)
+                assert composite.source is inner.source and composite.target is outer.target
+                for v, image in outer.assignment.items():
+                    assert composite.assignment[v] == substitute(image, inner.assignment), (outer.label, v)
+            for a, b, c in zip(maps, maps[1:], maps[2:]):
+                assert maps_equal(compose_maps(compose_maps(c, b), a), compose_maps(c, compose_maps(b, a)))
+                triples += 1
+    assert triples == 16
 
 
 # ---------------------------------------------------------------- lemma square

@@ -705,11 +705,27 @@ def test_binomial_candidates_match_sympy_nroots():
 # ---------------------------------------------------------------- real slice in Fractions
 
 
+def _reference_smallest_half_integer(predicate):
+    """Smallest h in {1/2, 1, 3/2, ...} with ``predicate(h)``, probing Fractions
+    h: the search the integer half-integer search replaced, kept verbatim."""
+    lo, hi = 0, 1
+    while not predicate(Fraction(hi, 2)):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if predicate(Fraction(mid, 2)):
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(hi, 2)
+
+
 def _reference_slice_bounds(params):
-    """(R4, R, coord, m_hat, max_kind, at) with the grid maximum taken in Fractions."""
+    """(R4, R, coord, m_hat, max_kind, at) with the searches and the grid
+    maximum taken in Fractions."""
     k, N, eps = params.k, params.N, params.eps
-    R4 = singular._smallest_half_integer(lambda h: h ** (2 * N - 2 * k) >= 1 / eps)
-    R = singular._smallest_half_integer(lambda h: eps * h ** (2 * N) + h * h >= R4 ** (2 * k))
+    R4 = _reference_smallest_half_integer(lambda h: h ** (2 * N - 2 * k) >= 1 / eps)
+    R = _reference_smallest_half_integer(lambda h: eps * h ** (2 * N) + h * h >= R4 ** (2 * k))
     t_star = singular._nth_root_fraction(Fraction(k, N) / eps, N - k)
     top = R4 * R4
 
@@ -727,7 +743,7 @@ def _reference_slice_bounds(params):
             if b ** k - eps * a ** N > m_hat:
                 m_hat, at = b ** k - eps * a ** N, (a, b)
         max_kind = "outward grid bound"
-    coord = singular._smallest_half_integer(lambda h: h * h >= m_hat)
+    coord = _reference_smallest_half_integer(lambda h: h * h >= m_hat)
     return R4, R, coord, m_hat, max_kind, at
 
 
@@ -919,6 +935,25 @@ def test_slice_bounds_grid_maximum_matches_fraction_reference():
                 assert singular._slice_bounds(params) == bounds, params
                 grid += bounds[4] == "outward grid bound"
     assert grid > 300
+
+
+def test_integer_half_integer_searches_match_the_fraction_search():
+    # R4, R and coord from the integer predicates against the Fraction search
+    # on the same inputs; eps runs from 1 down to 10^-40, with numerators > 1
+    # and R4 both integral and half-odd
+    epsilons = [Fraction(1), Fraction(2, 3), Fraction(5, 8), Fraction(1, 7), Fraction(3, 1000), Fraction(1, 10 ** 40)]
+    half_odd = 0
+    for k in range(1, 7):
+        for N in range(k + 1, k + 7):
+            for eps in epsilons:
+                params = PerturbationParams(k=k, N=N, eps=eps)
+                R4, R, coord, m_hat, *_ = singular._slice_bounds(params)
+                assert R4 == _reference_smallest_half_integer(lambda h: h ** (2 * N - 2 * k) >= 1 / eps)
+                assert R == _reference_smallest_half_integer(lambda h: eps * h ** (2 * N) + h * h >= R4 ** (2 * k))
+                assert coord == _reference_smallest_half_integer(lambda h: h * h >= m_hat)
+                assert all(type(x) is Fraction for x in (R4, R, coord))
+                half_odd += R4.denominator == 2
+    assert half_odd > 20
 
 
 def test_first_maximum_matches_the_full_scan_on_ties():
@@ -1226,15 +1261,28 @@ def test_mul_matches_gaussian_rational_reference():
         _assert_same_poly((f + g) * (f - g), _reference_mul(f + g, f - g))
 
 
+def _monomial_image(rng, target):
+    """One term c*s^a*t^b: c is 1 a third of the time, else a fine Gaussian rational."""
+    exps = (rng.randint(0, 2), rng.randint(0, 2))
+    return MultiPoly(target, {exps: ONE if rng.random() < 0.3 else _fine_coefficient(rng)})
+
+
 def test_substitute_matches_gaussian_rational_reference():
     rng = random.Random(1013)
     variables, target = ("x", "y", "z"), ("s", "t")
-    kinds = {"lifted": 0, "zero image": 0, "unused variable": 0, "constant": 0, "zero": 0}
-    for n in range(150):
+    kinds = {
+        "lifted": 0, "zero image": 0, "unused variable": 0, "constant": 0, "zero": 0, "monomial images": 0,
+        "monomial, zero image": 0, "monomial, unused multi-term image": 0, "monomial, cancelling": 0,
+    }
+    for n in range(180):
         # images with their own denominators, so each term needs its lift
         images = {v: _fine_poly(rng, target, 3, ((0, 2), (0, 2))) for v in variables}
+        monomial = n % 3 == 2
+        if monomial:
+            images = {v: _monomial_image(rng, target) for v in variables}
         denominators = {_denominator(img.terms.values()) for img in images.values()}
-        if rng.random() < 0.2:
+        zero_image = rng.random() < 0.2
+        if zero_image:
             images[rng.choice(variables)] = MultiPoly.zero(target)
             kinds["zero image"] += 1
         z_range = (0, 0) if rng.random() < 0.25 else (0, 3)
@@ -1246,7 +1294,20 @@ def test_substitute_matches_gaussian_rational_reference():
         elif n % 15 == 1:
             f = MultiPoly.zero(variables)
             kinds["zero"] += 1
+        elif monomial and z_range == (0, 0):
+            # z does not occur in f, so its image may have several terms
+            images["z"] = _fine_poly(rng, target, 3, ((0, 2), (0, 2))) + MultiPoly.constant(target, ONE)
+            kinds["monomial, unused multi-term image"] += len(images["z"].terms) > 1
+        elif monomial and rng.random() < 0.4:
+            # x and y share an image, so c*x and -c*y cancel
+            images["y"] = images["x"]
+            c = _fine_coefficient(rng)
+            f = f + MultiPoly(variables, {(1, 0, 0): c, (0, 1, 0): -c})
+            kinds["monomial, cancelling"] += bool(images["x"])
         kinds["lifted"] += len(denominators) > 1 and not f.is_constant()
+        if all(len(images[v].terms) <= 1 for v in f.variables_used()) and not f.is_constant():
+            kinds["monomial images"] += 1
+            kinds["monomial, zero image"] += zero_image and any(not images[v] for v in f.variables_used())
         _assert_same_poly(substitute(f, images), _reference_substitute(f, images))
     assert all(count >= 10 for count in kinds.values()), kinds
 
