@@ -11,9 +11,10 @@ one exact division, exact because the caught-up entries are minors of the
 input by Sylvester's identity (E. H. Bareiss, Math. Comp. 22, 1968).
 Kernels come back in Z[i] too: back-substitution scales the vector by each
 pivot instead of dividing by it.
-Used by :mod:`conetower.quadric` for the span of each line, from which the
-line's real points are read with no second elimination; the tests also use
-it for their section-count and real-system oracles.
+Used by :mod:`conetower.quadric` for the span of a line given by rows from
+outside (a ruling line's span is written down from its split's adjugate
+instead); the tests also use it for their section-count, real-system and
+ruling-span oracles.
 """
 
 from __future__ import annotations

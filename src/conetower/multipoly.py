@@ -617,8 +617,10 @@ def extract_variable_power(f: MultiPoly, var: str) -> tuple:
     m = min(exps[idx] for exps in f.terms)
     if m == 0:
         return 0, f
+    # lowering one exponent by its minimum keeps every exponent valid and
+    # distinct, and the coefficients are f's own
     out = {exps[:idx] + (exps[idx] - m,) + exps[idx + 1:]: c for exps, c in f.terms.items()}
-    return m, MultiPoly(f.variables, out)
+    return m, _trusted_poly(f.variables, out)
 
 
 # ---------------------------------------------------------------------- Z[i] term maps

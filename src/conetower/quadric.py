@@ -1,10 +1,10 @@
 """Rulings of smooth quadric surfaces and exact real points on their lines.
 
-A quadric presented as ab = cd for four linear forms carries two rulings:
-family A is {t*a - s*c, s*b - t*d}, family B is {t*a - s*d, s*b - t*c}, for
-projective parameters (s : t).  A line's real points are read off the two
-Z[i] vectors that span it: they are the real combinations of the two
-vectors, rescaled to be real at one coordinate each, whose imaginary parts
+A quadric presented as ab = cd for four independent linear forms carries two
+rulings: family A is {t*a - s*c, s*b - t*d}, family B is {t*a - s*d,
+s*b - t*c}, for projective parameters (s : t).  A line's real points are read
+off the two Z[i] vectors that span it: they are the real combinations of the
+two vectors, rescaled to be real at one coordinate each, whose imaginary parts
 vanish at the other two coordinates.  The dimension of that real space (the
 kernel dimension of the line's four real forms) is the certificate, and a
 vector of it is the real point.
@@ -12,11 +12,12 @@ vector of it is the real point.
 Lines stay in Z[i] from the ruling parameter to the real point.  The four
 forms of a split are scaled to Z[i] by one common denominator L, so ab - cd
 is only multiplied by L^2; a ruling line's two forms are computed as Z[i]
-rows over one integer scale and stored that way, with their kernel as the
-span.  The line is eliminated once, for the span: the real point comes from
-a 2x2 integer system in the span's imaginary parts, and the sphere test of
-the boundary cover runs on integers too.  Fractions are built only for
-printed values: the real point that is returned, and a line's Q(i) ``rows``
+rows over one integer scale and stored that way.  The line is not
+eliminated: its span is written down from the split's adjugate, computed once
+per split, and the real point comes from a 2x2 integer system in the span's
+imaginary parts; the sphere test of the boundary cover runs on integers too.
+Fractions are built only for printed values: the sampled parameters, read
+from a table, the real point that is returned, and a line's Q(i) ``rows``
 when a caller asks for them.
 """
 
@@ -34,7 +35,7 @@ from .errors import (
     LineNotOnQuadricError,
     ValidationError,
 )
-from .gaussian import GaussianRational, I, ONE, ZERO, _denominator, _gmul, _gsub, _scale_row
+from .gaussian import GaussianRational, I, ONE, ZERO, _denominator, _gmul, _scale_row
 from .multipoly import MultiPoly
 
 _VARS = ("z0", "z1", "z2", "z3")
@@ -52,6 +53,41 @@ def _zdot(row, vec):
         re += a * x - b * y
         im += a * y + b * x
     return re, im
+
+
+def _gneg(x):
+    return (-x[0], -x[1])
+
+
+def _comb(p, xs, q, ys):
+    """The Z[i] vector p*xs + q*ys, for Z[i] scalars p, q and vectors xs, ys."""
+    pr, pi = p
+    qr, qi = q
+    return [
+        (pr * xr - pi * xi + qr * yr - qi * yi, pr * xi + pi * xr + qr * yi + qi * yr)
+        for (xr, xi), (yr, yi) in zip(xs, ys)
+    ]
+
+
+def _cofactor_rows(rows):
+    """The cofactors of each row of a 4x4 matrix of Z[i] pairs: entry (j, i) is
+    (-1)^(i+j) times the 3x3 minor without row j and column i, so that row r
+    of the matrix dotted with cofactor row j is the determinant if r = j and
+    0 otherwise."""
+    def det3(m):
+        # Sarrus: a product along each diagonal, minus one along each antidiagonal
+        total = (0, 0)
+        for k in range(3):
+            plus = _gmul(_gmul(m[0][k], m[1][(k + 1) % 3]), m[2][(k + 2) % 3])
+            minus = _gmul(_gmul(m[0][k], m[1][(k + 2) % 3]), m[2][(k + 1) % 3])
+            total = (total[0] + plus[0] - minus[0], total[1] + plus[1] - minus[1])
+        return total
+
+    def cofactor(j, i):
+        minor = det3([row[:i] + row[i + 1:] for row in rows[:j] + rows[j + 1:]])
+        return _gneg(minor) if (i + j) % 2 else minor
+
+    return tuple(tuple(cofactor(j, i) for i in range(4)) for j in range(4))
 
 
 def _linear_form(row) -> MultiPoly:
@@ -73,6 +109,13 @@ class ProjPoint:
             raise ValidationError("projective points need a nonzero coordinate")
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def _trusted(cls, coords: tuple) -> "ProjPoint":
+        """A point from a tuple of GaussianRationals, not all zero, unchecked."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", coords)
+        return point
+
     def canonical(self) -> "ProjPoint":
         lead = next(c for c in self.coords if c)
         return ProjPoint(tuple(c / lead for c in self.coords))
@@ -90,9 +133,12 @@ class ProjLine:
 
     ``zrows`` are the two forms' coefficient rows as Z[i] pairs over the
     positive integer ``scale``, reduced so that the parts and the scale share
-    no common factor; equal lines therefore have equal fields.  ``span`` is
-    the Z[i] kernel basis of the rows: two vectors spanning the line.  Q(i)
-    rows come in through :meth:`from_rows` and go out through :attr:`rows`.
+    no common factor; equal lines therefore have equal fields.  ``span`` is a
+    Z[i] kernel basis of the rows, two vectors spanning the line, each zero
+    at the other's free column: :func:`linalg.nullspace`'s for rows given
+    here or through :meth:`from_rows`, which are validated, and the closed
+    form of :func:`ruling_line` for a ruling line.  Q(i) rows come in through
+    :meth:`from_rows` and go out through :attr:`rows`.
     """
 
     zrows: tuple
@@ -119,6 +165,16 @@ class ProjLine:
         object.__setattr__(self, "zrows", zrows)
         object.__setattr__(self, "scale", self.scale // g)
         object.__setattr__(self, "span", tuple(span))
+
+    @classmethod
+    def _trusted(cls, zrows: tuple, scale: int, span: tuple) -> "ProjLine":
+        """A line from reduced rank-2 rows of int pairs and a span as described
+        above, unchecked."""
+        line = object.__new__(cls)
+        object.__setattr__(line, "zrows", zrows)
+        object.__setattr__(line, "scale", scale)
+        object.__setattr__(line, "span", span)
+        return line
 
     @classmethod
     def from_rows(cls, rows) -> "ProjLine":
@@ -167,6 +223,10 @@ class QuadricSplit:
 
     ``zforms`` holds a, b, c, d scaled to Z[i] pairs by their common
     denominator ``scale``, so :meth:`vanishes_at` tests scale^2 * (ab - cd).
+    ``_cofactors`` holds, for each of the four forms, its row of cofactors in
+    the 4x4 matrix of ``zforms``: the column of the adjugate that the other
+    three forms vanish on and the form itself takes to the determinant.  The
+    forms must be independent; otherwise ab - cd is a singular quadric.
     """
 
     name: str
@@ -177,13 +237,20 @@ class QuadricSplit:
     homogenizer: int  # index of the coordinate that is 1 on the affine slice
     zforms: tuple = field(init=False, repr=False, compare=False)
     scale: int = field(init=False, repr=False, compare=False)
+    _cofactors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         flat = self.a + self.b + self.c + self.d
         scale = _denominator(flat)
         zflat = _scale_row(flat, scale)
-        object.__setattr__(self, "zforms", tuple(tuple(zflat[i:i + 4]) for i in range(0, 16, 4)))
+        zforms = tuple(tuple(zflat[i:i + 4]) for i in range(0, 16, 4))
+        cofactors = _cofactor_rows(zforms)
+        # the determinant, expanded along the first form
+        if _zdot(zforms[0], cofactors[0]) == (0, 0):
+            raise ValidationError("the four forms of a split must be linearly independent")
+        object.__setattr__(self, "zforms", zforms)
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_cofactors", cofactors)
 
     @property
     def quadric_poly(self) -> MultiPoly:
@@ -247,18 +314,59 @@ def ruling_line(param: RulingParam, split: QuadricSplit = SPHERE_QUADRIC) -> Pro
 
     The forms are computed in Z[i] from the split's integer forms and (s : t)
     scaled by its denominator D; the line keeps them over the scale
-    D * split.scale, with no Fraction built.
+    D * split.scale, reduced, with no Fraction built.
+
+    The span needs no elimination.  Let M be the invertible matrix with rows
+    a, b, c, d and put y = M z.  The forms t*a - s*c and s*b - t*d are
+    t*y0 - s*y2 and s*y1 - t*y3, which vanish exactly on the span of
+    (s, 0, t, 0) and (0, t, 0, s), two independent vectors as (s : t) is not
+    (0 : 0).  Since adj(M) = det(M) * M^-1, the line is spanned by
+
+        u = s*C_a + t*C_c,  w = t*C_b + s*C_d,
+
+    where C_a, ..., C_d are the columns of adj(M), the split's cofactor rows;
+    family B swaps C_c and C_d as it swaps c and d.  The two forms are then
+    independent too.  :func:`_span_real_vector` needs the basis that
+    :func:`linalg.nullspace` would return, each vector zero at the other's
+    free column; the free columns f1 < f2 are those that are not echelon
+    pivots of the two forms (:func:`_free_columns`).  The kernel vectors
+
+        v1 = w[f2]*u - u[f2]*w,  v2 = w[f1]*u - u[f1]*w
+
+    are zero at f2 and f1 respectively.  The echelon rows solve the pivot
+    coordinates of a kernel vector from its free ones, so reading the kernel
+    at (f1, f2) is one-to-one: the minor u[f1]*w[f2] - u[f2]*w[f1], which is
+    +-v1[f1] and +-v2[f2], is nonzero, and the kernel vectors zero at one free
+    column form a line.  So v1 and v2 are nonzero Q(i) multiples of the
+    nullspace basis vectors.  :func:`_span_real_vector` turns such a factor
+    into a positive real one, which :func:`real_point` divides away, so the
+    nullity and the point are those of the nullspace basis.
     """
     D = _denominator((param.s, param.t))
     s, t = _scale_row((param.s, param.t), D)
     a, b, c, d = split.zforms
+    ca, cb, cc, cd = split._cofactors
     if param.family == "B":
-        c, d = d, c
-    zrows = (
-        [_gsub(_gmul(t, ai), _gmul(s, ci)) for ai, ci in zip(a, c)],
-        [_gsub(_gmul(s, bi), _gmul(t, di)) for bi, di in zip(b, d)],
-    )
-    return ProjLine(zrows, D * split.scale)
+        c, d, cc, cd = d, c, cd, cc
+    rows = (_comb(t, a, _gneg(s), c), _comb(s, b, _gneg(t), d))
+    scale = D * split.scale
+    g = math.gcd(scale, *(x for row in rows for z in row for x in z))
+    zrows = tuple(tuple((re // g, im // g) for re, im in row) for row in rows)
+    u, w = _comb(s, ca, t, cc), _comb(t, cb, s, cd)
+    f1, f2 = _free_columns(zrows)
+    span = (_comb(w[f2], u, _gneg(u[f2]), w), _comb(w[f1], u, _gneg(u[f1]), w))
+    return ProjLine._trusted(zrows, scale // g, span)
+
+
+def _free_columns(zrows):
+    """The two columns that :func:`linalg.nullspace` leaves free on two
+    independent rows: not the first nonzero column c1, and not the first
+    later column c2 whose 2x2 minor with c1 is nonzero."""
+    r1, r2 = zrows
+    c1 = next(j for j in range(4) if r1[j] != (0, 0) or r2[j] != (0, 0))
+    c2 = next(j for j in range(c1 + 1, 4) if _gmul(r1[c1], r2[j]) != _gmul(r2[c1], r1[j]))
+    f1, f2 = (j for j in range(4) if j != c1 and j != c2)
+    return f1, f2
 
 
 def line_on_quadric(line: ProjLine, split: QuadricSplit) -> bool:
@@ -278,14 +386,15 @@ def line_on_quadric(line: ProjLine, split: QuadricSplit) -> bool:
 def _span_real_vector(span):
     """The real points of the line spanned by ``span = (u, w)``: (vector, nullity).
 
-    ``span`` is a kernel basis from :func:`linalg.nullspace`, whose
-    back-substitution writes pivot coordinates only, so each vector is zero at
-    the other's free column.  Hence there are columns j0 with u[j0] != 0 =
-    w[j0] and j1 with w[j1] != 0 = u[j1].  Put U = conj(u[j0])*u and W =
-    conj(w[j1])*w, so that U[j0] and W[j1] are positive integers.  If a
-    vector a*U + b*W of the line (a, b complex) is real, then a and b are
-    real, read at j0 and j1; and a*U + b*W with a, b real is real exactly
-    when its imaginary parts at the other two columns k, l vanish:
+    ``span`` is a kernel basis whose vectors are each zero at the other's
+    free column: :func:`linalg.nullspace`'s back-substitution, which writes
+    pivot coordinates only, leaves them so, and :func:`ruling_line` writes
+    them so.  Hence there are columns j0 with u[j0] != 0 = w[j0] and j1 with
+    w[j1] != 0 = u[j1].  Put U = conj(u[j0])*u and W = conj(w[j1])*w, so that
+    U[j0] and W[j1] are positive integers.  If a vector a*U + b*W of the
+    line (a, b complex) is real, then a and b are real, read at j0 and j1;
+    and a*U + b*W with a, b real is real exactly when its imaginary parts at
+    the other two columns k, l vanish:
 
         m (a, b) = 0,  m = [[Im U[k], Im W[k]], [Im U[l], Im W[l]]].
 
@@ -350,19 +459,36 @@ def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
         raise InternalInconsistencyError("computed real point fails an exact check")
     lead = next(re for re, _ in vec if re)
     zero = ZERO.im  # one shared 0 part rather than a Fraction(0) per coordinate
-    return ProjPoint(tuple(GaussianRational(Fraction(re, lead), zero) for re, _ in vec)), nullity
+    return ProjPoint._trusted(tuple(GaussianRational(Fraction(re, lead), zero) for re, _ in vec)), nullity
+
+
+# Every part sample_param can draw, reduced: index 20*n + d holds (n - 20) / (d + 1)
+_PARTS = tuple(Fraction(n - 20, d + 1) for n in range(41) for d in range(20))
 
 
 def sample_param(rng: random.Random, family: str) -> RulingParam:
-    """Seeded Gaussian-rational parameter with numerators/denominators in [-20, 20]."""
-    def coord():
-        return GaussianRational(
-            Fraction(rng.randint(-20, 20), rng.randint(1, 20)),
-            Fraction(rng.randint(-20, 20), rng.randint(1, 20)),
-        )
+    """Seeded Gaussian-rational parameter with numerators/denominators in [-20, 20].
+
+    Each of the four parts is Fraction(rng.randint(-20, 20), rng.randint(1,
+    20)), equal in value and leaving ``rng`` in the same state.  On a
+    random.Random, randint(-20, 20) is -20 + getrandbits(6), drawn again
+    while it reads 41 or more, and randint(1, 20) is 1 + getrandbits(5),
+    drawn again while it reads 20 or more; the parts are read from a table.
+    """
+    bits = rng.getrandbits
+
+    def part():
+        n = bits(6)
+        while n >= 41:
+            n = bits(6)
+        d = bits(5)
+        while d >= 20:
+            d = bits(5)
+        return _PARTS[20 * n + d]
 
     while True:
-        s, t = coord(), coord()
+        s = GaussianRational(part(), part())
+        t = GaussianRational(part(), part())
         if s or t:
             return RulingParam(family=family, s=s, t=t)
 

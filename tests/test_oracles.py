@@ -1437,6 +1437,66 @@ def test_span_real_points_match_the_previous_real_system():
     assert {kind for kind, _ in seen} == {"real", "real-line", "one-real-point", "real-or-imaginary", "dense"}
 
 
+def _random_split(rng):
+    """A QuadricSplit with four independent Gaussian-rational forms, sparse or
+    dense, checked independent by the rank of the scaled forms."""
+    def part():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.7 else 0
+
+    while True:
+        forms = [tuple(GaussianRational(part(), part() if rng.random() < 0.6 else 0) for _ in range(4))
+                 for _ in range(4)]
+        scale = _denominator([c for form in forms for c in form])
+        if linalg.matrix_rank([_scale_row(form, scale) for form in forms], 4) == 4:
+            return quadric.QuadricSplit("random", *forms, homogenizer=0)
+
+
+def _span_params(rng, family):
+    def wide():
+        return GaussianRational(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)),
+                                Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+
+    real = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    params = [quadric.sample_param(rng, family) for _ in range(4)]
+    params += [quadric.RulingParam(family, ZERO, ONE), quadric.RulingParam(family, wide(), ZERO)]
+    params += [quadric.RulingParam(family, wide(), wide()), quadric.RulingParam(family, real, ONE)]
+    return params
+
+
+def test_ruling_line_span_is_a_multiple_of_the_nullspace_basis():
+    # ruling_line writes its span down from the split's adjugate; the
+    # elimination of the line's rows is the reference: the same free columns,
+    # each span vector a nonzero multiple of the basis vector for its free
+    # column, and the same real points read off either.  The factor is in
+    # Q(i), and mostly not in Z[i]: the basis often carries a content that
+    # the closed form lacks.
+    from test_quadric import RATIONAL_QUADRIC, REAL_LINES_QUADRIC
+
+    rng = random.Random(525)
+    splits = [quadric.SPHERE_QUADRIC, quadric.BOUNDARY_QUADRIC, quadric.CONTROL_QUADRIC,
+              RATIONAL_QUADRIC, REAL_LINES_QUADRIC] + [_random_split(rng) for _ in range(12)]
+    nullities = set()
+    for split in splits:
+        for family in ("A", "B"):
+            for param in _span_params(rng, family):
+                line = quadric.ruling_line(param, split)
+                rank, basis = linalg.nullspace(line.zrows, 4)
+                pivots, _ = linalg._echelon(line.zrows, 4)
+                free = [j for j in range(4) if j not in pivots]
+                assert rank == 2 and list(quadric._free_columns(line.zrows)) == free
+                for vec, ref, f in zip(line.span, basis, free):
+                    factor = GaussianRational(*vec[f]) / GaussianRational(*ref[f])
+                    assert factor
+                    assert [GaussianRational(*x) for x in vec] == [factor * GaussianRational(*x) for x in ref]
+                vec, nullity = quadric._span_real_vector(line.span)
+                ref_vec, ref_nullity = quadric._span_real_vector(basis)
+                assert nullity == ref_nullity
+                if nullity:
+                    assert _canonical_real(vec) == _canonical_real(ref_vec)
+                nullities.add(nullity)
+    assert nullities == {0, 1, 2}
+
+
 def test_nullspace_matches_previous_back_substitution_on_deficient_and_zero_rows():
     rng = random.Random(523)
     nullities = set()

@@ -362,6 +362,48 @@ def test_ruling_param_validation():
         RulingParam("A", GaussianRational(0), GaussianRational(0))
 
 
+@pytest.mark.parametrize("forms", [
+    # a = b
+    lambda a, b, c, d: (a, a, c, d),
+    # d = a/2 - i*b + 3c
+    lambda a, b, c, d: (a, b, c, tuple(x / 2 - I * y + 3 * z for x, y, z in zip(a, b, c))),
+    # a zero form
+    lambda a, b, c, d: (a, b, (ZERO,) * 4, d),
+], ids=["a-equals-b", "d-a-combination", "zero-form"])
+def test_split_rejects_dependent_forms(forms):
+    # dependent forms make ab - cd a singular quadric, whose lines the
+    # adjugate cannot span
+    b = BOUNDARY_QUADRIC
+    a, b_, c, d = forms(b.a, b.b, b.c, b.d)
+    with pytest.raises(ValidationError):
+        QuadricSplit(name="dependent", a=a, b=b_, c=c, d=d, homogenizer=0)
+
+
+def _randint_sample_param(rng, family):
+    """sample_param as it drew its parts with randint and built each Fraction."""
+    def coord():
+        return GaussianRational(
+            Fraction(rng.randint(-20, 20), rng.randint(1, 20)),
+            Fraction(rng.randint(-20, 20), rng.randint(1, 20)),
+        )
+
+    while True:
+        s, t = coord(), coord()
+        if s or t:
+            return RulingParam(family=family, s=s, t=t)
+
+
+def test_sample_param_draws_as_randint_did():
+    # the bit draws must give the same parameters and leave the generator
+    # in the same state, because callers share one rng across draws
+    for seed in range(200):
+        ours, ref = random.Random(seed), random.Random(seed)
+        families = random.Random(-seed).choices("AB", k=50)
+        for family in families:
+            assert sample_param(ours, family) == _randint_sample_param(ref, family)
+        assert ours.getstate() == ref.getstate()
+
+
 def test_proj_point_canonicalization():
     p = ProjPoint((GaussianRational(0), GaussianRational(2), GaussianRational(4), I))
     canon = p.canonical()
