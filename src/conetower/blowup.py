@@ -56,10 +56,10 @@ def _triangular_rest(gen: MultiPoly, var: str, chart: Chart) -> MultiPoly:
         raise NotTriangularError(f"generator {gen} is not over chart {chart.id}")
     var_idx = chart.variables.index(var)
     lead = tuple(1 if i == var_idx else 0 for i in range(len(chart.variables)))
-    if gen.terms.get(lead) != ONE:
+    if gen.zterms.get(lead) != (gen.den, 0):
         raise NotTriangularError(f"generator {gen} does not isolate {var} with coefficient 1")
-    rest = MultiPoly(chart.variables, {lead: ONE}) - gen
-    for exps in rest.terms:
+    rest = chart.var(var) - gen
+    for exps in rest.zterms:
         for i, e in enumerate(exps):
             if e and i <= var_idx:
                 raise NotTriangularError(

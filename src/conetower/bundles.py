@@ -102,19 +102,6 @@ class TransitionMatrix:
         )
 
 
-def matmul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
-    rows = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            acc = LaurentPoly.zero()
-            for l in range(2):
-                acc = acc + a.entries[i][l] * b.entries[l][j]
-            row.append(acc)
-        rows.append(row)
-    return TransitionMatrix(rows)
-
-
 def det_valuation(T: TransitionMatrix):
     """Write det T = c * z^v exactly; anything else is not a valid cocycle."""
     det = T.det()

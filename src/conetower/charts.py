@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .errors import ChartMismatchError, VariableMismatchError, ZeroInputError
 from .gaussian import ZERO
-from .multipoly import MultiPoly, _substitute_all, parse_poly, substitute
+from .multipoly import MultiPoly, _substitute_all, _trusted_poly, parse_poly, substitute
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,12 @@ class Chart:
         object.__setattr__(self, "variables", tuple(self.variables))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variables in chart {self.id}")
+        if "i" in self.variables:
+            raise ValueError("'i' denotes the imaginary unit and cannot be a variable")
+        n = len(self.variables)
         object.__setattr__(self, "coordinates", {
-            v: MultiPoly.variable(self.variables, v) for v in self.variables
+            v: _trusted_poly(self.variables, {tuple(int(j == k) for j in range(n)): (1, 0)}, 1)
+            for k, v in enumerate(self.variables)
         })
 
     def poly(self, text: str) -> MultiPoly:

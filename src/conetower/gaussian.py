@@ -191,9 +191,10 @@ I = GaussianRational(0, 1)
 
 # ---------------------------------------------------------------------- Z[i] pairs
 #
-# Fraction-free eliminations (linalg rows, the polynomial Bareiss determinant,
-# the quadric's line forms) clear denominators once and work on Gaussian
-# integers ``a + b*i`` stored as plain ``(a, b)`` int pairs.
+# Gaussian integers ``a + b*i`` are stored as plain ``(a, b)`` int pairs:
+# MultiPoly's coefficients over one integer, and the rows of the fraction-free
+# eliminations (linalg, the quadric's line forms).  The helpers below clear
+# the denominators of GaussianRationals that enter from outside, once.
 
 
 def _denominator(values):

@@ -8,7 +8,7 @@ chart.
 
 from __future__ import annotations
 
-from .errors import ValidationError, ZeroInputError
+from .errors import ValidationError
 from .gaussian import GaussianRational, ONE, ZERO
 from .multipoly import MultiPoly, _Parser, _terms_to_string
 
@@ -106,16 +106,8 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def max_exp(self) -> int:
-        if not self.coeffs:
-            raise ZeroInputError("the zero Laurent polynomial has no exponents")
-        return max(self.coeffs)
-
     def is_single_term(self) -> bool:
         return len(self.coeffs) == 1
-
-    def coefficient(self, exponent: int) -> GaussianRational:
-        return self.coeffs.get(exponent, ZERO)
 
     def __str__(self):
         order = sorted(self.coeffs, reverse=True)

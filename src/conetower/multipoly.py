@@ -1,10 +1,11 @@
 """Sparse multivariate polynomials over the Gaussian rationals.
 
-Each polynomial carries an explicit ordered variable tuple and a term map
-from exponent vectors to nonzero :class:`GaussianRational` coefficients.
-Arithmetic deliberately requires identical variable tuples: the blow-up
-tower juggles many coordinate systems, and refusing to mix them silently is
-what keeps chart bookkeeping honest.
+Each polynomial carries an explicit ordered variable tuple, a term map from
+exponent vectors to nonzero Gaussian integers stored as ``(re, im)`` int
+pairs, and one positive integer denominator: a term's coefficient is its
+pair over the denominator.  Arithmetic deliberately requires identical
+variable tuples: the blow-up tower juggles many coordinate systems, and
+refusing to mix them silently is what keeps chart bookkeeping honest.
 
 Canonical printing orders terms by graded lexicographic comparison of the
 exponent vectors (highest first), so reports and serialized documents are
@@ -23,6 +24,7 @@ between the two: ``NAME ^ -INT`` is legal in Laurent text only.
 from __future__ import annotations
 
 import heapq
+import math
 import re as _re
 from fractions import Fraction
 from operator import add as _add, mul as _mul, sub as _sub
@@ -38,9 +40,16 @@ from .gaussian import (
 
 
 class MultiPoly:
-    """Immutable sparse polynomial over a fixed ordered variable tuple."""
+    """Immutable sparse polynomial over a fixed ordered variable tuple.
 
-    __slots__ = ("variables", "terms", "_hash")
+    The coefficients are ``zterms``, a map from exponent tuples to nonzero
+    Z[i] pairs ``(re, im)``, over ``den``, a positive int.  In normal form
+    the gcd of every part and ``den`` is 1 (the zero polynomial is
+    ``({}, 1)``), so equal polynomials have equal fields.  ``terms`` is the
+    ``{exponents: GaussianRational}`` view.
+    """
+
+    __slots__ = ("variables", "zterms", "den", "_terms", "_hash")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple, GaussianRational]):
         variables = tuple(variables)
@@ -60,9 +69,12 @@ class MultiPoly:
             coeff = GaussianRational.coerce(coeff)
             if coeff:
                 clean[exps] = coeff
+        # over the lcm of the reduced denominators no prime divides every part
+        den = _denominator(clean.values())
         self.variables = variables
-        self.terms = clean
-        self._hash = None
+        self.zterms = dict(zip(clean, _scale_row(clean.values(), den)))
+        self.den = den
+        self._terms = self._hash = None
 
     # ------------------------------------------------------------ constructors
 
@@ -83,19 +95,31 @@ class MultiPoly:
         exps = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, {exps: ONE})
 
+    @property
+    def terms(self) -> dict:
+        """The coefficients as ``{exponents: GaussianRational}``, each part
+        the reduced fraction over ``den``; built on first read."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {
+                e: GaussianRational(Fraction(re, den), Fraction(im, den))
+                for e, (re, im) in self.zterms.items()
+            }
+        return self._terms
+
     # ------------------------------------------------------------ predicates
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.zterms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.zterms)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.zterms)
 
     def constant_value(self) -> GaussianRational:
-        if not self.terms:
+        if not self.zterms:
             return ZERO
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
@@ -104,11 +128,11 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return self.variables == other.variables and self.den == other.den and self.zterms == other.zterms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.variables, frozenset(self.terms.items())))
+            self._hash = hash((self.variables, self.den, frozenset(self.zterms.items())))
         return self._hash
 
     # ------------------------------------------------------------ arithmetic
@@ -123,11 +147,13 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {e: (re * a, im * a) for e, (re, im) in self.zterms.items()}
+        for exps, (re, im) in other.zterms.items():
             old = out.get(exps)
-            out[exps] = coeff if old is None else old + coeff
-        return _trusted_poly(self.variables, {e: c for e, c in out.items() if c})
+            out[exps] = (re * b, im * b) if old is None else (old[0] + re * b, old[1] + im * b)
+        return _trusted_poly(self.variables, out, den)
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -135,20 +161,19 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self):
-        return _trusted_poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return _trusted_poly(self.variables, {e: (-re, -im) for e, (re, im) in self.zterms.items()}, self.den)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
-        d1, d2 = _denominator(self.terms.values()), _denominator(other.terms.values())
-        product = _zi_mul_sub(_zi_terms(self, d1), _zi_terms(other, d2), {}, {})
-        return _from_zi_terms(self.variables, product, d1 * d2)
+        product = _zi_mul_sub(self.zterms, other.zterms, {}, {})
+        return _trusted_poly(self.variables, product, self.den * other.den)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
-        result = MultiPoly.constant(self.variables, ONE)
+        result = _trusted_poly(self.variables, {(0,) * len(self.variables): (1, 0)}, 1)
         base = self
         while n:
             if n & 1:
@@ -158,34 +183,31 @@ class MultiPoly:
         return result
 
     def scale(self, value) -> "MultiPoly":
-        value = GaussianRational.coerce(value)
-        if not value:
-            return MultiPoly.zero(self.variables)
-        return MultiPoly(self.variables, {e: c * value for e, c in self.terms.items()})
+        return self * MultiPoly.constant(self.variables, value)
 
     # ------------------------------------------------------------ structure
 
     def degree_in(self, var: str) -> int:
         """Largest exponent of ``var``; -1 for the zero polynomial."""
         idx = self._var_index(var)
-        if not self.terms:
+        if not self.zterms:
             return -1
-        return max(e[idx] for e in self.terms)
+        return max(e[idx] for e in self.zterms)
 
     def min_degree_in(self, var: str) -> int:
         idx = self._var_index(var)
-        if not self.terms:
+        if not self.zterms:
             return 0
-        return min(e[idx] for e in self.terms)
+        return min(e[idx] for e in self.zterms)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.zterms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.zterms)
 
     def variables_used(self) -> tuple:
         used = [False] * len(self.variables)
-        for exps in self.terms:
+        for exps in self.zterms:
             for i, e in enumerate(exps):
                 if e:
                     used[i] = True
@@ -200,12 +222,9 @@ class MultiPoly:
     def coefficient_in(self, var: str, power: int) -> "MultiPoly":
         """Coefficient of ``var**power`` as a polynomial over the same variables."""
         idx = self._var_index(var)
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[idx] == power:
-                reduced = exps[:idx] + (0,) + exps[idx + 1:]
-                out[reduced] = out.get(reduced, ZERO) + coeff
-        return MultiPoly(self.variables, out)
+        # the kept terms share their exponent of var, so setting it to 0 merges none
+        out = {exps[:idx] + (0,) + exps[idx + 1:]: c for exps, c in self.zterms.items() if exps[idx] == power}
+        return _trusted_poly(self.variables, out, self.den)
 
     # ------------------------------------------------------------ evaluation
 
@@ -230,29 +249,20 @@ class MultiPoly:
     def set_variables(self, values: Mapping[str, GaussianRational]) -> "MultiPoly":
         """Pin some variables to constants, keeping the variable tuple.
 
-        A term holding a variable pinned to 0 drops out; every power of a
-        nonzero pinned value is computed once per call.  When every pin is 0
-        the kept terms are this polynomial's, unchanged.
+        A term holding a variable pinned to 0 drops out; when every pin is 0
+        the kept terms are this polynomial's, unchanged.  Otherwise it is
+        :func:`substitute` with each pinned variable's image its constant and
+        every other variable's image itself, all monomial.
         """
+        zeros = [self._var_index(v) for v in values]
         if all(isinstance(c, (GaussianRational, *_RATIONAL_TYPES)) and not c for c in values.values()):
-            zeros = [self._var_index(v) for v in values]
-            kept = {e: c for e, c in self.terms.items() if not any(e[i] for i in zeros)}
-            return _trusted_poly(self.variables, kept)
-        pins = [(self._var_index(v), GaussianRational.coerce(c)) for v, c in values.items()]
-        zeros = [i for i, c in pins if not c]
-        powers = [(i, {e: c ** e for e in {exps[i] for exps in self.terms} if e}) for i, c in pins if c]
-        out: dict = {}
-        for exps, coeff in self.terms.items():
-            if any(exps[i] for i in zeros):
-                continue
-            key = list(exps)
-            for i, power in powers:
-                if exps[i]:
-                    coeff = coeff * power[exps[i]]
-                    key[i] = 0
-            key = tuple(key)
-            out[key] = out.get(key, ZERO) + coeff
-        return MultiPoly(self.variables, out)
+            kept = {e: c for e, c in self.zterms.items() if not any(e[i] for i in zeros)}
+            return _trusted_poly(self.variables, kept, self.den)
+        variables = self.variables
+        return substitute(self, {
+            v: MultiPoly.constant(variables, values[v]) if v in values else MultiPoly.variable(variables, v)
+            for v in variables
+        })
 
     # ------------------------------------------------------------ printing
 
@@ -317,8 +327,9 @@ def _terms_to_string(variables, terms) -> str:
 
 def poly_to_string(poly: MultiPoly) -> str:
     """Canonical printer: graded lexicographic order, highest terms first."""
-    order = sorted(poly.terms, key=_grlex_key, reverse=True)
-    return _terms_to_string(poly.variables, ((e, poly.terms[e]) for e in order))
+    terms = poly.terms
+    order = sorted(terms, key=_grlex_key, reverse=True)
+    return _terms_to_string(poly.variables, ((e, terms[e]) for e in order))
 
 
 # ---------------------------------------------------------------------- parsing
@@ -487,13 +498,11 @@ def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
 def differentiate(f: MultiPoly, var: str) -> MultiPoly:
     """Formal partial derivative with respect to ``var``."""
     idx = f._var_index(var)
-    out = {}
-    for exps, coeff in f.terms.items():
-        e = exps[idx]
-        if e:
-            new = exps[:idx] + (e - 1,) + exps[idx + 1:]
-            out[new] = out.get(new, ZERO) + coeff * GaussianRational(e)
-    return MultiPoly(f.variables, out)
+    out = {
+        exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:]: (re * exps[idx], im * exps[idx])
+        for exps, (re, im) in f.zterms.items() if exps[idx]
+    }
+    return _trusted_poly(f.variables, out, f.den)
 
 
 def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
@@ -507,14 +516,14 @@ def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
     c*x^e goes to c * prod c_v^(e_v) * x^(sum e_v*m_v), since a ring
     homomorphism sends a product to the product of the images and
     x^a * x^b = x^(a+b); a term holding a variable whose image is 0 drops
-    out.  Only exponent tuples are added, and GaussianRationals multiplied
-    where some c_v is not 1.
+    out.  Only exponent tuples are added, and Z[i] pairs multiplied where
+    some c_v is not 1.
 
-    Otherwise it runs on Z[i] term maps: f is scaled by its denominator Df
-    and each image of a variable occurring in f by its own Dv, once.  A term
-    with exponent e_v of v is lifted by Dv^(top_v - e_v), top_v being f's
+    Otherwise each term of f is multiplied out with the powers of the images'
+    term maps.  In both cases a term with exponent e_v of v is lifted by
+    Dv^(top_v - e_v), Dv being the denominator of v's image and top_v f's
     largest exponent of v, so every product sits over the one divisor
-    Df * prod Dv^top_v.
+    Df * prod Dv^top_v, Df being f's denominator.
 
     What depends on the images alone (the exponent multiples and coefficient
     powers, or the scaled images and their powers) is built once per call of
@@ -537,32 +546,39 @@ def _substitute_all(variables: tuple, polys, assignment: Mapping[str, MultiPoly]
     for img in images:
         if img.variables != target:
             raise VariableMismatchError("assignment images live over different variable lists")
-    keys = [exps for f in polys for exps in f.terms]
+    keys = [exps for f in polys for exps in f.zterms]
     occurring = [(idx, images[idx], top) for idx, top in enumerate(map(max, zip(*keys))) if top]
-    if any(len(img.terms) > 1 for _, img, _ in occurring):
+    if any(len(img.zterms) > 1 for _, img, _ in occurring):
         return _substitute_term_maps(target, polys, occurring)
     zero = (0,) * len(target)
     killed = []   # indices in f of the variables with image 0
-    factors = []  # (index in f, e*m_v by e, c_v^e by e or None when c_v = 1)
+    factors = []  # (index in f, e*m_v by e, c^e * Dv^(top - e) by e for c_v = c/Dv, or None when c_v = 1)
+    lift = 1
     for idx, img, top in occurring:
-        if not img.terms:
+        if not img.zterms:
             killed.append(idx)
             continue
-        ((mono, c),) = img.terms.items()
+        ((mono, c),) = img.zterms.items()
         steps = [zero, mono]
         for _ in range(top - 1):
             steps.append(tuple(map(_add, steps[-1], mono)))
-        unit = c.re == 1 and not c.im
-        factors.append((idx, steps, None if unit else [c ** e for e in range(top + 1)]))
-    return [_substitute_monomials(target, f, killed, factors) for f in polys]
+        powers = None
+        if c != (1, 0) or img.den > 1:
+            powers = [(img.den ** top, 0)]
+            for _ in range(top):
+                re, im = _gmul(powers[-1], c)
+                powers.append((re // img.den, im // img.den))
+        factors.append((idx, steps, powers))
+        lift *= img.den ** top
+    return [_substitute_monomials(target, f, killed, factors, f.den * lift) for f in polys]
 
 
-def _substitute_monomials(target: tuple, f: MultiPoly, killed: list, factors: list) -> MultiPoly:
+def _substitute_monomials(target: tuple, f: MultiPoly, killed: list, factors: list, den: int) -> MultiPoly:
     """The monomial case of :func:`substitute`, on the table that
-    :func:`_substitute_all` builds."""
+    :func:`_substitute_all` builds; ``den`` is the result's divisor."""
     zero = (0,) * len(target)
     out: dict = {}
-    for exps, coeff in f.terms.items():
+    for exps, coeff in f.zterms.items():
         if killed and any(exps[idx] for idx in killed):
             continue
         key = zero
@@ -570,11 +586,11 @@ def _substitute_monomials(target: tuple, f: MultiPoly, killed: list, factors: li
             e = exps[idx]
             if e:
                 key = steps[e] if key is zero else tuple(map(_add, key, steps[e]))
-                if powers is not None:
-                    coeff = coeff * powers[e]
+            if powers is not None:
+                coeff = _gmul(coeff, powers[e])
         old = out.get(key)
-        out[key] = coeff if old is None else old + coeff
-    return _trusted_poly(target, {e: c for e, c in out.items() if c})
+        out[key] = coeff if old is None else (old[0] + coeff[0], old[1] + coeff[1])
+    return _trusted_poly(target, out, den)
 
 
 def _substitute_term_maps(target: tuple, polys, occurring) -> list:
@@ -584,18 +600,16 @@ def _substitute_term_maps(target: tuple, polys, occurring) -> list:
     lift = 1
     tables = []  # (index in f, powers of the scaled image, lifts by exponent)
     for idx, img, top in occurring:
-        Dv = _denominator(img.terms.values())
-        image = _zi_terms(img, Dv)
+        Dv = img.den
         powers = [one]
         for _ in range(top):
-            powers.append(_zi_mul_sub(powers[-1], image, {}, {}))
+            powers.append(_zi_mul_sub(powers[-1], img.zterms, {}, {}))
         tables.append((idx, powers, [Dv ** (top - e) for e in range(top + 1)]))
         lift *= Dv ** top
     results = []
     for f in polys:
-        Df = _denominator(f.terms.values())
         out: dict = {}
-        for exps, (re, im) in _zi_terms(f, Df).items():
+        for exps, (re, im) in f.zterms.items():
             product = one
             for idx, powers, lifts in tables:
                 e = exps[idx]
@@ -605,7 +619,7 @@ def _substitute_term_maps(target: tuple, polys, occurring) -> list:
             for key, (p, q) in product.items():
                 old = out.get(key, (0, 0))
                 out[key] = (old[0] + re * p - im * q, old[1] + re * q + im * p)
-        results.append(_from_zi_terms(target, out, Df * lift))
+        results.append(_trusted_poly(target, out, f.den * lift))
     return results
 
 
@@ -614,49 +628,47 @@ def extract_variable_power(f: MultiPoly, var: str) -> tuple:
     if f.is_zero():
         raise ZeroInputError("cannot extract a variable power from the zero polynomial")
     idx = f._var_index(var)
-    m = min(exps[idx] for exps in f.terms)
+    m = min(exps[idx] for exps in f.zterms)
     if m == 0:
         return 0, f
     # lowering one exponent by its minimum keeps every exponent valid and
     # distinct, and the coefficients are f's own
-    out = {exps[:idx] + (exps[idx] - m,) + exps[idx + 1:]: c for exps, c in f.terms.items()}
-    return m, _trusted_poly(f.variables, out)
+    out = {exps[:idx] + (exps[idx] - m,) + exps[idx + 1:]: c for exps, c in f.zterms.items()}
+    return m, _trusted_poly(f.variables, out, f.den)
 
 
 # ---------------------------------------------------------------------- Z[i] term maps
 #
-# Fraction-free polynomial arithmetic runs over Z[i][vars].  A term map sends
-# an exponent tuple to a nonzero Gaussian integer, stored as an ``(re, im)``
-# int pair; a caller clears denominators once on entry with _zi_terms and
-# divides once on exit with _from_zi_terms.
+# Polynomial arithmetic runs over Z[i][vars].  A term map, such as a
+# MultiPoly's ``zterms``, sends an exponent tuple to a nonzero Gaussian
+# integer, stored as an ``(re, im)`` int pair; a kernel works on the term
+# maps of its operands and leaves through _trusted_poly with one divisor.
 
 
-def _zi_terms(f: MultiPoly, D: int) -> dict:
-    """The term map of D*f; D is a common multiple of f's coefficient denominators."""
-    return dict(zip(f.terms, _scale_row(f.terms.values(), D)))
+def _trusted_poly(variables: tuple, zterms: dict, den: int) -> MultiPoly:
+    """The MultiPoly of a term map over the positive integer ``den``, in
+    normal form: zero pairs are dropped and the gcd of every part and
+    ``den`` divided out.
 
-
-def _from_zi_terms(variables: tuple, terms: dict, divisor: int) -> MultiPoly:
-    """The polynomial of a term map divided by the nonzero integer ``divisor``.
-
-    The one exit from term maps builds the MultiPoly without revalidating it:
-    every key is a sum of exponent tuples of validated polynomials over
-    ``variables``, so only zero pairs need dropping.
+    It is built without revalidation: every key must be an exponent tuple of
+    the right length over ``variables``, such as a sum of exponent tuples of
+    validated polynomials over them.
     """
-    return _trusted_poly(variables, {
-        e: GaussianRational(Fraction(re, divisor), Fraction(im, divisor))
-        for e, (re, im) in terms.items() if re or im
-    })
-
-
-def _trusted_poly(variables: tuple, terms: dict) -> MultiPoly:
-    """A MultiPoly built without validation, for terms that are already valid:
-    exponent tuples of the right length over ``variables`` and nonzero
-    GaussianRational coefficients."""
+    zterms = {e: c for e, c in zterms.items() if c[0] or c[1]}
+    if den != 1:
+        g = den
+        for re, im in zterms.values():
+            g = math.gcd(g, re, im)
+            if g == 1:
+                break
+        else:
+            den //= g
+            zterms = {e: (re // g, im // g) for e, (re, im) in zterms.items()}
     poly = MultiPoly.__new__(MultiPoly)
     poly.variables = variables
-    poly.terms = terms
-    poly._hash = None
+    poly.zterms = zterms
+    poly.den = den
+    poly._terms = poly._hash = None
     return poly
 
 
@@ -810,8 +822,9 @@ def _zi_determinant(m: list) -> dict:
 def _bareiss_determinant(matrix) -> MultiPoly:
     """Fraction-free determinant of a square MultiPoly matrix (Bareiss).
 
-    Every entry is scaled by D, the lcm of all coefficient denominators, and
-    eliminated over Z[i][vars]; the result is divided by D^n once.
+    Every entry's term map is lifted to D, the lcm of the entries'
+    denominators, and eliminated over Z[i][vars]; the result is divided by
+    D^n once.
     """
     n = len(matrix)
     if n == 0:
@@ -819,9 +832,12 @@ def _bareiss_determinant(matrix) -> MultiPoly:
     variables = matrix[0][0].variables
     if any(entry.variables != variables for row in matrix for entry in row):
         raise VariableMismatchError("matrix entries live over different variable lists")
-    D = _denominator(c for row in matrix for entry in row for c in entry.terms.values())
-    det = _zi_bareiss([[_zi_terms(entry, D) for entry in row] for row in matrix])
-    return _from_zi_terms(variables, det, D ** n)
+    D = math.lcm(*(entry.den for row in matrix for entry in row))
+    det = _zi_bareiss([
+        [{e: (re * (D // f.den), im * (D // f.den)) for e, (re, im) in f.zterms.items()} for f in row]
+        for row in matrix
+    ])
+    return _trusted_poly(variables, det, D ** n)
 
 
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
@@ -860,7 +876,7 @@ def univar_coeffs(f: MultiPoly, var: str) -> list:
     if used not in ((), (var,)):
         raise ValueError(f"{f} is not univariate in {var}")
     idx = f._var_index(var)
-    degree = f.degree_in(var) if f.terms else 0
+    degree = f.degree_in(var) if f.zterms else 0
     coeffs = [ZERO] * (max(degree, 0) + 1)
     for exps, coeff in f.terms.items():
         coeffs[exps[idx]] = coeff

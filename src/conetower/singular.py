@@ -36,10 +36,9 @@ from .gaussian import (
 )
 from .multipoly import (
     MultiPoly,
-    _from_zi_terms,
+    _trusted_poly,
     _zi_determinant,
     _zi_mul_sub,
-    _zi_terms,
     differentiate,
     extract_variable_power,
     resultant,
@@ -146,7 +145,7 @@ def _reduce_var(f: MultiPoly, var: str, coeffs) -> MultiPoly:
     Over Z[i] the modulus reads A * var^deg_m + sum a_d var^d, so
     var^deg_m = -(1/dm) * sum conj(A) * a_d var^d with dm = |A|^2.  The
     residue of var^e is reps[e] / dm^(e - deg_m + 1) for e >= deg_m, and every
-    term is brought to the common divisor Df * dm^(max_e - deg_m + 1).
+    term is brought to the common divisor f.den * dm^(max_e - deg_m + 1).
     """
     deg_m = len(coeffs) - 1
     idx = f.variables.index(var)
@@ -171,9 +170,8 @@ def _reduce_var(f: MultiPoly, var: str, coeffs) -> MultiPoly:
         reps.append(shifted)
     top = max_e - deg_m + 1
     lifts = [dm ** (top - max(e - deg_m + 1, 0)) for e in range(max_e + 1)]
-    Df = _denominator(f.terms.values())
     out: dict = {}
-    for exps, (re, im) in _zi_terms(f, Df).items():
+    for exps, (re, im) in f.zterms.items():
         e = exps[idx]
         coeff = (re * lifts[e], im * lifts[e])
         for d, c in reps[e].items():
@@ -181,7 +179,7 @@ def _reduce_var(f: MultiPoly, var: str, coeffs) -> MultiPoly:
             old = out.get(key, (0, 0))
             x, y = _gmul(coeff, c)
             out[key] = (old[0] + x, old[1] + y)
-    return _from_zi_terms(f.variables, out, Df * dm ** top)
+    return _trusted_poly(f.variables, out, f.den * dm ** top)
 
 
 def _is_binomial(coeffs) -> bool:
@@ -210,22 +208,19 @@ def _root_product(expr: MultiPoly, var: str, modulus) -> tuple:
 def _binomial_root_product(expr: MultiPoly, var: str, M: int, v) -> tuple:
     """Core form of prod_{beta^M = v} expr(beta) for the modulus var^M - v."""
     idx = expr.variables.index(var)
-    exps_used = sorted({e[idx] for e in expr.terms if e[idx]})
+    exps_used = sorted({e[idx] for e in expr.zterms if e[idx]})
     if not exps_used:
         return expr, M, "constant-power"
     # single power of var with constant leading coefficient: closed form
     if len(exps_used) == 1:
         D = exps_used[0]
         c_key = tuple(D if j == idx else 0 for j in range(len(expr.variables)))
-        if [e for e in expr.terms if e[idx]] == [c_key]:
+        if [e for e in expr.zterms if e[idx]] == [c_key]:
             return _closed_form_root_product(expr, c_key, D, M, v), math.gcd(D, M), "closed-form"
     # even polynomial: halve the degree; the product squares
     if M % 2 == 0 and all(e % 2 == 0 for e in exps_used):
-        halved: dict = {}
-        for exps, coeff in expr.terms.items():
-            new = exps[:idx] + (exps[idx] // 2,) + exps[idx + 1:]
-            halved[new] = coeff
-        core, e, _ = _binomial_root_product(MultiPoly(expr.variables, halved), var, M // 2, v)
+        halved = {exps[:idx] + (exps[idx] // 2,) + exps[idx + 1:]: c for exps, c in expr.zterms.items()}
+        core, e, _ = _binomial_root_product(_trusted_poly(expr.variables, halved, expr.den), var, M // 2, v)
         return core, 2 * e, "even-halving"
     return _multiplication_determinant(expr, var, M, v), 1, "product-determinant"
 
@@ -248,8 +243,8 @@ def _closed_form_root_product(expr: MultiPoly, c_key: tuple, D: int, M: int, v) 
     g = math.gcd(D, M)
     L, s = M // g, D // g
     p, q = _as_fraction_zi(v)
-    De = _denominator(expr.terms.values())
-    rest = _zi_terms(expr, De)
+    De = expr.den
+    rest = dict(expr.zterms)
     C = rest.pop(c_key)
     qs = q ** s
     power = rest
@@ -263,7 +258,7 @@ def _closed_form_root_product(expr: MultiPoly, c_key: tuple, D: int, M: int, v) 
         K = _gmul(K, C)
     zero = (0,) * len(c_key)
     core[zero] = _gsub(core.get(zero, (0, 0)), K)
-    return _from_zi_terms(expr.variables, core, De ** L * qs)
+    return _trusted_poly(expr.variables, core, De ** L * qs)
 
 
 def _reduce_binomial(f: dict, idx: int, L: int, p: tuple, q: int) -> tuple:
@@ -329,9 +324,8 @@ def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPo
     """
     idx = expr.variables.index(var)
     p, q = _as_fraction_zi(v)
-    De = _denominator(expr.terms.values())
-    a, t = _reduce_binomial(_zi_terms(expr, De), idx, L, p, q)
-    divisor = De ** L * q ** (t * L)
+    a, t = _reduce_binomial(expr.zterms, idx, L, p, q)
+    divisor = expr.den ** L * q ** (t * L)
     r = 2
     while r * r <= L:
         if L % r:
@@ -355,7 +349,7 @@ def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPo
             for exps, c in column.items():
                 matrix[exps[idx]][j][exps[:idx] + (0,) + exps[idx + 1:]] = c
         a = _zi_determinant(matrix)
-    return _from_zi_terms(expr.variables, a, divisor)
+    return _trusted_poly(expr.variables, a, divisor)
 
 
 def _claims_all_zero(claimed) -> bool:

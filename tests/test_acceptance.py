@@ -14,7 +14,6 @@ from conetower.bundles import (
     TransitionMatrix,
     det_valuation,
     h0_window,
-    matmul,
     normal_bundle_sequence,
 )
 from conetower.certificates import CERTIFIED, FAIL, ONLY_SINGULAR_AT, PASS, SMOOTH
@@ -34,6 +33,7 @@ from conetower.singular import (
     search_perturbation,
 )
 from conetower.tower import build_tower, cone_equation, tower_center
+from transition_helpers import matmul
 
 
 def _report(number: int, description: str, ok: bool):

@@ -139,6 +139,14 @@ def test_straighten_rejects_non_triangular():
             (AMBIENT.poly("z3 - z1"), AMBIENT.poly("z4")),
             ("z3", "z4"),
         )
+    # the isolated variable's coefficient must be 1, also beside denominators
+    for lead in ("1/2*z1 - z2", "2*z1 - 1/3*z2", "i*z1 - 1/2*z2"):
+        with pytest.raises(NotTriangularError):
+            SurfaceCenter(AMBIENT, (AMBIENT.poly(lead), AMBIENT.poly("z3")), ("z1", "z3"))
+    center = SurfaceCenter(
+        AMBIENT, (AMBIENT.poly("z1 - 1/2*z2"), AMBIENT.poly("z3 - 2/3*i*z4^2")), ("z1", "z3")
+    )
+    assert center.rests() == (AMBIENT.poly("1/2*z2"), AMBIENT.poly("2/3*i*z4^2"))
 
 
 # ---------------------------------------------------------------- codim-2 charts

@@ -8,13 +8,17 @@ must equal the files checked in under ``golden/``.  No command may turn an
 exact coefficient into a float: ``GaussianRational.__complex__`` raises.
 """
 
+import math
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
+from conetower import multipoly
 from conetower.cli import main
 from conetower.gaussian import GaussianRational
+from conetower.multipoly import MultiPoly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -93,3 +97,44 @@ def test_cli_json_matches_golden(stem, argv, code, tmp_path, monkeypatch, capsys
     assert capsys.readouterr().out == (GOLDEN / f"{stem}.json").read_text()
     for name in WRITTEN.get(stem, ()):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_every_polynomial_of_the_golden_commands_is_in_normal_form(tmp_path, monkeypatch, capsys):
+    # every MultiPoly the commands build, through the trusted or the
+    # validating constructor, is checked as it is built; a kernel that skipped
+    # normalisation would otherwise show only as an == or hash mismatch later
+    built, broken = [0], []
+
+    def check(poly):
+        built[0] += 1
+        pairs = poly.zterms.values()
+        if not (
+            type(poly.den) is int and poly.den > 0 and all(re or im for re, im in pairs)
+            and math.gcd(poly.den, *(part for pair in pairs for part in pair)) == 1
+        ):
+            broken.append((dict(poly.zterms), poly.den))
+
+    trusted, init = multipoly._trusted_poly, MultiPoly.__init__
+
+    def checked_trusted(*args):
+        poly = trusted(*args)
+        check(poly)
+        return poly
+
+    def checked_init(self, *args):
+        init(self, *args)
+        check(self)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conetower") and getattr(module, "_trusted_poly", None) is trusted:
+            monkeypatch.setattr(module, "_trusted_poly", checked_trusted)
+    monkeypatch.setattr(MultiPoly, "__init__", checked_init)
+    shutil.copytree(GOLDEN / "matrices", tmp_path / "matrices")
+    monkeypatch.chdir(tmp_path)
+    for stem, argv, code in COMMANDS:
+        assert main(argv + ["--format", "json"]) == code, stem
+        assert capsys.readouterr().out == (GOLDEN / f"{stem}.json").read_text(), stem
+        for name in WRITTEN.get(stem, ()):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), stem
+    assert not broken, broken[:3]
+    assert built[0] > 1_000, built

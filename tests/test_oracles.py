@@ -1,9 +1,10 @@
-"""Independent oracles: hypothesis round-trips and ring properties, sympy ranks,
-kernels, determinants and resultants over Q(i), the Laplace expansion kernel
-against Bareiss and sympy, a Fraction reference for the integer real-slice
-kernel, GaussianRational references for the Z[i] branch chain and for
-MultiPoly multiply and substitute, and the previous Bareiss kernel and Z[i]
-back-substitution."""
+"""Independent oracles: hypothesis round-trips and ring properties, the normal
+form of every MultiPoly result against GaussianRational references, sympy
+ranks, kernels, determinants and resultants over Q(i), the Laplace expansion
+kernel against Bareiss and sympy, a Fraction reference for the integer
+real-slice kernel, GaussianRational references for the Z[i] branch chain and
+for MultiPoly multiply and substitute, and the previous Bareiss kernel and
+Z[i] back-substitution."""
 
 import math
 import random
@@ -26,12 +27,11 @@ from conetower.laurent import LaurentPoly, parse_laurent  # noqa: E402
 from conetower.multipoly import (  # noqa: E402
     MultiPoly,
     _bareiss_determinant,
-    _from_zi_terms,
+    _trusted_poly,
     _zi_bareiss,
     _zi_determinant,
     _zi_expansion,
     _zi_mul_sub,
-    _zi_terms,
     differentiate,
     parse_poly,
     poly_to_string,
@@ -164,6 +164,166 @@ def test_laurent_results_store_no_zero(f_coeffs, g_coeffs):
     assert (f + g) - g == f
     assert f + (g - f) == g
     assert not results[3] and not results[5]
+
+
+# ---------------------------------------------------------------- normal form
+#
+# Every result of a public operation is in MultiPoly's normal form, and its
+# .terms equals the same operation done here on {exponents: GaussianRational}
+# dicts, with no MultiPoly arithmetic.
+
+nf_coefficients = st.one_of(st.just(ZERO), coefficients)
+nf_terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), nf_coefficients, max_size=5)
+
+
+def _assert_normal_form(f: MultiPoly):
+    assert type(f.den) is int and f.den > 0
+    assert all(re or im for re, im in f.zterms.values())
+    assert math.gcd(f.den, *(part for pair in f.zterms.values() for part in pair)) == 1
+    assert parse_poly(str(f), f.variables) == f
+
+
+def _gr_drop_zeros(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def _gr_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, ZERO) + c
+    return _gr_drop_zeros(out)
+
+
+def _gr_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, ZERO) + c1 * c2
+    return _gr_drop_zeros(out)
+
+
+def _gr_pow(a: dict, n: int, nvars: int) -> dict:
+    out = {(0,) * nvars: ONE}
+    for _ in range(n):
+        out = _gr_mul(out, a)
+    return out
+
+
+def _gr_pin(a: dict, idx: int, value) -> dict:
+    out: dict = {}
+    for e, c in a.items():
+        key = e[:idx] + (0,) + e[idx + 1:]
+        out[key] = out.get(key, ZERO) + c * value ** e[idx]
+    return _gr_drop_zeros(out)
+
+
+def _gr_coefficients(a: dict, idx: int) -> list:
+    """The coefficients of var^top down to var^0, var at position ``idx``."""
+    top = max(e[idx] for e in a)
+    return [{e[:idx] + (0,) + e[idx + 1:]: c for e, c in a.items() if e[idx] == k} for k in range(top, -1, -1)]
+
+
+def _gr_substitute(a: dict, images: list, nvars: int) -> dict:
+    total: dict = {}
+    for e, c in a.items():
+        term = {(0,) * nvars: c}
+        for image, k in zip(images, e):
+            for _ in range(k):
+                term = _gr_mul(term, image)
+        total = _gr_add(total, term)
+    return total
+
+
+def _gr_det(rows: list) -> dict:
+    """Cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total: dict = {}
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            term = _gr_mul(entry, _gr_det([row[:j] + row[j + 1:] for row in rows[1:]]))
+            total = _gr_add(total, term if j % 2 == 0 else {e: -c for e, c in term.items()})
+    return total
+
+
+def _gr_resultant(f: dict, g: dict, idx: int, nvars: int) -> dict:
+    """The Sylvester resultant as MultiPoly's resultant sets it up."""
+    fdesc, gdesc = _gr_coefficients(f, idx), _gr_coefficients(g, idx)
+    n, m = len(fdesc) - 1, len(gdesc) - 1
+    if n == 0:
+        return _gr_pow(fdesc[0], m, nvars)
+    if m == 0:
+        return _gr_pow(gdesc[0], n, nvars)
+    size = n + m
+    rows = [[{}] * s + fdesc + [{}] * (size - s - n - 1) for s in range(m)]
+    rows += [[{}] * s + gdesc + [{}] * (size - s - m - 1) for s in range(n)]
+    return _gr_det(rows)
+
+
+@EXAMPLES
+@given(nf_terms, nf_terms, nf_coefficients, st.integers(0, 3),
+       st.dictionaries(st.sampled_from(("x", "y1", "w")), nf_coefficients, max_size=3))
+def test_ring_and_structure_results_are_in_normal_form(f_terms, g_terms, c, n, pins):
+    variables = ("x", "y1", "w")
+    f, g = MultiPoly(variables, f_terms), MultiPoly(variables, g_terms)
+    a, b = _gr_drop_zeros(f_terms), _gr_drop_zeros(g_terms)
+    assert f.terms == a and g.terms == b
+    pinned = a
+    for v, value in pins.items():
+        pinned = _gr_pin(pinned, variables.index(v), value)
+    cases = [
+        (f + g, _gr_add(a, b)),
+        (f - g, _gr_add(a, {e: -x for e, x in b.items()})),
+        (f * g, _gr_mul(a, b)),
+        (f ** n, _gr_pow(a, n, 3)),
+        (f.scale(c), _gr_drop_zeros({e: x * c for e, x in a.items()})),
+        (f.set_variables(pins), pinned),
+    ]
+    for idx, v in enumerate(variables):
+        cases.append((differentiate(f, v), _gr_drop_zeros(
+            {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: x * e[idx] for e, x in a.items() if e[idx]}
+        )))
+        cases.append((f.coefficient_in(v, n), {e[:idx] + (0,) + e[idx + 1:]: x for e, x in a.items() if e[idx] == n}))
+        if a:
+            m, quotient = multipoly.extract_variable_power(f, v)
+            low = min(e[idx] for e in a)
+            assert m == low
+            cases.append((quotient, {e[:idx] + (e[idx] - low,) + e[idx + 1:]: x for e, x in a.items()}))
+    for ours, reference in cases:
+        _assert_normal_form(ours)
+        assert ours.terms == reference
+
+
+resultant_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+                                  nf_coefficients, max_size=4)
+monomial_image_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), nf_coefficients, max_size=1)
+multi_term_image_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), coefficients.filter(bool), min_size=2, max_size=3
+)
+
+
+@EXAMPLES
+@given(resultant_terms, resultant_terms, st.lists(monomial_image_terms, min_size=3, max_size=3),
+       st.lists(multi_term_image_terms, min_size=3, max_size=3), st.integers(2, 12))
+def test_substitute_and_resultant_results_are_in_normal_form(f_terms, g_terms, monomials, multi_terms, q):
+    variables, target = ("x", "y1", "w"), ("s", "t")
+    f, g = MultiPoly(variables, f_terms), MultiPoly(variables, g_terms)
+    a, b = _gr_drop_zeros(f_terms), _gr_drop_zeros(g_terms)
+    # monomial images whose coefficient is a unit pair over a denominator
+    units_over_q = [{(1, 0): Fraction(1, q)}, {(0, 1): ONE}, {(1, 1): GaussianRational(0, Fraction(-1, q))}]
+    cases = []
+    # the monomial case, then the term-map case
+    for images_terms in (monomials, units_over_q, multi_terms):
+        images = [MultiPoly(target, terms) for terms in images_terms]
+        ours = substitute(f, dict(zip(variables, images)))
+        cases.append((ours, _gr_substitute(a, [img.terms for img in images], 2)))
+    if a and b:
+        for idx, v in enumerate(variables):
+            cases.append((resultant(f, g, v), _gr_resultant(a, b, idx, 3)))
+    for ours, reference in cases:
+        _assert_normal_form(ours)
+        assert ours.terms == reference
 
 
 # ---------------------------------------------------------------- rank over Q(i)
@@ -533,6 +693,20 @@ def _to_sympy(f: MultiPoly):
     ))
 
 
+def _term_map(f: MultiPoly, D: int) -> dict:
+    """The Z[i] term map of D*f, read off the GaussianRational view; D is a
+    common multiple of f's coefficient denominators."""
+    return dict(zip(f.terms, _scale_row(f.terms.values(), D)))
+
+
+def _from_term_map(variables, terms: dict, divisor: int) -> MultiPoly:
+    """The polynomial of a Z[i] term map over ``divisor``, through the
+    validating constructor."""
+    return MultiPoly(variables, {
+        e: GaussianRational(Fraction(re, divisor), Fraction(im, divisor)) for e, (re, im) in terms.items()
+    })
+
+
 def _agrees_with_sympy(ours: MultiPoly, theirs) -> bool:
     return sympy.expand(_to_sympy(ours) - theirs) == 0
 
@@ -635,8 +809,8 @@ def test_expansion_matches_sympy_berkowitz():
         n = rng.randint(1, 4)
         matrix = [[_random_poly(rng, XY) for _ in range(n)] for _ in range(n)]
         D = _denominator(c for row in matrix for entry in row for c in entry.terms.values())
-        det = _zi_expansion([[_zi_terms(entry, D) for entry in row] for row in matrix])
-        assert _agrees_with_sympy(_from_zi_terms(XY, det, D ** n), _sympy_det(matrix))
+        det = _zi_expansion([[_term_map(entry, D) for entry in row] for row in matrix])
+        assert _agrees_with_sympy(_from_term_map(XY, det, D ** n), _sympy_det(matrix))
 
 
 def test_determinant_expands_up_to_eleven_rows_and_eliminates_from_thirteen(monkeypatch):
@@ -1134,7 +1308,7 @@ def _reference_zi_multiplication_determinant(expr, var, L, v):
     lifts = [(re * q ** (top - k), im * q ** (top - k)) for k, (re, im) in enumerate(powers)]
     De = _denominator(expr.terms.values())
     matrix = [[{} for _ in range(L)] for _ in range(L)]
-    for exps, c in _zi_terms(expr, De).items():
+    for exps, c in _term_map(expr, De).items():
         d = exps[idx]
         key = exps[:idx] + (0,) + exps[idx + 1:]
         for j in range(L):
@@ -1144,7 +1318,7 @@ def _reference_zi_multiplication_determinant(expr, var, L, v):
             x, y = _gmul(c, lifts[k])
             entry[key] = (old[0] + x, old[1] + y)
     matrix = [[{e: a for e, a in entry.items() if a[0] or a[1]} for entry in row] for row in matrix]
-    return _from_zi_terms(expr.variables, _zi_bareiss(matrix), (De * q ** top) ** L)
+    return _from_term_map(expr.variables, _zi_bareiss(matrix), (De * q ** top) ** L)
 
 
 def test_multiplication_determinant_matches_lifted_matrix_reference():
@@ -1280,7 +1454,7 @@ def test_substitute_matches_gaussian_rational_reference():
         monomial = n % 3 == 2
         if monomial:
             images = {v: _monomial_image(rng, target) for v in variables}
-        denominators = {_denominator(img.terms.values()) for img in images.values()}
+        denominators = {img.den for img in images.values()}
         zero_image = rng.random() < 0.2
         if zero_image:
             images[rng.choice(variables)] = MultiPoly.zero(target)
@@ -1332,21 +1506,26 @@ def test_substitute_rejects_images_over_different_variables():
         substitute(f, images)
 
 
-def test_from_zi_terms_equals_the_validating_constructor():
+def test_trusted_constructor_equals_the_validating_constructor():
     rng = random.Random(1015)
     variables = ("x", "y", "z")
-    for _ in range(60):
+    shared = 0
+    for n in range(90):
         divisor = rng.choice((1, rng.randint(1, 10 ** 6)))
+        # a third of the maps share a factor with the divisor in every part
+        common = rng.choice((2, 3, 6, 12)) if n % 3 == 0 else 1
         terms = {}
         for _ in range(rng.randint(0, 6)):
             exps = tuple(rng.randint(0, 3) for _ in variables)
             terms[exps] = (0, 0) if rng.random() < 0.4 else (rng.randint(-50, 50), rng.randint(-50, 50))
-        ours = _from_zi_terms(variables, terms, divisor)
-        expected = MultiPoly(
-            variables, {e: GaussianRational(Fraction(re, divisor), Fraction(im, divisor)) for e, (re, im) in terms.items()}
-        )
+        terms = {e: (re * common, im * common) for e, (re, im) in terms.items()}
+        ours = _trusted_poly(variables, terms, divisor * common)
+        expected = _from_term_map(variables, terms, divisor * common)
         assert ours == expected and ours.terms == expected.terms and hash(ours) == hash(expected)
+        assert (ours.zterms, ours.den) == (expected.zterms, expected.den)
         assert all(ours.terms.values())
+        shared += common > 1 and any(re or im for re, im in terms.values())
+    assert shared >= 20
 
 
 def _assert_same_nullspace(zrows, ncols):
