@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     CurveNotFixedError,
@@ -26,9 +25,9 @@ from .errors import (
     NotCocycleError,
     ValidationError,
 )
-from .gaussian import GaussianRational, _denominator, _gmul, _scale_row
-from .laurent import LaurentPoly, parse_laurent
-from .multipoly import MultiPoly, _zi_mul_sub, differentiate
+from .gaussian import _gmul
+from .laurent import LaurentPoly, _mul_sub, _trusted_laurent, parse_laurent
+from .multipoly import MultiPoly, differentiate
 
 
 @dataclass(frozen=True)
@@ -73,22 +72,16 @@ class TransitionMatrix:
     def det(self) -> LaurentPoly:
         """a*d - b*c, computed on the first call and kept: the entries never change.
 
-        Row i of T is scaled to Z[i] by the integer s_i (``_zi_rows``), so the
-        numerator A*D - B*C of those rows is s0*s1 times the determinant.
+        Row i of T is lifted to Z[i] by the integer s_i (``_zi_rows``), so
+        A*D - B*C of those rows (``_mul_sub``) over s0*s1 is the determinant.
         """
         if self._det is None:
-            zrows, (s0, s1) = _zi_rows(self)
-            # _zi_mul_sub multiplies maps keyed by exponent tuples
-            (a, b), (c, d) = ([{(e,): v for e, v in entry.items()} for entry in row] for row in zrows)
-            s = s0 * s1
-            self._det = LaurentPoly({
-                e: GaussianRational(Fraction(re, s), Fraction(im, s))
-                for (e,), (re, im) in _zi_mul_sub(a, d, b, c).items()
-            })
+            ((a, b), (c, d)), (s0, s1) = _zi_rows(self)
+            self._det = _trusted_laurent(_mul_sub(a, d, b, c), s0 * s1)
         return self._det
 
     def exponent_span(self):
-        exps = [e for row in self.entries for entry in row for e in entry.coeffs]
+        exps = [e for row in self.entries for entry in row for e in entry.zterms]
         if not exps:
             raise NotCocycleError("the zero matrix is not a cocycle")
         return min(exps), max(exps)
@@ -109,23 +102,27 @@ def det_valuation(T: TransitionMatrix):
         raise NotCocycleError("determinant is zero")
     if not det.is_single_term():
         raise NotCocycleError(f"determinant {det} is not a single term c*z^v")
-    exponent = next(iter(det.coeffs))
+    exponent = next(iter(det.zterms))
     return det.coeffs[exponent], exponent
 
 
 def _zi_rows(T: TransitionMatrix):
-    """T's rows as Z[i] term maps {exponent: (re, im)}, each row scaled by the
-    common denominator s_i of its two entries, and the scales (s0, s1).
+    """T's rows as Z[i] term maps {exponent: (re, im)}, each row scaled by
+    s_i, the lcm of its two entries' ``den``, and the scales (s0, s1).
 
-    Built on the first call and kept on T, whose entries never change, so
-    ``det()`` and ``h0_window`` scale the rows once between them; callers
+    An entry's ``zterms`` is lifted by s_i // den, and kept as it is when that
+    is 1.  Built on the first call and kept on T, whose entries never change,
+    so ``det()`` and ``h0_window`` lift the rows once between them; callers
     only read the maps."""
     if T._zrows is None:
         out, scales = [], []
         for t_row in T.entries:
-            entries = [entry.coeffs for entry in t_row]
-            scale = _denominator(c for coeffs in entries for c in coeffs.values())
-            out.append(tuple(dict(zip(coeffs, _scale_row(coeffs.values(), scale))) for coeffs in entries))
+            scale = math.lcm(*(entry.den for entry in t_row))
+            row = []
+            for entry in t_row:
+                k = scale // entry.den
+                row.append(entry.zterms if k == 1 else {e: (re * k, im * k) for e, (re, im) in entry.zterms.items()})
+            out.append(tuple(row))
             scales.append(scale)
         T._zrows = tuple(out), tuple(scales)
     return T._zrows
@@ -238,19 +235,18 @@ def h0_window(T: TransitionMatrix, window: int = 6):
     one = {0: (1, 0)}
     columns = [[{e + sigma: c for e, c in zrows[i][j].items()} for i in range(2)]
                + ([one, {}] if j == 0 else [{}, one]) for j in range(2)]
-    # A with the exponent-tuple keys of _zi_mul_sub, before the reduction
-    # replaces its columns
-    a = [[{(e,): c for e, c in columns[j][i].items()} for j in range(2)] for i in range(2)]
+    # A's entries: the reduction replaces columns, never the maps in them
+    a = [[columns[j][i] for j in range(2)] for i in range(2)]
     degrees = _column_reduce(columns)
-    u = [[{(e,): c for e, c in columns[j][2 + i].items()} for j in range(2)] for i in range(2)]
-    if list(_zi_mul_sub(u[0][0], u[1][1], u[0][1], u[1][0])) != [(0,)]:
+    u = [[columns[j][2 + i] for j in range(2)] for i in range(2)]
+    if list(_mul_sub(u[0][0], u[1][1], u[0][1], u[1][0])) != [0]:
         raise InternalInconsistencyError("column operations not unimodular: det U is not a nonzero constant")
     # R = A * U as a*b - c*(-d), column by column
-    r = [[_zi_mul_sub(a[i][0], u[0][j], a[i][1], {e: (-re, -im) for e, (re, im) in u[1][j].items()})
+    r = [[_mul_sub(a[i][0], u[0][j], a[i][1], {e: (-re, -im) for e, (re, im) in u[1][j].items()})
           for i in range(2)] for j in range(2)]
-    if [max((e for entry in col for (e,) in entry), default=None) for col in r] != degrees:
+    if [max((e for entry in col for e in entry), default=None) for col in r] != degrees:
         raise InternalInconsistencyError(f"A*U does not have the column degrees {degrees} of the reduction")
-    lead = [[r[j][i].get((degrees[j],), (0, 0)) for j in range(2)] for i in range(2)]
+    lead = [[r[j][i].get(degrees[j], (0, 0)) for j in range(2)] for i in range(2)]
     if _gmul(lead[0][0], lead[1][1]) == _gmul(lead[0][1], lead[1][0]):
         raise InternalInconsistencyError("A*U is not column reduced: leading-coefficient matrix is singular")
     if degrees[0] + degrees[1] != v + 2 * sigma:

@@ -192,9 +192,50 @@ I = GaussianRational(0, 1)
 # ---------------------------------------------------------------------- Z[i] pairs
 #
 # Gaussian integers ``a + b*i`` are stored as plain ``(a, b)`` int pairs:
-# MultiPoly's coefficients over one integer, and the rows of the fraction-free
-# eliminations (linalg, the quadric's line forms).  The helpers below clear
-# the denominators of GaussianRationals that enter from outside, once.
+# the coefficients of MultiPoly and LaurentPoly over one integer, and the rows
+# of the fraction-free eliminations (linalg, the quadric's line forms).
+# ``_denominator`` and ``_scale_row`` clear the denominators of
+# GaussianRationals that enter from outside, once: their only callers are the
+# constructors of outside values (the public MultiPoly and LaurentPoly
+# constructors, ``ProjLine.from_rows``, ``QuadricSplit``'s forms, a sampled
+# ruling parameter, and the branch constraints' coefficients and roots in the
+# singular-locus chain).  The normal form, the sum and the GaussianRational
+# view of a term map over a denominator are shared by both polynomial classes.
+
+
+def _normal_form(zterms: dict, den: int):
+    """The term map ``zterms`` over the positive int ``den`` in normal form,
+    as ``(zterms, den)``: zero pairs dropped and the gcd of every part and
+    ``den`` divided out (the gcd pass stops once it reaches 1)."""
+    zterms = {e: c for e, c in zterms.items() if c[0] or c[1]}
+    if den != 1:
+        g = den
+        for re, im in zterms.values():
+            g = math.gcd(g, re, im)
+            if g == 1:
+                break
+        else:
+            den //= g
+            zterms = {e: (re // g, im // g) for e, (re, im) in zterms.items()}
+    return zterms, den
+
+
+def _zi_sum(f: dict, fden: int, g: dict, gden: int):
+    """f/fden + g/gden as ``(zterms, den)`` over the lcm of the two
+    denominators, before normalisation."""
+    den = math.lcm(fden, gden)
+    a, b = den // fden, den // gden
+    out = {e: (re * a, im * a) for e, (re, im) in f.items()}
+    for e, (re, im) in g.items():
+        old = out.get(e)
+        out[e] = (re * b, im * b) if old is None else (old[0] + re * b, old[1] + im * b)
+    return out, den
+
+
+def _rational_view(zterms: dict, den: int) -> dict:
+    """``{key: GaussianRational}`` of a term map over ``den``, each part the
+    reduced fraction."""
+    return {e: GaussianRational(Fraction(re, den), Fraction(im, den)) for e, (re, im) in zterms.items()}
 
 
 def _denominator(values):

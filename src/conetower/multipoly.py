@@ -35,7 +35,8 @@ from .errors import (
 )
 from .gaussian import (
     _RATIONAL_TYPES, GaussianRational, I, ONE, ZERO,
-    _denominator, _exact_str, _gdiv_exact, _gmul, _gsub, _scale_row,
+    _denominator, _exact_str, _gdiv_exact, _gmul, _gsub, _normal_form, _rational_view, _scale_row,
+    _zi_sum,
 )
 
 
@@ -100,11 +101,7 @@ class MultiPoly:
         """The coefficients as ``{exponents: GaussianRational}``, each part
         the reduced fraction over ``den``; built on first read."""
         if self._terms is None:
-            den = self.den
-            self._terms = {
-                e: GaussianRational(Fraction(re, den), Fraction(im, den))
-                for e, (re, im) in self.zterms.items()
-            }
+            self._terms = _rational_view(self.zterms, self.den)
         return self._terms
 
     # ------------------------------------------------------------ predicates
@@ -147,13 +144,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = {e: (re * a, im * a) for e, (re, im) in self.zterms.items()}
-        for exps, (re, im) in other.zterms.items():
-            old = out.get(exps)
-            out[exps] = (re * b, im * b) if old is None else (old[0] + re * b, old[1] + im * b)
-        return _trusted_poly(self.variables, out, den)
+        return _trusted_poly(self.variables, *_zi_sum(self.zterms, self.den, other.zterms, other.den))
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -647,27 +638,15 @@ def extract_variable_power(f: MultiPoly, var: str) -> tuple:
 
 def _trusted_poly(variables: tuple, zterms: dict, den: int) -> MultiPoly:
     """The MultiPoly of a term map over the positive integer ``den``, in
-    normal form: zero pairs are dropped and the gcd of every part and
-    ``den`` divided out.
+    normal form (``_normal_form``).
 
     It is built without revalidation: every key must be an exponent tuple of
     the right length over ``variables``, such as a sum of exponent tuples of
     validated polynomials over them.
     """
-    zterms = {e: c for e, c in zterms.items() if c[0] or c[1]}
-    if den != 1:
-        g = den
-        for re, im in zterms.values():
-            g = math.gcd(g, re, im)
-            if g == 1:
-                break
-        else:
-            den //= g
-            zterms = {e: (re // g, im // g) for e, (re, im) in zterms.items()}
     poly = MultiPoly.__new__(MultiPoly)
     poly.variables = variables
-    poly.zterms = zterms
-    poly.den = den
+    poly.zterms, poly.den = _normal_form(zterms, den)
     poly._terms = poly._hash = None
     return poly
 

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from conetower import multipoly
+from conetower import laurent, multipoly
 from conetower.cli import main
 from conetower.gaussian import GaussianRational
+from conetower.laurent import LaurentPoly
 from conetower.multipoly import MultiPoly
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -100,13 +101,14 @@ def test_cli_json_matches_golden(stem, argv, code, tmp_path, monkeypatch, capsys
 
 
 def test_every_polynomial_of_the_golden_commands_is_in_normal_form(tmp_path, monkeypatch, capsys):
-    # every MultiPoly the commands build, through the trusted or the
-    # validating constructor, is checked as it is built; a kernel that skipped
-    # normalisation would otherwise show only as an == or hash mismatch later
-    built, broken = [0], []
+    # every MultiPoly and LaurentPoly the commands build, through the trusted
+    # or the validating constructor, is checked as it is built; a kernel that
+    # skipped normalisation would otherwise show only as an == or hash
+    # mismatch later
+    built, broken = {MultiPoly: 0, LaurentPoly: 0}, []
 
     def check(poly):
-        built[0] += 1
+        built[type(poly)] += 1
         pairs = poly.zterms.values()
         if not (
             type(poly.den) is int and poly.den > 0 and all(re or im for re, im in pairs)
@@ -114,21 +116,26 @@ def test_every_polynomial_of_the_golden_commands_is_in_normal_form(tmp_path, mon
         ):
             broken.append((dict(poly.zterms), poly.den))
 
-    trusted, init = multipoly._trusted_poly, MultiPoly.__init__
+    def checked(build):
+        def wrapper(*args):
+            poly = build(*args)
+            check(poly)
+            return poly
+        return wrapper
 
-    def checked_trusted(*args):
-        poly = trusted(*args)
-        check(poly)
-        return poly
+    def checked_init(init):
+        def wrapper(self, *args):
+            init(self, *args)
+            check(self)
+        return wrapper
 
-    def checked_init(self, *args):
-        init(self, *args)
-        check(self)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("conetower") and getattr(module, "_trusted_poly", None) is trusted:
-            monkeypatch.setattr(module, "_trusted_poly", checked_trusted)
-    monkeypatch.setattr(MultiPoly, "__init__", checked_init)
+    for trusted in (multipoly._trusted_poly, laurent._trusted_laurent):
+        wrapper = checked(trusted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("conetower") and getattr(module, trusted.__name__, None) is trusted:
+                monkeypatch.setattr(module, trusted.__name__, wrapper)
+    for cls in (MultiPoly, LaurentPoly):
+        monkeypatch.setattr(cls, "__init__", checked_init(cls.__init__))
     shutil.copytree(GOLDEN / "matrices", tmp_path / "matrices")
     monkeypatch.chdir(tmp_path)
     for stem, argv, code in COMMANDS:
@@ -137,4 +144,4 @@ def test_every_polynomial_of_the_golden_commands_is_in_normal_form(tmp_path, mon
         for name in WRITTEN.get(stem, ()):
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), stem
     assert not broken, broken[:3]
-    assert built[0] > 1_000, built
+    assert built[MultiPoly] > 1_000 and built[LaurentPoly] > 1_000, built

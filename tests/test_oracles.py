@@ -1,10 +1,10 @@
 """Independent oracles: hypothesis round-trips and ring properties, the normal
-form of every MultiPoly result against GaussianRational references, sympy
-ranks, kernels, determinants and resultants over Q(i), the Laplace expansion
-kernel against Bareiss and sympy, a Fraction reference for the integer
-real-slice kernel, GaussianRational references for the Z[i] branch chain and
-for MultiPoly multiply and substitute, and the previous Bareiss kernel and
-Z[i] back-substitution."""
+form of every MultiPoly and LaurentPoly result against GaussianRational
+references, sympy ranks, kernels, determinants and resultants over Q(i), the
+Laplace expansion kernel against Bareiss and sympy, a Fraction reference for
+the integer real-slice kernel, GaussianRational references for the Z[i]
+branch chain and for MultiPoly multiply and substitute, and the previous
+Bareiss kernel and Z[i] back-substitution."""
 
 import math
 import random
@@ -19,7 +19,7 @@ sympy_matrices = pytest.importorskip("sympy.polys.matrices")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conetower import linalg, multipoly  # noqa: E402
+from conetower import laurent, linalg, multipoly  # noqa: E402
 from conetower.charts import Chart, Hypersurface  # noqa: E402
 from conetower.errors import InternalInconsistencyError, VariableMismatchError  # noqa: E402
 from conetower.gaussian import ONE, ZERO, GaussianRational, _denominator, _scale_row  # noqa: E402
@@ -293,6 +293,52 @@ def test_ring_and_structure_results_are_in_normal_form(f_terms, g_terms, c, n, p
     for ours, reference in cases:
         _assert_normal_form(ours)
         assert ours.terms == reference
+
+
+nf_laurent_coeffs = st.dictionaries(st.integers(-6, 6), nf_coefficients, max_size=5)
+
+
+def _assert_laurent_normal_form(f: LaurentPoly):
+    assert type(f.den) is int and f.den > 0
+    assert all(type(e) is int for e in f.zterms)
+    assert all(re or im for re, im in f.zterms.values())
+    assert math.gcd(f.den, *(part for pair in f.zterms.values() for part in pair)) == 1
+    assert parse_laurent(str(f)) == f
+
+
+def _as_tuples(coeffs: dict) -> dict:
+    """{exponent: c} keyed by 1-tuples, for the _gr_* references."""
+    return {(e,): c for e, c in coeffs.items()}
+
+
+@EXAMPLES
+@given(nf_laurent_coeffs, nf_laurent_coeffs, nf_coefficients, st.integers(-4, 4), st.integers(1, 12))
+def test_laurent_results_are_in_normal_form(f_coeffs, g_coeffs, c, offset, k):
+    f, g = LaurentPoly(f_coeffs), LaurentPoly(g_coeffs)
+    a, b = _as_tuples(_gr_drop_zeros(f_coeffs)), _as_tuples(_gr_drop_zeros(g_coeffs))
+    negated = {e: -x for e, x in a.items()}
+    # f with exponents moved up to 0 .. 12, as a MultiPoly univariate in z
+    poly = MultiPoly(("x", "z"), {(0, e + 6): x for e, x in f_coeffs.items()})
+    cases = [
+        (f, a),
+        (f + g, _gr_add(a, b)),
+        (f - g, _gr_add(a, {e: -x for e, x in b.items()})),
+        (-f, negated),
+        (f * g, _gr_mul(a, b)),
+        (f.scale(c), _gr_drop_zeros({e: x * c for e, x in a.items()})),
+        (f.shift(offset), {(e + offset,): x for (e,), x in a.items()}),
+        (parse_laurent(str(f)), a),
+        (LaurentPoly.from_multipoly(poly, "z"), {(e + 6,): x for (e,), x in a.items()}),
+    ]
+    for ours, reference in cases:
+        _assert_laurent_normal_form(ours)
+        assert _as_tuples(ours.coeffs) == reference
+    # the same value built over k times the denominator, or through a
+    # product and a difference, has the same fields and hash
+    lifted = laurent._trusted_laurent({e: (k * re, k * im) for e, (re, im) in f.zterms.items()}, k * f.den)
+    for same in (lifted, f.scale(k).scale(Fraction(1, k)), (f + g) - g, -(-f)):
+        _assert_laurent_normal_form(same)
+        assert same == f and hash(same) == hash(f)
 
 
 resultant_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
