@@ -197,10 +197,9 @@ I = GaussianRational(0, 1)
 # ``_denominator`` and ``_scale_row`` clear the denominators of
 # GaussianRationals that enter from outside, once: their only callers are the
 # constructors of outside values (the public MultiPoly and LaurentPoly
-# constructors, ``ProjLine.from_rows``, ``QuadricSplit``'s forms, a sampled
-# ruling parameter, and the branch constraints' coefficients and roots in the
-# singular-locus chain).  The normal form, the sum and the GaussianRational
-# view of a term map over a denominator are shared by both polynomial classes.
+# constructors, ``ProjLine.from_rows``, ``QuadricSplit``'s forms and a sampled
+# ruling parameter).  The normal form, the sum and the GaussianRational view
+# of a term map over a denominator are shared by both polynomial classes.
 
 
 def _normal_form(zterms: dict, den: int):

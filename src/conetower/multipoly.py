@@ -845,69 +845,3 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         rows.append([zero] * shift + gdesc + [zero] * (size - shift - m - 1))
     return _bareiss_determinant(rows)
 
-
-# ---------------------------------------------------------------------- univariate helpers
-
-
-def univar_coeffs(f: MultiPoly, var: str) -> list:
-    """Coefficient list [c0, c1, ...] of a polynomial involving only ``var``."""
-    used = f.variables_used()
-    if used not in ((), (var,)):
-        raise ValueError(f"{f} is not univariate in {var}")
-    idx = f._var_index(var)
-    degree = f.degree_in(var) if f.zterms else 0
-    coeffs = [ZERO] * (max(degree, 0) + 1)
-    for exps, coeff in f.terms.items():
-        coeffs[exps[idx]] = coeff
-    return coeffs
-
-
-def univar_from_coeffs(variables, var: str, coeffs) -> MultiPoly:
-    variables = tuple(variables)
-    idx = variables.index(var)
-    terms = {}
-    for e, c in enumerate(coeffs):
-        c = GaussianRational.coerce(c)
-        if c:
-            exps = tuple(e if j == idx else 0 for j in range(len(variables)))
-            terms[exps] = c
-    return MultiPoly(variables, terms)
-
-
-def _trimmed(coeffs: list) -> list:
-    """A coefficient list without its trailing zeros."""
-    end = len(coeffs)
-    while end and not coeffs[end - 1]:
-        end -= 1
-    return coeffs[:end]
-
-
-def univar_divmod(num: list, den: list) -> tuple:
-    """Polynomial division on coefficient lists over Q(i)."""
-    den = _trimmed(list(den))
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    num = _trimmed(list(num))
-    quotient = [ZERO] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den):
-        factor = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        quotient[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] = num[shift + i] - factor * c
-        num = _trimmed(num)
-    return quotient, num
-
-
-def univar_gcd_monic(a: list, b: list) -> list:
-    """Monic gcd of two univariate coefficient lists."""
-    a = [GaussianRational.coerce(c) for c in a]
-    b = [GaussianRational.coerce(c) for c in b]
-    while b and any(c for c in b):
-        _, r = univar_divmod(a, b)
-        a, b = b, r
-    a = _trimmed(a)
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]

@@ -31,9 +31,7 @@ from .certificates import (
 )
 from .charts import Chart, Hypersurface
 from .errors import FloatRangeError, SearchExhaustedError, ValidationError
-from .gaussian import (
-    ONE, GaussianRational, _denominator, _exact_str, _exact_str_or, _gmul, _gsub, _scale_row,
-)
+from .gaussian import ONE, GaussianRational, _exact_str, _exact_str_or, _gmul, _gsub
 from .multipoly import (
     MultiPoly,
     _trusted_poly,
@@ -42,9 +40,6 @@ from .multipoly import (
     differentiate,
     extract_variable_power,
     resultant,
-    univar_coeffs,
-    univar_from_coeffs,
-    univar_gcd_monic,
 )
 
 
@@ -71,18 +66,21 @@ class PerturbationParams:
 
 @dataclass
 class BranchConstraint:
-    """One branch assumption on a single variable."""
+    """One branch assumption on a single variable.
+
+    For a "root-of" constraint ``univariate`` is the factor whose roots the
+    variable takes: a polynomial over the chart's variables in ``variable``
+    alone, with a nonzero constant term.
+    """
 
     variable: str
     kind: str  # "zero" | "root-of"
-    univariate: tuple | None = None  # coefficient tuple, constant term first
+    univariate: MultiPoly | None = None
 
     def describe(self) -> dict:
         doc = {"variable": self.variable, "kind": self.kind}
         if self.univariate is not None:
-            doc["polynomial"] = str(
-                univar_from_coeffs((self.variable,), self.variable, self.univariate)
-            )
+            doc["polynomial"] = str(self.univariate)
         return doc
 
 
@@ -120,9 +118,10 @@ def perturbed_equation(params: PerturbationParams) -> Hypersurface:
 def _monomial_univariate_split(partial: MultiPoly):
     """Factor as monomial * univariate; None when the pattern does not apply.
 
-    Returns (monomial_vars, (variable, coeff_tuple) | None).  The univariate
-    factor always has a nonzero constant term because the full monomial
-    content has been stripped.
+    Returns (monomial_vars, (variable, factor) | None), the factor the
+    quotient left once the monomial content is stripped: a MultiPoly over
+    the partial's variables in ``variable`` alone.  Its constant term is
+    nonzero because the full monomial content has been stripped.
     """
     mono_vars = []
     quotient = partial
@@ -134,29 +133,29 @@ def _monomial_univariate_split(partial: MultiPoly):
     if not used:
         return tuple(mono_vars), None
     if len(used) == 1:
-        coeffs = tuple(univar_coeffs(quotient, used[0]))
-        return tuple(mono_vars), (used[0], coeffs)
+        return tuple(mono_vars), (used[0], quotient)
     return None
 
 
-def _reduce_var(f: MultiPoly, var: str, coeffs) -> MultiPoly:
-    """Reduce powers of ``var`` in ``f`` modulo the univariate with ``coeffs``.
+def _reduce_var(f: MultiPoly, var: str, modulus: MultiPoly) -> MultiPoly:
+    """Reduce powers of ``var`` in ``f`` modulo ``modulus``, a polynomial over
+    f's variables in ``var`` alone.
 
-    Over Z[i] the modulus reads A * var^deg_m + sum a_d var^d, so
-    var^deg_m = -(1/dm) * sum conj(A) * a_d var^d with dm = |A|^2.  The
-    residue of var^e is reps[e] / dm^(e - deg_m + 1) for e >= deg_m, and every
-    term is brought to the common divisor f.den * dm^(max_e - deg_m + 1).
+    Over Z[i] the modulus reads (A * var^deg_m + sum a_d var^d) / den, its
+    ``zterms``, so var^deg_m = -(1/dm) * sum conj(A) * a_d var^d with
+    dm = |A|^2.  The residue of var^e is reps[e] / dm^(e - deg_m + 1) for
+    e >= deg_m, and every term is brought to the common divisor
+    f.den * dm^(max_e - deg_m + 1).
     """
-    deg_m = len(coeffs) - 1
     idx = f.variables.index(var)
+    deg_m = modulus.degree_in(var)
     max_e = f.degree_in(var)
     if max_e < deg_m:
         return f
-    nonzero = [(d, c) for d, c in enumerate(coeffs) if c]
-    scaled = _scale_row([c for _, c in nonzero], _denominator(c for _, c in nonzero))
-    A = scaled.pop()
+    nonzero = sorted((e[idx], c) for e, c in modulus.zterms.items())
+    A = nonzero.pop()[1]
     dm = A[0] * A[0] + A[1] * A[1]
-    low = [(d, _gmul((A[0], -A[1]), a)) for (d, _), a in zip(nonzero, scaled)]
+    low = [(d, _gmul((A[0], -A[1]), a)) for d, a in nonzero]
     reps = [{e: (1, 0)} for e in range(deg_m)]
     for e in range(deg_m, max_e + 1):
         shifted = {}
@@ -182,12 +181,39 @@ def _reduce_var(f: MultiPoly, var: str, coeffs) -> MultiPoly:
     return _trusted_poly(f.variables, out, f.den * dm ** top)
 
 
-def _is_binomial(coeffs) -> bool:
-    nonzero = [e for e, c in enumerate(coeffs) if c]
-    return nonzero == [0, len(coeffs) - 1]
+def _monic_gcd(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly | None:
+    """Monic gcd of two polynomials in ``var`` alone; None when they are coprime.
+
+    Euclid's remainders are ``_reduce_var`` residues.  The last nonzero one,
+    (C * var^d + ...) / den, is made monic by the Z[i] factor conj(C)/|C|^2.
+    """
+    while b.degree_in(var) > 0:
+        a, b = b, _reduce_var(a, var, b)
+    if not b.is_zero():
+        return None
+    idx = a.variables.index(var)
+    re, im = max(a.zterms.items(), key=lambda item: item[0][idx])[1]
+    return _trusted_poly(a.variables, {e: _gmul(c, (re, -im)) for e, c in a.zterms.items()}, re * re + im * im)
 
 
-def _root_product(expr: MultiPoly, var: str, modulus) -> tuple:
+def _binomial_root(modulus: MultiPoly, var: str):
+    """(M, p, q) when ``modulus`` is c_0 + c_M * var^M with M >= 1, else None.
+
+    Its roots are the M-th roots of v = -c_0/c_M = p/q, in lowest terms:
+    p = -c_0 * conj(c_M) and q = |c_M|^2 over Z[i], both divided by the gcd
+    of their parts.
+    """
+    zero = (0,) * len(modulus.variables)
+    c0 = modulus.zterms.get(zero)
+    if len(modulus.zterms) != 2 or c0 is None:
+        return None
+    ((re, im),) = (c for e, c in modulus.zterms.items() if e != zero)
+    p, q = _gmul((-c0[0], -c0[1]), (re, -im)), re * re + im * im
+    g = math.gcd(*p, q)
+    return modulus.degree_in(var), (p[0] // g, p[1] // g), q // g
+
+
+def _root_product(expr: MultiPoly, var: str, modulus: MultiPoly) -> tuple:
     """Root product of ``expr`` over the roots of the modulus, in core form.
 
     Returns (core, exponent, method) with the true product equal to
@@ -197,16 +223,14 @@ def _root_product(expr: MultiPoly, var: str, modulus) -> tuple:
     and the recorded power.  Tracking the unsquared core keeps coefficient
     growth tame across iterated eliminations.
     """
-    coeffs = list(modulus)
-    deg_m = len(coeffs) - 1
-    if _is_binomial(coeffs):
-        v = -(coeffs[0] / coeffs[-1])
-        return _binomial_root_product(expr, var, deg_m, v)
-    return resultant(univar_from_coeffs(expr.variables, var, coeffs), expr, var), 1, "sylvester"
+    root = _binomial_root(modulus, var)
+    if root is not None:
+        return _binomial_root_product(expr, var, *root)
+    return resultant(modulus, expr, var), 1, "sylvester"
 
 
-def _binomial_root_product(expr: MultiPoly, var: str, M: int, v) -> tuple:
-    """Core form of prod_{beta^M = v} expr(beta) for the modulus var^M - v."""
+def _binomial_root_product(expr: MultiPoly, var: str, M: int, p: tuple, q: int) -> tuple:
+    """Core form of prod_{beta^M = v} expr(beta) for the modulus var^M - v, v = p/q."""
     idx = expr.variables.index(var)
     exps_used = sorted({e[idx] for e in expr.zterms if e[idx]})
     if not exps_used:
@@ -216,23 +240,17 @@ def _binomial_root_product(expr: MultiPoly, var: str, M: int, v) -> tuple:
         D = exps_used[0]
         c_key = tuple(D if j == idx else 0 for j in range(len(expr.variables)))
         if [e for e in expr.zterms if e[idx]] == [c_key]:
-            return _closed_form_root_product(expr, c_key, D, M, v), math.gcd(D, M), "closed-form"
+            return _closed_form_root_product(expr, c_key, D, M, p, q), math.gcd(D, M), "closed-form"
     # even polynomial: halve the degree; the product squares
     if M % 2 == 0 and all(e % 2 == 0 for e in exps_used):
         halved = {exps[:idx] + (exps[idx] // 2,) + exps[idx + 1:]: c for exps, c in expr.zterms.items()}
-        core, e, _ = _binomial_root_product(_trusted_poly(expr.variables, halved, expr.den), var, M // 2, v)
+        core, e, _ = _binomial_root_product(_trusted_poly(expr.variables, halved, expr.den), var, M // 2, p, q)
         return core, 2 * e, "even-halving"
-    return _multiplication_determinant(expr, var, M, v), 1, "product-determinant"
+    return _multiplication_determinant(expr, var, M, p, q), 1, "product-determinant"
 
 
-def _as_fraction_zi(v: GaussianRational) -> tuple:
-    """(p, q) with v = p/q, p a Z[i] pair and q a positive integer."""
-    q = _denominator([v])
-    return _scale_row([v], q)[0], q
-
-
-def _closed_form_root_product(expr: MultiPoly, c_key: tuple, D: int, M: int, v) -> MultiPoly:
-    """Core of the root product of expr = rest + c*var^D for the modulus var^M - v.
+def _closed_form_root_product(expr: MultiPoly, c_key: tuple, D: int, M: int, p: tuple, q: int) -> MultiPoly:
+    """Core of the root product of expr = rest + c*var^D for the modulus var^M - p/q.
 
     ``c_key`` is the exponent tuple of var^D, the one term of expr holding var.
 
@@ -242,7 +260,6 @@ def _closed_form_root_product(expr: MultiPoly, c_key: tuple, D: int, M: int, v) 
     """
     g = math.gcd(D, M)
     L, s = M // g, D // g
-    p, q = _as_fraction_zi(v)
     De = expr.den
     rest = dict(expr.zterms)
     C = rest.pop(c_key)
@@ -293,8 +310,8 @@ def _reduce_binomial(f: dict, idx: int, L: int, p: tuple, q: int) -> tuple:
     return {e: c for e, c in out.items() if c[0] or c[1]}, t
 
 
-def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPoly:
-    """The root product prod_{beta^L = v} expr(beta), for v != 0.
+def _multiplication_determinant(expr: MultiPoly, var: str, L: int, p: tuple, q: int) -> MultiPoly:
+    """The root product prod_{beta^L = v} expr(beta), for v = p/q != 0.
 
     It equals the determinant of multiplication by expr on C[var]/(var^L - v),
     and depends only on a, the residue of expr modulo var^L - v.
@@ -323,7 +340,6 @@ def _multiplication_determinant(expr: MultiPoly, var: str, L: int, v) -> MultiPo
     divided once at the end.
     """
     idx = expr.variables.index(var)
-    p, q = _as_fraction_zi(v)
     a, t = _reduce_binomial(expr.zterms, idx, L, p, q)
     divisor = expr.den ** L * q ** (t * L)
     r = 2
@@ -416,8 +432,8 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
         mono_vars, univariate = split
         options = [BranchConstraint(m, "zero") for m in mono_vars]
         if univariate is not None:
-            u_var, coeffs = univariate
-            options.append(BranchConstraint(u_var, "root-of", coeffs))
+            u_var, factor = univariate
+            options.append(BranchConstraint(u_var, "root-of", factor))
         key = tuple(
             (opt.variable, opt.kind, opt.univariate) for opt in options
         )
@@ -463,7 +479,7 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
         for options in disjunctions:
             size = 0
             for opt in options:
-                size += 1 if opt.kind == "zero" else len(opt.univariate) - 1
+                size += 1 if opt.kind == "zero" else opt.univariate.degree_in(opt.variable)
             count *= size
         values["candidate_count"] = str(count)
         values["branch_factors_per_variable"] = str(max(len(o) for o in disjunctions))
@@ -497,11 +513,11 @@ def _branch_verdict(record, h, chart, selection, claimed, claims_zero_only) -> s
         else:
             var = constraint.variable
             if var in roots and roots[var] != constraint.univariate:
-                merged = univar_gcd_monic(list(roots[var]), list(constraint.univariate))
-                if len(merged) <= 1:
+                merged = _monic_gcd(roots[var], constraint.univariate, var)
+                if merged is None:
                     contradiction = f"univariate constraints on {var} share no root"
                     break
-                roots[var] = tuple(merged)
+                roots[var] = merged
             else:
                 roots[var] = constraint.univariate
     if contradiction is None:
@@ -516,8 +532,8 @@ def _branch_verdict(record, h, chart, selection, claimed, claims_zero_only) -> s
         return "refuted"
 
     reduced = h.equation.set_variables({v: 0 for v in zeros})
-    for var, coeffs in roots.items():
-        reduced = _reduce_var(reduced, var, coeffs)
+    for var, modulus in roots.items():
+        reduced = _reduce_var(reduced, var, modulus)
     record["reduced"] = str(reduced)
 
     constrained = zeros | set(roots)
@@ -665,11 +681,13 @@ def critical_point_candidates(system: CriticalSystem):
         _, univariate = split
         if univariate is None:
             continue
-        var, coeffs = univariate
-        n = len(coeffs) - 1
-        if not _is_binomial(coeffs):
+        var, factor = univariate
+        root = _binomial_root(factor, var)
+        if root is None:
             raise ValidationError(f"the float oracle takes binomial factors only, not this {var} one")
-        v = _finite_complex(-(coeffs[0] / coeffs[-1]), f"the roots of the {var} factor")
+        n, p, q = root
+        v = GaussianRational(Fraction(p[0], q), Fraction(p[1], q))
+        v = _finite_complex(v, f"the roots of the {var} factor")
         r, arg = abs(v) ** (1 / n), cmath.phase(v)
         candidates[var].update(cmath.rect(r, (arg + 2 * math.pi * j) / n) for j in range(n))
     return {v: sorted(vals, key=lambda z: (z.real, z.imag)) for v, vals in candidates.items()}

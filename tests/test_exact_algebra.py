@@ -23,8 +23,8 @@ from conetower.multipoly import (
     poly_to_string,
     resultant,
     substitute,
-    univar_gcd_monic,
 )
+from conetower.singular import _monic_gcd
 
 Z = ("z1", "z2", "z3", "z4")
 
@@ -367,14 +367,50 @@ def test_zi_exact_quotient_checks_exactness():
         _zi_exact_quotient({(2, 0): (1, 0), (0, 0): (2, 0)}, x_plus_i)
 
 
-def test_univar_gcd():
-    x = ("x",)
-    a = parse_poly("x^2 - 1", x)
-    b = parse_poly("x - 1", x)
-    from conetower.multipoly import univar_coeffs
+def _linear_factors(variables, roots):
+    f = MultiPoly.constant(variables, 1)
+    for r in roots:
+        f = f * MultiPoly(variables, {(1, 0): ONE, (0, 0): -r})
+    return f
 
-    g = univar_gcd_monic(univar_coeffs(a, "x"), univar_coeffs(b, "x"))
-    assert g == univar_coeffs(parse_poly("x - 1", x), "x")
+
+def test_univar_gcd():
+    # the merge of two branch factors against sympy's gcd over Q(i): pairs
+    # with a planted common factor whose lead coefficient is not real, and
+    # coprime pairs, which must give None
+    sympy = pytest.importorskip("sympy")
+
+    def in_sympy(f):  # f in x alone, over ("x", "y")
+        x = sympy.Symbol("x")
+        terms = [(sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)) * x ** e[0] for e, c in f.terms.items()]
+        return sympy.Poly(sum(terms), x, domain="QQ_I")
+
+    rng = random.Random(2029)
+    variables = ("x", "y")
+    roots = [_random_coeff(rng) for _ in range(6)]
+    planted = coprime = 0
+    for trial in range(40):
+        picks = rng.sample(roots, 5)
+        lead = GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), rng.choice((-3, -1, 2, 5)))
+        if trial % 2:
+            common = _linear_factors(variables, picks[:rng.randint(1, 2)]).scale(lead)
+            a = common * _linear_factors(variables, picks[2:3]).scale(_random_coeff(rng) or ONE)
+            b = common * _linear_factors(variables, picks[3:5]).scale(lead)
+        else:
+            a = _linear_factors(variables, picks[:2]).scale(lead)
+            b = _linear_factors(variables, picks[2:rng.randint(3, 5)]).scale(_random_coeff(rng) or ONE)
+        ours = _monic_gcd(a, b, "x")
+        theirs = sympy.gcd(in_sympy(a), in_sympy(b)).monic()
+        if theirs.degree() == 0:
+            assert ours is None
+            coprime += 1
+        else:
+            assert ours.variables == variables and ours.variables_used() == ("x",)
+            assert in_sympy(ours) == theirs
+            planted += 1
+    assert planted == 20 and coprime == 20
+    x = ("x",)
+    assert _monic_gcd(parse_poly("x^2 - 1", x), parse_poly("2*x - 2", x), "x") == parse_poly("x - 1", x)
 
 
 # ---------------------------------------------------------------- ring axioms

@@ -20,6 +20,7 @@ sympy_matrices = pytest.importorskip("sympy.polys.matrices")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conetower import laurent, linalg, multipoly  # noqa: E402
+from conetower.certificates import FAIL, SMOOTH  # noqa: E402
 from conetower.charts import Chart, Hypersurface  # noqa: E402
 from conetower.errors import InternalInconsistencyError, VariableMismatchError  # noqa: E402
 from conetower.gaussian import ONE, ZERO, GaussianRational, _denominator, _scale_row  # noqa: E402
@@ -1272,6 +1273,12 @@ def _reference_multiplication_determinant(expr, var, L, v):
     return _bareiss_determinant(matrix)
 
 
+def _as_fraction_zi(v):
+    """(p, q) with v = p/q: p a Z[i] pair, q the lcm of v's part denominators."""
+    q = _denominator([v])
+    return _scale_row([v], q)[0], q
+
+
 def _fine_coefficient(rng, real_only=False):
     """A Gaussian rational with denominators up to 10^6 (and sometimes 1)."""
     def part():
@@ -1307,10 +1314,25 @@ def test_reduce_var_matches_gaussian_rational_reference():
             ]
         coeffs.append(_fine_v(rng))
         f = _fine_poly(rng, variables, 6, ((0, 2), (0, 7), (0, 2)))
-        ours = singular._reduce_var(f, "y", tuple(coeffs))
+        modulus = MultiPoly(variables, {(0, d, 0): c for d, c in enumerate(coeffs)})
+        ours = singular._reduce_var(f, "y", modulus)
         assert ours == _reference_reduce_var(f, "y", tuple(coeffs))
         passed_through += ours is f
     assert 10 <= passed_through <= 80
+
+
+def test_binomial_root_matches_gaussian_rational_reference():
+    # v = -c0/cM in lowest terms, read off the factor's term map
+    rng = random.Random(1015)
+    variables = ("x", "y", "z")
+    for _ in range(60):
+        M = rng.randint(1, 9)
+        c0, cM = _fine_v(rng), _fine_coefficient(rng) or ONE
+        modulus = MultiPoly(variables, {(0, 0, 0): c0, (0, M, 0): cM})
+        assert singular._binomial_root(modulus, "y") == (M, *_as_fraction_zi(-(c0 / cM)))
+        if M > 1:  # a third term makes no binomial
+            middle = MultiPoly(variables, {(0, rng.randint(1, M - 1), 0): _fine_v(rng)})
+            assert singular._binomial_root(modulus + middle, "y") is None
 
 
 def test_closed_form_root_product_matches_gaussian_rational_reference():
@@ -1323,7 +1345,7 @@ def test_closed_form_root_product_matches_gaussian_rational_reference():
             expr = MultiPoly.zero(expr.variables)
         expr = expr + MultiPoly(expr.variables, {c_key: _fine_v(rng)})
         v = _fine_v(rng)
-        ours = singular._closed_form_root_product(expr, c_key, D, M, v)
+        ours = singular._closed_form_root_product(expr, c_key, D, M, *_as_fraction_zi(v))
         assert ours == _reference_closed_form(expr, "y", D, M, v)
 
 
@@ -1333,7 +1355,7 @@ def test_multiplication_determinant_matches_gaussian_rational_reference():
         for _ in range(6):
             expr = _fine_poly(rng, ("x", "y"), 4, ((0, 2 * L), (0, 2)))
             v = _fine_v(rng)
-            ours = singular._multiplication_determinant(expr, "x", L, v)
+            ours = singular._multiplication_determinant(expr, "x", L, *_as_fraction_zi(v))
             assert ours == _reference_multiplication_determinant(expr, "x", L, v)
 
 
@@ -1347,7 +1369,7 @@ def test_multiplication_determinant_matches_gaussian_rational_reference():
 def _reference_zi_multiplication_determinant(expr, var, L, v):
     idx = expr.variables.index(var)
     top = (expr.degree_in(var) + L - 1) // L
-    p, q = singular._as_fraction_zi(v)
+    p, q = _as_fraction_zi(v)
     powers = [(1, 0)]
     for _ in range(top):
         powers.append(_gmul(powers[-1], p))
@@ -1378,7 +1400,7 @@ def test_multiplication_determinant_matches_lifted_matrix_reference():
             if trial == 0:  # real Fraction coefficients only
                 expr = MultiPoly(variables, {e: GaussianRational(c.re) for e, c in expr.terms.items()})
             v = _fine_v(rng)
-            ours = singular._multiplication_determinant(expr, "x", L, v)
+            ours = singular._multiplication_determinant(expr, "x", L, *_as_fraction_zi(v))
             assert ours == _reference_zi_multiplication_determinant(expr, "x", L, v), (L, trial)
     # odd composite L, one norm step or more before a prime L: three terms
     # keep the reference's L x L elimination affordable
@@ -1388,7 +1410,7 @@ def test_multiplication_determinant_matches_lifted_matrix_reference():
             while len(expr.terms) < 3:
                 expr = _fine_poly(rng, variables, 3, ((0, 1), (0, 2 * L + 1), (0, 1)))
             v = _fine_v(rng) if trial else GaussianRational(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
-            ours = singular._multiplication_determinant(expr, "x", L, v)
+            ours = singular._multiplication_determinant(expr, "x", L, *_as_fraction_zi(v))
             assert ours == _reference_zi_multiplication_determinant(expr, "x", L, v), (L, trial)
 
 
@@ -1408,8 +1430,38 @@ def test_multiplication_determinant_matches_sympy_resultant():
                 theirs = sympy.resultant(modulus, _to_sympy(expr), x)
             else:
                 theirs = (-1) ** (L * n) * sympy.resultant(_to_sympy(expr), modulus, x)
-            ours = singular._multiplication_determinant(expr, "x", L, v)
+            ours = singular._multiplication_determinant(expr, "x", L, *_as_fraction_zi(v))
             assert _agrees_with_sympy(ours, theirs), (L, expr, v)
+
+
+def test_merged_branch_factors_decide_planted_families():
+    # F = y^2 * c * P(x) + kappa with P a product of three linear factors.
+    # On y = 0, F = kappa; off it a singular point needs P = P' = 0, and then
+    # F = kappa again.  So F is smooth exactly when kappa != 0, and for
+    # kappa = 0 the whole line y = 0 is singular.  The x-factors P' and P of
+    # the two partials meet in every branch off y = 0: a repeated root merges
+    # them, distinct roots make them coprime.
+    rng = random.Random(2929)
+    chart = Chart("planted", ("x", "y"))
+    kappas = (ONE, GaussianRational(Fraction(2, 3)), GaussianRational(0, 1), ZERO)
+    merged = coprime = 0
+    for trial in range(60):
+        kappa = kappas[trial % 4]
+        r1, r2, r3 = (_random_coefficient(rng) for _ in range(3))
+        roots = (r1, r1, r2) if (trial // 4) % 2 else (r1, r2, r3)
+        P = MultiPoly.constant(chart.variables, _random_coefficient(rng) or ONE)
+        for r in roots:
+            P = P * MultiPoly(chart.variables, {(1, 0): ONE, (0, 0): -r})
+        y2 = MultiPoly(chart.variables, {(0, 2): ONE})
+        F = y2 * P + MultiPoly.constant(chart.variables, kappa)
+        cert = singular.certify_singular_locus(Hypersurface(chart, F), [])
+        assert cert.status == (SMOOTH if kappa else FAIL), (trial, str(F))
+        for branch in cert.branches:
+            if [c["variable"] for c in branch["constraints"] if c["kind"] == "root-of"] == ["x", "x"]:
+                contradiction = branch["outcome"]["type"] == "contradiction"
+                merged += not contradiction
+                coprime += contradiction
+    assert merged >= 20 and coprime >= 20
 
 
 # ---------------------------------------------------------------- multiply and substitute in GaussianRationals

@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from conetower import singular
 from conetower.certificates import CERTIFIED, FAIL, INCONCLUSIVE, ONLY_SINGULAR_AT, SMOOTH
 from conetower.charts import Chart, Hypersurface
 from conetower.errors import FloatRangeError, SearchExhaustedError, ValidationError
-from conetower.gaussian import GaussianRational, ZERO
-from conetower.multipoly import MultiPoly, resultant, univar_from_coeffs
+from conetower.gaussian import GaussianRational
+from conetower.multipoly import MultiPoly, resultant
 from conetower.singular import (
     MAX_DRAWS_PER_SAMPLE,
     CriticalSystem,
@@ -112,32 +113,65 @@ def _branch_summary(branch):
 NO_ROOT = "univariate constraints on x share no root"
 
 
-@pytest.mark.parametrize(
-    "text, status, branches",
-    [
-        # d/dx = x^2 + x + 1 is no binomial: the root product is a Sylvester resultant
-        ("1/3*x^3 + 1/2*x^2 + x + y^2", SMOOTH,
-         [("refuted", "iterated-root-product", [("sylvester", "13/36")])]),
-        # singular at (1, 0): the resultant vanishes
-        ("1/3*x^3 - 3/2*x^2 + 2*x - 5/6 + y^2", FAIL,
-         [("fail", "iterated-root-product", [("sylvester", "0")])]),
-        # 2x - 3 and x^2 - 3x + 2 have no common root
-        ("y*x^2 - 3*y*x + 2*y + 1", SMOOTH,
-         [("refuted", "nonzero-constant", "1"), ("refuted", "contradiction", NO_ROOT)]),
-        # 2x - 2 and (x - 1)^2 merge to x - 1
-        ("y*x^2 - 2*y*x + y + 1", SMOOTH,
-         [("refuted", "nonzero-constant", "1"), ("refuted", "nonzero-constant", "1")]),
-        # nodes at (1, 0) and (2, 0)
-        ("y*x^2 - 3*y*x + 2*y", FAIL,
-         [("fail", "identically-zero", "the equation vanishes on the whole branch locus"),
-          ("refuted", "contradiction", NO_ROOT)]),
-    ],
-)
+# (equation in x, y; status; branch summaries)
+PLANE_CURVES = [
+    # d/dx = x^2 + x + 1 is no binomial: the root product is a Sylvester resultant
+    ("1/3*x^3 + 1/2*x^2 + x + y^2", SMOOTH,
+     [("refuted", "iterated-root-product", [("sylvester", "13/36")])]),
+    # singular at (1, 0): the resultant vanishes
+    ("1/3*x^3 - 3/2*x^2 + 2*x - 5/6 + y^2", FAIL,
+     [("fail", "iterated-root-product", [("sylvester", "0")])]),
+    # 2x - 3 and x^2 - 3x + 2 have no common root
+    ("y*x^2 - 3*y*x + 2*y + 1", SMOOTH,
+     [("refuted", "nonzero-constant", "1"), ("refuted", "contradiction", NO_ROOT)]),
+    # 2x - 2 and (x - 1)^2 merge to x - 1
+    ("y*x^2 - 2*y*x + y + 1", SMOOTH,
+     [("refuted", "nonzero-constant", "1"), ("refuted", "nonzero-constant", "1")]),
+    # nodes at (1, 0) and (2, 0)
+    ("y*x^2 - 3*y*x + 2*y", FAIL,
+     [("fail", "identically-zero", "the equation vanishes on the whole branch locus"),
+      ("refuted", "contradiction", NO_ROOT)]),
+]
+
+
+@pytest.mark.parametrize("text, status, branches", PLANE_CURVES)
 def test_plane_curve_branch_paths(text, status, branches):
     chart = _chart(("x", "y"))
     cert = certify_singular_locus(Hypersurface(chart, chart.poly(text)), [])
     assert cert.status == status
     assert [_branch_summary(b) for b in cert.branches] == branches
+
+
+def test_branch_chain_makes_no_gaussian_rational_division(monkeypatch):
+    # a branch factor is read off its Z[i] term map: with GaussianRational
+    # division disabled, every chain method and the merge of two factors give
+    # the certificates of an unpatched run
+    chart = _chart(("x", "y"))
+    curves = [Hypersurface(chart, chart.poly(text)) for text, _, _ in PLANE_CURVES]
+    perturbations = [(1, 2, 1), (2, 6, 1), (2, 7, Fraction(1, 2)), (3, 9, 1), (2, 10, 1)]
+
+    def certificates():
+        return [
+            certify_perturbation(PerturbationParams(k, N, Fraction(eps))).to_json() for k, N, eps in perturbations
+        ] + [certify_singular_locus(h, []).to_json() for h in curves]
+
+    expected = certificates()
+
+    def no_division(*_):
+        raise AssertionError("GaussianRational division in the branch chain")
+
+    monkeypatch.setattr(GaussianRational, "__truediv__", no_division)
+    monkeypatch.setattr(GaussianRational, "__rtruediv__", no_division)
+    calls = dict.fromkeys(
+        ("_closed_form_root_product", "_multiplication_determinant", "resultant", "_monic_gcd", "_reduce_var"), 0
+    )
+    for name in calls:
+        def counted(*args, _inner=getattr(singular, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(singular, name, counted)
+    assert certificates() == expected
+    assert all(calls.values()), calls
 
 
 # ---------------------------------------------------------------- perturbation certificates
@@ -232,7 +266,6 @@ def test_root_product_matches_sylvester_resultant():
         M = rng.choice((2, 3, 4, 5, 6, 8, 12))
         v = GaussianRational(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(0, 2))
         lead = GaussianRational(rng.randint(1, 4))
-        coeffs = [(-v) * lead] + [ZERO] * (M - 1) + [lead]
         terms = {}
         for _ in range(rng.randint(1, 4)):
             terms[(rng.randint(0, 3), rng.randint(0, 2))] = GaussianRational(
@@ -241,8 +274,8 @@ def test_root_product_matches_sylvester_resultant():
         expr = MultiPoly(vars, terms)
         if expr.is_zero() or expr.degree_in("x") < 1:
             continue
-        core, exponent, _ = _root_product(expr, "x", tuple(coeffs))
-        modulus = univar_from_coeffs(vars, "x", coeffs)
+        modulus = MultiPoly(vars, {(0, 0): (-v) * lead, (M, 0): lead})
+        core, exponent, _ = _root_product(expr, "x", modulus)
         res = resultant(modulus, expr, "x")
         scale = lead ** expr.degree_in("x")
         assert (core ** exponent).scale(scale) == res
@@ -262,7 +295,6 @@ def test_root_product_with_fractional_expressions_matches_sylvester_resultant():
             Fraction(rng.randint(1, 5), rng.randint(1, 3)), Fraction(rng.randint(0, 2), rng.randint(1, 4))
         )
         lead = GaussianRational(Fraction(rng.randint(1, 4), rng.randint(1, 5)))
-        coeffs = [(-v) * lead] + [ZERO] * (M - 1) + [lead]
         terms = {}
         for _ in range(rng.randint(1, 4)):
             x_exp = rng.choice((0, 2, 4)) if rng.random() < 0.4 else rng.randint(0, 3)
@@ -274,8 +306,8 @@ def test_root_product_with_fractional_expressions_matches_sylvester_resultant():
         expr = MultiPoly(vars, terms)
         if expr.is_zero() or expr.degree_in("x") < 1:
             continue
-        core, exponent, method = _root_product(expr, "x", tuple(coeffs))
-        modulus = univar_from_coeffs(vars, "x", coeffs)
+        modulus = MultiPoly(vars, {(0, 0): (-v) * lead, (M, 0): lead})
+        core, exponent, method = _root_product(expr, "x", modulus)
         res = resultant(modulus, expr, "x")
         scale = lead ** expr.degree_in("x")
         assert (core ** exponent).scale(scale) == res
