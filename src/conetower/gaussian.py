@@ -192,8 +192,8 @@ I = GaussianRational(0, 1)
 # ---------------------------------------------------------------------- Z[i] pairs
 #
 # Gaussian integers ``a + b*i`` are stored as plain ``(a, b)`` int pairs:
-# the coefficients of MultiPoly and LaurentPoly over one integer, and the rows
-# of the fraction-free eliminations (linalg, the quadric's line forms).
+# the coefficients of MultiPoly and LaurentPoly over one integer, the rows of
+# linalg's eliminations, and the quadric's line and split forms.
 # ``_denominator`` and ``_scale_row`` clear the denominators of
 # GaussianRationals that enter from outside, once: their only callers are the
 # constructors of outside values (the public MultiPoly and LaurentPoly

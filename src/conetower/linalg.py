@@ -11,10 +11,10 @@ one exact division, exact because the caught-up entries are minors of the
 input by Sylvester's identity (E. H. Bareiss, Math. Comp. 22, 1968).
 Kernels come back in Z[i] too: back-substitution scales the vector by each
 pivot instead of dividing by it.
-Used by :mod:`conetower.quadric` for the span of a line given by rows from
-outside (a ruling line's span is written down from its split's adjugate
-instead); the tests also use it for their section-count, real-system and
-ruling-span oracles.
+No code path of the package calls it (a quadric line's span is read off its
+2x2 minors): it is the tests' rank and kernel oracle, for section counts,
+real systems, line spans and split independence.  The package still imports
+it because the benchmark's per-layer recorder looks every layer up as loaded.
 """
 
 from __future__ import annotations

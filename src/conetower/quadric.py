@@ -12,9 +12,11 @@ vector of it is the real point.
 Lines stay in Z[i] from the ruling parameter to the real point.  The four
 forms of a split are scaled to Z[i] by one common denominator L, so ab - cd
 is only multiplied by L^2; a ruling line's two forms are computed as Z[i]
-rows over one integer scale and stored that way.  The line is not
-eliminated: its span is written down from the split's adjugate, computed once
-per split, and the real point comes from a 2x2 integer system in the span's
+rows over one integer scale and stored that way.  No line is eliminated:
+its span is read off the six 2x2 minors of its two rows, its Plucker
+coordinates (Hodge and Pedoe, Methods of Algebraic Geometry I, ch. VII), and
+the same minors refuse dependent rows and, by a Laplace expansion, dependent
+split forms.  The real point comes from a 2x2 integer system in the span's
 imaginary parts; the sphere test of the boundary cover runs on integers too.
 Fractions are built only for printed values: the sampled parameters, read
 from a table, the real point that is returned, and a line's Q(i) ``rows``
@@ -28,14 +30,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .certificates import FAIL, PASS, Certificate, Check
 from .errors import (
     InternalInconsistencyError,
     LineNotOnQuadricError,
     ValidationError,
 )
-from .gaussian import GaussianRational, I, ONE, ZERO, _denominator, _gmul, _scale_row
+from .gaussian import GaussianRational, I, ONE, ZERO, _denominator, _gmul, _gsub, _scale_row
 from .multipoly import MultiPoly
 
 _VARS = ("z0", "z1", "z2", "z3")
@@ -69,25 +70,40 @@ def _comb(p, xs, q, ys):
     ]
 
 
-def _cofactor_rows(rows):
-    """The cofactors of each row of a 4x4 matrix of Z[i] pairs: entry (j, i) is
-    (-1)^(i+j) times the 3x3 minor without row j and column i, so that row r
-    of the matrix dotted with cofactor row j is the determinant if r = j and
-    0 otherwise."""
-    def det3(m):
-        # Sarrus: a product along each diagonal, minus one along each antidiagonal
-        total = (0, 0)
-        for k in range(3):
-            plus = _gmul(_gmul(m[0][k], m[1][(k + 1) % 3]), m[2][(k + 2) % 3])
-            minus = _gmul(_gmul(m[0][k], m[1][(k + 2) % 3]), m[2][(k + 1) % 3])
-            total = (total[0] + plus[0] - minus[0], total[1] + plus[1] - minus[1])
-        return total
+# the column pairs i < j of a 4-column row, in lexicographic order
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-    def cofactor(j, i):
-        minor = det3([row[:i] + row[i + 1:] for row in rows[:j] + rows[j + 1:]])
-        return _gneg(minor) if (i + j) % 2 else minor
 
-    return tuple(tuple(cofactor(j, i) for i in range(4)) for j in range(4))
+def _minors(r1, r2):
+    """The 2x2 minors r1[i]*r2[j] - r1[j]*r2[i] of two rows of Z[i] pairs,
+    keyed by the column pairs of ``_PAIRS`` in their order."""
+    return {(i, j): _gsub(_gmul(r1[i], r2[j]), _gmul(r1[j], r2[i])) for i, j in _PAIRS}
+
+
+def _span(zrows):
+    """Z[i] kernel basis of two rows of four Z[i] pairs, None if they are dependent.
+
+    The first nonzero minor m_(c1,c2) in lexicographic order names the
+    echelon pivots c1 < c2, as the minors m_ij with i < c1 vanish with column
+    i; no nonzero minor means dependent rows.  For each free column f,
+    ascending, with a < b < c the columns {c1, c2, f}, the vector (m_bc,
+    -m_ac, m_ab) on a, b, c is in the kernel: a row dotted with it is a 3x3
+    determinant with a repeated row.  It is 0 at the other free column and
+    +-m_(c1,c2) at f, a nonzero multiple of :func:`linalg.nullspace`'s basis
+    vector for f.
+    """
+    minors = _minors(*zrows)
+    pivots = next((pair for pair in _PAIRS if minors[pair] != (0, 0)), None)
+    if pivots is None:
+        return None
+    span = []
+    for f in range(4):
+        if f not in pivots:
+            a, b, c = sorted(pivots + (f,))
+            vec = [(0, 0)] * 4
+            vec[a], vec[b], vec[c] = minors[b, c], _gneg(minors[a, c]), minors[a, b]
+            span.append(vec)
+    return tuple(span)
 
 
 def _linear_form(row) -> MultiPoly:
@@ -133,12 +149,12 @@ class ProjLine:
 
     ``zrows`` are the two forms' coefficient rows as Z[i] pairs over the
     positive integer ``scale``, reduced so that the parts and the scale share
-    no common factor; equal lines therefore have equal fields.  ``span`` is a
-    Z[i] kernel basis of the rows, two vectors spanning the line, each zero
-    at the other's free column: :func:`linalg.nullspace`'s for rows given
-    here or through :meth:`from_rows`, which are validated, and the closed
-    form of :func:`ruling_line` for a ruling line.  Q(i) rows come in through
-    :meth:`from_rows` and go out through :attr:`rows`.
+    no common factor; equal lines therefore have equal fields.  ``span`` is
+    the Z[i] kernel basis of the rows that :func:`_span` reads off their 2x2
+    minors, two vectors spanning the line, each zero at the other's free
+    column.  Every line, a ruling line included, is built and checked here.
+    Q(i) rows come in through :meth:`from_rows` and go out through
+    :attr:`rows`.
     """
 
     zrows: tuple
@@ -159,22 +175,12 @@ class ProjLine:
         g = math.gcd(self.scale, *parts)
         if g > 1:
             zrows = tuple(tuple((re // g, im // g) for re, im in row) for row in zrows)
-        rank, span = linalg.nullspace(zrows, 4)
-        if rank != 2:
+        span = _span(zrows)
+        if span is None:
             raise ValidationError("the two line forms must be linearly independent")
         object.__setattr__(self, "zrows", zrows)
         object.__setattr__(self, "scale", self.scale // g)
-        object.__setattr__(self, "span", tuple(span))
-
-    @classmethod
-    def _trusted(cls, zrows: tuple, scale: int, span: tuple) -> "ProjLine":
-        """A line from reduced rank-2 rows of int pairs and a span as described
-        above, unchecked."""
-        line = object.__new__(cls)
-        object.__setattr__(line, "zrows", zrows)
-        object.__setattr__(line, "scale", scale)
-        object.__setattr__(line, "span", span)
-        return line
+        object.__setattr__(self, "span", span)
 
     @classmethod
     def from_rows(cls, rows) -> "ProjLine":
@@ -223,10 +229,10 @@ class QuadricSplit:
 
     ``zforms`` holds a, b, c, d scaled to Z[i] pairs by their common
     denominator ``scale``, so :meth:`vanishes_at` tests scale^2 * (ab - cd).
-    ``_cofactors`` holds, for each of the four forms, its row of cofactors in
-    the 4x4 matrix of ``zforms``: the column of the adjugate that the other
-    three forms vanish on and the form itself takes to the determinant.  The
-    forms must be independent; otherwise ab - cd is a singular quadric.
+    The forms must be independent; otherwise ab - cd is a singular quadric.
+    det(a, b, c, d) is expanded along (a, b) by Laplace: each 2x2 minor of
+    (a, b) on columns i < j times the complementary minor of (c, d), with
+    sign (-1)^(i+j+1).
     """
 
     name: str
@@ -237,20 +243,23 @@ class QuadricSplit:
     homogenizer: int  # index of the coordinate that is 1 on the affine slice
     zforms: tuple = field(init=False, repr=False, compare=False)
     scale: int = field(init=False, repr=False, compare=False)
-    _cofactors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         flat = self.a + self.b + self.c + self.d
         scale = _denominator(flat)
         zflat = _scale_row(flat, scale)
         zforms = tuple(tuple(zflat[i:i + 4]) for i in range(0, 16, 4))
-        cofactors = _cofactor_rows(zforms)
-        # the determinant, expanded along the first form
-        if _zdot(zforms[0], cofactors[0]) == (0, 0):
+        ab, cd = _minors(*zforms[:2]), _minors(*zforms[2:])
+        re = im = 0
+        # the complement of the k-th column pair is the k-th from the end
+        for (i, j), (k, l) in zip(_PAIRS, reversed(_PAIRS)):
+            x, y = _gmul(ab[i, j], cd[k, l])
+            sign = 1 if (i + j) % 2 else -1
+            re, im = re + sign * x, im + sign * y
+        if re == im == 0:
             raise ValidationError("the four forms of a split must be linearly independent")
         object.__setattr__(self, "zforms", zforms)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_cofactors", cofactors)
 
     @property
     def quadric_poly(self) -> MultiPoly:
@@ -313,60 +322,16 @@ def ruling_line(param: RulingParam, split: QuadricSplit = SPHERE_QUADRIC) -> Pro
     or {c = b = 0} (t = 0) lies on ab = cd directly.  Family B swaps c and d.
 
     The forms are computed in Z[i] from the split's integer forms and (s : t)
-    scaled by its denominator D; the line keeps them over the scale
-    D * split.scale, reduced, with no Fraction built.
-
-    The span needs no elimination.  Let M be the invertible matrix with rows
-    a, b, c, d and put y = M z.  The forms t*a - s*c and s*b - t*d are
-    t*y0 - s*y2 and s*y1 - t*y3, which vanish exactly on the span of
-    (s, 0, t, 0) and (0, t, 0, s), two independent vectors as (s : t) is not
-    (0 : 0).  Since adj(M) = det(M) * M^-1, the line is spanned by
-
-        u = s*C_a + t*C_c,  w = t*C_b + s*C_d,
-
-    where C_a, ..., C_d are the columns of adj(M), the split's cofactor rows;
-    family B swaps C_c and C_d as it swaps c and d.  The two forms are then
-    independent too.  :func:`_span_real_vector` needs the basis that
-    :func:`linalg.nullspace` would return, each vector zero at the other's
-    free column; the free columns f1 < f2 are those that are not echelon
-    pivots of the two forms (:func:`_free_columns`).  The kernel vectors
-
-        v1 = w[f2]*u - u[f2]*w,  v2 = w[f1]*u - u[f1]*w
-
-    are zero at f2 and f1 respectively.  The echelon rows solve the pivot
-    coordinates of a kernel vector from its free ones, so reading the kernel
-    at (f1, f2) is one-to-one: the minor u[f1]*w[f2] - u[f2]*w[f1], which is
-    +-v1[f1] and +-v2[f2], is nonzero, and the kernel vectors zero at one free
-    column form a line.  So v1 and v2 are nonzero Q(i) multiples of the
-    nullspace basis vectors.  :func:`_span_real_vector` turns such a factor
-    into a positive real one, which :func:`real_point` divides away, so the
-    nullity and the point are those of the nullspace basis.
+    scaled by its denominator D; :class:`ProjLine` keeps them over the scale
+    D * split.scale, reduced, with no Fraction built, and reads the span off
+    their minors.
     """
     D = _denominator((param.s, param.t))
     s, t = _scale_row((param.s, param.t), D)
     a, b, c, d = split.zforms
-    ca, cb, cc, cd = split._cofactors
     if param.family == "B":
-        c, d, cc, cd = d, c, cd, cc
-    rows = (_comb(t, a, _gneg(s), c), _comb(s, b, _gneg(t), d))
-    scale = D * split.scale
-    g = math.gcd(scale, *(x for row in rows for z in row for x in z))
-    zrows = tuple(tuple((re // g, im // g) for re, im in row) for row in rows)
-    u, w = _comb(s, ca, t, cc), _comb(t, cb, s, cd)
-    f1, f2 = _free_columns(zrows)
-    span = (_comb(w[f2], u, _gneg(u[f2]), w), _comb(w[f1], u, _gneg(u[f1]), w))
-    return ProjLine._trusted(zrows, scale // g, span)
-
-
-def _free_columns(zrows):
-    """The two columns that :func:`linalg.nullspace` leaves free on two
-    independent rows: not the first nonzero column c1, and not the first
-    later column c2 whose 2x2 minor with c1 is nonzero."""
-    r1, r2 = zrows
-    c1 = next(j for j in range(4) if r1[j] != (0, 0) or r2[j] != (0, 0))
-    c2 = next(j for j in range(c1 + 1, 4) if _gmul(r1[c1], r2[j]) != _gmul(r2[c1], r1[j]))
-    f1, f2 = (j for j in range(4) if j != c1 and j != c2)
-    return f1, f2
+        c, d = d, c
+    return ProjLine((_comb(t, a, _gneg(s), c), _comb(s, b, _gneg(t), d)), D * split.scale)
 
 
 def line_on_quadric(line: ProjLine, split: QuadricSplit) -> bool:
@@ -387,10 +352,8 @@ def _span_real_vector(span):
     """The real points of the line spanned by ``span = (u, w)``: (vector, nullity).
 
     ``span`` is a kernel basis whose vectors are each zero at the other's
-    free column: :func:`linalg.nullspace`'s back-substitution, which writes
-    pivot coordinates only, leaves them so, and :func:`ruling_line` writes
-    them so.  Hence there are columns j0 with u[j0] != 0 = w[j0] and j1 with
-    w[j1] != 0 = u[j1].  Put U = conj(u[j0])*u and W = conj(w[j1])*w, so that
+    free column, as :func:`_span` writes it.  Hence there are columns j0
+    with u[j0] != 0 = w[j0] and j1 with w[j1] != 0 = u[j1].  Put U = conj(u[j0])*u and W = conj(w[j1])*w, so that
     U[j0] and W[j1] are positive integers.  If a vector a*U + b*W of the
     line (a, b complex) is real, then a and b are real, read at j0 and j1;
     and a*U + b*W with a, b real is real exactly when its imaginary parts at
@@ -519,6 +482,12 @@ def _on_boundary_sphere(point: ProjPoint) -> bool:
     return z[1] * z[1] + z[2] * z[2] + z[3] * z[3] == h * h
 
 
+def _check_trials(trials) -> None:
+    # sampling no line must not read as "nullity 0 on every sampled line"
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
+
+
 def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
     """Boundary-cover ingredient: every sampled ruling line meets the real sphere.
 
@@ -527,8 +496,7 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
     line has an exact real point whose affine representative lies on
     {x1^2+x2^2+x3^2 = 1, x4 = 0}.
     """
-    if trials < 1:
-        raise ValidationError("need at least one trial")
+    _check_trials(trials)
     checks = []
     level0 = tower.level(0)
     chart = level0.chart
@@ -600,8 +568,7 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
 
 def control_cover_certificate(trials: int, seed: int) -> Certificate:
     """Same sampling against the definite quadric: must FAIL with nullity 0."""
-    if trials < 1:
-        raise ValidationError("need at least one trial")
+    _check_trials(trials)
     samples = [
         {"family": family, "index": index, "nullity": nullity}
         for family, index, _, _, nullity in _sampled_lines(CONTROL_QUADRIC, trials, seed)

@@ -230,11 +230,12 @@ def _root_product(expr: MultiPoly, var: str, modulus: MultiPoly) -> tuple:
 
 
 def _binomial_root_product(expr: MultiPoly, var: str, M: int, p: tuple, q: int) -> tuple:
-    """Core form of prod_{beta^M = v} expr(beta) for the modulus var^M - v, v = p/q."""
+    """Core form of prod_{beta^M = v} expr(beta) for the modulus var^M - v, v = p/q.
+
+    ``expr`` holds ``var``: :func:`_branch_verdict` skips the variables its
+    value does not use, and halving an even polynomial keeps its var powers."""
     idx = expr.variables.index(var)
     exps_used = sorted({e[idx] for e in expr.zterms if e[idx]})
-    if not exps_used:
-        return expr, M, "constant-power"
     # single power of var with constant leading coefficient: closed form
     if len(exps_used) == 1:
         D = exps_used[0]

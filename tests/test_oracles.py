@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from conetower import laurent, linalg, multipoly  # noqa: E402
 from conetower.certificates import FAIL, SMOOTH  # noqa: E402
 from conetower.charts import Chart, Hypersurface  # noqa: E402
-from conetower.errors import InternalInconsistencyError, VariableMismatchError  # noqa: E402
+from conetower.errors import InternalInconsistencyError, ValidationError, VariableMismatchError  # noqa: E402
 from conetower.gaussian import ONE, ZERO, GaussianRational, _denominator, _scale_row  # noqa: E402
 from conetower.laurent import LaurentPoly, parse_laurent  # noqa: E402
 from conetower.multipoly import (  # noqa: E402
@@ -1740,13 +1740,37 @@ def _span_params(rng, family):
     return params
 
 
+def _assert_span_matches_nullspace(line):
+    """Check a line's span against the elimination of its rows; returns the
+    nullity of its real points.
+
+    Each span vector is zero at the other's free column, the free columns
+    being those linalg._echelon leaves; each is a nonzero multiple of the
+    basis vector for its own free column; and the same real points are read
+    off either.  The factor is in Q(i), and mostly not in Z[i]: the basis
+    often carries a content that the minors lack.
+    """
+    rank, basis = linalg.nullspace(line.zrows, 4)
+    pivots, _ = linalg._echelon(line.zrows, 4)
+    free = [j for j in range(4) if j not in pivots]
+    assert rank == 2 and len(line.span) == 2
+    assert [vec[other] for vec, other in zip(line.span, reversed(free))] == [(0, 0), (0, 0)]
+    for vec, ref, f in zip(line.span, basis, free):
+        factor = GaussianRational(*vec[f]) / GaussianRational(*ref[f])
+        assert factor
+        assert [GaussianRational(*x) for x in vec] == [factor * GaussianRational(*x) for x in ref]
+    vec, nullity = quadric._span_real_vector(line.span)
+    ref_vec, ref_nullity = quadric._span_real_vector(basis)
+    assert nullity == ref_nullity
+    if nullity:
+        assert _canonical_real(vec) == _canonical_real(ref_vec)
+    return nullity
+
+
 def test_ruling_line_span_is_a_multiple_of_the_nullspace_basis():
-    # ruling_line writes its span down from the split's adjugate; the
-    # elimination of the line's rows is the reference: the same free columns,
-    # each span vector a nonzero multiple of the basis vector for its free
-    # column, and the same real points read off either.  The factor is in
-    # Q(i), and mostly not in Z[i]: the basis often carries a content that
-    # the closed form lacks.
+    # every line's span is read off the 2x2 minors of its rows; the
+    # elimination of the rows is the reference, for ruling lines and for
+    # lines given by their rows
     from test_quadric import RATIONAL_QUADRIC, REAL_LINES_QUADRIC
 
     rng = random.Random(525)
@@ -1756,22 +1780,35 @@ def test_ruling_line_span_is_a_multiple_of_the_nullspace_basis():
     for split in splits:
         for family in ("A", "B"):
             for param in _span_params(rng, family):
-                line = quadric.ruling_line(param, split)
-                rank, basis = linalg.nullspace(line.zrows, 4)
-                pivots, _ = linalg._echelon(line.zrows, 4)
-                free = [j for j in range(4) if j not in pivots]
-                assert rank == 2 and list(quadric._free_columns(line.zrows)) == free
-                for vec, ref, f in zip(line.span, basis, free):
-                    factor = GaussianRational(*vec[f]) / GaussianRational(*ref[f])
-                    assert factor
-                    assert [GaussianRational(*x) for x in vec] == [factor * GaussianRational(*x) for x in ref]
-                vec, nullity = quadric._span_real_vector(line.span)
-                ref_vec, ref_nullity = quadric._span_real_vector(basis)
-                assert nullity == ref_nullity
-                if nullity:
-                    assert _canonical_real(vec) == _canonical_real(ref_vec)
-                nullities.add(nullity)
+                nullities.add(_assert_span_matches_nullspace(quadric.ruling_line(param, split)))
     assert nullities == {0, 1, 2}
+
+    # the five kinds of _line_rows, and planted rank-deficient pairs: one
+    # row a Z[i] multiple of the other (the multiplier may be 0), or a zero
+    # row; the constructor refuses exactly the pairs of rank < 2
+    rng = random.Random(526)
+    kinds = ("real", "real-line", "one-real-point", "real-or-imaginary", "dense")
+    seen = set()
+    for _ in range(600):
+        kind = rng.choice(kinds + ("multiple", "zero-row"))
+        base = rng.choice(kinds) if kind in ("multiple", "zero-row") else kind
+        zrows = [list(row) for row in _line_rows(rng, base)]
+        k = rng.randrange(2)
+        if kind == "multiple":
+            c = (rng.randint(-3, 3), rng.randint(-3, 3))
+            zrows[k] = [_gmul(c, z) for z in zrows[1 - k]]
+        elif kind == "zero-row":
+            zrows[k] = [(0, 0)] * 4
+        scale = rng.randint(1, 6)
+        if linalg.matrix_rank(zrows, 4) < 2:
+            with pytest.raises(ValidationError):
+                quadric.ProjLine(zrows, scale)
+            seen.add((kind, None))
+        else:
+            seen.add((kind, _assert_span_matches_nullspace(quadric.ProjLine(zrows, scale))))
+    assert {nullity for _, nullity in seen} == {None, 0, 1, 2}
+    assert {kind for kind, nullity in seen if nullity is not None} == set(kinds)
+    assert {kind for kind, nullity in seen if nullity is None} >= {"multiple", "zero-row"}
 
 
 def test_nullspace_matches_previous_back_substitution_on_deficient_and_zero_rows():

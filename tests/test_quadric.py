@@ -13,7 +13,7 @@ from conetower.errors import (
     LineNotOnQuadricError,
     ValidationError,
 )
-from conetower.gaussian import ZERO, GaussianRational, I, ONE
+from conetower.gaussian import ZERO, GaussianRational, I, ONE, _denominator, _scale_row
 from conetower.multipoly import MultiPoly
 from conetower.quadric import (
     BOUNDARY_QUADRIC,
@@ -346,9 +346,10 @@ def test_control_certificate_fails_as_expected():
     assert all(s["nullity"] == 0 for s in cert.branches)
 
 
-@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("trials", [0, -3, 2.5, "3", None, True])
 def test_cover_certificates_reject_non_positive_trials(trials):
-    # sampling no line must not read as "nullity 0 on every sampled line"
+    # sampling no line must not read as "nullity 0 on every sampled line",
+    # and a trial count that is not an int (a bool included) is refused too
     with pytest.raises(ValidationError):
         control_cover_certificate(trials=trials, seed=0)
     with pytest.raises(ValidationError):
@@ -371,12 +372,45 @@ def test_ruling_param_validation():
     lambda a, b, c, d: (a, b, (ZERO,) * 4, d),
 ], ids=["a-equals-b", "d-a-combination", "zero-form"])
 def test_split_rejects_dependent_forms(forms):
-    # dependent forms make ab - cd a singular quadric, whose lines the
-    # adjugate cannot span
+    # dependent forms make ab - cd a cone or a pair of planes, not a
+    # smooth quadric with two rulings
     b = BOUNDARY_QUADRIC
     a, b_, c, d = forms(b.a, b.b, b.c, b.d)
     with pytest.raises(ValidationError):
         QuadricSplit(name="dependent", a=a, b=b_, c=c, d=d, homogenizer=0)
+
+
+def test_split_refusal_follows_the_rank_of_seeded_forms():
+    # seeded forms, in half the draws with one form a Z[i] combination of
+    # two others (a coefficient may be 0): the split is refused exactly when
+    # the scaled forms have rank < 4
+    rng = random.Random(36)
+
+    def part():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.7 else 0
+
+    def zi():
+        return GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+
+    outcomes = []
+    for _ in range(400):
+        forms = [tuple(GaussianRational(part(), part() if rng.random() < 0.6 else 0) for _ in range(4))
+                 for _ in range(4)]
+        planted = rng.random() < 0.5
+        if planted:
+            i, j, k = rng.sample(range(4), 3)
+            p, q = zi(), zi()
+            forms[k] = tuple(p * x + q * y for x, y in zip(forms[i], forms[j]))
+        scale = _denominator([c for form in forms for c in form])
+        dependent = linalg.matrix_rank([_scale_row(form, scale) for form in forms], 4) < 4
+        if dependent:
+            with pytest.raises(ValidationError):
+                QuadricSplit("seeded", *forms, homogenizer=0)
+        else:
+            QuadricSplit("seeded", *forms, homogenizer=0)
+        outcomes.append((planted, dependent))
+    assert (True, False) not in outcomes
+    assert outcomes.count((True, True)) >= 150 and outcomes.count((False, False)) >= 150
 
 
 def _randint_sample_param(rng, family):
