@@ -25,7 +25,7 @@ from .errors import (
     NotCocycleError,
     ValidationError,
 )
-from .gaussian import _gmul
+from .gaussian import _gmul, _trusted_gaussian
 from .laurent import LaurentPoly, _mul_sub, _trusted_laurent, parse_laurent
 from .multipoly import MultiPoly, differentiate
 
@@ -102,8 +102,8 @@ def det_valuation(T: TransitionMatrix):
         raise NotCocycleError("determinant is zero")
     if not det.is_single_term():
         raise NotCocycleError(f"determinant {det} is not a single term c*z^v")
-    exponent = next(iter(det.zterms))
-    return det.coeffs[exponent], exponent
+    ((exponent, (re, im)),) = det.zterms.items()
+    return _trusted_gaussian(re, im, det.den), exponent
 
 
 def _zi_rows(T: TransitionMatrix):

@@ -1,8 +1,15 @@
 """Exact arithmetic over the Gaussian rationals Q(i), and over the Gaussian
-integers Z[i] for fraction-free elimination."""
+integers Z[i] for fraction-free elimination.
+
+Every exact value has one format: Gaussian integers ``a + b*i`` as ``(a, b)``
+int pairs over one positive int denominator, in the normal form of
+``_normal_form``.  A GaussianRational is one pair over its denominator; a
+MultiPoly or a LaurentPoly is a term map of pairs over one.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -36,22 +43,72 @@ def _exact_str_or(value, expression: str) -> str:
         return expression
 
 
+def _part_str(n: int, den: int) -> str:
+    """Text of the rational n/den, den a positive int, as the reduced
+    ``Fraction`` prints it; DigitLimitError past the digit limit."""
+    g = math.gcd(n, den)
+    if g != 1:
+        n, den = n // g, den // g
+    return _exact_str(n) if den == 1 else f"{_exact_str(n)}/{_exact_str(den)}"
+
+
+def _coefficient_text(re: int, im: int, den: int, mono: str = "") -> tuple:
+    """(negative, body) of the coefficient (re + im*i)/den times the monomial
+    text ``mono``, if any: the one coefficient printer of the grammar, for a
+    GaussianRational and every polynomial term.  A real or imaginary
+    coefficient prints its magnitude, one with both parts is parenthesised.
+    """
+    if not im:
+        if mono and abs(re) == den:
+            return re < 0, mono
+        negative, body = re < 0, _part_str(abs(re), den)
+    else:
+        imag = "i" if abs(im) == den else f"{_part_str(abs(im), den)}*i"
+        if not re:
+            negative, body = im < 0, imag
+        else:
+            negative, body = False, f"({_part_str(re, den)}{'+' if im > 0 else '-'}{imag})"
+    return negative, f"{body}*{mono}" if mono else body
+
+
+def _coerced(operator):
+    """``operator(self, other)`` with ``other`` coerced to a GaussianRational;
+    NotImplemented when it is not an int, a Fraction or a GaussianRational."""
+    @functools.wraps(operator)
+    def wrapper(self, other):
+        try:
+            other = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return operator(self, other)
+    return wrapper
+
+
 class GaussianRational:
     """Exact complex number ``re + im*i`` with rational real and imaginary parts.
 
-    Values are immutable by convention: every operation returns a new
-    instance, equality is exact, and the parts stay reduced because they are
-    ``fractions.Fraction``.  This is the coefficient field for every
-    polynomial in the package.
+    Stored as ``pair``, a Z[i] int pair ``(a, b)``, over ``den``, a positive
+    int: the value is (a + b*i)/den.  In normal form, the one-term case of
+    ``_normal_form``, the gcd of a, b and ``den`` is 1 (zero is
+    ``((0, 0), 1)``), so equal values have equal fields.  Values are
+    immutable by convention: every operation returns a new instance, built
+    by ``_trusted_gaussian``.  ``re`` and ``im`` are the parts as reduced
+    ``fractions.Fraction``s, built when read.  This is the coefficient field
+    for every polynomial in the package.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("pair", "den")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError("floats are inexact; pass int, Fraction, or string")
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.pair, self.den = (re, im), 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of the reduced denominators no prime divides both parts
+        den = math.lcm(re.denominator, im.denominator)
+        self.pair, self.den = (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)), den
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
@@ -61,127 +118,113 @@ class GaussianRational:
             return cls(value)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.pair[0], self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.pair[1], self.den)
+
     # ------------------------------------------------------------------ arithmetic
 
+    @_coerced
     def __add__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        total, den = _zi_sum({0: self.pair}, self.den, {0: other.pair}, other.den)
+        return _trusted_gaussian(*total[0], den)
 
     __radd__ = __add__
 
+    @_coerced
     def __sub__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + -other
 
+    @_coerced
     def __rsub__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return other - self
+        return other + -self
 
+    @_coerced
     def __mul__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return _trusted_gaussian(*_gmul(self.pair, other.pair), self.den * other.den)
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
+        # (p/d) / (q/e) = p * conj(q) * e / (d * |q|^2)
+        re, im = other.pair
+        norm = re * re + im * im
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        re, im = _gmul(self.pair, (re, -im))
+        return _trusted_gaussian(re * other.den, im * other.den, self.den * norm)
 
+    @_coerced
     def __rtruediv__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
         return other / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _trusted_gaussian(*_gneg(self.pair), self.den)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return (ONE / self) ** (-exponent)
-        result = ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
+        result, base = ONE, self
+        while exponent:
+            if exponent & 1:
                 result = result * base
-            base = base * base
-            n >>= 1
+            base, exponent = base * base, exponent >> 1
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _trusted_gaussian(self.pair[0], -self.pair[1], self.den)
 
     # ------------------------------------------------------------------ predicates
 
+    @_coerced
     def __eq__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.pair == other.pair and self.den == other.den
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its Fraction and hence an equal int, so it hashes as they do
+        return hash((self.pair, self.den)) if self.pair[1] else hash(self.re)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.pair != (0, 0)
 
     def is_zero(self) -> bool:
         return not self
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.pair[1]
 
     # ------------------------------------------------------------------ conversions
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self.pair[0] / self.den, self.pair[1] / self.den)
 
     def __repr__(self):
-        return f"GaussianRational({self.re}, {self.im})"
+        return f"GaussianRational({_part_str(self.pair[0], self.den)}, {_part_str(self.pair[1], self.den)})"
 
     def __str__(self):
         """Standalone coefficient form accepted by the polynomial grammar."""
-        if self.im == 0:
-            return _exact_str(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{_exact_str(self.im)}*i"
-        mag = abs(self.im)
-        imag = "i" if mag == 1 else f"{_exact_str(mag)}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({_exact_str(self.re)}{sign}{imag})"
+        negative, body = _coefficient_text(*self.pair, self.den)
+        return "-" + body if negative else body
+
+
+def _trusted_gaussian(re: int, im: int, den: int) -> GaussianRational:
+    """The GaussianRational (re + im*i)/den, ``den`` a positive int, in normal
+    form: the gcd of the parts and ``den`` divided out, unchecked otherwise."""
+    if den != 1:
+        g = math.gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+    value = object.__new__(GaussianRational)
+    value.pair, value.den = (re, im), den
+    return value
 
 
 ZERO = GaussianRational(0)
@@ -191,15 +234,12 @@ I = GaussianRational(0, 1)
 
 # ---------------------------------------------------------------------- Z[i] pairs
 #
-# Gaussian integers ``a + b*i`` are stored as plain ``(a, b)`` int pairs:
-# the coefficients of MultiPoly and LaurentPoly over one integer, the rows of
-# linalg's eliminations, and the quadric's line and split forms.
-# ``_denominator`` and ``_scale_row`` clear the denominators of
-# GaussianRationals that enter from outside, once: their only callers are the
-# constructors of outside values (the public MultiPoly and LaurentPoly
-# constructors, ``ProjLine.from_rows``, ``QuadricSplit``'s forms and a sampled
-# ruling parameter).  The normal form, the sum and the GaussianRational view
-# of a term map over a denominator are shared by both polynomial classes.
+# Z[i] pairs are also the rows of linalg's eliminations and the quadric's line
+# and split forms.  ``_zi_lift`` puts GaussianRationals over one denominator:
+# the coefficients of the public MultiPoly and LaurentPoly constructors,
+# ``ProjLine.from_rows`` and ``QuadricSplit``'s forms, a ruling parameter and
+# a real point's coordinates.  The normal form, the sum and the
+# GaussianRational view of a term map are shared by every exact class.
 
 
 def _normal_form(zterms: dict, den: int):
@@ -232,23 +272,15 @@ def _zi_sum(f: dict, fden: int, g: dict, gden: int):
 
 
 def _rational_view(zterms: dict, den: int) -> dict:
-    """``{key: GaussianRational}`` of a term map over ``den``, each part the
-    reduced fraction."""
-    return {e: GaussianRational(Fraction(re, den), Fraction(im, den)) for e, (re, im) in zterms.items()}
+    """``{key: GaussianRational}`` of a term map over ``den``."""
+    return {e: _trusted_gaussian(re, im, den) for e, (re, im) in zterms.items()}
 
 
-def _denominator(values):
-    """Least common denominator of GaussianRationals."""
-    return math.lcm(*(d for v in values for d in (v.re.denominator, v.im.denominator)))
-
-
-def _scale_row(values, lcm):
-    """``lcm`` times GaussianRationals, as Z[i] pairs; ``lcm`` is a common
-    multiple of their denominators."""
-    return [
-        (v.re.numerator * (lcm // v.re.denominator), v.im.numerator * (lcm // v.im.denominator))
-        for v in values
-    ]
+def _zi_lift(values):
+    """A collection of GaussianRationals as Z[i] pairs over the lcm of their
+    denominators, ``(pairs, lcm)``: in normal form, as each value is."""
+    den = math.lcm(*(v.den for v in values))
+    return [(v.pair[0] * (den // v.den), v.pair[1] * (den // v.den)) for v in values], den
 
 
 def _gmul(x, y):
@@ -257,6 +289,10 @@ def _gmul(x, y):
 
 def _gsub(x, y):
     return (x[0] - y[0], x[1] - y[1])
+
+
+def _gneg(x):
+    return (-x[0], -x[1])
 
 
 def _gdiv_exact(x, y):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import ValidationError
 from .gaussian import (
-    GaussianRational, ONE, _denominator, _normal_form, _rational_view, _scale_row, _zi_sum,
+    GaussianRational, ONE, _normal_form, _rational_view, _zi_lift, _zi_sum,
 )
 from .multipoly import MultiPoly, _Parser, _terms_to_string
 
@@ -38,10 +38,8 @@ class LaurentPoly:
             coeff = GaussianRational.coerce(coeff)
             if coeff:
                 clean[exp] = coeff
-        # over the lcm of the reduced denominators no prime divides every part
-        den = _denominator(clean.values())
-        self.zterms = dict(zip(clean, _scale_row(clean.values(), den)))
-        self.den = den
+        pairs, self.den = _zi_lift(clean.values())
+        self.zterms = dict(zip(clean, pairs))
         self._coeffs = None
 
     # ------------------------------------------------------------ constructors
@@ -69,8 +67,8 @@ class LaurentPoly:
 
     @property
     def coeffs(self) -> dict:
-        """The coefficients as ``{exponent: GaussianRational}``, each part the
-        reduced fraction over ``den``; built on first read."""
+        """The coefficients as ``{exponent: GaussianRational}``, each a
+        term's pair over ``den`` in normal form; built on first read."""
         if self._coeffs is None:
             self._coeffs = _rational_view(self.zterms, self.den)
         return self._coeffs
@@ -123,8 +121,8 @@ class LaurentPoly:
         return len(self.zterms) == 1
 
     def __str__(self):
-        coeffs = self.coeffs
-        return _terms_to_string(("z",), (((e,), coeffs[e]) for e in sorted(coeffs, reverse=True)))
+        zterms = self.zterms
+        return _terms_to_string(("z",), (((e,), zterms[e]) for e in sorted(zterms, reverse=True)), self.den)
 
     def __repr__(self):
         return f"LaurentPoly({self})"

@@ -26,7 +26,6 @@ from __future__ import annotations
 import heapq
 import math
 import re as _re
-from fractions import Fraction
 from operator import add as _add, mul as _mul, sub as _sub
 from typing import Iterable, Mapping
 
@@ -35,8 +34,8 @@ from .errors import (
 )
 from .gaussian import (
     _RATIONAL_TYPES, GaussianRational, I, ONE, ZERO,
-    _denominator, _exact_str, _gdiv_exact, _gmul, _gsub, _normal_form, _rational_view, _scale_row,
-    _zi_sum,
+    _coefficient_text, _gdiv_exact, _gmul, _gsub, _normal_form, _rational_view, _trusted_gaussian,
+    _zi_lift, _zi_sum,
 )
 
 
@@ -70,11 +69,9 @@ class MultiPoly:
             coeff = GaussianRational.coerce(coeff)
             if coeff:
                 clean[exps] = coeff
-        # over the lcm of the reduced denominators no prime divides every part
-        den = _denominator(clean.values())
+        pairs, self.den = _zi_lift(clean.values())
         self.variables = variables
-        self.zterms = dict(zip(clean, _scale_row(clean.values(), den)))
-        self.den = den
+        self.zterms = dict(zip(clean, pairs))
         self._terms = self._hash = None
 
     # ------------------------------------------------------------ constructors
@@ -98,8 +95,8 @@ class MultiPoly:
 
     @property
     def terms(self) -> dict:
-        """The coefficients as ``{exponents: GaussianRational}``, each part
-        the reduced fraction over ``den``; built on first read."""
+        """The coefficients as ``{exponents: GaussianRational}``, each a
+        term's pair over ``den`` in normal form; built on first read."""
         if self._terms is None:
             self._terms = _rational_view(self.zterms, self.den)
         return self._terms
@@ -120,7 +117,8 @@ class MultiPoly:
             return ZERO
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        ((re, im),) = self.zterms.values()
+        return _trusted_gaussian(re, im, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -281,34 +279,13 @@ def _monomial_string(variables, exps) -> str:
     return "*".join(factors)
 
 
-def _term_string(coeff: GaussianRational, mono: str):
-    """Return (negative_sign, body) for one printed term."""
-    if coeff.im == 0:
-        negative = coeff.re < 0
-        mag = abs(coeff.re)
-        if mono and mag == 1:
-            return negative, mono
-        body = _exact_str(mag)
-    elif coeff.re == 0:
-        negative = coeff.im < 0
-        mag = abs(coeff.im)
-        body = "i" if mag == 1 else f"{_exact_str(mag)}*i"
-    else:
-        negative = False
-        body = str(coeff)
-    if mono:
-        body = f"{body}*{mono}"
-    return negative, body
-
-
-def _terms_to_string(variables, terms) -> str:
-    """Join (exponents, coefficient) pairs, given in print order, into text.
-
-    The one printer of the grammar, for polynomial and Laurent terms alike.
-    """
+def _terms_to_string(variables, zterms, den: int) -> str:
+    """Join (exponents, Z[i] pair) terms over ``den``, given in print order,
+    into text: the one printer of the grammar, for polynomial and Laurent
+    terms alike."""
     out = []
-    for exps, coeff in terms:
-        negative, body = _term_string(coeff, _monomial_string(variables, exps))
+    for exps, (re, im) in zterms:
+        negative, body = _coefficient_text(re, im, den, _monomial_string(variables, exps))
         if out:
             out.append((" - " if negative else " + ") + body)
         else:
@@ -318,9 +295,9 @@ def _terms_to_string(variables, terms) -> str:
 
 def poly_to_string(poly: MultiPoly) -> str:
     """Canonical printer: graded lexicographic order, highest terms first."""
-    terms = poly.terms
-    order = sorted(terms, key=_grlex_key, reverse=True)
-    return _terms_to_string(poly.variables, ((e, terms[e]) for e in order))
+    zterms = poly.zterms
+    order = sorted(zterms, key=_grlex_key, reverse=True)
+    return _terms_to_string(poly.variables, ((e, zterms[e]) for e in order), poly.den)
 
 
 # ---------------------------------------------------------------------- parsing
@@ -431,7 +408,7 @@ class _Parser:
                 self.advance()
                 if int(v3) == 0:
                     raise ParseError("zero denominator", w3)
-                return self.constant(GaussianRational(Fraction(numerator, int(v3))))
+                return self.constant(_trusted_gaussian(numerator, 0, int(v3)))
             return self.constant(GaussianRational(numerator))
         if kind == "name":
             self.advance()

@@ -18,9 +18,8 @@ coordinates (Hodge and Pedoe, Methods of Algebraic Geometry I, ch. VII), and
 the same minors refuse dependent rows and, by a Laplace expansion, dependent
 split forms.  The real point comes from a 2x2 integer system in the span's
 imaginary parts; the sphere test of the boundary cover runs on integers too.
-Fractions are built only for printed values: the sampled parameters, read
-from a table, the real point that is returned, and a line's Q(i) ``rows``
-when a caller asks for them.
+Values in Q(i) come in and go out as GaussianRationals, each read or built
+as its Z[i] pair over its denominator.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .certificates import FAIL, PASS, Certificate, Check
 from .errors import (
@@ -36,7 +34,7 @@ from .errors import (
     LineNotOnQuadricError,
     ValidationError,
 )
-from .gaussian import GaussianRational, I, ONE, ZERO, _denominator, _gmul, _gsub, _scale_row
+from .gaussian import GaussianRational, I, ONE, ZERO, _gmul, _gneg, _gsub, _trusted_gaussian, _zi_lift
 from .multipoly import MultiPoly
 
 _VARS = ("z0", "z1", "z2", "z3")
@@ -54,10 +52,6 @@ def _zdot(row, vec):
         re += a * x - b * y
         im += a * y + b * x
     return re, im
-
-
-def _gneg(x):
-    return (-x[0], -x[1])
 
 
 def _comb(p, xs, q, ys):
@@ -137,7 +131,7 @@ class ProjPoint:
         return ProjPoint(tuple(c / lead for c in self.coords))
 
     def is_real(self) -> bool:
-        return all(c.im == 0 for c in self.coords)
+        return all(c.is_real() for c in self.coords)
 
     def __str__(self):
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
@@ -186,16 +180,14 @@ class ProjLine:
     def from_rows(cls, rows) -> "ProjLine":
         """The line cut out by two Q(i) coefficient rows: clears their denominators."""
         rows = [[GaussianRational.coerce(c) for c in row] for row in rows]
-        scale = _denominator([c for row in rows for c in row])
-        return cls(tuple(tuple(_scale_row(row, scale)) for row in rows), scale)
+        pairs, scale = _zi_lift([c for row in rows for c in row])
+        pairs = iter(pairs)
+        return cls(tuple(tuple(next(pairs) for _ in row) for row in rows), scale)
 
     @property
     def rows(self) -> tuple:
         """The two forms' coefficient rows over Q(i)."""
-        return tuple(
-            tuple(GaussianRational(Fraction(re, self.scale), Fraction(im, self.scale)) for re, im in row)
-            for row in self.zrows
-        )
+        return tuple(tuple(_trusted_gaussian(re, im, self.scale) for re, im in row) for row in self.zrows)
 
     def form_polys(self) -> tuple:
         return tuple(_linear_form(row) for row in self.rows)
@@ -246,8 +238,7 @@ class QuadricSplit:
 
     def __post_init__(self):
         flat = self.a + self.b + self.c + self.d
-        scale = _denominator(flat)
-        zflat = _scale_row(flat, scale)
+        zflat, scale = _zi_lift(flat)
         zforms = tuple(tuple(zflat[i:i + 4]) for i in range(0, 16, 4))
         ab, cd = _minors(*zforms[:2]), _minors(*zforms[2:])
         re = im = 0
@@ -322,12 +313,11 @@ def ruling_line(param: RulingParam, split: QuadricSplit = SPHERE_QUADRIC) -> Pro
     or {c = b = 0} (t = 0) lies on ab = cd directly.  Family B swaps c and d.
 
     The forms are computed in Z[i] from the split's integer forms and (s : t)
-    scaled by its denominator D; :class:`ProjLine` keeps them over the scale
-    D * split.scale, reduced, with no Fraction built, and reads the span off
-    their minors.
+    over its denominator D, the lcm of the two values' denominators;
+    :class:`ProjLine` keeps them over the scale D * split.scale, reduced, and
+    reads the span off their minors.
     """
-    D = _denominator((param.s, param.t))
-    s, t = _scale_row((param.s, param.t), D)
+    (s, t), D = _zi_lift((param.s, param.t))
     a, b, c, d = split.zforms
     if param.family == "B":
         c, d = d, c
@@ -408,8 +398,8 @@ def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
     elimination; for nullity >= 1 the canonical kernel vector is a real point
     on the line (and hence on the quadric).  The integer kernel vector is
     checked (real, on both forms, on the quadric) before the one division by
-    its leading coordinate, which builds the point's Fractions.  Raises
-    LINE_NOT_ON_QUADRIC for lines off the quadric.
+    its leading coordinate, the denominator of the point's coordinates.
+    Raises LINE_NOT_ON_QUADRIC for lines off the quadric.
     """
     if not line_on_quadric(line, split):
         raise LineNotOnQuadricError(f"line is not contained in {split.name}")
@@ -421,12 +411,9 @@ def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
     if any(_zdot(row, vec) != (0, 0) for row in line.zrows) or not split.vanishes_at(vec):
         raise InternalInconsistencyError("computed real point fails an exact check")
     lead = next(re for re, _ in vec if re)
-    zero = ZERO.im  # one shared 0 part rather than a Fraction(0) per coordinate
-    return ProjPoint._trusted(tuple(GaussianRational(Fraction(re, lead), zero) for re, _ in vec)), nullity
-
-
-# Every part sample_param can draw, reduced: index 20*n + d holds (n - 20) / (d + 1)
-_PARTS = tuple(Fraction(n - 20, d + 1) for n in range(41) for d in range(20))
+    if lead < 0:  # a denominator is positive
+        vec, lead = [(-re, im) for re, im in vec], -lead
+    return ProjPoint._trusted(tuple(_trusted_gaussian(re, 0, lead) for re, _ in vec)), nullity
 
 
 def sample_param(rng: random.Random, family: str) -> RulingParam:
@@ -436,7 +423,8 @@ def sample_param(rng: random.Random, family: str) -> RulingParam:
     20)), equal in value and leaving ``rng`` in the same state.  On a
     random.Random, randint(-20, 20) is -20 + getrandbits(6), drawn again
     while it reads 41 or more, and randint(1, 20) is 1 + getrandbits(5),
-    drawn again while it reads 20 or more; the parts are read from a table.
+    drawn again while it reads 20 or more; a part is drawn as the int pair
+    (numerator, denominator).
     """
     bits = rng.getrandbits
 
@@ -447,11 +435,14 @@ def sample_param(rng: random.Random, family: str) -> RulingParam:
         d = bits(5)
         while d >= 20:
             d = bits(5)
-        return _PARTS[20 * n + d]
+        return n - 20, d + 1
+
+    def value():
+        (a, b), (c, d) = part(), part()
+        return _trusted_gaussian(a * d, c * b, b * d)
 
     while True:
-        s = GaussianRational(part(), part())
-        t = GaussianRational(part(), part())
+        s, t = value(), value()
         if s or t:
             return RulingParam(family=family, s=s, t=t)
 
@@ -475,9 +466,7 @@ def _on_boundary_sphere(point: ProjPoint) -> bool:
     denominators, with no division by h."""
     if not point.is_real():
         return False
-    x = [c.re for c in point.coords]
-    D = math.lcm(*(q.denominator for q in x))
-    z = [q.numerator * (D // q.denominator) for q in x]
+    z = [re for re, _ in _zi_lift(point.coords)[0]]
     h = z[BOUNDARY_QUADRIC.homogenizer]
     return z[1] * z[1] + z[2] * z[2] + z[3] * z[3] == h * h
 

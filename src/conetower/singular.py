@@ -31,7 +31,7 @@ from .certificates import (
 )
 from .charts import Chart, Hypersurface
 from .errors import FloatRangeError, SearchExhaustedError, ValidationError
-from .gaussian import ONE, GaussianRational, _exact_str, _exact_str_or, _gmul, _gsub
+from .gaussian import ONE, GaussianRational, _exact_str, _exact_str_or, _gmul, _gsub, _trusted_gaussian
 from .multipoly import (
     MultiPoly,
     _trusted_poly,
@@ -687,8 +687,7 @@ def critical_point_candidates(system: CriticalSystem):
         if root is None:
             raise ValidationError(f"the float oracle takes binomial factors only, not this {var} one")
         n, p, q = root
-        v = GaussianRational(Fraction(p[0], q), Fraction(p[1], q))
-        v = _finite_complex(v, f"the roots of the {var} factor")
+        v = _finite_complex(_trusted_gaussian(*p, q), f"the roots of the {var} factor")
         r, arg = abs(v) ** (1 / n), cmath.phase(v)
         candidates[var].update(cmath.rect(r, (arg + 2 * math.pi * j) / n) for j in range(n))
     return {v: sorted(vals, key=lambda z: (z.real, z.imag)) for v, vals in candidates.items()}

@@ -28,7 +28,7 @@ from conetower.errors import (
     NotCocycleError,
     ValidationError,
 )
-from conetower.gaussian import GaussianRational, ONE, ZERO, _denominator, _scale_row
+from conetower.gaussian import GaussianRational, ONE, ZERO, _zi_lift
 from conetower.laurent import LaurentPoly, parse_laurent
 from conetower.multipoly import parse_poly
 from section_count import section_dim
@@ -293,8 +293,9 @@ def _reference_section_dim(T: TransitionMatrix, m: int) -> int:
         entries = [entry.coeffs for entry in t_row]
         # one common denominator for the whole row of T: scaling every system
         # row taken from it by the same nonzero constant keeps the rank
-        scale = _denominator(c for coeffs in entries for c in coeffs.values())
-        zentries = [dict(zip(coeffs, _scale_row(coeffs.values(), scale))) for coeffs in entries]
+        pairs, scale = _zi_lift([c for coeffs in entries for c in coeffs.values()])
+        pairs = iter(pairs)
+        zentries = [{e: next(pairs) for e in coeffs} for coeffs in entries]
         # the condition at z^e collects the terms of exponent e = exp - m + d,
         # 0 <= d <= B; only the e >= 1 that some term reaches carry one
         by_e = {}

@@ -57,6 +57,19 @@ def test_gaussian_rejects_floats():
         GaussianRational(0.5)
 
 
+def test_real_gaussian_rationals_hash_as_the_ints_and_fractions_they_equal():
+    # equal values are one set element and one dict key, whichever type each is
+    for value in (0, 2, -7, 10 ** 30, Fraction(1, 2), Fraction(-9, 4), Fraction(10 ** 30, 7)):
+        g = GaussianRational(value)
+        assert g == value and hash(g) == hash(value) == hash(Fraction(value))
+        assert len({g, value, Fraction(value)}) == 1
+        assert {value: "x"}.get(g) == "x" and {g: "x"}.get(value) == "x"
+    assert len({GaussianRational(2), 2, Fraction(4, 2), GaussianRational(Fraction(6, 3)), (ONE + I) * (ONE - I)}) == 1
+    assert {Fraction(3, 4): "x"}.get(GaussianRational(3) / 4) == "x"
+    # a value with an imaginary part equals no int or Fraction
+    assert len({I, GaussianRational(1, 1), 1, Fraction(1), 0}) == 4
+
+
 def test_gaussian_str_roundtrip_through_parser():
     values = [
         GaussianRational(3),

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conetower import laurent, multipoly
+from conetower import gaussian, laurent, multipoly
 from conetower.cli import main
 from conetower.gaussian import GaussianRational
 from conetower.laurent import LaurentPoly
@@ -100,21 +100,42 @@ def test_cli_json_matches_golden(stem, argv, code, tmp_path, monkeypatch, capsys
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def _patch_everywhere(monkeypatch, function, replacement):
+    """Replace ``function`` in every conetower module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conetower") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, replacement)
+
+
+def _run_golden_commands(tmp_path, monkeypatch, capsys):
+    shutil.copytree(GOLDEN / "matrices", tmp_path / "matrices")
+    monkeypatch.chdir(tmp_path)
+    for stem, argv, code in COMMANDS:
+        assert main(argv + ["--format", "json"]) == code, stem
+        assert capsys.readouterr().out == (GOLDEN / f"{stem}.json").read_text(), stem
+        for name in WRITTEN.get(stem, ()):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), stem
+
+
 def test_every_polynomial_of_the_golden_commands_is_in_normal_form(tmp_path, monkeypatch, capsys):
     # every MultiPoly and LaurentPoly the commands build, through the trusted
-    # or the validating constructor, is checked as it is built; a kernel that
-    # skipped normalisation would otherwise show only as an == or hash
-    # mismatch later
-    built, broken = {MultiPoly: 0, LaurentPoly: 0}, []
+    # or the validating constructor, and every GaussianRational the trusted
+    # constructor builds, is checked as it is built; a kernel that skipped
+    # normalisation would otherwise show only as an == or hash mismatch later
+    built, broken = {MultiPoly: 0, LaurentPoly: 0, GaussianRational: 0}, []
 
-    def check(poly):
-        built[type(poly)] += 1
-        pairs = poly.zterms.values()
+    def check(value):
+        built[type(value)] += 1
+        if type(value) is GaussianRational:
+            pairs, den = [value.pair], value.den
+        else:
+            pairs, den = list(value.zterms.values()), value.den
         if not (
-            type(poly.den) is int and poly.den > 0 and all(re or im for re, im in pairs)
-            and math.gcd(poly.den, *(part for pair in pairs for part in pair)) == 1
+            type(den) is int and den > 0 and all(type(part) is int for pair in pairs for part in pair)
+            and (type(value) is GaussianRational or all(re or im for re, im in pairs))
+            and math.gcd(den, *(part for pair in pairs for part in pair)) == 1
         ):
-            broken.append((dict(poly.zterms), poly.den))
+            broken.append((pairs, den))
 
     def checked(build):
         def wrapper(*args):
@@ -129,19 +150,21 @@ def test_every_polynomial_of_the_golden_commands_is_in_normal_form(tmp_path, mon
             check(self)
         return wrapper
 
-    for trusted in (multipoly._trusted_poly, laurent._trusted_laurent):
-        wrapper = checked(trusted)
-        for name, module in list(sys.modules.items()):
-            if name.startswith("conetower") and getattr(module, trusted.__name__, None) is trusted:
-                monkeypatch.setattr(module, trusted.__name__, wrapper)
+    for trusted in (multipoly._trusted_poly, laurent._trusted_laurent, gaussian._trusted_gaussian):
+        _patch_everywhere(monkeypatch, trusted, checked(trusted))
     for cls in (MultiPoly, LaurentPoly):
         monkeypatch.setattr(cls, "__init__", checked_init(cls.__init__))
-    shutil.copytree(GOLDEN / "matrices", tmp_path / "matrices")
-    monkeypatch.chdir(tmp_path)
-    for stem, argv, code in COMMANDS:
-        assert main(argv + ["--format", "json"]) == code, stem
-        assert capsys.readouterr().out == (GOLDEN / f"{stem}.json").read_text(), stem
-        for name in WRITTEN.get(stem, ()):
-            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), stem
+    _run_golden_commands(tmp_path, monkeypatch, capsys)
     assert not broken, broken[:3]
-    assert built[MultiPoly] > 1_000 and built[LaurentPoly] > 1_000, built
+    assert built[MultiPoly] > 1_000 and built[LaurentPoly] > 1_000 and built[GaussianRational] > 500, built
+
+
+def test_golden_commands_build_no_rational_view(tmp_path, monkeypatch, capsys):
+    # printing reads each polynomial's Z[i] term map and denominator, and a
+    # single coefficient (a constant value, a determinant's) is built alone,
+    # so no command builds a whole {key: GaussianRational} view
+    def no_view(zterms, den):
+        raise AssertionError("a golden command built a GaussianRational view")
+
+    _patch_everywhere(monkeypatch, gaussian._rational_view, no_view)
+    _run_golden_commands(tmp_path, monkeypatch, capsys)

@@ -13,7 +13,7 @@ from conetower.errors import (
     LineNotOnQuadricError,
     ValidationError,
 )
-from conetower.gaussian import ZERO, GaussianRational, I, ONE, _denominator, _scale_row
+from conetower.gaussian import ZERO, GaussianRational, I, ONE, _zi_lift
 from conetower.multipoly import MultiPoly
 from conetower.quadric import (
     BOUNDARY_QUADRIC,
@@ -401,8 +401,8 @@ def test_split_refusal_follows_the_rank_of_seeded_forms():
             i, j, k = rng.sample(range(4), 3)
             p, q = zi(), zi()
             forms[k] = tuple(p * x + q * y for x, y in zip(forms[i], forms[j]))
-        scale = _denominator([c for form in forms for c in form])
-        dependent = linalg.matrix_rank([_scale_row(form, scale) for form in forms], 4) < 4
+        flat, _ = _zi_lift([c for form in forms for c in form])
+        dependent = linalg.matrix_rank([flat[i:i + 4] for i in range(0, 16, 4)], 4) < 4
         if dependent:
             with pytest.raises(ValidationError):
                 QuadricSplit("seeded", *forms, homogenizer=0)
