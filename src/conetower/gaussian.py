@@ -207,7 +207,9 @@ class GaussianRational:
         return complex(self.pair[0] / self.den, self.pair[1] / self.den)
 
     def __repr__(self):
-        return f"GaussianRational({_part_str(self.pair[0], self.den)}, {_part_str(self.pair[1], self.den)})"
+        """Constructor call that ``eval`` reads back: a non-integer part is quoted."""
+        parts = (_part_str(n, self.den) for n in self.pair)
+        return "GaussianRational({}, {})".format(*(repr(p) if "/" in p else p for p in parts))
 
     def __str__(self):
         """Standalone coefficient form accepted by the polynomial grammar."""

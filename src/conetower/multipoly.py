@@ -221,7 +221,7 @@ class MultiPoly:
         """Exact full evaluation; every variable must be assigned, other keys are ignored."""
         missing = [v for v in self.variables if v not in values]
         if missing:
-            raise ValueError(f"unassigned variables {missing}")
+            raise VariableMismatchError(f"unassigned variables {missing}")
         return self.set_variables({v: values[v] for v in self.variables}).constant_value()
 
     def evaluate_complex(self, values: Mapping[str, complex]) -> complex:

@@ -373,6 +373,19 @@ def _claims_all_zero(claimed) -> bool:
     return all(all(not GaussianRational.coerce(c) for c in pt) for pt in claimed)
 
 
+def _claimed_points(chart: Chart, claimed) -> list:
+    """The claimed points as GaussianRational tuples; ValidationError unless
+    each has one coordinate per chart variable."""
+    points = [tuple(GaussianRational.coerce(c) for c in pt) for pt in claimed]
+    for pt in points:
+        if len(pt) != len(chart.variables):
+            raise ValidationError(
+                f"a claimed point needs {len(chart.variables)} coordinates, one per variable "
+                f"of {chart.variables}, not {len(pt)}"
+            )
+    return points
+
+
 def _one_check_certificate(params, status, check: Check, justification: str) -> Certificate:
     """A singular-locus certificate decided by one check, before any branching."""
     return Certificate(
@@ -392,7 +405,7 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
     not singular), or INCONCLUSIVE (a partial escapes the branch pattern).
     """
     chart = h.chart
-    claimed = [tuple(GaussianRational.coerce(c) for c in pt) for pt in claimed]
+    claimed = _claimed_points(chart, claimed)
     system = CriticalSystem.of(h)
     params = {"chart": chart.id, "equation": str(h.equation)}
 
@@ -697,41 +710,82 @@ def critical_point_candidates(system: CriticalSystem):
 CLAIMED_POINT_TOL = 1e-9
 
 
+def _power_table(column, e: int) -> list:
+    """z**e at each candidate z of ``column``.  Where ** overflows the entry is
+    non-finite, so |f| is non-finite at every tuple that uses it."""
+    table = []
+    for z in column:
+        try:
+            table.append(z ** e)
+        except OverflowError:
+            table.append(complex(math.inf, math.inf))
+    return table
+
+
 def float_min_abs_off_claimed(h: Hypersurface, claimed):
     """Smallest |f| over all numeric candidate critical points off the claimed set.
 
-    FloatRangeError when a coefficient or some |f| is out of float range.
+    Returns (|f|, candidate tuple), or None when every tuple is claimed.
+    FloatRangeError when a coefficient, a claimed coordinate or |f| at an
+    unclaimed tuple is out of float range; ValidationError when a claimed
+    point has not one coordinate per chart variable.
+
+    f is compiled once into term tables.  A term's table holds coeff * z**e
+    at each candidate z of its first variable; a term in more variables
+    multiplies in the others' z**e from per-variable power tables, in
+    variable order.  Summed left to right in term order, these are the float
+    operations of MultiPoly.evaluate_complex, so each |f| is bit-identical to
+    it.  A tuple is claimed iff each coordinate is within CLAIMED_POINT_TOL of
+    a claimed point's, so the claimed index tuples are the products of
+    per-coordinate index lists.
     """
     system = CriticalSystem.of(h)
     candidates = critical_point_candidates(system)
-    names = h.chart.variables
-    claimed_pts = [tuple(complex(GaussianRational.coerce(c)) for c in pt) for pt in claimed]
-    # the equation as (coefficient, [(variable index, exponent), ...]) terms,
-    # converted once and evaluated in MultiPoly.evaluate_complex's order
-    terms = [
-        (_finite_complex(coeff, "a coefficient of f"), [(i, e) for i, e in enumerate(exps) if e])
-        for exps, coeff in h.equation.terms.items()
-    ]
+    columns = [candidates[v] for v in h.chart.variables]
+    claimed_indices = set()
+    for pt in _claimed_points(h.chart, claimed):
+        near = []
+        for column, c in zip(columns, pt):
+            c = _finite_complex(c, "a claimed coordinate")
+            near.append([j for j, z in enumerate(column) if abs(z - c) < CLAIMED_POINT_TOL])
+        claimed_indices.update(itertools.product(*near, (0,)))
+
+    # per term: (first variable index, its table, ((variable index, power table), ...));
+    # an index tuple ends in a 0 past the variables, which a constant term reads
+    kernel = []
+    for exps, coeff in h.equation.terms.items():
+        c = _finite_complex(coeff, "a coefficient of f")
+        factors = [(i, e) for i, e in enumerate(exps) if e]
+        if not factors:
+            kernel.append((len(columns), [c], ()))
+            continue
+        (i, e), rest = factors[0], factors[1:]
+        table = [c * p for p in _power_table(columns[i], e)]
+        kernel.append((i, table, tuple((j, _power_table(columns[j], d)) for j, d in rest)))
+
     best = None
-    for combo in itertools.product(*(candidates[v] for v in names)):
-        if any(
-            all(abs(a - b) < CLAIMED_POINT_TOL for a, b in zip(combo, pt)) for pt in claimed_pts
-        ):
+    for idx in itertools.product(*(range(len(column)) for column in columns), (0,)):
+        if idx in claimed_indices:
             continue
         total = 0j
+        for i, table, rest in kernel:
+            term = table[idx[i]]
+            if rest:  # most terms have one variable: skip the empty loop
+                for j, table_j in rest:
+                    term *= table_j[idx[j]]
+            total += term
         try:
-            for term, factors in terms:
-                for i, e in factors:
-                    term *= combo[i] ** e
-                total += term
             value = abs(total)
-        except OverflowError:  # ** and abs raise it; * and + give inf or nan instead
+        except OverflowError:  # abs of a finite total raises it; inf or nan totals give inf or nan
             value = math.inf
         if not math.isfinite(value):
             raise FloatRangeError("the float oracle cannot represent |f| at a candidate point")
         if best is None or value < best[0]:
-            best = (value, combo)
-    return best
+            best = (value, idx)
+    if best is None:
+        return None
+    value, idx = best
+    return value, tuple(column[j] for column, j in zip(columns, idx))
 
 
 # ------------------------------------------------------------------ real-slice bounds

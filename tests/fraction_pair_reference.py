@@ -138,7 +138,8 @@ class FractionPairGaussian:
         return complex(float(self.re), float(self.im))
 
     def __repr__(self):
-        return f"GaussianRational({self.re}, {self.im})"
+        parts = (str(p) if p.denominator == 1 else repr(str(p)) for p in (self.re, self.im))
+        return "GaussianRational({}, {})".format(*parts)
 
     def __str__(self):
         """Standalone coefficient form accepted by the polynomial grammar."""

@@ -225,6 +225,23 @@ def test_gaussian_rational_matches_the_fraction_pair_reference(a, b, c, d, n, k,
         assert same == x and (same.pair, same.den) == (x.pair, x.den) and hash(same) == hash(x)
 
 
+@EXAMPLES
+@given(coefficients)
+def test_gaussian_rational_repr_round_trips(x):
+    # a non-integer part is quoted, so eval passes the constructor a str, not a float
+    text = repr(x)
+    assert eval(text, {"GaussianRational": GaussianRational}) == x
+    ref = eval(text, {"GaussianRational": FractionPairGaussian})
+    assert (ref.re, ref.im) == (x.re, x.im) and repr(ref) == text
+
+
+def test_evaluate_with_an_unassigned_variable_is_a_variable_mismatch():
+    f = parse_poly("x^2 + y", ("x", "y"))
+    with pytest.raises(VariableMismatchError, match="unassigned"):
+        f.evaluate({"x": 1})
+    assert f.evaluate({"x": 1, "y": GaussianRational(0, 1)}) == GaussianRational(1, 1)
+
+
 # ---------------------------------------------------------------- normal form
 #
 # Every result of a public operation is in MultiPoly's normal form, and its

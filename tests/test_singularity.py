@@ -329,6 +329,40 @@ def test_certified_certificates_pass_numeric_oracle():
         assert best is None or best[0] > 1e-6
 
 
+def _reference_min_abs(h, claimed_lists):
+    """float_min_abs_off_claimed(h, claimed) for each claimed list, as its
+    former loop made it: |f| by MultiPoly.evaluate_complex at every candidate
+    tuple, a tuple skipped when within CLAIMED_POINT_TOL of a claimed point
+    in every coordinate."""
+    names = h.chart.variables
+    candidates = critical_point_candidates(CriticalSystem.of(h))
+    points = [[tuple(complex(GaussianRational.coerce(c)) for c in pt) for pt in claimed] for claimed in claimed_lists]
+    results = [None] * len(claimed_lists)
+    for combo in itertools.product(*(candidates[v] for v in names)):
+        kept = [
+            n for n, pts in enumerate(points)
+            if not any(all(abs(a - b) < singular.CLAIMED_POINT_TOL for a, b in zip(combo, pt)) for pt in pts)
+        ]
+        if not kept:
+            continue
+        value = abs(h.equation.evaluate_complex(dict(zip(names, combo))))
+        for n in kept:
+            if results[n] is None or value < results[n][0]:
+                results[n] = (value, combo)
+    return results
+
+
+def _search_attempts(ks):
+    """The PerturbationParams search_perturbation(k) certifies, in its order."""
+    for k in ks:
+        found, _ = search_perturbation(k)
+        for N in range(k + 1, found.N + 1):
+            for eps in singular.DEFAULT_EPS_CANDIDATES:
+                yield PerturbationParams(k=k, N=N, eps=eps)
+                if (N, eps) == (found.N, found.eps):
+                    break
+
+
 def test_numeric_oracle_matches_evaluate_complex():
     # the oracle evaluates precompiled terms; MultiPoly.evaluate_complex is the reference
     for k, N in ((2, 5), (2, 6)):
@@ -343,6 +377,53 @@ def test_numeric_oracle_matches_evaluate_complex():
             if expected is None or value < expected[0]:
                 expected = (value, combo)
         assert float_min_abs_off_claimed(h, [h.chart.origin()]) == expected
+
+    # every attempt of the k = 1..4 searches, with the origin claimed and with nothing claimed
+    attempts = list(_search_attempts((1, 2, 3, 4)))
+    assert len(attempts) == 22
+    for params in attempts:
+        h = perturbed_equation(params)
+        claimed_lists = ([h.chart.origin()], [])
+        expected = _reference_min_abs(h, claimed_lists)
+        assert [float_min_abs_off_claimed(h, claimed) for claimed in claimed_lists] == expected
+
+    # a term c*x^3*y^2 in two variables, both taking nonzero candidates: x in
+    # {0} and the cube roots of 3/c, y in {0, +-sqrt(-5/(2c))}.  The constant
+    # -15/(2c) makes f vanish at the six tuples off the axes, so |f| there is
+    # rounding error, and any change in the order of float operations shows
+    chart = _chart(("x", "y"))
+    h = Hypersurface(chart, chart.poly("(1/3+2/7*i)*x^3*y^2 + 5/2*x^3 - 3*y^2 + (-441/34+189/17*i)"))
+    candidates = critical_point_candidates(CriticalSystem.of(h))
+    assert (len(candidates["x"]), len(candidates["y"])) == (4, 3)
+    # then each tuple in turn is the only unclaimed one, so every |f| is
+    # compared bit for bit; the claimed point 10^-6 from the origin claims nothing
+    tuples = list(itertools.product(candidates["x"], candidates["y"]))
+    exact = [tuple(GaussianRational(Fraction(z.real), Fraction(z.imag)) for z in t) for t in tuples]
+    near_origin = (Fraction(1, 10 ** 6), 0)
+    claimed_lists = [[], [chart.origin()], [(0, 0), (0, 0)]]
+    claimed_lists += [exact[:n] + exact[n + 1:] + [near_origin] for n in range(len(tuples))]
+    expected = _reference_min_abs(h, claimed_lists)
+    assert [combo for _, combo in expected[3:]] == tuples
+    assert [float_min_abs_off_claimed(h, claimed) for claimed in claimed_lists] == expected
+
+    # a chart with no variables: one empty tuple, at which f is its constant
+    chart = Chart("E", ())
+    h = Hypersurface(chart, chart.poly("3"))
+    claimed_lists = ([], [()])
+    expected = _reference_min_abs(h, claimed_lists)
+    assert [float_min_abs_off_claimed(h, claimed) for claimed in claimed_lists] == expected == [(3.0, ()), None]
+
+    # x = 10^300 is a candidate, and x^2 overflows there although the term
+    # 10^-300/2 * x^2 does not: a typed error while the tuple is unclaimed, as
+    # in the reference, and no error once it is claimed
+    chart = _chart(("x",))
+    h = Hypersurface(chart, chart.poly(f"1/{2 * 10 ** 300}*x^2 - x"))
+    with pytest.raises(OverflowError):
+        _reference_min_abs(h, [[]])
+    for claimed in ([], [chart.origin()]):
+        with pytest.raises(FloatRangeError):
+            float_min_abs_off_claimed(h, claimed)
+    assert float_min_abs_off_claimed(h, [(10 ** 300,)]) == _reference_min_abs(h, [[(10 ** 300,)]])[0] == (0.0, (0j,))
 
 
 def test_candidates_include_branch_roots():
@@ -369,6 +450,24 @@ def test_oracle_coefficient_rounding_to_zero_is_typed_error():
     h = Hypersurface(chart, MultiPoly(chart.variables, {(2, 0): GaussianRational(1), (0, 2): tiny}))
     with pytest.raises(FloatRangeError):
         float_min_abs_off_claimed(h, [])
+
+
+def test_oracle_claimed_coordinate_out_of_float_range_is_typed_error():
+    # complex(10^400) raises a bare OverflowError
+    h = perturbed_equation(PerturbationParams(k=1, N=2, eps=Fraction(1)))
+    with pytest.raises(FloatRangeError):
+        float_min_abs_off_claimed(h, [(10 ** 400, 0, 0, 0)])
+
+
+def test_claimed_point_needs_one_coordinate_per_variable():
+    # a short point used to be read as a prefix by the oracle, and a long one
+    # as its first four coordinates by the certifier
+    h = perturbed_equation(PerturbationParams(k=1, N=2, eps=Fraction(1)))
+    for point in ((0,), (0, 0, 0, 0, 5), ()):
+        with pytest.raises(ValidationError, match="4 coordinates"):
+            certify_singular_locus(h, [point])
+        with pytest.raises(ValidationError, match="4 coordinates"):
+            float_min_abs_off_claimed(h, [h.chart.origin(), point])
 
 
 # ---------------------------------------------------------------- real slice
