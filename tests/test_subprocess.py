@@ -1,4 +1,4 @@
-"""Fresh-interpreter checks: every demo script runs, and the CLI loads no numpy."""
+"""Fresh-interpreter checks: every demo script prints its pinned output, and the CLI loads no numpy."""
 
 import os
 import subprocess
@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMO_GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 def _python(args, cwd):
@@ -28,3 +29,4 @@ def test_cli_import_loads_no_numpy(tmp_path):
 def test_demo_runs(script, tmp_path):
     result = _python([str(script)], tmp_path)
     assert result.returncode == 0, result.stderr
+    assert result.stdout == (DEMO_GOLDEN / f"{script.stem}.txt").read_text(), script.stem
