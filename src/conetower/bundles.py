@@ -24,6 +24,7 @@ from .errors import (
     InternalInconsistencyError,
     NotCocycleError,
     ValidationError,
+    _is_int,
 )
 from .gaussian import _gmul, _trusted_gaussian
 from .laurent import LaurentPoly, _mul_sub, _trusted_laurent, parse_laurent
@@ -226,7 +227,7 @@ def h0_window(T: TransitionMatrix, window: int = 6):
     twists m0-1 .. m0+window-2, where m0 = -d1 is the first twist with a
     section.
     """
-    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
+    if not _is_int(window) or window < 1:
         raise ValidationError(f"window must be a positive integer, got {window!r}")
     _, v = det_valuation(T)
     lo, _ = T.exponent_span()
@@ -265,7 +266,7 @@ def h0_window(T: TransitionMatrix, window: int = 6):
 def local_model_fibers(k: int):
     """Fiber transition of the rank-2 local model: y1 = z^2*x1 + z*x2^k, y2 = x2,
     over the variables (z, x1, x2)."""
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValidationError(f"the local model needs a positive integer, got {k!r}")
     variables = ("z", "x1", "x2")
     z, x1, x2 = (MultiPoly.variable(variables, v) for v in variables)
@@ -301,7 +302,7 @@ def normal_bundle_sequence(k: int):
     Level j reads off the local model with parameter j, giving k-1 copies of
     (0, -2) followed by the final (-1, -1).
     """
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
     out = []
     for j in range(k, 0, -1):

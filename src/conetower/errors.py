@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the int checks behind them."""
 
 
 class ConetowerError(Exception):
@@ -63,3 +63,15 @@ class SearchExhaustedError(ConetowerError, RuntimeError):
     def __init__(self, message: str, attempts=None):
         super().__init__(message)
         self.attempts = attempts or []
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool: ``True`` is no count, depth or seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_seed(seed) -> None:
+    # random.Random seeds from the OS on None and hashes a float or a str,
+    # so only an int seed repeats a run
+    if not _is_int(seed):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import DigitLimitError, InternalInconsistencyError
 
 _RATIONAL_TYPES = (int, Fraction)
+_INEXACT = "floats are inexact; pass int, Fraction, or string"
 
 
 def _exact_str(value) -> str:
@@ -101,7 +102,7 @@ class GaussianRational:
 
     def __init__(self, re=0, im=0):
         if isinstance(re, float) or isinstance(im, float):
-            raise TypeError("floats are inexact; pass int, Fraction, or string")
+            raise TypeError(_INEXACT)
         if type(re) is int and type(im) is int:
             self.pair, self.den = (re, im), 1
             return

@@ -33,6 +33,8 @@ from .errors import (
     InternalInconsistencyError,
     LineNotOnQuadricError,
     ValidationError,
+    _check_seed,
+    _is_int,
 )
 from .gaussian import GaussianRational, I, ONE, ZERO, _gmul, _gneg, _gsub, _trusted_gaussian, _zi_lift
 from .multipoly import MultiPoly
@@ -471,10 +473,11 @@ def _on_boundary_sphere(point: ProjPoint) -> bool:
     return z[1] * z[1] + z[2] * z[2] + z[3] * z[3] == h * h
 
 
-def _check_trials(trials) -> None:
+def _check_sampling(trials, seed) -> None:
     # sampling no line must not read as "nullity 0 on every sampled line"
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
+    _check_seed(seed)
 
 
 def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
@@ -485,7 +488,7 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
     line has an exact real point whose affine representative lies on
     {x1^2+x2^2+x3^2 = 1, x4 = 0}.
     """
-    _check_trials(trials)
+    _check_sampling(trials, seed)
     checks = []
     level0 = tower.level(0)
     chart = level0.chart
@@ -557,7 +560,7 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
 
 def control_cover_certificate(trials: int, seed: int) -> Certificate:
     """Same sampling against the definite quadric: must FAIL with nullity 0."""
-    _check_trials(trials)
+    _check_sampling(trials, seed)
     samples = [
         {"family": family, "index": index, "nullity": nullity}
         for family, index, _, _, nullity in _sampled_lines(CONTROL_QUADRIC, trials, seed)

@@ -30,8 +30,8 @@ from .certificates import (
     Check,
 )
 from .charts import Chart, Hypersurface
-from .errors import FloatRangeError, SearchExhaustedError, ValidationError
-from .gaussian import ONE, GaussianRational, _exact_str, _exact_str_or, _gmul, _gsub, _trusted_gaussian
+from .errors import FloatRangeError, SearchExhaustedError, ValidationError, _check_seed, _is_int
+from .gaussian import _INEXACT, ONE, GaussianRational, _exact_str, _exact_str_or, _gmul, _gsub, _trusted_gaussian
 from .multipoly import (
     MultiPoly,
     _trusted_poly,
@@ -43,6 +43,16 @@ from .multipoly import (
 )
 
 
+def _exact_eps(eps) -> Fraction:
+    """``eps`` as a Fraction: a float is inexact, as for a GaussianRational,
+    and a bool is no number here."""
+    if isinstance(eps, float):
+        raise TypeError(_INEXACT)
+    if isinstance(eps, bool):
+        raise ValidationError(f"eps must be a rational number, got {eps!r}")
+    return Fraction(eps)
+
+
 @dataclass(frozen=True)
 class PerturbationParams:
     """Exponent and size of the higher-order perturbation: N > k, 0 < eps <= 1."""
@@ -52,10 +62,10 @@ class PerturbationParams:
     eps: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", Fraction(self.eps))
-        if not isinstance(self.k, int) or self.k < 1:
+        object.__setattr__(self, "eps", _exact_eps(self.eps))
+        if not _is_int(self.k) or self.k < 1:
             raise ValidationError(f"k must be a positive integer, got {self.k!r}")
-        if not isinstance(self.N, int) or self.N <= self.k:
+        if not _is_int(self.N) or self.N <= self.k:
             raise ValidationError(f"N must be an integer exceeding k={self.k}, got {self.N!r}")
         if not (0 < self.eps <= 1):
             raise ValidationError(f"eps must lie in (0, 1], got {self.eps}")
@@ -637,15 +647,15 @@ DEFAULT_EPS_CANDIDATES = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
 
 def search_perturbation(k: int, n_max: int | None = None, eps_candidates=None):
     """Scan N = k+1..n_max by eps candidates; return the first certified pair."""
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
     if n_max is None:
         n_max = k + 8
-    if n_max <= k:
-        raise ValidationError(f"n_max must exceed k, got {n_max}")
+    if not _is_int(n_max) or n_max <= k:
+        raise ValidationError(f"n_max must be an integer exceeding k, got {n_max!r}")
     if eps_candidates is None:
         eps_candidates = DEFAULT_EPS_CANDIDATES
-    eps_candidates = [Fraction(e) for e in eps_candidates]
+    eps_candidates = [_exact_eps(e) for e in eps_candidates]
     if not eps_candidates:
         raise ValidationError("the eps candidate list must be nonempty")
     attempts = []
@@ -974,7 +984,7 @@ def real_slice_bound(params: PerturbationParams):
 
 def cone_unbounded_witness(k: int, M) -> tuple:
     """An exact point of the unperturbed cone with x4 > 0 and norm exceeding M."""
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
     M = Fraction(M)
     if M <= 0:
@@ -1005,28 +1015,26 @@ def _split_point(k: int, N: int, eps: Fraction) -> Fraction:
     return Fraction(F, 2 ** 16)
 
 
-# 32-bit words read per block by _randint_stream, and the byte maps that
-# turn a word's top byte b into b >> 1, dropping b >= 130 (b >> 1 >= 65)
-_STREAM_WORDS = 256
+# the most 32-bit MT19937 words one block of sample_real_slice reads, and the
+# byte maps that turn a word's top byte b into b >> 1, dropping b >= 130
+_BLOCK_WORDS = 4096
 _HALVED = bytes(b >> 1 for b in range(256))
 _PAST_64 = bytes(range(130, 256))
 
 
-def _randint_stream(rng: random.Random):
-    """Yield the numbers of successive ``rng.randint(-32, 32)`` calls.
+def _randint_block(rng: random.Random, words: int) -> bytes:
+    """The values r + 32 of the ``rng.randint(-32, 32)`` calls that the next
+    ``words`` 32-bit MT19937 words decide, one byte each.
 
     In CPython ``randint(-32, 32)`` is ``-32 + _randbelow(65)``: the top 7
-    bits of the next 32-bit MT19937 word (``getrandbits(7)`` is
-    ``word >> 25``), drawn again while they read 65 or more.  One
-    ``getrandbits(32 * n)`` packs the next n words least significant first,
-    so the top byte of each little-endian 4-byte group, halved, walks the same
-    7-bit values in the same order.  Words left unread in the last block only
-    advance ``rng`` past where the calls would have left it.
+    bits of the next 32-bit word (``getrandbits(7)`` is ``word >> 25``),
+    drawn again while they read 65 or more.  One ``getrandbits(32 * words)``
+    packs the next words least significant first, so the top byte of each
+    little-endian 4-byte group, halved, walks the same 7-bit values in the
+    same order.
     """
-    size = 4 * _STREAM_WORDS
-    while True:
-        block = rng.getrandbits(8 * size).to_bytes(size, "little")
-        yield from map((-32).__add__, block[3::4].translate(_HALVED, _PAST_64))
+    size = 4 * words
+    return rng.getrandbits(8 * size).to_bytes(size, "little")[3::4].translate(_HALVED, _PAST_64)
 
 
 def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict:
@@ -1041,13 +1049,26 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     bound by the exact sign g(R4) > 0, the coordinate bound by |x_j| <= coord.
 
     Each draw x_j = r_j/64 comes from ``random.Random(seed).randint(-32, 32)``
-    (read in blocks by :func:`_randint_stream`) and gives c = C/D for one
-    integer C >= 0.  The sign of g(p/Q) is that of free(p) + C*last with
-    last > 0, so each test is one comparison of C with a threshold computed
-    once per call: keep iff 0 < C <= min(floor(slice_max*D),
+    and gives c = C/D for one integer C >= 0.  The sign of g(p/Q) is that of
+    free(p) + C*last with last > 0, so each test is one comparison of C with a
+    threshold computed once per call: keep iff 0 < C <= min(floor(slice_max*D),
     floor((-free(tau*Q) - 1)/last)); the x4 bound fails iff
     C <= floor(-free(R4*Q)/last); the coordinate bound fails iff some
     |r_j| > floor(64*coord).
+
+    The draws are settled a block at a time.  A block holds the numbers that
+    :func:`_randint_block` reads off min(3*missing + 32, ``_BLOCK_WORDS``)
+    words, ``missing`` being the samples still missing, after the 0-2
+    numbers of a draw the block before left unfinished.  One pass computes every draw's C
+    from a table indexed by r + 32, a second finds the kept draws.  A kept
+    draw counts two roots while more than one sample is missing, so the
+    first ceil(missing/2) kept draws finish the run, the last of them
+    counting only its lower root when missing is odd; ``accepted``,
+    ``draws`` and the least C follow without a per-draw branch.  Only a block
+    whose used draws meet the x4 or the coordinate threshold is walked draw
+    by draw, so violations come in draw order, one per x4 failure and one
+    per counted root for a coordinate failure.  The rng is private to the
+    call, so words read past the last used draw change nothing.
 
     ``max_x4_upper`` is the largest outward-rounded root endpoint, and one
     bisection finds it.  g grows pointwise with c, so the root in (tau, R4)
@@ -1063,8 +1084,9 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     FAIL on a violation, INCONCLUSIVE when ``MAX_DRAWS_PER_SAMPLE * count``
     draws yield fewer than ``count`` samples, and PASS otherwise.
     """
-    if not isinstance(count, int) or count < 1:
+    if not _is_int(count) or count < 1:
         raise ValidationError(f"count must be a positive integer, got {count!r}")
+    _check_seed(seed)
     k, N, eps = params.k, params.N, params.eps
     R4, _, coord, m_hat, _, _ = _slice_bounds(params)
     accepted = 0
@@ -1081,12 +1103,12 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     en, ed = eps.numerator, eps.denominator
     D, square = 64 ** (2 * N) * ed, 64 ** (2 * N - 2) * ed
     lead, middle, last = en * D, ed * D * Q ** (2 * N - 2 * k), ed * Q ** (2 * N)
-    # per-coordinate tables indexed by r itself (a negative r reads from the
-    # end): the part of C that r/64 adds, and whether |r| > floor(64*coord)
-    r_at_index = (*range(33), *range(-32, 0))
-    terms = [square * r * r + en * r ** (2 * N) for r in r_at_index]
+    # the part of C that r/64 adds, indexed by r + 32 (even in r), and the
+    # values r + 32 with |r| > floor(64*coord)
+    half = [square * r * r + en * r ** (2 * N) for r in range(33)]
+    terms = half[:0:-1] + half
     coord_max = 64 * coord.numerator // coord.denominator
-    wide = [abs(r) > coord_max for r in r_at_index]
+    far = {v for v in range(65) if abs(v - 32) > coord_max}
 
     def free(p: int) -> int:
         """The sign numerator of g(p/Q) without its C term."""
@@ -1095,29 +1117,45 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     at_split, at_top = free(split), free(top)
     keep_max = min(m_hat.numerator * D // m_hat.denominator, (-at_split - 1) // last)
     x4_fails_max = -at_top // last
-    stream = _randint_stream(random.Random(seed))
+    rng = random.Random(seed)
+    cap = MAX_DRAWS_PER_SAMPLE * count
     least = None  # the least C of a draw whose upper root counts
     lower = None  # the C of a draw that counts only its lower root
-    for rs in itertools.islice(zip(stream, stream, stream), MAX_DRAWS_PER_SAMPLE * count):
-        draws += 1
-        C = terms[rs[0]] + terms[rs[1]] + terms[rs[2]]
-        if C == 0 or C > keep_max:
+    rest = b""  # the values of a draw the last block left unfinished
+    while accepted < count and draws < cap:
+        missing = count - accepted
+        block = rest + _randint_block(rng, min(3 * missing + 32, _BLOCK_WORDS))
+        n = min(len(block) // 3, cap - draws)
+        rest = block[3 * n :]
+        Cs = [terms[a] + terms[b] + terms[c] for a, b, c in zip(block[0 : 3 * n : 3], block[1 : 3 * n : 3], block[2 : 3 * n : 3])]
+        # a kept draw counts two roots until one sample is missing, so the
+        # first ceil(missing/2) kept draws finish the run
+        need = (missing + 1) // 2
+        used = [i for i, C in enumerate(Cs) if 0 < C <= keep_max][:need]
+        done = len(used) == need
+        draws += used[-1] + 1 if done else n
+        accepted = count if done else accepted + 2 * len(used)
+        if not used:
             continue
+        odd = done and missing % 2  # the last used draw counts only its lower root
+        low = min(map(Cs.__getitem__, used))
         # g(0) = c > 0 and g(tau) < 0; the x4 bound claims g(R4) > 0
-        roots = 2 if count - accepted > 1 else 1
-        if C <= x4_fails_max:
-            violations.append({"x": [str(Fraction(r, 64)) for r in rs], "reason": "x4 bound"})
-        if wide[rs[0]] or wide[rs[1]] or wide[rs[2]]:
-            violations += [
-                {"x": [str(Fraction(r, 64)) for r in rs], "reason": "coordinate bound"} for _ in range(roots)
-            ]
-        if roots == 1:
-            lower = C
-        elif least is None or C < least:
-            least = C
-        accepted += roots
-        if accepted == count:
-            break
+        if low <= x4_fails_max or (
+            far and any(not far.isdisjoint(block[3 * i : 3 * i + 3]) for i in used)
+        ):
+            for i in used:
+                draw = block[3 * i : 3 * i + 3]
+                x = [str(Fraction(v - 32, 64)) for v in draw]
+                if Cs[i] <= x4_fails_max:
+                    violations.append({"x": x, "reason": "x4 bound"})
+                if not far.isdisjoint(draw):
+                    roots = 1 if odd and i == used[-1] else 2
+                    violations += [{"x": x, "reason": "coordinate bound"} for _ in range(roots)]
+        if odd:
+            lower = Cs[used.pop()]
+            low = min(map(Cs.__getitem__, used), default=None)
+        if low is not None:
+            least = low if least is None else min(least, low)
 
     def bisect(a: int, b: int, C: int, g_lo_positive: bool) -> int:
         constant = C * last

@@ -31,7 +31,7 @@ from .blowup import (
 )
 from .certificates import FAIL, PASS, Check
 from .charts import Chart, Hypersurface, SubstitutionMap, compose_maps, first_mismatch
-from .errors import InternalInconsistencyError, ValidationError
+from .errors import InternalInconsistencyError, ValidationError, _is_int
 from .gaussian import I
 
 
@@ -106,7 +106,7 @@ class Tower:
 
 def build_tower(k: int) -> Tower:
     """Construct and fully verify the k-step tower; k >= 1."""
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValidationError(f"tower depth must be a positive integer, got {k!r}")
     checks = []
 

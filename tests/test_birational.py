@@ -432,6 +432,12 @@ def test_tower_rejects_k0():
         build_tower(0)
 
 
+def test_tower_refuses_a_bool_depth():
+    # True once built a tower whose tower/1 document read "k": true
+    with pytest.raises(ValidationError):
+        build_tower(True)
+
+
 def test_tower_squares_commute_k4():
     tower = build_tower(4)
     assert len(tower.squares) == 4

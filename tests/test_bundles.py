@@ -643,3 +643,10 @@ def test_normal_bundle_sequence_k3():
 def test_normal_bundle_sequence_rejects_k0():
     with pytest.raises(ValidationError):
         normal_bundle_sequence(0)
+
+
+def test_local_model_and_normal_bundles_refuse_a_bool_k():
+    with pytest.raises(ValidationError):
+        local_model_fibers(True)
+    with pytest.raises(ValidationError):
+        normal_bundle_sequence(True)

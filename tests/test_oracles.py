@@ -6,6 +6,7 @@ the integer real-slice kernel, GaussianRational references for the Z[i]
 branch chain and for MultiPoly multiply and substitute, and the previous
 Bareiss kernel and Z[i] back-substitution."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -1126,9 +1127,15 @@ def _slice_cases():
                 yield PerturbationParams(k=k, N=N, eps=eps), count, (0, 1, 2, 3)
     yield PerturbationParams(k=1, N=2, eps=Fraction(1, 10 ** 400)), 50, (0,)
     yield PerturbationParams(k=1000, N=1001, eps=Fraction(1)), 2, (0,)
-    # reaches the draw cap after 2 and after 4 samples
+    # reaches the draw cap after 2 and after 4 samples, inside a block
     yield PerturbationParams(k=100, N=101, eps=Fraction(1)), 3, (1,)
     yield PerturbationParams(k=100, N=101, eps=Fraction(1)), 5, (1,)
+    # block boundaries of the sampler: a draw whose numbers straddle two
+    # blocks, the count-th sample on a block's last complete draw, and a
+    # count that spans several blocks of the largest size
+    yield PerturbationParams(k=1, N=2, eps=Fraction(1)), 3, (6, 9, 11, 12)
+    yield PerturbationParams(k=1, N=2, eps=Fraction(1)), 1, (11, 37)
+    yield PerturbationParams(k=1, N=2, eps=Fraction(1)), 5000, (0,)
 
 
 def test_real_slice_kernel_matches_fraction_reference():
@@ -1141,6 +1148,65 @@ def test_real_slice_kernel_matches_fraction_reference():
             assert ours == _reference_sample(params, count, seed, bounds), (params, seed)
             capped += 0 < ours["accepted"] < count
     assert capped == 2
+
+
+def _block_situations(params, count, seed, monkeypatch):
+    """Which block boundaries one sampler run meets, read off the sizes and
+    the lengths of the blocks it reads."""
+    sizes, lengths = [], []
+
+    def spy(rng, words):
+        block = randint_block(rng, words)
+        sizes.append(words)
+        lengths.append(len(block))
+        return block
+
+    randint_block = singular._randint_block
+    monkeypatch.setattr(singular, "_randint_block", spy)
+    summary = sample_real_slice(params, count=count, seed=seed)
+    monkeypatch.setattr(singular, "_randint_block", randint_block)
+    read = list(itertools.accumulate(lengths))
+    cap = singular.MAX_DRAWS_PER_SAMPLE * count
+    found = set()
+    if any(values % 3 for values in read[:-1]):
+        found.add("a draw straddles two blocks")
+    if summary["accepted"] == count and summary["draws"] == read[-1] // 3:
+        found.add("the last sample on a block's last complete draw")
+    if summary["draws"] == cap < read[-1] // 3:
+        found.add("the cap inside a block")
+    if sizes.count(singular._BLOCK_WORDS) >= 3:
+        found.add("several blocks of the largest size")
+    return found
+
+
+def test_slice_cases_meet_every_block_boundary(monkeypatch):
+    found = set()
+    for params, count, seeds in _slice_cases():
+        for seed in seeds:
+            found |= _block_situations(params, count, seed, monkeypatch)
+    assert found == {
+        "a draw straddles two blocks",
+        "the last sample on a block's last complete draw",
+        "the cap inside a block",
+        "several blocks of the largest size",
+    }
+
+
+@pytest.mark.parametrize("words", [1, 2, 7])
+def test_real_slice_blocks_of_any_size_match_the_fraction_reference(words, monkeypatch):
+    # blocks of one word hold at most one number, so nearly every draw
+    # straddles a boundary; the result must not depend on where blocks end
+    monkeypatch.setattr(singular, "_BLOCK_WORDS", words)
+    cases = [
+        (PerturbationParams(k=1, N=2, eps=Fraction(1)), 1, (0, 11)),
+        (PerturbationParams(k=2, N=4, eps=Fraction(1, 3)), 7, (0, 1)),
+        (PerturbationParams(k=3, N=5, eps=Fraction(1, 4)), 40, (2,)),
+        (PerturbationParams(k=100, N=101, eps=Fraction(1)), 3, (1,)),
+    ]
+    for params, count, seeds in cases:
+        bounds = _reference_slice_bounds(params)
+        for seed in seeds:
+            assert sample_real_slice(params, count=count, seed=seed) == _reference_sample(params, count, seed, bounds)
 
 
 def test_slice_upper_root_endpoint_never_rises_with_c():
@@ -1220,6 +1286,24 @@ def test_real_slice_thresholds_decide_exact_ties_as_the_signs_do(monkeypatch):
         if first == "x4 bound":
             assert summary["violations"][0] == {"x": [str(x) for x in xs], "reason": "x4 bound"}
 
+def test_real_slice_tie_at_the_x4_threshold_alone_in_its_block_is_a_violation(monkeypatch):
+    # as above, the first draw of seed 0 meets g(R4) = 0 at R4 = 1; with one or
+    # two samples it is the only used draw of its block, so the block-level
+    # test alone must send it to the violation walk
+    rng = random.Random(0)
+    xs = [Fraction(rng.randint(-32, 32), 64) for _ in range(3)]
+    eps = (1 - sum(x * x for x in xs)) / (1 + sum(x ** 4 for x in xs))
+    params = PerturbationParams(k=1, N=2, eps=eps)
+    R4, *rest = singular._slice_bounds(params)
+    bounds = (Fraction(1), *rest)
+    monkeypatch.setattr(singular, "_slice_bounds", lambda _: bounds)
+    for count in (1, 2):
+        summary = sample_real_slice(params, count=count, seed=0)
+        assert summary["draws"] == 1
+        assert summary["violations"] == [{"x": [str(x) for x in xs], "reason": "x4 bound"}]
+        assert summary == _reference_sample(params, count, 0, bounds)
+
+
 def test_slice_bounds_grid_maximum_matches_fraction_reference():
     # most of these sets have no rational critical point, so the grid maximum decides m_hat
     epsilons = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 7), Fraction(1, 16), Fraction(999, 1000)]
@@ -1280,15 +1364,15 @@ def test_first_maximum_matches_the_full_scan_on_ties():
         assert singular._first_maximum(cell, steps) == max(range(steps), key=cell), (k, N, rise, fall, steps)
 
 
-def test_randint_stream_is_the_randint_sequence():
-    # each block yields at most _STREAM_WORDS numbers, so 3 * _STREAM_WORDS of
-    # them span at least three blocks
-    n = 3 * singular._STREAM_WORDS
+def test_randint_block_is_the_randint_sequence():
+    # blocks of several sizes, the largest one a sampler reads among them,
+    # read back to back walk the randint sequence with no value lost or repeated
+    sizes = (1, 5, 64, singular._BLOCK_WORDS, 3)
     for seed in range(200):
         rng = random.Random(seed)
-        expected = [rng.randint(-32, 32) for _ in range(n)]
-        stream = singular._randint_stream(random.Random(seed))
-        assert [next(stream) for _ in range(n)] == expected, seed
+        values = b"".join(singular._randint_block(rng, words) for words in sizes)
+        rng = random.Random(seed)
+        assert list(values) == [rng.randint(-32, 32) + 32 for _ in values], seed
 
 # ---------------------------------------------------------------- branch chain in GaussianRationals
 #

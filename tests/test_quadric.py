@@ -356,6 +356,15 @@ def test_cover_certificates_reject_non_positive_trials(trials):
         verify_boundary_cover(build_tower(1), trials=trials, seed=0)
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, "0", True])
+def test_cover_certificates_need_an_int_seed(seed):
+    # None would seed from the OS, so two identical calls sampled different lines
+    with pytest.raises(ValidationError, match="seed"):
+        control_cover_certificate(trials=2, seed=seed)
+    with pytest.raises(ValidationError, match="seed"):
+        verify_boundary_cover(build_tower(1), trials=2, seed=seed)
+
+
 def test_ruling_param_validation():
     with pytest.raises(ValidationError):
         RulingParam("C", ONE, ONE)

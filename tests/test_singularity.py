@@ -202,6 +202,22 @@ def test_perturbation_rejects_n_not_exceeding_k():
         PerturbationParams(k=2, N=3, eps=Fraction(3, 2))
 
 
+@pytest.mark.parametrize("k, N, eps", [(True, 2, 1), (1, True, 1), (1, 2, True)])
+def test_perturbation_refuses_bools_for_numbers(k, N, eps):
+    # True is an int to isinstance, and once printed as "k": true
+    with pytest.raises(ValidationError):
+        PerturbationParams(k=k, N=N, eps=eps)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+def test_perturbation_eps_refuses_floats_as_inexact(eps):
+    # 0.1 once became 3602879701896397/36028797018963968; a GaussianRational refuses it alike
+    with pytest.raises(TypeError, match="floats are inexact"):
+        PerturbationParams(k=1, N=2, eps=eps)
+    with pytest.raises(TypeError, match="floats are inexact"):
+        search_perturbation(1, eps_candidates=[Fraction(1), eps])
+
+
 def test_perturbation_k2_n3_is_genuinely_singular():
     # For odd N the hypersurface has off-origin singular points (antipodal
     # pairs of roots), so the certifier must FAIL; the numeric oracle confirms
@@ -243,6 +259,23 @@ def test_search_k2_finds_certified_pair():
 def test_search_rejects_empty_eps():
     with pytest.raises(ValidationError):
         search_perturbation(1, eps_candidates=[])
+
+
+@pytest.mark.parametrize("k, n_max, eps_candidates", [
+    (True, None, None),
+    (1, 2.5, None),  # a bare TypeError from range once
+    (1, True, None),
+    (1, "3", None),
+    (1, None, [True]),
+])
+def test_search_refuses_non_int_sizes_and_bool_eps(k, n_max, eps_candidates):
+    with pytest.raises(ValidationError):
+        search_perturbation(k, n_max=n_max, eps_candidates=eps_candidates)
+
+
+def test_cone_unbounded_witness_refuses_a_bool_exponent():
+    with pytest.raises(ValidationError):
+        cone_unbounded_witness(True, Fraction(9))
 
 
 def test_search_exhaustion_reports_attempts():
@@ -549,9 +582,16 @@ def test_real_slice_sampling_probe():
 
 def test_real_slice_sampling_needs_a_positive_integer_count():
     params = PerturbationParams(k=1, N=2, eps=Fraction(1))
-    for count in (0, -5, 2.5, "3", None):
+    for count in (0, -5, 2.5, "3", None, True):
         with pytest.raises(ValidationError):
             sample_real_slice(params, count=count, seed=0)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "3", True])
+def test_real_slice_sampling_needs_an_int_seed(seed):
+    # None would seed from the OS and a float or a str is hashed: no such run repeats
+    with pytest.raises(ValidationError, match="seed"):
+        sample_real_slice(PerturbationParams(k=1, N=2, eps=Fraction(1)), count=5, seed=seed)
 
 def test_real_slice_sampling_tiny_eps_is_exact_and_fast():
     # the split point of the x4 range once went through a float and overflowed here
