@@ -1059,16 +1059,17 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     The draws are settled a block at a time.  A block holds the numbers that
     :func:`_randint_block` reads off min(3*missing + 32, ``_BLOCK_WORDS``)
     words, ``missing`` being the samples still missing, after the 0-2
-    numbers of a draw the block before left unfinished.  One pass computes every draw's C
-    from a table indexed by r + 32, a second finds the kept draws.  A kept
-    draw counts two roots while more than one sample is missing, so the
-    first ceil(missing/2) kept draws finish the run, the last of them
-    counting only its lower root when missing is odd; ``accepted``,
-    ``draws`` and the least C follow without a per-draw branch.  Only a block
-    whose used draws meet the x4 or the coordinate threshold is walked draw
-    by draw, so violations come in draw order, one per x4 failure and one
-    per counted root for a coordinate failure.  The rng is private to the
-    call, so words read past the last used draw change nothing.
+    numbers of a draw the block before left unfinished.  One pass computes
+    every draw's C from a table indexed by r + 32, a second finds the kept
+    draws.  A kept draw counts two roots while more than one sample is
+    missing, so the first ceil(missing/2) kept draws finish the run, the
+    last of them counting only its lower root when missing is odd;
+    ``accepted``, ``draws`` and the least C follow without a per-draw
+    branch.  Only a block whose used draws meet the x4 or the coordinate
+    threshold is walked draw by draw, so violations come in draw order, one
+    per x4 failure and one per counted root for a coordinate failure.  The
+    rng is private to the call, so words read past the last used draw change
+    nothing.
 
     ``max_x4_upper`` is the largest outward-rounded root endpoint, and one
     bisection finds it.  g grows pointwise with c, so the root in (tau, R4)
@@ -1127,7 +1128,8 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
         block = rest + _randint_block(rng, min(3 * missing + 32, _BLOCK_WORDS))
         n = min(len(block) // 3, cap - draws)
         rest = block[3 * n :]
-        Cs = [terms[a] + terms[b] + terms[c] for a, b, c in zip(block[0 : 3 * n : 3], block[1 : 3 * n : 3], block[2 : 3 * n : 3])]
+        firsts, seconds, thirds = block[0 : 3 * n : 3], block[1 : 3 * n : 3], block[2 : 3 * n : 3]
+        Cs = [terms[a] + terms[b] + terms[c] for a, b, c in zip(firsts, seconds, thirds)]
         # a kept draw counts two roots until one sample is missing, so the
         # first ceil(missing/2) kept draws finish the run
         need = (missing + 1) // 2
