@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import DigitLimitError, InternalInconsistencyError
+from .errors import DigitLimitError, InternalInconsistencyError, _is_int
 
 _RATIONAL_TYPES = (int, Fraction)
 _INEXACT = "floats are inexact; pass int, Fraction, or string"
@@ -168,7 +168,7 @@ class GaussianRational:
         return _trusted_gaussian(*_gneg(self.pair), self.den)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
+        if not _is_int(exponent):
             return NotImplemented
         if exponent < 0:
             return (ONE / self) ** (-exponent)

@@ -30,7 +30,7 @@ from operator import add as _add, mul as _mul, sub as _sub
 from typing import Iterable, Mapping
 
 from .errors import (
-    InternalInconsistencyError, ParseError, ValidationError, VariableMismatchError, ZeroInputError,
+    InternalInconsistencyError, ParseError, ValidationError, VariableMismatchError, ZeroInputError, _is_int,
 )
 from .gaussian import (
     _RATIONAL_TYPES, GaussianRational, I, ONE, ZERO,
@@ -160,7 +160,7 @@ class MultiPoly:
         return _trusted_poly(self.variables, product, self.den * other.den)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
         result = _trusted_poly(self.variables, {(0,) * len(self.variables): (1, 0)}, 1)
         base = self
@@ -195,12 +195,8 @@ class MultiPoly:
         return max(sum(e) for e in self.zterms)
 
     def variables_used(self) -> tuple:
-        used = [False] * len(self.variables)
-        for exps in self.zterms:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.variables, used) if u)
+        # zip(*zterms) gives each variable's column of exponents
+        return tuple(v for v, column in zip(self.variables, zip(*self.zterms)) if any(column))
 
     def _var_index(self, var: str) -> int:
         try:

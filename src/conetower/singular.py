@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 
 from .certificates import (
     CERTIFIED,
@@ -43,14 +44,14 @@ from .multipoly import (
 )
 
 
-def _exact_eps(eps) -> Fraction:
-    """``eps`` as a Fraction: a float is inexact, as for a GaussianRational,
+def _exact_rational(value, name: str) -> Fraction:
+    """``value`` as a Fraction: a float is inexact, as for a GaussianRational,
     and a bool is no number here."""
-    if isinstance(eps, float):
+    if isinstance(value, float):
         raise TypeError(_INEXACT)
-    if isinstance(eps, bool):
-        raise ValidationError(f"eps must be a rational number, got {eps!r}")
-    return Fraction(eps)
+    if isinstance(value, bool):
+        raise ValidationError(f"{name} must be a rational number, got {value!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class PerturbationParams:
     eps: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _exact_eps(self.eps))
+        object.__setattr__(self, "eps", _exact_rational(self.eps, "eps"))
         if not _is_int(self.k) or self.k < 1:
             raise ValidationError(f"k must be a positive integer, got {self.k!r}")
         if not _is_int(self.N) or self.N <= self.k:
@@ -147,26 +148,24 @@ def _monomial_univariate_split(partial: MultiPoly):
     return None
 
 
-def _reduce_var(f: MultiPoly, var: str, modulus: MultiPoly) -> MultiPoly:
-    """Reduce powers of ``var`` in ``f`` modulo ``modulus``, a polynomial over
-    f's variables in ``var`` alone.
+def _residue_table(modulus: MultiPoly, idx: int, max_e: int) -> tuple:
+    """The residues of var^e modulo ``modulus`` for e <= max_e, var the
+    variable at exponent position ``idx`` and ``modulus`` a polynomial in it
+    alone, as ``(idx, residues, divisor)``.  residues[e] lists the terms
+    (d, c) of the residue times ``divisor``, or is the int ``divisor`` itself
+    when e < deg(modulus) and the residue is var^e.
 
     Over Z[i] the modulus reads (A * var^deg_m + sum a_d var^d) / den, its
     ``zterms``, so var^deg_m = -(1/dm) * sum conj(A) * a_d var^d with
     dm = |A|^2.  The residue of var^e is reps[e] / dm^(e - deg_m + 1) for
-    e >= deg_m, and every term is brought to the common divisor
-    f.den * dm^(max_e - deg_m + 1).
+    e >= deg_m, and the divisor is dm^(max_e - deg_m + 1) (1 when
+    max_e < deg_m: every residue is var^e).
     """
-    idx = f.variables.index(var)
-    deg_m = modulus.degree_in(var)
-    max_e = f.degree_in(var)
-    if max_e < deg_m:
-        return f
     nonzero = sorted((e[idx], c) for e, c in modulus.zterms.items())
-    A = nonzero.pop()[1]
+    deg_m, A = nonzero.pop()
     dm = A[0] * A[0] + A[1] * A[1]
     low = [(d, _gmul((A[0], -A[1]), a)) for d, a in nonzero]
-    reps = [{e: (1, 0)} for e in range(deg_m)]
+    reps = [{e: (1, 0)} for e in range(min(deg_m, max_e + 1))]
     for e in range(deg_m, max_e + 1):
         shifted = {}
         for d, c in reps[e - 1].items():
@@ -177,18 +176,55 @@ def _reduce_var(f: MultiPoly, var: str, modulus: MultiPoly) -> MultiPoly:
                 old = shifted.get(d + 1, (0, 0))
                 shifted[d + 1] = (old[0] + dm * c[0], old[1] + dm * c[1])
         reps.append(shifted)
-    top = max_e - deg_m + 1
-    lifts = [dm ** (top - max(e - deg_m + 1, 0)) for e in range(max_e + 1)]
+    top = max(max_e - deg_m + 1, 0)
+    residues: list = [dm ** top] * deg_m
+    for e in range(deg_m, max_e + 1):
+        lift = dm ** (max_e - e)
+        residues.append([(d, (re * lift, im * lift)) for d, (re, im) in reps[e].items()])
+    return idx, residues[:max_e + 1], dm ** top
+
+
+def _reduce_terms(f: MultiPoly, zeros: tuple, tables: list) -> MultiPoly:
+    """One pass over the terms of ``f``: a term holding a variable at a
+    position in ``zeros`` drops out, and each ``_residue_table`` of
+    ``tables``, on distinct positions none of them in ``zeros``, replaces its
+    variable's power by its residue.  The divisor is f.den times the tables'.
+    """
+    divisor = f.den
+    for table in tables:
+        divisor *= table[2]
     out: dict = {}
     for exps, (re, im) in f.zterms.items():
-        e = exps[idx]
-        coeff = (re * lifts[e], im * lifts[e])
-        for d, c in reps[e].items():
-            key = exps[:idx] + (d,) + exps[idx + 1:]
-            old = out.get(key, (0, 0))
-            x, y = _gmul(coeff, c)
-            out[key] = (old[0] + x, old[1] + y)
-    return _trusted_poly(f.variables, out, f.den * dm ** top)
+        if any(exps[i] for i in zeros):
+            continue
+        lift = 1
+        terms = [(exps, (re, im))]
+        for idx, residues, _ in tables:
+            residue = residues[exps[idx]]
+            if type(residue) is int:
+                lift *= residue
+            else:
+                terms = [
+                    (key[:idx] + (d,) + key[idx + 1:], (x * a - y * b, x * b + y * a))
+                    for key, (x, y) in terms
+                    for d, (a, b) in residue
+                ]
+        for key, (x, y) in terms:
+            x, y = x * lift, y * lift
+            old = out.get(key)
+            out[key] = (x, y) if old is None else (old[0] + x, old[1] + y)
+    return _trusted_poly(f.variables, out, divisor)
+
+
+def _reduce_var(f: MultiPoly, var: str, modulus: MultiPoly) -> MultiPoly:
+    """Reduce powers of ``var`` in ``f`` modulo ``modulus``, a polynomial over
+    f's variables in ``var`` alone: ``f`` itself when its degree in ``var``
+    is below the modulus's, else the one-table case of ``_reduce_terms``."""
+    idx = f.variables.index(var)
+    max_e = f.degree_in(var)
+    if max_e < modulus.degree_in(var):
+        return f
+    return _reduce_terms(f, (), [_residue_table(modulus, idx, max_e)])
 
 
 def _monic_gcd(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly | None:
@@ -379,6 +415,70 @@ def _multiplication_determinant(expr: MultiPoly, var: str, L: int, p: tuple, q: 
     return _trusted_poly(expr.variables, a, divisor)
 
 
+class _BranchPlan:
+    """The work the branches of one ``certify_singular_locus`` call share.
+
+    ``reduce`` brings the equation to a branch in one ``_reduce_terms``
+    pass, from each root factor's ``_residue_table`` up to the equation's
+    degree in its variable, built once per factor.
+
+    ``root_product`` remembers each chain step up to renaming.  A renaming
+    of variables that keeps their order commutes with ``_root_product``, so
+    a step is keyed by the polynomial projected, in order, onto the
+    variables it uses, the position of the eliminated variable among them,
+    its den and the factor's coefficients in that variable; a step seen
+    before rebuilds its core over the branch's own variables.
+    """
+
+    __slots__ = ("equation", "tables", "steps")
+
+    def __init__(self, equation: MultiPoly):
+        self.equation = equation
+        self.tables: dict = {}
+        self.steps: dict = {}
+
+    def reduce(self, zeros, roots: dict) -> MultiPoly:
+        eq = self.equation
+        tables = []
+        for var, modulus in roots.items():
+            table = self.tables.get((var, modulus))
+            if table is None:
+                table = _residue_table(modulus, eq.variables.index(var), eq.degree_in(var))
+                self.tables[var, modulus] = table
+            tables.append(table)
+        return _reduce_terms(eq, tuple(eq.variables.index(v) for v in zeros), tables)
+
+    def root_product(self, expr: MultiPoly, used: tuple, var: str, modulus: MultiPoly) -> tuple:
+        """``_root_product(expr, var, modulus)``, ``used`` the variables expr uses."""
+        variables = expr.variables
+        positions = [i for i, v in enumerate(variables) if v in used]
+        idx = variables.index(var)
+        pos = positions.index(idx)
+        take = itemgetter(*positions) if len(positions) > 1 else lambda e: (e[idx],)
+        projected = {take(e): c for e, c in expr.zterms.items()}
+        factor = tuple(sorted((e[idx], c) for e, c in modulus.zterms.items()))
+        key = (frozenset(projected.items()), expr.den, pos, factor, modulus.den)
+        step = self.steps.get(key)
+        if step is None:
+            unit = [0] * len(used)
+            lone = {}
+            for d, c in factor:
+                unit[pos] = d
+                lone[tuple(unit)] = c
+            core, power, method = _root_product(
+                _trusted_poly(used, projected, expr.den), var, _trusted_poly(used, lone, modulus.den)
+            )
+            step = self.steps[key] = (core.zterms, core.den, power, method)
+        zterms, den, power, method = step
+        full = [0] * len(variables)
+        embedded = {}
+        for e, c in zterms.items():
+            for i, x in zip(positions, e):
+                full[i] = x
+            embedded[tuple(full)] = c
+        return _trusted_poly(variables, embedded, den), power, method
+
+
 def _claims_all_zero(claimed) -> bool:
     return all(all(not GaussianRational.coerce(c) for c in pt) for pt in claimed)
 
@@ -469,11 +569,12 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
     claims_zero_only = _claims_all_zero(claimed)
     # each option is described once and copied into every branch that takes it
     described = [[(opt, opt.describe()) for opt in options] for options in disjunctions]
+    plan = _BranchPlan(h.equation)
     branches = []
     for pairs in itertools.product(*described):
         selection = [opt for opt, _ in pairs]
         record = {"constraints": [dict(doc) for _, doc in pairs]}
-        record["verdict"] = _branch_verdict(record, h, chart, selection, claimed, claims_zero_only)
+        record["verdict"] = _branch_verdict(record, plan, chart, selection, claimed, claims_zero_only)
         branches.append(record)
     verdicts = [branch["verdict"] for branch in branches]
     # one precedence for the branches check and the overall status
@@ -523,7 +624,7 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
     )
 
 
-def _branch_verdict(record, h, chart, selection, claimed, claims_zero_only) -> str:
+def _branch_verdict(record, plan, chart, selection, claimed, claims_zero_only) -> str:
     """Decide one branch, writing its outcome into ``record``.
 
     Returns "refuted", "accounted", "fail" or "inconclusive".
@@ -555,9 +656,7 @@ def _branch_verdict(record, h, chart, selection, claimed, claims_zero_only) -> s
         record["outcome"] = {"type": "contradiction", "detail": contradiction}
         return "refuted"
 
-    reduced = h.equation.set_variables({v: 0 for v in zeros})
-    for var, modulus in roots.items():
-        reduced = _reduce_var(reduced, var, modulus)
+    reduced = plan.reduce(zeros, roots)
     record["reduced"] = str(reduced)
 
     constrained = zeros | set(roots)
@@ -592,9 +691,10 @@ def _branch_verdict(record, h, chart, selection, claimed, claims_zero_only) -> s
     for var in chart.variables:
         if var not in roots:
             continue
-        if var not in current.variables_used():
+        used = current.variables_used()
+        if var not in used:
             continue
-        core, power, method = _root_product(current, var, roots[var])
+        core, power, method = plan.root_product(current, used, var, roots[var])
         exponent *= power
         chain.append({"variable": var, "method": method, "exponent": power, "value": str(core)})
         current = core
@@ -655,7 +755,7 @@ def search_perturbation(k: int, n_max: int | None = None, eps_candidates=None):
         raise ValidationError(f"n_max must be an integer exceeding k, got {n_max!r}")
     if eps_candidates is None:
         eps_candidates = DEFAULT_EPS_CANDIDATES
-    eps_candidates = [_exact_eps(e) for e in eps_candidates]
+    eps_candidates = [_exact_rational(e, "eps") for e in eps_candidates]
     if not eps_candidates:
         raise ValidationError("the eps candidate list must be nonempty")
     attempts = []
@@ -986,7 +1086,7 @@ def cone_unbounded_witness(k: int, M) -> tuple:
     """An exact point of the unperturbed cone with x4 > 0 and norm exceeding M."""
     if not _is_int(k) or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
-    M = Fraction(M)
+    M = _exact_rational(M, "M")
     if M <= 0:
         raise ValidationError(f"M must be positive, got {M}")
     t = Fraction(math.floor(M) + 1)

@@ -57,6 +57,20 @@ def test_gaussian_rejects_floats():
         GaussianRational(0.5)
 
 
+@pytest.mark.parametrize("exponent", [True, False, 2.0])
+def test_gaussian_power_refuses_a_bool_exponent_as_it_does_a_non_int(exponent):
+    # x ** True was once x, and x ** False was 1
+    with pytest.raises(TypeError, match="unsupported operand"):
+        GaussianRational(2, 1) ** exponent
+
+
+@pytest.mark.parametrize("exponent", [True, False, 2.0])
+def test_multipoly_power_refuses_a_bool_exponent_as_it_does_a_non_int(exponent):
+    x = MultiPoly.variable(("x",), "x")
+    with pytest.raises(ValueError, match="polynomial exponent must be a non-negative integer"):
+        (x + MultiPoly.constant(("x",), 1)) ** exponent
+
+
 def test_real_gaussian_rationals_hash_as_the_ints_and_fractions_they_equal():
     # equal values are one set element and one dict key, whichever type each is
     for value in (0, 2, -7, 10 ** 30, Fraction(1, 2), Fraction(-9, 4), Fraction(10 ** 30, 7)):

@@ -31,6 +31,9 @@ COMMANDS = [
     ("certify_k2", ["certify", "--k", "2"], 0),
     ("perturb_k1_N2_eps1", ["perturb", "--k", "1", "--N", "2", "--eps", "1"], 0),
     ("perturb_k2_N3_eps1", ["perturb", "--k", "2", "--N", "3", "--eps", "1"], 1),
+    # the first certified pair of the k = 2 search: most of its branches are
+    # renamed copies of others under z1 <-> z2 <-> z3
+    ("perturb_k2_N6_eps1", ["perturb", "--k", "2", "--N", "6", "--eps", "1"], 0),
     # eps = 1/4: chain values with denominators
     ("perturb_k3_N5_eps1_4", ["perturb", "--k", "3", "--N", "5", "--eps", "1/4"], 1),
     # product determinants over var^L = v with L = 6, 5 and 3

@@ -41,6 +41,7 @@ from conetower.multipoly import (  # noqa: E402
     substitute,
 )
 from conetower import quadric, singular  # noqa: E402
+from branch_reference import with_reference_plan  # noqa: E402
 from fraction_pair_reference import FractionPairGaussian  # noqa: E402
 from conetower.singular import (  # noqa: E402
     CriticalSystem,
@@ -1988,3 +1989,40 @@ def test_nullspace_matches_previous_back_substitution_on_deficient_and_zero_rows
         assert _assert_same_nullspace([[(0, 0)] * cols for _ in range(rows)], cols) == 0
     assert _assert_same_nullspace([], 3) == 0
     assert len(nullities) >= 4
+
+
+# ---------------------------------------------------------------- the branch plan
+
+
+@st.composite
+def separable_equations(draw):
+    """(a sum of univariate parts over 2 to 4 variables, the same parts
+    given to the variables in a drawn order).  The parts come from a pool of
+    at most three, so that some variables often share one, as z1, z2 and z3
+    share theirs in the perturbation."""
+    names = ("a", "b", "c", "d")[:draw(st.integers(2, 4))]
+    part = st.lists(st.tuples(st.integers(2, 4), coefficients.filter(bool)),
+                    min_size=1, max_size=3, unique_by=lambda term: term[0])
+    pool = draw(st.lists(part, min_size=1, max_size=3))
+    parts = [draw(st.sampled_from(pool)) for _ in names]
+    order = draw(st.permutations(range(len(names))))
+    equations = []
+    for positions in (range(len(names)), order):
+        terms = {}
+        for position, part in zip(positions, parts):
+            for e, c in part:
+                terms[tuple(e if i == position else 0 for i in range(len(names)))] = c
+        equations.append(Hypersurface(Chart("separable", names), MultiPoly(names, terms)))
+    return equations
+
+
+@EXAMPLES
+@given(separable_equations())
+def test_branch_plan_matches_the_reference_on_separable_equations(equations):
+    # every branch of a separable equation has its root factors on distinct
+    # variables; the branches of variables that share a part share chain steps
+    for h in equations:
+        claimed = [h.chart.origin()]
+        ours = singular.certify_singular_locus(h, claimed).to_json()
+        assert ours == with_reference_plan(lambda: singular.certify_singular_locus(h, claimed).to_json())
+

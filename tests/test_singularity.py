@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from branch_reference import with_reference_plan
 from conetower import singular
 from conetower.certificates import CERTIFIED, FAIL, INCONCLUSIVE, ONLY_SINGULAR_AT, SMOOTH
 from conetower.charts import Chart, Hypersurface
@@ -14,6 +15,7 @@ from conetower.errors import FloatRangeError, SearchExhaustedError, ValidationEr
 from conetower.gaussian import GaussianRational
 from conetower.multipoly import MultiPoly, resultant
 from conetower.singular import (
+    DEFAULT_EPS_CANDIDATES,
     MAX_DRAWS_PER_SAMPLE,
     CriticalSystem,
     PerturbationParams,
@@ -163,7 +165,11 @@ def test_branch_chain_makes_no_gaussian_rational_division(monkeypatch):
     monkeypatch.setattr(GaussianRational, "__truediv__", no_division)
     monkeypatch.setattr(GaussianRational, "__rtruediv__", no_division)
     calls = dict.fromkeys(
-        ("_closed_form_root_product", "_multiplication_determinant", "resultant", "_monic_gcd", "_reduce_var"), 0
+        (
+            "_closed_form_root_product", "_multiplication_determinant", "resultant", "_monic_gcd", "_reduce_var",
+            "_reduce_terms",
+        ),
+        0,
     )
     for name in calls:
         def counted(*args, _inner=getattr(singular, name), _name=name):
@@ -172,6 +178,95 @@ def test_branch_chain_makes_no_gaussian_rational_division(monkeypatch):
         monkeypatch.setattr(singular, name, counted)
     assert certificates() == expected
     assert all(calls.values()), calls
+
+
+# ---------------------------------------------------------------- the branch plan
+#
+# One plan per certificate shares residue tables and chain steps between its
+# branches; ``branch_reference.ReferencePlan`` decides each branch alone.
+
+# the perturbation inputs of the golden commands
+GOLDEN_PERTURBATIONS = [
+    (1, 2, 1), (2, 3, 1), (2, 6, 1), (3, 5, Fraction(1, 4)), (2, 7, Fraction(1, 2)), (3, 9, 1), (2, 10, 1),
+]
+
+# (equation in x, y, z; the root variables of two branches) whose first
+# chain steps have one shape, which a step key must still tell apart
+LOOKALIKE_BRANCHES = [
+    # both reduce to 3/5*u^2, over the factors 5*x^3 + 2 and 10*y^3 + 2
+    ("x^2 + x^5 + y^2 + 2*y^5 + z^2", ("x",), ("y",)),
+    # 3/5*x^2 + 3/2*y and 3/2*y + 3/5*z^2, each over the factor 5*u^3 + 2 of
+    # its first variable: the same terms with the variables' order swapped
+    ("x^2 + x^5 + 2*y + 5/4*y^4 + z^2 + z^5", ("x", "y"), ("y", "z")),
+]
+
+
+def _both_ways(run):
+    return run(), with_reference_plan(run)
+
+
+@pytest.mark.parametrize("k, N, eps", GOLDEN_PERTURBATIONS)
+def test_branch_plan_matches_the_reference_on_the_golden_perturbations(k, N, eps):
+    params = PerturbationParams(k, N, Fraction(eps))
+    ours, reference = _both_ways(lambda: certify_perturbation(params).to_json())
+    assert ours == reference
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_branch_plan_matches_the_reference_on_the_search_attempts(k):
+    found, _ = search_perturbation(k)
+    attempts = [PerturbationParams(k, N, eps) for N in range(k + 1, found.N + 1) for eps in DEFAULT_EPS_CANDIDATES]
+    for params in attempts[:attempts.index(found) + 1]:
+        ours, reference = _both_ways(lambda: certify_perturbation(params).to_json())
+        assert ours == reference, params
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_branch_plan_matches_the_reference_on_the_tower_certificates(k):
+    # the singular loci the certify subcommand decides
+    tower = build_tower(k)
+    top = tower.level(k)
+    cases = [(top.hypersurface, [top.chart.origin()]), (tower.level(0).hypersurface, [])]
+    cases += [(h, []) for h, _ in top.off_chart_transforms]
+    for h, claimed in cases:
+        ours, reference = _both_ways(lambda: certify_singular_locus(h, claimed).to_json())
+        assert ours == reference, h.chart.id
+
+
+@pytest.mark.parametrize("text", [text for text, _, _ in PLANE_CURVES + LOOKALIKE_BRANCHES])
+def test_branch_plan_matches_the_reference_on_merges_sylvester_and_lookalike_steps(text):
+    chart = _chart(("x", "y", "z") if "z" in text else ("x", "y"))
+    h = Hypersurface(chart, chart.poly(text))
+    ours, reference = _both_ways(lambda: certify_singular_locus(h, []).to_json())
+    assert ours == reference
+
+
+@pytest.mark.parametrize("text, roots_a, roots_b", LOOKALIKE_BRANCHES)
+def test_lookalike_steps_have_different_values(text, roots_a, roots_b):
+    # a key that conflated the two steps would print one value twice
+    chart = _chart(("x", "y", "z"))
+    cert = certify_singular_locus(Hypersurface(chart, chart.poly(text)), [])
+    first_step = {
+        tuple(c["variable"] for c in branch["constraints"] if c["kind"] == "root-of"):
+            branch["outcome"]["chain"][0]["value"]
+        for branch in cert.branches if branch["outcome"]["type"] == "iterated-root-product"
+    }
+    assert first_step[roots_a] != first_step[roots_b]
+
+
+def test_renamed_branches_share_their_chain_steps(monkeypatch):
+    # under z1 <-> z2 <-> z3 only 8 of the 16 branches differ
+    calls = []
+
+    def counted(*args, _inner=singular._root_product):
+        calls.append(args[1])
+        return _inner(*args)
+
+    monkeypatch.setattr(singular, "_root_product", counted)
+    cert = certify_perturbation(PerturbationParams(2, 6, Fraction(1)))
+    printed = sum(len(b["outcome"].get("chain", ())) for b in cert.branches)
+    assert len(calls) < printed
+    assert cert.to_json() == with_reference_plan(lambda: certify_perturbation(PerturbationParams(2, 6, 1)).to_json())
 
 
 # ---------------------------------------------------------------- perturbation certificates
@@ -276,6 +371,19 @@ def test_search_refuses_non_int_sizes_and_bool_eps(k, n_max, eps_candidates):
 def test_cone_unbounded_witness_refuses_a_bool_exponent():
     with pytest.raises(ValidationError):
         cone_unbounded_witness(True, Fraction(9))
+
+
+@pytest.mark.parametrize("M", [0.1, 9.0])
+def test_cone_unbounded_witness_refuses_a_float_bound_as_inexact(M):
+    # 0.1 was once taken as the binary fraction 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="floats are inexact"):
+        cone_unbounded_witness(1, M)
+
+
+def test_cone_unbounded_witness_refuses_a_bool_bound():
+    # True was once taken as 1
+    with pytest.raises(ValidationError, match="M must be a rational number"):
+        cone_unbounded_witness(1, True)
 
 
 def test_search_exhaustion_reports_attempts():

@@ -1,4 +1,5 @@
-"""Fresh-interpreter checks: every demo script prints its pinned output, and the CLI loads no numpy."""
+"""Fresh-interpreter checks: every demo script prints its pinned output, the
+CLI loads no numpy, and its JSON does not depend on the string hash seed."""
 
 import os
 import subprocess
@@ -9,12 +10,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-DEMO_GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMO_GOLDEN = GOLDEN / "demos"
 
 
-def _python(args, cwd):
+def _python(args, cwd, **env_vars):
     path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env_vars)
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
@@ -30,3 +32,16 @@ def test_demo_runs(script, tmp_path):
     result = _python([str(script)], tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout == (DEMO_GOLDEN / f"{script.stem}.txt").read_text(), script.stem
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("stem, argv", [
+    ("perturb_k2_N6_eps1", ["perturb", "--k", "2", "--N", "6", "--eps", "1"]),
+    ("certify_k2", ["certify", "--k", "2"]),
+])
+def test_cli_json_is_the_golden_under_any_hash_seed(stem, argv, seed, tmp_path):
+    # a certificate's branches share chain steps through hashed keys; the
+    # iteration order of a set or dict of them must not reach the output
+    result = _python(["-m", "conetower.cli", *argv, "--format", "json"], tmp_path, PYTHONHASHSEED=seed)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / f"{stem}.json").read_text(), result.stderr
