@@ -426,8 +426,8 @@ class _BranchPlan:
     of variables that keeps their order commutes with ``_root_product``, so
     a step is keyed by the polynomial projected, in order, onto the
     variables it uses, the position of the eliminated variable among them,
-    its den and the factor's coefficients in that variable; a step seen
-    before rebuilds its core over the branch's own variables.
+    and the factor projected alike, each with its den; a step seen before
+    rebuilds its core over the branch's own variables.
     """
 
     __slots__ = ("equation", "tables", "steps")
@@ -449,34 +449,27 @@ class _BranchPlan:
         return _reduce_terms(eq, tuple(eq.variables.index(v) for v in zeros), tables)
 
     def root_product(self, expr: MultiPoly, used: tuple, var: str, modulus: MultiPoly) -> tuple:
-        """``_root_product(expr, var, modulus)``, ``used`` the variables expr uses."""
-        variables = expr.variables
-        positions = [i for i, v in enumerate(variables) if v in used]
-        idx = variables.index(var)
-        pos = positions.index(idx)
-        take = itemgetter(*positions) if len(positions) > 1 else lambda e: (e[idx],)
-        projected = {take(e): c for e, c in expr.zterms.items()}
-        factor = tuple(sorted((e[idx], c) for e, c in modulus.zterms.items()))
-        key = (frozenset(projected.items()), expr.den, pos, factor, modulus.den)
+        """``_root_product(expr, var, modulus)`` with its core over ``used``,
+        the variables expr uses, in order."""
+        if used == expr.variables:
+            projected = expr.zterms
+        else:
+            positions = [expr.variables.index(v) for v in used]
+            take = itemgetter(*positions) if len(used) > 1 else lambda e: (e[positions[0]],)
+            projected = {take(e): c for e, c in expr.zterms.items()}
+        pos = used.index(var)
+        idx = modulus.variables.index(var)
+        factor = {(0,) * pos + (e[idx],) + (0,) * (len(used) - pos - 1): c for e, c in modulus.zterms.items()}
+        key = (frozenset(projected.items()), expr.den, pos, frozenset(factor.items()), modulus.den)
         step = self.steps.get(key)
         if step is None:
-            unit = [0] * len(used)
-            lone = {}
-            for d, c in factor:
-                unit[pos] = d
-                lone[tuple(unit)] = c
-            core, power, method = _root_product(
-                _trusted_poly(used, projected, expr.den), var, _trusted_poly(used, lone, modulus.den)
+            step = self.steps[key] = _root_product(
+                _trusted_poly(used, projected, expr.den), var, _trusted_poly(used, factor, modulus.den)
             )
-            step = self.steps[key] = (core.zterms, core.den, power, method)
-        zterms, den, power, method = step
-        full = [0] * len(variables)
-        embedded = {}
-        for e, c in zterms.items():
-            for i, x in zip(positions, e):
-                full[i] = x
-            embedded[tuple(full)] = c
-        return _trusted_poly(variables, embedded, den), power, method
+        core, power, method = step
+        if core.variables != used:
+            core = _trusted_poly(used, core.zterms, core.den)
+        return core, power, method
 
 
 def _claims_all_zero(claimed) -> bool:
@@ -738,7 +731,7 @@ def certify_perturbation(params: PerturbationParams) -> Certificate:
         inner,
         command="certify-perturbation",
         status=CERTIFIED if inner.status == ONLY_SINGULAR_AT else inner.status,
-        params=params.as_dict() | {"equation": str(h.equation)},
+        params=params.as_dict() | {"equation": inner.params["equation"]},
     )
 
 
