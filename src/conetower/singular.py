@@ -427,7 +427,9 @@ class _BranchPlan:
     a step is keyed by the polynomial projected, in order, onto the
     variables it uses, the position of the eliminated variable among them,
     and the factor projected alike, each with its den; a step seen before
-    rebuilds its core over the branch's own variables.
+    returns its core renamed to the branch's own variables.  A core lives
+    over the variables its step's input used, which prints as it would over
+    all of the chart's.
     """
 
     __slots__ = ("equation", "tables", "steps")
