@@ -2009,8 +2009,8 @@ def separable_equations(draw):
     equations = []
     for positions in (range(len(names)), order):
         terms = {}
-        for position, part in zip(positions, parts):
-            for e, c in part:
+        for position, chosen in zip(positions, parts):
+            for e, c in chosen:
                 terms[tuple(e if i == position else 0 for i in range(len(names)))] = c
         equations.append(Hypersurface(Chart("separable", names), MultiPoly(names, terms)))
     return equations
@@ -2025,4 +2025,3 @@ def test_branch_plan_matches_the_reference_on_separable_equations(equations):
         claimed = [h.chart.origin()]
         ours = singular.certify_singular_locus(h, claimed).to_json()
         assert ours == with_reference_plan(lambda: singular.certify_singular_locus(h, claimed).to_json())
-

@@ -259,14 +259,13 @@ def test_renamed_branches_share_their_chain_steps(monkeypatch):
     calls = []
 
     def counted(*args, _inner=singular._root_product):
-        calls.append(args[1])
+        calls.append(args)
         return _inner(*args)
 
     monkeypatch.setattr(singular, "_root_product", counted)
     cert = certify_perturbation(PerturbationParams(2, 6, Fraction(1)))
     printed = sum(len(b["outcome"].get("chain", ())) for b in cert.branches)
     assert len(calls) < printed
-    assert cert.to_json() == with_reference_plan(lambda: certify_perturbation(PerturbationParams(2, 6, 1)).to_json())
 
 
 # ---------------------------------------------------------------- perturbation certificates
