@@ -9,12 +9,11 @@ maximal power of the exceptional coordinate from its pullback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .charts import Chart, Hypersurface, SubstitutionMap, compose_maps, maps_equal
 from .errors import NotTriangularError, ValidationError, ZeroInputError
-from .gaussian import ONE
-from .multipoly import MultiPoly, extract_variable_power, substitute
+from .multipoly import MultiPoly, _substitute_all, _trusted_poly, extract_variable_power, substitute
 
 
 @dataclass(frozen=True)
@@ -23,27 +22,28 @@ class SurfaceCenter:
 
     Each generator has the form ``var - r`` where ``r`` only involves
     variables strictly later than ``var`` in the chart order; the two
-    isolated variables are distinct.
+    isolated variables are distinct.  ``rest_polys`` keeps the two r that
+    the validation computes; :meth:`rests` reads it.
     """
 
     chart: Chart
     generators: tuple
     isolated: tuple
+    rest_polys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.generators) != 2 or len(self.isolated) != 2:
             raise ValidationError("surface centers carry exactly two generators")
         if self.isolated[0] == self.isolated[1]:
             raise NotTriangularError("the two generators must isolate distinct variables")
-        for gen, var in zip(self.generators, self.isolated):
+        object.__setattr__(self, "rest_polys", tuple(
             _triangular_rest(gen, var, self.chart)
+            for gen, var in zip(self.generators, self.isolated)
+        ))
 
     def rests(self) -> tuple:
         """The polynomials r with generator = var - r."""
-        return tuple(
-            _triangular_rest(gen, var, self.chart)
-            for gen, var in zip(self.generators, self.isolated)
-        )
+        return self.rest_polys
 
     def contains_point(self, point) -> bool:
         values = dict(zip(self.chart.variables, point))
@@ -139,8 +139,8 @@ def straighten_center(center: SurfaceCenter, new_names, chart_id: str):
     inverse_assign = {
         p_name: center.generators[0],
         q_name: center.generators[1],
-        a_name: MultiPoly.variable(ambient.variables, free[0]),
-        b_name: MultiPoly.variable(ambient.variables, free[1]),
+        a_name: ambient.var(free[0]),
+        b_name: ambient.var(free[1]),
     }
     inverse = SubstitutionMap(ambient, straight, inverse_assign, f"{chart_id}.straighten")
 
@@ -155,23 +155,24 @@ def straighten_center(center: SurfaceCenter, new_names, chart_id: str):
         key=lambda item: ambient.variables.index(item[0]),
         reverse=True,
     )
+    zero = straight.zero_poly()
     for iso_var, new_var, rest in order:
-        partial = {v: images[v] for v in images}
-        for missing in ambient.variables:
-            partial.setdefault(missing, straight.zero_poly())
+        partial = {v: images.get(v, zero) for v in ambient.variables}
         images[iso_var] = straight.var(new_var) + substitute(rest, partial)
     forward = SubstitutionMap(
         straight, ambient, {v: images[v] for v in ambient.variables}, f"{chart_id}.unstraighten"
     )
 
     # round trips must be the identity, exactly
-    if not maps_equal(compose_maps(inverse, forward), SubstitutionMap.identity(straight)):
+    straight_trip = compose_maps(inverse, forward)
+    if not maps_equal(straight_trip, SubstitutionMap.identity(straight)):
         raise NotTriangularError("straightening round trip (straight side) failed")
     if not maps_equal(compose_maps(forward, inverse), SubstitutionMap.identity(ambient)):
         raise NotTriangularError("straightening round trip (ambient side) failed")
-    # the center must pull back to {p = q = 0}
-    for gen, expected in zip(center.generators, (p_name, q_name)):
-        if forward.pullback(gen) != straight.var(expected):
+    # the center must pull back to {p = q = 0}; the p and q rows of the
+    # straight-side trip are the generators pulled back through forward
+    for expected in (p_name, q_name):
+        if straight_trip.assignment[expected] != straight.var(expected):
             raise NotTriangularError("center does not straighten to {v1 = v2 = 0}")
     return forward, inverse
 
@@ -312,6 +313,11 @@ def overlap_cocycle_ok(step: BlowupStep) -> bool:
     Substituting t -> 1/s and v2 -> s*v1 into the T-chart map must reproduce
     the S-chart map; the identity is checked after clearing the minimal power
     of s, i.e. s^d * T_map(1/s, s*v1) == s^d * S_map for d = deg_t.
+
+    Each image a of t-degree d is first reversed in t, t^e -> t^(d-e), so
+    that s^d * a(t -> 1/s) is the reversed image at t -> s; all four reversed
+    images then go through one substitution t -> s, v2 -> s*v1, every other
+    variable fixed.
     """
     if step.overlap is None:
         raise ValidationError("overlap check only applies to codim-2 blow-ups")
@@ -319,24 +325,23 @@ def overlap_cocycle_ok(step: BlowupStep) -> bool:
     chart_t, chart_s = step.charts
     v2 = chart_t.exceptional  # kept coordinate in the T chart
     v1 = chart_s.exceptional
-    s_vars = chart_s.chart.variables
-    s_poly = MultiPoly.variable(s_vars, s_name)
-    # images of the T-chart variables inside the S-chart: v2 -> s*v1, others
-    # fixed; t never occurs in a coefficient of t, so its image is immaterial
-    assignment = {
-        v: MultiPoly.variable(s_vars, v) for v in chart_t.chart.variables if v not in (v2, t_name)
-    }
+    t_vars = chart_t.chart.variables
+    t_idx = t_vars.index(t_name)
+    s_poly = chart_s.chart.var(s_name)
+    assignment = {v: chart_s.chart.var(v) for v in t_vars if v not in (v2, t_name)}
     assignment[v2] = s_poly * chart_s.chart.var(v1)
-    assignment[t_name] = MultiPoly.constant(s_vars, ONE)
+    assignment[t_name] = s_poly
+    degrees = []
+    reversed_images = []
     for base_var in step.base.variables:
         a = chart_t.to_base.assignment[base_var]
         d = max(a.degree_in(t_name), 0)
-        # s^d * a(t -> 1/s): replace t^e by s^(d-e) after substituting v2
-        cleared = MultiPoly.zero(s_vars)
-        for e in range(d + 1):
-            image = substitute(a.coefficient_in(t_name, e), assignment)
-            cleared = cleared + image * s_poly ** (d - e)
-        expected = chart_s.to_base.assignment[base_var] * s_poly ** d
-        if cleared != expected:
-            return False
-    return True
+        degrees.append(d)
+        # distinct exponents e give distinct d - e, so no two terms merge
+        flipped = {exps[:t_idx] + (d - exps[t_idx],) + exps[t_idx + 1:]: c for exps, c in a.zterms.items()}
+        reversed_images.append(_trusted_poly(t_vars, flipped, a.den))
+    cleared = _substitute_all(t_vars, reversed_images, assignment)
+    return all(
+        image == chart_s.to_base.assignment[base_var] * s_poly ** d
+        for image, base_var, d in zip(cleared, step.base.variables, degrees)
+    )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 SCHEMA = "cert/1"
 
@@ -91,4 +92,52 @@ class Certificate:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return _dumps(self.to_dict())
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for
+    documents of str-keyed dicts, lists, tuples, str, int, bool and None.
+
+    CPython's C encoder only runs without ``indent``, so the standard call
+    takes the pure-Python one; this writer appends the same fragments to one
+    list.  A str goes through ``encode_basestring_ascii``, any other scalar
+    through ``json.dumps``; a key that is not a str raises ``TypeError``.
+    """
+    out = []
+    _write(doc, "\n", out.append)
+    return "".join(out)
+
+
+def _write(value, newline: str, emit) -> None:
+    if isinstance(value, str):
+        emit(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            emit(sep)
+            emit(_quote(key))
+            emit(": ")
+            _write(value[key], inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _write(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    else:
+        emit(json.dumps(value))

@@ -14,7 +14,6 @@ bare names across levels would invite capture in composed maps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .blowup import (
@@ -29,7 +28,7 @@ from .blowup import (
     strict_transform,
     surface_blowup,
 )
-from .certificates import FAIL, PASS, Check
+from .certificates import FAIL, PASS, Check, _dumps
 from .charts import Chart, Hypersurface, SubstitutionMap, compose_maps, first_mismatch
 from .errors import InternalInconsistencyError, ValidationError, _is_int
 from .gaussian import I
@@ -343,4 +342,4 @@ def tower_to_dict(tower: Tower) -> dict:
 
 
 def tower_to_json(tower: Tower) -> str:
-    return json.dumps(tower_to_dict(tower), sort_keys=True, indent=2)
+    return _dumps(tower_to_dict(tower))

@@ -1,5 +1,6 @@
 """Charts, blow-ups, strict transforms, the lemma square, and the tower."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -7,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from conetower.blowup import (
+    BlowupChart,
+    BlowupStep,
     SurfaceCenter,
     center_pullback_divisible,
     center_strict_transform,
@@ -16,7 +19,7 @@ from conetower.blowup import (
     straighten_center,
     strict_transform,
 )
-from conetower.certificates import FAIL, PASS
+from conetower.certificates import FAIL, PASS, _dumps
 from conetower.charts import (
     Chart,
     Hypersurface,
@@ -42,6 +45,7 @@ from conetower.tower import (
     tower_to_dict,
     tower_to_json,
 )
+from overlap_reference import per_coefficient_overlap_ok
 
 AMBIENT = Chart("M", ("z1", "z2", "z3", "z4"))
 
@@ -149,6 +153,18 @@ def test_straighten_rejects_non_triangular():
     assert center.rests() == (AMBIENT.poly("1/2*z2"), AMBIENT.poly("2/3*i*z4^2"))
 
 
+def test_surface_center_equality_hash_and_repr_ignore_the_kept_rests():
+    (kept,) = [f for f in dataclasses.fields(SurfaceCenter) if f.name == "rest_polys"]
+    assert not kept.init and not kept.compare and not kept.repr
+    a = tower_center(AMBIENT, 2)
+    b = tower_center(AMBIENT, 2)
+    object.__setattr__(b, "rest_polys", (AMBIENT.poly("z1"), AMBIENT.poly("z2")))
+    assert a.rests() != b.rests()
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "rest_polys" not in repr(a)
+    assert a != tower_center(AMBIENT, 3)
+
+
 # ---------------------------------------------------------------- codim-2 charts
 
 
@@ -170,6 +186,59 @@ def test_overlap_cocycle_rejects_a_point_blowup():
     step = point_blowup_charts(AMBIENT, ("u1", "u2", "u3", "u4"), "Mp")
     with pytest.raises(ValidationError, match="only applies to codim-2 blow-ups"):
         overlap_cocycle_ok(step)
+
+
+def _surface_steps(tower):
+    return [tower.level(j).surface_step for j in sorted(tower.levels, reverse=True)]
+
+
+def _lemma_square_steps(monkeypatch):
+    steps = []
+
+    def recording_blowup(*args):
+        steps.append(blowup.surface_blowup(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(lemma_square, "surface_blowup", recording_blowup)
+    assert verify_lemma_square().status == PASS
+    return steps
+
+
+def _with_image(step, chart_index, base_var, image):
+    """``step`` with one image of one chart's map replaced."""
+    charts = list(step.charts)
+    bc = charts[chart_index]
+    assignment = dict(bc.to_base.assignment, **{base_var: image})
+    to_base = SubstitutionMap(bc.chart, step.base, assignment, bc.to_base.label)
+    charts[chart_index] = BlowupChart(bc.chart, to_base, bc.exceptional)
+    return BlowupStep(base=step.base, charts=tuple(charts), overlap=step.overlap)
+
+
+def test_overlap_check_matches_the_per_coefficient_check(monkeypatch):
+    steps = [step for k in range(1, 7) for step in _surface_steps(build_tower(k))]
+    steps += _lemma_square_steps(monkeypatch)
+    assert len(steps) == 27 + 3
+    for step in steps:
+        assert overlap_cocycle_ok(step) is per_coefficient_overlap_ok(step) is True
+    # the T images carry t, so the check reverses something of positive degree
+    assert any(
+        image.degree_in(step.overlap[0]) > 0
+        for step in steps
+        for image in step.charts[0].to_base.assignment.values()
+    )
+
+
+def test_overlap_check_refuses_any_single_altered_image():
+    cases = 0
+    for step in _surface_steps(build_tower(4)):
+        for chart_index, bc in enumerate(step.charts):
+            for base_var, image in bc.to_base.assignment.items():
+                for v in bc.chart.variables:
+                    altered = _with_image(step, chart_index, base_var, image + bc.chart.var(v))
+                    assert not overlap_cocycle_ok(altered), (step.base.id, chart_index, base_var, v)
+                    assert not per_coefficient_overlap_ok(altered)
+                    cases += 1
+    assert cases == 5 * 2 * 4 * 4
 
 
 def test_codim2_strict_transform_in_s_chart():
@@ -463,6 +532,19 @@ def test_tower_serialization_roundtrip():
     assert json.loads(text) == doc
     # byte-identical across rebuilds
     assert tower_to_json(build_tower(2)) == text
+
+
+def test_tower_json_is_the_standard_indented_dump():
+    for k in range(1, 7):
+        tower = build_tower(k)
+        expected = json.dumps(tower_to_dict(tower), sort_keys=True, indent=2)
+        assert tower_to_json(tower) == expected, k
+
+
+@pytest.mark.parametrize("key", [1, None, True, 1.5, ("a",)])
+def test_json_writer_refuses_a_key_that_is_not_a_str(key):
+    with pytest.raises(TypeError, match="keys must be str"):
+        _dumps({"a": [{key: 0}]})
 
 
 def test_tower_off_chart_transforms_shape():

@@ -4,9 +4,11 @@ every MultiPoly and LaurentPoly result against GaussianRational references, symp
 Laplace expansion kernel against Bareiss and sympy, a Fraction reference for
 the integer real-slice kernel, GaussianRational references for the Z[i]
 branch chain and for MultiPoly multiply and substitute, and the previous
-Bareiss kernel and Z[i] back-substitution."""
+Bareiss kernel and Z[i] back-substitution, and ``json.dumps(sort_keys=True,
+indent=2)`` for the one JSON writer."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,10 +20,10 @@ sympy = pytest.importorskip("sympy")
 sympy_domains = pytest.importorskip("sympy.polys.domains")
 sympy_matrices = pytest.importorskip("sympy.polys.matrices")
 
-from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from conetower import laurent, linalg, multipoly  # noqa: E402
-from conetower.certificates import FAIL, SMOOTH  # noqa: E402
+from conetower.certificates import FAIL, SMOOTH, _dumps  # noqa: E402
 from conetower.charts import Chart, Hypersurface  # noqa: E402
 from conetower.errors import InternalInconsistencyError, ValidationError, VariableMismatchError  # noqa: E402
 from conetower.gaussian import ONE, ZERO, GaussianRational, _zi_lift  # noqa: E402
@@ -242,6 +244,38 @@ def test_evaluate_with_an_unassigned_variable_is_a_variable_mismatch():
     with pytest.raises(VariableMismatchError, match="unassigned"):
         f.evaluate({"x": 1})
     assert f.evaluate({"x": 1, "y": GaussianRational(0, 1)}) == GaussianRational(1, 1)
+
+
+# ---------------------------------------------------------------- the indented JSON writer
+
+# quotes, backslashes, control characters, DEL, and non-ASCII text in and
+# beyond the basic plane (the last one escapes as a surrogate pair)
+json_text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€\U0001d11e'), st.characters()), max_size=8)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10 ** 40), 10 ** 40), st.floats(), json_text
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_text, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(json_documents)
+@example({
+    "": [], "a\"b": {}, "\\": (), "\x00\n": [None, True, False], "é€\U0001d11e": "\x1f\x7f",
+    "big": [10 ** 30, -(10 ** 30), 0, -1], "floats": [0.1, -2.5e-300, 1e300, float("inf"), float("nan")],
+    "nested": {"b": [{"c": ({"d": []},)}], "a": ("x", ["y", {}])},
+})
+@example(())
+@example(-0.0)
+def test_json_writer_matches_the_standard_indented_dump(doc):
+    assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------- normal form

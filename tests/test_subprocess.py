@@ -38,10 +38,15 @@ def test_demo_runs(script, tmp_path):
 @pytest.mark.parametrize("stem, argv", [
     ("perturb_k2_N6_eps1", ["perturb", "--k", "2", "--N", "6", "--eps", "1"]),
     ("certify_k2", ["certify", "--k", "2"]),
+    ("tower_k2", ["tower", "--k", "2", "--output", "tower_k2.tower.json"]),
 ])
 def test_cli_json_is_the_golden_under_any_hash_seed(stem, argv, seed, tmp_path):
     # a certificate's branches share chain steps through hashed keys; the
-    # iteration order of a set or dict of them must not reach the output
+    # iteration order of a set or dict of them must not reach the output,
+    # nor the tower/1 document that --output writes
     result = _python(["-m", "conetower.cli", *argv, "--format", "json"], tmp_path, PYTHONHASHSEED=seed)
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / f"{stem}.json").read_text(), result.stderr
+    if "--output" in argv:
+        name = argv[argv.index("--output") + 1]
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
