@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .charts import Chart, Hypersurface, SubstitutionMap, compose_maps, maps_equal
-from .errors import NotTriangularError, ValidationError, ZeroInputError
+from .errors import InternalInconsistencyError, NotTriangularError, ValidationError, ZeroInputError
 from .multipoly import MultiPoly, _substitute_all, _trusted_poly, extract_variable_power, substitute
 
 
@@ -126,12 +126,19 @@ def straighten_center(center: SurfaceCenter, new_names, chart_id: str):
     free variables in ambient order.  Returns ``(forward, inverse)`` with the
     forward map going straightened -> ambient; both directions are polynomial
     and the round trips are verified symbolically.
+
+    Back-substitution lemma: each generator is ``x - r`` with r over later
+    variables, so with the later isolated variable's image built first each
+    generator pulls back through ``forward`` to its name (p or q), and each
+    ambient variable through ``inverse`` to itself.  A failed round trip is
+    thus an :class:`InternalInconsistencyError`; the straight-side one, whose
+    p and q rows are the pulled-back generators, shows the center pulls back
+    to {p = q = 0}.
     """
     ambient = center.chart
     if len(ambient.variables) != 4:
         raise ValidationError("straightening expects a 4-variable ambient chart")
     p_name, a_name, q_name, b_name = new_names
-    iso1, iso2 = center.isolated
     free = [v for v in ambient.variables if v not in center.isolated]
     straight = Chart(chart_id, (p_name, a_name, q_name, b_name))
 
@@ -164,16 +171,10 @@ def straighten_center(center: SurfaceCenter, new_names, chart_id: str):
     )
 
     # round trips must be the identity, exactly
-    straight_trip = compose_maps(inverse, forward)
-    if not maps_equal(straight_trip, SubstitutionMap.identity(straight)):
-        raise NotTriangularError("straightening round trip (straight side) failed")
+    if not maps_equal(compose_maps(inverse, forward), SubstitutionMap.identity(straight)):
+        raise InternalInconsistencyError("straightening round trip (straight side) failed")
     if not maps_equal(compose_maps(forward, inverse), SubstitutionMap.identity(ambient)):
-        raise NotTriangularError("straightening round trip (ambient side) failed")
-    # the center must pull back to {p = q = 0}; the p and q rows of the
-    # straight-side trip are the generators pulled back through forward
-    for expected in (p_name, q_name):
-        if straight_trip.assignment[expected] != straight.var(expected):
-            raise NotTriangularError("center does not straighten to {v1 = v2 = 0}")
+        raise InternalInconsistencyError("straightening round trip (ambient side) failed")
     return forward, inverse
 
 

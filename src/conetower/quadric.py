@@ -498,10 +498,8 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
         + chart.var(chart.variables[2]) ** 2
         - MultiPoly.constant(chart.variables, ONE)
     )
-    slice_ok = (
-        level0.hypersurface.equation == sphere
-        and chart.variables[3] not in level0.hypersurface.equation.variables_used()
-    )
+    # exact equality of term maps: the slice, like sphere, is free of x4
+    slice_ok = level0.hypersurface.equation == sphere
     checks.append(
         Check(
             name="exceptional-slice-equation",
@@ -522,15 +520,10 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
         }
         ok = nullity == 1 and point is not None
         if ok:
-            h = point.coords[BOUNDARY_QUADRIC.homogenizer]
-            if not h:
-                ok = False
-                entry["reason"] = "real point at infinity"
-            else:
-                on_sphere = _on_boundary_sphere(point)
-                entry["point"] = str(point)
-                entry["on_sphere"] = on_sphere
-                ok = ok and on_sphere
+            # a real point at infinity (h = 0) fails the sphere test too
+            ok = _on_boundary_sphere(point)
+            entry["point"] = str(point)
+            entry["on_sphere"] = ok
         else:
             entry["reason"] = f"nullity {nullity}"
         entry["ok"] = ok

@@ -750,7 +750,8 @@ def search_perturbation(k: int, n_max: int | None = None, eps_candidates=None):
         raise ValidationError(f"n_max must be an integer exceeding k, got {n_max!r}")
     if eps_candidates is None:
         eps_candidates = DEFAULT_EPS_CANDIDATES
-    eps_candidates = [_exact_rational(e, "eps") for e in eps_candidates]
+    # every candidate is exact and in (0, 1] before the first certificate
+    eps_candidates = [PerturbationParams(k=k, N=k + 1, eps=e).eps for e in eps_candidates]
     if not eps_candidates:
         raise ValidationError("the eps candidate list must be nonempty")
     attempts = []

@@ -28,8 +28,10 @@ from conetower.charts import (
     first_mismatch,
     maps_equal,
 )
+from conetower.cli import main
 from conetower.errors import (
     ChartMismatchError,
+    InternalInconsistencyError,
     NotTriangularError,
     ValidationError,
     VariableMismatchError,
@@ -39,6 +41,9 @@ from conetower import blowup, lemma_square, tower as tower_module
 from conetower.lemma_square import verify_lemma_square
 from conetower.multipoly import MultiPoly, substitute
 from conetower.tower import (
+    SquarePair,
+    Tower,
+    TowerSquare,
     build_tower,
     cone_equation,
     tower_center,
@@ -151,6 +156,17 @@ def test_straighten_rejects_non_triangular():
         AMBIENT, (AMBIENT.poly("z1 - 1/2*z2"), AMBIENT.poly("z3 - 2/3*i*z4^2")), ("z1", "z3")
     )
     assert center.rests() == (AMBIENT.poly("1/2*z2"), AMBIENT.poly("2/3*i*z4^2"))
+
+
+def test_a_failed_straightening_round_trip_is_an_internal_inconsistency(monkeypatch):
+    # every center SurfaceCenter accepts straightens (back-substitution), so a
+    # failed round trip is a bug (exit 3), not a refused center (exit 1)
+    # a wrong forward map: each isolated variable's image takes its rest twice
+    monkeypatch.setattr(blowup, "substitute", lambda f, images: substitute(f, images).scale(2))
+    center = tower_center(AMBIENT, 2)
+    with pytest.raises(InternalInconsistencyError, match="round trip"):
+        straighten_center(center, ("p", "a", "q", "b"), "V")
+    assert main(["tower", "--k", "1"]) == 3
 
 
 def test_surface_center_equality_hash_and_repr_ignore_the_kept_rests():
@@ -513,6 +529,34 @@ def test_tower_squares_commute_k4():
     for square in tower.squares:
         for pair in square.pairs:
             assert pair.equal, pair.name
+
+
+def test_equal_square_pairs_print_the_bottom_rows_once():
+    for k in range(1, 7):
+        tower = build_tower(k)
+        printed = [pair for square in tower_to_dict(tower)["squares"] for pair in square["pairs"]]
+        built = [pair for square in tower.squares for pair in square.pairs]
+        assert len(printed) == len(built) == 2 * k
+        for doc, pair in zip(printed, built):
+            own_rows = {v: str(pair.bottom.assignment[v]) for v in pair.bottom.target.variables}
+            assert doc["equal"] and doc["bottom"]["assignment"] == doc["top"]["assignment"] == own_rows
+            assert doc["bottom"]["label"] == pair.bottom.label != pair.top.label
+
+
+def test_unequal_square_pair_prints_the_bottom_rows_of_its_own():
+    top = SubstitutionMap.identity(AMBIENT)
+    bottom = SubstitutionMap(AMBIENT, AMBIENT, {**top.assignment, "z1": AMBIENT.poly("2*z1")}, "g")
+    pair = SquarePair(name="square1.t", top=top, bottom=bottom, equal=False, mismatch="z1")
+    doc = tower_to_dict(Tower(k=1, levels={}, squares=[TowerSquare(level=1, pairs=[pair])]))
+    (printed,) = doc["squares"][0]["pairs"]
+    assert (printed["equal"], printed["mismatch"]) == (False, "z1")
+    assert printed["top"]["assignment"] == {"z1": "z1", "z2": "z2", "z3": "z3", "z4": "z4"}
+    assert printed["bottom"] == {
+        "label": "g",
+        "source": "M",
+        "target": "M",
+        "assignment": {"z1": "2*z1", "z2": "z2", "z3": "z3", "z4": "z4"},
+    }
 
 
 def test_tower_multiplicities_all_two():

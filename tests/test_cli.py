@@ -118,7 +118,7 @@ def test_splitting_rejects_non_cocycle(capsys, tmp_path):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("eps_list", ["foo", "1/0"])
+@pytest.mark.parametrize("eps_list", ["foo", "1/0", "1,0", "1,2", "1,-1"])
 def test_perturb_search_bad_eps_list_is_usage_error(eps_list):
     assert main(["perturb-search", "--k", "1", "--eps-list", eps_list]) == 2
 

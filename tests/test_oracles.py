@@ -4,8 +4,9 @@ every MultiPoly and LaurentPoly result against GaussianRational references, symp
 Laplace expansion kernel against Bareiss and sympy, a Fraction reference for
 the integer real-slice kernel, GaussianRational references for the Z[i]
 branch chain and for MultiPoly multiply and substitute, and the previous
-Bareiss kernel and Z[i] back-substitution, and ``json.dumps(sort_keys=True,
-indent=2)`` for the one JSON writer."""
+Bareiss kernel and Z[i] back-substitution, ``json.dumps(sort_keys=True,
+indent=2)`` for the one JSON writer, and random triangular centers for
+straightening."""
 
 import itertools
 import json
@@ -23,6 +24,7 @@ sympy_matrices = pytest.importorskip("sympy.polys.matrices")
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from conetower import laurent, linalg, multipoly  # noqa: E402
+from conetower.blowup import SurfaceCenter, straighten_center  # noqa: E402
 from conetower.certificates import FAIL, SMOOTH, _dumps  # noqa: E402
 from conetower.charts import Chart, Hypersurface  # noqa: E402
 from conetower.errors import InternalInconsistencyError, ValidationError, VariableMismatchError  # noqa: E402
@@ -276,6 +278,37 @@ json_documents = st.recursive(
 @example(-0.0)
 def test_json_writer_matches_the_standard_indented_dump(doc):
     assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+# ---------------------------------------------------------------- straightening triangular centers
+
+STRAIGHT_AMBIENT = Chart("M", ("z1", "z2", "z3", "z4"))
+
+
+@st.composite
+def triangular_centers(draw):
+    """Two generators ``x - r`` isolating distinct variables, in either order,
+    each r with Q(i) coefficients over the variables strictly later than x."""
+    names = STRAIGHT_AMBIENT.variables
+    pair = draw(st.sampled_from(list(itertools.combinations(range(4), 2))))
+    isolated = pair if draw(st.booleans()) else pair[::-1]
+    generators = []
+    for m in isolated:
+        exps = st.tuples(*[st.integers(0, 2) if n > m else st.just(0) for n in range(4)])
+        rest = MultiPoly(names, draw(st.dictionaries(exps, coefficients, max_size=4)))
+        generators.append(STRAIGHT_AMBIENT.var(names[m]) - rest)
+    return SurfaceCenter(STRAIGHT_AMBIENT, tuple(generators), tuple(names[m] for m in isolated))
+
+
+@EXAMPLES
+@given(triangular_centers())
+def test_every_triangular_center_pulls_back_to_p_q(center):
+    # back-substitution: no validated center is refused, and the generators
+    # pull back to the straightened names that the straight-side trip checks
+    forward, _ = straighten_center(center, ("p", "a", "q", "b"), "V")
+    g1, g2 = center.generators
+    assert forward.pullback(g1) == forward.source.var("p")
+    assert forward.pullback(g2) == forward.source.var("q")
 
 
 # ---------------------------------------------------------------- normal form

@@ -340,6 +340,17 @@ def test_boundary_cover_certificate():
     assert cert1.status == PASS
 
 
+def test_boundary_cover_fails_a_real_point_at_infinity(monkeypatch):
+    # h = z0 = 0 leaves z1^2 + z2^2 + z3^2 = 0, which no nonzero real point meets
+    at_infinity = ProjPoint((ZERO, ONE, ZERO, ZERO))
+    monkeypatch.setattr(quadric, "real_point", lambda line, split: (at_infinity, 1))
+    cert = verify_boundary_cover(build_tower(1), trials=2, seed=0)
+    assert cert.status == FAIL
+    assert [s["on_sphere"] for s in cert.branches] == [False] * 4
+    assert [s["ok"] for s in cert.branches] == [False] * 4
+    assert {s["point"] for s in cert.branches} == {str(at_infinity)}
+
+
 def test_control_certificate_fails_as_expected():
     cert = control_cover_certificate(trials=3, seed=0)
     assert cert.status == FAIL

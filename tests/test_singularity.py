@@ -355,6 +355,16 @@ def test_search_rejects_empty_eps():
         search_perturbation(1, eps_candidates=[])
 
 
+def test_search_checks_every_eps_range_before_the_first_certificate(monkeypatch):
+    # the range was once checked only when the scan reached a candidate, so
+    # [1, 0] certified eps = 1 and returned, while [0, 1] was refused
+    calls = []
+    monkeypatch.setattr(singular, "certify_perturbation", lambda params: calls.append(params))
+    with pytest.raises(ValidationError, match=r"eps must lie in \(0, 1\], got 0"):
+        search_perturbation(1, eps_candidates=[1, 0])
+    assert calls == []
+
+
 @pytest.mark.parametrize("k, n_max, eps_candidates", [
     (True, None, None),
     (1, 2.5, None),  # a bare TypeError from range once
