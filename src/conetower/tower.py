@@ -260,23 +260,12 @@ def build_tower(k: int) -> Tower:
 # ------------------------------------------------------------------ serialization
 
 
-def _map_to_dict(m: SubstitutionMap, assignment: dict | None = None) -> dict:
-    """``assignment``, when given, is the printed rows of a map equal to ``m``."""
-    if assignment is None:
-        assignment = {v: str(m.assignment[v]) for v in m.target.variables}
-    return {"label": m.label, "source": m.source.id, "target": m.target.id, "assignment": assignment}
-
-
-def _pair_to_dict(p: SquarePair) -> dict:
-    """One square pair; equal composites have the same polynomial, hence the
-    same text, in every row, so ``bottom`` then reuses ``top``'s rows."""
-    top = _map_to_dict(p.top)
+def _map_to_dict(m: SubstitutionMap) -> dict:
     return {
-        "name": p.name,
-        "equal": p.equal,
-        "mismatch": p.mismatch,
-        "top": top,
-        "bottom": _map_to_dict(p.bottom, top["assignment"] if p.equal else None),
+        "label": m.label,
+        "source": m.source.id,
+        "target": m.target.id,
+        "assignment": {v: str(m.assignment[v]) for v in m.target.variables},
     }
 
 
@@ -335,7 +324,16 @@ def tower_to_dict(tower: Tower) -> dict:
         "squares": [
             {
                 "level": sq.level,
-                "pairs": [_pair_to_dict(p) for p in sq.pairs],
+                "pairs": [
+                    {
+                        "name": p.name,
+                        "equal": p.equal,
+                        "mismatch": p.mismatch,
+                        "top": _map_to_dict(p.top),
+                        "bottom": _map_to_dict(p.bottom),
+                    }
+                    for p in sq.pairs
+                ],
             }
             for sq in tower.squares
         ],

@@ -531,7 +531,7 @@ def test_tower_squares_commute_k4():
             assert pair.equal, pair.name
 
 
-def test_equal_square_pairs_print_the_bottom_rows_once():
+def test_equal_square_pairs_print_equal_bottom_rows():
     for k in range(1, 7):
         tower = build_tower(k)
         printed = [pair for square in tower_to_dict(tower)["squares"] for pair in square["pairs"]]
@@ -543,13 +543,15 @@ def test_equal_square_pairs_print_the_bottom_rows_once():
             assert doc["bottom"]["label"] == pair.bottom.label != pair.top.label
 
 
-def test_unequal_square_pair_prints_the_bottom_rows_of_its_own():
+@pytest.mark.parametrize("equal, mismatch", [(False, "z1"), (True, None)])
+def test_unequal_square_pair_prints_the_bottom_rows_of_its_own(equal, mismatch):
+    # the rows come from the map itself, whatever the pair's equal flag says
     top = SubstitutionMap.identity(AMBIENT)
     bottom = SubstitutionMap(AMBIENT, AMBIENT, {**top.assignment, "z1": AMBIENT.poly("2*z1")}, "g")
-    pair = SquarePair(name="square1.t", top=top, bottom=bottom, equal=False, mismatch="z1")
+    pair = SquarePair(name="square1.t", top=top, bottom=bottom, equal=equal, mismatch=mismatch)
     doc = tower_to_dict(Tower(k=1, levels={}, squares=[TowerSquare(level=1, pairs=[pair])]))
     (printed,) = doc["squares"][0]["pairs"]
-    assert (printed["equal"], printed["mismatch"]) == (False, "z1")
+    assert (printed["equal"], printed["mismatch"]) == (equal, mismatch)
     assert printed["top"]["assignment"] == {"z1": "z1", "z2": "z2", "z3": "z3", "z4": "z4"}
     assert printed["bottom"] == {
         "label": "g",
