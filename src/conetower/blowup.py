@@ -138,6 +138,8 @@ def straighten_center(center: SurfaceCenter, new_names, chart_id: str):
     ambient = center.chart
     if len(ambient.variables) != 4:
         raise ValidationError("straightening expects a 4-variable ambient chart")
+    if len(new_names) != 4 or len(set(new_names)) != 4:
+        raise ValidationError(f"straightening needs four distinct names (p, a, q, b), got {new_names!r}")
     p_name, a_name, q_name, b_name = new_names
     free = [v for v in ambient.variables if v not in center.isolated]
     straight = Chart(chart_id, (p_name, a_name, q_name, b_name))

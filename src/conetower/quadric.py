@@ -36,7 +36,7 @@ from .errors import (
     _check_seed,
     _is_int,
 )
-from .gaussian import GaussianRational, I, ONE, ZERO, _gmul, _gneg, _gsub, _trusted_gaussian, _zi_lift
+from .gaussian import GaussianRational, I, ONE, ZERO, _gmul, _gneg, _trusted_gaussian, _zi_lift
 from .multipoly import MultiPoly
 
 _VARS = ("z0", "z1", "z2", "z3")
@@ -47,13 +47,14 @@ def _dot(row, coords) -> GaussianRational:
     return sum((c * x for c, x in zip(row, coords) if c), ZERO)
 
 
-def _zdot(row, vec):
-    """Value at the Z[i] vector ``vec`` of the Z[i] linear form ``row``."""
-    re = im = 0
-    for (a, b), (x, y) in zip(row, vec):
-        re += a * x - b * y
-        im += a * y + b * x
-    return re, im
+def _forms_at(forms, vec):
+    """Values at the Z[i] vector ``vec`` of the four-column Z[i] linear ``forms``."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = vec
+    return [
+        (a0 * x0 - b0 * y0 + a1 * x1 - b1 * y1 + a2 * x2 - b2 * y2 + a3 * x3 - b3 * y3,
+         a0 * y0 + b0 * x0 + a1 * y1 + b1 * x1 + a2 * y2 + b2 * x2 + a3 * y3 + b3 * x3)
+        for (a0, b0), (a1, b1), (a2, b2), (a3, b3) in forms
+    ]
 
 
 def _comb(p, xs, q, ys):
@@ -73,7 +74,11 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 def _minors(r1, r2):
     """The 2x2 minors r1[i]*r2[j] - r1[j]*r2[i] of two rows of Z[i] pairs,
     keyed by the column pairs of ``_PAIRS`` in their order."""
-    return {(i, j): _gsub(_gmul(r1[i], r2[j]), _gmul(r1[j], r2[i])) for i, j in _PAIRS}
+    minors = {}
+    for i, j in _PAIRS:
+        (a, b), (c, d), (e, f), (g, h) = r1[i], r2[j], r1[j], r2[i]
+        minors[i, j] = (a * c - b * d - e * g + f * h, a * d + b * c - e * h - f * g)
+    return minors
 
 
 def _span(zrows):
@@ -117,6 +122,8 @@ class ProjPoint:
 
     def __post_init__(self):
         coords = tuple(GaussianRational.coerce(c) for c in self.coords)
+        if len(coords) != 4:
+            raise ValidationError(f"a point of P^3 has four coordinates, got {len(coords)}")
         if not any(coords):
             raise ValidationError("projective points need a nonzero coordinate")
         object.__setattr__(self, "coords", coords)
@@ -159,12 +166,12 @@ class ProjLine:
 
     def __post_init__(self):
         zrows = tuple(tuple(row) for row in self.zrows)
-        if len(zrows) != 2 or any(
-            len(r) != 4 or any(not isinstance(z, tuple) or len(z) != 2 for z in r) for r in zrows
-        ):
+        # two rows give 16 parts exactly when both have four Z[i] pairs
+        parts = [x for row in zrows if len(row) == 4
+                 for z in row if isinstance(z, tuple) and len(z) == 2 for x in z]
+        if len(zrows) != 2 or len(parts) != 16:
             raise ValidationError("a line is cut out by two rows of four Z[i] pairs on P^3")
-        parts = [x for row in zrows for z in row for x in z]
-        if any(type(x) is not int for x in parts) or type(self.scale) is not int:
+        if set(map(type, parts)) != {int} or type(self.scale) is not int:
             raise ValidationError("line rows and their scale must be ints")
         if self.scale < 1:
             raise ValidationError("a line's scale must be a positive integer")
@@ -266,7 +273,7 @@ class QuadricSplit:
 
     def vanishes_at(self, vec) -> bool:
         """Exact test of ab - cd = 0 at a Z[i]-pair vector."""
-        a, b, c, d = (_zdot(form, vec) for form in self.zforms)
+        a, b, c, d = _forms_at(self.zforms, vec)
         return _gmul(a, b) == _gmul(c, d)
 
 
@@ -334,8 +341,8 @@ def line_on_quadric(line: ProjLine, split: QuadricSplit) -> bool:
     forms are evaluated at u and w once; their values at u + w are the sums.
     """
     u, w = line.span
-    at_u = [_zdot(form, u) for form in split.zforms]
-    at_w = [_zdot(form, w) for form in split.zforms]
+    at_u = _forms_at(split.zforms, u)
+    at_w = _forms_at(split.zforms, w)
     at_sum = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(at_u, at_w)]
     return all(_gmul(a, b) == _gmul(c, d) for a, b, c, d in (at_u, at_w, at_sum))
 
@@ -399,9 +406,13 @@ def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
     forms, read off its Z[i] span by :func:`_span_real_vector` with no second
     elimination; for nullity >= 1 the canonical kernel vector is a real point
     on the line (and hence on the quadric).  The integer kernel vector is
-    checked (real, on both forms, on the quadric) before the one division by
+    checked real and on both of the line's forms before the one division by
     its leading coordinate, the denominator of the point's coordinates.
     Raises LINE_NOT_ON_QUADRIC for lines off the quadric.
+
+    No check of ab - cd at the vector is needed: :func:`line_on_quadric` has
+    passed in this call, so the quadric vanishes on the whole line, and a
+    vector on both of the line's independent forms is on that line.
     """
     if not line_on_quadric(line, split):
         raise LineNotOnQuadricError(f"line is not contained in {split.name}")
@@ -410,7 +421,7 @@ def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
         return None, 0
     if any(im for _, im in vec):
         raise InternalInconsistencyError("kernel of a real system must be real")
-    if any(_zdot(row, vec) != (0, 0) for row in line.zrows) or not split.vanishes_at(vec):
+    if _forms_at(line.zrows, vec) != [(0, 0), (0, 0)]:
         raise InternalInconsistencyError("computed real point fails an exact check")
     lead = next(re for re, _ in vec if re)
     if lead < 0:  # a denominator is positive

@@ -158,6 +158,16 @@ def test_straighten_rejects_non_triangular():
     assert center.rests() == (AMBIENT.poly("1/2*z2"), AMBIENT.poly("2/3*i*z4^2"))
 
 
+@pytest.mark.parametrize("names", [("p", "a", "q"), ("p", "p", "q", "b"), ("p", "a", "q", "b", "c")],
+                         ids=["three-names", "repeated-name", "five-names"])
+def test_straightening_refuses_names_that_are_not_four_distinct(names):
+    center = tower_center(AMBIENT, 2)
+    with pytest.raises(ValidationError, match="four distinct names"):
+        straighten_center(center, names, "V")
+    with pytest.raises(ValidationError, match="four distinct names"):
+        blowup.surface_blowup(center, names, "t", "s", "V", "E")
+
+
 def test_a_failed_straightening_round_trip_is_an_internal_inconsistency(monkeypatch):
     # every center SurfaceCenter accepts straightens (back-substitution), so a
     # failed round trip is a bug (exit 3), not a refused center (exit 1)

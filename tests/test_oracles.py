@@ -1936,10 +1936,27 @@ def test_span_real_points_match_the_previous_real_system():
         assert (vec is None) == (nullity == 0)
         if vec is not None:
             assert _canonical_real(vec) == ref_point
-            assert all(quadric._zdot(row, vec) == (0, 0) for row in zrows)
+            assert quadric._forms_at(zrows, vec) == [(0, 0), (0, 0)]
         seen.add((kind, nullity))
     assert {nullity for _, nullity in seen} == {0, 1, 2}
     assert {kind for kind, _ in seen} == {"real", "real-line", "one-real-point", "real-or-imaginary", "dense"}
+
+
+zi_parts = st.integers(-10**12, 10**12) | st.integers(-3, 3)
+zi_pairs = st.tuples(zi_parts, zi_parts)
+zi_vectors = st.lists(zi_pairs, min_size=4, max_size=4)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(zi_vectors, min_size=1, max_size=4), zi_vectors)
+def test_forms_at_is_each_forms_own_dot_product(forms, vec):
+    # quadric._forms_at evaluates all forms in one unpacked pass; the
+    # reference sums each form's products over GaussianRationals
+    point = [GaussianRational(*x) for x in vec]
+    expected = [sum((GaussianRational(*a) * x for a, x in zip(form, point)), ZERO) for form in forms]
+    values = quadric._forms_at(forms, vec)
+    assert all(type(re) is int and type(im) is int for re, im in values)
+    assert [GaussianRational(re, im) for re, im in values] == expected
 
 
 def _random_split(rng):

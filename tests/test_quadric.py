@@ -9,6 +9,7 @@ import pytest
 from conetower import linalg, quadric
 from conetower.certificates import FAIL, PASS
 from conetower.errors import (
+    ConetowerError,
     InternalInconsistencyError,
     LineNotOnQuadricError,
     ValidationError,
@@ -33,7 +34,8 @@ from conetower.quadric import (
 )
 from conetower.tower import build_tower
 
-from test_oracles import _reference_row_echelon_gaussian
+import quadric_reference
+from test_oracles import _reference_row_echelon_gaussian, _span_params
 
 
 def test_split_identities():
@@ -273,9 +275,12 @@ def _reference_params(rng, family):
     return params
 
 
-@pytest.mark.parametrize("split", [SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC, RATIONAL_QUADRIC,
-                                   REAL_LINES_QUADRIC],
-                         ids=["sphere", "boundary", "control", "rational", "real-lines"])
+_ALL_SPLITS = (SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC, RATIONAL_QUADRIC, REAL_LINES_QUADRIC)
+_over_all_splits = pytest.mark.parametrize("split", _ALL_SPLITS,
+                                           ids=["sphere", "boundary", "control", "rational", "real-lines"])
+
+
+@_over_all_splits
 def test_real_point_matches_gaussian_rational_reference(split):
     rng = random.Random(21)
     nullities = set()
@@ -465,6 +470,14 @@ def test_proj_point_canonicalization():
     assert canon.coords[2] == GaussianRational(2)
 
 
+@pytest.mark.parametrize("coords", [(1, 0, 0), (1, 0, 0, 0, 0)], ids=["three", "five"])
+def test_proj_point_needs_four_coordinates(coords):
+    # zip would cut such a point to three coordinates in contains and
+    # evaluate_quadric, and (1 : 0 : 0) would read as on {z3 = z2 = 0}
+    with pytest.raises(ValidationError, match="four coordinates"):
+        ProjPoint(coords)
+
+
 # ------------------------------------------------ ProjLine in Z[i]
 
 _E1, _E2 = ((1, 0), (0, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0), (0, 0))
@@ -507,6 +520,45 @@ def test_proj_line_rejects_bad_scales(scale):
 def test_proj_line_rejects_dependent_rows(zrows):
     with pytest.raises(ValidationError):
         ProjLine(zrows, 3)
+
+
+_SHAPE = "a line is cut out by two rows of four Z[i] pairs on P^3"
+_INTS = "line rows and their scale must be ints"
+
+
+@pytest.mark.parametrize("zrows, scale, message", [
+    ((_E1,), 1, _SHAPE),
+    ((_E1, _E2, _E2), 1, _SHAPE),
+    ((_E1, _E2[:3]), 1, _SHAPE),
+    ((_E1, ([0, 1],) + _E2[1:]), 1, _SHAPE),
+    ((_E1, ((0, 1, 0),) + _E2[1:]), 1, _SHAPE),
+    ((((1.0, 0),) + _E1[1:], _E2), 1, _INTS),
+    ((_E1, ((0, 0), (1, True)) + _E2[2:]), 1, _INTS),
+    ((_E1, _E2), 0, "a line's scale must be a positive integer"),
+    ((_E1, _E2), -1, "a line's scale must be a positive integer"),
+    ((_E1, _E2), True, _INTS),
+    ((_E1, _E1), 1, "the two line forms must be linearly independent"),
+    # a wrong shape is named before a wrong type, and a wrong type before a bad scale
+    ((((1.0, 0),) + _E1[1:], _E2[:3]), 0, _SHAPE),
+    ((((1.0, 0),) + _E1[1:], _E2), 0, _INTS),
+], ids=["one-row", "three-rows", "row-of-three", "list-entry", "triple-entry", "float-part",
+        "bool-part", "scale-0", "scale-minus-1", "scale-true", "dependent", "shape-first", "type-first"])
+def test_proj_line_errors_keep_their_messages(zrows, scale, message):
+    with pytest.raises(ValidationError) as caught:
+        ProjLine(zrows, scale)
+    assert str(caught.value) == message
+
+
+def test_real_point_refuses_a_real_quadric_point_off_the_line(monkeypatch):
+    # the vector is real and on the quadric, so only the check that it lies on
+    # both of the line's forms can refuse it
+    line = ruling_line(RulingParam("A", GaussianRational(Fraction(1, 3), 2), Fraction(-5, 7)), BOUNDARY_QUADRIC)
+    off_line = [(5, 0), (3, 0), (4, 0), (0, 0)]
+    point = ProjPoint(tuple(x for x, _ in off_line))
+    assert not BOUNDARY_QUADRIC.evaluate_quadric(point) and not line.contains(point)
+    monkeypatch.setattr(quadric, "_span_real_vector", lambda span: (off_line, 1))
+    with pytest.raises(InternalInconsistencyError, match="fails an exact check"):
+        real_point(line, BOUNDARY_QUADRIC)
 
 
 def test_proj_line_from_rows_reads_the_same_rows_back():
@@ -623,3 +675,71 @@ def test_boundary_sphere_test_matches_previous_fraction_test():
         assert ours == _reference_on_sphere(point)
         outcomes.add((ours, point.is_real()))
     assert outcomes >= {(True, True), (False, True), (False, False)}
+
+
+# ------------------------------------------------ the per-form checks, batched
+
+
+def _outcome(find_real_point, line, split):
+    """(point, nullity), or the type of the error raised."""
+    try:
+        return find_real_point(line, split)
+    except ConetowerError as err:
+        return type(err)
+
+
+def _equivalence_lines(rng, split):
+    """Ruling lines of ``split`` at seeded, wide, (0 : 1) and (1 : 0)
+    parameters, lines of another split's rulings, and random Z[i] lines."""
+    lines = [ruling_line(param, split) for family in ("A", "B")
+             for param in _reference_params(rng, family) + _span_params(rng, family)]
+    for other in _ALL_SPLITS:
+        if other is not split:
+            lines += [ruling_line(sample_param(rng, family), other) for family in ("A", "B")]
+    return lines + [_random_zi_line(rng) for _ in range(10)]
+
+
+@_over_all_splits
+def test_real_point_matches_the_per_form_reference(split):
+    rng = random.Random(37)
+    outcomes = set()
+    for line in _equivalence_lines(rng, split):
+        ours = _outcome(real_point, line, split)
+        assert ours == _outcome(quadric_reference.real_point, line, split)
+        outcomes.add(ours if isinstance(ours, type) else ours[1])
+    assert LineNotOnQuadricError in outcomes
+    assert outcomes - {LineNotOnQuadricError} == ({0, 2} if split is REAL_LINES_QUADRIC else
+                                                  {0} if split is CONTROL_QUADRIC else {1})
+
+
+@_over_all_splits
+def test_every_real_point_is_on_the_quadric(split):
+    # real_point does not evaluate ab - cd at its point: line_on_quadric and
+    # the point's two line forms imply it, and quadric_poly decides it here
+    rng = random.Random(38)
+    poly = split.quadric_poly
+    points = 0
+    for line in _equivalence_lines(rng, split):
+        outcome = _outcome(real_point, line, split)
+        if not isinstance(outcome, type) and outcome[0] is not None:
+            point = outcome[0]
+            assert point.is_real() and line.contains(point)
+            assert not poly.evaluate(dict(zip(poly.variables, point.coords)))
+            points += 1
+    assert points >= (0 if split is CONTROL_QUADRIC else 10)
+
+
+def test_boundary_cover_evaluates_forms_at_most_three_times_a_line(monkeypatch):
+    # a count, not a time: two evaluations in line_on_quadric, one row check
+    assert not hasattr(quadric, "_zdot")
+    calls = []
+    forms_at = quadric._forms_at
+
+    def counting_forms_at(forms, vec):
+        calls.append(len(forms))
+        return forms_at(forms, vec)
+
+    monkeypatch.setattr(quadric, "_forms_at", counting_forms_at)
+    cert = verify_boundary_cover(build_tower(1), 40, 0)
+    assert cert.status == PASS
+    assert 0 < len(calls) <= 3 * 80
