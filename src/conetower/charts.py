@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ChartMismatchError, VariableMismatchError, ZeroInputError
+from .errors import ChartMismatchError, ValidationError, VariableMismatchError, ZeroInputError
 from .gaussian import ZERO
 from .multipoly import MultiPoly, _substitute_all, _trusted_poly, parse_poly, substitute
 
@@ -30,9 +30,9 @@ class Chart:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"duplicate variables in chart {self.id}")
+            raise ValidationError(f"duplicate variables in chart {self.id}")
         if "i" in self.variables:
-            raise ValueError("'i' denotes the imaginary unit and cannot be a variable")
+            raise ValidationError("'i' denotes the imaginary unit and cannot be a variable")
         n = len(self.variables)
         object.__setattr__(self, "coordinates", {
             v: _trusted_poly(self.variables, {tuple(int(j == k) for j in range(n)): (1, 0)}, 1)
@@ -66,7 +66,7 @@ class SubstitutionMap:
 
     def __init__(self, source: Chart, target: Chart, assignment, label: str):
         if not label:
-            raise ValueError("substitution maps must carry a nonempty label")
+            raise ValidationError("substitution maps must carry a nonempty label")
         missing = [v for v in target.variables if v not in assignment]
         if missing:
             raise ChartMismatchError(f"map {label}: unassigned target variables {missing}")

@@ -54,9 +54,9 @@ class MultiPoly:
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple, GaussianRational]):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable names in {variables}")
+            raise ValidationError(f"duplicate variable names in {variables}")
         if "i" in variables:
-            raise ValueError("'i' denotes the imaginary unit and cannot be a variable")
+            raise ValidationError("'i' denotes the imaginary unit and cannot be a variable")
         nvars = len(variables)
         clean = {}
         for exps, coeff in terms.items():
@@ -161,7 +161,7 @@ class MultiPoly:
 
     def __pow__(self, n: int):
         if not _is_int(n) or n < 0:
-            raise ValueError("polynomial exponent must be a non-negative integer")
+            raise ValidationError("polynomial exponent must be a non-negative integer")
         result = _trusted_poly(self.variables, {(0,) * len(self.variables): (1, 0)}, 1)
         base = self
         while n:

@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter, mul
 
 from .certificates import (
     CERTIFIED,
@@ -828,6 +828,23 @@ def _power_table(column, e: int) -> list:
     return table
 
 
+def _modulus(total: complex) -> float:
+    """abs(total), or inf where abs raises: a finite total whose modulus overflows."""
+    try:
+        return abs(total)
+    except OverflowError:
+        return math.inf
+
+
+def _block_term(scalar: complex, inner: list):
+    """scalar * x * y ... at each block position, as a lazy map, where x, y,
+    ... are a term's inner factors in variable order, each a list over the block."""
+    term = map(mul, itertools.repeat(scalar), inner[0])
+    for factor in inner[1:]:
+        term = map(mul, term, factor)
+    return term
+
+
 def float_min_abs_off_claimed(h: Hypersurface, claimed):
     """Smallest |f| over all numeric candidate critical points off the claimed set.
 
@@ -836,62 +853,104 @@ def float_min_abs_off_claimed(h: Hypersurface, claimed):
     unclaimed tuple is out of float range; ValidationError when a claimed
     point has not one coordinate per chart variable.
 
-    f is compiled once into term tables.  A term's table holds coeff * z**e
-    at each candidate z of its first variable; a term in more variables
-    multiplies in the others' z**e from per-variable power tables, in
-    variable order.  Summed left to right in term order, these are the float
-    operations of MultiPoly.evaluate_complex, so each |f| is bit-identical to
-    it.  A tuple is claimed iff each coordinate is within CLAIMED_POINT_TOL of
-    a claimed point's, so the claimed index tuples are the products of
-    per-coordinate index lists.
+    The candidate tuples are evaluated a block at a time.  The last two chart
+    variables are the inner ones (all of them in a chart of fewer than
+    three): a block is their index tuples in product order, and there is one
+    block per index tuple of the outer variables.  Per block, a term with no
+    inner variable is one scalar, its coefficient times its outer z**e; a
+    term on inner variables is a sequence over the block, precomputed once
+    when all of its variables are inner and otherwise the outer scalar times
+    the inner z**e.  The running total stays a scalar up to the first
+    sequence term; from there a chain of lazy maps, one per term, adds the
+    terms through the block in one pass, and ``map(abs, ...)`` takes the
+    moduli.  The finite check, the claimed mask and the minimum are taken
+    once per block.  A tuple is claimed iff each coordinate is within
+    CLAIMED_POINT_TOL of a claimed point's, so the claimed tuples are
+    products of per-coordinate index lists, kept as block positions per
+    outer index tuple.
+
+    Lemma: each |f| is bit-identical to ``abs(MultiPoly.evaluate_complex)``
+    at its tuple, the errors are those of a loop over the tuples, and the
+    returned tuple is the first least one in product order.  Proof: each
+    total is ``0j`` plus the terms left to right in term order, each term
+    its coefficient times its z**e in variable order, the float operations
+    of ``evaluate_complex`` in its order.  Outer variables precede inner
+    ones, so a term's outer scalar is a prefix of its product, and each
+    operand keeps its place: ``mul(s, x)`` is ``s * x``, ``add(acc, t)`` is
+    ``acc + t`` and ``add(total, s)`` is ``total + s``.  The finite check
+    reads claimed positions as 0.0; a sum of non-negative floats is finite
+    when all are, unless it overflows, and then each value is checked.  So
+    it raises iff |f| is not finite at an unclaimed tuple.  Where ``abs``
+    raises OverflowError (a finite total whose modulus overflows), the
+    block's moduli are taken one at a time with inf there, so a claimed
+    tuple raises nothing.  Claimed positions then read inf; ``min`` and
+    ``list.index`` give a block's first least value, and a later block
+    replaces the best only when strictly less.
     """
     system = CriticalSystem.of(h)
     candidates = critical_point_candidates(system)
     columns = [candidates[v] for v in h.chart.variables]
-    claimed_indices = set()
+    n_outer = max(len(columns) - 2, 0)
+    block = list(itertools.product(*(range(len(column)) for column in columns[n_outer:])))
+    position = {inner: j for j, inner in enumerate(block)}
+    masks = {}  # outer index tuple -> the claimed positions in its block
     for pt in _claimed_points(h.chart, claimed):
         near = []
         for column, c in zip(columns, pt):
             c = _finite_complex(c, "a claimed coordinate")
             near.append([j for j, z in enumerate(column) if abs(z - c) < CLAIMED_POINT_TOL])
-        claimed_indices.update(itertools.product(*near, (0,)))
+        at = [position[inner] for inner in itertools.product(*near[n_outer:])]
+        for outer in itertools.product(*near[:n_outer]):
+            masks.setdefault(outer, set()).update(at)
 
-    # per term: (first variable index, its table, ((variable index, power table), ...));
-    # an index tuple ends in a 0 past the variables, which a constant term reads
+    # per term: (coefficient, ((outer variable index, power table), ...), [inner factor
+    # over the block, ...]); a term on inner variables alone has its sequence in place
+    # of its coefficient
     kernel = []
     for exps, coeff in h.equation.terms.items():
         c = _finite_complex(coeff, "a coefficient of f")
-        factors = [(i, e) for i, e in enumerate(exps) if e]
-        if not factors:
-            kernel.append((len(columns), [c], ()))
-            continue
-        (i, e), rest = factors[0], factors[1:]
-        table = [c * p for p in _power_table(columns[i], e)]
-        kernel.append((i, table, tuple((j, _power_table(columns[j], d)) for j, d in rest)))
+        factors = tuple((i, _power_table(columns[i], e)) for i, e in enumerate(exps[:n_outer]) if e)
+        inner = []
+        for i, e in enumerate(exps[n_outer:]):
+            if e:
+                table = _power_table(columns[n_outer + i], e)
+                inner.append([table[t[i]] for t in block])
+        if inner and not factors:
+            c, inner = list(_block_term(c, inner)), []
+        kernel.append((c, factors, inner))
 
-    best = None
-    for idx in itertools.product(*(range(len(column)) for column in columns), (0,)):
-        if idx in claimed_indices:
-            continue
-        total = 0j
-        for i, table, rest in kernel:
-            term = table[idx[i]]
-            if rest:  # most terms have one variable: skip the empty loop
-                for j, table_j in rest:
-                    term *= table_j[idx[j]]
-            total += term
+    best, best_value = None, math.inf
+    for outer in itertools.product(*(range(len(column)) for column in columns[:n_outer])):
+        acc, totals = 0j, None
+        for term, factors, inner in kernel:
+            for i, table in factors:
+                term *= table[outer[i]]
+            if inner:
+                term = _block_term(term, inner)
+            if not isinstance(term, complex):
+                totals = map(add, itertools.repeat(acc) if totals is None else totals, term)
+            elif totals is None:
+                acc += term
+            else:
+                totals = map(add, totals, itertools.repeat(term))
+        totals = [acc] * len(block) if totals is None else list(totals)
         try:
-            value = abs(total)
-        except OverflowError:  # abs of a finite total raises it; inf or nan totals give inf or nan
-            value = math.inf
-        if not math.isfinite(value):
+            values = list(map(abs, totals))
+        except OverflowError:
+            values = list(map(_modulus, totals))
+        masked = masks.get(outer, ())
+        for j in masked:
+            values[j] = 0.0
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise FloatRangeError("the float oracle cannot represent |f| at a candidate point")
-        if best is None or value < best[0]:
-            best = (value, idx)
+        for j in masked:
+            values[j] = math.inf
+        low = min(values)
+        if low < best_value:
+            best, best_value = outer + block[values.index(low)], low
     if best is None:
         return None
-    value, idx = best
-    return value, tuple(column[j] for column, j in zip(columns, idx))
+    return best_value, tuple(column[j] for column, j in zip(columns, best))
 
 
 # ------------------------------------------------------------------ real-slice bounds

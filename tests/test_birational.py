@@ -168,6 +168,12 @@ def test_straightening_refuses_names_that_are_not_four_distinct(names):
         blowup.surface_blowup(center, names, "t", "s", "V", "E")
 
 
+def test_straightening_refuses_the_imaginary_unit_as_a_name():
+    # four distinct names, so only the chart can refuse "i"; it once did so untyped
+    with pytest.raises(ValidationError, match="imaginary unit"):
+        straighten_center(tower_center(AMBIENT, 2), ("i", "a", "q", "b"), "V")
+
+
 def test_a_failed_straightening_round_trip_is_an_internal_inconsistency(monkeypatch):
     # every center SurfaceCenter accepts straightens (back-substitution), so a
     # failed round trip is a bug (exit 3), not a refused center (exit 1)
@@ -369,6 +375,20 @@ def test_compose_chart_mismatch():
     g = step.chart(3).to_base
     with pytest.raises(ChartMismatchError):
         compose_maps(g, g)
+
+
+@pytest.mark.parametrize("variables, message", [
+    (("x", "y", "x"), "duplicate variables"),
+    (("x", "i"), "imaginary unit"),
+], ids=["duplicate", "imaginary-unit"])
+def test_chart_refuses_bad_variables_with_a_typed_error(variables, message):
+    with pytest.raises(ValidationError, match=message):
+        Chart("C", variables)
+
+
+def test_substitution_map_refuses_an_empty_label_with_a_typed_error():
+    with pytest.raises(ValidationError, match="nonempty label"):
+        SubstitutionMap(AMBIENT, AMBIENT, {v: AMBIENT.var(v) for v in AMBIENT.variables}, "")
 
 
 def test_chart_coordinates_are_built_once():

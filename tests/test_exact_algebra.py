@@ -71,6 +71,13 @@ def test_multipoly_power_refuses_a_bool_exponent_as_it_does_a_non_int(exponent):
         (x + MultiPoly.constant(("x",), 1)) ** exponent
 
 
+@pytest.mark.parametrize("exponent", [-1, 1.5, "2", True])
+def test_multipoly_power_refuses_a_bad_exponent_with_a_typed_error(exponent):
+    x = MultiPoly.variable(("x",), "x")
+    with pytest.raises(ValidationError, match="polynomial exponent must be a non-negative integer"):
+        x ** exponent
+
+
 def test_real_gaussian_rationals_hash_as_the_ints_and_fractions_they_equal():
     # equal values are one set element and one dict key, whichever type each is
     for value in (0, 2, -7, 10 ** 30, Fraction(1, 2), Fraction(-9, 4), Fraction(10 ** 30, 7)):
@@ -179,6 +186,15 @@ def test_multipoly_rejects_bad_exponents(exponent):
     # negative one is refused too, all with the same error type
     with pytest.raises(ValidationError, match="exponents must be non-negative ints"):
         MultiPoly(("x", "y"), {(1, exponent): 3})
+
+
+@pytest.mark.parametrize("variables, message", [
+    (("x", "y", "x"), "duplicate variable names"),
+    (("x", "i"), "imaginary unit"),
+], ids=["duplicate", "imaginary-unit"])
+def test_multipoly_refuses_bad_variables_with_a_typed_error(variables, message):
+    with pytest.raises(ValidationError, match=message):
+        MultiPoly(variables, {})
 
 
 def test_mul_variable_mismatch():

@@ -1,11 +1,13 @@
 """Singular-locus certificates, perturbation search, real-slice bounds."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branch_reference import with_reference_plan
 from conetower import singular
@@ -574,6 +576,157 @@ def test_numeric_oracle_matches_evaluate_complex():
         with pytest.raises(FloatRangeError):
             float_min_abs_off_claimed(h, claimed)
     assert float_min_abs_off_claimed(h, [(10 ** 300,)]) == _reference_min_abs(h, [[(10 ** 300,)]])[0] == (0.0, (0j,))
+
+
+def _exact(z: complex) -> GaussianRational:
+    return GaussianRational(Fraction(z.real), Fraction(z.imag))
+
+
+_small_coefficients = st.builds(
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
+    st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 6),
+).filter(bool)
+
+
+def _singles_and_pairs(items):
+    """Every split of ``items`` into single items and pairs, each pair in order."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for split in _singles_and_pairs(rest):
+        yield [[first]] + split
+    for k, other in enumerate(rest):
+        for split in _singles_and_pairs(rest[:k] + rest[k + 1:]):
+            yield [[first, other]] + split
+
+
+@st.composite
+def _oracle_draws(draw):
+    """An equation over 0-4 variables, and claimed lists of exact candidate
+    tuples and near misses.
+
+    The variables are split into single ones, each with a*x^p + b*x^r, and
+    pairs x < y, each with c*x^p*y^q + a*x^p + b*y^q: d/dx is p*x^(p-1) times
+    the binomial c*y^q + a, and d/dy likewise, so x and y take roots of each
+    other's factors.  The last two variables are the oracle's inner block,
+    so a pair's first variable is outer or inner as the split falls.  A
+    single variable now and then gets a third term, so that its factor is
+    no binomial and both sides raise ValidationError.
+    """
+    n = draw(st.integers(0, 4))
+    groups = draw(st.sampled_from(list(_singles_and_pairs(list(range(n))))))
+    terms, pairs = {}, []
+
+    def monomial(powers):
+        return tuple(powers.get(j, 0) for j in range(n))
+
+    for group in groups:
+        if len(group) == 1:
+            count = draw(st.sampled_from([2, 2, 2, 2, 2, 3]))
+            for e in draw(st.sets(st.integers(1, 6), min_size=count, max_size=count)):
+                terms[monomial({group[0]: e})] = draw(_small_coefficients)
+        else:
+            x, y = group
+            p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+            c, a, b = (draw(_small_coefficients) for _ in range(3))
+            terms.update({monomial({x: p, y: q}): c, monomial({x: p}): a, monomial({y: q}): b})
+            pairs.append(a * b / c)
+    # the constant: none (unless f would be 0), drawn, or a*b/c of a pair, which
+    # makes f vanish where that pair sits at roots and the others at 0, so |f|
+    # there is rounding error and any change in the order of float operations shows
+    constant = draw(st.sampled_from(["none", "drawn", "cancelling"]))
+    if constant == "cancelling" and pairs:
+        terms[monomial({})] = draw(st.sampled_from(pairs))
+    elif constant == "drawn" or not terms:
+        terms[monomial({})] = draw(_small_coefficients)
+    # the term order is the order of the float sum: shuffle it
+    names = tuple(f"x{j}" for j in range(n))
+    chart = Chart("H", names)
+    h = Hypersurface(chart, MultiPoly(names, dict(draw(st.permutations(list(terms.items()))))))
+
+    try:
+        columns = [critical_point_candidates(CriticalSystem.of(h))[v] for v in names]
+    except ValidationError:
+        columns = [[0j]] * n
+    # a claimed coordinate: a candidate exactly, or 10^-10 (within the tolerance) or
+    # 2*10^-9 (beyond it) away from one
+    shifts = st.sampled_from([0, 0, Fraction(1, 10 ** 10), Fraction(2, 10 ** 9)])
+    points = st.builds(
+        lambda picks, moves: tuple(_exact(column[k % len(column)]) + move
+                                   for column, k, move in zip(columns, picks, moves)),
+        st.lists(st.integers(0, 10 ** 6), min_size=n, max_size=n),
+        st.lists(shifts, min_size=n, max_size=n),
+    )
+    claimed_lists = draw(st.lists(st.lists(points, max_size=4), min_size=1, max_size=3))
+    return h, claimed_lists
+
+
+def _outcome(call):
+    """call()'s result, or the type of the library error it raised."""
+    try:
+        return call()
+    except (ValidationError, FloatRangeError) as err:
+        return type(err)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_oracle_draws())
+def test_blocked_oracle_matches_the_per_tuple_reference(draw):
+    h, claimed_lists = draw
+    expected = _outcome(lambda: _reference_min_abs(h, claimed_lists))
+    assert _outcome(lambda: [float_min_abs_off_claimed(h, claimed) for claimed in claimed_lists]) == expected
+
+
+def test_oracle_matches_the_reference_at_each_tuple_for_every_term_shape(monkeypatch):
+    # binomial factors allow no term in three variables, so the candidates are
+    # set here: random complex columns.  f has a term of each shape over the
+    # outer block (x, y) and the inner one (z, w): a constant, each variable
+    # alone, outer-outer, outer-inner and inner-inner pairs, outer-inner-inner,
+    # outer-outer-inner and all four, in an order that mixes scalar and block
+    # terms.  Each tuple in turn is the only unclaimed one, so every |f| is
+    # compared bit for bit
+    rng = random.Random(38)
+    chart = _chart(("x", "y", "z", "w"))
+    columns = {v: [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(size)]
+               for v, size in zip(chart.variables, (2, 3, 3, 2))}
+    monkeypatch.setattr(singular, "critical_point_candidates", lambda system: columns)
+    monkeypatch.setitem(globals(), "critical_point_candidates", lambda system: columns)
+    shapes = [(0, 0, 3, 0), (2, 0, 0, 0), (1, 2, 0, 0), (0, 0, 1, 2), (0, 0, 0, 0), (3, 0, 1, 0),
+              (0, 1, 0, 0), (1, 0, 2, 1), (0, 0, 0, 3), (2, 1, 0, 1), (1, 1, 1, 1), (0, 2, 0, 2)]
+    terms = {
+        e: GaussianRational(Fraction(rng.randint(-99, 99), rng.randint(1, 40)), Fraction(rng.randint(-99, 99), 7))
+        for e in shapes
+    }
+    h = Hypersurface(chart, MultiPoly(chart.variables, terms))
+    tuples = list(itertools.product(*columns.values()))
+    exact = [tuple(map(_exact, t)) for t in tuples]
+    claimed_lists = [[], [chart.origin()]] + [exact[:n] + exact[n + 1:] for n in range(len(tuples))]
+    expected = _reference_min_abs(h, claimed_lists)
+    assert [combo for _, combo in expected[2:]] == tuples
+    assert [float_min_abs_off_claimed(h, claimed) for claimed in claimed_lists] == expected
+
+
+def test_oracle_refuses_a_modulus_that_overflows_in_abs_unless_claimed():
+    # f = x^2 + c1*x + c0 has the candidates 0 and r = -c1/2 = t(1 - i).  Each
+    # term is finite at r, and so is the total, 1.5e308 + (0.9e308 + r^2*i)...,
+    # but its modulus is above the largest float: abs raises OverflowError
+    chart = _chart(("x",))
+    t = 65 * 10 ** 152
+    c1 = GaussianRational(-2 * t, 2 * t)
+    c0 = GaussianRational(15 * 10 ** 307, 9 * 10 ** 307)
+    h = Hypersurface(chart, MultiPoly(chart.variables, {(2,): GaussianRational(1), (1,): c1, (0,): c0}))
+    zero, r = critical_point_candidates(CriticalSystem.of(h))["x"]
+    assert zero == 0 and r != 0
+    total = h.equation.evaluate_complex({"x": r})
+    assert math.isfinite(total.real) and math.isfinite(total.imag)
+    with pytest.raises(OverflowError):
+        abs(total)
+    for claimed in ([], [chart.origin()]):
+        with pytest.raises(FloatRangeError):
+            float_min_abs_off_claimed(h, claimed)
+    claimed = [(_exact(r),)]
+    assert float_min_abs_off_claimed(h, claimed) == _reference_min_abs(h, [claimed])[0] == (abs(complex(c0)), (0j,))
 
 
 def test_candidates_include_branch_roots():
