@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
+from .errors import ValidationError
+
 SCHEMA = "cert/1"
 
 PASS = "PASS"
@@ -61,7 +63,7 @@ class Certificate:
 
     def __post_init__(self):
         if self.status not in _ALL_STATUSES:
-            raise ValueError(f"unknown certificate status {self.status!r}")
+            raise ValidationError(f"unknown certificate status {self.status!r}")
 
     @property
     def passed(self) -> bool:

@@ -72,6 +72,14 @@ def _coefficient_text(re: int, im: int, den: int, mono: str = "") -> tuple:
     return negative, f"{body}*{mono}" if mono else body
 
 
+def _gaussian_text(re: int, im: int, den: int) -> str:
+    """Standalone text of (re + im*i)/den, ``den`` a positive int: the text of
+    the GaussianRational of that value, whether or not the triple is in
+    normal form, as ``_coefficient_text`` reduces each part it prints."""
+    negative, body = _coefficient_text(re, im, den)
+    return "-" + body if negative else body
+
+
 def _coerced(operator):
     """``operator(self, other)`` with ``other`` coerced to a GaussianRational;
     NotImplemented when it is not an int, a Fraction or a GaussianRational."""
@@ -214,8 +222,7 @@ class GaussianRational:
 
     def __str__(self):
         """Standalone coefficient form accepted by the polynomial grammar."""
-        negative, body = _coefficient_text(*self.pair, self.den)
-        return "-" + body if negative else body
+        return _gaussian_text(*self.pair, self.den)
 
 
 def _trusted_gaussian(re: int, im: int, den: int) -> GaussianRational:
@@ -240,8 +247,8 @@ I = GaussianRational(0, 1)
 # Z[i] pairs are also the rows of linalg's eliminations and the quadric's line
 # and split forms.  ``_zi_lift`` puts GaussianRationals over one denominator:
 # the coefficients of the public MultiPoly and LaurentPoly constructors,
-# ``ProjLine.from_rows`` and ``QuadricSplit``'s forms, a ruling parameter and
-# a real point's coordinates.  The normal form, the sum and the
+# ``ProjLine.from_rows`` and ``QuadricSplit``'s forms, and a real point's
+# coordinates.  The normal form, the sum and the
 # GaussianRational view of a term map are shared by every exact class.
 
 

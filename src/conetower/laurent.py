@@ -61,7 +61,7 @@ class LaurentPoly:
         """Read a MultiPoly univariate in ``variable`` as a Laurent polynomial in z."""
         used = poly.variables_used()
         if used not in ((), (variable,)):
-            raise ValueError(f"{poly} is not univariate in {variable}")
+            raise ValidationError(f"{poly} is not univariate in {variable}")
         idx = poly.variables.index(variable)
         return _trusted_laurent({exps[idx]: c for exps, c in poly.zterms.items()}, poly.den)
 

@@ -62,7 +62,7 @@ class MultiPoly:
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != nvars:
-                raise ValueError(f"exponent vector {exps} has wrong length for {variables}")
+                raise ValidationError(f"exponent vector {exps} has wrong length for {variables}")
             for e in exps:
                 if type(e) is not int or e < 0:
                     raise ValidationError(f"exponents must be non-negative ints, got {exps!r}")
@@ -116,7 +116,7 @@ class MultiPoly:
         if not self.zterms:
             return ZERO
         if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
+            raise ValidationError(f"{self} is not constant")
         ((re, im),) = self.zterms.values()
         return _trusted_gaussian(re, im, self.den)
 
@@ -780,7 +780,7 @@ def _bareiss_determinant(matrix) -> MultiPoly:
     """
     n = len(matrix)
     if n == 0:
-        raise ValueError("empty matrix")
+        raise ValidationError("empty matrix")
     variables = matrix[0][0].variables
     if any(entry.variables != variables for row in matrix for entry in row):
         raise VariableMismatchError("matrix entries live over different variable lists")

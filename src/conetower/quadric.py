@@ -18,8 +18,15 @@ coordinates (Hodge and Pedoe, Methods of Algebraic Geometry I, ch. VII), and
 the same minors refuse dependent rows and, by a Laplace expansion, dependent
 split forms.  The real point comes from a 2x2 integer system in the span's
 imaginary parts; the sphere test of the boundary cover runs on integers too.
-Values in Q(i) come in and go out as GaussianRationals, each read or built
-as its Z[i] pair over its denominator.
+
+Each step is one private int kernel: ``_draw_st`` draws (s : t),
+``_ruling_rows`` builds the two rows, ``_span`` reads the span,
+``_real_vector`` checks containment and reads the real point, and
+``_on_sphere`` tests it.  The public functions are thin wrappers that build
+a RulingParam, ProjLine or ProjPoint around a kernel's ints; values in Q(i)
+come in and go out as GaussianRationals, each read or built as its Z[i] pair
+over its denominator.  The boundary-cover sampler calls the kernels
+directly, so a sampled line stays ints from the draw to its printed entry.
 """
 
 from __future__ import annotations
@@ -36,7 +43,9 @@ from .errors import (
     _check_seed,
     _is_int,
 )
-from .gaussian import GaussianRational, I, ONE, ZERO, _gmul, _gneg, _trusted_gaussian, _zi_lift
+from .gaussian import (
+    GaussianRational, I, ONE, ZERO, _gaussian_text, _gmul, _gneg, _trusted_gaussian, _zi_lift,
+)
 from .multipoly import MultiPoly
 
 _VARS = ("z0", "z1", "z2", "z3")
@@ -82,7 +91,8 @@ def _minors(r1, r2):
 
 
 def _span(zrows):
-    """Z[i] kernel basis of two rows of four Z[i] pairs, None if they are dependent.
+    """Z[i] kernel basis of two rows of four Z[i] pairs; ValidationError if
+    they are dependent.
 
     The first nonzero minor m_(c1,c2) in lexicographic order names the
     echelon pivots c1 < c2, as the minors m_ij with i < c1 vanish with column
@@ -96,7 +106,7 @@ def _span(zrows):
     minors = _minors(*zrows)
     pivots = next((pair for pair in _PAIRS if minors[pair] != (0, 0)), None)
     if pivots is None:
-        return None
+        raise ValidationError("the two line forms must be linearly independent")
     span = []
     for f in range(4):
         if f not in pivots:
@@ -105,6 +115,12 @@ def _span(zrows):
             vec[a], vec[b], vec[c] = minors[b, c], _gneg(minors[a, c]), minors[a, b]
             span.append(vec)
     return tuple(span)
+
+
+def _point_text(coords) -> str:
+    """Text of the point with (re, im, den) triples ``coords``, as
+    ``str(ProjPoint)`` prints it."""
+    return "(" + " : ".join(_gaussian_text(*c) for c in coords) + ")"
 
 
 def _linear_form(row) -> MultiPoly:
@@ -143,7 +159,7 @@ class ProjPoint:
         return all(c.is_real() for c in self.coords)
 
     def __str__(self):
-        return "(" + " : ".join(str(c) for c in self.coords) + ")"
+        return _point_text((*c.pair, c.den) for c in self.coords)
 
 
 @dataclass(frozen=True)
@@ -155,9 +171,10 @@ class ProjLine:
     no common factor; equal lines therefore have equal fields.  ``span`` is
     the Z[i] kernel basis of the rows that :func:`_span` reads off their 2x2
     minors, two vectors spanning the line, each zero at the other's free
-    column.  Every line, a ruling line included, is built and checked here.
-    Q(i) rows come in through :meth:`from_rows` and go out through
-    :attr:`rows`.
+    column.  Every line the public API takes or returns is built and
+    checked here; the boundary-cover sampler runs the same kernels on its
+    rows without building one.  Q(i) rows come in through :meth:`from_rows`
+    and go out through :attr:`rows`.
     """
 
     zrows: tuple
@@ -179,8 +196,6 @@ class ProjLine:
         if g > 1:
             zrows = tuple(tuple((re // g, im // g) for re, im in row) for row in zrows)
         span = _span(zrows)
-        if span is None:
-            raise ValidationError("the two line forms must be linearly independent")
         object.__setattr__(self, "zrows", zrows)
         object.__setattr__(self, "scale", self.scale // g)
         object.__setattr__(self, "span", span)
@@ -229,7 +244,8 @@ class QuadricSplit:
     """A quadric written as ab = cd with four linear forms over (z0..z3).
 
     ``zforms`` holds a, b, c, d scaled to Z[i] pairs by their common
-    denominator ``scale``, so :meth:`vanishes_at` tests scale^2 * (ab - cd).
+    denominator ``scale``, so their values at a Z[i] vector give
+    scale^2 * (ab - cd) there.
     The forms must be independent; otherwise ab - cd is a singular quadric.
     det(a, b, c, d) is expanded along (a, b) by Laplace: each 2x2 minor of
     (a, b) on columns i < j times the complementary minor of (c, d), with
@@ -271,11 +287,6 @@ class QuadricSplit:
         z = point.coords
         return _dot(self.a, z) * _dot(self.b, z) - _dot(self.c, z) * _dot(self.d, z)
 
-    def vanishes_at(self, vec) -> bool:
-        """Exact test of ab - cd = 0 at a Z[i]-pair vector."""
-        a, b, c, d = _forms_at(self.zforms, vec)
-        return _gmul(a, b) == _gmul(c, d)
-
 
 def _row(*entries):
     return tuple(GaussianRational.coerce(e) for e in entries)
@@ -314,37 +325,56 @@ CONTROL_QUADRIC = QuadricSplit(
 )
 
 
-def ruling_line(param: RulingParam, split: QuadricSplit = SPHERE_QUADRIC) -> ProjLine:
-    """The line of the chosen ruling at parameter (s : t); it lies on the quadric.
+def _ruling_rows(family: str, s, t, split: QuadricSplit):
+    """The two forms of the ruling line at (s : t) as Z[i] rows over one
+    scale, ``(rows, scale)``; s and t are (re, im, den) triples.
 
     For family A, s*t*(ab - cd) = (t*a - s*c)*s*b + s*c*(s*b - t*d), so ab - cd
     vanishes where both forms do once s*t != 0; the line {a = d = 0} (s = 0)
     or {c = b = 0} (t = 0) lies on ab = cd directly.  Family B swaps c and d.
 
     The forms are computed in Z[i] from the split's integer forms and (s : t)
-    over its denominator D, the lcm of the two values' denominators;
-    :class:`ProjLine` keeps them over the scale D * split.scale, reduced, and
-    reads the span off their minors.
+    over its denominator D, the lcm of the two values' denominators, so the
+    scale is D * split.scale.  The rows are not reduced.
     """
-    (s, t), D = _zi_lift((param.s, param.t))
+    (sr, si, sd), (tr, ti, td) = s, t
+    D = math.lcm(sd, td)
+    ks, kt = D // sd, D // td
+    s, t = (sr * ks, si * ks), (tr * kt, ti * kt)
     a, b, c, d = split.zforms
-    if param.family == "B":
+    if family == "B":
         c, d = d, c
-    return ProjLine((_comb(t, a, _gneg(s), c), _comb(s, b, _gneg(t), d)), D * split.scale)
+    return (_comb(t, a, _gneg(s), c), _comb(s, b, _gneg(t), d)), D * split.scale
 
 
-def line_on_quadric(line: ProjLine, split: QuadricSplit) -> bool:
-    """Exact containment: the quadric vanishes on a spanning pair and their sum.
+def ruling_line(param: RulingParam, split: QuadricSplit = SPHERE_QUADRIC) -> ProjLine:
+    """The line of the chosen ruling at parameter (s : t); it lies on the quadric.
+
+    The rows come from :func:`_ruling_rows`; :class:`ProjLine` keeps them
+    over their scale, reduced, and reads the span off their minors.
+    """
+    s, t = param.s, param.t
+    return ProjLine(*_ruling_rows(param.family, (*s.pair, s.den), (*t.pair, t.den), split))
+
+
+def _on_quadric(span, split: QuadricSplit) -> bool:
+    """Exact containment of the line spanned by ``span = (u, w)``: the
+    quadric vanishes on the spanning pair and their sum.
 
     A quadric form vanishing at u, w and u + w has q(u, w) = 0 for its
     bilinear form too, so it vanishes on the whole line.  The split's four
     forms are evaluated at u and w once; their values at u + w are the sums.
     """
-    u, w = line.span
+    u, w = span
     at_u = _forms_at(split.zforms, u)
     at_w = _forms_at(split.zforms, w)
     at_sum = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(at_u, at_w)]
     return all(_gmul(a, b) == _gmul(c, d) for a, b, c, d in (at_u, at_w, at_sum))
+
+
+def line_on_quadric(line: ProjLine, split: QuadricSplit) -> bool:
+    """Exact containment of ``line`` in the quadric, by :func:`_on_quadric`."""
+    return _on_quadric(line.span, split)
 
 
 def _span_real_vector(span):
@@ -399,89 +429,135 @@ def _span_real_vector(span):
     return vec, nullity
 
 
-def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
-    """Exact real point of a line on the quadric, with the kernel dimension.
+def _real_vector(zrows, span, split: QuadricSplit):
+    """The real point of the line with Z[i] rows ``zrows`` and span ``span``
+    on the quadric, with the kernel dimension: ``(z, nullity)``.
 
-    The returned nullity is the dimension of the real kernel of the line's
-    forms, read off its Z[i] span by :func:`_span_real_vector` with no second
-    elimination; for nullity >= 1 the canonical kernel vector is a real point
-    on the line (and hence on the quadric).  The integer kernel vector is
-    checked real and on both of the line's forms before the one division by
-    its leading coordinate, the denominator of the point's coordinates.
-    Raises LINE_NOT_ON_QUADRIC for lines off the quadric.
+    The nullity is the dimension of the real kernel of the line's forms,
+    read off its Z[i] span by :func:`_span_real_vector` with no second
+    elimination.  For nullity >= 1, ``z`` is the integer real kernel
+    vector, its first nonzero coordinate made positive: the coordinates of
+    a real point on the line (and hence on the quadric), over that
+    coordinate.  The vector is checked real and on both of the line's
+    forms.  For nullity 0, ``z`` is None.  Raises LINE_NOT_ON_QUADRIC for
+    lines off the quadric.
 
-    No check of ab - cd at the vector is needed: :func:`line_on_quadric` has
+    No check of ab - cd at the vector is needed: :func:`_on_quadric` has
     passed in this call, so the quadric vanishes on the whole line, and a
     vector on both of the line's independent forms is on that line.
     """
-    if not line_on_quadric(line, split):
+    if not _on_quadric(span, split):
         raise LineNotOnQuadricError(f"line is not contained in {split.name}")
-    vec, nullity = _span_real_vector(line.span)
+    vec, nullity = _span_real_vector(span)
     if nullity == 0:
         return None, 0
     if any(im for _, im in vec):
         raise InternalInconsistencyError("kernel of a real system must be real")
-    if _forms_at(line.zrows, vec) != [(0, 0), (0, 0)]:
+    if _forms_at(zrows, vec) != [(0, 0), (0, 0)]:
         raise InternalInconsistencyError("computed real point fails an exact check")
-    lead = next(re for re, _ in vec if re)
-    if lead < 0:  # a denominator is positive
-        vec, lead = [(-re, im) for re, im in vec], -lead
-    return ProjPoint._trusted(tuple(_trusted_gaussian(re, 0, lead) for re, _ in vec)), nullity
+    z = [re for re, _ in vec]
+    if next(x for x in z if x) < 0:  # a denominator is positive
+        z = [-x for x in z]
+    return z, nullity
 
 
-def sample_param(rng: random.Random, family: str) -> RulingParam:
-    """Seeded Gaussian-rational parameter with numerators/denominators in [-20, 20].
+def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
+    """Exact real point of a line on the quadric, with the kernel dimension.
+
+    For nullity >= 1 the point is :func:`_real_vector`'s integer vector
+    divided by its leading coordinate, the one division; for nullity 0 it
+    is None.  Raises LINE_NOT_ON_QUADRIC for lines off the quadric.
+    """
+    z, nullity = _real_vector(line.zrows, line.span, split)
+    if z is None:
+        return None, 0
+    lead = next(x for x in z if x)
+    return ProjPoint._trusted(tuple(_trusted_gaussian(x, 0, lead) for x in z)), nullity
+
+
+def _draw_part(bits) -> tuple:
+    """One drawn rational part, as the int pair (numerator, denominator)."""
+    n = bits(6)
+    while n >= 41:
+        n = bits(6)
+    d = bits(5)
+    while d >= 20:
+        d = bits(5)
+    return n - 20, d + 1
+
+
+def _draw_value(bits) -> tuple:
+    """One drawn Gaussian rational as a normalized (re, im, den) triple."""
+    (a, b), (c, d) = _draw_part(bits), _draw_part(bits)
+    re, im, den = a * d, c * b, b * d
+    g = math.gcd(re, im, den)
+    return re // g, im // g, den // g
+
+
+def _draw_st(bits) -> tuple:
+    """A seeded ruling parameter (s : t), never (0 : 0), as two normalized
+    (re, im, den) triples, drawn with ``bits``, a generator's getrandbits.
 
     Each of the four parts is Fraction(rng.randint(-20, 20), rng.randint(1,
-    20)), equal in value and leaving ``rng`` in the same state.  On a
+    20)), equal in value and leaving the generator in the same state.  On a
     random.Random, randint(-20, 20) is -20 + getrandbits(6), drawn again
     while it reads 41 or more, and randint(1, 20) is 1 + getrandbits(5),
     drawn again while it reads 20 or more; a part is drawn as the int pair
     (numerator, denominator).
     """
-    bits = rng.getrandbits
-
-    def part():
-        n = bits(6)
-        while n >= 41:
-            n = bits(6)
-        d = bits(5)
-        while d >= 20:
-            d = bits(5)
-        return n - 20, d + 1
-
-    def value():
-        (a, b), (c, d) = part(), part()
-        return _trusted_gaussian(a * d, c * b, b * d)
-
     while True:
-        s, t = value(), value()
-        if s or t:
-            return RulingParam(family=family, s=s, t=t)
+        s, t = _draw_value(bits), _draw_value(bits)
+        if s[0] or s[1] or t[0] or t[1]:
+            return s, t
+
+
+def sample_param(rng: random.Random, family: str) -> RulingParam:
+    """Seeded Gaussian-rational parameter with numerators/denominators in
+    [-20, 20], drawn by :func:`_draw_st`."""
+    s, t = _draw_st(rng.getrandbits)
+    return RulingParam(family=family, s=_trusted_gaussian(*s), t=_trusted_gaussian(*t))
 
 
 def _sampled_lines(split: QuadricSplit, trials: int, seed: int):
     """Seeded ruling lines of ``split``, ``trials`` per family, with their real points.
 
-    Yields (family, index, param, point, nullity) as :func:`real_point` returns them.
+    Yields (family, index, s, t, z, nullity): the drawn (re, im, den)
+    triples of :func:`_draw_st` and what :func:`_real_vector` returns.  The
+    kernels are those of the chain sample_param -> ruling_line ->
+    real_point, which draws the same parameters from the same seed, except
+    that the rows are not reduced by their gcd as :class:`ProjLine` reduces
+    them.  That changes no outcome:
+
+    Lemma.  Scaling both rows of a line by one nonzero integer g changes
+    neither its nullity nor its real point, nor any check's verdict.  Each
+    minor is scaled by g^2, so the pivots are the same and the span vectors
+    are scaled by g^2; each entry of the matrix m of
+    :func:`_span_real_vector` is scaled by g^4, so the nullity is unchanged
+    and the vector is scaled by g^8 (nullity 1) or g^4 (nullity 2), a
+    positive integer.  Every check is a zero test of values scaled by a
+    nonzero factor, and the point is the vector divided by its leading
+    coordinate.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     for family in ("A", "B"):
         for index in range(trials):
-            param = sample_param(rng, family)
-            point, nullity = real_point(ruling_line(param, split), split)
-            yield family, index, param, point, nullity
+            s, t = _draw_st(bits)
+            zrows, _ = _ruling_rows(family, s, t, split)
+            z, nullity = _real_vector(zrows, _span(zrows), split)
+            yield family, index, s, t, z, nullity
+
+
+def _on_sphere(z) -> bool:
+    """z1^2 + z2^2 + z3^2 = h^2 at the real point with integer coordinates
+    ``z``, h its BOUNDARY_QUADRIC homogenizer, with no division by h."""
+    h = z[BOUNDARY_QUADRIC.homogenizer]
+    return z[1] * z[1] + z[2] * z[2] + z[3] * z[3] == h * h
 
 
 def _on_boundary_sphere(point: ProjPoint) -> bool:
-    """z1^2 + z2^2 + z3^2 = h^2 at a real point, h its BOUNDARY_QUADRIC
-    homogenizer, tested in integers: the coordinates times the lcm of their
-    denominators, with no division by h."""
-    if not point.is_real():
-        return False
-    z = [re for re, _ in _zi_lift(point.coords)[0]]
-    h = z[BOUNDARY_QUADRIC.homogenizer]
-    return z[1] * z[1] + z[2] * z[2] + z[3] * z[3] == h * h
+    """:func:`_on_sphere` at a point, on its coordinates times the lcm of
+    their denominators; False at a point that is not real."""
+    return point.is_real() and _on_sphere([re for re, _ in _zi_lift(point.coords)[0]])
 
 
 def _check_sampling(trials, seed) -> None:
@@ -521,19 +597,20 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
 
     samples = []
     all_ok = True
-    for family, index, param, point, nullity in _sampled_lines(BOUNDARY_QUADRIC, trials, seed):
+    for family, index, s, t, z, nullity in _sampled_lines(BOUNDARY_QUADRIC, trials, seed):
         entry = {
             "family": family,
             "index": index,
-            "s": str(param.s),
-            "t": str(param.t),
+            "s": _gaussian_text(*s),
+            "t": _gaussian_text(*t),
             "nullity": nullity,
         }
-        ok = nullity == 1 and point is not None
+        ok = nullity == 1 and z is not None
         if ok:
             # a real point at infinity (h = 0) fails the sphere test too
-            ok = _on_boundary_sphere(point)
-            entry["point"] = str(point)
+            ok = _on_sphere(z)
+            lead = next(x for x in z if x)
+            entry["point"] = _point_text((x, 0, lead) for x in z)
             entry["on_sphere"] = ok
         else:
             entry["reason"] = f"nullity {nullity}"
@@ -567,7 +644,7 @@ def control_cover_certificate(trials: int, seed: int) -> Certificate:
     _check_sampling(trials, seed)
     samples = [
         {"family": family, "index": index, "nullity": nullity}
-        for family, index, _, _, nullity in _sampled_lines(CONTROL_QUADRIC, trials, seed)
+        for family, index, *_, nullity in _sampled_lines(CONTROL_QUADRIC, trials, seed)
     ]
     any_real = any(sample["nullity"] for sample in samples)
     status = FAIL if not any_real else PASS

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conetower.certificates import Certificate
 from conetower.errors import (
     InternalInconsistencyError,
     ParseError,
@@ -13,8 +14,10 @@ from conetower.errors import (
     ZeroInputError,
 )
 from conetower.gaussian import GaussianRational, I, ONE, ZERO
+from conetower.laurent import LaurentPoly
 from conetower.multipoly import (
     MultiPoly,
+    _bareiss_determinant,
     _zi_exact_quotient,
     _zi_mul_sub,
     differentiate,
@@ -195,6 +198,21 @@ def test_multipoly_rejects_bad_exponents(exponent):
 def test_multipoly_refuses_bad_variables_with_a_typed_error(variables, message):
     with pytest.raises(ValidationError, match=message):
         MultiPoly(variables, {})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MultiPoly(("x", "y"), {(1,): 3}), "exponent vector (1,) has wrong length for ('x', 'y')"),
+    (lambda: P("z1 + 2").constant_value(), "z1 + 2 is not constant"),
+    (lambda: _bareiss_determinant([]), "empty matrix"),
+    (lambda: LaurentPoly.from_multipoly(P("z1*z2"), "z1"), "z1*z2 is not univariate in z1"),
+    (lambda: Certificate(command="quadric", status="MAYBE"), "unknown certificate status 'MAYBE'"),
+], ids=["exponent-length", "constant-value", "empty-determinant", "laurent-not-univariate",
+        "certificate-status"])
+def test_refusals_are_typed_and_keep_their_messages(call, message):
+    # a ValidationError is a ValueError, so callers that caught the bare one still do
+    with pytest.raises(ValidationError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_mul_variable_mismatch():

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conetower import gaussian, laurent, multipoly
+from conetower import gaussian, laurent, multipoly, quadric
 from conetower.cli import main
 from conetower.gaussian import GaussianRational
 from conetower.laurent import LaurentPoly
@@ -122,15 +122,18 @@ def _run_golden_commands(tmp_path, monkeypatch, capsys):
 
 def test_every_polynomial_of_the_golden_commands_is_in_normal_form(tmp_path, monkeypatch, capsys):
     # every MultiPoly and LaurentPoly the commands build, through the trusted
-    # or the validating constructor, and every GaussianRational the trusted
-    # constructor builds, is checked as it is built; a kernel that skipped
+    # or the validating constructor, every GaussianRational the trusted
+    # constructor builds, and every (re, im, den) triple the quadric sampler
+    # draws in place of one, is checked as it is built; a kernel that skipped
     # normalisation would otherwise show only as an == or hash mismatch later
-    built, broken = {MultiPoly: 0, LaurentPoly: 0, GaussianRational: 0}, []
+    built, broken = {MultiPoly: 0, LaurentPoly: 0, GaussianRational: 0, tuple: 0}, []
 
     def check(value):
         built[type(value)] += 1
         if type(value) is GaussianRational:
             pairs, den = [value.pair], value.den
+        elif type(value) is tuple:
+            pairs, den = [value[:2]], value[2]
         else:
             pairs, den = list(value.zterms.values()), value.den
         if not (
@@ -153,13 +156,15 @@ def test_every_polynomial_of_the_golden_commands_is_in_normal_form(tmp_path, mon
             check(self)
         return wrapper
 
-    for trusted in (multipoly._trusted_poly, laurent._trusted_laurent, gaussian._trusted_gaussian):
+    for trusted in (multipoly._trusted_poly, laurent._trusted_laurent, gaussian._trusted_gaussian,
+                    quadric._draw_value):
         _patch_everywhere(monkeypatch, trusted, checked(trusted))
     for cls in (MultiPoly, LaurentPoly):
         monkeypatch.setattr(cls, "__init__", checked_init(cls.__init__))
     _run_golden_commands(tmp_path, monkeypatch, capsys)
     assert not broken, broken[:3]
-    assert built[MultiPoly] > 1_000 and built[LaurentPoly] > 1_000 and built[GaussianRational] > 500, built
+    assert built[MultiPoly] > 1_000 and built[LaurentPoly] > 1_000, built
+    assert built[GaussianRational] + built[tuple] > 500 and built[tuple] > 200, built
 
 
 def test_golden_commands_build_no_rational_view(tmp_path, monkeypatch, capsys):

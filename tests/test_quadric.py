@@ -2,11 +2,13 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conetower import linalg, quadric
+from conetower import gaussian, linalg, quadric
 from conetower.certificates import FAIL, PASS
 from conetower.errors import (
     ConetowerError,
@@ -14,7 +16,7 @@ from conetower.errors import (
     LineNotOnQuadricError,
     ValidationError,
 )
-from conetower.gaussian import ZERO, GaussianRational, I, ONE, _zi_lift
+from conetower.gaussian import ZERO, GaussianRational, I, ONE, _gaussian_text, _zi_lift
 from conetower.multipoly import MultiPoly
 from conetower.quadric import (
     BOUNDARY_QUADRIC,
@@ -346,9 +348,10 @@ def test_boundary_cover_certificate():
 
 
 def test_boundary_cover_fails_a_real_point_at_infinity(monkeypatch):
-    # h = z0 = 0 leaves z1^2 + z2^2 + z3^2 = 0, which no nonzero real point meets
+    # h = z0 = 0 leaves z1^2 + z2^2 + z3^2 = 0, which no nonzero real point
+    # meets; the sampler reads each line's point from the int kernel
     at_infinity = ProjPoint((ZERO, ONE, ZERO, ZERO))
-    monkeypatch.setattr(quadric, "real_point", lambda line, split: (at_infinity, 1))
+    monkeypatch.setattr(quadric, "_real_vector", lambda zrows, span, split: ([0, 1, 0, 0], 1))
     cert = verify_boundary_cover(build_tower(1), trials=2, seed=0)
     assert cert.status == FAIL
     assert [s["on_sphere"] for s in cert.branches] == [False] * 4
@@ -605,7 +608,7 @@ def _reference_line_on_quadric(line, split):
     """
     u, w = line.span
     mixed = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(u, w)]
-    return all(split.vanishes_at(p) for p in (u, w, mixed))
+    return all(quadric_reference.vanishes_at(split, p) for p in (u, w, mixed))
 
 
 def _reference_on_sphere(point):
@@ -743,3 +746,108 @@ def test_boundary_cover_evaluates_forms_at_most_three_times_a_line(monkeypatch):
     cert = verify_boundary_cover(build_tower(1), 40, 0)
     assert cert.status == PASS
     assert 0 < len(calls) <= 3 * 80
+
+
+def _count_builds(monkeypatch, counts):
+    """Count into ``counts`` each ProjLine, ProjPoint, RulingParam and
+    GaussianRational built from here on, by its type."""
+    def counted(cls, build):
+        def wrapper(*args, **kwargs):
+            counts[cls] = counts.get(cls, 0) + 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    for cls in (ProjLine, ProjPoint, RulingParam):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls, cls.__post_init__))
+    monkeypatch.setattr(ProjPoint, "_trusted", classmethod(counted(ProjPoint, ProjPoint._trusted.__func__)))
+    monkeypatch.setattr(GaussianRational, "__init__", counted(GaussianRational, GaussianRational.__init__))
+    trusted = gaussian._trusted_gaussian
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conetower") and getattr(module, "_trusted_gaussian", None) is trusted:
+            monkeypatch.setattr(module, "_trusted_gaussian", counted(GaussianRational, trusted))
+
+
+def test_boundary_cover_builds_no_object_per_line(monkeypatch):
+    # counts, not times: each sampled line stays ints from its draw to its
+    # printed entry, so no line, point or parameter is built, and the
+    # GaussianRationals the slice check builds do not grow with the trials
+    counts = {}
+    _count_builds(monkeypatch, counts)
+    real_point(ruling_line(sample_param(random.Random(0), "A")))
+    assert set(counts) == {ProjLine, ProjPoint, RulingParam, GaussianRational}
+    tower = build_tower(1)
+    built = []
+    for trials in (1, 40):
+        counts.clear()
+        assert verify_boundary_cover(tower, trials, 0).status == PASS
+        assert control_cover_certificate(trials, 0).status == FAIL
+        assert set(counts) <= {GaussianRational}
+        built.append(counts.get(GaussianRational, 0))
+    assert built[0] == built[1]
+
+
+def _sampled_entries(split, trials, seed):
+    """The sampler's lines as text: (family, index, s, t, point, nullity,
+    on the boundary sphere)."""
+    for family, index, s, t, z, nullity in quadric._sampled_lines(split, trials, seed):
+        point = None if z is None else quadric._point_text((x, 0, next(v for v in z if v)) for x in z)
+        yield (family, index, _gaussian_text(*s), _gaussian_text(*t), point, nullity,
+               z is not None and quadric._on_sphere(z))
+
+
+def _public_entries(split, trials, seed):
+    """The same lines through sample_param -> ruling_line -> real_point."""
+    rng = random.Random(seed)
+    for family in ("A", "B"):
+        for index in range(trials):
+            param = sample_param(rng, family)
+            point, nullity = real_point(ruling_line(param, split), split)
+            yield (family, index, str(param.s), str(param.t), None if point is None else str(point), nullity,
+                   point is not None and _on_boundary_sphere(point))
+
+
+def _until_error(entries):
+    """The entries, then the type of the error that stopped them, if any."""
+    out = []
+    try:
+        out.extend(entries)
+    except ConetowerError as err:
+        out.append(type(err))
+    return out
+
+
+@_over_all_splits
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**64), trials=st.integers(1, 12))
+def test_sampled_lines_match_the_public_chain(split, seed, trials):
+    ours = _until_error(_sampled_entries(split, trials, seed))
+    assert ours == _until_error(_public_entries(split, trials, seed))
+    assert len(ours) == 2 * trials
+
+
+@_over_all_splits
+def test_kernels_match_the_public_chain_at_hand_picked_parameters(split):
+    # (0 : 1), (1 : 0), wide parts and real ratios through the kernels the
+    # sampler calls, on the rows as drawn and scaled by -6: the sampler does
+    # not reduce its rows, and scaling them changes no outcome
+    wide = GaussianRational(Fraction(-999_983, 999_979), Fraction(7, 1_000_000))
+    real = GaussianRational(Fraction(-5, 7))
+    values = [(ZERO, ONE), (ONE, ZERO), (wide, GaussianRational(Fraction(3, 999_961))), (ZERO, wide),
+              (real, ONE), (real * wide, wide), (wide, ZERO)]
+    nullities = set()
+    for family in ("A", "B"):
+        for s, t in values:
+            param = RulingParam(family, s, t)
+            point, nullity = real_point(ruling_line(param, split), split)
+            rows, _ = quadric._ruling_rows(family, (*s.pair, s.den), (*t.pair, t.den), split)
+            for g in (1, -6):
+                scaled = tuple(tuple((g * re, g * im) for re, im in row) for row in rows)
+                z, ours = quadric._real_vector(scaled, quadric._span(scaled), split)
+                assert ours == nullity and (z is None) == (point is None)
+                if z is not None:
+                    lead = next(x for x in z if x)
+                    assert lead > 0
+                    assert quadric._point_text((x, 0, lead) for x in z) == str(point)
+                    assert quadric._on_sphere(z) == _on_boundary_sphere(point)
+            nullities.add(nullity)
+    assert nullities == ({0, 2} if split is REAL_LINES_QUADRIC else {0} if split is CONTROL_QUADRIC else {1})

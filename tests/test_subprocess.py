@@ -40,12 +40,13 @@ def test_demo_runs(script, tmp_path):
     ("certify_k2", ["certify", "--k", "2"]),
     ("tower_k2", ["tower", "--k", "2", "--output", "tower_k2.tower.json"]),
     ("quadric_t10_s0", ["quadric", "--trials", "10", "--seed", "0"]),
+    ("quadric_t40_s12345", ["quadric", "--trials", "40", "--seed", "12345"]),
 ])
 def test_cli_json_is_the_golden_under_any_hash_seed(stem, argv, seed, tmp_path):
     # a certificate's branches share chain steps through hashed keys; the
     # iteration order of a set or dict of them must not reach the output,
     # nor the tower/1 document that --output writes, nor a seeded sample of
-    # ruling lines
+    # ruling lines, at 10 trials or at the benchmark's 40
     result = _python(["-m", "conetower.cli", *argv, "--format", "json"], tmp_path, PYTHONHASHSEED=seed)
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / f"{stem}.json").read_text(), result.stderr
