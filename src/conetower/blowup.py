@@ -98,7 +98,8 @@ def point_blowup_charts(base: Chart, new_variables, id_prefix: str) -> BlowupSte
     """Blow up the origin of ``base``: one chart per direction.
 
     Chart ``i`` keeps ``new_variables[i]`` as the exceptional coordinate and
-    maps ``base_j = u_j * u_i`` for ``j != i``, ``base_i = u_i``.
+    maps ``base_j = u_j * u_i`` for ``j != i``, ``base_i = u_i``; each u_j * u_i
+    is written as its one-term map (:meth:`Chart.product`).
     """
     n = len(base.variables)
     if n < 2:
@@ -112,7 +113,7 @@ def point_blowup_charts(base: Chart, new_variables, id_prefix: str) -> BlowupSte
         exc = chart.var(new_variables[i])
         assignment = {}
         for j, base_var in enumerate(base.variables):
-            assignment[base_var] = exc if j == i else chart.var(new_variables[j]) * exc
+            assignment[base_var] = exc if j == i else chart.product(new_variables[j], new_variables[i])
         to_base = SubstitutionMap(chart, base, assignment, f"{id_prefix}.g{i + 1}")
         charts.append(BlowupChart(chart, to_base, new_variables[i]))
     return BlowupStep(base=base, charts=tuple(charts), distinguished=n - 1)
@@ -197,7 +198,7 @@ def codim2_blowup_charts(
         assignment = {}
         for v in base.variables:
             if v == replaced:
-                assignment[v] = chart.var(new_var) * chart.var(kept)
+                assignment[v] = chart.product(new_var, kept)
             else:
                 assignment[v] = chart.var(v)
         to_base = SubstitutionMap(chart, base, assignment, f"{id_prefix}.{tag}map")
@@ -235,9 +236,14 @@ def surface_blowup(
 
 
 def locus_maps_to_origin(bc: BlowupChart, locus) -> bool:
-    """Whether the chart sends {every ``locus`` variable = 0} to the base origin."""
-    zeros = {v: 0 for v in locus}
-    return all(image.set_variables(zeros).is_zero() for image in bc.to_base.assignment.values())
+    """Whether the chart sends {every ``locus`` variable = 0} to the base origin:
+    whether every term of every image holds a ``locus`` variable, since
+    pinning those to 0 drops exactly such terms."""
+    for image in bc.to_base.assignment.values():
+        indices = [image._var_index(v) for v in locus]
+        if not all(any(exps[i] for i in indices) for exps in image.zterms):
+            return False
+    return True
 
 
 def curve_blowup_chart_map(
@@ -250,15 +256,12 @@ def curve_blowup_chart_map(
     The direction variable stays, the other two center variables scale by it,
     and the fiber coordinate passes through.
     """
-    direction_image = source.var(sigma[direction])
     assignment = {}
     for v in target.variables:
-        if v == fiber:
+        if v == fiber or v == direction:
             assignment[v] = source.var(sigma[v])
-        elif v == direction:
-            assignment[v] = direction_image
         else:
-            assignment[v] = source.var(sigma[v]) * direction_image
+            assignment[v] = source.product(sigma[v], sigma[direction])
     return SubstitutionMap(source, target, assignment, label)
 
 
@@ -320,7 +323,9 @@ def overlap_cocycle_ok(step: BlowupStep) -> bool:
     Each image a of t-degree d is first reversed in t, t^e -> t^(d-e), so
     that s^d * a(t -> 1/s) is the reversed image at t -> s; all four reversed
     images then go through one substitution t -> s, v2 -> s*v1, every other
-    variable fixed.
+    variable fixed.  Each result is compared with s^d * S_map written as its
+    term map: the S-chart image's terms with d added to each exponent of s,
+    over the same divisor, which is again in normal form.
     """
     if step.overlap is None:
         raise ValidationError("overlap check only applies to codim-2 blow-ups")
@@ -330,10 +335,10 @@ def overlap_cocycle_ok(step: BlowupStep) -> bool:
     v1 = chart_s.exceptional
     t_vars = chart_t.chart.variables
     t_idx = t_vars.index(t_name)
-    s_poly = chart_s.chart.var(s_name)
+    s_idx = chart_s.chart.variables.index(s_name)
     assignment = {v: chart_s.chart.var(v) for v in t_vars if v not in (v2, t_name)}
-    assignment[v2] = s_poly * chart_s.chart.var(v1)
-    assignment[t_name] = s_poly
+    assignment[v2] = chart_s.chart.product(s_name, v1)
+    assignment[t_name] = chart_s.chart.var(s_name)
     degrees = []
     reversed_images = []
     for base_var in step.base.variables:
@@ -344,7 +349,9 @@ def overlap_cocycle_ok(step: BlowupStep) -> bool:
         flipped = {exps[:t_idx] + (d - exps[t_idx],) + exps[t_idx + 1:]: c for exps, c in a.zterms.items()}
         reversed_images.append(_trusted_poly(t_vars, flipped, a.den))
     cleared = _substitute_all(t_vars, reversed_images, assignment)
-    return all(
-        image == chart_s.to_base.assignment[base_var] * s_poly ** d
-        for image, base_var, d in zip(cleared, step.base.variables, degrees)
-    )
+    for image, base_var, d in zip(cleared, step.base.variables, degrees):
+        expected = chart_s.to_base.assignment[base_var]
+        shifted = {exps[:s_idx] + (exps[s_idx] + d,) + exps[s_idx + 1:]: c for exps, c in expected.zterms.items()}
+        if image.den != expected.den or image.zterms != shifted:
+            return False
+    return True

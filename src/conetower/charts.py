@@ -9,6 +9,7 @@ written.  Pulling a function back through the map is then plain substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import ChartMismatchError, ValidationError, VariableMismatchError, ZeroInputError
 from .gaussian import ZERO
@@ -33,9 +34,9 @@ class Chart:
             raise ValidationError(f"duplicate variables in chart {self.id}")
         if "i" in self.variables:
             raise ValidationError("'i' denotes the imaginary unit and cannot be a variable")
-        n = len(self.variables)
+        zero = (0,) * len(self.variables)
         object.__setattr__(self, "coordinates", {
-            v: _trusted_poly(self.variables, {tuple(int(j == k) for j in range(n)): (1, 0)}, 1)
+            v: _trusted_poly(self.variables, {zero[:k] + (1,) + zero[k + 1:]: (1, 0)}, 1)
             for k, v in enumerate(self.variables)
         })
 
@@ -47,6 +48,12 @@ class Chart:
             return self.coordinates[name]
         except KeyError:
             raise VariableMismatchError(f"unknown variable {name!r} for {self.variables}") from None
+
+    def product(self, a: str, b: str) -> MultiPoly:
+        """The coordinate product a*b, written as its one-term map: the sum of
+        the two coordinates' exponent tuples, coefficient 1."""
+        (ea,), (eb,) = self.var(a).zterms, self.var(b).zterms
+        return _trusted_poly(self.variables, {tuple(map(add, ea, eb)): (1, 0)}, 1)
 
     def zero_poly(self) -> MultiPoly:
         return MultiPoly.zero(self.variables)

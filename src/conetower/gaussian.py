@@ -255,8 +255,10 @@ I = GaussianRational(0, 1)
 def _normal_form(zterms: dict, den: int):
     """The term map ``zterms`` over the positive int ``den`` in normal form,
     as ``(zterms, den)``: zero pairs dropped and the gcd of every part and
-    ``den`` divided out (the gcd pass stops once it reaches 1)."""
-    zterms = {e: c for e, c in zterms.items() if c[0] or c[1]}
+    ``den`` divided out (the gcd pass stops once it reaches 1).  The map
+    returned is never ``zterms`` itself: it is filtered only when a zero pair
+    occurs, and copied otherwise."""
+    zterms = {e: c for e, c in zterms.items() if c[0] or c[1]} if (0, 0) in zterms.values() else dict(zterms)
     if den != 1:
         g = den
         for re, im in zterms.values():
@@ -269,11 +271,11 @@ def _normal_form(zterms: dict, den: int):
     return zterms, den
 
 
-def _zi_sum(f: dict, fden: int, g: dict, gden: int):
-    """f/fden + g/gden as ``(zterms, den)`` over the lcm of the two
-    denominators, before normalisation."""
+def _zi_sum(f: dict, fden: int, g: dict, gden: int, sign: int = 1):
+    """f/fden + sign * g/gden, ``sign`` being 1 or -1, as ``(zterms, den)``
+    over the lcm of the two denominators, before normalisation."""
     den = math.lcm(fden, gden)
-    a, b = den // fden, den // gden
+    a, b = den // fden, sign * (den // gden)
     out = {e: (re * a, im * a) for e, (re, im) in f.items()}
     for e, (re, im) in g.items():
         old = out.get(e)

@@ -147,7 +147,8 @@ class MultiPoly:
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self + (-other)
+        self._check_compatible(other)
+        return _trusted_poly(self.variables, *_zi_sum(self.zterms, self.den, other.zterms, other.den, -1))
 
     def __neg__(self):
         return _trusted_poly(self.variables, {e: (-re, -im) for e, (re, im) in self.zterms.items()}, self.den)
@@ -162,14 +163,9 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not _is_int(n) or n < 0:
             raise ValidationError("polynomial exponent must be a non-negative integer")
-        result = _trusted_poly(self.variables, {(0,) * len(self.variables): (1, 0)}, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if not n:
+            return _trusted_poly(self.variables, {(0,) * len(self.variables): (1, 0)}, 1)
+        return _power(self, n, _mul)
 
     def scale(self, value) -> "MultiPoly":
         return self * MultiPoly.constant(self.variables, value)
@@ -492,7 +488,9 @@ def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
     What depends on the images alone (the exponent multiples and coefficient
     powers, or the scaled images and their powers) is built once per call of
     :func:`_substitute_all`, which :func:`conetower.charts.compose_maps` uses
-    to pull all images of one map through another on one table.
+    to pull all images of one map through another on one table.  The table
+    holds entries only at the exponents that occur (:func:`_powers_at`), so
+    their number follows the terms pulled back, not the largest exponent.
     """
     return _substitute_all(f.variables, (f,), assignment)[0]
 
@@ -500,7 +498,8 @@ def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
 def _substitute_all(variables: tuple, polys, assignment: Mapping[str, MultiPoly]) -> list:
     """``[substitute(f, assignment) for f in polys]`` for polynomials over
     ``variables``, with one table of the images for all of them; ``top_v``
-    is then the largest exponent of v in any of them."""
+    is then the largest exponent of v in any of them, and the table holds
+    entries only for the exponents of v that occur in them."""
     try:
         images = [assignment[v] for v in variables]
     except KeyError:
@@ -511,65 +510,142 @@ def _substitute_all(variables: tuple, polys, assignment: Mapping[str, MultiPoly]
         if img.variables != target:
             raise VariableMismatchError("assignment images live over different variable lists")
     keys = [exps for f in polys for exps in f.zterms]
-    occurring = [(idx, images[idx], top) for idx, top in enumerate(map(max, zip(*keys))) if top]
-    if any(len(img.zterms) > 1 for _, img, _ in occurring):
-        return _substitute_term_maps(target, polys, occurring)
-    zero = (0,) * len(target)
-    killed = []   # indices in f of the variables with image 0
-    factors = []  # (index in f, e*m_v by e, c^e * Dv^(top - e) by e for c_v = c/Dv, or None when c_v = 1)
+    columns = list(zip(*keys))  # each variable's column of exponents in polys
+    occurring = [(idx, images[idx], columns[idx], top) for idx, top in enumerate(map(max, columns)) if top]
+    if any(len(img.zterms) > 1 for _, img, _, _ in occurring):
+        return _substitute_term_maps(target, polys, *_term_map_tables(occurring))
+    return _substitute_monomials(target, polys, *_monomial_tables(occurring))
+
+
+def _power(base, n: int, mul):
+    """base^n for an int n >= 1 by binary powering (Knuth, TAOCP vol. 2,
+    4.6.3); the first factor is ``base`` itself, not a product with one."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = mul(base, base)
+
+
+def _powers_at(base, column, mul, size: int) -> list:
+    """A list of ``size`` slots holding base^e at each nonzero e of the
+    exponent column ``column`` and None in the holes between.
+
+    In ascending order of the exponents that occur, each power is the one
+    before it times base^gap (:func:`_power`), so no slot of a gap is
+    computed, a gap of 1 costs one ``mul`` and the first power starts from
+    ``base`` itself.
+    """
+    table = [None] * size
+    power = None
+    previous = 0
+    for e in sorted(set(column)):
+        if e:
+            factor = _power(base, e - previous, mul)
+            power = factor if power is None else mul(power, factor)
+            table[e] = power
+            previous = e
+    return table
+
+
+def _monomial_tables(occurring: list):
+    """The tables of the monomial case of :func:`substitute`, as
+    ``(killed, factors, lift)``: the indices in f of the variables with image
+    0; for each other variable v, with image c_v*x^(m_v), c_v = c/Dv,
+    ``(index in f, steps, powers)``, ``steps[e]`` being e*m_v and
+    ``powers[e]`` c^e * Dv^(top_v - e) (None when c_v = 1) at each occurring
+    e; and the lift prod Dv^top_v."""
+    killed = []
+    factors = []
     lift = 1
-    for idx, img, top in occurring:
+    for idx, img, column, top in occurring:
         if not img.zterms:
             killed.append(idx)
             continue
         ((mono, c),) = img.zterms.items()
-        steps = [zero, mono]
-        for _ in range(top - 1):
-            steps.append(tuple(map(_add, steps[-1], mono)))
+        steps = [None] * (top + 1)
+        for e in column:
+            if e and steps[e] is None:
+                steps[e] = mono if e == 1 else tuple([e * m for m in mono])
         powers = None
         if c != (1, 0) or img.den > 1:
-            powers = [(img.den ** top, 0)]
-            for _ in range(top):
-                re, im = _gmul(powers[-1], c)
-                powers.append((re // img.den, im // img.den))
+            Dv = img.den
+            powers = _powers_at(c, column, _gmul, top + 1)
+            for e in set(column):
+                re, im = powers[e] or (1, 0)
+                scale = Dv ** (top - e)
+                powers[e] = (re * scale, im * scale)
+            lift *= Dv ** top
         factors.append((idx, steps, powers))
-        lift *= img.den ** top
-    return [_substitute_monomials(target, f, killed, factors, f.den * lift) for f in polys]
+    return killed, factors, lift
 
 
-def _substitute_monomials(target: tuple, f: MultiPoly, killed: list, factors: list, den: int) -> MultiPoly:
-    """The monomial case of :func:`substitute`, on the table that
-    :func:`_substitute_all` builds; ``den`` is the result's divisor."""
+def _substitute_monomials(target: tuple, polys, killed: list, factors: list, lift: int) -> list:
+    """The monomial case of :func:`substitute`, on the tables that
+    :func:`_monomial_tables` builds."""
     zero = (0,) * len(target)
-    out: dict = {}
-    for exps, coeff in f.zterms.items():
-        if killed and any(exps[idx] for idx in killed):
-            continue
-        key = zero
-        for idx, steps, powers in factors:
-            e = exps[idx]
-            if e:
-                key = steps[e] if key is zero else tuple(map(_add, key, steps[e]))
-            if powers is not None:
-                coeff = _gmul(coeff, powers[e])
-        old = out.get(key)
-        out[key] = coeff if old is None else (old[0] + coeff[0], old[1] + coeff[1])
-    return _trusted_poly(target, out, den)
+    results = []
+    for f in polys:
+        out: dict = {}
+        for exps, coeff in f.zterms.items():
+            if killed and any(exps[idx] for idx in killed):
+                continue
+            key = zero
+            for idx, steps, powers in factors:
+                e = exps[idx]
+                if e:
+                    key = steps[e] if key is zero else tuple(map(_add, key, steps[e]))
+                if powers is not None:
+                    coeff = _gmul(coeff, powers[e])
+            old = out.get(key)
+            out[key] = coeff if old is None else (old[0] + coeff[0], old[1] + coeff[1])
+        results.append(_trusted_poly(target, out, f.den * lift))
+    return results
 
 
-def _substitute_term_maps(target: tuple, polys, occurring) -> list:
-    """The Z[i] term-map case of :func:`substitute`; ``occurring`` lists
-    (index in f, image, top exponent) for each variable occurring in ``polys``."""
-    one = {(0,) * len(target): (1, 0)}
+def _zi_mul(a: dict, b: dict) -> dict:
+    """The term map of a*b."""
+    return _zi_mul_sub(a, b, {}, {})
+
+
+def _term_map_tables(occurring: list):
+    """The tables of the Z[i] term-map case of :func:`substitute`, as
+    ``(tables, lift)``: for each variable v, with image g/Dv,
+    ``(index in f, powers, lifts)``, ``powers[e]`` being the term map of g^e
+    and ``lifts[e]`` Dv^(top_v - e) at each occurring e; and the lift
+    prod Dv^top_v.
+
+    The power of a one-term g = c*x^m is the one term c^e*x^(e*m), so term
+    maps are multiplied only for the powers of images of more terms.
+    """
     lift = 1
-    tables = []  # (index in f, powers of the scaled image, lifts by exponent)
-    for idx, img, top in occurring:
+    tables = []
+    for idx, img, column, top in occurring:
         Dv = img.den
-        powers = [one]
-        for _ in range(top):
-            powers.append(_zi_mul_sub(powers[-1], img.zterms, {}, {}))
-        tables.append((idx, powers, [Dv ** (top - e) for e in range(top + 1)]))
+        exponents = set(column)
+        if len(img.zterms) == 1:
+            ((mono, c),) = img.zterms.items()
+            powers = _powers_at(c, exponents, _gmul, top + 1)
+            for e in exponents:
+                if e:
+                    powers[e] = {tuple([e * m for m in mono]): powers[e]}
+        else:
+            powers = _powers_at(img.zterms, exponents, _zi_mul, top + 1)
+        lifts = [None] * (top + 1)
+        for e in exponents:
+            lifts[e] = Dv ** (top - e)
+        tables.append((idx, powers, lifts))
         lift *= Dv ** top
+    return tables, lift
+
+
+def _substitute_term_maps(target: tuple, polys, tables: list, lift: int) -> list:
+    """The Z[i] term-map case of :func:`substitute`, on the tables that
+    :func:`_term_map_tables` builds."""
+    one = {(0,) * len(target): (1, 0)}
     results = []
     for f in polys:
         out: dict = {}

@@ -31,20 +31,33 @@ from .blowup import (
 from .certificates import FAIL, PASS, Check, _dumps
 from .charts import Chart, Hypersurface, SubstitutionMap, compose_maps, first_mismatch
 from .errors import InternalInconsistencyError, ValidationError, _is_int
-from .gaussian import I
+from .multipoly import _trusted_poly
+
+
+def _level_variables(chart: Chart, j) -> tuple:
+    """The chart's four variables, after checking j is an int >= 0."""
+    if not _is_int(j) or j < 0:
+        raise ValidationError(f"tower level must be a non-negative integer, got {j!r}")
+    if len(chart.variables) != 4:
+        raise ValidationError(f"tower levels live on 4-variable charts, not on {chart.variables}")
+    return chart.variables
 
 
 def cone_equation(chart: Chart, j: int):
-    """v1^2 + v2^2 + v3^2 - v4^(2j) over the chart's variables (j = 0 gives -1)."""
-    v1, v2, v3, v4 = (chart.var(name) for name in chart.variables)
-    return v1 * v1 + v2 * v2 + v3 * v3 - v4 ** (2 * j)
+    """v1^2 + v2^2 + v3^2 - v4^(2j) over the chart's variables (j = 0 gives -1),
+    written as its normal-form term map."""
+    variables = _level_variables(chart, j)
+    return _trusted_poly(
+        variables, {(2, 0, 0, 0): (1, 0), (0, 2, 0, 0): (1, 0), (0, 0, 2, 0): (1, 0), (0, 0, 0, 2 * j): (-1, 0)}, 1
+    )
 
 
 def tower_center(chart: Chart, j: int) -> SurfaceCenter:
-    """The surface {v1 - i*v2 = v3 - v4^j = 0} at level j."""
-    names = chart.variables
-    g1 = chart.var(names[0]) - chart.var(names[1]).scale(I)
-    g2 = chart.var(names[2]) - chart.var(names[3]) ** j
+    """The surface {v1 - i*v2 = v3 - v4^j = 0} at level j, its generators
+    written as their normal-form term maps."""
+    names = _level_variables(chart, j)
+    g1 = _trusted_poly(names, {(1, 0, 0, 0): (1, 0), (0, 1, 0, 0): (0, -1)}, 1)
+    g2 = _trusted_poly(names, {(0, 0, 1, 0): (1, 0), (0, 0, 0, j): (-1, 0)}, 1)
     return SurfaceCenter(chart, (g1, g2), (names[0], names[2]))
 
 
@@ -96,6 +109,9 @@ class Tower:
     checks: list = field(default_factory=list)
 
     def level(self, j: int) -> TowerLevel:
+        """Level j, for j an int in 0..k."""
+        if not _is_int(j) or not 0 <= j <= self.k:
+            raise ValidationError(f"tower level must be an integer in 0..{self.k}, got {j!r}")
         return self.levels[j]
 
     @property

@@ -37,7 +37,7 @@ from conetower.errors import (
     VariableMismatchError,
 )
 from conetower.gaussian import GaussianRational
-from conetower import blowup, lemma_square, tower as tower_module
+from conetower import blowup, lemma_square, multipoly, tower as tower_module
 from conetower.lemma_square import verify_lemma_square
 from conetower.multipoly import MultiPoly, substitute
 from conetower.tower import (
@@ -51,6 +51,7 @@ from conetower.tower import (
     tower_to_json,
 )
 from overlap_reference import per_coefficient_overlap_ok
+from tower_reference import reference_center_generators, reference_cone_equation, reference_point_blowup_images
 
 AMBIENT = Chart("M", ("z1", "z2", "z3", "z4"))
 
@@ -400,6 +401,15 @@ def test_chart_coordinates_are_built_once():
         chart.var("u1")
 
 
+def test_chart_product_is_the_product_of_the_coordinates():
+    chart = Chart("M", ("z1", "z2", "z3", "z4"))
+    for a in chart.variables:
+        for b in chart.variables:
+            assert chart.product(a, b) == chart.var(a) * chart.var(b)
+    with pytest.raises(VariableMismatchError):
+        chart.product("z1", "u1")
+
+
 def test_tower_chart_maps_have_one_term_images(monkeypatch):
     # substitute's monomial case serves these maps; they must stay monomial
     made = {"point": [], "codim2": [], "curve": []}
@@ -630,3 +640,91 @@ def test_tower_off_chart_transforms_shape():
     h, mult = offs[0]
     assert mult == 2
     assert h.equation == h.chart.poly("1 + u2_1^2 + u3_1^2 - u1_1^2*u4_1^4")
+
+
+# ---------------------------------------------------------------- level polynomials as term maps
+
+
+@pytest.mark.parametrize("j", range(13))
+def test_cone_equation_and_center_equal_the_operator_built_references(j):
+    for names in (("v1", "v2", "v3", "v4"), ("u1_3", "u2_3", "u3_3", "u4_3")):
+        chart = Chart("M", names)
+        equation, reference = cone_equation(chart, j), reference_cone_equation(names, j)
+        assert equation == reference and str(equation) == str(reference)
+        center = tower_center(chart, j)
+        assert center.generators == reference_center_generators(names, j)
+        assert center.isolated == (names[0], names[2])
+
+
+@pytest.mark.parametrize("j, chart", [(-1, AMBIENT), (True, AMBIENT), (1.0, AMBIENT), (2, Chart("P", ("x", "y", "z")))])
+def test_level_polynomials_refuse_a_bad_level_or_chart(j, chart):
+    with pytest.raises(ValidationError):
+        cone_equation(chart, j)
+    with pytest.raises(ValidationError):
+        tower_center(chart, j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_point_blowup_images_equal_the_operator_built_references(n):
+    base = Chart("B", tuple(f"x{m}" for m in range(n)))
+    names = tuple(f"u{m}" for m in range(n))
+    step = point_blowup_charts(base, names, "P")
+    assert len(step.charts) == n
+    for i, bc in enumerate(step.charts):
+        assert bc.exceptional == names[i]
+        assert bc.to_base.assignment == reference_point_blowup_images(base.variables, names, i)
+
+
+def test_tower_levels_do_not_depend_on_the_depth():
+    def levels(doc):
+        return {level["level"]: level for level in doc["levels"] if level["level"] <= 5}
+
+    def squares(doc):
+        return {square["level"]: square for square in doc["squares"] if square["level"] <= 5}
+
+    shallow, deep = tower_to_dict(build_tower(6)), tower_to_dict(build_tower(7))
+    assert sorted(levels(shallow)) == [0, 1, 2, 3, 4, 5] and sorted(squares(shallow)) == [1, 2, 3, 4, 5]
+    assert levels(shallow) == levels(deep)
+    assert squares(shallow) == squares(deep)
+
+
+@pytest.mark.parametrize("j", [3, -1, "1", True, 1.0])
+def test_tower_level_refuses_a_level_outside_the_tower(j):
+    with pytest.raises(ValidationError, match=r"0\.\.2"):
+        build_tower(2).level(j)
+
+
+def _build_counts(k, monkeypatch) -> dict:
+    """The _zi_mul_sub calls and the substitution-table entries of build_tower(k)."""
+    counts = {"products": 0, "entries": 0}
+    zi_mul_sub = multipoly._zi_mul_sub
+
+    def counting_product(*args):
+        counts["products"] += 1
+        return zi_mul_sub(*args)
+
+    def counting(build, tables_of):
+        def wrapper(occurring):
+            result = build(occurring)
+            counts["entries"] += sum(
+                sum(entry is not None for entry in table)
+                for _, *tables in tables_of(result) for table in tables if table is not None
+            )
+            return result
+        return wrapper
+
+    monkeypatch.setattr(multipoly, "_zi_mul_sub", counting_product)
+    monkeypatch.setattr(multipoly, "_monomial_tables", counting(multipoly._monomial_tables, lambda r: r[1]))
+    monkeypatch.setattr(multipoly, "_term_map_tables", counting(multipoly._term_map_tables, lambda r: r[0]))
+    build_tower(k)
+    monkeypatch.undo()
+    return counts
+
+
+def test_tower_build_work_grows_linearly_in_the_depth(monkeypatch):
+    # counts, not times: level j has exponents up to 2j, but tables hold only
+    # the exponents that occur, so doubling k at most about doubles the work
+    small, large = _build_counts(100, monkeypatch), _build_counts(200, monkeypatch)
+    assert small["products"] > 0 and small["entries"] > 0
+    for key in ("products", "entries"):
+        assert large[key] <= 2.2 * small[key], (key, small, large)

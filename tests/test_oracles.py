@@ -1854,6 +1854,52 @@ def test_trusted_constructor_equals_the_validating_constructor():
     assert shared >= 20
 
 
+@pytest.mark.parametrize("zterms, den", [
+    ({(1, 0): (1, 0), (0, 1): (0, -1)}, 1),  # already in normal form: copied
+    ({(1, 0): (2, 0), (0, 1): (0, 0)}, 3),  # a zero pair: filtered
+    ({(1, 0): (2, 4), (0, 2): (6, 0)}, 4),  # a common factor: divided out
+])
+def test_a_trusted_polynomial_owns_its_map(zterms, den):
+    given = dict(zterms)
+    poly = _trusted_poly(("x", "y"), given, den)
+    kept, text = dict(poly.zterms), str(poly)
+    given[(1, 0)] = (5, 5)
+    given[(3, 3)] = (1, 0)
+    assert poly.zterms == kept and str(poly) == text
+    assert poly == _trusted_poly(("x", "y"), zterms, den)
+
+
+def test_power_tables_hold_the_occurring_exponents_by_binary_powering():
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b
+
+    exponents = [1, 2, 5, 13, 1000]
+    table = multipoly._powers_at(3, exponents, mul, 1001)
+    assert len(table) == 1001
+    assert [e for e, power in enumerate(table) if power is not None] == exponents
+    assert all(table[e] == 3 ** e for e in exponents)
+    # binary powering of each gap, and one product joining it to the power before
+    gaps = [b - a for a, b in zip([0, *exponents], exponents)]
+    assert len(products) <= sum(2 * gap.bit_length() for gap in gaps)
+    assert multipoly._powers_at(3, [], mul, 4) == [None] * 4
+
+
+def test_substitute_with_sparse_high_exponents_matches_the_reference():
+    variables, target = ("x", "y", "z"), ("s", "t")
+    f = parse_poly("x^37*y - 3/2*x^5 + i*y^60*z^2 + x*z^9 - 7", variables)
+    term_maps = {
+        "x": parse_poly("s + 1/3*i*t", target),
+        "y": parse_poly("2/5*s^2*t", target),
+        "z": parse_poly("t - 1", target),
+    }
+    monomials = {**term_maps, "x": parse_poly("2/3*s", target), "z": parse_poly("i*t^2", target)}
+    for images in (term_maps, monomials):
+        _assert_same_poly(substitute(f, images), _reference_substitute(f, images))
+
+
 def _assert_same_nullspace(zrows, ncols):
     rank, basis = linalg.nullspace(zrows, ncols)
     assert (rank, basis) == _reference_zi_nullspace(zrows, ncols)
