@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .charts import Chart, Hypersurface, SubstitutionMap, compose_maps, maps_equal
-from .errors import InternalInconsistencyError, NotTriangularError, ValidationError, ZeroInputError
+from .errors import (
+    ChartMismatchError, InternalInconsistencyError, NotTriangularError, ValidationError, ZeroInputError,
+)
 from .multipoly import MultiPoly, _substitute_all, _trusted_poly, extract_variable_power, substitute
 
 
@@ -280,6 +282,30 @@ def strict_transform(h: Hypersurface, step: BlowupStep, chart_index: int):
     return Hypersurface(bc.chart, quotient), mult
 
 
+def _center_pullbacks(generators, step: BlowupStep, chart_index: int) -> list:
+    """Each generator pulled back through chart ``chart_index`` of ``step``,
+    all of them on one substitution table, as ``(m, quotient)`` with the
+    pullback equal to exceptional^m * quotient and the exceptional coordinate
+    not dividing the quotient; None for a pullback that is identically zero."""
+    bc = step.chart(chart_index)
+    target = bc.to_base.target.variables
+    for gen in generators:
+        if gen.variables != target:
+            raise ChartMismatchError(f"cannot pull back {gen.variables} through map into {target}")
+    pullbacks = _substitute_all(target, generators, bc.to_base.assignment)
+    return [None if pb.is_zero() else extract_variable_power(pb, bc.exceptional) for pb in pullbacks]
+
+
+def _strict_center(center: SurfaceCenter, step: BlowupStep, chart_index: int, pullbacks: list) -> SurfaceCenter:
+    """The strict transform of ``center`` from its ``_center_pullbacks``."""
+    if None in pullbacks:
+        raise ZeroInputError("pullback of a center generator is identically zero")
+    bc = step.chart(chart_index)
+    ambient_idx = [center.chart.variables.index(v) for v in center.isolated]
+    new_isolated = tuple(bc.chart.variables[i] for i in ambient_idx)
+    return SurfaceCenter(bc.chart, tuple(quotient for _, quotient in pullbacks), new_isolated)
+
+
 def center_strict_transform(center: SurfaceCenter, step: BlowupStep, chart_index: int) -> SurfaceCenter:
     """Generator-wise strict transform of a codim-2 center.
 
@@ -287,30 +313,18 @@ def center_strict_transform(center: SurfaceCenter, step: BlowupStep, chart_index
     result is validated to be triangular again (isolating the corresponding
     new variables), which is exactly the shape the tower construction needs.
     """
-    bc = step.chart(chart_index)
-    new_gens = []
-    for gen in center.generators:
-        pullback = bc.to_base.pullback(gen)
-        if pullback.is_zero():
-            raise ZeroInputError("pullback of a center generator is identically zero")
-        _, quotient = extract_variable_power(pullback, bc.exceptional)
-        new_gens.append(quotient)
-    ambient_idx = [center.chart.variables.index(v) for v in center.isolated]
-    new_isolated = tuple(bc.chart.variables[i] for i in ambient_idx)
-    return SurfaceCenter(bc.chart, tuple(new_gens), new_isolated)
+    pullbacks = _center_pullbacks(center.generators, step, chart_index)
+    return _strict_center(center, step, chart_index, pullbacks)
+
+
+def _pullbacks_divisible(pullbacks: list) -> bool:
+    """Every nonzero pullback of ``_center_pullbacks`` has exceptional multiplicity >= 1."""
+    return all(pb is None or pb[0] >= 1 for pb in pullbacks)
 
 
 def center_pullback_divisible(center_polys, step: BlowupStep, chart_index: int) -> bool:
     """Every center generator pulls back divisibly by the exceptional coordinate."""
-    bc = step.chart(chart_index)
-    for gen in center_polys:
-        pullback = bc.to_base.pullback(gen)
-        if pullback.is_zero():
-            continue
-        mult, _ = extract_variable_power(pullback, bc.exceptional)
-        if mult < 1:
-            return False
-    return True
+    return _pullbacks_divisible(_center_pullbacks(center_polys, step, chart_index))
 
 
 def overlap_cocycle_ok(step: BlowupStep) -> bool:

@@ -607,8 +607,8 @@ def _substitute_monomials(target: tuple, polys, killed: list, factors: list, lif
 
 
 def _zi_mul(a: dict, b: dict) -> dict:
-    """The term map of a*b."""
-    return _zi_mul_sub(a, b, {}, {})
+    """The term map of a*b; a square (``b is a``) goes to :func:`_zi_square`."""
+    return _zi_square(a) if a is b else _zi_mul_sub(a, b, {}, {})
 
 
 def _term_map_tables(occurring: list):
@@ -674,7 +674,7 @@ def extract_variable_power(f: MultiPoly, var: str) -> tuple:
     # lowering one exponent by its minimum keeps every exponent valid and
     # distinct, and the coefficients are f's own
     out = {exps[:idx] + (exps[idx] - m,) + exps[idx + 1:]: c for exps, c in f.zterms.items()}
-    return m, _trusted_poly(f.variables, out, f.den)
+    return m, _relabelled_poly(f.variables, out, f.den)
 
 
 # ---------------------------------------------------------------------- Z[i] term maps
@@ -700,6 +700,25 @@ def _trusted_poly(variables: tuple, zterms: dict, den: int) -> MultiPoly:
     return poly
 
 
+def _relabelled_poly(variables: tuple, zterms: dict, den: int) -> MultiPoly:
+    """The MultiPoly of a relabelled normal-form term map, which owns a fresh
+    copy of ``zterms``.
+
+    The pairs and ``den`` must be those of a polynomial in normal form, under
+    keys that its own keys map to one to one (a renaming of its variables, a
+    projection onto the variables it uses, an exponent halved or lowered
+    alike in every key), so the map is already in normal form and
+    ``_normal_form`` is skipped.  The keys are trusted as in
+    :func:`_trusted_poly`.
+    """
+    poly = MultiPoly.__new__(MultiPoly)
+    poly.variables = variables
+    poly.zterms = dict(zterms)
+    poly.den = den
+    poly._terms = poly._hash = None
+    return poly
+
+
 def _zi_mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
     """The term map of a*b - c*d."""
     acc: dict = {}
@@ -711,6 +730,25 @@ def _zi_mul_sub(a: dict, b: dict, c: dict, d: dict) -> dict:
                 re, im = p * r - q * s, p * s + q * r
                 old = acc.get(key)
                 acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+    return {e: v for e, v in acc.items() if v[0] or v[1]}
+
+
+def _zi_square(a: dict) -> dict:
+    """The term map of a*a, with n(n+1)/2 coefficient products for n terms:
+    each term's square, and each pair's cross term once, doubled."""
+    acc: dict = {}
+    items = list(a.items())
+    for i, (e1, (p, q)) in enumerate(items):
+        key = tuple([e + e for e in e1])
+        re, im = p * p - q * q, 2 * p * q
+        old = acc.get(key)
+        acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        p, q = 2 * p, 2 * q
+        for e2, (r, s) in items[i + 1:]:
+            key = tuple(map(_add, e1, e2))
+            re, im = p * r - q * s, p * s + q * r
+            old = acc.get(key)
+            acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
     return {e: v for e, v in acc.items() if v[0] or v[1]}
 
 
@@ -843,7 +881,11 @@ _EXPANSION_MAX_DIM = 11
 
 def _zi_determinant(m: list) -> dict:
     """The determinant of a square matrix of term maps: Laplace expansion up to
-    _EXPANSION_MAX_DIM rows, Bareiss (which overwrites ``m``) above."""
+    _EXPANSION_MAX_DIM rows, Bareiss (which overwrites ``m``) above.
+
+    The product determinants of the singular-locus chain call it for their
+    twisted circulants of odd order only: a norm of order 2 is two squares
+    (``_zi_square``), not a 2 x 2 determinant."""
     return _zi_expansion(m) if len(m) <= _EXPANSION_MAX_DIM else _zi_bareiss(m)
 
 

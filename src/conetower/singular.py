@@ -35,9 +35,12 @@ from .errors import FloatRangeError, SearchExhaustedError, ValidationError, _che
 from .gaussian import _INEXACT, ONE, GaussianRational, _exact_str, _exact_str_or, _gmul, _gsub, _trusted_gaussian
 from .multipoly import (
     MultiPoly,
+    _power,
+    _relabelled_poly,
     _trusted_poly,
     _zi_determinant,
-    _zi_mul_sub,
+    _zi_mul,
+    _zi_square,
     differentiate,
     extract_variable_power,
     resultant,
@@ -291,7 +294,7 @@ def _binomial_root_product(expr: MultiPoly, var: str, M: int, p: tuple, q: int) 
     # even polynomial: halve the degree; the product squares
     if M % 2 == 0 and all(e % 2 == 0 for e in exps_used):
         halved = {exps[:idx] + (exps[idx] // 2,) + exps[idx + 1:]: c for exps, c in expr.zterms.items()}
-        core, e, _ = _binomial_root_product(_trusted_poly(expr.variables, halved, expr.den), var, M // 2, p, q)
+        core, e, _ = _binomial_root_product(_relabelled_poly(expr.variables, halved, expr.den), var, M // 2, p, q)
         return core, 2 * e, "even-halving"
     return _multiplication_determinant(expr, var, M, p, q), 1, "product-determinant"
 
@@ -311,10 +314,7 @@ def _closed_form_root_product(expr: MultiPoly, c_key: tuple, D: int, M: int, p: 
     rest = dict(expr.zterms)
     C = rest.pop(c_key)
     qs = q ** s
-    power = rest
-    for _ in range(L - 1):
-        power = _zi_mul_sub(power, rest, {}, {})
-    core = {e: (re * qs, im * qs) for e, (re, im) in power.items()}
+    core = {e: (re * qs, im * qs) for e, (re, im) in _power(rest, L, _zi_mul).items()}
     K = (1, 0) if L % 2 == 0 else (-1, 0)
     for _ in range(s):
         K = _gmul(K, p)
@@ -357,6 +357,33 @@ def _reduce_binomial(f: dict, idx: int, L: int, p: tuple, q: int) -> tuple:
     return {e: c for e, c in out.items() if c[0] or c[1]}, t
 
 
+def _residue_parts(a: dict, idx: int, r: int) -> list:
+    """[A_0, ..., A_(r-1)] with a(x) = sum_{s<r} x^s * A_s(x^r), x at exponent
+    position ``idx``."""
+    parts: list = [{} for _ in range(r)]
+    for exps, c in a.items():
+        m, s = divmod(exps[idx], r)
+        parts[s][exps[:idx] + (m,) + exps[idx + 1:]] = c
+    return parts
+
+
+def _order_two_norm(a0: dict, a1: dict, idx: int, shift: int, c: tuple, lift: int) -> dict:
+    """The term map of lift * a0^2 - c * var^shift * a1^2, var at exponent
+    position ``idx``: the norm A_0^2 - w * A_1^2 of A_0 + t * A_1 from
+    Q(i)[var][t]/(t^2 - w) for w = c * var^shift / lift, lifted by ``lift``.
+    Both squares go through ``_zi_square``."""
+    out = _zi_square(a0)
+    if lift != 1:
+        out = {e: (re * lift, im * lift) for e, (re, im) in out.items()}
+    cr, ci = c
+    for e, (x, y) in _zi_square(a1).items():
+        if shift:
+            e = e[:idx] + (e[idx] + shift,) + e[idx + 1:]
+        old = out.get(e, (0, 0))
+        out[e] = (old[0] - x * cr + y * ci, old[1] - x * ci - y * cr)
+    return {e: v for e, v in out.items() if v[0] or v[1]}
+
+
 def _multiplication_determinant(expr: MultiPoly, var: str, L: int, p: tuple, q: int) -> MultiPoly:
     """The root product prod_{beta^L = v} expr(beta), for v = p/q != 0.
 
@@ -373,18 +400,19 @@ def _multiplication_determinant(expr: MultiPoly, var: str, L: int, p: tuple, q: 
     and beta -> beta^r takes the orbits one to one onto the roots of
     y^(L/r) - v.  So prod_{beta^L = v} a(beta) = prod_{gamma^(L/r) = v} E(gamma),
     and E is reduced modulo y^(L/r) - v in turn.  For r = 2 this is root
-    squaring (Dandelin-Graeffe), E = A_0^2 - y * A_1^2.  Once L is prime the
-    product is the residue itself for L = 1, and for L > 1 the determinant of
-    the L x L twisted circulant whose column j is var^j * a reduced modulo
-    var^L - v.  Both determinants go through ``_zi_determinant``: a Laplace
-    expansion over column subsets, built from the bottom row up so that
-    every product has a matrix entry as a factor and nothing is divided, or
-    Bareiss from 13 rows on.
+    squaring (Dandelin-Graeffe), E = A_0^2 - y * A_1^2, two squares
+    (``_order_two_norm``).  Once L is prime the product is the residue itself
+    for L = 1, q * A_0^2 - p * A_1^2 over q for L = 2, and for L > 2 the
+    determinant of the L x L twisted circulant whose column j is var^j * a
+    reduced modulo var^L - v.  The circulant and the twisted circulants of
+    odd r go through ``_zi_determinant``.
 
     Over Z[i], with expr = F / De and v = p/q, a reduction lifted by q^t
-    (``_reduce_binomial``) scales the product by q^(t * L), and a circulant
-    column lifted by q^t scales the determinant by q^t.  The product is
-    divided once at the end.
+    (``_reduce_binomial``) scales the product by q^(t * L).  Column j of the
+    prime circulant is a rotated j places down: a term of a that wraps past
+    var^L comes back at the top times p, and when q > 1 and some term wraps,
+    the column is lifted by q, which scales the determinant by q.  The
+    product is divided once at the end.
     """
     idx = expr.variables.index(var)
     a, t = _reduce_binomial(expr.zterms, idx, L, p, q)
@@ -394,23 +422,34 @@ def _multiplication_determinant(expr: MultiPoly, var: str, L: int, p: tuple, q: 
         if L % r:
             r += 1
             continue
-        parts: list = [{} for _ in range(r)]
-        for exps, c in a.items():
-            m, s = divmod(exps[idx], r)
-            parts[s][exps[:idx] + (m,) + exps[idx + 1:]] = c
-        shifted = [{e[:idx] + (e[idx] + 1,) + e[idx + 1:]: c for e, c in part.items()} for part in parts]
-        matrix = [[parts[s - j] if s >= j else shifted[r + s - j] for j in range(r)] for s in range(r)]
+        parts = _residue_parts(a, idx, r)
+        if r == 2:
+            norm = _order_two_norm(*parts, idx, 1, (1, 0), 1)
+        else:
+            shifted = [{e[:idx] + (e[idx] + 1,) + e[idx + 1:]: c for e, c in part.items()} for part in parts]
+            matrix = [[parts[s - j] if s >= j else shifted[r + s - j] for j in range(r)] for s in range(r)]
+            norm = _zi_determinant(matrix)
         L //= r
-        a, t = _reduce_binomial(_zi_determinant(matrix), idx, L, p, q)
+        a, t = _reduce_binomial(norm, idx, L, p, q)
         divisor *= q ** (t * L)
-    if L > 1:
-        matrix = [[{} for _ in range(L)] for _ in range(L)]
+    if L == 2:
+        a = _order_two_norm(*_residue_parts(a, idx, 2), idx, 0, p, q)
+        divisor *= q
+    elif L > 2:
+        parts = _residue_parts(a, idx, L)
+        wrapped = [{e: _gmul(c, p) for e, c in part.items()} for part in parts]
+        lifted = [{e: (re * q, im * q) for e, (re, im) in part.items()} for part in parts] if q > 1 else parts
+        top = max((d for d, part in enumerate(parts) if part), default=0)
+        matrix = [[None] * L for _ in range(L)]
         for j in range(L):
-            shifted = {e[:idx] + (e[idx] + j,) + e[idx + 1:]: c for e, c in a.items()}
-            column, t = _reduce_binomial(shifted, idx, L, p, q)
-            divisor *= q ** t
-            for exps, c in column.items():
-                matrix[exps[idx]][j][exps[:idx] + (0,) + exps[idx + 1:]] = c
+            wraps = top + j >= L
+            if wraps:
+                divisor *= q
+            for d in range(L):
+                if d + j >= L:
+                    matrix[d + j - L][j] = wrapped[d]
+                else:
+                    matrix[d + j][j] = lifted[d] if wraps else parts[d]
         a = _zi_determinant(matrix)
     return _trusted_poly(expr.variables, a, divisor)
 
@@ -429,7 +468,9 @@ class _BranchPlan:
     and the factor projected alike, each with its den; a step seen before
     returns its core renamed to the branch's own variables.  A core lives
     over the variables its step's input used, which prints as it would over
-    all of the chart's.
+    all of the chart's.  A projection and a renamed core keep the normal
+    form of the map they come from, so they leave through
+    ``_relabelled_poly``.
     """
 
     __slots__ = ("equation", "tables", "steps")
@@ -466,11 +507,11 @@ class _BranchPlan:
         step = self.steps.get(key)
         if step is None:
             step = self.steps[key] = _root_product(
-                _trusted_poly(used, projected, expr.den), var, _trusted_poly(used, factor, modulus.den)
+                _relabelled_poly(used, projected, expr.den), var, _relabelled_poly(used, factor, modulus.den)
             )
         core, power, method = step
         if core.variables != used:
-            core = _trusted_poly(used, core.zterms, core.den)
+            core = _relabelled_poly(used, core.zterms, core.den)
         return core, power, method
 
 

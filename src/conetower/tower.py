@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from .blowup import (
     BlowupStep,
     SurfaceCenter,
-    center_pullback_divisible,
-    center_strict_transform,
+    _center_pullbacks,
+    _pullbacks_divisible,
+    _strict_center,
     curve_blowup_chart_map,
     locus_maps_to_origin,
     overlap_cocycle_ok,
@@ -159,7 +160,8 @@ def build_tower(k: int) -> Tower:
             str(y_low.equation),
         )
 
-        s_low = center_strict_transform(level.center, g, g.distinguished)
+        pullbacks = _center_pullbacks(level.center.generators, g, g.distinguished)
+        s_low = _strict_center(level.center, g, g.distinguished, pullbacks)
         expected_center = tower_center(distinguished.chart, lower)
         check(
             f"level{j}:center-shape",
@@ -179,7 +181,7 @@ def build_tower(k: int) -> Tower:
         )
         check(
             f"level{j}:center-pullback-divisible",
-            center_pullback_divisible(level.center.generators, g, g.distinguished),
+            _pullbacks_divisible(pullbacks),
             "exceptional coordinate divides both generator pullbacks",
         )
 

@@ -353,6 +353,23 @@ def test_center_strict_transform_drops_exponent():
     assert lower.generators == expected.generators
 
 
+def test_tower_pulls_each_center_back_once_per_level(monkeypatch):
+    # the center-shape and center-pullback-divisible checks of a level read
+    # one pullback of its two generators
+    calls = []
+
+    def counted(generators, step, chart_index, _inner=blowup._center_pullbacks):
+        calls.append(len(generators))
+        return _inner(generators, step, chart_index)
+
+    monkeypatch.setattr(blowup, "_center_pullbacks", counted)
+    monkeypatch.setattr(tower_module, "_center_pullbacks", counted)
+    built = build_tower(3)
+    assert calls == [2, 2, 2]
+    center_checks = [c for c in built.checks if c.name.endswith(("center-shape", "center-pullback-divisible"))]
+    assert len(center_checks) == 6 and all(c.status == PASS for c in center_checks)
+
+
 # ---------------------------------------------------------------- map algebra
 
 

@@ -121,9 +121,9 @@ def _run_golden_commands(tmp_path, monkeypatch, capsys):
 
 
 def test_every_polynomial_of_the_golden_commands_is_in_normal_form(tmp_path, monkeypatch, capsys):
-    # every MultiPoly and LaurentPoly the commands build, through the trusted
-    # or the validating constructor, every GaussianRational the trusted
-    # constructor builds, and every (re, im, den) triple the quadric sampler
+    # every MultiPoly and LaurentPoly the commands build, through the trusted,
+    # the relabelling or the validating constructor, every GaussianRational
+    # the trusted constructor builds, and every (re, im, den) triple the quadric sampler
     # draws in place of one, is checked as it is built; a kernel that skipped
     # normalisation would otherwise show only as an == or hash mismatch later
     built, broken = {MultiPoly: 0, LaurentPoly: 0, GaussianRational: 0, tuple: 0}, []
@@ -156,8 +156,8 @@ def test_every_polynomial_of_the_golden_commands_is_in_normal_form(tmp_path, mon
             check(self)
         return wrapper
 
-    for trusted in (multipoly._trusted_poly, laurent._trusted_laurent, gaussian._trusted_gaussian,
-                    quadric._draw_value):
+    for trusted in (multipoly._trusted_poly, multipoly._relabelled_poly, laurent._trusted_laurent,
+                    gaussian._trusted_gaussian, quadric._draw_value):
         _patch_everywhere(monkeypatch, trusted, checked(trusted))
     for cls in (MultiPoly, LaurentPoly):
         monkeypatch.setattr(cls, "__init__", checked_init(cls.__init__))

@@ -33,11 +33,14 @@ from conetower.laurent import LaurentPoly, parse_laurent  # noqa: E402
 from conetower.multipoly import (  # noqa: E402
     MultiPoly,
     _bareiss_determinant,
+    _relabelled_poly,
     _trusted_poly,
     _zi_bareiss,
     _zi_determinant,
     _zi_expansion,
+    _zi_mul,
     _zi_mul_sub,
+    _zi_square,
     differentiate,
     parse_poly,
     poly_to_string,
@@ -995,6 +998,24 @@ def test_expansion_matches_bareiss_on_term_maps():
     assert nonzero >= 30
 
 
+zi_term_maps = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).filter(any),
+    max_size=7,
+)
+
+
+@EXAMPLES
+@given(zi_term_maps)
+@example({(0, 0): (1, 2), (1, 0): (3, -1)})
+@example({(1, 0): (1, 1), (0, 1): (1, -1)})  # the cross term is all of the square's middle
+def test_square_kernel_equals_the_product(a):
+    # a copy is not ``a`` itself, so _zi_mul multiplies it out
+    product = _zi_mul(a, dict(a))
+    assert product == _zi_mul_sub(a, a, {}, {})
+    assert _zi_square(a) == product and _zi_mul(a, a) == product
+
+
 def test_expansion_matches_sympy_berkowitz():
     rng = random.Random(411)
     for _ in range(20):
@@ -1642,6 +1663,29 @@ def test_multiplication_determinant_matches_lifted_matrix_reference():
             assert ours == _reference_zi_multiplication_determinant(expr, "x", L, v), (L, trial)
 
 
+def test_multiplication_determinant_matches_lifted_matrix_reference_on_every_kernel_path():
+    # L = 2 and the odd primes fill their circulants by rotation; 4, 6 and 10
+    # take a root-squaring step first.  v = p/q with q > 1 and a non-real p,
+    # with q = 1, and with coefficients that q divides, so wrapped terms and
+    # lifted columns meet every case
+    rng = random.Random(1016)
+    variables = ("w", "x", "y")
+    checked = lifted = 0
+    for L in (2, 3, 4, 5, 6, 7, 10):
+        for v in (GaussianRational(Fraction(3, 4), Fraction(-5, 6)), GaussianRational(2, 1), GaussianRational(7),
+                  GaussianRational(Fraction(-1, 9))):
+            for trial in range(2):
+                expr = _fine_poly(rng, variables, 5, ((0, 2), (0, 2 * L + 1), (0, 1)))
+                if trial:  # Z[i] coefficients over 1, each divisible by 36, which q divides
+                    expr = expr.scale(36 * expr.den)
+                p, q = _as_fraction_zi(v)
+                ours = singular._multiplication_determinant(expr, "x", L, p, q)
+                assert ours == _reference_zi_multiplication_determinant(expr, "x", L, v), (L, str(v), trial)
+                checked += 1
+                lifted += q > 1 and p[1] != 0
+    assert checked == 56 and lifted == 14
+
+
 def test_multiplication_determinant_matches_sympy_resultant():
     # prod_{beta^L = v} a(beta) = Res(x^L - v, a), the modulus being monic
     rng = random.Random(1014)
@@ -1743,6 +1787,16 @@ def _reference_substitute(f, assignment):
     return result
 
 
+def _reference_sum(f, g, sign):
+    """f + sign * g, each coefficient summed in Fractions, through the
+    validating constructor."""
+    out = {}
+    for e in f.terms.keys() | g.terms.keys():
+        a, b = f.terms.get(e, ZERO), g.terms.get(e, ZERO)
+        out[e] = GaussianRational(a.re + sign * b.re, a.im + sign * b.im)
+    return MultiPoly(f.variables, out)
+
+
 def _assert_same_poly(ours, reference):
     assert ours.variables == reference.variables
     assert set(ours.terms.items()) == set(reference.terms.items())
@@ -1758,7 +1812,7 @@ def test_mul_matches_gaussian_rational_reference():
         if rng.random() < 0.1:
             g = MultiPoly.zero(variables)
         _assert_same_poly(f * g, _reference_mul(f, g))
-        _assert_same_poly((f + g) * (f - g), _reference_mul(f + g, f - g))
+        _assert_same_poly((f + g) * (f - g), _reference_mul(_reference_sum(f, g, 1), _reference_sum(f, g, -1)))
 
 
 def _monomial_image(rng, target):
@@ -1867,6 +1921,24 @@ def test_a_trusted_polynomial_owns_its_map(zterms, den):
     given[(3, 3)] = (1, 0)
     assert poly.zterms == kept and str(poly) == text
     assert poly == _trusted_poly(("x", "y"), zterms, den)
+
+
+@EXAMPLES
+@given(nf_terms, st.permutations(range(3)), st.integers(0, 3))
+def test_a_relabelled_polynomial_equals_the_trusted_one_and_owns_its_map(terms, order, shift):
+    # a permutation of the exponent positions and a shift of the first one
+    # map the keys of a normal-form polynomial one to one
+    f = MultiPoly(("x", "y", "z"), terms)
+    relabelled = {(e[order[0]] + shift, e[order[1]], e[order[2]]): c for e, c in f.zterms.items()}
+    poly = _relabelled_poly(("u", "v", "w"), relabelled, f.den)
+    trusted = _trusted_poly(("u", "v", "w"), relabelled, f.den)
+    assert poly == trusted and hash(poly) == hash(trusted) and str(poly) == str(trusted)
+    assert (poly.zterms, poly.den) == (trusted.zterms, trusted.den)
+    kept, text = dict(poly.zterms), str(poly)
+    if relabelled:
+        relabelled.pop(next(iter(relabelled)))
+    relabelled[(9, 9, 9)] = (1, 0)
+    assert poly.zterms is not relabelled and poly.zterms == kept and str(poly) == text
 
 
 def test_power_tables_hold_the_occurring_exponents_by_binary_powering():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branch_reference import with_reference_plan
-from conetower import singular
+from conetower import multipoly, singular
 from conetower.certificates import CERTIFIED, FAIL, INCONCLUSIVE, ONLY_SINGULAR_AT, SMOOTH
 from conetower.charts import Chart, Hypersurface
 from conetower.errors import FloatRangeError, SearchExhaustedError, ValidationError
@@ -268,6 +268,43 @@ def test_renamed_branches_share_their_chain_steps(monkeypatch):
     cert = certify_perturbation(PerturbationParams(2, 6, Fraction(1)))
     printed = sum(len(b["outcome"].get("chain", ())) for b in cert.branches)
     assert len(calls) < printed
+
+
+# The (k, N, eps) attempts search_perturbation(k) makes for k = 1..4, up to
+# and including its first certificate.
+SEARCH_ATTEMPTS = [
+    (1, 2, 1),
+    (2, 3, 1), (2, 3, Fraction(1, 2)), (2, 3, Fraction(1, 4)),
+    (2, 4, 1), (2, 4, Fraction(1, 2)), (2, 4, Fraction(1, 4)),
+    (2, 5, 1), (2, 5, Fraction(1, 2)), (2, 5, Fraction(1, 4)),
+    (2, 6, 1),
+    (3, 4, 1), (3, 4, Fraction(1, 2)), (3, 4, Fraction(1, 4)),
+    (3, 5, 1), (3, 5, Fraction(1, 2)), (3, 5, Fraction(1, 4)),
+    (3, 6, 1),
+    (4, 5, 1), (4, 5, Fraction(1, 2)), (4, 5, Fraction(1, 4)),
+    (4, 6, 1),
+]
+
+
+def test_search_attempts_stay_within_their_product_determinant_work(monkeypatch):
+    # counts, not times: root squaring and the L = 2 norm are two squares and
+    # the prime circulant is filled by rotation, so neither reduces a column
+    # or expands a 2 x 2 matrix
+    calls = {"_reduce_binomial": 0, "_zi_expansion": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(singular, "_reduce_binomial")
+    counted(multipoly, "_zi_expansion")
+    statuses = [certify_perturbation(PerturbationParams(k, N, eps)).status for k, N, eps in SEARCH_ATTEMPTS]
+    assert statuses.count(CERTIFIED) == 4 and statuses.count(FAIL) == 18
+    assert calls["_reduce_binomial"] <= 160 and calls["_zi_expansion"] <= 51, calls
 
 
 # ---------------------------------------------------------------- perturbation certificates
