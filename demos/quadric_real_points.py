@@ -1,8 +1,9 @@
 """Every line of the ruled quadric carries exactly one real point.
 
-Samples ruling parameters of both families, solves the 4x4 real linear
-system for each line exactly, and contrasts with the definite control
-quadric whose lines have no real points at all.
+Samples ruling parameters of both families, reads each line's span off
+the 2x2 minors of its two forms and its real point off a 2x2 integer
+system, all exactly, and contrasts with the definite control quadric whose
+lines have no real points at all.
 """
 
 import random

@@ -32,7 +32,7 @@ from .certificates import Certificate, Check
 from .charts import Chart, Hypersurface, SubstitutionMap, compose_maps, maps_equal
 from .gaussian import GaussianRational
 from .laurent import LaurentPoly, parse_laurent
-# the tests' oracle, called by no code path: loaded for the per-layer recorder
+# empty: loaded only because the per-layer recorder looks every layer up by name
 from . import linalg  # noqa: F401
 from .lemma_square import verify_lemma_square
 from .multipoly import (

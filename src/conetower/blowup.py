@@ -317,16 +317,6 @@ def center_strict_transform(center: SurfaceCenter, step: BlowupStep, chart_index
     return _strict_center(center, step, chart_index, pullbacks)
 
 
-def _pullbacks_divisible(pullbacks: list) -> bool:
-    """Every nonzero pullback of ``_center_pullbacks`` has exceptional multiplicity >= 1."""
-    return all(pb is None or pb[0] >= 1 for pb in pullbacks)
-
-
-def center_pullback_divisible(center_polys, step: BlowupStep, chart_index: int) -> bool:
-    """Every center generator pulls back divisibly by the exceptional coordinate."""
-    return _pullbacks_divisible(_center_pullbacks(center_polys, step, chart_index))
-
-
 def overlap_cocycle_ok(step: BlowupStep) -> bool:
     """Verify the t = 1/s overlap of a codim-2 blow-up.
 

@@ -244,11 +244,10 @@ I = GaussianRational(0, 1)
 
 # ---------------------------------------------------------------------- Z[i] pairs
 #
-# Z[i] pairs are also the rows of linalg's eliminations and the quadric's line
-# and split forms.  ``_zi_lift`` puts GaussianRationals over one denominator:
-# the coefficients of the public MultiPoly and LaurentPoly constructors,
-# ``ProjLine.from_rows`` and ``QuadricSplit``'s forms, and a real point's
-# coordinates.  The normal form, the sum and the
+# Z[i] pairs are also the quadric's line and split forms.  ``_zi_lift`` puts
+# GaussianRationals over one denominator: the coefficients of the public
+# MultiPoly and LaurentPoly constructors, ``ProjLine.from_rows`` and
+# ``QuadricSplit``'s forms.  The normal form, the sum and the
 # GaussianRational view of a term map are shared by every exact class.
 
 

@@ -179,17 +179,6 @@ class MultiPoly:
             return -1
         return max(e[idx] for e in self.zterms)
 
-    def min_degree_in(self, var: str) -> int:
-        idx = self._var_index(var)
-        if not self.zterms:
-            return 0
-        return min(e[idx] for e in self.zterms)
-
-    def total_degree(self) -> int:
-        if not self.zterms:
-            return -1
-        return max(sum(e) for e in self.zterms)
-
     def variables_used(self) -> tuple:
         # zip(*zterms) gives each variable's column of exponents
         return tuple(v for v, column in zip(self.variables, zip(*self.zterms)) if any(column))

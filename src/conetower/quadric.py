@@ -22,11 +22,12 @@ imaginary parts; the sphere test of the boundary cover runs on integers too.
 Each step is one private int kernel: ``_draw_st`` draws (s : t),
 ``_ruling_rows`` builds the two rows, ``_span`` reads the span,
 ``_real_vector`` checks containment and reads the real point, and
-``_on_sphere`` tests it.  The public functions are thin wrappers that build
-a RulingParam, ProjLine or ProjPoint around a kernel's ints; values in Q(i)
-come in and go out as GaussianRationals, each read or built as its Z[i] pair
-over its denominator.  The boundary-cover sampler calls the kernels
-directly, so a sampled line stays ints from the draw to its printed entry.
+``_on_sphere`` tests it.  The public ``sample_param``, ``ruling_line`` and
+``real_point`` are thin wrappers that build a RulingParam, ProjLine or
+ProjPoint around a kernel's ints; values in Q(i) come in and go out as
+GaussianRationals, each read or built as its Z[i] pair over its
+denominator.  The boundary-cover sampler calls the kernels directly, so a
+sampled line stays ints from the draw to its printed entry.
 """
 
 from __future__ import annotations
@@ -44,16 +45,11 @@ from .errors import (
     _is_int,
 )
 from .gaussian import (
-    GaussianRational, I, ONE, ZERO, _gaussian_text, _gmul, _gneg, _trusted_gaussian, _zi_lift,
+    GaussianRational, I, ONE, _gaussian_text, _gmul, _gneg, _trusted_gaussian, _zi_lift,
 )
 from .multipoly import MultiPoly
 
 _VARS = ("z0", "z1", "z2", "z3")
-
-
-def _dot(row, coords) -> GaussianRational:
-    """Exact value at ``coords`` of the linear form with coefficients ``row``."""
-    return sum((c * x for c, x in zip(row, coords) if c), ZERO)
 
 
 def _forms_at(forms, vec):
@@ -100,8 +96,9 @@ def _span(zrows):
     ascending, with a < b < c the columns {c1, c2, f}, the vector (m_bc,
     -m_ac, m_ab) on a, b, c is in the kernel: a row dotted with it is a 3x3
     determinant with a repeated row.  It is 0 at the other free column and
-    +-m_(c1,c2) at f, a nonzero multiple of :func:`linalg.nullspace`'s basis
-    vector for f.
+    +-m_(c1,c2) at f, a nonzero multiple of the kernel vector that is 1 at f
+    and 0 at the other free column, the one back-substitution in the rows'
+    echelon form gives.
     """
     minors = _minors(*zrows)
     pivots = next((pair for pair in _PAIRS if minors[pair] != (0, 0)), None)
@@ -171,10 +168,11 @@ class ProjLine:
     no common factor; equal lines therefore have equal fields.  ``span`` is
     the Z[i] kernel basis of the rows that :func:`_span` reads off their 2x2
     minors, two vectors spanning the line, each zero at the other's free
-    column.  Every line the public API takes or returns is built and
-    checked here; the boundary-cover sampler runs the same kernels on its
-    rows without building one.  Q(i) rows come in through :meth:`from_rows`
-    and go out through :attr:`rows`.
+    column; :func:`real_point` tests the line on a quadric and reads its
+    real point off ``span``.  Every line the public API takes or returns is
+    built and checked here; the boundary-cover sampler runs the same kernels
+    on its rows without building one.  Q(i) rows come in through
+    :meth:`from_rows` and go out through :attr:`rows`.
     """
 
     zrows: tuple
@@ -215,9 +213,6 @@ class ProjLine:
 
     def form_polys(self) -> tuple:
         return tuple(_linear_form(row) for row in self.rows)
-
-    def contains(self, point: ProjPoint) -> bool:
-        return all(not _dot(row, point.coords) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -279,13 +274,10 @@ class QuadricSplit:
 
     @property
     def quadric_poly(self) -> MultiPoly:
-        """ab - cd as one polynomial: the reference for :meth:`evaluate_quadric`."""
+        """ab - cd as one polynomial in z0..z3, read from the Q(i) forms
+        rather than from ``zforms``."""
         a, b, c, d = (_linear_form(row) for row in (self.a, self.b, self.c, self.d))
         return a * b - c * d
-
-    def evaluate_quadric(self, point: ProjPoint) -> GaussianRational:
-        z = point.coords
-        return _dot(self.a, z) * _dot(self.b, z) - _dot(self.c, z) * _dot(self.d, z)
 
 
 def _row(*entries):
@@ -370,11 +362,6 @@ def _on_quadric(span, split: QuadricSplit) -> bool:
     at_w = _forms_at(split.zforms, w)
     at_sum = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(at_u, at_w)]
     return all(_gmul(a, b) == _gmul(c, d) for a, b, c, d in (at_u, at_w, at_sum))
-
-
-def line_on_quadric(line: ProjLine, split: QuadricSplit) -> bool:
-    """Exact containment of ``line`` in the quadric, by :func:`_on_quadric`."""
-    return _on_quadric(line.span, split)
 
 
 def _span_real_vector(span):
@@ -552,12 +539,6 @@ def _on_sphere(z) -> bool:
     ``z``, h its BOUNDARY_QUADRIC homogenizer, with no division by h."""
     h = z[BOUNDARY_QUADRIC.homogenizer]
     return z[1] * z[1] + z[2] * z[2] + z[3] * z[3] == h * h
-
-
-def _on_boundary_sphere(point: ProjPoint) -> bool:
-    """:func:`_on_sphere` at a point, on its coordinates times the lcm of
-    their denominators; False at a point that is not real."""
-    return point.is_real() and _on_sphere([re for re, _ in _zi_lift(point.coords)[0]])
 
 
 def _check_sampling(trials, seed) -> None:

@@ -20,7 +20,6 @@ from .blowup import (
     BlowupStep,
     SurfaceCenter,
     _center_pullbacks,
-    _pullbacks_divisible,
     _strict_center,
     curve_blowup_chart_map,
     locus_maps_to_origin,
@@ -179,9 +178,10 @@ def build_tower(k: int) -> Tower:
             level.hypersurface.contains_point(level.point),
             "P_j in Y_j",
         )
+        # _strict_center has refused a zero pullback, so each is (m, quotient)
         check(
             f"level{j}:center-pullback-divisible",
-            _pullbacks_divisible(pullbacks),
+            all(m >= 1 for m, _ in pullbacks),
             "exceptional coordinate divides both generator pullbacks",
         )
 

@@ -8,8 +8,9 @@ like the cube of T's degree, so the tests run it on cocycles of moderate
 degree only.
 """
 
-from conetower import linalg
 from conetower.bundles import TransitionMatrix, _zi_rows, det_valuation
+
+import linalg_reference
 
 
 def section_dim(T: TransitionMatrix, m: int) -> int:
@@ -53,4 +54,4 @@ def count_sections(zrows, reach: int, m: int) -> int:
                         by_e[e] = [(0, 0)] * cols
                     by_e[e][2 * d + j] = coeff
         rows.extend(by_e[e] for e in sorted(by_e))
-    return cols - linalg.matrix_rank(rows, cols)
+    return cols - linalg_reference.matrix_rank(rows, cols)

@@ -11,7 +11,6 @@ from conetower.blowup import (
     BlowupChart,
     BlowupStep,
     SurfaceCenter,
-    center_pullback_divisible,
     center_strict_transform,
     codim2_blowup_charts,
     overlap_cocycle_ok,
@@ -341,7 +340,8 @@ def test_center_pullback_divisibility_property():
     chart = Chart("M3", ("z1", "z2", "z3", "z4"))
     center = tower_center(chart, 3)
     step = point_blowup_charts(chart, ("u1", "u2", "u3", "u4"), "M2")
-    assert center_pullback_divisible(center.generators, step, 3)
+    pullbacks = blowup._center_pullbacks(center.generators, step, 3)
+    assert [m for m, _ in pullbacks] == [1, 1]
 
 
 def test_center_strict_transform_drops_exponent():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conetower import bundles, linalg
+from conetower import bundles
 from conetower.bundles import (
     SplittingType,
     TransitionMatrix,
@@ -31,6 +31,8 @@ from conetower.errors import (
 from conetower.gaussian import GaussianRational, ONE, ZERO, _zi_lift
 from conetower.laurent import LaurentPoly, parse_laurent
 from conetower.multipoly import parse_poly
+
+import linalg_reference
 from section_count import section_dim
 from transition_helpers import coefficient, gr_mul_sub, matmul
 
@@ -307,7 +309,7 @@ def _reference_section_dim(T: TransitionMatrix, m: int) -> int:
                         by_e[e] = [(0, 0)] * cols
                     by_e[e][j * (B + 1) + d] = coeff
         rows.extend(by_e[e] for e in sorted(by_e))
-    return cols - linalg.matrix_rank(rows, cols)
+    return cols - linalg_reference.matrix_rank(rows, cols)
 
 
 GOLDEN_MATRICES = Path(__file__).parent / "golden" / "matrices"

@@ -23,7 +23,7 @@ sympy_matrices = pytest.importorskip("sympy.polys.matrices")
 
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
-from conetower import laurent, linalg, multipoly  # noqa: E402
+from conetower import laurent, multipoly  # noqa: E402
 from conetower.blowup import SurfaceCenter, straighten_center  # noqa: E402
 from conetower.certificates import FAIL, SMOOTH, _dumps  # noqa: E402
 from conetower.charts import Chart, Hypersurface  # noqa: E402
@@ -48,6 +48,7 @@ from conetower.multipoly import (  # noqa: E402
     substitute,
 )
 from conetower import quadric, singular  # noqa: E402
+import linalg_reference  # noqa: E402
 from branch_reference import with_reference_plan  # noqa: E402
 from fraction_pair_reference import FractionPairGaussian  # noqa: E402
 from conetower.singular import (  # noqa: E402
@@ -598,14 +599,14 @@ def test_matrix_rank_matches_sympy():
             matrix = _product(_random_matrix(rng, rows, inner), _random_matrix(rng, inner, cols))
         else:
             matrix = _random_matrix(rng, rows, cols)
-        assert linalg.matrix_rank(_zrows(matrix), cols) == _sympy_rank(matrix)
+        assert linalg_reference.matrix_rank(_zrows(matrix), cols) == _sympy_rank(matrix)
     deficient = 0
     for nrows, B, degree in BANDED_SHAPES:
         for real_only in (False, True):
             matrix = _banded_matrix(rng, nrows, B, degree, real_only)
             rank = _sympy_rank(matrix)
             deficient += rank < min(nrows, 2 * (B + 1))
-            assert linalg.matrix_rank(_zrows(matrix), 2 * (B + 1)) == rank
+            assert linalg_reference.matrix_rank(_zrows(matrix), 2 * (B + 1)) == rank
     assert deficient
 
 
@@ -622,7 +623,7 @@ def test_nullspace_matches_sympy_rank():
         else:
             matrix = _random_matrix(rng, rows, cols)
         rank = _sympy_rank(matrix)
-        ours, basis = linalg.nullspace(_zrows(matrix), cols)
+        ours, basis = linalg_reference.nullspace(_zrows(matrix), cols)
         assert ours == rank
         assert len(basis) == cols - rank
         vectors = [[GaussianRational(re, im) for re, im in vec] for vec in basis]
@@ -636,10 +637,10 @@ def test_nullspace_matches_sympy_rank():
 # ---------------------------------------------------------------- the previous Bareiss kernel, verbatim
 #
 # The echelon kernel as it was before its Z[i] arithmetic was inlined, with the
-# Z[i] helpers it called and its GaussianRational entry point: linalg._echelon
+# Z[i] helpers it called and its GaussianRational entry point: linalg_reference._echelon
 # must return the same pivots and the same echelon rows.  The previous
 # nullspace, whose back-substitution called the same helpers, must return the
-# same basis vectors as linalg.nullspace, pair by pair.
+# same basis vectors as linalg_reference.nullspace, pair by pair.
 
 
 def _gmul(x, y):
@@ -698,7 +699,7 @@ def _reference_zi_nullspace(rows, ncols):
 
     Each basis vector is a list of ``ncols`` Z[i] pairs.
     """
-    pivots, echelon = linalg._echelon(rows, ncols)
+    pivots, echelon = linalg_reference._echelon(rows, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         vec = [(0, 0)] * ncols
@@ -730,7 +731,7 @@ def _reference_row_echelon_gaussian(rows):
 
 
 def _assert_same_echelon(zrows, ncols):
-    ours = linalg._echelon(zrows, ncols)
+    ours = linalg_reference._echelon(zrows, ncols)
     theirs = _reference_echelon([r for r in zrows if any(v != (0, 0) for v in r)], ncols)
     assert ours[0] == theirs[0]
     assert [list(r) for r in ours[1]] == [list(r) for r in theirs[1]]
@@ -801,7 +802,7 @@ def test_echelon_matches_previous_kernel_on_degree_major_section_shapes():
             matrix = _banded_matrix(rng, nrows, B, degree, real_only)
             rank = _assert_same_echelon(_zrows(_degree_major(matrix, B)), 2 * (B + 1))
             # a column permutation keeps the rank
-            assert rank == linalg.matrix_rank(_zrows(matrix), 2 * (B + 1))
+            assert rank == linalg_reference.matrix_rank(_zrows(matrix), 2 * (B + 1))
 
 
 def _staircase_zrow(rng, cols, real_only):
@@ -843,7 +844,7 @@ def test_echelon_matches_previous_kernel_when_rows_wait_through_steps():
                     row[l] = GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 5)), rng.randint(-3, 3))
             zrows = _zrows(_product(left, right))
         rank = _assert_same_echelon(zrows, cols)
-        pivots = linalg._echelon(zrows, cols)[0]
+        pivots = linalg_reference._echelon(zrows, cols)[0]
         leads = [c for c in map(_leading_column, zrows) if c is not None]
         ended_zero += rank < len(leads)
         for c in set(leads):
@@ -1973,7 +1974,7 @@ def test_substitute_with_sparse_high_exponents_matches_the_reference():
 
 
 def _assert_same_nullspace(zrows, ncols):
-    rank, basis = linalg.nullspace(zrows, ncols)
+    rank, basis = linalg_reference.nullspace(zrows, ncols)
     assert (rank, basis) == _reference_zi_nullspace(zrows, ncols)
     return rank
 
@@ -2004,7 +2005,7 @@ def _reference_real_kernel(zrows):
     path: the exact kernel of the 4x4 real system of the rows' real and
     imaginary parts."""
     real_rows = [[(z[part], 0) for z in row] for row in zrows for part in (0, 1)]
-    rank, basis = linalg.nullspace(real_rows, 4)
+    rank, basis = linalg_reference.nullspace(real_rows, 4)
     return 4 - rank, (_canonical_real(basis[0]) if basis else None)
 
 
@@ -2028,7 +2029,7 @@ def _line_rows(rng, kind):
                      for x, y in zip(*rows)] for i in range(2)]
         return rows
     if kind == "one-real-point":
-        _, forms = linalg.nullspace([_random_zrow(rng, 4, True, bound), _random_zrow(rng, 4, False, bound)], 4)
+        _, forms = linalg_reference.nullspace([_random_zrow(rng, 4, True, bound), _random_zrow(rng, 4, False, bound)], 4)
         return forms
     if kind == "real-or-imaginary":
         return [[(x, 0) if rng.random() < 0.5 else (0, x) for x, _ in _random_zrow(rng, 4, True, bound)]
@@ -2045,7 +2046,7 @@ def test_span_real_points_match_the_previous_real_system():
     for _ in range(600):
         kind = rng.choice(("real", "real-line", "one-real-point", "real-or-imaginary", "dense"))
         zrows = _line_rows(rng, kind)
-        rank, span = linalg.nullspace(zrows, 4)
+        rank, span = linalg_reference.nullspace(zrows, 4)
         if rank != 2:
             continue
         vec, nullity = quadric._span_real_vector(span)
@@ -2087,7 +2088,7 @@ def _random_split(rng):
         forms = [tuple(GaussianRational(part(), part() if rng.random() < 0.6 else 0) for _ in range(4))
                  for _ in range(4)]
         flat, _ = _zi_lift([c for form in forms for c in form])
-        if linalg.matrix_rank([flat[i:i + 4] for i in range(0, 16, 4)], 4) == 4:
+        if linalg_reference.matrix_rank([flat[i:i + 4] for i in range(0, 16, 4)], 4) == 4:
             return quadric.QuadricSplit("random", *forms, homogenizer=0)
 
 
@@ -2108,13 +2109,13 @@ def _assert_span_matches_nullspace(line):
     nullity of its real points.
 
     Each span vector is zero at the other's free column, the free columns
-    being those linalg._echelon leaves; each is a nonzero multiple of the
+    being those linalg_reference._echelon leaves; each is a nonzero multiple of the
     basis vector for its own free column; and the same real points are read
     off either.  The factor is in Q(i), and mostly not in Z[i]: the basis
     often carries a content that the minors lack.
     """
-    rank, basis = linalg.nullspace(line.zrows, 4)
-    pivots, _ = linalg._echelon(line.zrows, 4)
+    rank, basis = linalg_reference.nullspace(line.zrows, 4)
+    pivots, _ = linalg_reference._echelon(line.zrows, 4)
     free = [j for j in range(4) if j not in pivots]
     assert rank == 2 and len(line.span) == 2
     assert [vec[other] for vec, other in zip(line.span, reversed(free))] == [(0, 0), (0, 0)]
@@ -2163,7 +2164,7 @@ def test_ruling_line_span_is_a_multiple_of_the_nullspace_basis():
         elif kind == "zero-row":
             zrows[k] = [(0, 0)] * 4
         scale = rng.randint(1, 6)
-        if linalg.matrix_rank(zrows, 4) < 2:
+        if linalg_reference.matrix_rank(zrows, 4) < 2:
             with pytest.raises(ValidationError):
                 quadric.ProjLine(zrows, scale)
             seen.add((kind, None))

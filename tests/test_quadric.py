@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conetower import gaussian, linalg, quadric
+from conetower import gaussian, quadric
 from conetower.certificates import FAIL, PASS
 from conetower.errors import (
     ConetowerError,
@@ -20,7 +20,6 @@ from conetower.gaussian import ZERO, GaussianRational, I, ONE, _gaussian_text, _
 from conetower.multipoly import MultiPoly
 from conetower.quadric import (
     BOUNDARY_QUADRIC,
-    _on_boundary_sphere,
     CONTROL_QUADRIC,
     SPHERE_QUADRIC,
     ProjLine,
@@ -28,7 +27,6 @@ from conetower.quadric import (
     QuadricSplit,
     RulingParam,
     control_cover_certificate,
-    line_on_quadric,
     real_point,
     ruling_line,
     sample_param,
@@ -36,6 +34,7 @@ from conetower.quadric import (
 )
 from conetower.tower import build_tower
 
+import linalg_reference
 import quadric_reference
 from test_oracles import _reference_row_echelon_gaussian, _span_params
 
@@ -44,24 +43,26 @@ def test_split_identities():
     for split in (SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC):
         # ab - cd must reproduce the named quadric; spot check via points
         poly = split.quadric_poly
-        assert poly.total_degree() == 2
+        assert {sum(exps) for exps in poly.zterms} == {2}
 
 
-def test_evaluate_quadric_matches_quadric_poly():
-    # quadric_poly is the reference for the evaluation from the four linear forms
-    rng = random.Random(5)
-    for split in (SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC):
-        reference = split.quadric_poly
-        span = ruling_line(sample_param(rng, "A"), split).span
-        on_line = tuple(ProjPoint(tuple(GaussianRational(*z) for z in v)) for v in span)
-        off_quadric = []
-        for _ in range(20):
-            p, q = sample_param(rng, "A"), sample_param(rng, "B")
-            off_quadric.append(ProjPoint((p.s, p.t, q.s, q.t)))
-        for point in on_line + tuple(off_quadric):
-            expected = reference.evaluate(dict(zip(reference.variables, point.coords)))
-            assert split.evaluate_quadric(point) == expected
-        assert not any(split.evaluate_quadric(point) for point in on_line)
+def _on_line(line, point):
+    """The point is on both of the line's forms, each evaluated by
+    ``quadric_reference.zdot`` at the point's coordinates lifted to Z[i]."""
+    vec = _zi_lift(point.coords)[0]
+    return all(quadric_reference.zdot(row, vec) == (0, 0) for row in line.zrows)
+
+
+def _on_quadric_at(split, point):
+    """ab - cd vanishes at the point, by ``split.quadric_poly``."""
+    poly = split.quadric_poly
+    return not poly.evaluate(dict(zip(poly.variables, point.coords)))
+
+
+def _on_sphere_at(point):
+    """``quadric._on_sphere`` at a point, on its coordinates times the lcm of
+    their denominators; False at a point that is not real."""
+    return point.is_real() and quadric._on_sphere([re for re, _ in _zi_lift(point.coords)[0]])
 
 
 def test_ruling_line_family_a_diagonal():
@@ -217,7 +218,7 @@ def _reference_real_point(line, split):
     spanning points and their sum, and the real system is solved over Q."""
     _, (u, w) = _reference_nullspace([list(r) for r in line.rows], 4)
     mixed = [a + b for a, b in zip(u, w)]
-    if any(split.evaluate_quadric(ProjPoint(tuple(p))) for p in (u, w, mixed)):
+    if not all(_on_quadric_at(split, ProjPoint(tuple(p))) for p in (u, w, mixed)):
         raise LineNotOnQuadricError(f"line is not contained in {split.name}")
     real_rows = []
     for row in line.rows:
@@ -228,7 +229,7 @@ def _reference_real_point(line, split):
     if nullity == 0:
         return None, 0
     point = ProjPoint(tuple(basis[0])).canonical()
-    assert point.is_real() and line.contains(point) and not split.evaluate_quadric(point)
+    assert point.is_real() and _on_line(line, point) and _on_quadric_at(split, point)
     return point, nullity
 
 
@@ -304,11 +305,11 @@ def test_every_sampled_line_has_exactly_one_real_point():
         for _ in range(60):
             param = sample_param(rng, family)
             line = ruling_line(param)
-            assert line_on_quadric(line, SPHERE_QUADRIC)
+            assert quadric._on_quadric(line.span, SPHERE_QUADRIC)
             point, nullity = real_point(line)
             assert nullity == 1
             assert point.is_real()
-            assert line.contains(point)
+            assert _on_line(line, point)
 
 
 def test_same_family_lines_are_disjoint():
@@ -321,7 +322,7 @@ def test_same_family_lines_are_disjoint():
             for other in seen:
                 if other.rows != line.rows:
                     # the four forms have no common projective zero
-                    assert linalg.matrix_rank(line.zrows + other.zrows, 4) == 4
+                    assert linalg_reference.matrix_rank(line.zrows + other.zrows, 4) == 4
             seen.append(line)
 
 
@@ -430,7 +431,7 @@ def test_split_refusal_follows_the_rank_of_seeded_forms():
             p, q = zi(), zi()
             forms[k] = tuple(p * x + q * y for x, y in zip(forms[i], forms[j]))
         flat, _ = _zi_lift([c for form in forms for c in form])
-        dependent = linalg.matrix_rank([flat[i:i + 4] for i in range(0, 16, 4)], 4) < 4
+        dependent = linalg_reference.matrix_rank([flat[i:i + 4] for i in range(0, 16, 4)], 4) < 4
         if dependent:
             with pytest.raises(ValidationError):
                 QuadricSplit("seeded", *forms, homogenizer=0)
@@ -475,8 +476,8 @@ def test_proj_point_canonicalization():
 
 @pytest.mark.parametrize("coords", [(1, 0, 0), (1, 0, 0, 0, 0)], ids=["three", "five"])
 def test_proj_point_needs_four_coordinates(coords):
-    # zip would cut such a point to three coordinates in contains and
-    # evaluate_quadric, and (1 : 0 : 0) would read as on {z3 = z2 = 0}
+    # zip would cut a four-column form to such a point's three coordinates,
+    # and (1 : 0 : 0) would read as on {z3 = z2 = 0}
     with pytest.raises(ValidationError, match="four coordinates"):
         ProjPoint(coords)
 
@@ -557,8 +558,8 @@ def test_real_point_refuses_a_real_quadric_point_off_the_line(monkeypatch):
     # both of the line's forms can refuse it
     line = ruling_line(RulingParam("A", GaussianRational(Fraction(1, 3), 2), Fraction(-5, 7)), BOUNDARY_QUADRIC)
     off_line = [(5, 0), (3, 0), (4, 0), (0, 0)]
-    point = ProjPoint(tuple(x for x, _ in off_line))
-    assert not BOUNDARY_QUADRIC.evaluate_quadric(point) and not line.contains(point)
+    assert quadric_reference.vanishes_at(BOUNDARY_QUADRIC, off_line)
+    assert any(quadric_reference.zdot(row, off_line) != (0, 0) for row in line.zrows)
     monkeypatch.setattr(quadric, "_span_real_vector", lambda span: (off_line, 1))
     with pytest.raises(InternalInconsistencyError, match="fails an exact check"):
         real_point(line, BOUNDARY_QUADRIC)
@@ -622,7 +623,7 @@ def _reference_on_sphere(point):
 def _random_zi_line(rng):
     while True:
         zrows = [[(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(4)] for _ in range(2)]
-        if linalg.matrix_rank(zrows, 4) == 2:
+        if linalg_reference.matrix_rank(zrows, 4) == 2:
             return ProjLine(zrows, rng.randint(1, 6))
 
 
@@ -639,11 +640,11 @@ def test_line_on_quadric_matches_previous_tests():
         for _ in range(10):
             u = ruling_line(sample_param(rng, "A"), split).span[0]
             w = ruling_line(sample_param(rng, "B"), split).span[1]
-            rank, forms = linalg.nullspace([u, w], 4)
+            rank, forms = linalg_reference.nullspace([u, w], 4)
             if rank == 2:
                 lines.append(ProjLine(forms, 1))
         for line in lines:
-            ours = line_on_quadric(line, split)
+            ours = quadric._on_quadric(line.span, split)
             assert ours == _reference_line_on_quadric(line, split)
             outcomes.add(ours)
     assert outcomes == {True, False}
@@ -674,7 +675,7 @@ def test_boundary_sphere_test_matches_previous_fraction_test():
             points.append(ProjPoint(tuple(coords)))
     outcomes = set()
     for point in points:
-        ours = _on_boundary_sphere(point)
+        ours = _on_sphere_at(point)
         assert ours == _reference_on_sphere(point)
         outcomes.add((ours, point.is_real()))
     assert outcomes >= {(True, True), (False, True), (False, False)}
@@ -717,7 +718,7 @@ def test_real_point_matches_the_per_form_reference(split):
 
 @_over_all_splits
 def test_every_real_point_is_on_the_quadric(split):
-    # real_point does not evaluate ab - cd at its point: line_on_quadric and
+    # real_point does not evaluate ab - cd at its point: _on_quadric and
     # the point's two line forms imply it, and quadric_poly decides it here
     rng = random.Random(38)
     poly = split.quadric_poly
@@ -726,14 +727,14 @@ def test_every_real_point_is_on_the_quadric(split):
         outcome = _outcome(real_point, line, split)
         if not isinstance(outcome, type) and outcome[0] is not None:
             point = outcome[0]
-            assert point.is_real() and line.contains(point)
+            assert point.is_real() and _on_line(line, point)
             assert not poly.evaluate(dict(zip(poly.variables, point.coords)))
             points += 1
     assert points >= (0 if split is CONTROL_QUADRIC else 10)
 
 
 def test_boundary_cover_evaluates_forms_at_most_three_times_a_line(monkeypatch):
-    # a count, not a time: two evaluations in line_on_quadric, one row check
+    # a count, not a time: two evaluations in _on_quadric, one row check
     assert not hasattr(quadric, "_zdot")
     calls = []
     forms_at = quadric._forms_at
@@ -803,7 +804,7 @@ def _public_entries(split, trials, seed):
             param = sample_param(rng, family)
             point, nullity = real_point(ruling_line(param, split), split)
             yield (family, index, str(param.s), str(param.t), None if point is None else str(point), nullity,
-                   point is not None and _on_boundary_sphere(point))
+                   point is not None and _on_sphere_at(point))
 
 
 def _until_error(entries):
@@ -848,6 +849,6 @@ def test_kernels_match_the_public_chain_at_hand_picked_parameters(split):
                     lead = next(x for x in z if x)
                     assert lead > 0
                     assert quadric._point_text((x, 0, lead) for x in z) == str(point)
-                    assert quadric._on_sphere(z) == _on_boundary_sphere(point)
+                    assert quadric._on_sphere(z) == _on_sphere_at(point)
             nullities.add(nullity)
     assert nullities == ({0, 2} if split is REAL_LINES_QUADRIC else {0} if split is CONTROL_QUADRIC else {1})
