@@ -13,6 +13,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from operator import mul as _mul
 
 from .errors import DigitLimitError, InternalInconsistencyError, _is_int
 
@@ -32,6 +33,18 @@ def _exact_str(value) -> str:
         raise DigitLimitError(
             f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
             "too many to print"
+        ) from None
+
+
+def _exact_int(digits: str) -> int:
+    """The int a run of decimal digits spells; DigitLimitError past the
+    digit limit, which Python applies to reading as to printing and which
+    is left as it is."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DigitLimitError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits, too many to read"
         ) from None
 
 
@@ -78,6 +91,20 @@ def _gaussian_text(re: int, im: int, den: int) -> str:
     normal form, as ``_coefficient_text`` reduces each part it prints."""
     negative, body = _coefficient_text(re, im, den)
     return "-" + body if negative else body
+
+
+def _power(base, n: int, mul):
+    """base^n for an int n >= 1 by binary powering (Knuth, TAOCP vol. 2,
+    4.6.3); the first factor is ``base`` itself, not a product with one.
+    The one powering loop for GaussianRationals, polynomials and term maps."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = mul(base, base)
 
 
 def _coerced(operator):
@@ -180,12 +207,7 @@ class GaussianRational:
             return NotImplemented
         if exponent < 0:
             return (ONE / self) ** (-exponent)
-        result, base = ONE, self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base, exponent = base * base, exponent >> 1
-        return result
+        return _power(self, exponent, _mul) if exponent else ONE
 
     def conjugate(self) -> "GaussianRational":
         return _trusted_gaussian(self.pair[0], -self.pair[1], self.den)

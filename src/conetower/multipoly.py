@@ -34,8 +34,8 @@ from .errors import (
 )
 from .gaussian import (
     _RATIONAL_TYPES, GaussianRational, I, ONE, ZERO,
-    _coefficient_text, _gdiv_exact, _gmul, _gsub, _normal_form, _rational_view, _trusted_gaussian,
-    _zi_lift, _zi_sum,
+    _coefficient_text, _exact_int, _gdiv_exact, _gmul, _gsub, _normal_form, _power, _rational_view,
+    _trusted_gaussian, _zi_lift, _zi_sum,
 )
 
 
@@ -379,7 +379,7 @@ class _Parser:
         kind, value, where = self.peek()
         if kind == "int":
             self.advance()
-            numerator = int(value)
+            numerator = _exact_int(value)
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "/":
                 self.advance()
@@ -387,9 +387,10 @@ class _Parser:
                 if k3 != "int":
                     raise ParseError("expected integer denominator", w3)
                 self.advance()
-                if int(v3) == 0:
+                denominator = _exact_int(v3)
+                if denominator == 0:
                     raise ParseError("zero denominator", w3)
-                return self.constant(_trusted_gaussian(numerator, 0, int(v3)))
+                return self.constant(_trusted_gaussian(numerator, 0, denominator))
             return self.constant(GaussianRational(numerator))
         if kind == "name":
             self.advance()
@@ -422,7 +423,7 @@ class _Parser:
         if kind != "int":
             raise ParseError("expected integer exponent", where)
         self.advance()
-        return sign * int(value)
+        return sign * _exact_int(value)
 
 
 def parse_poly(text: str, variables: Iterable[str]) -> MultiPoly:
@@ -460,35 +461,37 @@ def substitute(f: MultiPoly, assignment: Mapping[str, MultiPoly]) -> MultiPoly:
     All images must share one variable tuple; the result lives over it.
     Every variable of ``f`` must be assigned.
 
-    Monomial images, as in the chart maps of a blow-up: when each variable v
-    occurring in f has an image of at most one term, c_v*x^(m_v), the term
-    c*x^e goes to c * prod c_v^(e_v) * x^(sum e_v*m_v), since a ring
-    homomorphism sends a product to the product of the images and
-    x^a * x^b = x^(a+b); a term holding a variable whose image is 0 drops
-    out.  Only exponent tuples are added, and Z[i] pairs multiplied where
-    some c_v is not 1.
-
-    Otherwise each term of f is multiplied out with the powers of the images'
-    term maps.  In both cases a term with exponent e_v of v is lifted by
-    Dv^(top_v - e_v), Dv being the denominator of v's image and top_v f's
-    largest exponent of v, so every product sits over the one divisor
-    Df * prod Dv^top_v, Df being f's denominator.
+    One kernel chooses, for each variable v of f, how the powers of its
+    image enter the image of a term c*x^e: a term holding a variable whose
+    image is 0 drops out; a one-term image c_v*x^(m_v), as in the monomial
+    chart maps of a blow-up, folds into the exponent tuple and the
+    coefficient, adding e_v*m_v and multiplying by c_v^(e_v), since
+    x^a * x^b = x^(a+b); the powers of an image of more terms are term maps,
+    multiplied in after the one-term factors.  A term with exponent
+    e_v of v is lifted by Dv^(top_v - e_v), Dv being the denominator of v's
+    image and top_v f's largest exponent of v, so every product sits over
+    the one divisor Df * prod Dv^top_v, Df being f's denominator.
 
     What depends on the images alone (the exponent multiples and coefficient
-    powers, or the scaled images and their powers) is built once per call of
-    :func:`_substitute_all`, which :func:`conetower.charts.compose_maps` uses
-    to pull all images of one map through another on one table.  The table
-    holds entries only at the exponents that occur (:func:`_powers_at`), so
-    their number follows the terms pulled back, not the largest exponent.
+    powers, and the powers of the images of more terms) is built once per
+    call of :func:`_substitute_all`, which :func:`conetower.charts.compose_maps`
+    uses to pull all images of one map through another on one table.  The
+    table holds entries only at the exponents that occur (:func:`_powers_at`),
+    so their number follows the terms pulled back, not the largest exponent.
     """
     return _substitute_all(f.variables, (f,), assignment)[0]
 
 
 def _substitute_all(variables: tuple, polys, assignment: Mapping[str, MultiPoly]) -> list:
     """``[substitute(f, assignment) for f in polys]`` for polynomials over
-    ``variables``, with one table of the images for all of them; ``top_v``
-    is then the largest exponent of v in any of them, and the table holds
-    entries only for the exponents of v that occur in them."""
+    ``variables``, with one table of the images for all of them
+    (:func:`_substitution_tables`); ``top_v`` is then the largest exponent of
+    v in any of them, and the table holds entries only for the exponents of
+    v that occur in them.
+
+    One loop serves every mix of images: each term's one-term factors are
+    folded into its exponent key and coefficient, then the term maps of its
+    factors of more terms, if any, are multiplied in."""
     try:
         images = [assignment[v] for v in variables]
     except KeyError:
@@ -501,22 +504,38 @@ def _substitute_all(variables: tuple, polys, assignment: Mapping[str, MultiPoly]
     keys = [exps for f in polys for exps in f.zterms]
     columns = list(zip(*keys))  # each variable's column of exponents in polys
     occurring = [(idx, images[idx], columns[idx], top) for idx, top in enumerate(map(max, columns)) if top]
-    if any(len(img.zterms) > 1 for _, img, _, _ in occurring):
-        return _substitute_term_maps(target, polys, *_term_map_tables(occurring))
-    return _substitute_monomials(target, polys, *_monomial_tables(occurring))
-
-
-def _power(base, n: int, mul):
-    """base^n for an int n >= 1 by binary powering (Knuth, TAOCP vol. 2,
-    4.6.3); the first factor is ``base`` itself, not a product with one."""
-    result = None
-    while True:
-        if n & 1:
-            result = base if result is None else mul(result, base)
-        n >>= 1
-        if not n:
-            return result
-        base = mul(base, base)
+    killed, folds, maps, lift = _substitution_tables(occurring)
+    zero = (0,) * len(target)
+    results = []
+    for f in polys:
+        out: dict = {}
+        for exps, coeff in f.zterms.items():
+            if killed and any(exps[idx] for idx in killed):
+                continue
+            key = zero
+            for idx, steps, powers in folds:
+                e = exps[idx]
+                if e:
+                    key = steps[e] if key is zero else tuple(map(_add, key, steps[e]))
+                if powers is not None:
+                    coeff = _gmul(coeff, powers[e])
+            product = None
+            for idx, powers in maps:
+                power = powers[exps[idx]]
+                if power is not None:
+                    product = power if product is None else _zi_mul_sub(product, power, {}, {})
+            if product is None:
+                old = out.get(key)
+                out[key] = coeff if old is None else (old[0] + coeff[0], old[1] + coeff[1])
+                continue
+            re, im = coeff
+            for mono, (p, q) in product.items():
+                if key is not zero:
+                    mono = tuple(map(_add, key, mono))
+                old = out.get(mono, (0, 0))
+                out[mono] = (old[0] + re * p - im * q, old[1] + re * q + im * p)
+        results.append(_trusted_poly(target, out, f.den * lift))
+    return results
 
 
 def _powers_at(base, column, mul, size: int) -> list:
@@ -524,9 +543,9 @@ def _powers_at(base, column, mul, size: int) -> list:
     exponent column ``column`` and None in the holes between.
 
     In ascending order of the exponents that occur, each power is the one
-    before it times base^gap (:func:`_power`), so no slot of a gap is
-    computed, a gap of 1 costs one ``mul`` and the first power starts from
-    ``base`` itself.
+    before it times base^gap (:func:`conetower.gaussian._power`), so no slot
+    of a gap is computed, a gap of 1 costs one ``mul`` and the first power
+    starts from ``base`` itself.
     """
     table = [None] * size
     power = None
@@ -540,116 +559,52 @@ def _powers_at(base, column, mul, size: int) -> list:
     return table
 
 
-def _monomial_tables(occurring: list):
-    """The tables of the monomial case of :func:`substitute`, as
-    ``(killed, factors, lift)``: the indices in f of the variables with image
-    0; for each other variable v, with image c_v*x^(m_v), c_v = c/Dv,
-    ``(index in f, steps, powers)``, ``steps[e]`` being e*m_v and
-    ``powers[e]`` c^e * Dv^(top_v - e) (None when c_v = 1) at each occurring
-    e; and the lift prod Dv^top_v."""
-    killed = []
-    factors = []
+def _substitution_tables(occurring: list):
+    """The tables of :func:`_substitute_all`, as ``(killed, folds, maps,
+    lift)``, chosen for each variable v by the number of terms of its image
+    g/Dv, g being its term map and Dv its denominator, with top = top_v:
+
+    - ``killed`` holds the indices in f of the variables with image 0;
+    - ``folds`` holds ``(index in f, steps, powers)`` for each one-term
+      g = c*x^m, ``steps[e]`` being e*m and ``powers[e]`` c^e * Dv^(top - e)
+      at each occurring e, and ``powers`` None when c = 1 and Dv = 1;
+    - ``maps`` holds ``(index in f, powers)`` for each g of more terms,
+      ``powers[e]`` being the term map of g^e * Dv^(top - e) at each
+      occurring e, with a slot at e = 0 only when Dv > 1;
+    - ``lift`` is prod Dv^top.
+    """
+    killed, folds, maps = [], [], []
     lift = 1
     for idx, img, column, top in occurring:
         if not img.zterms:
             killed.append(idx)
             continue
+        Dv = img.den
+        lift *= Dv ** top
+        exponents = set(column)
+        if len(img.zterms) > 1:
+            powers = _powers_at(img.zterms, exponents, _zi_mul, top + 1)
+            if Dv > 1:
+                one = {(0,) * len(img.variables): (1, 0)}
+                for e in exponents:
+                    scale = Dv ** (top - e)
+                    powers[e] = {k: (re * scale, im * scale) for k, (re, im) in (powers[e] or one).items()}
+            maps.append((idx, powers))
+            continue
         ((mono, c),) = img.zterms.items()
         steps = [None] * (top + 1)
-        for e in column:
-            if e and steps[e] is None:
+        for e in exponents:
+            if e:
                 steps[e] = mono if e == 1 else tuple([e * m for m in mono])
         powers = None
-        if c != (1, 0) or img.den > 1:
-            Dv = img.den
-            powers = _powers_at(c, column, _gmul, top + 1)
-            for e in set(column):
+        if c != (1, 0) or Dv > 1:
+            powers = _powers_at(c, exponents, _gmul, top + 1)
+            for e in exponents:
                 re, im = powers[e] or (1, 0)
                 scale = Dv ** (top - e)
                 powers[e] = (re * scale, im * scale)
-            lift *= Dv ** top
-        factors.append((idx, steps, powers))
-    return killed, factors, lift
-
-
-def _substitute_monomials(target: tuple, polys, killed: list, factors: list, lift: int) -> list:
-    """The monomial case of :func:`substitute`, on the tables that
-    :func:`_monomial_tables` builds."""
-    zero = (0,) * len(target)
-    results = []
-    for f in polys:
-        out: dict = {}
-        for exps, coeff in f.zterms.items():
-            if killed and any(exps[idx] for idx in killed):
-                continue
-            key = zero
-            for idx, steps, powers in factors:
-                e = exps[idx]
-                if e:
-                    key = steps[e] if key is zero else tuple(map(_add, key, steps[e]))
-                if powers is not None:
-                    coeff = _gmul(coeff, powers[e])
-            old = out.get(key)
-            out[key] = coeff if old is None else (old[0] + coeff[0], old[1] + coeff[1])
-        results.append(_trusted_poly(target, out, f.den * lift))
-    return results
-
-
-def _zi_mul(a: dict, b: dict) -> dict:
-    """The term map of a*b; a square (``b is a``) goes to :func:`_zi_square`."""
-    return _zi_square(a) if a is b else _zi_mul_sub(a, b, {}, {})
-
-
-def _term_map_tables(occurring: list):
-    """The tables of the Z[i] term-map case of :func:`substitute`, as
-    ``(tables, lift)``: for each variable v, with image g/Dv,
-    ``(index in f, powers, lifts)``, ``powers[e]`` being the term map of g^e
-    and ``lifts[e]`` Dv^(top_v - e) at each occurring e; and the lift
-    prod Dv^top_v.
-
-    The power of a one-term g = c*x^m is the one term c^e*x^(e*m), so term
-    maps are multiplied only for the powers of images of more terms.
-    """
-    lift = 1
-    tables = []
-    for idx, img, column, top in occurring:
-        Dv = img.den
-        exponents = set(column)
-        if len(img.zterms) == 1:
-            ((mono, c),) = img.zterms.items()
-            powers = _powers_at(c, exponents, _gmul, top + 1)
-            for e in exponents:
-                if e:
-                    powers[e] = {tuple([e * m for m in mono]): powers[e]}
-        else:
-            powers = _powers_at(img.zterms, exponents, _zi_mul, top + 1)
-        lifts = [None] * (top + 1)
-        for e in exponents:
-            lifts[e] = Dv ** (top - e)
-        tables.append((idx, powers, lifts))
-        lift *= Dv ** top
-    return tables, lift
-
-
-def _substitute_term_maps(target: tuple, polys, tables: list, lift: int) -> list:
-    """The Z[i] term-map case of :func:`substitute`, on the tables that
-    :func:`_term_map_tables` builds."""
-    one = {(0,) * len(target): (1, 0)}
-    results = []
-    for f in polys:
-        out: dict = {}
-        for exps, (re, im) in f.zterms.items():
-            product = one
-            for idx, powers, lifts in tables:
-                e = exps[idx]
-                re, im = re * lifts[e], im * lifts[e]
-                if e:
-                    product = powers[e] if product is one else _zi_mul_sub(product, powers[e], {}, {})
-            for key, (p, q) in product.items():
-                old = out.get(key, (0, 0))
-                out[key] = (old[0] + re * p - im * q, old[1] + re * q + im * p)
-        results.append(_trusted_poly(target, out, f.den * lift))
-    return results
+        folds.append((idx, steps, powers))
+    return killed, folds, maps, lift
 
 
 def extract_variable_power(f: MultiPoly, var: str) -> tuple:
@@ -739,6 +694,11 @@ def _zi_square(a: dict) -> dict:
             old = acc.get(key)
             acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
     return {e: v for e, v in acc.items() if v[0] or v[1]}
+
+
+def _zi_mul(a: dict, b: dict) -> dict:
+    """The term map of a*b; a square (``b is a``) goes to :func:`_zi_square`."""
+    return _zi_square(a) if a is b else _zi_mul_sub(a, b, {}, {})
 
 
 def _neg_grlex_key(exps):

@@ -32,10 +32,11 @@ from .certificates import (
 )
 from .charts import Chart, Hypersurface
 from .errors import FloatRangeError, SearchExhaustedError, ValidationError, _check_seed, _is_int
-from .gaussian import _INEXACT, ONE, GaussianRational, _exact_str, _exact_str_or, _gmul, _gsub, _trusted_gaussian
+from .gaussian import (
+    _INEXACT, ONE, GaussianRational, _exact_str, _exact_str_or, _gmul, _gsub, _power, _trusted_gaussian,
+)
 from .multipoly import (
     MultiPoly,
-    _power,
     _relabelled_poly,
     _trusted_poly,
     _zi_determinant,

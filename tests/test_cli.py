@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, and report determinism."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,18 @@ def test_splitting_rejects_non_cocycle(capsys, tmp_path):
     code, out = _main_capture(capsys, ["splitting", "--matrix", str(path)])
     assert code == 1
     assert "FAIL" in out
+
+
+def test_splitting_entry_past_the_digit_limit_is_typed_error(capsys, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps([["z^2", "1" * (limit + 1) + "*z"], ["0", "1"]]))
+    code = main(["splitting", "--matrix", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and "digits" in captured.err
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("eps_list", ["foo", "1/0", "1,0", "1,2", "1,-1"])

@@ -1,12 +1,14 @@
 """Exact-arithmetic core: Gaussian rationals, polynomials, resultants."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conetower.certificates import Certificate
 from conetower.errors import (
+    DigitLimitError,
     InternalInconsistencyError,
     ParseError,
     ValidationError,
@@ -53,6 +55,20 @@ def test_gaussian_field_ops():
 def test_gaussian_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
+
+
+def test_gaussian_power_matches_repeated_products():
+    a = GaussianRational(Fraction(2, 3), -1)
+    for n in range(-4, 8):
+        expected = ONE
+        for _ in range(abs(n)):
+            expected = expected * (a if n > 0 else ONE / a)
+        assert a ** n == expected
+    assert ZERO ** 0 is ONE and a ** 0 is ONE
+    with pytest.raises(ZeroDivisionError):
+        ZERO ** -1
+    assert GaussianRational.__pow__(a, "2") is NotImplemented
+    assert "__pow__" in GaussianRational.__dict__
 
 
 def test_gaussian_rejects_floats():
@@ -149,6 +165,14 @@ def test_parse_errors_carry_position():
         P("z1 + w2")  # unknown variable
     with pytest.raises(ParseError):
         P("z1^-2")  # negative exponent outside laurent mode
+
+
+@pytest.mark.parametrize("template", ["{n}*z1", "1/{n}*z1", "z1^{n}"], ids=["numerator", "denominator", "exponent"])
+def test_a_number_past_the_digit_limit_is_a_typed_parse_error(template):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(DigitLimitError, match="digits"):
+        P(template.format(n="1" * (limit + 1)))
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_print_parse_roundtrip_random():

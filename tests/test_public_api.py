@@ -1,5 +1,6 @@
 """The package's export list, pinned so that any change to it shows in a diff,
-and a guard that every public function of ``src/`` has a caller."""
+and guards that every public function of ``src/`` has a caller and every
+private one a use in ``src/``."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,22 @@ def test_every_public_function_is_exported_or_called():
         and node.name not in conetower.__all__ and node.name not in used
     ]
     assert sorted(uncalled) == sorted(UNCALLED_ALLOWED)
+
+
+def test_every_private_function_is_used_in_src():
+    # a use is a Name or an Attribute outside the function's own body, so a
+    # private function that only itself or the tests call is reported
+    uses: dict = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, []).append((path, node.lineno))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+        and all(where == path and node.lineno <= line <= node.end_lineno for where, line in uses.get(node.name, []))
+    ]
+    assert unused == []
