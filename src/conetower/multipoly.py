@@ -24,7 +24,6 @@ between the two: ``NAME ^ -INT`` is legal in Laurent text only.
 from __future__ import annotations
 
 import heapq
-import math
 import re as _re
 from operator import add as _add, mul as _mul, sub as _sub
 from typing import Iterable, Mapping
@@ -824,7 +823,9 @@ def _zi_expansion(m: list) -> dict:
 # of perturbation certificates the expansion beats Bareiss up to n = 11 (the
 # seven 11 x 11 ones of perturb (4, 12, 1): 30 s against 53 s) and loses from
 # n = 13 on (the seven of (12, 14, 1): 44 s against 37 s), where its
-# C(n, n/2) minors also take several times Bareiss's memory.
+# C(n, n/2) minors also take several times Bareiss's memory.  On Sylvester
+# matrices of operands in 3 variables with 5 terms each it took 1.8 ms at 8
+# rows and 29 ms at 11, against Bareiss's 51 ms and 599 ms.
 _EXPANSION_MAX_DIM = 11
 
 
@@ -832,56 +833,38 @@ def _zi_determinant(m: list) -> dict:
     """The determinant of a square matrix of term maps: Laplace expansion up to
     _EXPANSION_MAX_DIM rows, Bareiss (which overwrites ``m``) above.
 
-    The product determinants of the singular-locus chain call it for their
-    twisted circulants of odd order only: a norm of order 2 is two squares
-    (``_zi_square``), not a 2 x 2 determinant."""
+    The one determinant entry: :func:`resultant` calls it for its Sylvester
+    matrices, and the product determinants of the singular-locus chain for
+    their twisted circulants of odd order (a norm of order 2 is two squares,
+    ``_zi_square``, not a 2 x 2 determinant)."""
     return _zi_expansion(m) if len(m) <= _EXPANSION_MAX_DIM else _zi_bareiss(m)
 
 
-def _bareiss_determinant(matrix) -> MultiPoly:
-    """Fraction-free determinant of a square MultiPoly matrix (Bareiss).
-
-    Every entry's term map is lifted to D, the lcm of the entries'
-    denominators, and eliminated over Z[i][vars]; the result is divided by
-    D^n once.
-    """
-    n = len(matrix)
-    if n == 0:
-        raise ValidationError("empty matrix")
-    variables = matrix[0][0].variables
-    if any(entry.variables != variables for row in matrix for entry in row):
-        raise VariableMismatchError("matrix entries live over different variable lists")
-    D = math.lcm(*(entry.den for row in matrix for entry in row))
-    det = _zi_bareiss([
-        [{e: (re * (D // f.den), im * (D // f.den)) for e, (re, im) in f.zterms.items()} for f in row]
-        for row in matrix
-    ])
-    return _trusted_poly(variables, det, D ** n)
-
-
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant of f and g in ``var``, eliminated fraction-free (Bareiss).
+    """Sylvester resultant of f and g in ``var``.
 
     The result lives over the operands' variable tuple and is free of ``var``.
     It vanishes at a parameter point exactly when the specializations share a
-    root there (or both leading coefficients vanish).
+    root there (or both leading coefficients vanish).  The m = deg g rows of f
+    hold f's Z[i] coefficients in ``var``, with ``var``'s exponent set to 0,
+    and the n = deg f rows of g hold g's; :func:`_zi_determinant` takes the
+    determinant, divided by f.den**m * g.den**n once.
     """
     f._check_compatible(g)
     if f.is_zero() or g.is_zero():
         raise ZeroInputError("resultant of the zero polynomial is undefined")
     n, m = f.degree_in(var), g.degree_in(var)
-    fdesc = [f.coefficient_in(var, d) for d in range(n, -1, -1)]
-    gdesc = [g.coefficient_in(var, d) for d in range(m, -1, -1)]
     if n == 0:
-        return fdesc[0] ** m
+        return f ** m
     if m == 0:
-        return gdesc[0] ** n
+        return g ** n
+    idx = f._var_index(var)
     size = n + m
-    zero = MultiPoly.zero(f.variables)
     rows = []
-    for shift in range(m):
-        rows.append([zero] * shift + fdesc + [zero] * (size - shift - n - 1))
-    for shift in range(n):
-        rows.append([zero] * shift + gdesc + [zero] * (size - shift - m - 1))
-    return _bareiss_determinant(rows)
-
+    for poly, degree, count in ((f, n, m), (g, m, n)):
+        # highest power of var first; zeroing var's exponent merges no two terms of one power
+        desc = [{} for _ in range(degree + 1)]
+        for exps, c in poly.zterms.items():
+            desc[degree - exps[idx]][exps[:idx] + (0,) + exps[idx + 1:]] = c
+        rows += [[{}] * shift + desc + [{}] * (size - shift - degree - 1) for shift in range(count)]
+    return _trusted_poly(f.variables, _zi_determinant(rows), f.den ** m * g.den ** n)

@@ -16,6 +16,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add, itemgetter, mul
@@ -33,7 +34,8 @@ from .certificates import (
 from .charts import Chart, Hypersurface
 from .errors import FloatRangeError, SearchExhaustedError, ValidationError, _check_seed, _is_int
 from .gaussian import (
-    _INEXACT, ONE, GaussianRational, _exact_str, _exact_str_or, _gmul, _gsub, _power, _trusted_gaussian,
+    _INEXACT, ONE, GaussianRational, _exact_int, _exact_str, _exact_str_or, _gmul, _gsub, _power,
+    _trusted_gaussian,
 )
 from .multipoly import (
     MultiPoly,
@@ -50,12 +52,20 @@ from .multipoly import (
 
 def _exact_rational(value, name: str) -> Fraction:
     """``value`` as a Fraction: a float is inexact, as for a GaussianRational,
-    and a bool is no number here."""
+    and a bool, or text that spells no rational, is no number here.  A run of
+    digits past Python's digit limit, which is left as it is, raises
+    DigitLimitError, as in the polynomial parser."""
     if isinstance(value, float):
         raise TypeError(_INEXACT)
-    if isinstance(value, bool):
-        raise ValidationError(f"{name} must be a rational number, got {value!r}")
-    return Fraction(value)
+    if isinstance(value, str):
+        for digits in re.findall(r"[0-9]+", value):
+            _exact_int(digits)
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"{name} must be a rational number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,7 @@ class PerturbationParams:
         if not _is_int(self.N) or self.N <= self.k:
             raise ValidationError(f"N must be an integer exceeding k={self.k}, got {self.N!r}")
         if not (0 < self.eps <= 1):
-            raise ValidationError(f"eps must lie in (0, 1], got {self.eps}")
+            raise ValidationError(f"eps must lie in (0, 1], got {_exact_str(self.eps)}")
 
     def as_dict(self):
         return {"k": self.k, "N": self.N, "eps": str(self.eps)}
@@ -316,11 +326,9 @@ def _closed_form_root_product(expr: MultiPoly, c_key: tuple, D: int, M: int, p: 
     C = rest.pop(c_key)
     qs = q ** s
     core = {e: (re * qs, im * qs) for e, (re, im) in _power(rest, L, _zi_mul).items()}
-    K = (1, 0) if L % 2 == 0 else (-1, 0)
-    for _ in range(s):
-        K = _gmul(K, p)
-    for _ in range(L):
-        K = _gmul(K, C)
+    K = _gmul(_power(p, s, _gmul), _power(C, L, _gmul))
+    if L % 2:
+        K = (-K[0], -K[1])
     zero = (0,) * len(c_key)
     core[zero] = _gsub(core.get(zero, (0, 0)), K)
     return _trusted_poly(expr.variables, core, De ** L * qs)
@@ -1185,7 +1193,7 @@ def cone_unbounded_witness(k: int, M) -> tuple:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
     M = _exact_rational(M, "M")
     if M <= 0:
-        raise ValidationError(f"M must be positive, got {M}")
+        raise ValidationError(f"M must be positive, got {_exact_str(M)}")
     t = Fraction(math.floor(M) + 1)
     return (t ** k, Fraction(0), Fraction(0), t)
 

@@ -32,7 +32,6 @@ from conetower.gaussian import ONE, ZERO, GaussianRational, _zi_lift  # noqa: E4
 from conetower.laurent import LaurentPoly, parse_laurent  # noqa: E402
 from conetower.multipoly import (  # noqa: E402
     MultiPoly,
-    _bareiss_determinant,
     _relabelled_poly,
     _trusted_poly,
     _zi_bareiss,
@@ -58,13 +57,12 @@ from conetower.singular import (  # noqa: E402
     sample_real_slice,
 )
 
-EXAMPLES = settings(max_examples=60, derandomize=True, deadline=None)
-# Under a wrong ring operation nearly every example of the tests that feed
-# ring results back into the ring fails, and pytest formats each failing run's
-# traceback by parsing this long file, about 0.3 s a run.  Shrinking one such
-# failure takes tens of failing runs and explaining it hundreds, minutes in
-# all, so these tests report their first failing example of small draws as it is.
-FIRST_FAILURE = settings(EXAMPLES, phases=(Phase.explicit, Phase.generate))
+# Under a wrong ring operation nearly every example fails, and pytest formats
+# each failing run's traceback by parsing this long file, about 0.3 s a run.
+# Shrinking one such failure takes tens of failing runs and explaining it
+# hundreds, minutes in all, so every hypothesis test here reports its first
+# failing example of small draws as it is.
+EXAMPLES = settings(max_examples=60, derandomize=True, deadline=None, phases=(Phase.explicit, Phase.generate))
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 coefficients = st.builds(GaussianRational, rationals, rationals)
@@ -92,7 +90,7 @@ def test_laurent_round_trip(coeffs):
 # ---------------------------------------------------------------- no stored zeros
 
 
-@FIRST_FAILURE
+@EXAMPLES
 @given(poly_terms, poly_terms)
 def test_multipoly_results_store_no_zero(f_terms, g_terms):
     f = MultiPoly(("x", "y1", "w"), f_terms)
@@ -206,9 +204,7 @@ def _assert_gaussian_matches(ours, ref: FractionPairGaussian):
 plain_rationals = st.one_of(st.integers(-30, 30), rationals)
 
 
-# a failing example of these small draws is read as it is: shrinking one
-# through every operator's assertion takes minutes
-@settings(max_examples=400, derandomize=True, deadline=None, phases=(Phase.explicit, Phase.generate))
+@settings(EXAMPLES, max_examples=400)
 @given(rationals, rationals, rationals, rationals, plain_rationals, st.integers(-5, 5), st.integers(1, 12))
 def test_gaussian_rational_matches_the_fraction_pair_reference(a, b, c, d, n, k, m):
     x, y = GaussianRational(a, b), GaussianRational(c, d)
@@ -277,7 +273,7 @@ json_documents = st.recursive(
 )
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(EXAMPLES, max_examples=300)
 @given(json_documents)
 @example({
     "": [], "a\"b": {}, "\\": (), "\x00\n": [None, True, False], "é€\U0001d11e": "\x1f\x7f",
@@ -416,7 +412,7 @@ def _gr_resultant(f: dict, g: dict, idx: int, nvars: int) -> dict:
     return _gr_det(rows)
 
 
-@FIRST_FAILURE
+@EXAMPLES
 @given(nf_terms, nf_terms, nf_coefficients, st.integers(0, 3),
        st.dictionaries(st.sampled_from(("x", "y1", "w")), nf_coefficients, max_size=3))
 def test_ring_and_structure_results_are_in_normal_form(f_terms, g_terms, c, n, pins):
@@ -504,7 +500,7 @@ multi_term_image_terms = st.dictionaries(
 )
 
 
-@FIRST_FAILURE
+@EXAMPLES
 @given(resultant_terms, resultant_terms, st.lists(monomial_image_terms, min_size=3, max_size=3),
        st.lists(multi_term_image_terms, min_size=3, max_size=3), st.integers(2, 12))
 def test_substitute_and_resultant_results_are_in_normal_form(f_terms, g_terms, monomials, multi_terms, q):
@@ -910,6 +906,13 @@ def _from_term_map(variables, terms: dict, divisor: int) -> MultiPoly:
     })
 
 
+def _lifted(matrix) -> tuple:
+    """(the term maps of D times a MultiPoly matrix, D), D the lcm of the
+    entries' coefficient denominators."""
+    _, D = _zi_lift([c for row in matrix for entry in row for c in entry.terms.values()])
+    return [[_term_map(entry, D) for entry in row] for row in matrix], D
+
+
 def _agrees_with_sympy(ours: MultiPoly, theirs) -> bool:
     return sympy.expand(_to_sympy(ours) - theirs) == 0
 
@@ -924,7 +927,8 @@ def test_bareiss_determinant_matches_sympy():
     for _ in range(20):
         n = rng.randint(1, 4)
         matrix = [[_random_poly(rng, XY) for _ in range(n)] for _ in range(n)]
-        assert _agrees_with_sympy(_bareiss_determinant(matrix), _sympy_det(matrix))
+        m, D = _lifted(matrix)
+        assert _agrees_with_sympy(_from_term_map(XY, _zi_bareiss(m), D ** n), _sympy_det(matrix))
 
 
 def test_bareiss_determinant_row_swap_matches_sympy():
@@ -935,11 +939,12 @@ def test_bareiss_determinant_row_swap_matches_sympy():
         matrix = [[_random_poly(rng, XY, max_terms=2) for _ in range(n)] for _ in range(n)]
         matrix[0][0] = zero  # the first pivot is zero: elimination must swap rows
         matrix[1][0] = MultiPoly.constant(XY, _random_coefficient(rng))
-        det = _bareiss_determinant(matrix)
+        m, D = _lifted(matrix)
+        det = _from_term_map(XY, _zi_bareiss(m), D ** n)
         assert _agrees_with_sympy(det, _sympy_det(matrix))
         # swapping the first two rows flips the sign
-        swapped = [matrix[1], matrix[0]] + matrix[2:]
-        assert _bareiss_determinant(swapped) == -det
+        swapped, _ = _lifted([matrix[1], matrix[0]] + matrix[2:])
+        assert _from_term_map(XY, _zi_bareiss(swapped), D ** n) == -det
 
 
 def test_bareiss_determinant_singular_matrix_is_zero():
@@ -954,7 +959,7 @@ def test_bareiss_determinant_singular_matrix_is_zero():
             last = [acc + factor * entry for acc, entry in zip(last, row)]
         matrix.append(last)
         rng.shuffle(matrix)
-        assert _bareiss_determinant(matrix).is_zero()
+        assert _zi_bareiss(_lifted(matrix)[0]) == {}
         assert sympy.expand(_sympy_det(matrix)) == 0
 
 
@@ -1029,8 +1034,8 @@ def test_expansion_matches_sympy_berkowitz():
     for _ in range(20):
         n = rng.randint(1, 4)
         matrix = [[_random_poly(rng, XY) for _ in range(n)] for _ in range(n)]
-        _, D = _zi_lift([c for row in matrix for entry in row for c in entry.terms.values()])
-        det = _zi_expansion([[_term_map(entry, D) for entry in row] for row in matrix])
+        m, D = _lifted(matrix)
+        det = _zi_expansion(m)
         assert _agrees_with_sympy(_from_term_map(XY, det, D ** n), _sympy_det(matrix))
 
 
@@ -1072,6 +1077,29 @@ def test_resultant_matches_sympy():
             assert ours.variables == variables and ours.degree_in("t") <= 0
             assert _agrees_with_sympy(ours, theirs)
             checked += 1
+
+
+def test_resultant_expands_at_eleven_sylvester_rows_and_eliminates_at_thirteen(monkeypatch):
+    # resultant takes its determinant from _zi_determinant, so Bareiss runs only past 11 rows
+    sizes = []
+    bareiss = multipoly._zi_bareiss
+    monkeypatch.setattr(multipoly, "_zi_bareiss", lambda m: sizes.append(len(m)) or bareiss(m))
+    t = sympy.Symbol("t")
+    rng = random.Random(408)
+    variables = ("t", "a")
+
+    def operand(degree):
+        lead = {(degree, rng.randint(0, 1)): GaussianRational(rng.randint(1, 9), rng.randint(-3, 3))}
+        return MultiPoly(variables, lead | {(d, rng.randint(0, 2)): _random_coefficient(rng) for d in range(degree)})
+
+    for n, m in ((5, 6), (6, 7)):
+        f, g = operand(n), operand(m)
+        ours = resultant(f, g, "t")
+        # the higher degree first, as in test_resultant_matches_sympy
+        theirs = (-1) ** (n * m) * sympy.resultant(_to_sympy(g), _to_sympy(f), t)
+        assert ours.variables == variables and ours.degree_in("t") == 0 and not ours.is_zero()
+        assert _agrees_with_sympy(ours, theirs)
+        assert sizes == ([13] if n + m == 13 else []), (n, m)
 
 
 # ---------------------------------------------------------------- float oracle roots
@@ -1527,7 +1555,8 @@ def _reference_multiplication_determinant(expr, var, L, v):
             e = d + j
             r = e % L
             matrix[r][j] = matrix[r][j] + a.scale(lifts[e // L])
-    return _bareiss_determinant(matrix)
+    m, D = _lifted(matrix)
+    return _from_term_map(expr.variables, _zi_bareiss(m), D ** L)
 
 
 def _as_fraction_zi(v):
@@ -2082,7 +2111,7 @@ zi_pairs = st.tuples(zi_parts, zi_parts)
 zi_vectors = st.lists(zi_pairs, min_size=4, max_size=4)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(EXAMPLES, max_examples=200)
 @given(st.lists(zi_vectors, min_size=1, max_size=4), zi_vectors)
 def test_forms_at_is_each_forms_own_dot_product(forms, vec):
     # quadric._forms_at evaluates all forms in one unpacked pass; the

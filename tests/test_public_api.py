@@ -1,6 +1,7 @@
 """The package's export list, pinned so that any change to it shows in a diff,
-and guards that every public function of ``src/`` has a caller and every
-private one a use in ``src/``."""
+and guards that every public function of ``src/`` has a caller, every
+private one a use in ``src/``, every import of a module a use in it, and the
+determinant kernels one entry."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,40 @@ def test_every_private_function_is_used_in_src():
         and all(where == path and node.lineno <= line <= node.end_lineno for where, line in uses.get(node.name, []))
     ]
     assert unused == []
+
+
+def test_every_import_is_used():
+    # a use is a Name, which is also the root of every Attribute chain; the
+    # package's __init__ imports to re-export, and __future__ imports switch
+    # on a feature
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                unused += [
+                    f"{path.stem}: {alias.name}" for alias in node.names
+                    if (alias.asname or alias.name.partition(".")[0]) not in used
+                ]
+    assert unused == []
+
+
+def test_determinant_kernels_are_reached_only_through_zi_determinant():
+    # one determinant entry: Bareiss and the Laplace expansion, and the
+    # crossover between them, stay behind multipoly._zi_determinant
+    kernels = {"_zi_bareiss", "_zi_expansion"}
+    outside = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node) for entry in tree.body
+            if isinstance(entry, ast.FunctionDef) and entry.name == "_zi_determinant" for node in ast.walk(entry)
+        }
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in kernels and not isinstance(node, ast.FunctionDef) and id(node) not in inside:
+                outside.append(f"{path.stem}:{node.lineno} {name}")
+    assert outside == []

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from branch_reference import with_reference_plan
 from conetower import multipoly, singular
 from conetower.certificates import CERTIFIED, FAIL, INCONCLUSIVE, ONLY_SINGULAR_AT, SMOOTH
 from conetower.charts import Chart, Hypersurface
-from conetower.errors import FloatRangeError, SearchExhaustedError, ValidationError
+from conetower.errors import DigitLimitError, FloatRangeError, SearchExhaustedError, ValidationError
 from conetower.gaussian import GaussianRational
 from conetower.multipoly import MultiPoly, resultant
 from conetower.singular import (
@@ -432,6 +433,21 @@ def test_cone_unbounded_witness_refuses_a_bool_bound():
     # True was once taken as 1
     with pytest.raises(ValidationError, match="M must be a rational number"):
         cone_unbounded_witness(1, True)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("abc", ValidationError, "must be a rational number, got 'abc'"),
+    ("1/0", ValidationError, "must be a rational number, got '1/0'"),
+    ("1" * (sys.get_int_max_str_digits() + 1), DigitLimitError, "digits"),
+], ids=["not-rational", "zero-denominator", "past-digit-limit"])
+def test_eps_and_bound_text_refusals_are_typed(text, error, message):
+    # a bare ValueError, a ZeroDivisionError and Python's digit-limit ValueError once
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(error, match=message):
+        PerturbationParams(1, 2, text)
+    with pytest.raises(error, match=message):
+        cone_unbounded_witness(1, text)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_search_exhaustion_reports_attempts():
