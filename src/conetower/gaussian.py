@@ -21,6 +21,13 @@ _RATIONAL_TYPES = (int, Fraction)
 _INEXACT = "floats are inexact; pass int, Fraction, or string"
 
 
+def _print_limit_error() -> DigitLimitError:
+    return DigitLimitError(
+        f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
+        "too many to print"
+    )
+
+
 def _exact_str(value) -> str:
     """Text of an exact int or Fraction; DigitLimitError past the digit limit.
 
@@ -30,10 +37,7 @@ def _exact_str(value) -> str:
     try:
         return str(value)
     except ValueError:
-        raise DigitLimitError(
-            f"an exact value has more than {sys.get_int_max_str_digits()} digits, "
-            "too many to print"
-        ) from None
+        raise _print_limit_error() from None
 
 
 def _exact_int(digits: str) -> int:
@@ -59,11 +63,16 @@ def _exact_str_or(value, expression: str) -> str:
 
 def _part_str(n: int, den: int) -> str:
     """Text of the rational n/den, den a positive int, as the reduced
-    ``Fraction`` prints it; DigitLimitError past the digit limit."""
+    ``Fraction`` prints it; DigitLimitError, with ``_exact_str``'s message,
+    when the numerator or the denominator is past the digit limit.  Both
+    are converted inside one ``try``."""
     g = math.gcd(n, den)
     if g != 1:
         n, den = n // g, den // g
-    return _exact_str(n) if den == 1 else f"{_exact_str(n)}/{_exact_str(den)}"
+    try:
+        return str(n) if den == 1 else f"{n}/{den}"
+    except ValueError:
+        raise _print_limit_error() from None
 
 
 def _coefficient_text(re: int, im: int, den: int, mono: str = "") -> tuple:

@@ -16,18 +16,22 @@ rows over one integer scale and stored that way.  No line is eliminated:
 its span is read off the six 2x2 minors of its two rows, its Plucker
 coordinates (Hodge and Pedoe, Methods of Algebraic Geometry I, ch. VII), and
 the same minors refuse dependent rows and, by a Laplace expansion, dependent
-split forms.  The real point comes from a 2x2 integer system in the span's
-imaginary parts; the sphere test of the boundary cover runs on integers too.
+split forms.  A line lies on the quadric when the quadric's Gram form, the
+split's ``zgram``, vanishes at both spanning vectors and its polar form
+vanishes at the pair (same reference, ch. VII).  The real point comes from a
+2x2 integer system in the span's imaginary parts and is checked on the
+line's rows by integer dot products; the sphere test of the boundary cover
+runs on integers too.
 
 Each step is one private int kernel: ``_draw_st`` draws (s : t),
 ``_ruling_rows`` builds the two rows, ``_span`` reads the span,
-``_real_vector`` checks containment and reads the real point, and
-``_on_sphere`` tests it.  The public ``sample_param``, ``ruling_line`` and
-``real_point`` are thin wrappers that build a RulingParam, ProjLine or
-ProjPoint around a kernel's ints; values in Q(i) come in and go out as
-GaussianRationals, each read or built as its Z[i] pair over its
-denominator.  The boundary-cover sampler calls the kernels directly, so a
-sampled line stays ints from the draw to its printed entry.
+``_real_vector`` checks containment by ``_on_quadric`` and reads the real
+point, and ``_on_sphere`` tests it.  The public ``sample_param``,
+``ruling_line`` and ``real_point`` are thin wrappers that build a
+RulingParam, ProjLine or ProjPoint around a kernel's ints; values in Q(i)
+come in and go out as GaussianRationals, each read or built as its Z[i] pair
+over its denominator.  The boundary-cover sampler calls the kernels
+directly, so a sampled line stays ints from the draw to its printed entry.
 """
 
 from __future__ import annotations
@@ -45,21 +49,11 @@ from .errors import (
     _is_int,
 )
 from .gaussian import (
-    GaussianRational, I, ONE, _gaussian_text, _gmul, _gneg, _trusted_gaussian, _zi_lift,
+    GaussianRational, I, ONE, _gaussian_text, _gmul, _gneg, _gsub, _trusted_gaussian, _zi_lift,
 )
 from .multipoly import MultiPoly
 
 _VARS = ("z0", "z1", "z2", "z3")
-
-
-def _forms_at(forms, vec):
-    """Values at the Z[i] vector ``vec`` of the four-column Z[i] linear ``forms``."""
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = vec
-    return [
-        (a0 * x0 - b0 * y0 + a1 * x1 - b1 * y1 + a2 * x2 - b2 * y2 + a3 * x3 - b3 * y3,
-         a0 * y0 + b0 * x0 + a1 * y1 + b1 * x1 + a2 * y2 + b2 * x2 + a3 * y3 + b3 * x3)
-        for (a0, b0), (a1, b1), (a2, b2), (a3, b3) in forms
-    ]
 
 
 def _comb(p, xs, q, ys):
@@ -238,13 +232,20 @@ class RulingParam:
 class QuadricSplit:
     """A quadric written as ab = cd with four linear forms over (z0..z3).
 
-    ``zforms`` holds a, b, c, d scaled to Z[i] pairs by their common
-    denominator ``scale``, so their values at a Z[i] vector give
-    scale^2 * (ab - cd) there.
+    Each form is four coefficients in Q(i), coerced as RulingParam coerces
+    its values; ``homogenizer`` is an int in 0..3.  ``zforms`` holds a, b,
+    c, d scaled to Z[i] pairs by their common denominator ``scale``, so their
+    values at a Z[i] vector give scale^2 * (ab - cd) there.
     The forms must be independent; otherwise ab - cd is a singular quadric.
     det(a, b, c, d) is expanded along (a, b) by Laplace: each 2x2 minor of
     (a, b) on columns i < j times the complementary minor of (c, d), with
     sign (-1)^(i+j+1).
+
+    ``zgram`` holds the nonzero coefficients of scale^2 * (ab - cd) as
+    ``(i, j, q_ij)`` for i <= j, q_ij a Z[i] pair: q_ii = a_i*b_i - c_i*d_i
+    and q_ij = a_i*b_j + a_j*b_i - c_i*d_j - c_j*d_i, the entries of the
+    quadric's symmetric (Gram) matrix with the off-diagonal ones doubled.
+    The three built-in splits have four, on the diagonal.
     """
 
     name: str
@@ -255,10 +256,16 @@ class QuadricSplit:
     homogenizer: int  # index of the coordinate that is 1 on the affine slice
     zforms: tuple = field(init=False, repr=False, compare=False)
     scale: int = field(init=False, repr=False, compare=False)
+    zgram: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        flat = self.a + self.b + self.c + self.d
-        zflat, scale = _zi_lift(flat)
+        forms = tuple(tuple(GaussianRational.coerce(e) for e in form)
+                      for form in (self.a, self.b, self.c, self.d))
+        if any(len(form) != 4 for form in forms):
+            raise ValidationError("each form of a split has four coefficients, one per z0..z3")
+        if not _is_int(self.homogenizer) or not 0 <= self.homogenizer <= 3:
+            raise ValidationError(f"a split's homogenizer is an index 0..3, got {self.homogenizer!r}")
+        zflat, scale = _zi_lift([e for form in forms for e in form])
         zforms = tuple(tuple(zflat[i:i + 4]) for i in range(0, 16, 4))
         ab, cd = _minors(*zforms[:2]), _minors(*zforms[2:])
         re = im = 0
@@ -269,8 +276,22 @@ class QuadricSplit:
             re, im = re + sign * x, im + sign * y
         if re == im == 0:
             raise ValidationError("the four forms of a split must be linearly independent")
+        a, b, c, d = zforms
+
+        def cross(i, j):  # a_i*b_j - c_i*d_j
+            return _gsub(_gmul(a[i], b[j]), _gmul(c[i], d[j]))
+
+        zgram = []
+        for i in range(4):
+            for j in range(i, 4):
+                q = cross(i, i) if i == j else tuple(x + y for x, y in zip(cross(i, j), cross(j, i)))
+                if q != (0, 0):
+                    zgram.append((i, j, q))
+        for name, value in zip("abcd", forms):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "zforms", zforms)
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "zgram", tuple(zgram))
 
     @property
     def quadric_poly(self) -> MultiPoly:
@@ -280,18 +301,14 @@ class QuadricSplit:
         return a * b - c * d
 
 
-def _row(*entries):
-    return tuple(GaussianRational.coerce(e) for e in entries)
-
-
 # Signature (3,1) quadric z0^2 + z1^2 + z2^2 - z3^2 = 0: its real locus is
 # the unit sphere in the chart z3 = 1, which carries no real line
 SPHERE_QUADRIC = QuadricSplit(
     name="z0^2+z1^2+z2^2-z3^2",
-    a=_row(1, I, 0, 0),
-    b=_row(1, -I, 0, 0),
-    c=_row(0, 0, 1, 1),
-    d=_row(0, 0, -1, 1),
+    a=(1, I, 0, 0),
+    b=(1, -I, 0, 0),
+    c=(0, 0, 1, 1),
+    d=(0, 0, -1, 1),
     homogenizer=3,
 )
 
@@ -299,22 +316,27 @@ SPHERE_QUADRIC = QuadricSplit(
 # z1^2 + z2^2 + z3^2 - z0^2 = 0
 BOUNDARY_QUADRIC = QuadricSplit(
     name="z1^2+z2^2+z3^2-z0^2",
-    a=_row(0, 1, I, 0),
-    b=_row(0, 1, -I, 0),
-    c=_row(1, 0, 0, 1),
-    d=_row(1, 0, 0, -1),
+    a=(0, 1, I, 0),
+    b=(0, 1, -I, 0),
+    c=(1, 0, 0, 1),
+    d=(1, 0, 0, -1),
     homogenizer=0,
 )
 
 # Control with empty real locus: z0^2 + z1^2 + z2^2 + z3^2 = 0
 CONTROL_QUADRIC = QuadricSplit(
     name="z0^2+z1^2+z2^2+z3^2",
-    a=_row(1, I, 0, 0),
-    b=_row(1, -I, 0, 0),
-    c=_row(0, 0, I, -1),
-    d=_row(0, 0, I, 1),
+    a=(1, I, 0, 0),
+    b=(1, -I, 0, 0),
+    c=(0, 0, I, -1),
+    d=(0, 0, I, 1),
     homogenizer=0,
 )
+
+
+def _check_split(split) -> None:
+    if not isinstance(split, QuadricSplit):
+        raise ValidationError(f"a quadric is given as a QuadricSplit, got {type(split).__name__}")
 
 
 def _ruling_rows(family: str, s, t, split: QuadricSplit):
@@ -345,23 +367,43 @@ def ruling_line(param: RulingParam, split: QuadricSplit = SPHERE_QUADRIC) -> Pro
     The rows come from :func:`_ruling_rows`; :class:`ProjLine` keeps them
     over their scale, reduced, and reads the span off their minors.
     """
+    _check_split(split)
     s, t = param.s, param.t
     return ProjLine(*_ruling_rows(param.family, (*s.pair, s.den), (*t.pair, t.den), split))
 
 
-def _on_quadric(span, split: QuadricSplit) -> bool:
-    """Exact containment of the line spanned by ``span = (u, w)``: the
-    quadric vanishes on the spanning pair and their sum.
+def _gram_values(zgram, u, w):
+    """(Q(u), Q(w), P(u, w)) as Z[i] pairs, for the Gram entries ``zgram``
+    of a split and Z[i] vectors u, w: Q(v) = sum of q_ij*v_i*v_j and the
+    polar value P(u, w) = sum of q_ij*(u_i*w_j + u_j*w_i), so that
+    Q(u + w) = Q(u) + Q(w) + P(u, w)."""
+    qur = qui = qwr = qwi = pr = pi = 0
+    for i, j, (gr, gi) in zgram:
+        # with a = q_ij*u_i and c = q_ij*w_i: Q(u) gains a*u_j, Q(w) gains
+        # c*w_j and P(u, w) gains a*w_j + c*u_j
+        (ar, ai), (cr, ci) = u[i], w[i]
+        ar, ai = gr * ar - gi * ai, gr * ai + gi * ar
+        cr, ci = gr * cr - gi * ci, gr * ci + gi * cr
+        (br, bi), (dr, di) = u[j], w[j]
+        qur += ar * br - ai * bi
+        qui += ar * bi + ai * br
+        qwr += cr * dr - ci * di
+        qwi += cr * di + ci * dr
+        pr += ar * dr - ai * di + cr * br - ci * bi
+        pi += ar * di + ai * dr + cr * bi + ci * br
+    return (qur, qui), (qwr, qwi), (pr, pi)
 
-    A quadric form vanishing at u, w and u + w has q(u, w) = 0 for its
-    bilinear form too, so it vanishes on the whole line.  The split's four
-    forms are evaluated at u and w once; their values at u + w are the sums.
+
+def _on_quadric(span, split: QuadricSplit) -> bool:
+    """Exact containment of the line spanned by ``span = (u, w)``: Q(u),
+    Q(w) and the polar value P(u, w) of :func:`_gram_values` are all zero.
+
+    A quadric form vanishing at u and w with P(u, w) = 0 vanishes at every
+    a*u + b*w, so on the whole line.  As Q(u + w) = Q(u) + Q(w) + P(u, w),
+    this is the test that ab - cd vanishes at u, w and u + w, all values
+    scaled by split.scale^2; it reads ``split.zgram`` once.
     """
-    u, w = span
-    at_u = _forms_at(split.zforms, u)
-    at_w = _forms_at(split.zforms, w)
-    at_sum = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(at_u, at_w)]
-    return all(_gmul(a, b) == _gmul(c, d) for a, b, c, d in (at_u, at_w, at_sum))
+    return _gram_values(split.zgram, *span) == ((0, 0), (0, 0), (0, 0))
 
 
 def _span_real_vector(span):
@@ -425,9 +467,11 @@ def _real_vector(zrows, span, split: QuadricSplit):
     elimination.  For nullity >= 1, ``z`` is the integer real kernel
     vector, its first nonzero coordinate made positive: the coordinates of
     a real point on the line (and hence on the quadric), over that
-    coordinate.  The vector is checked real and on both of the line's
-    forms.  For nullity 0, ``z`` is None.  Raises LINE_NOT_ON_QUADRIC for
-    lines off the quadric.
+    coordinate.  The vector is checked real, and then its real parts z on
+    both of the line's forms: a row (a_k + b_k*i) vanishes at the real z
+    exactly when the integer dot products sum a_k*z_k and sum b_k*z_k do.
+    For nullity 0, ``z`` is None.  Raises LINE_NOT_ON_QUADRIC for lines off
+    the quadric.
 
     No check of ab - cd at the vector is needed: :func:`_on_quadric` has
     passed in this call, so the quadric vanishes on the whole line, and a
@@ -438,14 +482,15 @@ def _real_vector(zrows, span, split: QuadricSplit):
     vec, nullity = _span_real_vector(span)
     if nullity == 0:
         return None, 0
-    if any(im for _, im in vec):
+    (z0, y0), (z1, y1), (z2, y2), (z3, y3) = vec
+    if y0 or y1 or y2 or y3:
         raise InternalInconsistencyError("kernel of a real system must be real")
-    if _forms_at(zrows, vec) != [(0, 0), (0, 0)]:
-        raise InternalInconsistencyError("computed real point fails an exact check")
-    z = [re for re, _ in vec]
-    if next(x for x in z if x) < 0:  # a denominator is positive
-        z = [-x for x in z]
-    return z, nullity
+    for (a0, b0), (a1, b1), (a2, b2), (a3, b3) in zrows:
+        if a0 * z0 + a1 * z1 + a2 * z2 + a3 * z3 or b0 * z0 + b1 * z1 + b2 * z2 + b3 * z3:
+            raise InternalInconsistencyError("computed real point fails an exact check")
+    if (z0 or z1 or z2 or z3) < 0:  # the first nonzero one; a denominator is positive
+        return [-z0, -z1, -z2, -z3], nullity
+    return [z0, z1, z2, z3], nullity
 
 
 def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
@@ -455,6 +500,7 @@ def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
     divided by its leading coordinate, the one division; for nullity 0 it
     is None.  Raises LINE_NOT_ON_QUADRIC for lines off the quadric.
     """
+    _check_split(split)
     z, nullity = _real_vector(line.zrows, line.span, split)
     if z is None:
         return None, 0

@@ -1,8 +1,9 @@
-"""The per-form line checks that ``quadric._forms_at`` replaced: each form is
-evaluated at each vector on its own by ``zdot``, a line is tested on the
-quadric with eight such values, and a real point is checked against both of
-the line's forms and against ab - cd.  It shares no evaluation with the
-package's checks, so the two can be compared line by line."""
+"""Per-form line checks: each form is evaluated at each vector on its own by
+``zdot``, a line is tested on the quadric with eight such values, and a real
+point is checked against both of the line's forms and against ab - cd.  The
+package decides containment from the split's Gram entries and checks a real
+point by integer dot products; this shares no evaluation with either, so
+the two can be compared line by line."""
 
 from conetower import quadric
 from conetower.errors import InternalInconsistencyError, LineNotOnQuadricError

@@ -174,6 +174,20 @@ def test_a_number_past_the_digit_limit_is_a_typed_parse_error(template):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("where", ["standalone", "term"])
+@pytest.mark.parametrize("part", ["numerator", "denominator", "both"])
+def test_a_value_past_the_digit_limit_prints_as_a_typed_error(part, where):
+    limit = sys.get_int_max_str_digits()
+    long_n, long_d = 10 ** limit + 1, 10 ** limit + 3  # limit + 1 digits, coprime
+    n, d = {"numerator": (long_n, 3), "denominator": (1, long_d), "both": (long_n, long_d)}[part]
+    value = GaussianRational(Fraction(n, d), 1)
+    printed = value if where == "standalone" else MultiPoly(Z, {(1, 0, 0, 0): value})
+    with pytest.raises(DigitLimitError) as err:
+        str(printed)
+    assert str(err.value) == f"an exact value has more than {limit} digits, too many to print"
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_print_parse_roundtrip_random():
     rng = random.Random(7)
     for _ in range(60):

@@ -48,6 +48,7 @@ from conetower.multipoly import (  # noqa: E402
 )
 from conetower import quadric, singular  # noqa: E402
 import linalg_reference  # noqa: E402
+import quadric_reference  # noqa: E402
 from branch_reference import with_reference_plan  # noqa: E402
 from fraction_pair_reference import FractionPairGaussian  # noqa: E402
 from conetower.singular import (  # noqa: E402
@@ -2100,7 +2101,7 @@ def test_span_real_points_match_the_previous_real_system():
         assert (vec is None) == (nullity == 0)
         if vec is not None:
             assert _canonical_real(vec) == ref_point
-            assert quadric._forms_at(zrows, vec) == [(0, 0), (0, 0)]
+            assert all(quadric_reference.zdot(row, vec) == (0, 0) for row in zrows)
         seen.add((kind, nullity))
     assert {nullity for _, nullity in seen} == {0, 1, 2}
     assert {kind for kind, _ in seen} == {"real", "real-line", "one-real-point", "real-or-imaginary", "dense"}
@@ -2109,18 +2110,6 @@ def test_span_real_points_match_the_previous_real_system():
 zi_parts = st.integers(-10**12, 10**12) | st.integers(-3, 3)
 zi_pairs = st.tuples(zi_parts, zi_parts)
 zi_vectors = st.lists(zi_pairs, min_size=4, max_size=4)
-
-
-@settings(EXAMPLES, max_examples=200)
-@given(st.lists(zi_vectors, min_size=1, max_size=4), zi_vectors)
-def test_forms_at_is_each_forms_own_dot_product(forms, vec):
-    # quadric._forms_at evaluates all forms in one unpacked pass; the
-    # reference sums each form's products over GaussianRationals
-    point = [GaussianRational(*x) for x in vec]
-    expected = [sum((GaussianRational(*a) * x for a, x in zip(form, point)), ZERO) for form in forms]
-    values = quadric._forms_at(forms, vec)
-    assert all(type(re) is int and type(im) is int for re, im in values)
-    assert [GaussianRational(re, im) for re, im in values] == expected
 
 
 def _random_split(rng):
@@ -2135,6 +2124,51 @@ def _random_split(rng):
         flat, _ = _zi_lift([c for form in forms for c in form])
         if linalg_reference.matrix_rank([flat[i:i + 4] for i in range(0, 16, 4)], 4) == 4:
             return quadric.QuadricSplit("random", *forms, homogenizer=0)
+
+
+_BUILT_IN_SPLITS = (quadric.BOUNDARY_QUADRIC, quadric.SPHERE_QUADRIC, quadric.CONTROL_QUADRIC)
+splits = st.sampled_from(_BUILT_IN_SPLITS) | st.integers(0, 2**32).map(lambda seed: _random_split(random.Random(seed)))
+
+
+def _zdot_quadric(split, vec):
+    """scale^2 * (ab - cd) at the Z[i] vector ``vec``, each of the split's
+    four forms evaluated on its own by ``quadric_reference.zdot``."""
+    a, b, c, d = (quadric_reference.zdot(form, vec) for form in split.zforms)
+    return _gsub(_gmul(a, b), _gmul(c, d))
+
+
+@settings(EXAMPLES, max_examples=200)
+@given(splits, zi_vectors, zi_vectors)
+def test_gram_values_are_the_quadric_and_its_polar_form(split, u, w):
+    # quadric._gram_values reads Q(u), Q(w) and the polar value P(u, w) off
+    # the split's Gram entries; the reference evaluates the four forms, and
+    # P(u, w) = Q(u + w) - Q(u) - Q(w).  Values are compared, not zero tests.
+    qu, qw, p = quadric._gram_values(split.zgram, u, w)
+    total = [(ur + wr, ui + wi) for (ur, ui), (wr, wi) in zip(u, w)]
+    assert qu == _zdot_quadric(split, u) and qw == _zdot_quadric(split, w)
+    assert p == _gsub(_gsub(_zdot_quadric(split, total), qu), qw)
+    assert quadric._on_quadric((u, w), split) == (qu == qw == p == (0, 0))
+
+
+def test_gram_entries_are_the_scaled_coefficients_of_quadric_poly():
+    # zgram comes from the scaled Z[i] forms; quadric_poly multiplies the
+    # Q(i) forms out as MultiPolys, an independent derivation
+    rng = random.Random(527)
+    off_diagonal = 0
+    for split in _BUILT_IN_SPLITS + tuple(_random_split(rng) for _ in range(30)):
+        expected = {}
+        for exps, coeff in split.quadric_poly.terms.items():
+            i, j = (k for k, e in enumerate(exps) for _ in range(e))
+            expected[i, j] = coeff * split.scale ** 2
+        assert [(i, j) for i, j, _ in split.zgram] == sorted(expected)
+        assert {(i, j): GaussianRational(*q) for i, j, q in split.zgram} == expected
+        off_diagonal += sum(i < j for i, j, _ in split.zgram)
+    assert off_diagonal > 0
+    diagonals = [[q for i, j, q in split.zgram if i == j] for split in _BUILT_IN_SPLITS]
+    assert [len(split.zgram) for split in _BUILT_IN_SPLITS] == [4, 4, 4]
+    assert diagonals == [[(-1, 0), (1, 0), (1, 0), (1, 0)],
+                         [(1, 0), (1, 0), (1, 0), (-1, 0)],
+                         [(1, 0), (1, 0), (1, 0), (1, 0)]]
 
 
 def _span_params(rng, family):

@@ -36,7 +36,7 @@ from conetower.tower import build_tower
 
 import linalg_reference
 import quadric_reference
-from test_oracles import _reference_row_echelon_gaussian, _span_params
+from test_oracles import _random_split, _reference_row_echelon_gaussian, _span_params
 
 
 def test_split_identities():
@@ -409,6 +409,46 @@ def test_split_rejects_dependent_forms(forms):
         QuadricSplit(name="dependent", a=a, b=b_, c=c, d=d, homogenizer=0)
 
 
+_E = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: QuadricSplit("x", (1, 0, 0), *_E[1:], 0), ValidationError, "four coefficients"),
+    (lambda: QuadricSplit("x", (1, 0, 0, 0, 0), *_E[1:], 0), ValidationError, "four coefficients"),
+    (lambda: QuadricSplit("x", *_E, 7), ValidationError, "homogenizer"),
+    (lambda: QuadricSplit("x", *_E, -1), ValidationError, "homogenizer"),
+    (lambda: QuadricSplit("x", *_E, "0"), ValidationError, "homogenizer"),
+    (lambda: QuadricSplit("x", *_E, True), ValidationError, "homogenizer"),
+    (lambda: QuadricSplit("x", (1.0, 0, 0, 0), *_E[1:], 0), TypeError, "inexact|Gaussian rational"),
+    (lambda: ruling_line(RulingParam("A", ONE, ONE), "sphere"), ValidationError, "QuadricSplit"),
+    (lambda: real_point(ruling_line(RulingParam("A", ONE, ONE)), "sphere"), ValidationError, "QuadricSplit"),
+], ids=["three-entries", "five-entries", "homogenizer-7", "homogenizer-negative", "homogenizer-text",
+        "homogenizer-bool", "float-entry", "ruling-line-split-text", "real-point-split-text"])
+def test_split_refusals_are_typed(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_split_coerces_its_entries_and_the_built_in_splits_are_unchanged():
+    # int entries are coerced as RulingParam and ProjPoint coerce theirs
+    split = QuadricSplit("x", *_E, 0)
+    assert split == QuadricSplit("x", *(tuple(GaussianRational(e) for e in form) for form in _E), 0)
+    assert all(type(e) is GaussianRational for form in (split.a, split.b, split.c, split.d) for e in form)
+    assert str(split.quadric_poly) == "z0*z1 - z2*z3"
+    # the built-in splits as they were written, each entry a GaussianRational
+    def row(*entries):
+        return tuple(GaussianRational.coerce(e) for e in entries)
+
+    before = (
+        QuadricSplit("z0^2+z1^2+z2^2-z3^2", row(1, I, 0, 0), row(1, -I, 0, 0), row(0, 0, 1, 1), row(0, 0, -1, 1), 3),
+        QuadricSplit("z1^2+z2^2+z3^2-z0^2", row(0, 1, I, 0), row(0, 1, -I, 0), row(1, 0, 0, 1), row(1, 0, 0, -1), 0),
+        QuadricSplit("z0^2+z1^2+z2^2+z3^2", row(1, I, 0, 0), row(1, -I, 0, 0), row(0, 0, I, -1), row(0, 0, I, 1), 0),
+    )
+    for ours, old in zip((SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC), before):
+        assert ours == old and hash(ours) == hash(old) and repr(ours) == repr(old)
+        assert (ours.zforms, ours.scale, ours.zgram) == (old.zforms, old.scale, old.zgram)
+
+
 def test_split_refusal_follows_the_rank_of_seeded_forms():
     # seeded forms, in half the draws with one form a Z[i] combination of
     # two others (a coefficient may be 0): the split is refused exactly when
@@ -601,13 +641,13 @@ def test_proj_line_equality_follows_the_line_not_its_scaling():
 # ------------------------------------------------ previous line and sphere tests, verbatim
 
 
-def _reference_line_on_quadric(line, split):
+def _reference_line_on_quadric(span, split):
     """Exact containment: the quadric vanishes on a spanning pair and their sum.
 
     A quadric form vanishing at u, w and u + w has q(u, w) = 0 for its
     bilinear form too, so it vanishes on the whole line.
     """
-    u, w = line.span
+    u, w = span
     mixed = [(x[0] + y[0], x[1] + y[1]) for x, y in zip(u, w)]
     return all(quadric_reference.vanishes_at(split, p) for p in (u, w, mixed))
 
@@ -628,9 +668,14 @@ def _random_zi_line(rng):
 
 
 def test_line_on_quadric_matches_previous_tests():
+    # the built-in splits have diagonal Gram entries; REAL_LINES_QUADRIC and
+    # the random splits have off-diagonal ones too
     rng = random.Random(33)
+    random_splits = [_random_split(rng) for _ in range(6)]
+    assert any(i < j for split in random_splits for i, j, _ in split.zgram)
     outcomes = set()
-    for split in (SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC, RATIONAL_QUADRIC):
+    for split in [SPHERE_QUADRIC, BOUNDARY_QUADRIC, CONTROL_QUADRIC, RATIONAL_QUADRIC,
+                  REAL_LINES_QUADRIC] + random_splits:
         lines = [_random_zi_line(rng) for _ in range(30)]
         lines += [ruling_line(param, split) for family in ("A", "B") for param in _reference_params(rng, family)]
         # a line on the other family's quadric, and lines through two points
@@ -643,9 +688,14 @@ def test_line_on_quadric_matches_previous_tests():
             rank, forms = linalg_reference.nullspace([u, w], 4)
             if rank == 2:
                 lines.append(ProjLine(forms, 1))
-        for line in lines:
-            ours = quadric._on_quadric(line.span, split)
-            assert ours == _reference_line_on_quadric(line, split)
+        # and those two points as the spanning pair: the quadric vanishes at
+        # both, so only the polar value refuses the line through them
+        spans = [line.span for line in lines]
+        spans += [(ruling_line(sample_param(rng, "A"), split).span[0],
+                   ruling_line(sample_param(rng, "B"), split).span[1]) for _ in range(5)]
+        for span in spans:
+            ours = quadric._on_quadric(span, split)
+            assert ours == _reference_line_on_quadric(span, split)
             outcomes.add(ours)
     assert outcomes == {True, False}
 
@@ -733,20 +783,29 @@ def test_every_real_point_is_on_the_quadric(split):
     assert points >= (0 if split is CONTROL_QUADRIC else 10)
 
 
-def test_boundary_cover_evaluates_forms_at_most_three_times_a_line(monkeypatch):
-    # a count, not a time: two evaluations in _on_quadric, one row check
-    assert not hasattr(quadric, "_zdot")
-    calls = []
-    forms_at = quadric._forms_at
+def test_boundary_cover_checks_each_line_once_on_the_gram_entries(monkeypatch):
+    # a count, not a time: one _on_quadric call per sampled line, each
+    # reading the split's Gram entries once
+    assert not hasattr(quadric, "_zdot") and not hasattr(quadric, "_forms_at")
+    calls, reads = [], []
+    on_quadric, gram_values = quadric._on_quadric, quadric._gram_values
 
-    def counting_forms_at(forms, vec):
-        calls.append(len(forms))
-        return forms_at(forms, vec)
+    def counting_on_quadric(span, split):
+        calls.append(split)
+        return on_quadric(span, split)
 
-    monkeypatch.setattr(quadric, "_forms_at", counting_forms_at)
+    def counting_gram_values(zgram, u, w):
+        read = []
+        result = gram_values((read.append(entry) or entry for entry in zgram), u, w)
+        reads.append(len(read))
+        return result
+
+    monkeypatch.setattr(quadric, "_on_quadric", counting_on_quadric)
+    monkeypatch.setattr(quadric, "_gram_values", counting_gram_values)
     cert = verify_boundary_cover(build_tower(1), 40, 0)
     assert cert.status == PASS
-    assert 0 < len(calls) <= 3 * 80
+    assert calls == [BOUNDARY_QUADRIC] * 80
+    assert reads == [len(BOUNDARY_QUADRIC.zgram)] * 80 and len(BOUNDARY_QUADRIC.zgram) == 4
 
 
 def _count_builds(monkeypatch, counts):

@@ -53,3 +53,11 @@ def test_cli_json_is_the_golden_under_any_hash_seed(stem, argv, seed, tmp_path):
     if "--output" in argv:
         name = argv[argv.index("--output") + 1]
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_python_m_conetower_is_the_cli(tmp_path):
+    argv = ["quadric", "--trials", "2", "--seed", "0", "--format", "json"]
+    package = _python(["-m", "conetower", *argv], tmp_path)
+    cli = _python(["-m", "conetower.cli", *argv], tmp_path)
+    assert package.returncode == cli.returncode == 0, package.stderr
+    assert package.stdout == cli.stdout and package.stdout.startswith("{")
