@@ -6,9 +6,12 @@ standard output, its exit code and any file written by ``--output`` (the
 ``tower/1`` document for ``tower``, the certificate for other commands)
 must equal the files checked in under ``golden/``.  No command may turn an
 exact coefficient into a float: ``GaussianRational.__complex__`` raises.
+A few commands are also gated in the default text format, their
+``<stem>.txt`` goldens holding ``<masked>`` in place of the wall time.
 """
 
 import math
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -101,6 +104,27 @@ def test_cli_json_matches_golden(stem, argv, code, tmp_path, monkeypatch, capsys
     assert capsys.readouterr().out == (GOLDEN / f"{stem}.json").read_text()
     for name in WRITTEN.get(stem, ()):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# (golden stem, argv of a command in the default text format)
+TEXT_COMMANDS = [
+    ("quadric_t5_s0", ["quadric", "--trials", "5", "--seed", "0"]),
+    ("tower_k2", ["tower", "--k", "2"]),
+    ("perturb_k2_N6_eps1", ["perturb", "--k", "2", "--N", "6", "--eps", "1"]),
+]
+
+_WALL_TIME = re.compile(r"(?<=wall-time: )\d+\.\d{3}s$", re.MULTILINE)
+
+
+@pytest.mark.parametrize("stem, argv", TEXT_COMMANDS, ids=[c[0] for c in TEXT_COMMANDS])
+def test_cli_text_matches_golden(stem, argv, tmp_path, monkeypatch, capsys):
+    # the text report, with only the wall-time value masked
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out, count = _WALL_TIME.subn("<masked>", capsys.readouterr().out)
+    assert count == 1
+    assert out == (GOLDEN / f"{stem}.txt").read_text()
+    assert not list(tmp_path.iterdir())
 
 
 def _patch_everywhere(monkeypatch, function, replacement):
