@@ -14,14 +14,18 @@ forms of a split are scaled to Z[i] by one common denominator L, so ab - cd
 is only multiplied by L^2; a ruling line's two forms are computed as Z[i]
 rows over one integer scale and stored that way.  No line is eliminated:
 its span is read off the six 2x2 minors of its two rows, its Plucker
-coordinates (Hodge and Pedoe, Methods of Algebraic Geometry I, ch. VII), and
-the same minors refuse dependent rows and, by a Laplace expansion, dependent
-split forms.  A line lies on the quadric when the quadric's Gram form, the
-split's ``zgram``, vanishes at both spanning vectors and its polar form
-vanishes at the pair (same reference, ch. VII).  The real point comes from a
-2x2 integer system in the span's imaginary parts and is checked on the
-line's rows by integer dot products; the sphere test of the boundary cover
-runs on integers too.
+coordinates (Hodge and Pedoe, Methods of Algebraic Geometry I, ch. VII),
+kept as a tuple indexed like the column pairs ``_PAIRS``; the index of the
+first nonzero minor looks up the span's columns and minors in
+``_SPAN_TABLE``, built once from ``_PAIRS``.  The same minors refuse
+dependent rows and, by a Laplace expansion, dependent split forms.  A line
+lies on the quadric when the quadric's Gram form, the split's ``zgram``,
+vanishes at both spanning vectors and its polar form vanishes at the pair
+(same reference, ch. VII).  The real point comes from a 2x2 integer system
+in the span's imaginary parts and is checked on the line's rows by integer
+dot products; the sphere test of the boundary cover runs on integers too,
+and the cover prints each coordinate over the first nonzero one through the
+grammar's rational printer ``gaussian._part_str``.
 
 Each step is one private int kernel: ``_draw_st`` draws (s : t),
 ``_ruling_rows`` builds the two rows, ``_span`` reads the span,
@@ -49,7 +53,8 @@ from .errors import (
     _is_int,
 )
 from .gaussian import (
-    GaussianRational, I, ONE, _gaussian_text, _gmul, _gneg, _gsub, _trusted_gaussian, _zi_lift,
+    GaussianRational, I, ONE, _gaussian_text, _gmul, _gneg, _gsub, _part_str, _trusted_gaussian,
+    _zi_lift,
 )
 from .multipoly import MultiPoly
 
@@ -71,41 +76,76 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _minors(r1, r2):
-    """The 2x2 minors r1[i]*r2[j] - r1[j]*r2[i] of two rows of Z[i] pairs,
-    keyed by the column pairs of ``_PAIRS`` in their order."""
-    minors = {}
+    """The six 2x2 minors r1[i]*r2[j] - r1[j]*r2[i] of two rows of Z[i]
+    pairs, as a tuple indexed like ``_PAIRS``: entry k is the minor on the
+    columns ``_PAIRS[k]``, and entry 5 - k is the one on the complementary
+    columns."""
+    minors = []
     for i, j in _PAIRS:
         (a, b), (c, d), (e, f), (g, h) = r1[i], r2[j], r1[j], r2[i]
-        minors[i, j] = (a * c - b * d - e * g + f * h, a * d + b * c - e * h - f * g)
-    return minors
+        minors.append((a * c - b * d - e * g + f * h, a * d + b * c - e * h - f * g))
+    return tuple(minors)
+
+
+def _span_entries(c1, c2):
+    """For the pivot columns c1 < c2, one entry per free column f, ascending:
+    (a, b, c, bc, ac, ab) with a < b < c the columns {c1, c2, f} and bc, ac,
+    ab the ``_PAIRS`` indices of the minors m_bc, m_ac and m_ab."""
+    entries = []
+    for f in range(4):
+        if f not in (c1, c2):
+            a, b, c = sorted((c1, c2, f))
+            entries.append((a, b, c, _PAIRS.index((b, c)), _PAIRS.index((a, c)), _PAIRS.index((a, b))))
+    return tuple(entries)
+
+
+# the span entries of each pivot pair, indexed like _PAIRS
+_SPAN_TABLE = tuple(_span_entries(c1, c2) for c1, c2 in _PAIRS)
 
 
 def _span(zrows):
     """Z[i] kernel basis of two rows of four Z[i] pairs; ValidationError if
     they are dependent.
 
-    The first nonzero minor m_(c1,c2) in lexicographic order names the
-    echelon pivots c1 < c2, as the minors m_ij with i < c1 vanish with column
-    i; no nonzero minor means dependent rows.  For each free column f,
-    ascending, with a < b < c the columns {c1, c2, f}, the vector (m_bc,
-    -m_ac, m_ab) on a, b, c is in the kernel: a row dotted with it is a 3x3
-    determinant with a repeated row.  It is 0 at the other free column and
-    +-m_(c1,c2) at f, a nonzero multiple of the kernel vector that is 1 at f
-    and 0 at the other free column, the one back-substitution in the rows'
-    echelon form gives.
+    The first nonzero entry k of the minors tuple of :func:`_minors`, the
+    minor m_(c1,c2) on the columns ``_PAIRS[k]``, names the echelon pivots
+    c1 < c2, as the minors m_ij with i < c1 vanish with column i; no
+    nonzero minor means dependent rows.  For each free column f, ascending,
+    with a < b < c the columns {c1, c2, f}, the vector (m_bc, -m_ac, m_ab)
+    on a, b, c is in the kernel: a row dotted with it is a 3x3 determinant
+    with a repeated row.  It is 0 at the other free column and +-m_(c1,c2)
+    at f, a nonzero multiple of the kernel vector that is 1 at f and 0 at
+    the other free column, the one back-substitution in the rows' echelon
+    form gives.  The columns and the minors' indices are read from
+    ``_SPAN_TABLE[k]``, built once from ``_PAIRS``.
     """
     minors = _minors(*zrows)
-    pivots = next((pair for pair in _PAIRS if minors[pair] != (0, 0)), None)
-    if pivots is None:
+    for k, (re, im) in enumerate(minors):
+        if re or im:
+            break
+    else:
         raise ValidationError("the two line forms must be linearly independent")
     span = []
-    for f in range(4):
-        if f not in pivots:
-            a, b, c = sorted(pivots + (f,))
-            vec = [(0, 0)] * 4
-            vec[a], vec[b], vec[c] = minors[b, c], _gneg(minors[a, c]), minors[a, b]
-            span.append(vec)
+    for a, b, c, bc, ac, ab in _SPAN_TABLE[k]:
+        re, im = minors[ac]
+        vec = [(0, 0)] * 4
+        vec[a], vec[b], vec[c] = minors[bc], (-re, -im), minors[ab]
+        span.append(vec)
     return tuple(span)
+
+
+def _laplace_det(zforms):
+    """det of the 4x4 Z[i] matrix with rows ``zforms`` = (a, b, c, d), as a
+    Z[i] pair, by Laplace along (a, b): each 2x2 minor of (a, b) on columns
+    i < j times the complementary minor of (c, d), with sign (-1)^(i+j+1)."""
+    ab, cd = _minors(*zforms[:2]), _minors(*zforms[2:])
+    re = im = 0
+    # the complement of the k-th column pair is the k-th from the end
+    for k, (i, j) in enumerate(_PAIRS):
+        x, y = _gmul(ab[k], cd[-1 - k])
+        sign = 1 if (i + j) % 2 else -1
+        re, im = re + sign * x, im + sign * y
+    return re, im
 
 
 def _point_text(coords) -> str:
@@ -236,10 +276,8 @@ class QuadricSplit:
     its values; ``homogenizer`` is an int in 0..3.  ``zforms`` holds a, b,
     c, d scaled to Z[i] pairs by their common denominator ``scale``, so their
     values at a Z[i] vector give scale^2 * (ab - cd) there.
-    The forms must be independent; otherwise ab - cd is a singular quadric.
-    det(a, b, c, d) is expanded along (a, b) by Laplace: each 2x2 minor of
-    (a, b) on columns i < j times the complementary minor of (c, d), with
-    sign (-1)^(i+j+1).
+    The forms must be independent, det(a, b, c, d) != 0 by
+    :func:`_laplace_det`; otherwise ab - cd is a singular quadric.
 
     ``zgram`` holds the nonzero coefficients of scale^2 * (ab - cd) as
     ``(i, j, q_ij)`` for i <= j, q_ij a Z[i] pair: q_ii = a_i*b_i - c_i*d_i
@@ -267,14 +305,7 @@ class QuadricSplit:
             raise ValidationError(f"a split's homogenizer is an index 0..3, got {self.homogenizer!r}")
         zflat, scale = _zi_lift([e for form in forms for e in form])
         zforms = tuple(tuple(zflat[i:i + 4]) for i in range(0, 16, 4))
-        ab, cd = _minors(*zforms[:2]), _minors(*zforms[2:])
-        re = im = 0
-        # the complement of the k-th column pair is the k-th from the end
-        for (i, j), (k, l) in zip(_PAIRS, reversed(_PAIRS)):
-            x, y = _gmul(ab[i, j], cd[k, l])
-            sign = 1 if (i + j) % 2 else -1
-            re, im = re + sign * x, im + sign * y
-        if re == im == 0:
+        if _laplace_det(zforms) == (0, 0):
             raise ValidationError("the four forms of a split must be linearly independent")
         a, b, c, d = zforms
 
@@ -334,9 +365,9 @@ CONTROL_QUADRIC = QuadricSplit(
 )
 
 
-def _check_split(split) -> None:
-    if not isinstance(split, QuadricSplit):
-        raise ValidationError(f"a quadric is given as a QuadricSplit, got {type(split).__name__}")
+def _check_given(value, cls, what: str) -> None:
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} is given as a {cls.__name__}, got {type(value).__name__}")
 
 
 def _ruling_rows(family: str, s, t, split: QuadricSplit):
@@ -367,7 +398,8 @@ def ruling_line(param: RulingParam, split: QuadricSplit = SPHERE_QUADRIC) -> Pro
     The rows come from :func:`_ruling_rows`; :class:`ProjLine` keeps them
     over their scale, reduced, and reads the span off their minors.
     """
-    _check_split(split)
+    _check_given(param, RulingParam, "a ruling parameter")
+    _check_given(split, QuadricSplit, "a quadric")
     s, t = param.s, param.t
     return ProjLine(*_ruling_rows(param.family, (*s.pair, s.den), (*t.pair, t.den), split))
 
@@ -437,16 +469,16 @@ def _span_real_vector(span):
         raise InternalInconsistencyError("a line's span must vanish at each other's free columns")
     (ur, ui), (wr, wi) = u[j0], w[j1]
     k, l = (j for j in range(4) if j != j0 and j != j1)
+    (ukr, uki), (ulr, uli), (wkr, wki), (wlr, wli) = u[k], u[l], w[k], w[l]
     # Im(conj(c) * z) = Re c * Im z - Im c * Re z
-    m = (
-        (ur * u[k][1] - ui * u[k][0], wr * w[k][1] - wi * w[k][0]),
-        (ur * u[l][1] - ui * u[l][0], wr * w[l][1] - wi * w[l][0]),
-    )
-    if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
+    m00, m01 = ur * uki - ui * ukr, wr * wki - wi * wkr
+    m10, m11 = ur * uli - ui * ulr, wr * wli - wi * wlr
+    if m00 * m11 != m01 * m10:
         return None, 0
-    row = m[0] if any(m[0]) else m[1]
-    if any(row):
-        a, b, nullity = row[1], -row[0], 1
+    if m00 or m01:
+        a, b, nullity = m01, -m00, 1
+    elif m10 or m11:
+        a, b, nullity = m11, -m10, 1
     else:
         a, b, nullity = 1, 0, 2
     # a*U + b*W = (a*conj(u[j0]))*u + (b*conj(w[j1]))*w, imaginary parts included
@@ -500,7 +532,8 @@ def real_point(line: ProjLine, split: QuadricSplit = SPHERE_QUADRIC):
     divided by its leading coordinate, the one division; for nullity 0 it
     is None.  Raises LINE_NOT_ON_QUADRIC for lines off the quadric.
     """
-    _check_split(split)
+    _check_given(line, ProjLine, "a line")
+    _check_given(split, QuadricSplit, "a quadric")
     z, nullity = _real_vector(line.zrows, line.span, split)
     if z is None:
         return None, 0
@@ -637,7 +670,7 @@ def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:
             # a real point at infinity (h = 0) fails the sphere test too
             ok = _on_sphere(z)
             lead = next(x for x in z if x)
-            entry["point"] = _point_text((x, 0, lead) for x in z)
+            entry["point"] = "(" + " : ".join(_part_str(x, lead) for x in z) + ")"
             entry["on_sphere"] = ok
         else:
             entry["reason"] = f"nullity {nullity}"

@@ -1,5 +1,6 @@
 """Quadric rulings, exact real points, and the boundary-cover certificate."""
 
+import itertools
 import math
 import random
 import sys
@@ -16,8 +17,8 @@ from conetower.errors import (
     LineNotOnQuadricError,
     ValidationError,
 )
-from conetower.gaussian import ZERO, GaussianRational, I, ONE, _gaussian_text, _zi_lift
-from conetower.multipoly import MultiPoly
+from conetower.gaussian import ZERO, GaussianRational, I, ONE, _gaussian_text, _gmul, _gsub, _zi_lift
+from conetower.multipoly import MultiPoly, substitute
 from conetower.quadric import (
     BOUNDARY_QUADRIC,
     CONTROL_QUADRIC,
@@ -44,6 +45,17 @@ def test_split_identities():
         # ab - cd must reproduce the named quadric; spot check via points
         poly = split.quadric_poly
         assert {sum(exps) for exps in poly.zterms} == {2}
+
+
+def test_boundary_split_is_the_tower_level_0_equation():
+    # the boundary split is typed by hand: ab - cd at z0 = 1, with z1, z2, z3
+    # relabelled onto level 0's chart variables u1_0, u2_0, u3_0, must be
+    # the tower's level 0 hypersurface
+    level0 = build_tower(1).level(0)
+    chart = level0.chart.variables
+    image = {"z0": MultiPoly.constant(chart, ONE)}
+    image.update((f"z{i}", MultiPoly.variable(chart, f"u{i}_0")) for i in (1, 2, 3))
+    assert substitute(BOUNDARY_QUADRIC.quadric_poly, image) == level0.hypersurface.equation
 
 
 def _on_line(line, point):
@@ -422,8 +434,12 @@ _E = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     (lambda: QuadricSplit("x", (1.0, 0, 0, 0), *_E[1:], 0), TypeError, "inexact|Gaussian rational"),
     (lambda: ruling_line(RulingParam("A", ONE, ONE), "sphere"), ValidationError, "QuadricSplit"),
     (lambda: real_point(ruling_line(RulingParam("A", ONE, ONE)), "sphere"), ValidationError, "QuadricSplit"),
+    (lambda: ruling_line("A"), ValidationError, "RulingParam, got str"),
+    (lambda: real_point("x"), ValidationError, "ProjLine, got str"),
+    (lambda: real_point(None), ValidationError, "ProjLine, got NoneType"),
 ], ids=["three-entries", "five-entries", "homogenizer-7", "homogenizer-negative", "homogenizer-text",
-        "homogenizer-bool", "float-entry", "ruling-line-split-text", "real-point-split-text"])
+        "homogenizer-bool", "float-entry", "ruling-line-split-text", "real-point-split-text",
+        "ruling-line-param-text", "real-point-line-text", "real-point-line-none"])
 def test_split_refusals_are_typed(build, error, message):
     with pytest.raises(error, match=message):
         build()
@@ -480,6 +496,76 @@ def test_split_refusal_follows_the_rank_of_seeded_forms():
         outcomes.append((planted, dependent))
     assert (True, False) not in outcomes
     assert outcomes.count((True, True)) >= 150 and outcomes.count((False, False)) >= 150
+
+
+def _leibniz_det(rows):
+    """det of a 4x4 matrix of Z[i] pairs as a sum over the 24 permutations."""
+    re = im = 0
+    for perm in itertools.permutations(range(4)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2))
+        x, y = sign, 0
+        for row, col in zip(rows, perm):
+            x, y = _gmul((x, y), row[col])
+        re, im = re + x, im + y
+    return re, im
+
+
+def test_split_laplace_determinant_is_unchanged():
+    # the built-in splits' determinants are pinned, and every seeded split's,
+    # with and without a dependent fourth form, is the Leibniz expansion
+    pinned = [(SPHERE_QUADRIC, (0, -4)), (BOUNDARY_QUADRIC, (0, 4)), (CONTROL_QUADRIC, (4, 0))]
+    for split, det in pinned:
+        assert quadric._laplace_det(split.zforms) == det == _leibniz_det(split.zforms)
+    rng = random.Random(51)
+    for _ in range(100):
+        a, b, c, d = _random_split(rng).zforms
+        assert quadric._laplace_det((a, b, c, d)) == _leibniz_det((a, b, c, d)) != (0, 0)
+        p, q = (rng.randint(-3, 3), rng.randint(-3, 3)), (rng.randint(-3, 3), rng.randint(-3, 3))
+        dependent = tuple(tuple(x + y for x, y in zip(_gmul(p, u), _gmul(q, v))) for u, v in zip(a, c))
+        assert quadric._laplace_det((a, b, c, dependent)) == (0, 0) == _leibniz_det((a, b, c, dependent))
+
+
+def _pivot_rows(rng, c1, c2):
+    """Two Z[i] rows whose first nonzero 2x2 minor, in lexicographic order
+    of the column pairs, is on the columns c1 < c2: rows in echelon form
+    with pivots c1 and c2, mixed by an invertible 2x2 Z[i] matrix, which
+    scales every minor by its determinant."""
+    def zi(nonzero=False):
+        while True:
+            z = (rng.randint(-9, 9), rng.randint(-9, 9))
+            if z != (0, 0) or not nonzero:
+                return z
+
+    e1 = [(0, 0) if j < c1 else zi(j == c1) for j in range(4)]
+    e2 = [(0, 0) if j < c2 else zi(j == c2) for j in range(4)]
+    while True:
+        (p, q), (r, t) = (zi(), zi()), (zi(), zi())
+        if _gmul(p, t) != _gmul(q, r):
+            return tuple(
+                tuple(tuple(x + y for x, y in zip(_gmul(m1, v1), _gmul(m2, v2))) for v1, v2 in zip(e1, e2))
+                for m1, m2 in ((p, q), (r, t))
+            )
+
+
+_LEX_PAIRS = tuple(itertools.combinations(range(4), 2))
+
+
+@pytest.mark.parametrize("pivots", _LEX_PAIRS, ids=[f"{i}{j}" for i, j in _LEX_PAIRS])
+def test_span_reads_every_pivot_pair(pivots):
+    # rows reaching each pivot pair: both rows vanish on both span vectors,
+    # which are independent, each zero at the other's free column
+    assert quadric._PAIRS == _LEX_PAIRS
+    f1, f2 = (f for f in range(4) if f not in pivots)
+    rng = random.Random(51)
+    for _ in range(40):
+        r1, r2 = rows = _pivot_rows(rng, *pivots)
+        minors = tuple(_gsub(_gmul(r1[i], r2[j]), _gmul(r1[j], r2[i])) for i, j in _LEX_PAIRS)
+        assert quadric._minors(r1, r2) == minors
+        assert next(pair for pair, m in zip(_LEX_PAIRS, minors) if m != (0, 0)) == pivots
+        u, w = quadric._span(rows)
+        assert all(quadric_reference.zdot(row, v) == (0, 0) for row in rows for v in (u, w))
+        assert linalg_reference.matrix_rank([list(u), list(w)], 4) == 2
+        assert u[f2] == w[f1] == (0, 0) != u[f1] and w[f2] != (0, 0)
 
 
 def _randint_sample_param(rng, family):
@@ -874,6 +960,16 @@ def _until_error(entries):
     except ConetowerError as err:
         out.append(type(err))
     return out
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**40 + 7])
+def test_boundary_cover_entries_print_the_public_chain(seed):
+    # the certificate's own entries, each point printed over its first
+    # nonzero coordinate, are what the public chain prints
+    branches = verify_boundary_cover(build_tower(1), 12, seed).branches
+    entries = [(b["family"], b["index"], b["s"], b["t"], b["point"], b["nullity"], b["on_sphere"])
+               for b in branches]
+    assert entries == list(_public_entries(BOUNDARY_QUADRIC, 12, seed))
 
 
 @_over_all_splits
