@@ -48,13 +48,61 @@ def aggregate_status(checks) -> str:
     return PASS
 
 
+class _PrintedWhenRead:
+    """A field of records whose leaves may be exact values, such as a
+    ``MultiPoly`` or a ``GaussianRational``, in place of their text.  The
+    first read replaces each such value by its ``str``, printing each object
+    once however many records hold it; the records keep the text, so every
+    later read prints nothing."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, cert, owner=None):
+        if cert is None:
+            return None  # the dataclass default
+        records, printed = getattr(cert, self.slot)
+        if not printed:
+            records = _printed(records, {})
+            setattr(cert, self.slot, (records, True))
+        return records
+
+    def __set__(self, cert, records):
+        setattr(cert, self.slot, (records, records is None))
+
+
+def _printed(value, texts: dict):
+    """``value`` with every leaf that is not a JSON scalar replaced by its
+    ``str``; ``texts`` maps the id of each object printed so far to its text.
+    The containers are new, so every object stays alive while ``texts`` is
+    read."""
+    if isinstance(value, dict):
+        return {key: _printed(item, texts) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_printed(item, texts) for item in value)
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    text = texts.get(id(value))
+    if text is None:
+        text = texts[id(value)] = str(value)
+    return text
+
+
 @dataclass
 class Certificate:
+    """A verdict, its checks, and the records behind it.
+
+    ``branches`` may hold exact values, which are printed when the field is
+    first read (directly, or through ``to_dict`` and ``to_json``); a reader
+    always gets text, and a caller that reads only ``status`` and ``checks``
+    prints none of them.
+    """
+
     command: str
     status: str
     params: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
-    branches: list | None = None
+    branches: list | None = _PrintedWhenRead()
     values: dict | None = None
     points: list | None = None
     justification: str = ""

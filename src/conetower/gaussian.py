@@ -28,6 +28,21 @@ def _print_limit_error() -> DigitLimitError:
     )
 
 
+def _deferred_text(value, pairs, den: int):
+    """``value`` itself, for a reader to print when it reads it, or
+    ``str(value)`` at once when ``den`` or a part of one of the Z[i]
+    ``pairs`` has more than floor((L - 1)/log10 2) bits, L being
+    ``sys.get_int_max_str_digits()``: a shorter int prints within L digits.
+    So a value past the digit limit raises DigitLimitError where it is made,
+    not where it is read; with no limit (L = 0) nothing prints at once."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        bits = int((limit - 1) / math.log10(2))
+        if den.bit_length() > bits or any(re.bit_length() > bits or im.bit_length() > bits for re, im in pairs):
+            return str(value)
+    return value
+
+
 def _exact_str(value) -> str:
     """Text of an exact int or Fraction; DigitLimitError past the digit limit.
 

@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul
 
@@ -34,8 +34,8 @@ from .certificates import (
 from .charts import Chart, Hypersurface
 from .errors import FloatRangeError, SearchExhaustedError, ValidationError, _check_seed, _is_int
 from .gaussian import (
-    _INEXACT, ONE, GaussianRational, _exact_int, _exact_str, _exact_str_or, _gmul, _gsub, _power,
-    _trusted_gaussian,
+    _INEXACT, ONE, GaussianRational, _deferred_text, _exact_int, _exact_str, _exact_str_or, _gmul, _gsub,
+    _power, _trusted_gaussian,
 )
 from .multipoly import (
     MultiPoly,
@@ -672,7 +672,11 @@ def certify_singular_locus(h: Hypersurface, claimed) -> Certificate:
 def _branch_verdict(record, plan, chart, selection, claimed, claims_zero_only) -> str:
     """Decide one branch, writing its outcome into ``record``.
 
-    Returns "refuted", "accounted", "fail" or "inconclusive".
+    Returns "refuted", "accounted", "fail" or "inconclusive".  The reduced
+    equation, each chain core and a nonzero constant enter ``record`` as
+    exact values, which the certificate prints when its branches are first
+    read (``gaussian._deferred_text`` prints one past the digit limit here).
+    A value that two records share is one object, printed once.
     """
     zeros = set()
     roots: dict = {}
@@ -702,7 +706,7 @@ def _branch_verdict(record, plan, chart, selection, claimed, claims_zero_only) -
         return "refuted"
 
     reduced = plan.reduce(zeros, roots)
-    record["reduced"] = str(reduced)
+    record["reduced"] = _deferred_text(reduced, reduced.zterms.values(), reduced.den)
 
     constrained = zeros | set(roots)
     free_vars = [v for v in chart.variables if v not in constrained]
@@ -726,7 +730,8 @@ def _branch_verdict(record, plan, chart, selection, claimed, claims_zero_only) -
         return unresolved
 
     if reduced.is_constant():
-        record["outcome"] = {"type": "nonzero-constant", "value": str(reduced.constant_value())}
+        # its parts and denominator are reduced's, which passed the guard above
+        record["outcome"] = {"type": "nonzero-constant", "value": reduced.constant_value()}
         return "refuted"
 
     # iterated elimination of the root-constrained variables
@@ -741,12 +746,13 @@ def _branch_verdict(record, plan, chart, selection, claimed, claims_zero_only) -
             continue
         core, power, method = plan.root_product(current, used, var, roots[var])
         exponent *= power
-        chain.append({"variable": var, "method": method, "exponent": power, "value": str(core)})
+        value = _deferred_text(core, core.zterms.values(), core.den)
+        chain.append({"variable": var, "method": method, "exponent": power, "value": value})
         current = core
     outcome = record["outcome"] = {
         "type": "iterated-root-product",
         "chain": chain,
-        # current is the chain's last value, or reduced itself: printed already
+        # current is the chain's last value, or reduced itself: the same object
         "value": chain[-1]["value"] if chain else record["reduced"],
         "exponent": exponent,
     }
@@ -778,13 +784,13 @@ def _branch_verdict(record, plan, chart, selection, claimed, claims_zero_only) -
 def certify_perturbation(params: PerturbationParams) -> Certificate:
     """Certify that the perturbed hypersurface is singular only at the origin."""
     h = perturbed_equation(params)
-    inner = certify_singular_locus(h, [h.chart.origin()])
-    return replace(
-        inner,
-        command="certify-perturbation",
-        status=CERTIFIED if inner.status == ONLY_SINGULAR_AT else inner.status,
-        params=params.as_dict() | {"equation": inner.params["equation"]},
-    )
+    cert = certify_singular_locus(h, [h.chart.origin()])
+    # set in place: a copy would read, and so print, the branches
+    cert.command = "certify-perturbation"
+    if cert.status == ONLY_SINGULAR_AT:
+        cert.status = CERTIFIED
+    cert.params = params.as_dict() | {"equation": cert.params["equation"]}
+    return cert
 
 
 DEFAULT_EPS_CANDIDATES = (Fraction(1), Fraction(1, 2), Fraction(1, 4))

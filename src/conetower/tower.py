@@ -14,6 +14,7 @@ bare names across levels would invite capture in composed maps.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .blowup import (
@@ -123,6 +124,9 @@ def build_tower(k: int) -> Tower:
     """Construct and fully verify the k-step tower; k >= 1."""
     if not _is_int(k) or k < 1:
         raise ValidationError(f"tower depth must be a positive integer, got {k!r}")
+    if 2 * k + 1 > sys.maxsize:
+        # the cone's v4^(2k) indexes tables of 2k + 1 powers
+        raise ValidationError(f"tower depth must be at most {(sys.maxsize - 1) // 2}, so that 2k + 1 fits an index")
     checks = []
 
     def check(name, ok, witness=""):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -578,6 +579,13 @@ def test_tower_refuses_a_bool_depth():
     # True once built a tower whose tower/1 document read "k": true
     with pytest.raises(ValidationError):
         build_tower(True)
+
+
+@pytest.mark.parametrize("k", [(sys.maxsize + 1) // 2, 2 ** 70])
+def test_tower_refuses_a_depth_whose_exponents_cannot_index_a_list(k):
+    # 2k + 1 powers of v4 once ended in OverflowError from a table of them
+    with pytest.raises(ValidationError, match="at most"):
+        build_tower(k)
 
 
 def test_tower_squares_commute_k4():

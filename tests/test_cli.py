@@ -31,6 +31,15 @@ def test_tower_k0_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["tower", "certify", "all"])
+def test_a_depth_past_an_index_is_one_usage_line(capsys, command):
+    code = main([command, "--k", str(2 ** 70)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 2
 

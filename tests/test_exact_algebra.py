@@ -1,5 +1,6 @@
 """Exact-arithmetic core: Gaussian rationals, polynomials, resultants."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from conetower.errors import (
     VariableMismatchError,
     ZeroInputError,
 )
-from conetower.gaussian import GaussianRational, I, ONE, ZERO
+from conetower.gaussian import GaussianRational, I, ONE, ZERO, _deferred_text
 from conetower.laurent import LaurentPoly
 from conetower.multipoly import (
     MultiPoly,
@@ -185,6 +186,25 @@ def test_a_value_past_the_digit_limit_prints_as_a_typed_error(part, where):
     with pytest.raises(DigitLimitError) as err:
         str(printed)
     assert str(err.value) == f"an exact value has more than {limit} digits, too many to print"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_value_with_more_bits_than_print_within_the_limit_is_printed_at_once():
+    # floor((L - 1)/log10 2) bits print within L digits; one bit more prints
+    # now, so a value past the limit raises where it is made
+    limit = sys.get_int_max_str_digits()
+    bits = int((limit - 1) / math.log10(2))
+    assert len(str(2 ** bits)) <= limit
+    for re, den in ((2 ** bits - 1, 1), (1, 2 ** bits - 1), (2 ** bits, 1), (1, 2 ** bits), (1, 3)):
+        value = GaussianRational(Fraction(re, den), 1)
+        got = _deferred_text(value, (value.pair,), value.den)
+        if max(re, den).bit_length() > bits:
+            assert got == str(value)
+        else:
+            assert got is value
+    long = GaussianRational(10 ** limit)
+    with pytest.raises(DigitLimitError):
+        _deferred_text(long, (long.pair,), long.den)
     assert sys.get_int_max_str_digits() == limit
 
 

@@ -2305,5 +2305,8 @@ def test_branch_plan_matches_the_reference_on_separable_equations(equations):
     # variables; the branches of variables that share a part share chain steps
     for h in equations:
         claimed = [h.chart.origin()]
-        ours = singular.certify_singular_locus(h, claimed).to_json()
+        cert = singular.certify_singular_locus(h, claimed)
+        ours = cert.to_json()
         assert ours == with_reference_plan(lambda: singular.certify_singular_locus(h, claimed).to_json())
+        # a reader gets text only, never an exact value
+        assert cert.branches == json.loads(ours)["branches"]

@@ -1,6 +1,7 @@
 """Singular-locus certificates, perturbation search, real-slice bounds."""
 
 import itertools
+import json
 import math
 import random
 import sys
@@ -325,6 +326,44 @@ def test_perturbation_k1_n2_leaf_table():
             assert branch["verdict"] == "refuted"
             expected = -Fraction(m + n, 4)
             assert branch["outcome"]["value"] == str(GaussianRational(expected))
+
+
+def test_branch_values_are_printed_once_when_first_read(monkeypatch):
+    # a search attempt reads only the status: the certifier prints the
+    # equation and the constraint factors, and no branch value
+    printed = []
+
+    def counted(poly, _inner=MultiPoly.__str__):
+        printed.append(poly)
+        return _inner(poly)
+
+    monkeypatch.setattr(MultiPoly, "__str__", counted)
+    cert = certify_perturbation(PerturbationParams(4, 5, Fraction(1)))
+    inside = [MultiPoly.__str__(p) for p in list(printed)]
+    printed.clear()
+    branches = cert.branches
+    factors = {c["polynomial"] for b in branches for c in b["constraints"] if "polynomial" in c}
+    assert sorted(inside) == sorted({cert.params["equation"]} | factors)
+    # the first read prints each value object once, a later one nothing
+    assert printed and len({id(p) for p in printed}) == len(printed)
+    printed.clear()
+    assert cert.branches is branches and json.loads(cert.to_json())["branches"] == branches
+    assert printed == []
+    values = [b["reduced"] for b in branches if "reduced" in b]
+    for b in branches:
+        outcome = b["outcome"]
+        values += [step["value"] for step in outcome.get("chain", ())] + [outcome.get("value", "")]
+    assert values and all(type(v) is str for v in values)
+
+
+def test_a_branch_value_past_the_digit_limit_raises_in_the_certifier():
+    # the certifier prints a value too long to print where it is made, as it
+    # did before it deferred printing: a typed error, not a FAIL that raises
+    # only when serialized
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(DigitLimitError, match="digits"):
+        certify_perturbation(PerturbationParams(1, 10, Fraction(1)))
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_perturbation_rejects_n_not_exceeding_k():
