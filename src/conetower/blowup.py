@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .charts import Chart, Hypersurface, SubstitutionMap, compose_maps, maps_equal
 from .errors import (
-    ChartMismatchError, InternalInconsistencyError, NotTriangularError, ValidationError, ZeroInputError,
+    ChartMismatchError, InternalInconsistencyError, NotTriangularError, ValidationError, ZeroInputError, _quoted,
 )
 from .multipoly import MultiPoly, _substitute_all, _trusted_poly, extract_variable_power, substitute
 
@@ -142,7 +142,7 @@ def straighten_center(center: SurfaceCenter, new_names, chart_id: str):
     if len(ambient.variables) != 4:
         raise ValidationError("straightening expects a 4-variable ambient chart")
     if len(new_names) != 4 or len(set(new_names)) != 4:
-        raise ValidationError(f"straightening needs four distinct names (p, a, q, b), got {new_names!r}")
+        raise ValidationError(f"straightening needs four distinct names (p, a, q, b), got {_quoted(new_names)}")
     p_name, a_name, q_name, b_name = new_names
     free = [v for v in ambient.variables if v not in center.isolated]
     straight = Chart(chart_id, (p_name, a_name, q_name, b_name))

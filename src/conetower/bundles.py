@@ -24,7 +24,8 @@ from .errors import (
     InternalInconsistencyError,
     NotCocycleError,
     ValidationError,
-    _is_int,
+    _check_int,
+    _quoted,
 )
 from .gaussian import _gmul, _trusted_gaussian
 from .laurent import LaurentPoly, _mul_sub, _trusted_laurent, parse_laurent
@@ -40,7 +41,8 @@ class SplittingType:
 
     def __post_init__(self):
         if self.d1 < self.d2:
-            raise ValidationError(f"splitting type must be ordered, got ({self.d1}, {self.d2})")
+            d1, d2 = _quoted(self.d1, str), _quoted(self.d2, str)
+            raise ValidationError(f"splitting type must be ordered, got ({d1}, {d2})")
 
     def as_pair(self):
         return (self.d1, self.d2)
@@ -227,8 +229,7 @@ def h0_window(T: TransitionMatrix, window: int = 6):
     twists m0-1 .. m0+window-2, where m0 = -d1 is the first twist with a
     section.
     """
-    if not _is_int(window) or window < 1:
-        raise ValidationError(f"window must be a positive integer, got {window!r}")
+    _check_int(window, "window must be a positive integer", low=1)
     _, v = det_valuation(T)
     lo, _ = T.exponent_span()
     sigma = max(0, -lo)
@@ -266,8 +267,7 @@ def h0_window(T: TransitionMatrix, window: int = 6):
 def local_model_fibers(k: int):
     """Fiber transition of the rank-2 local model: y1 = z^2*x1 + z*x2^k, y2 = x2,
     over the variables (z, x1, x2)."""
-    if not _is_int(k) or k < 1:
-        raise ValidationError(f"the local model needs a positive integer, got {k!r}")
+    _check_int(k, "the local model needs a positive integer", low=1)
     variables = ("z", "x1", "x2")
     z, x1, x2 = (MultiPoly.variable(variables, v) for v in variables)
     y1 = z * z * x1 + z * x2 ** k
@@ -302,8 +302,7 @@ def normal_bundle_sequence(k: int):
     Level j reads off the local model with parameter j, giving k-1 copies of
     (0, -2) followed by the final (-1, -1).
     """
-    if not _is_int(k) or k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k!r}")
+    _check_int(k, "k must be a positive integer", low=1)
     out = []
     for j in range(k, 0, -1):
         y1, y2 = local_model_fibers(j)

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import ValidationError
+from .errors import ValidationError, _quoted
 
 SCHEMA = "cert/1"
 
@@ -111,7 +111,7 @@ class Certificate:
 
     def __post_init__(self):
         if self.status not in _ALL_STATUSES:
-            raise ValidationError(f"unknown certificate status {self.status!r}")
+            raise ValidationError(f"unknown certificate status {_quoted(self.status)}")
 
     @property
     def passed(self) -> bool:

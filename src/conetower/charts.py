@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import add
 
-from .errors import ChartMismatchError, ValidationError, VariableMismatchError, ZeroInputError
+from .errors import ChartMismatchError, ValidationError, VariableMismatchError, ZeroInputError, _quoted
 from .gaussian import ZERO
 from .multipoly import MultiPoly, _substitute_all, _trusted_poly, parse_poly, substitute
 
@@ -47,7 +47,7 @@ class Chart:
         try:
             return self.coordinates[name]
         except KeyError:
-            raise VariableMismatchError(f"unknown variable {name!r} for {self.variables}") from None
+            raise VariableMismatchError(f"unknown variable {_quoted(name)} for {self.variables}") from None
 
     def product(self, a: str, b: str) -> MultiPoly:
         """The coordinate product a*b, written as its one-term map: the sum of

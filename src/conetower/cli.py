@@ -34,6 +34,7 @@ from .errors import (
     ParseError,
     SearchExhaustedError,
     ValidationError,
+    _quoted,
 )
 from .gaussian import _exact_str_or
 from .lemma_square import verify_lemma_square
@@ -287,7 +288,7 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a rational: {_quoted(text)}")
 
 
 def _fraction_list(text: str) -> tuple:

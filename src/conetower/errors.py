@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the int checks behind them."""
+"""Exception types shared across the package, and the int check and value quoting behind them."""
+
+import sys
 
 
 class ConetowerError(Exception):
@@ -70,8 +72,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_seed(seed) -> None:
-    # random.Random seeds from the OS on None and hashes a float or a str,
-    # so only an int seed repeats a run
-    if not _is_int(seed):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
+def _quoted(value, show=repr) -> str:
+    """``show(value)``, or a fixed note when an int in it is past the digit limit, which is left as it is."""
+    try:
+        return show(value)
+    except ValueError:
+        return f"a value with an int of more than {sys.get_int_max_str_digits()} digits"
+
+
+def _check_int(value, what: str, low=None, high=None) -> None:
+    """ValidationError "{what}, got {value}" unless ``value`` is an int with low <= value <= high (None: no end)."""
+    if not _is_int(value) or (low is not None and value < low) or (high is not None and value > high):
+        raise ValidationError(f"{what}, got {_quoted(value)}")

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from operator import mul as _mul
 
-from .errors import DigitLimitError, InternalInconsistencyError, _is_int
+from .errors import DigitLimitError, InternalInconsistencyError, _is_int, _quoted
 
 _RATIONAL_TYPES = (int, Fraction)
 _INEXACT = "floats are inexact; pass int, Fraction, or string"
@@ -44,15 +44,8 @@ def _deferred_text(value, pairs, den: int):
 
 
 def _exact_str(value) -> str:
-    """Text of an exact int or Fraction; DigitLimitError past the digit limit.
-
-    Python refuses to print an integer longer than
-    ``sys.get_int_max_str_digits()`` digits; the limit is left as it is.
-    """
-    try:
-        return str(value)
-    except ValueError:
-        raise _print_limit_error() from None
+    """Text of an exact int or Fraction; DigitLimitError past the digit limit."""
+    return _part_str(value.numerator, value.denominator)
 
 
 def _exact_int(digits: str) -> int:
@@ -78,9 +71,9 @@ def _exact_str_or(value, expression: str) -> str:
 
 def _part_str(n: int, den: int) -> str:
     """Text of the rational n/den, den a positive int, as the reduced
-    ``Fraction`` prints it; DigitLimitError, with ``_exact_str``'s message,
-    when the numerator or the denominator is past the digit limit.  Both
-    are converted inside one ``try``."""
+    ``Fraction`` prints it; DigitLimitError when the numerator or the
+    denominator is longer than ``sys.get_int_max_str_digits()`` digits, a
+    limit that is left as it is.  Both are converted inside one ``try``."""
     g = math.gcd(n, den)
     if g != 1:
         n, den = n // g, den // g
@@ -176,7 +169,7 @@ class GaussianRational:
             return value
         if isinstance(value, _RATIONAL_TYPES):
             return cls(value)
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        raise TypeError(f"cannot interpret {_quoted(value)} as a Gaussian rational")
 
     @property
     def re(self) -> Fraction:

@@ -11,7 +11,7 @@ the cocycle determinant and the factorization checks of
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import ValidationError, _quoted
 from .gaussian import (
     GaussianRational, ONE, _normal_form, _rational_view, _zi_lift, _zi_sum,
 )
@@ -34,7 +34,7 @@ class LaurentPoly:
         clean = {}
         for exp, coeff in coeffs.items():
             if type(exp) is not int:
-                raise ValidationError(f"Laurent exponents must be ints, got {exp!r}")
+                raise ValidationError(f"Laurent exponents must be ints, got {_quoted(exp)}")
             coeff = GaussianRational.coerce(coeff)
             if coeff:
                 clean[exp] = coeff

@@ -29,7 +29,7 @@ from operator import add as _add, mul as _mul, sub as _sub
 from typing import Iterable, Mapping
 
 from .errors import (
-    InternalInconsistencyError, ParseError, ValidationError, VariableMismatchError, ZeroInputError, _is_int,
+    InternalInconsistencyError, ParseError, ValidationError, VariableMismatchError, ZeroInputError, _is_int, _quoted,
 )
 from .gaussian import (
     _RATIONAL_TYPES, GaussianRational, I, ONE, ZERO,
@@ -61,10 +61,10 @@ class MultiPoly:
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != nvars:
-                raise ValidationError(f"exponent vector {exps} has wrong length for {variables}")
+                raise ValidationError(f"exponent vector {_quoted(exps)} has wrong length for {variables}")
             for e in exps:
                 if type(e) is not int or e < 0:
-                    raise ValidationError(f"exponents must be non-negative ints, got {exps!r}")
+                    raise ValidationError(f"exponents must be non-negative ints, got {_quoted(exps)}")
             coeff = GaussianRational.coerce(coeff)
             if coeff:
                 clean[exps] = coeff
@@ -88,7 +88,7 @@ class MultiPoly:
     def variable(cls, variables, name) -> "MultiPoly":
         variables = tuple(variables)
         if name not in variables:
-            raise VariableMismatchError(f"unknown variable {name!r} for {variables}")
+            raise VariableMismatchError(f"unknown variable {_quoted(name)} for {variables}")
         exps = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, {exps: ONE})
 
@@ -186,7 +186,7 @@ class MultiPoly:
         try:
             return self.variables.index(var)
         except ValueError:
-            raise VariableMismatchError(f"unknown variable {var!r} for {self.variables}")
+            raise VariableMismatchError(f"unknown variable {_quoted(var)} for {self.variables}")
 
     def coefficient_in(self, var: str, power: int) -> "MultiPoly":
         """Coefficient of ``var**power`` as a polynomial over the same variables."""
@@ -297,7 +297,7 @@ def _tokenize(text: str):
             if not stripped:
                 break
             bad_at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
+            raise ParseError(f"unexpected character {_quoted(text[bad_at])}", bad_at)
         if match.group("int") is not None:
             tokens.append(("int", match.group("int"), match.start("int")))
         elif match.group("name") is not None:
@@ -336,14 +336,14 @@ class _Parser:
     def expect(self, op):
         kind, value, where = self.peek()
         if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", where)
+            raise ParseError(f"expected {_quoted(op)}", where)
         return self.advance()
 
     def parse(self):
         result = self.parse_sum()
         kind, value, where = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected trailing {value!r}", where)
+            raise ParseError(f"unexpected trailing {_quoted(value)}", where)
         return result
 
     def parse_sum(self):
@@ -396,7 +396,7 @@ class _Parser:
             if value == "i":
                 return self.constant(I)
             if value not in self.variables:
-                raise ParseError(f"unknown variable {value!r}", where)
+                raise ParseError(f"unknown variable {_quoted(value)}", where)
             exponent = 1
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "^":
@@ -408,7 +408,7 @@ class _Parser:
             inner = self.parse_sum()
             self.expect(")")
             return inner
-        raise ParseError(f"expected a term, found {value!r}" if value else "unexpected end of input", where)
+        raise ParseError(f"expected a term, found {_quoted(value)}" if value else "unexpected end of input", where)
 
     def _parse_exponent(self) -> int:
         sign = 1

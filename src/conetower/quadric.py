@@ -49,8 +49,8 @@ from .errors import (
     InternalInconsistencyError,
     LineNotOnQuadricError,
     ValidationError,
-    _check_seed,
-    _is_int,
+    _check_int,
+    _quoted,
 )
 from .gaussian import (
     GaussianRational, I, ONE, _gaussian_text, _gmul, _gneg, _gsub, _part_str, _trusted_gaussian,
@@ -259,7 +259,7 @@ class RulingParam:
 
     def __post_init__(self):
         if self.family not in ("A", "B"):
-            raise ValidationError(f"ruling family must be A or B, got {self.family!r}")
+            raise ValidationError(f"ruling family must be A or B, got {_quoted(self.family)}")
         s = GaussianRational.coerce(self.s)
         t = GaussianRational.coerce(self.t)
         if not s and not t:
@@ -301,8 +301,7 @@ class QuadricSplit:
                       for form in (self.a, self.b, self.c, self.d))
         if any(len(form) != 4 for form in forms):
             raise ValidationError("each form of a split has four coefficients, one per z0..z3")
-        if not _is_int(self.homogenizer) or not 0 <= self.homogenizer <= 3:
-            raise ValidationError(f"a split's homogenizer is an index 0..3, got {self.homogenizer!r}")
+        _check_int(self.homogenizer, "a split's homogenizer is an index 0..3", 0, 3)
         zflat, scale = _zi_lift([e for form in forms for e in form])
         zforms = tuple(tuple(zflat[i:i + 4]) for i in range(0, 16, 4))
         if _laplace_det(zforms) == (0, 0):
@@ -621,10 +620,10 @@ def _on_sphere(z) -> bool:
 
 
 def _check_sampling(trials, seed) -> None:
-    # sampling no line must not read as "nullity 0 on every sampled line"
-    if not _is_int(trials) or trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
-    _check_seed(seed)
+    # sampling no line must not read as "nullity 0 on every sampled line";
+    # random.Random hashes a str seed and seeds from the OS on None
+    _check_int(trials, "trials must be a positive integer", low=1)
+    _check_int(seed, "seed must be an integer")
 
 
 def verify_boundary_cover(tower, trials: int, seed: int) -> Certificate:

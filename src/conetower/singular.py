@@ -32,10 +32,10 @@ from .certificates import (
     Check,
 )
 from .charts import Chart, Hypersurface
-from .errors import FloatRangeError, SearchExhaustedError, ValidationError, _check_seed, _is_int
+from .errors import FloatRangeError, SearchExhaustedError, ValidationError, _check_int, _quoted
 from .gaussian import (
     _INEXACT, ONE, GaussianRational, _deferred_text, _exact_int, _exact_str, _exact_str_or, _gmul, _gsub,
-    _power, _trusted_gaussian,
+    _part_str, _power, _trusted_gaussian,
 )
 from .multipoly import (
     MultiPoly,
@@ -65,7 +65,7 @@ def _exact_rational(value, name: str) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValidationError(f"{name} must be a rational number, got {value!r}")
+    raise ValidationError(f"{name} must be a rational number, got {_quoted(value)}")
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,13 @@ class PerturbationParams:
 
     def __post_init__(self):
         object.__setattr__(self, "eps", _exact_rational(self.eps, "eps"))
-        if not _is_int(self.k) or self.k < 1:
-            raise ValidationError(f"k must be a positive integer, got {self.k!r}")
-        if not _is_int(self.N) or self.N <= self.k:
-            raise ValidationError(f"N must be an integer exceeding k={self.k}, got {self.N!r}")
+        _check_int(self.k, "k must be a positive integer", low=1)
+        _check_int(self.N, f"N must be an integer exceeding k={_quoted(self.k)}", low=self.k + 1)
         if not (0 < self.eps <= 1):
             raise ValidationError(f"eps must lie in (0, 1], got {_exact_str(self.eps)}")
 
     def as_dict(self):
-        return {"k": self.k, "N": self.N, "eps": str(self.eps)}
+        return {"k": self.k, "N": self.N, "eps": _exact_str(self.eps)}
 
 
 @dataclass
@@ -798,12 +796,10 @@ DEFAULT_EPS_CANDIDATES = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
 
 def search_perturbation(k: int, n_max: int | None = None, eps_candidates=None):
     """Scan N = k+1..n_max by eps candidates; return the first certified pair."""
-    if not _is_int(k) or k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k!r}")
+    _check_int(k, "k must be a positive integer", low=1)
     if n_max is None:
         n_max = k + 8
-    if not _is_int(n_max) or n_max <= k:
-        raise ValidationError(f"n_max must be an integer exceeding k, got {n_max!r}")
+    _check_int(n_max, "n_max must be an integer exceeding k", low=k + 1)
     if eps_candidates is None:
         eps_candidates = DEFAULT_EPS_CANDIDATES
     # every candidate is exact and in (0, 1] before the first certificate
@@ -1195,8 +1191,7 @@ def real_slice_bound(params: PerturbationParams):
 
 def cone_unbounded_witness(k: int, M) -> tuple:
     """An exact point of the unperturbed cone with x4 > 0 and norm exceeding M."""
-    if not _is_int(k) or k < 1:
-        raise ValidationError(f"k must be a positive integer, got {k!r}")
+    _check_int(k, "k must be a positive integer", low=1)
     M = _exact_rational(M, "M")
     if M <= 0:
         raise ValidationError(f"M must be positive, got {_exact_str(M)}")
@@ -1296,9 +1291,9 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
     FAIL on a violation, INCONCLUSIVE when ``MAX_DRAWS_PER_SAMPLE * count``
     draws yield fewer than ``count`` samples, and PASS otherwise.
     """
-    if not _is_int(count) or count < 1:
-        raise ValidationError(f"count must be a positive integer, got {count!r}")
-    _check_seed(seed)
+    _check_int(count, "count must be a positive integer", low=1)
+    # random.Random hashes a str seed and seeds from the OS on None
+    _check_int(seed, "seed must be an integer")
     k, N, eps = params.k, params.N, params.eps
     R4, _, coord, m_hat, _, _ = _slice_bounds(params)
     accepted = 0
@@ -1358,7 +1353,7 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
         ):
             for i in used:
                 draw = block[3 * i : 3 * i + 3]
-                x = [str(Fraction(v - 32, 64)) for v in draw]
+                x = [_part_str(v - 32, 64) for v in draw]
                 if Cs[i] <= x4_fails_max:
                     violations.append({"x": x, "reason": "x4 bound"})
                 if not far.isdisjoint(draw):
@@ -1396,8 +1391,8 @@ def sample_real_slice(params: PerturbationParams, count: int, seed: int) -> dict
         "accepted": accepted,
         "draws": draws,
         "violations": violations,
-        "max_x4_upper": str(Fraction(max_x4_hi, Q)),
-        "R4": str(R4),
-        "coordinate_bound": str(coord),
+        "max_x4_upper": _part_str(max_x4_hi, Q),
+        "R4": _exact_str(R4),
+        "coordinate_bound": _exact_str(coord),
         "seed": seed,
     }

@@ -31,14 +31,13 @@ from .blowup import (
 )
 from .certificates import FAIL, PASS, Check, _dumps
 from .charts import Chart, Hypersurface, SubstitutionMap, compose_maps, first_mismatch
-from .errors import InternalInconsistencyError, ValidationError, _is_int
+from .errors import InternalInconsistencyError, ValidationError, _check_int
 from .multipoly import _trusted_poly
 
 
 def _level_variables(chart: Chart, j) -> tuple:
     """The chart's four variables, after checking j is an int >= 0."""
-    if not _is_int(j) or j < 0:
-        raise ValidationError(f"tower level must be a non-negative integer, got {j!r}")
+    _check_int(j, "tower level must be a non-negative integer", low=0)
     if len(chart.variables) != 4:
         raise ValidationError(f"tower levels live on 4-variable charts, not on {chart.variables}")
     return chart.variables
@@ -111,8 +110,7 @@ class Tower:
 
     def level(self, j: int) -> TowerLevel:
         """Level j, for j an int in 0..k."""
-        if not _is_int(j) or not 0 <= j <= self.k:
-            raise ValidationError(f"tower level must be an integer in 0..{self.k}, got {j!r}")
+        _check_int(j, f"tower level must be an integer in 0..{self.k}", 0, self.k)
         return self.levels[j]
 
     @property
@@ -122,8 +120,7 @@ class Tower:
 
 def build_tower(k: int) -> Tower:
     """Construct and fully verify the k-step tower; k >= 1."""
-    if not _is_int(k) or k < 1:
-        raise ValidationError(f"tower depth must be a positive integer, got {k!r}")
+    _check_int(k, "tower depth must be a positive integer", low=1)
     if 2 * k + 1 > sys.maxsize:
         # the cone's v4^(2k) indexes tables of 2k + 1 powers
         raise ValidationError(f"tower depth must be at most {(sys.maxsize - 1) // 2}, so that 2k + 1 fits an index")

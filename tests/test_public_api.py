@@ -1,7 +1,7 @@
 """The package's export list, pinned so that any change to it shows in a diff,
 and guards that every public function of ``src/`` has a caller, every
-private one a use in ``src/``, every import of a module a use in it, and the
-determinant kernels one entry."""
+private one a use in ``src/``, every import of a module a use in it, the
+determinant kernels one entry, and refusals one way of quoting a value."""
 
 import ast
 from pathlib import Path
@@ -112,3 +112,15 @@ def test_determinant_kernels_are_reached_only_through_zi_determinant():
             if name in kernels and not isinstance(node, ast.FunctionDef) and id(node) not in inside:
                 outside.append(f"{path.stem}:{node.lineno} {name}")
     assert outside == []
+
+
+def test_no_raise_quotes_a_value_with_repr():
+    # a raise quotes a caller's value through errors._quoted, which a repr
+    # past Python's digit limit cannot turn into a bare ValueError
+    quoted = [
+        f"{path.stem}:{node.lineno}"
+        for path in SOURCES
+        for statement in ast.walk(ast.parse(path.read_text())) if isinstance(statement, ast.Raise)
+        for node in ast.walk(statement) if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+    ]
+    assert quoted == []
